@@ -50,7 +50,8 @@ type Message struct {
 
 // StepFunc is one vertex's program for one round. It may read the inbox via
 // ctx.In(), send messages to neighbors via ctx.Send, keep itself scheduled
-// via ctx.Wake, and charge its memory meter via ctx.Mem().
+// via ctx.Wake or sleep until a later round via ctx.WakeAt, and charge its
+// memory meter via ctx.Mem().
 type StepFunc func(v int, ctx *Ctx)
 
 // Simulator executes CONGEST rounds over a fixed communication graph.
@@ -152,6 +153,14 @@ type Simulator struct {
 	ctxs      []Ctx
 	actList   []int32
 	nextList  []int32
+
+	// timers is the recycled min-heap of pending Ctx.WakeAt requests,
+	// ordered by (round, vertex) in the active Run's round frame.
+	// spinTimers degrades WakeAt to a per-round Wake for the current Run:
+	// set under a fault plan with crash windows, where a down vertex must
+	// drop its pending wake exactly as a spinning one would.
+	timers     []timer
+	spinTimers bool
 
 	// Fault injection (WithFaults). faults stays nil for an empty plan, so
 	// the clean hot path pays one nil check per round; when set, delivery
@@ -496,7 +505,7 @@ type Ctx struct {
 	in      []Message
 	outEdge []int32 // out-edges this step transitioned from empty to backed
 	extBuf  []uint64
-	wake    bool
+	wakeAt  int // earliest round requested by WakeAt this step; 0 = none
 	// arena is the payload arena of the shard executing this step — the
 	// serial arena on the serial path, the owning worker's shardArena slot
 	// on the parallel path — so Ext clones in Send never contend.
@@ -514,4 +523,22 @@ func (c *Ctx) In() []Message { return c.in }
 func (c *Ctx) Mem() *Meter { return c.sim.Mem(c.v) }
 
 // Wake keeps this vertex scheduled next round even if it receives nothing.
-func (c *Ctx) Wake() { c.wake = true }
+func (c *Ctx) Wake() { c.WakeAt(c.round + 1) }
+
+// WakeAt schedules this vertex to step in round r of the current Run even if
+// it receives nothing; until then it sleeps, stepping earlier only when a
+// message arrives. A round at or before the current one means the next
+// round. Only the earliest request of a step is kept, so a step that still
+// needs a later round re-arms it when it next runs; a pending timer fires
+// whatever later steps request. Timers left when Run returns are dropped.
+// Under a fault plan with crash windows WakeAt behaves like Wake, so a
+// vertex that is down when it steps loses its wake-up exactly as a spinning
+// vertex would (DESIGN.md §9).
+func (c *Ctx) WakeAt(r int) {
+	if r <= c.round || c.sim.spinTimers {
+		r = c.round + 1
+	}
+	if c.wakeAt == 0 || r < c.wakeAt {
+		c.wakeAt = r
+	}
+}

@@ -17,10 +17,10 @@ package congest
 //   inPos           edge id -> its slot in inEdges.
 //
 // Every per-round structure (contexts, send buffers, inboxes, queues, the
-// dirty-destination worklists, the next-active list) is owned by the
-// Simulator and recycled across rounds; set membership is tracked with an
-// epoch-stamped array instead of maps, so a steady-state round performs no
-// allocation and no hashing.
+// dirty-destination worklists, the next-active list, the WakeAt timer heap)
+// is owned by the Simulator and recycled across rounds; set membership is
+// tracked with an epoch-stamped array instead of maps, so a steady-state
+// round performs no allocation and no hashing.
 //
 // Determinism does not depend on processing order: message delivery into
 // inbox[v] walks v's incoming edges in ascending-sender CSR order (giving
@@ -219,13 +219,19 @@ func (s *Simulator) edgeID(from, to int) int32 {
 }
 
 // Run executes synchronous rounds. Vertices listed in initial are active in
-// round 0; afterwards a vertex is active iff it received a message or called
-// Wake. Run stops when no vertex is active and all edge queues are drained,
-// or after maxRounds rounds; it returns the number of rounds executed (also
+// round 0; afterwards a vertex is active iff it received a message, called
+// Wake in the previous round, or has a WakeAt timer due. Run stops when no
+// vertex is active, all edge queues are drained and no timer is pending, or
+// after maxRounds rounds; it returns the number of rounds executed (also
 // added to the simulator's round counter).
 func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	s.ensureTopology()
 	s.ensureFaults()
+	s.spinTimers = s.faults != nil && s.faults.HasCrashes()
+	// Idle rounds are skipped only when nothing observes them: tracing emits
+	// one sample per simulated round, and fault plans make empty rounds
+	// meaningful (delays tick, crash windows open and close).
+	skipIdle := !s.ffOff && s.tracer == nil && s.faults == nil
 
 	start := 0
 	if s.resumePending {
@@ -259,20 +265,32 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	executed := start
 	baseRounds := s.rounds
 	s.faultBase = baseRounds
-	for round := start; round < maxRounds && (len(s.actList) > 0 || pending > 0); round++ {
-		// Idle-round fast-forward: with no vertex active, rounds until the
-		// next delivery only tick bandwidth budgets. Jump straight there -
-		// the rounds counter advances exactly as if each empty round ran
-		// (the metric is exact-gated), only the wall-clock work is skipped.
-		// Tracing emits one sample per simulated round, so a traced run
-		// executes literally; fault plans make empty rounds meaningful
-		// (delays tick, crash windows open and close), so they also run
-		// literally.
-		if len(s.actList) == 0 && pending > 0 && s.capacity > 0 && !s.ffOff && s.tracer == nil && s.faults == nil {
-			if jump := s.fastForward(maxRounds - 1 - round); jump > 0 {
-				round += jump
-				executed += jump
+	for round := start; round < maxRounds && (len(s.actList) > 0 || pending > 0 || len(s.timers) > 0); round++ {
+		// Idle-round fast-forward: with no vertex active, the rounds until
+		// the next delivery or the next timer only tick bandwidth budgets.
+		// Jump straight there - the rounds counter advances exactly as if
+		// each empty round ran (the metric is exact-gated), only the
+		// wall-clock work is skipped.
+		if len(s.actList) == 0 && skipIdle {
+			next := maxRounds
+			if len(s.timers) > 0 && s.timers[0].round < next {
+				next = s.timers[0].round
 			}
+			jump := next - round
+			if pending > 0 {
+				jump = 0
+				if s.capacity > 0 {
+					jump = s.fastForward(min(next, maxRounds-1) - round)
+				}
+			}
+			round += jump
+			executed += jump
+			if round >= maxRounds {
+				s.ckpt.maybeWriteMid(executed)
+				break
+			}
+			s.epoch++
+			s.actList = s.popDue(s.actList[:0], round)
 		}
 
 		msgsBefore, wordsBefore := s.messages, s.words
@@ -291,15 +309,22 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 
 		// Register this round's sends (messages are already on their edge
 		// queues, appended by Ctx.Send) and collect wake requests, in
-		// sender order. Serial: dirty lists and shard worklists are shared
-		// across senders.
+		// sender order: next-round wakes join the next active list, later
+		// ones become timers, and timers due next round join the list
+		// under the same stamp dedupe. Serial: dirty lists, shard worklists
+		// and the timer heap are shared across senders.
 		s.epoch++
 		next := s.nextList[:0]
 		for i := range s.actList {
 			c := &s.ctxs[i]
-			if c.wake && s.nextStamp[c.v] != s.epoch {
-				s.nextStamp[c.v] = s.epoch
-				next = append(next, int32(c.v))
+			switch at := c.wakeAt; {
+			case at == round+1:
+				if s.nextStamp[c.v] != s.epoch {
+					s.nextStamp[c.v] = s.epoch
+					next = append(next, int32(c.v))
+				}
+			case at > round+1:
+				s.pushTimer(at, int32(c.v))
 			}
 			for _, e := range c.outEdge {
 				to := int(s.outTo[e])
@@ -313,6 +338,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 			}
 			c.outEdge = c.outEdge[:0]
 		}
+		next = s.popDue(next, round+1)
 
 		// Deliver within bandwidth, sharded by destination: every shard
 		// owns a disjoint set of inboxes, queues and dirty lists.
@@ -396,7 +422,8 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	}
 	s.rounds += int64(executed)
 
-	// Drop undelivered state if we hit maxRounds.
+	// Drop undelivered state and pending timers if we hit maxRounds.
+	s.timers = s.timers[:0]
 	for _, v := range s.actList {
 		in := s.inbox[v]
 		s.recycleExt(in)
@@ -455,10 +482,10 @@ func (s *Simulator) stepVertex(i, round int, step StepFunc, ar *wordArena) {
 	c.arena = ar
 	c.in = s.inbox[v]
 	c.outEdge = c.outEdge[:0]
-	c.wake = false
+	c.wakeAt = 0
 	// Crash-stop: a down vertex executes nothing and sends nothing. The
 	// context fields above are still initialised because the serial enqueue
-	// walk reads wake/outEdge for every active slot. Delivery to a down
+	// walk reads wakeAt/outEdge for every active slot. Delivery to a down
 	// vertex is held upstream (drainDstFaulty), so its inbox is empty
 	// except in the round its crash window opens — those messages are
 	// wiped with the crash.
@@ -836,4 +863,62 @@ func (s *Simulator) fastForward(limit int) int {
 		}
 	}
 	return jump
+}
+
+// timer is one pending WakeAt request: vertex v steps in round.
+type timer struct {
+	round int
+	v     int32
+}
+
+func (a timer) less(b timer) bool {
+	return a.round < b.round || (a.round == b.round && a.v < b.v)
+}
+
+// pushTimer adds a timer to the heap. A vertex may hold several; the
+// duplicates of one round collapse when they fall due (popDue).
+func (s *Simulator) pushTimer(round int, v int32) {
+	h := append(s.timers, timer{round, v})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	s.timers = h
+}
+
+// popDue moves the vertices of the timers due in round onto act, skipping
+// any already stamped with the current epoch. The heap pops in (round,
+// vertex) order, so the due vertices arrive ascending.
+func (s *Simulator) popDue(act []int32, round int) []int32 {
+	h := s.timers
+	for len(h) > 0 && h[0].round == round {
+		v := h[0].v
+		if s.nextStamp[v] != s.epoch {
+			s.nextStamp[v] = s.epoch
+			act = append(act, v)
+		}
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1].less(h[c]) {
+				c++
+			}
+			if !h[c].less(h[i]) {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	s.timers = h
+	return act
 }

@@ -19,12 +19,13 @@ package congest
 //
 //   - Mid-run granularity (MidRun(true)): the engine additionally writes a
 //     checkpoint every N executed rounds *inside* Run, capturing the live
-//     active list, inboxes, edge queues and dirty worklists. Resume lands in
-//     the middle of the interrupted Run: the next Run call on the simulator
-//     continues at the recorded round, byte-identical to a run that was
-//     never interrupted (pinned by TestRunResumeEquivalence). Mid-run
-//     snapshots require the handler's state to be round-boundary-consistent,
-//     so it is opt-in (the hopset explorer qualifies; the tree-routing
+//     active list, inboxes, edge queues, dirty worklists and WakeAt timers.
+//     Resume lands in the middle of the interrupted Run: the next Run call
+//     on the simulator continues at the recorded round, byte-identical to a
+//     run that was never interrupted (pinned by TestRunResumeEquivalence
+//     and TestWakeAtResumeEquivalence). Mid-run snapshots require the
+//     handler's state to be round-boundary-consistent, so it is opt-in (the
+//     hopset explorer and tree-routing's local-dfs qualify; the tree-routing
 //     convergecasts do not, hence their phase-level units).
 //
 // Determinism: the serialised engine section is identical at every shard
@@ -34,6 +35,7 @@ package congest
 // so restoring them loses nothing. See DESIGN.md §15.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -59,8 +61,10 @@ type CkptProvider interface {
 // EngineSection is the name of the simulator's own checkpoint section.
 const EngineSection = "congest.engine"
 
+// Engine section versions: version 2 appends the pending WakeAt timers to a
+// mid-Run image; version-1 sections (no timers) still restore.
 const (
-	engineCkptVersion = 1
+	engineCkptVersion = 2
 	engineFlagMid     = 1 << 0 // section carries mid-Run state
 )
 
@@ -123,7 +127,7 @@ func ResumeCheckpointer(path string, every int64) (*Checkpointer, error) {
 	if !ok {
 		return nil, fmt.Errorf("congest: checkpoint %s has no %q section", path, EngineSection)
 	}
-	if len(words) < 2 || words[0] != engineCkptVersion {
+	if len(words) < 2 || words[0] < 1 || words[0] > engineCkptVersion {
 		return nil, fmt.Errorf("congest: checkpoint %s engine section version mismatch", path)
 	}
 	ck.engineWords = words
@@ -353,9 +357,10 @@ func (ck *Checkpointer) maybeWriteMid(executed int) {
 // appendEngineCkpt serialises the simulator's engine section: global
 // counters, per-vertex meters, fault tallies and per-edge fault cursors,
 // plus — for mid-Run snapshots (executed >= 0) — the active list, pending
-// inboxes, and every backlogged edge queue. The layout is canonical
-// (sorted active list, ascending dirty destinations, ascending edge order
-// within each), so the bytes are identical at every shard count.
+// inboxes, every backlogged edge queue and the pending timers. The layout is
+// canonical (sorted active list, ascending dirty destinations, ascending
+// edge order within each, timers by (round, vertex)), so the bytes are
+// identical at every shard count.
 func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 	s.ensureTopology()
 	var flags uint64
@@ -425,6 +430,14 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 			}
 		}
 	}
+	timers := slices.Clone(s.timers)
+	slices.SortFunc(timers, func(a, b timer) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.v, b.v))
+	})
+	dst = append(dst, uint64(int64(len(timers))))
+	for _, t := range timers {
+		dst = append(dst, uint64(int64(t.round)), uint64(int64(t.v)))
+	}
 	return dst
 }
 
@@ -455,8 +468,9 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	s.ensureTopology()
 	s.ensureFaults()
 	r := trace.NewWordReader(words)
-	if v := r.Word(); v != engineCkptVersion {
-		return fmt.Errorf("congest: engine section version %d, want %d", v, engineCkptVersion)
+	version := r.Word()
+	if version < 1 || version > engineCkptVersion {
+		return fmt.Errorf("congest: engine section version %d, want 1..%d", version, engineCkptVersion)
 	}
 	flags := r.Word()
 	if n := r.Int(); n != s.topoN {
@@ -556,6 +570,17 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		s.dirtyCnt[v] = int32(cnt)
 		sh := v / s.shardBlock
 		s.shardCur[sh] = append(s.shardCur[sh], int32(v))
+	}
+	s.timers = s.timers[:0]
+	if version >= 2 {
+		nt := r.Int()
+		for i := 0; i < nt; i++ {
+			round, v := r.Int(), r.Int()
+			if v < 0 || v >= s.topoN || round <= executed {
+				return fmt.Errorf("congest: checkpoint timer (round %d, vertex %d) out of range", round, v)
+			}
+			s.pushTimer(round, int32(v))
+		}
 	}
 	if err := r.Done(); err != nil {
 		return err

@@ -213,11 +213,7 @@ func (t *Tree) Parent(v int) int {
 	if i < 0 {
 		return NoVertex
 	}
-	p := t.parSlot[i]
-	if p < 0 {
-		return NoVertex
-	}
-	return int(t.verts[p])
+	return t.ParentAt(i)
 }
 
 // Children returns v's children ordered by vertex id. Owned by the tree.
@@ -226,6 +222,20 @@ func (t *Tree) Children(v int) []int {
 	if i < 0 {
 		return nil
 	}
+	return t.ChildrenAt(i)
+}
+
+// ParentAt is Parent for the member at slot i, with no search.
+func (t *Tree) ParentAt(i int) int {
+	p := t.parSlot[i]
+	if p < 0 {
+		return NoVertex
+	}
+	return int(t.verts[p])
+}
+
+// ChildrenAt is Children for the member at slot i, with no search.
+func (t *Tree) ChildrenAt(i int) []int {
 	return t.childVerts[t.childStart[i]:t.childStart[i+1]]
 }
 

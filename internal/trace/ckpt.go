@@ -41,7 +41,7 @@ const CkptSchemaVersion = "lowmemroute.ckpt/v1"
 
 const (
 	traceSchemaFamily = "lowmemroute.trace"
-	traceSchemaMax    = 3
+	traceSchemaMax    = 4
 	ckptSchemaFamily  = "lowmemroute.ckpt"
 	ckptSchemaMax     = 1
 )

@@ -225,7 +225,7 @@ func TestReadJSONFutureSchema(t *testing.T) {
 		schema string
 		want   string
 	}{
-		{"lowmemroute.trace/v4", "newer version"},
+		{"lowmemroute.trace/v5", "newer version"},
 		{"lowmemroute.trace/v99", "newer version"},
 		{"lowmemroute.trace/v0", "unsupported schema"},
 		{"lowmemroute.ckpt/v9", "unsupported schema"}, // wrong family: not "future"

@@ -12,9 +12,15 @@ import (
 // added the per-sample fault counters (dropped/retried/lost/duplicated/
 // discarded, omitted when zero); version 3 added per-span runtime.MemStats
 // deltas (heapAllocDelta/totalAllocDelta/numGCDelta, omitted when zero).
-// Both changes are additive, so v1 and v2 files remain readable — see
-// ReadJSON.
-const SchemaVersion = "lowmemroute.trace/v3"
+// Version 4 keeps the v3 layout but narrows the meaning of a round sample's
+// active field: it counts the vertices that stepped that round, and no
+// longer vertices sleeping on a WakeAt timer. Every earlier file decodes
+// unchanged, so v1-v3 remain readable — see ReadJSON.
+const SchemaVersion = "lowmemroute.trace/v4"
+
+// SchemaVersionV3 is the layout before WakeAt timers, still accepted by
+// ReadJSON: its active counts include vertices that spun through a wait.
+const SchemaVersionV3 = "lowmemroute.trace/v3"
 
 // SchemaVersionV2 is the pre-MemStats export layout, still accepted by
 // ReadJSON: every v2 field decodes identically under v3.
@@ -134,10 +140,10 @@ func WriteExportJSON(w io.Writer, e Export) error {
 }
 
 // ReadJSON parses a JSON export, rejecting unknown schema versions. The
-// current schema, v2, and v1 (strict subsets: each bump only added
-// omitempty fields) are all accepted. A file from a *future* schema version
-// (a v4 export landing on a v3 reader) gets its own explicit error: schema
-// bumps mark incompatible changes, so decoding such a file as v3 could
+// current schema, v3, v2, and v1 (each bump only added omitempty fields or
+// narrowed a count) are all accepted. A file from a *future* schema version
+// (a v5 export landing on a v4 reader) gets its own explicit error: schema
+// bumps mark incompatible changes, so decoding such a file as v4 could
 // silently misparse it, and "unsupported schema" alone would hide that the
 // fix is to upgrade the reader, not the file.
 func ReadJSON(r io.Reader) (Export, error) {
@@ -146,14 +152,14 @@ func ReadJSON(r io.Reader) (Export, error) {
 		return Export{}, fmt.Errorf("trace: decode export: %w", err)
 	}
 	switch out.Schema {
-	case SchemaVersion, SchemaVersionV2, SchemaVersionV1:
+	case SchemaVersion, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1:
 	default:
 		if n, ok := schemaNumber(out.Schema, traceSchemaFamily); ok && n > traceSchemaMax {
 			return Export{}, fmt.Errorf("trace: export schema %q was written by a newer version (this reader understands up to v%d); upgrade the reader",
 				out.Schema, traceSchemaMax)
 		}
-		return Export{}, fmt.Errorf("trace: unsupported schema %q (want %q, %q, or %q)",
-			out.Schema, SchemaVersion, SchemaVersionV2, SchemaVersionV1)
+		return Export{}, fmt.Errorf("trace: unsupported schema %q (want %q, %q, %q, or %q)",
+			out.Schema, SchemaVersion, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1)
 	}
 	return out, nil
 }

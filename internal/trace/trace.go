@@ -56,7 +56,8 @@ type RoundSample struct {
 	// Kind is one of KindRound, KindBroadcast, KindConvergecast,
 	// KindAnalytic.
 	Kind string `json:"kind"`
-	// Active is the number of vertices that executed this round (for
+	// Active is the number of vertices that executed this round; vertices
+	// sleeping on a WakeAt timer are not counted (schema v4; for
 	// broadcast/convergecast: the number of participating vertices).
 	Active int `json:"active"`
 	// Messages and Words are the traffic delivered during the interval.

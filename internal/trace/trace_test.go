@@ -148,6 +148,17 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONAcceptsOlderSchemas: every earlier layout still decodes; a
+// v1-v3 round sample's active count simply includes spinning waiters.
+func TestReadJSONAcceptsOlderSchemas(t *testing.T) {
+	for _, schema := range []string{SchemaVersionV1, SchemaVersionV2, SchemaVersionV3, SchemaVersion} {
+		ex, err := ReadJSON(strings.NewReader(`{"schema":"` + schema + `","spans":[],"samples":[{"round":1,"rounds":1,"kind":"round","active":3}]}`))
+		if err != nil || len(ex.Samples) != 1 || ex.Samples[0].Active != 3 {
+			t.Fatalf("schema %q: %+v, %v", schema, ex, err)
+		}
+	}
+}
+
 func TestReadJSONRejectsWrongSchema(t *testing.T) {
 	_, err := ReadJSON(strings.NewReader(`{"schema":"lowmemroute.trace/v0","spans":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "schema") {

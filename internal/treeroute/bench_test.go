@@ -1,7 +1,6 @@
 package treeroute
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -49,37 +48,16 @@ func BenchmarkLightPipeline(b *testing.B) {
 	}
 }
 
-// buildShiftsFixture replicates BuildDistributed's builder setup, runs every
-// phase once to warm all buffers, and returns the builder ready for a
-// shifts-down flood re-run (the flood is idempotent: it recomputes the same
-// final DFS intervals).
+// buildShiftsFixture sets up BuildDistributed's builder, runs every phase
+// once to warm all buffers, and returns the builder ready for a shifts-down
+// flood re-run (the flood is idempotent: it recomputes the same final DFS
+// intervals).
 func buildShiftsFixture(tb testing.TB) *distBuilder {
 	tb.Helper()
 	sim, trees := benchWorkload(tb)
-	n := sim.N()
-	b := &distBuilder{
-		sim:   sim,
-		n:     n,
-		iters: pointerJumpIterations(n),
-		rng:   rand.New(rand.NewSource(7)),
-	}
-	q := 1 / math.Sqrt(float64(len(trees))*float64(n))
-	maxOffset := int(math.Sqrt(float64(len(trees))*float64(n))*math.Log2(float64(n+1))) + 1
-	for j, t := range trees {
-		b.ts = append(b.ts, newTreeState(j, t, q, maxOffset, b.rng))
-	}
-	b.buildMembership()
-	b.cap = 16*n*(b.iters+2) + 64*b.iters + 4096
-	for _, phase := range []func() error{
-		b.phaseLocalRoots, b.phaseLocalSizes,
-		func() error { b.phaseGlobalSizes(); return nil },
-		b.phaseSizesDown, b.phaseLocalLight,
-		func() error { b.phaseGlobalLight(); return nil },
-		b.phaseLightDown, b.phaseLocalDFS,
-		func() error { b.phaseGlobalShifts(); return nil },
-		b.phaseShiftsDown,
-	} {
-		if err := phase(); err != nil {
+	b := newDistBuilder(sim, trees, DistOptions{Seed: 7})
+	for _, ph := range b.phases() {
+		if err := ph.run(); err != nil {
 			tb.Fatal(err)
 		}
 	}

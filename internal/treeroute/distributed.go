@@ -62,13 +62,43 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 		if t.HostSize() != n {
 			return nil, fmt.Errorf("treeroute: tree %d host size %d != graph size %d", j, t.HostSize(), n)
 		}
-		for _, v := range t.Members() {
-			if p := t.Parent(v); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
+		for i, v := range t.Members() {
+			if p := t.ParentAt(i); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
 				return nil, fmt.Errorf("treeroute: tree %d edge {%d,%d} is not a graph edge", j, v, p)
 			}
 		}
 	}
 
+	b := newDistBuilder(sim, trees, opts)
+	ck := opts.Ckpt
+	if err := ck.Register(b); err != nil {
+		return nil, err
+	}
+	// Each phase is a checkpoint unit: skipped entirely when the resumed
+	// cursor already covers it, snapshotted after running otherwise.
+	for _, ph := range b.phases() {
+		unit := "tree:" + ph.name
+		if ck.UnitDone(unit) {
+			continue
+		}
+		if err := ph.run(); err != nil {
+			return nil, err
+		}
+		ck.Mark(unit)
+	}
+
+	res := &DistResult{Iterations: b.iters}
+	for _, st := range b.ts {
+		res.Schemes = append(res.Schemes, st.finish())
+		res.Portals = append(res.Portals, st.portals())
+	}
+	return res, nil
+}
+
+// newDistBuilder samples every tree's portals and start offset from
+// opts.Seed and sets up the builder's membership index and round cap.
+func newDistBuilder(sim *congest.Simulator, trees []*graph.Tree, opts DistOptions) *distBuilder {
+	n := sim.N()
 	b := &distBuilder{
 		sim:   sim,
 		n:     n,
@@ -84,73 +114,40 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 	if maxOffset <= 0 && len(trees) > 1 {
 		maxOffset = int(math.Sqrt(float64(len(trees))*float64(n))*math.Log2(float64(n+1))) + 1
 	}
-
 	for j, t := range trees {
 		b.ts = append(b.ts, newTreeState(j, t, q, maxOffset, b.rng))
 	}
 	b.buildMembership()
-
-	ck := opts.Ckpt
-	if err := ck.Register(b); err != nil {
-		return nil, err
-	}
-	// unit brackets one phase as a checkpoint unit: skipped entirely when the
-	// resumed cursor already covers it, snapshotted after running otherwise.
-	unit := func(name string, phase func() error) error {
-		if ck.UnitDone(name) {
-			return nil
-		}
-		if err := phase(); err != nil {
-			return err
-		}
-		ck.Mark(name)
-		return nil
-	}
-	jump := func(name string, phase func()) func() error {
-		return func() error { b.spanned(name, phase); return nil }
-	}
-
 	// The cap is generous: local phases are bounded by tree height times
 	// list transmission time; hitting the cap means a bug, not load.
 	b.cap = 16*n*(b.iters+2) + 64*b.iters + 4096
+	return b
+}
 
-	if err := unit("tree:local-roots", b.phaseLocalRoots); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:local-sizes", b.phaseLocalSizes); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:global-sizes", jump("global-sizes", b.phaseGlobalSizes)); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:sizes-down", b.phaseSizesDown); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:local-light", b.phaseLocalLight); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:global-light", jump("global-light", b.phaseGlobalLight)); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:light-down", b.phaseLightDown); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:local-dfs", b.phaseLocalDFS); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:global-shifts", jump("global-shifts", b.phaseGlobalShifts)); err != nil {
-		return nil, err
-	}
-	if err := unit("tree:shifts-down", b.phaseShiftsDown); err != nil {
-		return nil, err
-	}
+// buildPhase is one step of the construction, named as its trace span.
+type buildPhase struct {
+	name string
+	run  func() error
+}
 
-	res := &DistResult{Iterations: b.iters}
-	for _, st := range b.ts {
-		res.Schemes = append(res.Schemes, st.finish())
-		res.Portals = append(res.Portals, st.portals())
+// phases lists the ten construction phases in order. The pointer-jumping
+// stages have no convergence to detect, so they cannot fail.
+func (b *distBuilder) phases() []buildPhase {
+	jump := func(name string, phase func()) buildPhase {
+		return buildPhase{name, func() error { b.spanned(name, phase); return nil }}
 	}
-	return res, nil
+	return []buildPhase{
+		{"local-roots", b.phaseLocalRoots},
+		{"local-sizes", b.phaseLocalSizes},
+		jump("global-sizes", b.phaseGlobalSizes),
+		{"sizes-down", b.phaseSizesDown},
+		{"local-light", b.phaseLocalLight},
+		jump("global-light", b.phaseGlobalLight),
+		{"light-down", b.phaseLightDown},
+		{"local-dfs", b.phaseLocalDFS},
+		jump("global-shifts", b.phaseGlobalShifts),
+		{"shifts-down", b.phaseShiftsDown},
+	}
 }
 
 func pointerJumpIterations(n int) int {
@@ -284,8 +281,8 @@ func (st *treeState) resetSizeSeen() {
 	if st.sizeSeen == nil {
 		st.sizeSeen = make([][]bool, len(st.verts))
 	}
-	for l, v := range st.verts {
-		kids := len(st.tree.Children(v))
+	for l := range st.verts {
+		kids := len(st.tree.ChildrenAt(l))
 		if cap(st.sizeSeen[l]) < kids {
 			st.sizeSeen[l] = make([]bool, kids)
 			continue
@@ -316,7 +313,7 @@ func (st *treeState) dupSize(l, c int) bool {
 	if st.sizeSeen == nil {
 		return false
 	}
-	for i, x := range st.tree.Children(st.verts[l]) {
+	for i, x := range st.tree.ChildrenAt(l) {
 		if x == c {
 			if st.sizeSeen[l][i] {
 				return true
@@ -363,7 +360,7 @@ func (st *treeState) finish() *Scheme {
 		s.Tables[v] = Table{
 			In:     st.finalIn[l],
 			Out:    st.finalOut[l],
-			Parent: st.tree.Parent(v),
+			Parent: st.tree.ParentAt(l),
 			Heavy:  st.heavy[l],
 		}
 		s.Labels[v] = Label{In: st.finalIn[l], Light: st.fullLight[l]}
@@ -467,6 +464,17 @@ func (b *distBuilder) runPhase(name string, initial []int, step congest.StepFunc
 		return fmt.Errorf("treeroute: phase %q did not converge within %d rounds", name, b.cap)
 	}
 	return nil
+}
+
+// kickoff reports whether this round is st's start offset, when its members
+// begin the phase. Before it the vertex sleeps until the offset, so a tree
+// that has not started costs no handler work.
+func kickoff(st *treeState, ctx *congest.Ctx) bool {
+	if ctx.Round() < st.offset {
+		ctx.WakeAt(st.offset)
+		return false
+	}
+	return ctx.Round() == st.offset
 }
 
 // spanned runs a pointer-jumping stage (no convergence to detect) under a

@@ -61,15 +61,10 @@ func (b *distBuilder) phaseLocalRoots() error {
 	return b.runPhase("local-roots", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !st.inU[l] {
-				continue
-			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
+			if st.inU[l] && kickoff(st, ctx) {
 				st.localRoot[l] = v
 				ctx.Mem().Charge(1)
-				for _, c := range st.tree.Children(v) {
+				for _, c := range st.tree.ChildrenAt(l) {
 					ctx.Send(c, congest.Payload{Kind: kindRoot, W0: congest.IntWord(st.idx), W1: congest.IntWord(v)}, pRootWords)
 				}
 			}
@@ -99,7 +94,7 @@ func (b *distBuilder) phaseLocalRoots() error {
 			}
 			st.localRoot[l] = congest.WordInt(p.W1)
 			ctx.Mem().Charge(1)
-			for _, c := range st.tree.Children(v) {
+			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, *p, pRootWords)
 			}
 		}
@@ -111,8 +106,8 @@ func (b *distBuilder) phaseLocalRoots() error {
 // children report 0 (their subtrees belong to their own local trees).
 func (b *distBuilder) phaseLocalSizes() error {
 	for _, st := range b.ts {
-		for l, v := range st.verts {
-			st.pending[l] = len(st.tree.Children(v))
+		for l := range st.verts {
+			st.pending[l] = len(st.tree.ChildrenAt(l))
 			st.acc[l] = 1
 		}
 		if b.sim.FaultsEnabled() {
@@ -126,22 +121,17 @@ func (b *distBuilder) phaseLocalSizes() error {
 			if v != st.tree.Root {
 				// Portal children report size 0 explicitly; receivers decode
 				// W1 unconditionally.
-				ctx.Send(st.tree.Parent(v), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(0)}, pSizeWords)
+				ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(0)}, pSizeWords)
 			}
 			return
 		}
-		ctx.Send(st.tree.Parent(v), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
+		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
 	}
 	initial := b.union(func(st *treeState, l int) bool { return st.pending[l] == 0 })
 	return b.runPhase("local-sizes", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if st.pending[l] != 0 || st.kicked[l] {
-				continue
-			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
+			if st.pending[l] == 0 && !st.kicked[l] && kickoff(st, ctx) {
 				st.kicked[l] = true
 				complete(st, v, l, ctx)
 			}
@@ -248,8 +238,8 @@ func (b *distBuilder) phaseGlobalSizes() {
 // subtree size, and every vertex learns its heavy child on the fly.
 func (b *distBuilder) phaseSizesDown() error {
 	for _, st := range b.ts {
-		for l, v := range st.verts {
-			st.pending[l] = len(st.tree.Children(v))
+		for l := range st.verts {
+			st.pending[l] = len(st.tree.ChildrenAt(l))
 			st.acc[l] = 1
 			st.kicked[l] = false
 		}
@@ -268,7 +258,7 @@ func (b *distBuilder) phaseSizesDown() error {
 		}
 		st.size[l] = st.acc[l]
 		ctx.Mem().Charge(1)
-		ctx.Send(st.tree.Parent(v), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
+		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
 	}
 	kick := func(st *treeState, l int) bool {
 		return (st.inU[l] && st.verts[l] != st.tree.Root) || st.pending[l] == 0
@@ -277,19 +267,15 @@ func (b *distBuilder) phaseSizesDown() error {
 	return b.runPhase("sizes-down", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !kick(st, l) || st.kicked[l] {
+			if !kick(st, l) || st.kicked[l] || !kickoff(st, ctx) {
 				continue
 			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
-				st.kicked[l] = true
-				if st.inU[l] && v != st.tree.Root {
-					ctx.Send(st.tree.Parent(v), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.size[l])}, pSizeWords)
-				}
-				if st.pending[l] == 0 {
-					complete(st, v, l, ctx)
-				}
+			st.kicked[l] = true
+			if st.inU[l] && v != st.tree.Root {
+				ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.size[l])}, pSizeWords)
+			}
+			if st.pending[l] == 0 {
+				complete(st, v, l, ctx)
 			}
 		}
 		in := ctx.In()
@@ -326,11 +312,11 @@ func (b *distBuilder) phaseSizesDown() error {
 // phaseLocalLight is Algorithm 2: flood light-edge lists down each local
 // tree; portal children keep the received list as L_0 for Algorithm 3.
 func (b *distBuilder) phaseLocalLight() error {
-	forward := func(st *treeState, v, l int, list []LightEdge, ctx *congest.Ctx) {
+	forward := func(st *treeState, l int, list []LightEdge, ctx *congest.Ctx) {
 		// One encode serves every child: Send clones the tail per message.
 		ext := ctx.Ext(lightWords(list))
 		encodeLight(ext, list)
-		for _, c := range st.tree.Children(v) {
+		for _, c := range st.tree.ChildrenAt(l) {
 			ctx.Send(c, congest.Payload{
 				Kind: kindLight,
 				W0:   congest.IntWord(st.idx),
@@ -349,17 +335,12 @@ func (b *distBuilder) phaseLocalLight() error {
 	return b.runPhase("local-light", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !st.inU[l] {
-				continue
-			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
+			if st.inU[l] && kickoff(st, ctx) {
 				st.lightLocal[l] = []LightEdge{}
 				if v == st.tree.Root {
 					st.lightGlobal[l] = []LightEdge{}
 				}
-				forward(st, v, l, nil, ctx)
+				forward(st, l, nil, ctx)
 			}
 		}
 		in := ctx.In()
@@ -396,7 +377,7 @@ func (b *distBuilder) phaseLocalLight() error {
 			}
 			st.lightLocal[l] = list
 			ctx.Mem().Charge(int64(lightWords(list)))
-			forward(st, v, l, list, ctx)
+			forward(st, l, list, ctx)
 		}
 	})
 }
@@ -482,24 +463,20 @@ func (b *distBuilder) phaseLightDown() error {
 	return b.runPhase("light-down", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !st.inU[l] {
+			if !st.inU[l] || !kickoff(st, ctx) {
 				continue
 			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
-				st.fullLight[l] = st.lightGlobal[l]
-				list := st.lightGlobal[l]
-				ext := ctx.Ext(lightWords(list))
-				encodeLight(ext, list)
-				for _, c := range st.tree.Children(v) {
-					ctx.Send(c, congest.Payload{
-						Kind: kindGLight,
-						W0:   congest.IntWord(st.idx),
-						W1:   congest.IntWord(len(list)),
-						Ext:  ext,
-					}, 2+lightWords(list))
-				}
+			st.fullLight[l] = st.lightGlobal[l]
+			list := st.lightGlobal[l]
+			ext := ctx.Ext(lightWords(list))
+			encodeLight(ext, list)
+			for _, c := range st.tree.ChildrenAt(l) {
+				ctx.Send(c, congest.Payload{
+					Kind: kindGLight,
+					W0:   congest.IntWord(st.idx),
+					W1:   congest.IntWord(len(list)),
+					Ext:  ext,
+				}, 2+lightWords(list))
 			}
 		}
 		in := ctx.In()
@@ -522,7 +499,7 @@ func (b *distBuilder) phaseLightDown() error {
 			full = append(full, st.lightLocal[l]...)
 			st.fullLight[l] = full
 			ctx.Mem().Charge(int64(2 * k))
-			for _, c := range st.tree.Children(v) {
+			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, *p, 2+2*k)
 			}
 		}
@@ -536,7 +513,7 @@ func (b *distBuilder) phaseLightDown() error {
 // Portals record the range start assigned by the enclosing frame as their
 // shift seed q_x.
 func (b *distBuilder) phaseLocalDFS() error {
-	maybeSendAdd := func(st *treeState, v, l int, ctx *congest.Ctx) {
+	maybeSendAdd := func(st *treeState, l int, ctx *congest.Ctx) {
 		if st.sentAdd[l] || st.sibIdx[l] == 0 {
 			return
 		}
@@ -546,14 +523,14 @@ func (b *distBuilder) phaseLocalDFS() error {
 			return
 		}
 		st.sentAdd[l] = true
-		ctx.Send(st.tree.Parent(v), congest.Payload{
+		ctx.Send(st.tree.ParentAt(l), congest.Payload{
 			Kind: kindAdd,
 			W0:   congest.IntWord(st.idx),
 			W1:   congest.IntWord(st.sibIdx[l]),
 			W2:   congest.IntWord(st.size[l] + st.lowSum[l]),
 		}, pAddWords)
 	}
-	maybeComplete := func(st *treeState, v, l int, ctx *congest.Ctx) {
+	maybeComplete := func(st *treeState, l int, ctx *congest.Ctx) {
 		if st.dfsDone[l] {
 			return
 		}
@@ -571,42 +548,39 @@ func (b *distBuilder) phaseLocalDFS() error {
 		st.localIn[l] = start
 		st.haveIn[l] = true
 		ctx.Mem().Charge(2)
-		for _, c := range st.tree.Children(v) {
+		for _, c := range st.tree.ChildrenAt(l) {
 			ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(start)}, pRangeWords)
 		}
 	}
 	kick := func(st *treeState, l int) bool {
-		return st.inU[l] || len(st.tree.Children(st.verts[l])) > 0
+		return st.inU[l] || len(st.tree.ChildrenAt(l)) > 0
 	}
-	for _, st := range b.ts {
-		for l := range st.verts {
-			st.kicked[l] = false
+	// A mid-phase checkpoint restores kicked with the other builder arrays.
+	if !b.sim.ResumePending() {
+		for _, st := range b.ts {
+			clear(st.kicked)
 		}
 	}
 	initial := b.union(kick)
 	return b.runPhase("local-dfs", initial, func(v int, ctx *congest.Ctx) {
 		for _, e := range b.memb(v) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !kick(st, l) || st.kicked[l] {
+			if !kick(st, l) || st.kicked[l] || !kickoff(st, ctx) {
 				continue
 			}
-			if ctx.Round() < st.offset {
-				ctx.Wake()
-			} else if ctx.Round() == st.offset {
-				st.kicked[l] = true
-				for i, c := range st.tree.Children(v) {
-					ctx.Send(c, congest.Payload{Kind: kindIdx, W0: congest.IntWord(st.idx), W1: congest.IntWord(i + 1)}, pIdxWords)
+			st.kicked[l] = true
+			for i, c := range st.tree.ChildrenAt(l) {
+				ctx.Send(c, congest.Payload{Kind: kindIdx, W0: congest.IntWord(st.idx), W1: congest.IntWord(i + 1)}, pIdxWords)
+			}
+			if st.inU[l] {
+				st.localIn[l] = 1
+				st.haveIn[l] = true
+				ctx.Mem().Charge(2)
+				if v == st.tree.Root {
+					st.haveQ[l] = true // q_z = 0
 				}
-				if st.inU[l] {
-					st.localIn[l] = 1
-					st.haveIn[l] = true
-					ctx.Mem().Charge(2)
-					if v == st.tree.Root {
-						st.haveQ[l] = true // q_z = 0
-					}
-					for _, c := range st.tree.Children(v) {
-						ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(1)}, pRangeWords)
-					}
+				for _, c := range st.tree.ChildrenAt(l) {
+					ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(1)}, pRangeWords)
 				}
 			}
 		}
@@ -625,8 +599,8 @@ func (b *distBuilder) phaseLocalDFS() error {
 				}
 				st.sibIdx[l] = congest.WordInt(p.W1)
 				ctx.Mem().Charge(1)
-				maybeSendAdd(st, v, l, ctx)
-				maybeComplete(st, v, l, ctx)
+				maybeSendAdd(st, l, ctx)
+				maybeComplete(st, l, ctx)
 			case kindAdd:
 				// Pure relay (Algorithm 5's parent role): forward the add to
 				// the 2^i siblings following the sender, storing nothing.
@@ -669,8 +643,8 @@ func (b *distBuilder) phaseLocalDFS() error {
 					st.highSum[l] += congest.WordInt(p.W2)
 				}
 				st.addMask[l] |= 1 << iter
-				maybeSendAdd(st, v, l, ctx)
-				maybeComplete(st, v, l, ctx)
+				maybeSendAdd(st, l, ctx)
+				maybeComplete(st, l, ctx)
 			case kindRange:
 				st := b.ts[congest.WordInt(p.W0)]
 				l := b.local(st, v)
@@ -680,7 +654,7 @@ func (b *distBuilder) phaseLocalDFS() error {
 				st.qShift[l] = congest.WordInt(p.W1)
 				st.haveQ[l] = true
 				ctx.Mem().Charge(1)
-				maybeComplete(st, v, l, ctx)
+				maybeComplete(st, l, ctx)
 			}
 		}
 	})
@@ -759,14 +733,9 @@ func (b *distBuilder) finalizeShift(st *treeState, l, shift int, ctx *congest.Ct
 func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
 	for _, e := range b.memb(v) {
 		st, l := b.ts[e.tree], int(e.local)
-		if !st.inU[l] {
-			continue
-		}
-		if ctx.Round() < st.offset {
-			ctx.Wake()
-		} else if ctx.Round() == st.offset {
+		if st.inU[l] && kickoff(st, ctx) {
 			b.finalizeShift(st, l, st.shift[l], ctx)
-			for _, c := range st.tree.Children(v) {
+			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, congest.Payload{Kind: kindShift, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.shift[l])}, pShiftWords)
 			}
 		}
@@ -786,7 +755,7 @@ func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
 			continue
 		}
 		b.finalizeShift(st, l, congest.WordInt(p.W1), ctx)
-		for _, c := range st.tree.Children(v) {
+		for _, c := range st.tree.ChildrenAt(l) {
 			ctx.Send(c, *p, pShiftWords)
 		}
 	}

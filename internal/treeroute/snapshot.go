@@ -9,7 +9,9 @@ package treeroute
 //
 // What is durable is exactly the state a later phase reads: the per-vertex
 // algorithm outputs (local roots, sizes, heavy children, light-edge lists,
-// DFS frames, shifts). Convergecast scratch (pending/acc/kicked), the
+// DFS frames, shifts), plus the kickoff flags, so that a mid-Run checkpoint
+// inside local-dfs (whose handler state is otherwise all durable) resumes
+// too (TestLocalDFSMidRunResume). Convergecast scratch (pending/acc), the
 // pointer-jumping commit buffers (tmp*), and the fault-duplicate filters
 // (sizeSeen/lightSeen) are re-initialised by whichever phase uses them, and
 // the sampling state (inU, offsets) replays deterministically from
@@ -26,7 +28,9 @@ import (
 // BuilderSection names the distributed builder's checkpoint section.
 const BuilderSection = "treeroute.builder"
 
-const builderCkptVersion = 1
+// Builder section versions: version 2 adds the kickoff flags; version-1
+// sections restore with the flags cleared.
+const builderCkptVersion = 2
 
 // CkptSection implements congest.CkptProvider.
 func (b *distBuilder) CkptSection() string { return BuilderSection }
@@ -111,6 +115,7 @@ func (b *distBuilder) AppendCkpt(dst []uint64) []uint64 {
 		dst = appendBools(dst, st.dfsDone)
 		dst = appendInts(dst, st.finalIn)
 		dst = appendInts(dst, st.finalOut)
+		dst = appendBools(dst, st.kicked)
 	}
 	return dst
 }
@@ -168,8 +173,9 @@ func readLightLists(r *trace.WordReader, xs [][]LightEdge) error {
 // equality is the caller's SetMeta contract).
 func (b *distBuilder) RestoreCkpt(words []uint64) error {
 	r := trace.NewWordReader(words)
-	if v := r.Word(); v != builderCkptVersion {
-		return fmt.Errorf("treeroute: builder section version %d, want %d", v, builderCkptVersion)
+	version := r.Word()
+	if version < 1 || version > builderCkptVersion {
+		return fmt.Errorf("treeroute: builder section version %d, want 1..%d", version, builderCkptVersion)
 	}
 	if k := r.Int(); k != len(b.ts) {
 		return fmt.Errorf("treeroute: builder section has %d trees, builder has %d", k, len(b.ts))
@@ -210,6 +216,10 @@ func (b *distBuilder) RestoreCkpt(words []uint64) error {
 		readBools(r, st.dfsDone)
 		readInts(r, st.finalIn)
 		readInts(r, st.finalOut)
+		clear(st.kicked)
+		if version >= 2 {
+			readBools(r, st.kicked)
+		}
 	}
 	return r.Done()
 }

@@ -127,3 +127,87 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalDFSMidRunResume cuts a build inside local-dfs with a mid-Run
+// checkpoint while some trees have kicked off and others are still asleep
+// on their start-offset timers, then resumes the checkpoint on a fresh
+// builder at a different shard count. The finished build must equal an
+// uninterrupted one: the timers, the kickoff flags and the rest of the
+// phase's state all travel in the checkpoint.
+func TestLocalDFSMidRunResume(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := makeTrees(t, g, []int{0, 10, 20, 30, 40, 50}, "dfs", 4)
+	const dfs = 7 // index of local-dfs in phases()
+
+	// setup returns a builder that has run every phase before local-dfs.
+	setup := func(shards int) *distBuilder {
+		sim := congest.New(g, congest.WithSeed(5), congest.WithShards(shards))
+		b := newDistBuilder(sim, trees, DistOptions{Seed: 5})
+		for _, ph := range b.phases()[:dfs] {
+			if err := ph.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	// finish runs local-dfs and the phases after it.
+	finish := func(b *distBuilder) buildSnap {
+		res := &DistResult{}
+		for _, ph := range b.phases()[dfs:] {
+			if err := ph.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, st := range b.ts {
+			res.Schemes = append(res.Schemes, st.finish())
+		}
+		return captureBuild(b.sim, res)
+	}
+	ref := finish(setup(1))
+
+	b := setup(1)
+	lo, hi := b.ts[0].offset, b.ts[0].offset
+	for _, st := range b.ts {
+		lo, hi = min(lo, st.offset), max(hi, st.offset)
+	}
+	cut := (lo + hi) / 2
+	if cut <= lo || cut >= hi {
+		t.Fatalf("tree offsets span [%d, %d]: no round has both started and sleeping trees", lo, hi)
+	}
+	path := filepath.Join(t.TempDir(), "dfs.ckpt")
+	ckw := congest.NewCheckpointer(path, int64(cut))
+	ckw.MidRun(true)
+	if err := ckw.Attach(b.sim); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckw.Register(b); err != nil {
+		t.Fatal(err)
+	}
+	b.cap = cut // the "crash": local-dfs stops after cut rounds
+	if err := b.phaseLocalDFS(); err == nil {
+		t.Fatalf("local-dfs finished within %d rounds; the cut is not inside the phase", cut)
+	}
+	if err := ckw.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := setup(4)
+	ckr, err := congest.ResumeCheckpointer(path, int64(cut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckr.Attach(resumed.sim); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckr.Register(resumed); err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.sim.ResumePending() {
+		t.Fatal("mid-Run checkpoint did not arm a resume")
+	}
+	requireBuildsEqual(t, finish(resumed), ref)
+}
