@@ -18,18 +18,57 @@ type BroadcastMsg struct {
 	Words   int
 }
 
+// wireWords is the message's charged size: zero-word messages count as one.
+func (m *BroadcastMsg) wireWords() int64 {
+	if m.Words < 1 {
+		return 1
+	}
+	return int64(m.Words)
+}
+
+// Delivery is one vertex's view of a Broadcast: the broadcast's messages in
+// origin order, shared by every vertex, and which of them reached this
+// vertex. It is valid only for the duration of the handler call; handlers
+// must treat the messages as read-only.
+type Delivery struct {
+	msgs  []BroadcastMsg
+	lost  []bool // per message: did not reach this vertex; nil when all did
+	meter *Meter
+}
+
+// Len returns the number of messages in the broadcast, delivered or not.
+func (d *Delivery) Len() int { return len(d.msgs) }
+
+// At returns message j if it reached this vertex and nil otherwise.
+//
+// The pipelined broadcast of Lemma 1 streams the messages through the
+// vertex one at a time, so its transient load is one message on top of the
+// storage charged so far. Before the handler runs, the engine spikes the
+// vertex's meter by the largest message that reached it; At re-spikes by
+// message j's size on top of the current charge. A handler that charges
+// storage while it reads must therefore read the later messages through At,
+// in order, for the meter to see each of them above that charge; a handler
+// that charges nothing may read any subset in any order.
+func (d *Delivery) At(j int) *BroadcastMsg {
+	if d.lost != nil && d.lost[j] {
+		return nil
+	}
+	m := &d.msgs[j]
+	d.meter.Spike(m.wireWords())
+	return m
+}
+
 // Broadcast delivers every message to every vertex, invoking handle once per
-// (vertex, message) pair in deterministic order (vertices ascending; for
-// each vertex, messages in origin order as given). The message is passed by
-// pointer to keep the n*M handler calls copy-free; the handler must treat it
-// as read-only and streaming - anything it wants to keep it must charge to
-// the vertex's meter itself, as the engine only spikes the meter by the size
-// of a single in-flight message, which is exactly the guarantee the
-// pipelined broadcast of Lemma 1 provides.
+// vertex, vertices ascending, with that vertex's Delivery. A handler reads
+// only the messages it needs (Delivery.At), so a vertex that cares about a
+// few of the M messages costs a few reads, not M handler calls.
 //
 // Cost charged (Lemma 1): rounds = M + 2D for M messages; every message
-// traverses every BFS-tree edge, so messages += M*(n-1).
-func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, m *BroadcastMsg)) {
+// traverses every BFS-tree edge, so messages += M*(n-1). Memory: with a
+// handler, each vertex's meter is spiked by the largest message, the
+// pipelined stream's in-flight load; anything a handler keeps it charges
+// itself.
+func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, d *Delivery)) {
 	if s.resumePending {
 		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
 	}
@@ -45,28 +84,23 @@ func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, m *Broadca
 	}
 	n := s.N()
 	s.rounds += int64(len(msgs)) + 2*int64(s.d)
-	var totalWords int64
-	for _, m := range msgs {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
+	var totalWords, maxWords int64
+	for j := range msgs {
+		w := msgs[j].wireWords()
+		totalWords += w
+		maxWords = max(maxWords, w)
 	}
 	s.messages += int64(len(msgs)) * int64(n-1)
 	s.words += totalWords * int64(n-1)
 	if handle != nil {
+		d := &s.delivery
+		*d = Delivery{msgs: msgs}
 		for v := 0; v < n; v++ {
-			for j := range msgs {
-				m := &msgs[j]
-				w := int64(m.Words)
-				if w < 1 {
-					w = 1
-				}
-				s.meters[v].Spike(w)
-				handle(v, m)
-			}
+			d.meter = &s.meters[v]
+			d.meter.Spike(maxWords)
+			handle(v, d)
 		}
+		*d = Delivery{}
 	}
 	if s.tracer != nil {
 		s.emitSample(s.rounds, trace.KindBroadcast,
@@ -77,35 +111,39 @@ func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, m *Broadca
 
 // broadcastFaulty is Broadcast under a fault plan: every (vertex, message)
 // delivery rolls drops on the stream keyed by (v, msg index), retransmitting
-// up to the plan's budget before the message is counted Lost and the handler
-// skipped for that vertex. The pipelined tree absorbs retransmissions in
+// up to the plan's budget before the message is counted Lost and withheld
+// from that vertex's Delivery. The pipelined tree absorbs retransmissions in
 // parallel, so the round cost grows by the worst per-delivery attempt count,
 // while every failed transmission is charged wire cost individually (the
 // paper's bounds are measured under faults, not just in the clean run).
-// Crashed vertices receive nothing, crashed origins reach no one, and
-// partitions sever origin→vertex pairs; the clock is the current global
-// round, so windows opened by earlier Run phases apply here too.
-func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, handle func(v int, m *BroadcastMsg)) {
+// Crashed vertices receive nothing (their handler does not run), crashed
+// origins reach no one, and partitions sever origin→vertex pairs; the clock
+// is the current global round, so windows opened by earlier Run phases
+// apply here too. A retransmission re-buffers the message at the receiving
+// tree hop, so it spikes the meter like the delivery itself.
+func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, handle func(v int, d *Delivery)) {
 	n := s.N()
 	clock := s.rounds
 	var ctr faults.Counters
 	var totalWords, extraMsgs, extraWords int64
 	maxExtra := 0
-	for _, m := range msgs {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
+	for j := range msgs {
+		totalWords += msgs[j].wireWords()
 	}
+	if cap(s.bcastLost) < len(msgs) {
+		s.bcastLost = make([]bool, len(msgs))
+	}
+	lost := s.bcastLost[:len(msgs)]
+	d := &s.delivery
+	*d = Delivery{msgs: msgs, lost: lost}
 	for v := 0; v < n; v++ {
 		vDown, _ := f.Crashed(v, clock)
+		var load int64 // largest message buffered at v
+		got := false
 		for j := range msgs {
 			m := &msgs[j]
-			w := int64(m.Words)
-			if w < 1 {
-				w = 1
-			}
+			w := m.wireWords()
+			lost[j] = true
 			if vDown {
 				ctr.Discarded++
 				continue
@@ -119,38 +157,41 @@ func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, han
 					ctr.Discarded++
 					continue
 				}
-				attempt, lost := 0, false
+				attempt, gaveUp := 0, false
 				for f.BroadcastDrop(v, j, attempt) {
 					ctr.Dropped++
 					ctr.RetryWords += w
 					extraMsgs++
 					extraWords += w
 					if attempt >= f.Budget() {
-						lost = true
+						gaveUp = true
 						break
 					}
 					attempt++
 				}
-				if lost {
+				if gaveUp {
 					ctr.Lost++
 					continue
 				}
 				ctr.Retried += int64(attempt)
-				if attempt > maxExtra {
-					maxExtra = attempt
-				}
-				// Each retransmission re-buffers the message at the
-				// receiving tree hop.
-				for a := 0; a < attempt; a++ {
-					s.meters[v].Spike(w)
+				maxExtra = max(maxExtra, attempt)
+				if attempt > 0 {
+					load = max(load, w)
 				}
 			}
+			lost[j] = false
+			got = true
 			if handle != nil {
-				s.meters[v].Spike(w)
-				handle(v, m)
+				load = max(load, w)
 			}
 		}
+		s.meters[v].Spike(load)
+		if handle != nil && got {
+			d.meter = &s.meters[v]
+			handle(v, d)
+		}
 	}
+	*d = Delivery{}
 	rounds := int64(len(msgs)) + 2*int64(s.d) + int64(maxExtra)
 	s.rounds += rounds
 	s.messages += int64(len(msgs))*int64(n-1) + extraMsgs
@@ -166,7 +207,7 @@ func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, han
 // Convergecast aggregates M messages (one per origin) up the BFS tree to a
 // sink that then learns all of them; it has the same O(M + D) pipelined cost
 // as Broadcast. handle is invoked at the sink for every message, in origin
-// order, with the same read-only pointer contract as Broadcast.
+// order; it must treat the message as read-only.
 func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *BroadcastMsg)) {
 	if s.resumePending {
 		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
@@ -185,12 +226,8 @@ func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *B
 	}
 	s.rounds += int64(len(sorted)) + 2*int64(s.d)
 	var totalWords int64
-	for _, m := range sorted {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
+	for j := range sorted {
+		totalWords += sorted[j].wireWords()
 	}
 	// Each message travels at most D hops to the sink.
 	s.messages += int64(len(sorted)) * int64(s.d)
@@ -198,11 +235,7 @@ func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *B
 	if handle != nil {
 		for j := range sorted {
 			m := &sorted[j]
-			w := int64(m.Words)
-			if w < 1 {
-				w = 1
-			}
-			s.meters[sink].Spike(w)
+			s.meters[sink].Spike(m.wireWords())
 			handle(m)
 		}
 	}
@@ -222,20 +255,13 @@ func (s *Simulator) convergecastFaulty(f *faults.Compiled, sink int, sorted []Br
 	var ctr faults.Counters
 	var totalWords, extraMsgs, extraWords int64
 	maxExtra := 0
-	for _, m := range sorted {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
+	for j := range sorted {
+		totalWords += sorted[j].wireWords()
 	}
 	sinkDown, _ := f.Crashed(sink, clock)
 	for j := range sorted {
 		m := &sorted[j]
-		w := int64(m.Words)
-		if w < 1 {
-			w = 1
-		}
+		w := m.wireWords()
 		if sinkDown {
 			ctr.Discarded++
 			continue
@@ -266,9 +292,7 @@ func (s *Simulator) convergecastFaulty(f *faults.Compiled, sink int, sorted []Br
 				continue
 			}
 			ctr.Retried += int64(attempt)
-			if attempt > maxExtra {
-				maxExtra = attempt
-			}
+			maxExtra = max(maxExtra, attempt)
 			for a := 0; a < attempt; a++ {
 				s.meters[sink].Spike(w)
 			}

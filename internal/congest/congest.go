@@ -184,6 +184,12 @@ type Simulator struct {
 	ckpt          *Checkpointer
 	resumePending bool
 	resumeRound   int
+
+	// delivery is the one Delivery view Broadcast hands every vertex's
+	// handler in turn (reused, so a broadcast allocates nothing);
+	// bcastLost backs its per-message lost flags under a fault plan.
+	delivery  Delivery
+	bcastLost []bool
 }
 
 // Option configures a Simulator.

@@ -383,23 +383,23 @@ func TestFaultPartitionHeals(t *testing.T) {
 	}
 }
 
-// TestBroadcastFaultRetry: broadcast deliveries retry within the budget (all
-// handlers still run, extra rounds and wire charged); with certain drop and
-// a tiny budget, deliveries are Lost and the handler is skipped.
+// TestBroadcastFaultRetry: broadcast deliveries retry within the budget (every
+// message still reaches every vertex, extra rounds and wire charged); with
+// certain drop and a tiny budget, deliveries are Lost and withheld.
 func TestBroadcastFaultRetry(t *testing.T) {
 	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
 
 	clean := New(g)
 	var cleanCalls int
 	clean.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}, {Origin: 3, Words: 2}},
-		func(v int, m *BroadcastMsg) { cleanCalls++ })
+		func(v int, d *Delivery) { cleanCalls += delivered(d) })
 
 	s := New(g, WithFaults(&faults.Plan{Seed: 8, Drop: 0.3}))
 	var calls int
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}, {Origin: 3, Words: 2}},
-		func(v int, m *BroadcastMsg) { calls++ })
+		func(v int, d *Delivery) { calls += delivered(d) })
 	if calls != cleanCalls {
-		t.Fatalf("faulty broadcast ran %d handlers, clean ran %d", calls, cleanCalls)
+		t.Fatalf("faulty broadcast delivered %d messages, clean delivered %d", calls, cleanCalls)
 	}
 	ctr := s.FaultCounters()
 	if ctr.Dropped == 0 || ctr.Retried != ctr.Dropped {
@@ -414,13 +414,24 @@ func TestBroadcastFaultRetry(t *testing.T) {
 
 	s = New(g, WithFaults(&faults.Plan{Drop: 1, RetryBudget: 1}))
 	calls = 0
-	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}}, func(v int, m *BroadcastMsg) { calls++ })
+	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}}, func(v int, d *Delivery) { calls += delivered(d) })
 	if calls != 1 {
-		t.Fatalf("drop=1 broadcast ran %d handlers, want 1 (only the origin's own copy)", calls)
+		t.Fatalf("drop=1 broadcast delivered %d messages, want 1 (only the origin's own copy)", calls)
 	}
 	if ctr := s.FaultCounters(); ctr.Lost != int64(g.N()-1) {
 		t.Fatalf("Lost = %d, want %d", ctr.Lost, g.N()-1)
 	}
+}
+
+// delivered counts the messages of a broadcast that reached the vertex.
+func delivered(d *Delivery) int {
+	c := 0
+	for j := 0; j < d.Len(); j++ {
+		if d.At(j) != nil {
+			c++
+		}
+	}
+	return c
 }
 
 // TestConvergecastFaultRetry mirrors the broadcast test for the sink side.

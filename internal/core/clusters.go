@@ -77,7 +77,7 @@ type clusterGrowth struct {
 	rev       []int
 
 	ex        *hopset.Explorer
-	handler   func(w int, m *congest.BroadcastMsg)
+	handler   func(w int, d *congest.Delivery)
 	forwardFn hopset.LimitFunc
 	hostFn    hopset.LimitFunc
 
@@ -176,29 +176,39 @@ func (g *clusterGrowth) relaxEsts(w, u int, ests []uint64, weight float64) {
 	}
 }
 
-// onHMsg handles one H-step broadcast delivery at virtual vertex w.
-func (g *clusterGrowth) onHMsg(w int, m *congest.BroadcastMsg) {
-	p := &m.Payload
-	if p.Kind != kindHMsg {
+// onHMsg handles the H-step broadcast at virtual vertex w. New estimates
+// charge w's meter, so the messages are read in order through At.
+func (g *clusterGrowth) onHMsg(w int, d *congest.Delivery) {
+	if !g.b.vg.IsMember(w) {
 		return
 	}
-	u := congest.WordInt(p.W0)
-	if !g.b.vg.IsMember(w) || w == u {
-		return
-	}
-	ne := congest.WordInt(p.W1)
-	ests := p.Ext[:2*ne]
-	edges := p.Ext[2*ne:]
-	// Forward direction: an out-edge (u -> w) relaxes w.
-	for j := 0; j+2 < len(edges); j += 3 {
-		if congest.WordInt(edges[j]) == w {
-			g.relaxEsts(w, u, ests, congest.WordFloat(edges[j+1]))
+	for i := 0; i < d.Len(); i++ {
+		m := d.At(i)
+		if m == nil {
+			continue
 		}
-	}
-	// Reverse direction: w's own out-edge (w -> u) relaxes w.
-	for _, e := range g.b.hs.Out(w) {
-		if e.To == u {
-			g.relaxEsts(w, u, ests, e.Weight)
+		p := &m.Payload
+		if p.Kind != kindHMsg {
+			continue
+		}
+		u := congest.WordInt(p.W0)
+		if w == u {
+			continue
+		}
+		ne := congest.WordInt(p.W1)
+		ests := p.Ext[:2*ne]
+		edges := p.Ext[2*ne:]
+		// Forward direction: an out-edge (u -> w) relaxes w.
+		for j := 0; j+2 < len(edges); j += 3 {
+			if congest.WordInt(edges[j]) == w {
+				g.relaxEsts(w, u, ests, congest.WordFloat(edges[j+1]))
+			}
+		}
+		// Reverse direction: w's own out-edge (w -> u) relaxes w.
+		for _, e := range g.b.hs.Out(w) {
+			if e.To == u {
+				g.relaxEsts(w, u, ests, e.Weight)
+			}
 		}
 	}
 }

@@ -52,7 +52,7 @@ type BFScratch struct {
 	srcs    []Source
 	msgs    []congest.BroadcastMsg
 	extBufs [][]uint64
-	handler func(v int, m *congest.BroadcastMsg)
+	handler func(v int, d *congest.Delivery)
 
 	// Pending hopset relaxations, held from the broadcast handler to the
 	// end-of-iteration commit. Epoch stamps replace per-iteration maps.
@@ -110,28 +110,38 @@ func (sc *BFScratch) extBuf(i, n int) []uint64 {
 	return sc.extBufs[i][:n]
 }
 
-// onBEst handles one H-step broadcast delivery at virtual vertex v.
-func (sc *BFScratch) onBEst(v int, m *congest.BroadcastMsg) {
-	p := &m.Payload
-	if p.Kind != kindBEst {
+// onBEst handles the H-step broadcast at virtual vertex v. Relaxations
+// charge v's meter, so the messages are read in order through At.
+func (sc *BFScratch) onBEst(v int, dl *congest.Delivery) {
+	if !sc.vg.IsMember(v) {
 		return
 	}
-	d := congest.WordFloat(p.W1)
-	if !sc.vg.IsMember(v) || d == graph.Infinity {
-		return
-	}
-	u := congest.WordInt(p.W0)
-	// Forward direction: an out-edge (u -> w) relaxes w = v.
-	ext := p.Ext
-	for j := 0; j+edgeWords <= len(ext); j += edgeWords {
-		if congest.WordInt(ext[j]) == v {
-			sc.relax(v, d+congest.WordFloat(ext[j+1]), u)
+	for i := 0; i < dl.Len(); i++ {
+		m := dl.At(i)
+		if m == nil {
+			continue
 		}
-	}
-	// Reverse direction: v's own out-edge (v -> u) relaxes v.
-	for _, e := range sc.hs.Out(v) {
-		if e.To == u {
-			sc.relax(v, d+e.Weight, u)
+		p := &m.Payload
+		if p.Kind != kindBEst {
+			continue
+		}
+		d := congest.WordFloat(p.W1)
+		if d == graph.Infinity {
+			continue
+		}
+		u := congest.WordInt(p.W0)
+		// Forward direction: an out-edge (u -> w) relaxes w = v.
+		ext := p.Ext
+		for j := 0; j+edgeWords <= len(ext); j += edgeWords {
+			if congest.WordInt(ext[j]) == v {
+				sc.relax(v, d+congest.WordFloat(ext[j+1]), u)
+			}
+		}
+		// Reverse direction: v's own out-edge (v -> u) relaxes v.
+		for _, e := range sc.hs.Out(v) {
+			if e.To == u {
+				sc.relax(v, d+e.Weight, u)
+			}
 		}
 	}
 }

@@ -146,13 +146,14 @@ func ctxMethodCall(info *types.Info, call *ast.CallExpr) string {
 
 // payloadOrigins classifies, within one function, which identifiers hold
 // values derived from the engine-owned inbox (ctx.In()) and which from
-// caller-owned broadcast deliveries (*congest.BroadcastMsg parameters).
+// caller-owned broadcast deliveries (*congest.BroadcastMsg parameters and
+// call results such as Delivery.At).
 type payloadOrigins struct {
 	inSlices   map[types.Object]bool // ctx.In() results
 	inMsgs     map[types.Object]bool // in[i] / &in[i] message values
 	inPayloads map[types.Object]bool // m.Payload / &m.Payload
 	inExts     map[types.Object]bool // p.Ext and reslices thereof
-	bMsgs      map[types.Object]bool // *BroadcastMsg params and aliases
+	bMsgs      map[types.Object]bool // *BroadcastMsg params, call results, aliases
 	bPayloads  map[types.Object]bool
 }
 
@@ -220,6 +221,11 @@ func computeOrigins(info *types.Info, fn ast.Node) *payloadOrigins {
 			if call, ok := e.(*ast.CallExpr); ok {
 				if ctxMethodCall(info, call) == "In" {
 					mark(o.inSlices, obj)
+				}
+				// Delivery.At, and helpers wrapping it, hand out broadcast
+				// messages.
+				if tv, ok := info.Types[call]; ok && isBcastMsgPtr(tv.Type) {
+					mark(o.bMsgs, obj)
 				}
 				return
 			}
@@ -315,6 +321,12 @@ func computeOrigins(info *types.Info, fn ast.Node) *payloadOrigins {
 		})
 	}
 	return o
+}
+
+// isBcastMsgPtr reports whether t is *congest.BroadcastMsg.
+func isBcastMsgPtr(t types.Type) bool {
+	_, ptr := t.(*types.Pointer)
+	return ptr && isCongestNamed(t, "BroadcastMsg")
 }
 
 func markBcastParams(info *types.Info, params *ast.FieldList, o *payloadOrigins) {

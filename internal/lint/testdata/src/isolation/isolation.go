@@ -12,7 +12,7 @@ func handler(v int, ctx *congest.Ctx) {
 }
 
 func drive(sim *congest.Simulator) {
-	sim.Broadcast(nil, func(v int, m *congest.BroadcastMsg) {
+	sim.Broadcast(nil, func(v int, d *congest.Delivery) {
 		sim.Mem(v).Charge(1)
 		sim.Mem(v + 1).Charge(1) // want `another vertex's meter`
 		sim.AddRounds(1)         // want `Simulator.AddRounds`

@@ -9,6 +9,7 @@ const (
 	kindIdle                                // want `kind kindIdle is declared but never sent or matched \(dead kind\)`
 	kindAck                                 // matched but never sent
 	kindBeat                                // broadcast kind, matched by its broadcast handler: clean
+	kindTick                                // sent point-to-point, matched only on a broadcast Delivery
 )
 
 func use(int) {}
@@ -55,6 +56,26 @@ func onBeat(v int, m *congest.BroadcastMsg) {
 	}
 	use(congest.WordInt(p.W0))
 	_ = v
+}
+
+func tick(ctx *congest.Ctx, v int) {
+	ctx.Send(v+1, congest.Payload{Kind: kindTick, W0: congest.IntWord(v)}, 2) // want `kind kindTick is sent here \(send\) but no handler matches it`
+}
+
+// onTick reads its messages through Delivery.At, whose results are broadcast
+// messages: its match cannot observe tick's point-to-point send.
+func onTick(v int, d *congest.Delivery) {
+	for j := 0; j < d.Len(); j++ {
+		m := d.At(j)
+		if m == nil {
+			continue
+		}
+		p := &m.Payload
+		if p.Kind != kindTick { // want `kind kindTick is matched here but never sent over a compatible transport \(dead arm\)`
+			continue
+		}
+		use(congest.WordInt(p.W0) + v)
+	}
 }
 
 // sendOpaque forwards a caller-constructed payload; the kind cannot be

@@ -211,6 +211,14 @@ type treeState struct {
 	tmpW   [][]uint64
 	tmpGot []bool
 
+	// Builder-side indexes of the pointer-jumping broadcasts (not vertex
+	// memory, like the builder's msgs): msgAt[l] is portal l's message slot,
+	// the same in every iteration of every stage; jumpHead[l] heads the
+	// Algorithm 1 list of messages whose a_i(w) is portal l (chained through
+	// distBuilder.jumpNext), -1 when empty.
+	msgAt    []int32
+	jumpHead []int32
+
 	// Duplicate-suppression state for faulty runs. A fault plan's Duplicate
 	// rolls can re-deliver a message, so the size convergecasts track which
 	// child slots already reported and the light floods whether their single
@@ -256,6 +264,7 @@ func newTreeState(idx int, t *graph.Tree, q float64, maxOffset int, rng *rand.Ra
 		kicked:      make([]bool, m),
 		finalIn:     make([]int, m),
 		finalOut:    make([]int, m),
+		msgAt:       make([]int32, m),
 	}
 	for l := range st.localRoot {
 		st.localRoot[l] = graph.NoVertex
@@ -391,6 +400,10 @@ type distBuilder struct {
 	// tails stay caller-owned, so per-index pooling is safe).
 	msgs    []congest.BroadcastMsg
 	extBufs [][]uint64
+
+	// jumpNext[j] is the next message on message j's treeState.jumpHead
+	// list, -1 at the end.
+	jumpNext []int32
 }
 
 type membEntry struct{ tree, local int32 }
@@ -443,6 +456,45 @@ func (b *distBuilder) local(st *treeState, v int) int {
 		return int(seg[lo].local)
 	}
 	return -1
+}
+
+// portalSlot returns x's local index in st when x is one of st's portals, -1
+// otherwise (x may be NoVertex, the ancestor past the root).
+func (b *distBuilder) portalSlot(st *treeState, x int) int {
+	if x == graph.NoVertex {
+		return -1
+	}
+	if l := b.local(st, x); l >= 0 && st.inU[l] {
+		return l
+	}
+	return -1
+}
+
+// appendPortalMsg appends portal l's message to the pointer-jumping
+// broadcast and records its slot in st.msgAt.
+func (b *distBuilder) appendPortalMsg(st *treeState, l int, m congest.BroadcastMsg) int32 {
+	j := int32(len(b.msgs))
+	st.msgAt[l] = j
+	b.msgs = append(b.msgs, m)
+	return j
+}
+
+// portalMsg returns the pointer-jumping message of st's portal x if it
+// reached the receiving vertex, nil otherwise. A receiver wants the message
+// of one known origin, its 2^i-ancestor; the slot index finds it without
+// reading the other M-1 messages.
+func (b *distBuilder) portalMsg(d *congest.Delivery, st *treeState, x int) *congest.BroadcastMsg {
+	if lx := b.portalSlot(st, x); lx >= 0 {
+		return d.At(int(st.msgAt[lx]))
+	}
+	return nil
+}
+
+// isFrom reports whether a pointer-jumping payload is portal x's message in
+// st. A receiver knows a broadcast message only by these words; the slot
+// index (portalMsg, jumpHead) just spares it reading the others.
+func isFrom(p *congest.Payload, st *treeState, x int) bool {
+	return congest.WordInt(p.W0) == st.idx && congest.WordInt(p.W1) == x
 }
 
 // extBuf returns the reusable tail buffer for broadcast message index i.

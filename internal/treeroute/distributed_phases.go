@@ -165,6 +165,7 @@ func (b *distBuilder) phaseGlobalSizes() {
 	for _, st := range b.ts {
 		st.tmpA = make([]int, len(st.verts))
 		st.tmpS = make([]int, len(st.verts))
+		st.jumpHead = make([]int32, len(st.verts))
 		for l, v := range st.verts {
 			if st.inU[l] {
 				st.pjA[l] = st.virtParent[l] // a_0(x) = p'(x)
@@ -176,41 +177,69 @@ func (b *distBuilder) phaseGlobalSizes() {
 	}
 	for i := 0; i < b.iters; i++ {
 		b.msgs = b.msgs[:0]
+		b.jumpNext = b.jumpNext[:0]
 		for _, st := range b.ts {
+			for l := range st.jumpHead {
+				st.jumpHead[l] = -1
+			}
 			for l, v := range st.verts {
-				if st.inU[l] {
-					st.tmpA[l] = st.pjA[l]
-					st.tmpS[l] = 0
-					b.msgs = append(b.msgs, congest.BroadcastMsg{
-						Origin: v,
-						Payload: congest.Payload{
-							Kind: kindBSize,
-							W0:   congest.IntWord(st.idx),
-							W1:   congest.IntWord(v),
-							W2:   congest.IntWord(st.pjA[l]),
-							W3:   congest.IntWord(st.pjS[l]),
-						},
-						Words: bSizeWords,
-					})
+				if !st.inU[l] {
+					continue
 				}
+				st.tmpA[l] = st.pjA[l]
+				st.tmpS[l] = 0
+				j := b.appendPortalMsg(st, l, congest.BroadcastMsg{
+					Origin: v,
+					Payload: congest.Payload{
+						Kind: kindBSize,
+						W0:   congest.IntWord(st.idx),
+						W1:   congest.IntWord(v),
+						W2:   congest.IntWord(st.pjA[l]),
+						W3:   congest.IntWord(st.pjS[l]),
+					},
+					Words: bSizeWords,
+				})
+				// Every receiver v sums the messages whose a_i(w) is v;
+				// chaining each message onto its target's list lets v read
+				// exactly those instead of testing all of them.
+				next := int32(-1)
+				if la := b.portalSlot(st, st.pjA[l]); la >= 0 {
+					next, st.jumpHead[la] = st.jumpHead[la], j
+				}
+				b.jumpNext = append(b.jumpNext, next)
 			}
 		}
-		b.sim.Broadcast(b.msgs, func(v int, m *congest.BroadcastMsg) {
-			p := &m.Payload
-			if p.Kind != kindBSize {
-				return
-			}
-			st := b.ts[congest.WordInt(p.W0)]
-			l := b.local(st, v)
-			if l < 0 || !st.inU[l] {
-				return
-			}
-			x, a := congest.WordInt(p.W1), congest.WordInt(p.W2)
-			if st.pjA[l] == x {
-				st.tmpA[l] = a // a_{i+1}(v) = a_i(a_i(v))
-			}
-			if a == v {
-				st.tmpS[l] += congest.WordInt(p.W3) // w with a_i(w) = v contributes s_i(w)
+		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
+			for _, e := range b.memb(v) {
+				st, l := b.ts[e.tree], int(e.local)
+				if !st.inU[l] {
+					continue
+				}
+				for j := st.jumpHead[l]; j >= 0; j = b.jumpNext[j] {
+					m := d.At(int(j))
+					if m == nil {
+						continue
+					}
+					p := &m.Payload
+					if p.Kind != kindBSize {
+						continue
+					}
+					if congest.WordInt(p.W0) != st.idx || congest.WordInt(p.W2) != v {
+						continue
+					}
+					st.tmpS[l] += congest.WordInt(p.W3) // w with a_i(w) = v contributes s_i(w)
+				}
+				m := b.portalMsg(d, st, st.pjA[l])
+				if m == nil {
+					continue
+				}
+				p := &m.Payload
+				if p.Kind != kindBSize {
+					continue
+				}
+				if isFrom(p, st, st.pjA[l]) {
+					st.tmpA[l] = congest.WordInt(p.W2) // a_{i+1}(v) = a_i(a_i(v))
+				}
 			}
 		})
 		for _, st := range b.ts {
@@ -399,7 +428,7 @@ func (b *distBuilder) phaseGlobalLight() {
 					list := st.lightGlobal[l]
 					ext := b.extBuf(len(b.msgs), lightWords(list))
 					encodeLight(ext, list)
-					b.msgs = append(b.msgs, congest.BroadcastMsg{
+					b.appendPortalMsg(st, l, congest.BroadcastMsg{
 						Origin: v,
 						Payload: congest.Payload{
 							Kind: kindBLight,
@@ -417,19 +446,27 @@ func (b *distBuilder) phaseGlobalLight() {
 		// until the next iteration's encode); the merge (which allocates and
 		// changes the vertex's stored state) happens in the commit loop
 		// below, where the growth is charged to the meter.
-		b.sim.Broadcast(b.msgs, func(v int, m *congest.BroadcastMsg) {
-			p := &m.Payload
-			if p.Kind != kindBLight {
-				return
+		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
+			for _, e := range b.memb(v) {
+				st, l := b.ts[e.tree], int(e.local)
+				if !st.inU[l] {
+					continue
+				}
+				m := b.portalMsg(d, st, st.anc[l][i])
+				if m == nil {
+					continue
+				}
+				p := &m.Payload
+				if p.Kind != kindBLight {
+					continue
+				}
+				if !isFrom(p, st, st.anc[l][i]) {
+					continue
+				}
+				k := congest.WordInt(p.W2)
+				st.tmpW[l] = p.Ext[:2*k] // L_i(a_i(v)), 2*k == len(p.Ext)
+				st.tmpGot[l] = true
 			}
-			st := b.ts[congest.WordInt(p.W0)]
-			l := b.local(st, v)
-			if l < 0 || !st.inU[l] || st.anc[l][i] != congest.WordInt(p.W1) {
-				return
-			}
-			k := congest.WordInt(p.W2)
-			st.tmpW[l] = p.Ext[:2*k] // L_i(a_i(v)), 2*k == len(p.Ext)
-			st.tmpGot[l] = true
 		})
 		for _, st := range b.ts {
 			for l, v := range st.verts {
@@ -684,7 +721,7 @@ func (b *distBuilder) phaseGlobalShifts() {
 			for l, v := range st.verts {
 				if st.inU[l] {
 					st.tmpQ[l] = 0
-					b.msgs = append(b.msgs, congest.BroadcastMsg{
+					b.appendPortalMsg(st, l, congest.BroadcastMsg{
 						Origin: v,
 						Payload: congest.Payload{
 							Kind: kindBShift,
@@ -697,17 +734,25 @@ func (b *distBuilder) phaseGlobalShifts() {
 				}
 			}
 		}
-		b.sim.Broadcast(b.msgs, func(v int, m *congest.BroadcastMsg) {
-			p := &m.Payload
-			if p.Kind != kindBShift {
-				return
+		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
+			for _, e := range b.memb(v) {
+				st, l := b.ts[e.tree], int(e.local)
+				if !st.inU[l] {
+					continue
+				}
+				m := b.portalMsg(d, st, st.anc[l][i])
+				if m == nil {
+					continue
+				}
+				p := &m.Payload
+				if p.Kind != kindBShift {
+					continue
+				}
+				if !isFrom(p, st, st.anc[l][i]) {
+					continue
+				}
+				st.tmpQ[l] = congest.WordInt(p.W2) // q_i(a_i(v))
 			}
-			st := b.ts[congest.WordInt(p.W0)]
-			l := b.local(st, v)
-			if l < 0 || !st.inU[l] || st.anc[l][i] != congest.WordInt(p.W1) {
-				return
-			}
-			st.tmpQ[l] = congest.WordInt(p.W2) // q_i(a_i(v))
 		})
 		for _, st := range b.ts {
 			for l := range st.verts {
