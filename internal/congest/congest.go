@@ -156,10 +156,13 @@ type Simulator struct {
 
 	// timers is the recycled min-heap of pending Ctx.WakeAt requests,
 	// ordered by (round, vertex) in the active Run's round frame.
-	// spinTimers degrades WakeAt to a per-round Wake for the current Run:
-	// set under a fault plan with crash windows, where a down vertex must
-	// drop its pending wake exactly as a spinning one would.
+	// armed[v] is the round of v's most recently pushed timer (0 = none),
+	// so a vertex that re-arms the same round from several steps holds one
+	// heap entry. spinTimers degrades WakeAt to a per-round Wake for the
+	// current Run: set under a fault plan with crash windows, where a down
+	// vertex must drop its pending wake exactly as a spinning one would.
 	timers     []timer
+	armed      []int
 	spinTimers bool
 
 	// Fault injection (WithFaults). faults stays nil for an empty plan, so

@@ -172,6 +172,7 @@ func (s *Simulator) ensureTopology() {
 	s.dirtyIn = make([]int32, ne)
 	s.dirtyCnt = make([]int32, n)
 	s.nextStamp = make([]int64, n)
+	s.armed = make([]int, n)
 	s.inboxMax = make([]int32, n)
 	s.epoch = 0
 
@@ -244,6 +245,9 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		start = s.resumeRound
 		s.epoch++
 	} else {
+		// A fresh Run starts a new round frame: the previous Run's armed
+		// rounds name timers that were dropped when it returned.
+		clear(s.armed)
 		// Deduplicated, sorted initial active list in the recycled buffer.
 		s.epoch++
 		act := s.actList[:0]
@@ -875,9 +879,16 @@ func (a timer) less(b timer) bool {
 	return a.round < b.round || (a.round == b.round && a.v < b.v)
 }
 
-// pushTimer adds a timer to the heap. A vertex may hold several; the
-// duplicates of one round collapse when they fall due (popDue).
+// pushTimer adds a timer to the heap unless v's last pushed timer is for
+// the same round: rounds only grow within a Run, so that timer is still
+// pending. A vertex may hold timers for several rounds; a duplicate that
+// slips past the one-slot check (a re-arm of an older round) collapses when
+// it falls due (popDue).
 func (s *Simulator) pushTimer(round int, v int32) {
+	if s.armed[v] == round {
+		return
+	}
+	s.armed[v] = round
 	h := append(s.timers, timer{round, v})
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2

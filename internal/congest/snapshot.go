@@ -359,8 +359,8 @@ func (ck *Checkpointer) maybeWriteMid(executed int) {
 // plus — for mid-Run snapshots (executed >= 0) — the active list, pending
 // inboxes, every backlogged edge queue and the pending timers. The layout is
 // canonical (sorted active list, ascending dirty destinations, ascending
-// edge order within each, timers by (round, vertex)), so the bytes are
-// identical at every shard count.
+// edge order within each, timers by (round, vertex) and each once), so the
+// bytes are identical at every shard count.
 func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 	s.ensureTopology()
 	var flags uint64
@@ -434,6 +434,7 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 	slices.SortFunc(timers, func(a, b timer) int {
 		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.v, b.v))
 	})
+	timers = slices.Compact(timers)
 	dst = append(dst, uint64(int64(len(timers))))
 	for _, t := range timers {
 		dst = append(dst, uint64(int64(t.round)), uint64(int64(t.v)))
@@ -572,6 +573,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		s.shardCur[sh] = append(s.shardCur[sh], int32(v))
 	}
 	s.timers = s.timers[:0]
+	clear(s.armed) // rebuilt below; a used simulator's slots are stale
 	if version >= 2 {
 		nt := r.Int()
 		for i := 0; i < nt; i++ {

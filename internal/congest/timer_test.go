@@ -83,7 +83,14 @@ type timerRun struct {
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
 	g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	s := New(g, append([]Option{WithShards(workers)}, opts...)...)
+	return timerWorkloadOn(t, New(g, append([]Option{WithShards(workers)}, opts...)...), spin, maxRounds)
+}
+
+// timerWorkloadOn runs timerWorkload's program on s, a simulator over
+// timerWorkload's torus, which may already have run.
+func timerWorkloadOn(t *testing.T, s *Simulator, spin bool, maxRounds int) timerRun {
+	t.Helper()
+	g := s.Graph()
 	n := g.N()
 	offset := func(v int) int { return 40*(v%4) + (v*7)%5 }
 	steps := make([]int, n)
@@ -303,6 +310,139 @@ func TestWakeAtResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestWakeAtRestoreOnUsedSimulator: restoring a mid-Run checkpoint into a
+// simulator whose earlier Run armed the very (round, vertex) timers the
+// checkpoint carries must push every one of them, so the resumed run still
+// equals the uninterrupted one.
+func TestWakeAtRestoreOnUsedSimulator(t *testing.T) {
+	const cut = 60 // the waves at rounds 80 and 120 are asleep at the cut
+	ref := timerWorkload(t, false, 1, 1000)
+	path := filepath.Join(t.TempDir(), "timers.ckpt")
+	ckw := NewCheckpointer(path, cut)
+	ckw.MidRun(true)
+	_ = timerWorkload(t, false, 1, cut, withCheckpointer(t, ckw))
+	if err := ckw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
+			g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
+			s := New(g, WithShards(workers))
+			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
+			ckr, err := ResumeCheckpointer(path, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ckr.Attach(s); err != nil {
+				t.Fatal(err)
+			}
+			got := timerWorkloadOn(t, s, false, 1000)
+			if got.executed != ref.executed || got.rounds != ref.rounds || got.messages != ref.messages || got.words != ref.words {
+				t.Fatalf("resumed counters: executed %d rounds %d messages %d words %d; straight run %d %d %d %d",
+					got.executed, got.rounds, got.messages, got.words, ref.executed, ref.rounds, ref.messages, ref.words)
+			}
+			if !reflect.DeepEqual(got.peaks, ref.peaks) {
+				t.Fatal("per-vertex meter peaks differ after resume")
+			}
+		})
+	}
+}
+
+// timerProbe is a trace sink that runs check after every round, once the
+// round's timers are pushed and the next round's are popped.
+type timerProbe struct{ check func() }
+
+func (p *timerProbe) RoundSample(trace.RoundSample) { p.check() }
+
+// TestWakeAtRearmKeepsOneTimer: sleepers whose neighbours message them in
+// every round of a long chatter re-arm the same target from each
+// message-driven step. The heap holds one entry per (round, vertex)
+// throughout - never more entries than sleepers - and every vertex still
+// acts in exactly the rounds, and receives exactly the messages, that it
+// does when it spins on Wake, at every shard count. The program runs twice
+// on one simulator: the second Run must not inherit the first one's armed
+// rounds.
+func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
+	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(4)))
+	n := g.N()
+	chatty := func(v int) bool { return v%4 == 0 }
+	target := func(v int) int { return 40 + 9*(v%5) }
+	sleepers := 0
+	for v := 0; v < n; v++ {
+		if !chatty(v) {
+			sleepers++
+		}
+	}
+	type result struct {
+		executed int
+		acted    [][]int
+		logs     [][]rcvd
+	}
+	run := func(t *testing.T, spin bool, workers int) result {
+		var s *Simulator
+		probe := &timerProbe{}
+		s = New(g, WithShards(workers), WithTrace(probe))
+		peak := 0
+		probe.check = func() {
+			seen := map[timer]bool{}
+			for _, tm := range s.timers {
+				if seen[tm] {
+					t.Fatalf("timer (round %d, vertex %d) is in the heap twice", tm.round, tm.v)
+				}
+				seen[tm] = true
+			}
+			peak = max(peak, len(s.timers))
+		}
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		var res result
+		for rep := 0; rep < 2; rep++ {
+			res = result{acted: make([][]int, n), logs: make([][]rcvd, n)}
+			res.executed = s.Run(all, 1000, func(v int, ctx *Ctx) {
+				for _, m := range ctx.In() {
+					res.logs[v] = append(res.logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
+				}
+				if chatty(v) {
+					if ctx.Round() < 30 {
+						for _, nb := range g.Neighbors(v) {
+							ctx.Send(nb.To, Payload{Kind: 1, W0: IntWord(v)}, 1)
+						}
+						ctx.Wake()
+					}
+					return
+				}
+				switch o := target(v); {
+				case ctx.Round() < o && spin:
+					ctx.Wake()
+				case ctx.Round() < o:
+					ctx.WakeAt(o)
+				case ctx.Round() == o:
+					res.acted[v] = append(res.acted[v], ctx.Round())
+					for _, nb := range g.Neighbors(v) {
+						ctx.Send(nb.To, Payload{Kind: 2, W0: IntWord(v)}, 1)
+					}
+				}
+			})
+		}
+		if !spin && (peak == 0 || peak > sleepers) {
+			t.Fatalf("timer heap peaked at %d entries for %d sleepers", peak, sleepers)
+		}
+		return res
+	}
+	ref := run(t, true, 1)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
+			got := run(t, false, workers)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("timer run differs from the spin reference: executed %d vs %d, acted %v vs %v",
+					got.executed, ref.executed, got.acted, ref.acted)
+			}
+		})
+	}
+}
+
 // withCheckpointer attaches ck to the simulator under construction.
 func withCheckpointer(t *testing.T, ck *Checkpointer) Option {
 	return func(s *Simulator) {
@@ -356,6 +496,45 @@ func TestWakeAtCheckpointValidation(t *testing.T) {
 				t.Fatalf("Attach with a bad timer: err=%v", err)
 			}
 		})
+	}
+}
+
+// TestWakeAtCheckpointTimersUnique: a re-arm of an older round slips a
+// duplicate past the one-slot dedupe - vertex 0 arms round 50, a message
+// wakes it to arm round 40, and round 40 arms 50 again - but the checkpoint
+// writes each pending (round, vertex) once.
+func TestWakeAtCheckpointTimersUnique(t *testing.T) {
+	const cut = 45
+	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
+	path := filepath.Join(t.TempDir(), "dup.ckpt")
+	ck := NewCheckpointer(path, cut)
+	ck.MidRun(true)
+	s := New(g, withCheckpointer(t, ck))
+	s.Run([]int{0, 1}, cut+1, func(v int, ctx *Ctx) {
+		switch r := ctx.Round(); {
+		case v == 1 && r == 0:
+			ctx.WakeAt(4)
+		case v == 1 && r == 4:
+			ctx.Send(0, Payload{}, 1)
+		case v == 0 && (r == 0 || r == 40):
+			ctx.WakeAt(50)
+		case v == 0:
+			ctx.WakeAt(40)
+		}
+	})
+	if err := ck.Err(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, _, err := c.Section(EngineSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := words[len(words)-3:]; !reflect.DeepEqual(tail, []uint64{1, 50, 0}) || words[len(words)-5] == 50 {
+		t.Fatalf("timer block ends %v; want the single timer (round 50, vertex 0)", words[len(words)-5:])
 	}
 }
 

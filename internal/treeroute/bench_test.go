@@ -67,14 +67,13 @@ func buildShiftsFixture(tb testing.TB) *distBuilder {
 // TestShiftsDownSteadyStateAllocFree pins that a warm shifts-down flood -
 // the representative per-vertex handler regime of the tree-routing pipeline
 // - allocates nothing: typed payloads ride the wire inline, inboxes and
-// edge queues recycle, and the step function is a bound method, not a
-// per-phase closure.
+// edge queues recycle, the kickoff schedule is rebuilt in place, and the
+// step function is a bound method, not a per-phase closure.
 func TestShiftsDownSteadyStateAllocFree(t *testing.T) {
 	b := buildShiftsFixture(t)
-	initial := b.union(func(st *treeState, l int) bool { return st.inU[l] })
 	var fn congest.StepFunc = b.stepShiftsDown
 	run := func() {
-		if b.sim.Run(initial, b.cap, fn) >= b.cap {
+		if b.sim.Run(b.schedule(isPortal), b.cap, fn) >= b.cap {
 			t.Fatal("shifts-down flood did not converge")
 		}
 	}

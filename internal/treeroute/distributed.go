@@ -1,9 +1,11 @@
 package treeroute
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
@@ -118,6 +120,7 @@ func newDistBuilder(sim *congest.Simulator, trees []*graph.Tree, opts DistOption
 		b.ts = append(b.ts, newTreeState(j, t, q, maxOffset, b.rng))
 	}
 	b.buildMembership()
+	b.schedOff = make([]int32, n+1)
 	// The cap is generous: local phases are bounded by tree height times
 	// list transmission time; hitting the cap means a bug, not load.
 	b.cap = 16*n*(b.iters+2) + 64*b.iters + 4096
@@ -197,7 +200,6 @@ type treeState struct {
 	haveIn   []bool
 	haveQ    []bool
 	dfsDone  []bool
-	kicked   []bool
 	finalIn  []int
 	finalOut []int
 
@@ -261,7 +263,6 @@ func newTreeState(idx int, t *graph.Tree, q float64, maxOffset int, rng *rand.Ra
 		haveIn:      make([]bool, m),
 		haveQ:       make([]bool, m),
 		dfsDone:     make([]bool, m),
-		kicked:      make([]bool, m),
 		finalIn:     make([]int, m),
 		finalOut:    make([]int, m),
 		msgAt:       make([]int32, m),
@@ -284,34 +285,35 @@ func newTreeState(idx int, t *graph.Tree, q float64, maxOffset int, rng *rand.Ra
 	return st
 }
 
-// resetSizeSeen (re)arms the per-child duplicate filters for one of the two
-// size convergecasts. Called only when a fault plan is installed.
-func (st *treeState) resetSizeSeen() {
-	if st.sizeSeen == nil {
-		st.sizeSeen = make([][]bool, len(st.verts))
-	}
-	for l := range st.verts {
-		kids := len(st.tree.ChildrenAt(l))
-		if cap(st.sizeSeen[l]) < kids {
-			st.sizeSeen[l] = make([]bool, kids)
-			continue
+// resetConvergecast arms a size convergecast in every tree: each member
+// awaits one report per child and counts itself. Under a fault plan it also
+// (re)arms the per-child duplicate filters.
+func (b *distBuilder) resetConvergecast() {
+	faulty := b.sim.FaultsEnabled()
+	for _, st := range b.ts {
+		if faulty && st.sizeSeen == nil {
+			st.sizeSeen = make([][]bool, len(st.verts))
 		}
-		st.sizeSeen[l] = st.sizeSeen[l][:kids]
-		for i := range st.sizeSeen[l] {
-			st.sizeSeen[l][i] = false
+		for l := range st.verts {
+			kids := len(st.tree.ChildrenAt(l))
+			st.pending[l], st.acc[l] = kids, 1
+			if faulty {
+				st.sizeSeen[l] = slices.Grow(st.sizeSeen[l][:0], kids)[:kids]
+				clear(st.sizeSeen[l])
+			}
 		}
 	}
 }
 
-// resetLightSeen (re)arms the one-shot duplicate filters for a light flood.
-// Called only when a fault plan is installed.
-func (st *treeState) resetLightSeen() {
-	if st.lightSeen == nil {
-		st.lightSeen = make([]bool, len(st.verts))
+// resetLightSeen (re)arms every tree's one-shot duplicate filters for a
+// light flood. Only under a fault plan.
+func (b *distBuilder) resetLightSeen() {
+	if !b.sim.FaultsEnabled() {
 		return
 	}
-	for l := range st.lightSeen {
-		st.lightSeen[l] = false
+	for _, st := range b.ts {
+		st.lightSeen = slices.Grow(st.lightSeen[:0], len(st.verts))[:len(st.verts)]
+		clear(st.lightSeen)
 	}
 }
 
@@ -395,6 +397,14 @@ type distBuilder struct {
 	membOff []int32
 	membEnt []membEntry
 
+	// Kickoff schedule of the running local phase (schedule/due), rebuilt
+	// in place by each: schedEnt[schedOff[v]:schedOff[v+1]] lists v's
+	// memberships that start the phase, sorted by (offset, tree), and
+	// initial lists the vertices with any.
+	schedOff []int32
+	schedEnt []schedEntry
+	initial  []int
+
 	// Reusable broadcast buffers for the pointer-jumping stages: the
 	// message slice and the per-message-index payload tails (broadcast
 	// tails stay caller-owned, so per-index pooling is safe).
@@ -407,6 +417,10 @@ type distBuilder struct {
 }
 
 type membEntry struct{ tree, local int32 }
+
+// schedEntry is one scheduled kickoff: member local of tree starts the
+// running phase in round off (the tree's start offset).
+type schedEntry struct{ off, tree, local int32 }
 
 // buildMembership assembles the host-vertex → (tree, local index) CSR. Trees
 // are appended in ascending index order, so each vertex's segment comes out
@@ -508,25 +522,23 @@ func (b *distBuilder) extBuf(i, n int) []uint64 {
 	return b.extBufs[i][:n]
 }
 
-// runPhase wraps Simulator.Run with convergence detection and a trace span.
-func (b *distBuilder) runPhase(name string, initial []int, step congest.StepFunc) error {
+// runPhase wraps Simulator.Run with convergence detection and a trace span,
+// then returns the first error check (nil: none) reports for a member, in
+// (tree, member) order.
+func (b *distBuilder) runPhase(name string, initial []int, step congest.StepFunc, check func(st *treeState, l int) error) error {
 	sp := b.tr.Begin(name)
 	defer sp.End()
 	if b.sim.Run(initial, b.cap, step) >= b.cap {
 		return fmt.Errorf("treeroute: phase %q did not converge within %d rounds", name, b.cap)
 	}
-	return nil
-}
-
-// kickoff reports whether this round is st's start offset, when its members
-// begin the phase. Before it the vertex sleeps until the offset, so a tree
-// that has not started costs no handler work.
-func kickoff(st *treeState, ctx *congest.Ctx) bool {
-	if ctx.Round() < st.offset {
-		ctx.WakeAt(st.offset)
-		return false
+	for i := 0; check != nil && i < len(b.ts); i++ {
+		for l := range b.ts[i].verts {
+			if err := check(b.ts[i], l); err != nil {
+				return err
+			}
+		}
 	}
-	return ctx.Round() == st.offset
+	return nil
 }
 
 // spanned runs a pointer-jumping stage (no convergence to detect) under a
@@ -537,18 +549,51 @@ func (b *distBuilder) spanned(name string, phase func()) {
 	sp.End()
 }
 
-// union returns the deduplicated initial activation set for a predicate over
-// (tree, local index).
-func (b *distBuilder) union(pred func(st *treeState, l int) bool) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, st := range b.ts {
-		for l, v := range st.verts {
-			if !seen[v] && pred(st, l) {
-				seen[v] = true
-				out = append(out, v)
+// schedule builds the running phase's kickoff schedule from the phase's
+// predicate over (tree, local index) and returns its initial active set.
+// kick must be a plain function, not a closure: a warm schedule allocates
+// nothing.
+func (b *distBuilder) schedule(kick func(st *treeState, l int) bool) []int {
+	b.schedEnt, b.initial = b.schedEnt[:0], b.initial[:0]
+	for v := 0; v < b.n; v++ {
+		start := len(b.schedEnt)
+		b.schedOff[v] = int32(start)
+		for _, e := range b.memb(v) {
+			if st := b.ts[e.tree]; kick(st, int(e.local)) {
+				b.schedEnt = append(b.schedEnt, schedEntry{off: int32(st.offset), tree: e.tree, local: e.local})
 			}
 		}
+		if seg := b.schedEnt[start:]; len(seg) > 0 {
+			// memb is in tree order, so a stable sort gives (offset, tree).
+			slices.SortStableFunc(seg, func(x, y schedEntry) int { return cmp.Compare(x.off, y.off) })
+			b.initial = append(b.initial, v)
+		}
 	}
-	return out
+	b.schedOff[b.n] = int32(len(b.schedEnt))
+	return b.initial
+}
+
+// due returns v's scheduled memberships whose tree starts the running phase
+// this round, and arms v's timer for its next scheduled start, so a vertex
+// sleeps between its start offsets.
+func (b *distBuilder) due(v int, ctx *congest.Ctx) []schedEntry {
+	seg := b.schedEnt[b.schedOff[v]:b.schedOff[v+1]]
+	r := ctx.Round()
+	lo, hi := 0, len(seg)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(seg[mid].off) < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	end := lo
+	for end < len(seg) && int(seg[end].off) == r {
+		end++
+	}
+	if end < len(seg) {
+		ctx.WakeAt(int(seg[end].off))
+	}
+	return seg[lo:end]
 }

@@ -53,20 +53,57 @@ func encodeLight(dst []uint64, list []LightEdge) {
 	}
 }
 
+// Kick predicates (schedule): the memberships that start a local phase at
+// their tree's offset. The portal floods start at the portals, local-sizes
+// at the leaves, sizes-down also at the non-root portals (which report
+// their global size), and local-dfs at every parent or portal.
+func isPortal(st *treeState, l int) bool { return st.inU[l] }
+func isLeaf(st *treeState, l int) bool   { return st.pending[l] == 0 }
+func reportsSize(st *treeState, l int) bool {
+	return (st.inU[l] && st.verts[l] != st.tree.Root) || st.pending[l] == 0
+}
+func opensFrame(st *treeState, l int) bool { return st.inU[l] || len(st.tree.ChildrenAt(l)) > 0 }
+
+// Phase output checks (runPhase): a message lost past the retry budget can
+// leave a phase quiescent with its output broken, which the build reports
+// as an error.
+
+// sizeMismatch: a completed portal convergecast must agree with Algorithm 1.
+func sizeMismatch(st *treeState, l int) error {
+	if st.inU[l] && st.pending[l] == 0 && st.acc[l] != st.size[l] {
+		return fmt.Errorf("treeroute: tree %d portal %d: convergecast size %d != pointer-jump size %d",
+			st.idx, st.verts[l], st.acc[l], st.size[l])
+	}
+	return nil
+}
+
+// noShiftSeed: Algorithm 6 needs every non-root portal's shift seed q_x.
+func noShiftSeed(st *treeState, l int) error {
+	if st.inU[l] && st.verts[l] != st.tree.Root && !st.dfsDone[l] {
+		return fmt.Errorf("treeroute: portal %d of tree %d has no shift seed", st.verts[l], st.idx)
+	}
+	return nil
+}
+
+// noRange: every non-portal ends with a DFS range.
+func noRange(st *treeState, l int) error {
+	if !st.haveIn[l] && !st.inU[l] {
+		return fmt.Errorf("treeroute: tree %d vertex %d never received a DFS range", st.idx, st.verts[l])
+	}
+	return nil
+}
+
 // phaseLocalRoots implements the first flood of Section 3.1: every portal
 // announces itself down its local tree; portal children in the virtual tree
 // T' learn their virtual parent p'(x).
 func (b *distBuilder) phaseLocalRoots() error {
-	initial := b.union(func(st *treeState, l int) bool { return st.inU[l] })
-	return b.runPhase("local-roots", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
+	return b.runPhase("local-roots", b.schedule(isPortal), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if st.inU[l] && kickoff(st, ctx) {
-				st.localRoot[l] = v
-				ctx.Mem().Charge(1)
-				for _, c := range st.tree.ChildrenAt(l) {
-					ctx.Send(c, congest.Payload{Kind: kindRoot, W0: congest.IntWord(st.idx), W1: congest.IntWord(v)}, pRootWords)
-				}
+			st.localRoot[l] = v
+			ctx.Mem().Charge(1)
+			for _, c := range st.tree.ChildrenAt(l) {
+				ctx.Send(c, congest.Payload{Kind: kindRoot, W0: congest.IntWord(st.idx), W1: congest.IntWord(v)}, pRootWords)
 			}
 		}
 		in := ctx.In()
@@ -98,22 +135,14 @@ func (b *distBuilder) phaseLocalRoots() error {
 				ctx.Send(c, *p, pRootWords)
 			}
 		}
-	})
+	}, nil)
 }
 
 // phaseLocalSizes implements the local convergecast of Section 3.1: each
 // vertex reports the size of its subtree within its local tree; portal
 // children report 0 (their subtrees belong to their own local trees).
 func (b *distBuilder) phaseLocalSizes() error {
-	for _, st := range b.ts {
-		for l := range st.verts {
-			st.pending[l] = len(st.tree.ChildrenAt(l))
-			st.acc[l] = 1
-		}
-		if b.sim.FaultsEnabled() {
-			st.resetSizeSeen()
-		}
-	}
+	b.resetConvergecast()
 	complete := func(st *treeState, v, l int, ctx *congest.Ctx) {
 		if st.inU[l] {
 			st.pjS[l] = st.acc[l] // s_0(x) = |T_x|
@@ -127,14 +156,9 @@ func (b *distBuilder) phaseLocalSizes() error {
 		}
 		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
 	}
-	initial := b.union(func(st *treeState, l int) bool { return st.pending[l] == 0 })
-	return b.runPhase("local-sizes", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
-			st, l := b.ts[e.tree], int(e.local)
-			if st.pending[l] == 0 && !st.kicked[l] && kickoff(st, ctx) {
-				st.kicked[l] = true
-				complete(st, v, l, ctx)
-			}
+	return b.runPhase("local-sizes", b.schedule(isLeaf), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
+			complete(b.ts[e.tree], v, int(e.local), ctx)
 		}
 		in := ctx.In()
 		for i := range in {
@@ -156,7 +180,7 @@ func (b *distBuilder) phaseLocalSizes() error {
 				complete(st, v, l, ctx)
 			}
 		}
-	})
+	}, nil)
 }
 
 // phaseGlobalSizes is Algorithm 1: pointer jumping over broadcasts computes
@@ -266,40 +290,18 @@ func (b *distBuilder) phaseGlobalSizes() {
 // their tree parents, local convergecasts recompute every vertex's global
 // subtree size, and every vertex learns its heavy child on the fly.
 func (b *distBuilder) phaseSizesDown() error {
-	for _, st := range b.ts {
-		for l := range st.verts {
-			st.pending[l] = len(st.tree.ChildrenAt(l))
-			st.acc[l] = 1
-			st.kicked[l] = false
-		}
-		if b.sim.FaultsEnabled() {
-			st.resetSizeSeen()
-		}
-	}
+	b.resetConvergecast()
 	complete := func(st *treeState, v, l int, ctx *congest.Ctx) {
 		if st.inU[l] {
-			// Sanity: the convergecast must agree with Algorithm 1.
-			if st.acc[l] != st.size[l] {
-				panic(fmt.Sprintf("treeroute: tree %d portal %d: convergecast size %d != pointer-jump size %d",
-					st.idx, v, st.acc[l], st.size[l]))
-			}
 			return // the portal announced its size at kickoff already
 		}
 		st.size[l] = st.acc[l]
 		ctx.Mem().Charge(1)
 		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
 	}
-	kick := func(st *treeState, l int) bool {
-		return (st.inU[l] && st.verts[l] != st.tree.Root) || st.pending[l] == 0
-	}
-	initial := b.union(kick)
-	return b.runPhase("sizes-down", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
+	return b.runPhase("sizes-down", b.schedule(reportsSize), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !kick(st, l) || st.kicked[l] || !kickoff(st, ctx) {
-				continue
-			}
-			st.kicked[l] = true
 			if st.inU[l] && v != st.tree.Root {
 				ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.size[l])}, pSizeWords)
 			}
@@ -335,7 +337,7 @@ func (b *distBuilder) phaseSizesDown() error {
 				complete(st, v, l, ctx)
 			}
 		}
-	})
+	}, sizeMismatch)
 }
 
 // phaseLocalLight is Algorithm 2: flood light-edge lists down each local
@@ -355,22 +357,15 @@ func (b *distBuilder) phaseLocalLight() error {
 			}, 3+lightWords(list))
 		}
 	}
-	if b.sim.FaultsEnabled() {
-		for _, st := range b.ts {
-			st.resetLightSeen()
-		}
-	}
-	initial := b.union(func(st *treeState, l int) bool { return st.inU[l] })
-	return b.runPhase("local-light", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
+	b.resetLightSeen()
+	return b.runPhase("local-light", b.schedule(isPortal), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if st.inU[l] && kickoff(st, ctx) {
-				st.lightLocal[l] = []LightEdge{}
-				if v == st.tree.Root {
-					st.lightGlobal[l] = []LightEdge{}
-				}
-				forward(st, l, nil, ctx)
+			st.lightLocal[l] = []LightEdge{}
+			if v == st.tree.Root {
+				st.lightGlobal[l] = []LightEdge{}
 			}
+			forward(st, l, nil, ctx)
 		}
 		in := ctx.In()
 		for i := range in {
@@ -408,7 +403,7 @@ func (b *distBuilder) phaseLocalLight() error {
 			ctx.Mem().Charge(int64(lightWords(list)))
 			forward(st, l, list, ctx)
 		}
-	})
+	}, nil)
 }
 
 // phaseGlobalLight is Algorithm 3: pointer jumping assembles, for every
@@ -491,18 +486,10 @@ func (b *distBuilder) phaseGlobalLight() {
 // down its local tree; every vertex's final list is the portal's global list
 // followed by its own local list.
 func (b *distBuilder) phaseLightDown() error {
-	if b.sim.FaultsEnabled() {
-		for _, st := range b.ts {
-			st.resetLightSeen()
-		}
-	}
-	initial := b.union(func(st *treeState, l int) bool { return st.inU[l] })
-	return b.runPhase("light-down", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
+	b.resetLightSeen()
+	return b.runPhase("light-down", b.schedule(isPortal), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !st.inU[l] || !kickoff(st, ctx) {
-				continue
-			}
 			st.fullLight[l] = st.lightGlobal[l]
 			list := st.lightGlobal[l]
 			ext := ctx.Ext(lightWords(list))
@@ -540,7 +527,7 @@ func (b *distBuilder) phaseLightDown() error {
 				ctx.Send(c, *p, 2+2*k)
 			}
 		}
-	})
+	}, nil)
 }
 
 // phaseLocalDFS implements Algorithms 4 and 5 event-driven: parents hand
@@ -589,23 +576,9 @@ func (b *distBuilder) phaseLocalDFS() error {
 			ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(start)}, pRangeWords)
 		}
 	}
-	kick := func(st *treeState, l int) bool {
-		return st.inU[l] || len(st.tree.ChildrenAt(l)) > 0
-	}
-	// A mid-phase checkpoint restores kicked with the other builder arrays.
-	if !b.sim.ResumePending() {
-		for _, st := range b.ts {
-			clear(st.kicked)
-		}
-	}
-	initial := b.union(kick)
-	return b.runPhase("local-dfs", initial, func(v int, ctx *congest.Ctx) {
-		for _, e := range b.memb(v) {
+	return b.runPhase("local-dfs", b.schedule(opensFrame), func(v int, ctx *congest.Ctx) {
+		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if !kick(st, l) || st.kicked[l] || !kickoff(st, ctx) {
-				continue
-			}
-			st.kicked[l] = true
 			for i, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, congest.Payload{Kind: kindIdx, W0: congest.IntWord(st.idx), W1: congest.IntWord(i + 1)}, pIdxWords)
 			}
@@ -694,7 +667,7 @@ func (b *distBuilder) phaseLocalDFS() error {
 				maybeComplete(st, l, ctx)
 			}
 		}
-	})
+	}, noShiftSeed)
 }
 
 // phaseGlobalShifts is Algorithm 6: pointer jumping accumulates, for every
@@ -704,9 +677,6 @@ func (b *distBuilder) phaseGlobalShifts() {
 		st.tmpQ = make([]int, len(st.verts))
 		for l, v := range st.verts {
 			if st.inU[l] {
-				if v != st.tree.Root && !st.dfsDone[l] {
-					panic(fmt.Sprintf("treeroute: portal %d of tree %d has no shift seed", v, st.idx))
-				}
 				st.shift[l] = st.qShift[l]
 				if v == st.tree.Root {
 					st.shift[l] = 0
@@ -776,13 +746,11 @@ func (b *distBuilder) finalizeShift(st *treeState, l, shift int, ctx *congest.Ct
 // named method (not a per-phase closure) so a warm flood re-run allocates
 // nothing - the steady-state alloc test pins that.
 func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
-	for _, e := range b.memb(v) {
+	for _, e := range b.due(v, ctx) {
 		st, l := b.ts[e.tree], int(e.local)
-		if st.inU[l] && kickoff(st, ctx) {
-			b.finalizeShift(st, l, st.shift[l], ctx)
-			for _, c := range st.tree.ChildrenAt(l) {
-				ctx.Send(c, congest.Payload{Kind: kindShift, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.shift[l])}, pShiftWords)
-			}
+		b.finalizeShift(st, l, st.shift[l], ctx)
+		for _, c := range st.tree.ChildrenAt(l) {
+			ctx.Send(c, congest.Payload{Kind: kindShift, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.shift[l])}, pShiftWords)
 		}
 	}
 	in := ctx.In()
@@ -809,17 +777,5 @@ func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
 // phaseShiftsDown completes Stage 3: each portal floods its accumulated
 // shift down its local tree and every vertex finalises its DFS interval.
 func (b *distBuilder) phaseShiftsDown() error {
-	initial := b.union(func(st *treeState, l int) bool { return st.inU[l] })
-	err := b.runPhase("shifts-down", initial, b.stepShiftsDown)
-	if err != nil {
-		return err
-	}
-	for _, st := range b.ts {
-		for l, v := range st.verts {
-			if !st.haveIn[l] && !st.inU[l] {
-				return fmt.Errorf("treeroute: tree %d vertex %d never received a DFS range", st.idx, v)
-			}
-		}
-	}
-	return nil
+	return b.runPhase("shifts-down", b.schedule(isPortal), b.stepShiftsDown, noRange)
 }

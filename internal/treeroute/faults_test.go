@@ -2,6 +2,7 @@ package treeroute
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lowmemroute/internal/congest"
@@ -129,5 +130,44 @@ func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 	}
 	for j, tr := range trees {
 		requireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
+	}
+}
+
+// TestDistributedLossyBudgetErrors: once the retry budget is gone, a lost
+// pointer-jumping or local-DFS message breaks an invariant the later phases
+// rely on. The build must report that as an error, never panic: both the
+// sizes-down convergecast check and the missing shift seed are reached.
+func TestDistributedLossyBudgetErrors(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trees []*graph.Tree
+	for _, root := range []int{0, 7, 19} {
+		tr, err := graph.SpanningTree(g, root, "bfs", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{7, "convergecast size"},
+		{5, "has no shift seed"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			plan := &faults.Plan{Seed: tc.seed, Drop: 0.05, RetryBudget: -1}
+			sim := congest.New(g, congest.WithSeed(2), congest.WithFaults(plan))
+			_, err := BuildDistributed(sim, trees, DistOptions{Seed: 2})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("lossy build: err=%v, want one mentioning %q", err, tc.want)
+			}
+			if sim.FaultCounters().Lost == 0 {
+				t.Fatal("the plan lost no message")
+			}
+		})
 	}
 }

@@ -9,9 +9,9 @@ package treeroute
 //
 // What is durable is exactly the state a later phase reads: the per-vertex
 // algorithm outputs (local roots, sizes, heavy children, light-edge lists,
-// DFS frames, shifts), plus the kickoff flags, so that a mid-Run checkpoint
-// inside local-dfs (whose handler state is otherwise all durable) resumes
-// too (TestLocalDFSMidRunResume). Convergecast scratch (pending/acc), the
+// DFS frames, shifts); local-dfs's handler state is all durable, so a
+// mid-Run checkpoint inside it resumes too (TestLocalDFSMidRunResume).
+// Convergecast scratch (pending/acc), the kickoff schedule, the
 // pointer-jumping commit buffers (tmp*), and the fault-duplicate filters
 // (sizeSeen/lightSeen) are re-initialised by whichever phase uses them, and
 // the sampling state (inU, offsets) replays deterministically from
@@ -28,9 +28,9 @@ import (
 // BuilderSection names the distributed builder's checkpoint section.
 const BuilderSection = "treeroute.builder"
 
-// Builder section versions: version 2 adds the kickoff flags; version-1
-// sections restore with the flags cleared.
-const builderCkptVersion = 2
+// Builder section versions: version 3 drops the per-member kickoff flags
+// that version 2 added; a version-2 section's flags are read and discarded.
+const builderCkptVersion = 3
 
 // CkptSection implements congest.CkptProvider.
 func (b *distBuilder) CkptSection() string { return BuilderSection }
@@ -115,7 +115,6 @@ func (b *distBuilder) AppendCkpt(dst []uint64) []uint64 {
 		dst = appendBools(dst, st.dfsDone)
 		dst = appendInts(dst, st.finalIn)
 		dst = appendInts(dst, st.finalOut)
-		dst = appendBools(dst, st.kicked)
 	}
 	return dst
 }
@@ -216,9 +215,8 @@ func (b *distBuilder) RestoreCkpt(words []uint64) error {
 		readBools(r, st.dfsDone)
 		readInts(r, st.finalIn)
 		readInts(r, st.finalOut)
-		clear(st.kicked)
-		if version >= 2 {
-			readBools(r, st.kicked)
+		if version == 2 {
+			r.Take(len(st.verts)) // the kickoff flags
 		}
 	}
 	return r.Done()

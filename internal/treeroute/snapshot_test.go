@@ -132,8 +132,8 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 // checkpoint while some trees have kicked off and others are still asleep
 // on their start-offset timers, then resumes the checkpoint on a fresh
 // builder at a different shard count. The finished build must equal an
-// uninterrupted one: the timers, the kickoff flags and the rest of the
-// phase's state all travel in the checkpoint.
+// uninterrupted one: the timers and the rest of the phase's state travel in
+// the checkpoint, and the rebuilt kickoff schedule starts no tree twice.
 func TestLocalDFSMidRunResume(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
@@ -210,4 +210,49 @@ func TestLocalDFSMidRunResume(t *testing.T) {
 		t.Fatal("mid-Run checkpoint did not arm a resume")
 	}
 	requireBuildsEqual(t, finish(resumed), ref)
+}
+
+// TestBuilderOldSectionsRestore: a version-2 builder section (a tree's block
+// followed by one kickoff flag per member) and a version-1 section (no
+// flags) restore to exactly the state the current version-3 section
+// carries; the v2 flags are read and discarded. One tree keeps the v2 flags
+// at the end of the section.
+func TestBuilderOldSectionsRestore(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	g, err := graph.Generate(graph.FamilyErdosRenyi, 60, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := makeTrees(t, g, []int{0}, "dfs", 4)
+	const dfs = 7 // index of local-dfs in phases(): cut with DFS state set
+	b := newDistBuilder(congest.New(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+	for _, ph := range b.phases()[:dfs+1] {
+		if err := ph.run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := b.AppendCkpt(nil)
+	if want[0] != 3 {
+		t.Fatalf("section version %d, want 3", want[0])
+	}
+	for _, version := range []uint64{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			old := append([]uint64{version}, want[1:]...)
+			if version == 2 {
+				for range b.ts[0].verts {
+					old = append(old, 1) // every member kicked
+				}
+			}
+			fresh := newDistBuilder(congest.New(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+			if err := fresh.RestoreCkpt(old); err != nil {
+				t.Fatal(err)
+			}
+			if got := fresh.AppendCkpt(nil); !reflect.DeepEqual(got, want) {
+				t.Fatal("restored builder re-serialises differently from the section it came from")
+			}
+		})
+	}
+	if err := b.RestoreCkpt(append([]uint64{4}, want[1:]...)); err == nil {
+		t.Fatal("a future builder section version restored")
+	}
 }
