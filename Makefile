@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke table1 table2 sweeps demo fmt
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt
 
 all: build vet lint test race
 
@@ -148,6 +148,14 @@ ckpt-smoke:
 		-checkpoint $(CKPT_SMOKE).ckpt -resume -shards 4 > $(CKPT_SMOKE)-2.txt
 	cmp $(CKPT_SMOKE)-1.txt $(CKPT_SMOKE)-2.txt
 	@echo "ckpt-smoke: resumed stdout byte-identical"
+
+# Fuzz smoke: ten seconds of FuzzRestoreEngineCkpt, starting from the real
+# mid-Run engine images in internal/congest/testdata/fuzz. A malformed
+# checkpoint must restore with an error or run without panicking; a crasher
+# is written to that corpus directory. Minimisation is off so the short
+# budget goes to new inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
 
 # Regenerate the paper's tables and sweeps (EXPERIMENTS.md).
 table1:

@@ -102,6 +102,10 @@ type Simulator struct {
 	workers int
 	rng     *rand.Rand
 
+	// parSteps and parDeliveries count the rounds whose step and delivery
+	// phases ran on the worker pool (ParallelRounds).
+	parSteps, parDeliveries int
+
 	// tracer, when non-nil, receives one RoundSample per simulated round
 	// and per analytically-charged primitive. Disabled tracing costs one
 	// nil check per round.
@@ -368,6 +372,14 @@ func (s *Simulator) Shards() int {
 		return 1
 	}
 	return s.workers
+}
+
+// ParallelRounds reports how many rounds ran their step phase and their
+// delivery phase on the worker pool rather than inline (rounds below
+// parallelMin never fork). Worker-count invariance tests use it to check
+// that their P>1 runs exercised the parallel paths at all.
+func (s *Simulator) ParallelRounds() (steps, deliveries int) {
+	return s.parSteps, s.parDeliveries
 }
 
 // Rounds returns the total number of rounds charged so far.

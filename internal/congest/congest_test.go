@@ -97,8 +97,10 @@ func TestRunStopsAtMaxRounds(t *testing.T) {
 
 func TestInboxDeterministicOrder(t *testing.T) {
 	// Star: all leaves send to the center in round 0; the center must see
-	// messages sorted by sender id, regardless of worker scheduling.
-	n := 200
+	// messages sorted by sender id, regardless of worker scheduling. The
+	// star has more leaves than parallelMin, so round 0's sends run on the
+	// worker pool. Its one destination never forks the delivery phase.
+	n := 2 * parallelMin
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for trial := 0; trial < 3; trial++ {
 		s := New(g, WithWorkers(8))
@@ -120,6 +122,9 @@ func TestInboxDeterministicOrder(t *testing.T) {
 		})
 		if len(order) != n-1 {
 			t.Fatalf("center saw %d messages, want %d", len(order), n-1)
+		}
+		if steps, _ := s.ParallelRounds(); steps == 0 {
+			t.Fatal("the leaves' sends never ran on the worker pool")
 		}
 		for i := 1; i < len(order); i++ {
 			if order[i-1] >= order[i] {
@@ -393,7 +398,9 @@ func TestBroadcastSpikesMemory(t *testing.T) {
 func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 	// Bellman-Ford-ish flood on a random graph with 1 worker vs 8 workers
 	// must produce identical distance vectors and identical round counts.
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 150, rand.New(rand.NewSource(5)))
+	// The graph is large enough for the flood's middle rounds to cross
+	// parallelMin.
+	g, err := graph.Generate(graph.FamilyErdosRenyi, 1500, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,6 +431,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 				}
 			}
 		})
+		requireForked(t, s, workers)
 		return dist, s.Rounds()
 	}
 	d1, r1 := run(1)

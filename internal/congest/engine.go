@@ -41,32 +41,30 @@ import (
 	"lowmemroute/internal/trace"
 )
 
-// serialThreshold is the minimum amount of per-round work (active vertices
-// for the step phase, dirty destinations for the delivery phase) before the
-// engine bothers spawning the worker pool.
-const serialThreshold = 64
-
-// queueCompactMin is the consumed-prefix length beyond which a partially
-// drained edge queue is compacted in place (bounding the backing array of a
-// perpetually backlogged edge).
-const queueCompactMin = 32
+// parallelMin is the fork/join crossover: the minimum amount of per-round
+// work (active vertices for the step phase, dirty destinations for the
+// delivery phase) before the engine hands a round to its worker pool.
+// Smaller rounds run inline at any worker count: waking and joining an idle
+// P costs more than a few hundred steps or drains (DESIGN.md §15).
+const parallelMin = 1024
 
 // edgeQueue models the pacing of a bandwidth-limited directed edge as a
-// FIFO with a consumed prefix. Backlog delays delivery (rounds) but does not
-// charge the sender's memory: a real CONGEST processor regenerates outgoing
-// messages from its stored state (already charged) rather than holding
-// per-edge copies.
-// Queue cursors are int32: a directed edge never queues more than 2^31
-// messages, and at scale the 8 bytes saved per edge are real — the queue
-// array is the engine's largest O(m) structure. The msgs backing array is
-// nil until the edge first carries traffic and is compacted back to its
-// live suffix, so steady-state footprint is O(m + in-flight), not
-// O(m · capacity).
+// FIFO. Backlog delays delivery (rounds) but does not charge the sender's
+// memory: a real CONGEST processor regenerates outgoing messages from its
+// stored state (already charged) rather than holding per-edge copies.
+//
+// The FIFO is a power-of-two ring, nil until the edge first carries
+// traffic and doubled only when a push finds it full: its length is the
+// next power of two of the edge's largest live backlog, however much
+// traffic the edge carries in all. Popped slots hold no Ext chunk. Cursors
+// are int32 (an edge never queues 2^31 messages): the queue array is the
+// engine's largest O(m) structure.
 type edgeQueue struct {
-	msgs []Message
-	head int32 // msgs[:head] already delivered; cleared lazily
-	// sent is the number of words of msgs[head] already transmitted in
-	// previous rounds (large messages take several rounds to cross).
+	buf  []Message
+	head int32 // ring index of the front (oldest live) message
+	n    int32 // live messages
+	// sent is the number of words of the front message already transmitted
+	// in previous rounds (large messages take several rounds to cross).
 	sent int32
 }
 
@@ -84,23 +82,38 @@ type edgeFaultState struct {
 	rolled  bool
 }
 
-func (q *edgeQueue) empty() bool { return int(q.head) == len(q.msgs) }
+func (q *edgeQueue) empty() bool { return q.n == 0 }
 
-// compact releases delivered messages: full resets are free, and a long
-// consumed prefix under a persistent backlog is copied out so the backing
-// array stays proportional to the live queue.
-func (q *edgeQueue) compact() {
-	switch {
-	case int(q.head) == len(q.msgs):
-		q.msgs = q.msgs[:0]
-		q.head = 0
-	case q.head >= queueCompactMin && 2*int(q.head) >= len(q.msgs):
-		n := copy(q.msgs, q.msgs[q.head:])
-		clear(q.msgs[n:])
-		q.msgs = q.msgs[:n]
-		q.head = 0
+// front is the oldest live message; the queue must not be empty.
+func (q *edgeQueue) front() *Message { return &q.buf[q.head] }
+
+// at is the i-th live message, 0 being the front.
+func (q *edgeQueue) at(i int) *Message { return &q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
+
+// push appends m, doubling a full ring (unwrapped to the new ring's start).
+func (q *edgeQueue) push(m Message) {
+	if int(q.n) == len(q.buf) {
+		buf := make([]Message, max(1, 2*len(q.buf)))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
 	}
+	*q.at(int(q.n)) = m
+	q.n++
 }
+
+// pop retires the front message, whose Ext chunk the caller has handed to
+// an inbox or recycled, and restarts the transmission count.
+func (q *edgeQueue) pop() {
+	q.buf[q.head].Payload.Ext = nil
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
+	q.n--
+	q.sent = 0
+}
+
+// reset empties the queue and keeps its ring. Callers recycle the live
+// messages' Ext chunks first: recycleExt(q.buf) reaches exactly those.
+func (q *edgeQueue) reset() { q.head, q.n, q.sent = 0, 0, 0 }
 
 // ensureTopology (re)compiles the CSR edge index and sizes every recycled
 // buffer. It runs on the first Run and again only if the graph changed
@@ -349,7 +362,8 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		// Deliveries made now are processed next round; fault windows are
 		// evaluated against that arrival round.
 		s.faultClock = baseRounds + int64(round) + 1
-		if s.workers > 1 && pending >= serialThreshold {
+		if s.workers > 1 && pending >= parallelMin {
+			s.parDeliveries++
 			var wg sync.WaitGroup
 			for sh := range s.shardCur {
 				if len(s.shardCur[sh]) == 0 {
@@ -448,12 +462,13 @@ func (s *Simulator) runRound(round int, step StepFunc) {
 	if len(act) > len(s.ctxs) {
 		s.ctxs = append(s.ctxs, make([]Ctx, len(act)-len(s.ctxs))...)
 	}
-	if s.workers <= 1 || len(act) < serialThreshold {
+	if s.workers <= 1 || len(act) < parallelMin {
 		for i := range act {
 			s.stepVertex(i, round, step, &s.arena)
 		}
 		return
 	}
+	s.parSteps++
 	var wg sync.WaitGroup
 	chunk := (len(act) + s.workers - 1) / s.workers
 	for w := 0; w < s.workers; w++ {
@@ -557,8 +572,8 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 	for _, p := range region {
 		q := &s.queues[s.inEdges[p]]
 		budget := s.capacity
-		for int(q.head) < len(q.msgs) {
-			m := &q.msgs[q.head]
+		for !q.empty() {
+			m := q.front()
 			if !unlimited {
 				if budget <= 0 {
 					break
@@ -572,19 +587,16 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 				}
 			}
 			w := int64(m.Words)
+			// The inbox owns the arena chunk now; pop drops the slot's
+			// reference (Ext is the only pointer in a Message).
 			inb = append(inb, *m)
-			// The inbox owns the arena chunk now; scalar words may go
-			// stale in the slot (Ext is the only pointer in a Message).
-			m.Payload.Ext = nil
-			q.head++
-			q.sent = 0
+			q.pop()
 			if w > inbMax {
 				inbMax = w
 			}
 			msgs++
 			words += w
 		}
-		q.compact()
 		if !q.empty() {
 			region[live] = p
 			live++
@@ -633,7 +645,7 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 		e := s.inEdges[p]
 		q := &s.queues[e]
 		fq := &s.faultQ[e]
-		if cut, forever := f.CutPair(q.msgs[q.head].From, v, clock); cut {
+		if cut, forever := f.CutPair(q.front().From, v, clock); cut {
 			if forever {
 				ctr.Discarded += s.discardQueue(e)
 				continue
@@ -643,8 +655,8 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 			continue
 		}
 		budget := s.capacity
-		for int(q.head) < len(q.msgs) {
-			m := &q.msgs[q.head]
+		for !q.empty() {
+			m := q.front()
 			if !fq.rolled {
 				fq.rolled = true
 				d := f.DelayRoll(e, fq.seq)
@@ -676,9 +688,8 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 					ctr.Lost++
 					if m.Payload.Ext != nil {
 						ar.put(m.Payload.Ext)
-						m.Payload.Ext = nil
 					}
-					q.head++
+					q.pop()
 					fq.attempt, fq.hold, fq.rolled = 0, 0, false
 					fq.seq++
 					continue
@@ -705,9 +716,7 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 				msgs++
 				words += w
 			}
-			m.Payload.Ext = nil
-			q.head++
-			q.sent = 0
+			q.pop()
 			fq.attempt, fq.hold, fq.rolled = 0, 0, false
 			fq.seq++
 			if w > inbMax {
@@ -716,7 +725,6 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 			msgs++
 			words += w
 		}
-		q.compact()
 		if !q.empty() {
 			region[live] = p
 			live++
@@ -735,35 +743,41 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 func (s *Simulator) discardQueue(e int32) int64 {
 	q := &s.queues[e]
 	fq := &s.faultQ[e]
-	dropped := int64(len(q.msgs) - int(q.head))
-	s.recycleExt(q.msgs[q.head:])
-	clear(q.msgs)
-	q.msgs = q.msgs[:0]
-	q.head, q.sent = 0, 0
+	dropped := int64(q.n)
+	s.recycleExt(q.buf)
+	q.reset()
 	fq.seq += uint64(dropped)
 	fq.attempt, fq.hold, fq.rolled = 0, 0, false
 	return dropped
 }
 
+// eachDirty calls fn on every backlogged edge queue, destination by
+// destination in worklist order.
+func (s *Simulator) eachDirty(fn func(e int32, q *edgeQueue)) {
+	for sh := range s.shardCur {
+		for _, v := range s.shardCur[sh] {
+			base := int(s.inStart[v])
+			for _, p := range s.dirtyIn[base : base+int(s.dirtyCnt[v])] {
+				e := s.inEdges[p]
+				fn(e, &s.queues[e])
+			}
+		}
+	}
+}
+
 // drainAll resets every backlogged queue and dirty list - the end-of-Run
 // "drop undelivered state" path when maxRounds cut the simulation short.
 func (s *Simulator) drainAll() {
+	s.eachDirty(func(e int32, q *edgeQueue) {
+		s.recycleExt(q.buf)
+		q.reset()
+		if s.faultQ != nil {
+			fq := &s.faultQ[e]
+			fq.attempt, fq.hold, fq.rolled = 0, 0, false
+		}
+	})
 	for sh := range s.shardCur {
-		for _, v32 := range s.shardCur[sh] {
-			v := int(v32)
-			base := int(s.inStart[v])
-			for i := 0; i < int(s.dirtyCnt[v]); i++ {
-				e := s.inEdges[s.dirtyIn[base+i]]
-				q := &s.queues[e]
-				s.recycleExt(q.msgs[q.head:]) // delivered prefix holds no chunks
-				clear(q.msgs)
-				q.msgs = q.msgs[:0]
-				q.head, q.sent = 0, 0
-				if s.faultQ != nil {
-					fq := &s.faultQ[e]
-					fq.attempt, fq.hold, fq.rolled = 0, 0, false
-				}
-			}
+		for _, v := range s.shardCur[sh] {
 			s.dirtyCnt[v] = 0
 		}
 		s.shardCur[sh] = s.shardCur[sh][:0]
@@ -771,24 +785,13 @@ func (s *Simulator) drainAll() {
 }
 
 // queueBacklog returns the words still queued on bandwidth-limited edges.
-func (s *Simulator) queueBacklog() int64 {
-	var backlog int64
-	for sh := range s.shardCur {
-		for _, v32 := range s.shardCur[sh] {
-			v := int(v32)
-			base := int(s.inStart[v])
-			for i := 0; i < int(s.dirtyCnt[v]); i++ {
-				q := &s.queues[s.inEdges[s.dirtyIn[base+i]]]
-				for j := int(q.head); j < len(q.msgs); j++ {
-					w := int64(q.msgs[j].Words)
-					if j == int(q.head) {
-						w -= int64(q.sent)
-					}
-					backlog += w
-				}
-			}
+func (s *Simulator) queueBacklog() (backlog int64) {
+	s.eachDirty(func(_ int32, q *edgeQueue) {
+		backlog -= int64(q.sent)
+		for j := 0; j < int(q.n); j++ {
+			backlog += int64(q.at(j).Words)
 		}
-	}
+	})
 	return backlog
 }
 
@@ -821,7 +824,7 @@ func (c *Ctx) Send(to int, p Payload, words int) {
 	if q.empty() {
 		c.outEdge = append(c.outEdge, e)
 	}
-	q.msgs = append(q.msgs, Message{From: c.v, Payload: p, Words: words})
+	q.push(Message{From: c.v, Payload: p, Words: words})
 }
 
 // fastForward advances every backlogged queue by k-1 rounds of bandwidth,
@@ -836,36 +839,18 @@ func (s *Simulator) fastForward(limit int) int {
 		return 0
 	}
 	minRounds := 0
-	for sh := range s.shardCur {
-		for _, v32 := range s.shardCur[sh] {
-			v := int(v32)
-			base := int(s.inStart[v])
-			for i := 0; i < int(s.dirtyCnt[v]); i++ {
-				q := &s.queues[s.inEdges[s.dirtyIn[base+i]]]
-				r := (q.msgs[q.head].Words - int(q.sent) + s.capacity - 1) / s.capacity
-				if minRounds == 0 || r < minRounds {
-					minRounds = r
-				}
-			}
+	s.eachDirty(func(_ int32, q *edgeQueue) {
+		r := (q.front().Words - int(q.sent) + s.capacity - 1) / s.capacity
+		if minRounds == 0 || r < minRounds {
+			minRounds = r
 		}
-	}
-	jump := minRounds - 1
-	if jump > limit {
-		jump = limit
-	}
+	})
+	jump := min(minRounds-1, limit)
 	if jump <= 0 {
 		return 0
 	}
-	adv := jump * s.capacity
-	for sh := range s.shardCur {
-		for _, v32 := range s.shardCur[sh] {
-			v := int(v32)
-			base := int(s.inStart[v])
-			for i := 0; i < int(s.dirtyCnt[v]); i++ {
-				s.queues[s.inEdges[s.dirtyIn[base+i]]].sent += int32(adv)
-			}
-		}
-	}
+	adv := int32(jump * s.capacity)
+	s.eachDirty(func(_ int32, q *edgeQueue) { q.sent += adv })
 	return jump
 }
 

@@ -31,13 +31,14 @@ type rcvd struct {
 // rounds regardless of how delivery was sharded.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	const (
-		side        = 12 // 144 vertices: well above the serial threshold
+		side        = 33 // 1089 vertices: round 0 forks both phases
 		floodRounds = 6
 	)
 	type result struct {
 		rounds, messages, words int64
 		peaks                   []int64
 		logs                    [][]rcvd
+		sim                     *Simulator
 	}
 	runOnce := func(workers int) result {
 		g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(3)))
@@ -61,7 +62,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 				ctx.Wake()
 			}
 		})
-		res := result{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs}
+		res := result{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs, sim: s}
 		res.peaks = make([]int64, g.N())
 		for v := 0; v < g.N(); v++ {
 			res.peaks[v] = s.Mem(v).Peak()
@@ -77,6 +78,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			got := runOnce(workers)
+			requireForked(t, got.sim, workers)
 			if got.rounds != base.rounds || got.messages != base.messages || got.words != base.words {
 				t.Fatalf("counters differ from workers=1: rounds %d vs %d, messages %d vs %d, words %d vs %d",
 					got.rounds, base.rounds, got.messages, base.messages, got.words, base.words)
@@ -91,6 +93,18 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// requireForked fails unless a simulator with more than one worker ran at
+// least one round's step phase and one round's delivery phase on its worker
+// pool: an invariance run that stayed below parallelMin compares the serial
+// path with itself.
+func requireForked(t *testing.T, s *Simulator, workers int) {
+	t.Helper()
+	if steps, deliveries := s.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
+		t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; the workload never crossed parallelMin=%d",
+			workers, steps, deliveries, parallelMin)
 	}
 }
 

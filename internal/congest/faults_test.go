@@ -25,9 +25,19 @@ type floodResult struct {
 	ctr                     faults.Counters
 }
 
+// floodSide is the side of runFlood's torus: 1089 vertices, so round 0
+// forks both round phases at any worker count above one.
+const floodSide = 33
+
 // runFlood executes the worker-invariance flood workload under opts.
 func runFlood(workers, floodRounds int, opts ...Option) floodResult {
-	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	res, _ := runFloodSim(workers, floodRounds, opts...)
+	return res
+}
+
+// runFloodSim is runFlood, also returning the simulator.
+func runFloodSim(workers, floodRounds int, opts ...Option) (floodResult, *Simulator) {
+	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	s := New(g, append([]Option{WithWorkers(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {
@@ -50,7 +60,7 @@ func runFlood(workers, floodRounds int, opts ...Option) floodResult {
 	for v := 0; v < g.N(); v++ {
 		res.peaks[v] = s.Mem(v).Peak()
 	}
-	return res
+	return res, s
 }
 
 // TestWithFaultsNilIsIdentical is the no-plan A/B guarantee: constructing
@@ -82,7 +92,7 @@ func TestFaultWorkerCountInvariance(t *testing.T) {
 	plan := &faults.Plan{
 		Seed: 11, Drop: 0.2, Delay: 2, Duplicate: 0.1,
 		Crashes:    []faults.Crash{{Vertex: 5, From: 3, Until: 9}},
-		Partitions: []faults.Partition{{Members: []int{0, 1, 8, 9}, From: 4, Until: 12}},
+		Partitions: []faults.Partition{{Members: []int{0, 1, floodSide, floodSide + 1}, From: 4, Until: 12}},
 	}
 	base := runFlood(1, 5, WithFaults(plan))
 	if !base.ctr.Any() {
@@ -91,7 +101,8 @@ func TestFaultWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := runFlood(workers, 5, WithFaults(plan))
+			got, s := runFloodSim(workers, 5, WithFaults(plan))
+			requireForked(t, s, workers)
 			if got.ctr != base.ctr {
 				t.Fatalf("fault counters differ from workers=1: %+v vs %+v", got.ctr, base.ctr)
 			}

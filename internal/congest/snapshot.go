@@ -38,6 +38,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -229,20 +230,21 @@ func (ck *Checkpointer) Register(p CkptProvider) error {
 // the resumed checkpoint — the caller skips the unit when true. When the
 // skip cursor reaches the checkpoint's recorded position, the engine and
 // provider sections are applied, so the next unit runs on exactly the state
-// the original run had at that boundary.
-func (ck *Checkpointer) UnitDone(unit string) bool {
+// the original run had at that boundary. A section that fails to apply (a
+// malformed image the CRC cannot catch, or writer/reader version skew) is
+// an error: the simulator's state is then partly overwritten, and the
+// caller must abandon the build.
+func (ck *Checkpointer) UnitDone(unit string) (bool, error) {
 	if ck == nil || ck.resume == nil || ck.restored || ck.step >= ck.target {
-		return false
+		return false, nil
 	}
 	ck.step++
 	if ck.step == ck.target {
 		if err := ck.applyResume(); err != nil {
-			// Shape was validated at Attach and the file CRC at load; this
-			// is writer/reader version skew, unrecoverable mid-build.
-			panic(fmt.Sprintf("congest: applying resumed checkpoint %s: %v", ck.path, err))
+			return false, fmt.Errorf("congest: applying resumed checkpoint %s at unit %q: %w", ck.path, unit, err)
 		}
 	}
-	return true
+	return true, nil
 }
 
 // Mark records completion of a unit and writes a full checkpoint at this
@@ -423,10 +425,9 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 		for _, p := range region {
 			e := s.inEdges[p]
 			q := &s.queues[e]
-			live := q.msgs[q.head:]
-			dst = append(dst, uint64(int64(e)), uint64(int64(q.sent)), uint64(int64(len(live))))
-			for i := range live {
-				dst = appendMsgCkpt(dst, &live[i])
+			dst = append(dst, uint64(int64(e)), uint64(int64(q.sent)), uint64(int64(q.n)))
+			for i := 0; i < int(q.n); i++ {
+				dst = appendMsgCkpt(dst, q.at(i))
 			}
 		}
 	}
@@ -449,22 +450,32 @@ func appendMsgCkpt(dst []uint64, m *Message) []uint64 {
 	return append(dst, m.Payload.Ext...)
 }
 
-func (s *Simulator) readMsgCkpt(r *trace.WordReader) Message {
+// readMsgCkpt decodes one message delivered or queued from sender `from`
+// into v; from < 0 accepts any in-neighbor of v (an inbox holds several
+// senders' messages).
+func (s *Simulator) readMsgCkpt(r *trace.WordReader, from, v int) (Message, error) {
 	m := Message{From: r.Int()}
 	m.Payload.Kind = PayloadKind(r.Word())
 	m.Payload.W0, m.Payload.W1 = r.Word(), r.Word()
 	m.Payload.W2, m.Payload.W3 = r.Word(), r.Word()
 	m.Words = r.Int()
-	if n := r.Int(); n > 0 {
-		m.Payload.Ext = s.arena.clone(r.Take(n))
+	m.Payload.Ext = s.arena.clone(r.Take(r.Count(1)))
+	switch {
+	case from >= 0 && m.From != from,
+		m.From < 0 || m.From >= s.topoN || s.edgeID(m.From, v) < 0:
+		return m, fmt.Errorf("congest: checkpoint message from %d on an edge into %d", m.From, v)
+	case m.Words < 1 || m.Words > math.MaxInt32:
+		return m, fmt.Errorf("congest: checkpoint message of %d words", m.Words)
 	}
-	return m
+	return m, nil
 }
 
 // restoreEngineCkpt applies an engine section to this simulator. Counters,
 // meters and fault state overwrite the current values; a mid-Run section
 // additionally rebuilds the active list, inboxes and edge queues and arms
-// the next Run call to continue at the recorded round.
+// the next Run call to continue at the recorded round. Anything but the
+// canonical layout appendEngineCkpt writes is an error, never a panic or a
+// state Run cannot execute (DESIGN.md §15 lists the checks).
 func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	s.ensureTopology()
 	s.ensureFaults()
@@ -502,17 +513,20 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	if s.faultQ != nil {
 		clear(s.faultQ)
 	}
-	fqCount := int(r.Word())
-	for i := 0; i < fqCount; i++ {
+	// Every list length is read with Count: one the section cannot back
+	// reads as 0 and fails r.Done.
+	fqCount := r.Count(5)
+	for i, prev := 0, -1; i < fqCount; i++ {
 		e := r.Int()
 		seq := r.Word()
 		attempt, hold, rolled := r.Int(), r.Int(), r.Bool()
 		if s.faultQ == nil {
 			return errors.New("congest: checkpoint carries fault state but the simulator has no fault plan")
 		}
-		if e < 0 || e >= len(s.faultQ) {
-			return fmt.Errorf("congest: checkpoint fault state for edge %d out of range", e)
+		if e <= prev || e >= len(s.faultQ) || attempt < 0 || attempt > math.MaxInt32 || hold < 0 || hold > math.MaxInt32 {
+			return fmt.Errorf("congest: checkpoint fault state (edge %d, attempt %d, hold %d) out of range or order", e, attempt, hold)
 		}
+		prev = e
 		s.faultQ[e] = edgeFaultState{seq: seq, attempt: int32(attempt), hold: int32(hold), rolled: rolled}
 	}
 	if flags&engineFlagMid == 0 {
@@ -523,49 +537,73 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	if executed < 0 {
 		return fmt.Errorf("congest: checkpoint executed-round count %d", executed)
 	}
-	alen := r.Int()
+	alen := r.Count(3) // each: the id, then its inbox's count and high-water
 	s.actList = s.actList[:0]
-	for i := 0; i < alen; i++ {
+	for i, prev := 0, -1; i < alen; i++ {
 		v := r.Int()
-		if v < 0 || v >= s.topoN {
-			return fmt.Errorf("congest: checkpoint active vertex %d out of range", v)
+		if v <= prev || v >= s.topoN {
+			return fmt.Errorf("congest: checkpoint active vertex %d out of range or order", v)
 		}
+		prev = v
 		s.actList = append(s.actList, int32(v))
 	}
 	for _, v32 := range s.actList {
 		v := int(v32)
-		cnt := r.Int()
-		s.inboxMax[v] = int32(r.Int())
+		cnt := r.Count(8) // a message: 8 words plus its Ext tail
+		mx := r.Int()
+		if mx < 0 || mx > math.MaxInt32 {
+			return fmt.Errorf("congest: checkpoint inbox of %d has largest message %d", v, mx)
+		}
+		s.inboxMax[v] = int32(mx)
 		in := s.inbox[v][:0]
 		for i := 0; i < cnt; i++ {
-			in = append(in, s.readMsgCkpt(r))
+			m, err := s.readMsgCkpt(r, -1, v)
+			if err != nil {
+				return err
+			}
+			in = append(in, m)
 		}
 		s.inbox[v] = in
 	}
 	for sh := range s.shardCur {
 		s.shardCur[sh] = s.shardCur[sh][:0]
 	}
-	nd := r.Int()
-	for i := 0; i < nd; i++ {
+	nd := r.Count(2 + 3 + 8) // (v, count) and one edge with one message
+	for i, prevV := 0, -1; i < nd; i++ {
 		v := r.Int()
 		cnt := r.Int()
-		if v < 0 || v >= s.topoN || cnt < 0 || int(s.inStart[v])+cnt > int(s.inStart[v+1]) {
-			return fmt.Errorf("congest: checkpoint dirty destination %d with %d edges out of range", v, cnt)
+		if v <= prevV || v >= s.topoN || cnt < 1 || cnt > int(s.inStart[v+1]-s.inStart[v]) {
+			return fmt.Errorf("congest: checkpoint dirty destination %d with %d edges out of range or order", v, cnt)
 		}
+		prevV = v
 		base := int(s.inStart[v])
-		for j := 0; j < cnt; j++ {
+		for j, prevE := 0, -1; j < cnt; j++ {
 			e := r.Int()
 			sent := r.Int()
-			k := r.Int()
-			if e < 0 || e >= len(s.outTo) || int(s.outTo[e]) != v {
-				return fmt.Errorf("congest: checkpoint queue on edge %d is not an in-edge of %d", e, v)
+			if e <= prevE || e >= len(s.outTo) || int(s.outTo[e]) != v {
+				return fmt.Errorf("congest: checkpoint queue on edge %d is not an in-edge of %d, or out of order", e, v)
 			}
+			prevE = e
+			k := r.Count(8)
+			if k < 1 {
+				return fmt.Errorf("congest: checkpoint lists empty queue on edge %d", e)
+			}
+			// e's sender u has outStart[u] <= e < outStart[u+1].
+			from, _ := slices.BinarySearch(s.outStart, int32(e)+1)
 			q := &s.queues[e]
-			q.msgs = q.msgs[:0]
-			q.head, q.sent = 0, int32(sent)
+			s.recycleExt(q.buf)
+			q.reset()
 			for x := 0; x < k; x++ {
-				q.msgs = append(q.msgs, s.readMsgCkpt(r))
+				m, err := s.readMsgCkpt(r, from-1, v)
+				if err != nil {
+					return err
+				}
+				q.push(m)
 			}
+			if sent < 0 || sent >= q.front().Words {
+				return fmt.Errorf("congest: checkpoint queue on edge %d sent %d of a %d-word message", e, sent, q.front().Words)
+			}
+			q.sent = int32(sent)
 			s.dirtyIn[base+j] = s.inPos[e]
 		}
 		s.dirtyCnt[v] = int32(cnt)
@@ -575,7 +613,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	s.timers = s.timers[:0]
 	clear(s.armed) // rebuilt below; a used simulator's slots are stale
 	if version >= 2 {
-		nt := r.Int()
+		nt := r.Count(2)
 		for i := 0; i < nt; i++ {
 			round, v := r.Int(), r.Int()
 			if v < 0 || v >= s.topoN || round <= executed {

@@ -31,6 +31,7 @@ type snapRun struct {
 	ctr                     faults.Counters
 	cur, peak               []int64
 	logs                    [][]rcvd
+	sim                     *Simulator
 }
 
 // runSnapshotFlood runs the torus flood workload (stateless handler: behaviour
@@ -40,11 +41,8 @@ type snapRun struct {
 // message tails through the snapshot encode/restore.
 func runSnapshotFlood(t *testing.T, workers, maxRounds int, ck *Checkpointer, plan *faults.Plan) snapRun {
 	t.Helper()
-	const (
-		side        = 12
-		floodRounds = 10
-	)
-	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	const floodRounds = 10
+	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	opts := []Option{WithShards(workers)}
 	if plan != nil {
 		opts = append(opts, WithFaults(plan))
@@ -83,6 +81,7 @@ func runSnapshotFlood(t *testing.T, workers, maxRounds int, ck *Checkpointer, pl
 		rounds:   s.Rounds(), messages: s.Messages(), words: s.Words(),
 		ctr:  s.FaultCounters(),
 		logs: logs,
+		sim:  s,
 	}
 	for v := 0; v < g.N(); v++ {
 		res.cur = append(res.cur, s.Mem(v).Current())
@@ -133,6 +132,8 @@ func TestRunResumeEquivalence(t *testing.T) {
 					t.Fatalf("ResumeCheckpointer: %v", err)
 				}
 				got := runSnapshotFlood(t, workers, total, ckr, tc.plan)
+				requireForked(t, ref.sim, workers)
+				requireForked(t, got.sim, workers)
 
 				if got.executed != ref.executed {
 					t.Fatalf("resumed run executed %d rounds, straight run %d", got.executed, ref.executed)
@@ -201,7 +202,7 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 	for v := range all {
 		all[v] = v
 	}
-	if !ck.UnitDone("p1") {
+	if !unitDone(t, ck, "p1") {
 		s.Run(all, 6, func(v int, ctx *Ctx) {
 			for _, m := range ctx.In() {
 				p.vals[v] += m.Payload.W0
@@ -215,7 +216,7 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 		})
 		ck.Mark("p1")
 	}
-	if stopAfter >= 2 && !ck.UnitDone("p2") {
+	if stopAfter >= 2 && !unitDone(t, ck, "p2") {
 		s.Run(all, 6, func(v int, ctx *Ctx) {
 			for _, m := range ctx.In() {
 				p.vals[v] = p.vals[v]*31 + m.Payload.W0
@@ -234,6 +235,16 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 		res.peak = append(res.peak, s.Mem(v).Peak())
 	}
 	return p.vals, res
+}
+
+// unitDone is ck.UnitDone for a resume that must apply cleanly.
+func unitDone(t *testing.T, ck *Checkpointer, unit string) bool {
+	t.Helper()
+	done, err := ck.UnitDone(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
 }
 
 // TestUnitCheckpointResume pins the unit-granularity path: a build
@@ -328,7 +339,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
+		g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 		if err := ckr.Attach(New(g, WithEdgeCapacity(2))); err == nil || !strings.Contains(err.Error(), "capacity") {
 			t.Fatalf("Attach under capacity 2: err=%v, want capacity mismatch", err)
 		}
@@ -386,6 +397,40 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("malformed-unit-section", func(t *testing.T) {
+		// A CRC-valid unit checkpoint whose engine section carries a
+		// trailing word: applying it at the cursor is an error, not a panic.
+		p1 := filepath.Join(dir, "one-unit.ckpt")
+		ckw := NewCheckpointer(p1, 0)
+		_, _ = runUnitBuild(t, ckw, 1)
+		if err := ckw.Err(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := trace.ReadCheckpointFile(p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, _, err := c.Section(EngineSection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tampered := &trace.Checkpoint{Meta: c.Meta}
+		tampered.AddSection(EngineSection, append(words, 0))
+		bad := filepath.Join(dir, "malformed-unit.ckpt")
+		if err := trace.WriteCheckpointFile(bad, tampered); err != nil {
+			t.Fatal(err)
+		}
+		ckr, err := ResumeCheckpointer(bad, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ckr.Attach(newSim(8)); err != nil {
+			t.Fatal(err)
+		}
+		if done, err := ckr.UnitDone("p1"); done || err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("UnitDone on a malformed section: done=%v err=%v", done, err)
+		}
+	})
 	t.Run("unreached-unit-cursor", func(t *testing.T) {
 		// A quiescent checkpoint recording 2 completed units, resumed by a
 		// run that only ever declares one: Err must flag the mismatch.
@@ -402,7 +447,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err := ckr.Attach(newSim(8)); err != nil {
 			t.Fatal(err)
 		}
-		if !ckr.UnitDone("p1") {
+		if !unitDone(t, ckr, "p1") {
 			t.Fatal("first unit of a units=2 checkpoint not skipped")
 		}
 		if err := ckr.Err(); err == nil || !strings.Contains(err.Error(), "completed units") {

@@ -72,7 +72,14 @@ type timerRun struct {
 	peaks                   []int64
 	logs                    [][]rcvd
 	steps                   int // handler invocations (not part of the equality)
+	sim                     *Simulator
 }
+
+// timerSide is the side of timerWorkload's torus: 5184 vertices. Round 0
+// steps them all, and each offset round's senders (a twentieth of the
+// vertices, four edges each) dirty about 1,036 destinations, past
+// parallelMin.
+const timerSide = 72
 
 // timerWorkload runs a program in which every vertex waits until its own
 // start offset and then sends to its neighbors; receivers charge memory and
@@ -82,7 +89,7 @@ type timerRun struct {
 // implementation of the wait: Wake every round instead of WakeAt.
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
-	g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	return timerWorkloadOn(t, New(g, append([]Option{WithShards(workers)}, opts...)...), spin, maxRounds)
 }
 
@@ -122,7 +129,7 @@ func timerWorkloadOn(t *testing.T, s *Simulator, spin bool, maxRounds int) timer
 	res := timerRun{
 		executed: executed,
 		rounds:   s.Rounds(), messages: s.Messages(), words: s.Words(),
-		ctr: s.FaultCounters(), logs: logs,
+		ctr: s.FaultCounters(), logs: logs, sim: s,
 	}
 	for v := 0; v < n; v++ {
 		res.peaks = append(res.peaks, s.Mem(v).Peak())
@@ -161,6 +168,7 @@ func TestWakeAtMatchesSpin(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
 			got := timerWorkload(t, false, workers, 1000)
+			requireForked(t, got.sim, workers)
 			requireTimerRunsEqual(t, got, ref)
 			if got.steps*2 > ref.steps {
 				t.Fatalf("timer run stepped %d handlers, spin run %d: sleepers are still spinning", got.steps, ref.steps)
@@ -326,7 +334,7 @@ func TestWakeAtRestoreOnUsedSimulator(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
-			g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
+			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 			s := New(g, WithShards(workers))
 			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
 			ckr, err := ResumeCheckpointer(path, cut)
@@ -444,7 +452,7 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 }
 
 // withCheckpointer attaches ck to the simulator under construction.
-func withCheckpointer(t *testing.T, ck *Checkpointer) Option {
+func withCheckpointer(t testing.TB, ck *Checkpointer) Option {
 	return func(s *Simulator) {
 		if err := ck.Attach(s); err != nil {
 			t.Fatalf("Attach: %v", err)
@@ -475,7 +483,7 @@ func TestWakeAtCheckpointValidation(t *testing.T) {
 	// The section ends with the timer block: count, then (round, vertex)
 	// pairs; corrupt the last timer.
 	for name, last := range map[string][2]uint64{
-		"vertex-out-of-range": {words[len(words)-2], 144},
+		"vertex-out-of-range": {words[len(words)-2], timerSide * timerSide},
 		"round-already-run":   {cut, words[len(words)-1]},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -491,7 +499,7 @@ func TestWakeAtCheckpointValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := graph.Torus(12, 12, graph.UnitWeights, rand.New(rand.NewSource(3)))
+			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 			if err := ckr.Attach(New(g)); err == nil || !strings.Contains(err.Error(), "timer") {
 				t.Fatalf("Attach with a bad timer: err=%v", err)
 			}

@@ -23,7 +23,10 @@ import (
 // The run is repeated at several worker-pool widths: the engine shards both
 // step execution and message delivery across workers, and the shard count
 // must be unobservable — byte-identical traces and identical per-vertex
-// meter peaks at every width, including width 1 (fully serial).
+// meter peaks at every width, including width 1 (fully serial). At n=120
+// no round reaches the engine's fork threshold, so here the widths pin the
+// option's plumbing; TestTopoBuildWorkerInvariant runs a build large
+// enough to fork and checks that it did.
 //
 // The same matrix runs again under an active fault plan: fault decisions are
 // stateless hashes of (seed, link, sequence), so a faulty build must be just

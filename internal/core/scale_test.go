@@ -116,13 +116,18 @@ func TestTopoBuildMatchesGraphBuild(t *testing.T) {
 // the CSR-backed path: the scale harness runs congest.NewTopo under whatever
 // GOMAXPROCS the host has, and its machine-readable stdout rows must not
 // depend on it. Byte-identical traces at pool widths 1, 4 and 8 pin that.
+//
+// The engine forks a round only from 1024 active vertices or dirty
+// destinations on, so the 33×33 grid is the test's point: its larger rounds
+// cross that size, and the wider runs must show that they ran the build's
+// handlers on the worker pool.
 func TestTopoBuildWorkerInvariant(t *testing.T) {
 	const (
-		n    = 150
-		k    = 2
+		n    = 33 * 33
+		k    = 3
 		seed = 11
 	)
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(3)))
+	g, err := graph.Generate(graph.FamilyGrid, n, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,12 @@ func TestTopoBuildWorkerInvariant(t *testing.T) {
 		rec := trace.NewRecorder()
 		sim := congest.NewTopo(graph.FromGraph(g),
 			congest.WithSeed(seed), congest.WithTrace(rec), congest.WithWorkers(workers))
-		return runBuildOn(t, sim, rec, g.N(), k, seed)
+		res := runBuildOn(t, sim, rec, g.N(), k, seed)
+		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
+			t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; the build never forked",
+				workers, steps, deliveries)
+		}
+		return res
 	}
 	want := runAt(1)
 	for _, workers := range []int{4, 8} {

@@ -3,7 +3,11 @@ package hopset
 // Mid-run checkpoint/resume of an exploration: an Explore cut off at an
 // interior round (writing a checkpoint on the way) and resumed on a fresh
 // simulator + Explorer must produce exactly the state, distances and meter
-// readings of an uninterrupted run.
+// readings of an uninterrupted run. The graph is large enough for the
+// engine to fork rounds (it does so from 1024 active vertices or dirty
+// destinations on), so the sharded runs also pin the explorer's handlers
+// running on the worker pool: equal to the serial run, before and after
+// the cut.
 
 import (
 	"fmt"
@@ -18,9 +22,9 @@ import (
 
 func TestExploreResumeEquivalence(t *testing.T) {
 	const (
-		n    = 96
+		n    = 1500
 		hops = 12
-		cut  = 4 // interrupt after 4 executed rounds — mid-flood
+		cut  = 20 // interrupt after 20 executed rounds — mid-flood
 	)
 	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -52,6 +56,15 @@ func TestExploreResumeEquivalence(t *testing.T) {
 		return s
 	}
 
+	requireForked := func(t *testing.T, sim *congest.Simulator, workers int, run string) {
+		t.Helper()
+		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
+			t.Fatalf("%s run: %d parallel step rounds, %d parallel delivery rounds; it never forked",
+				run, steps, deliveries)
+		}
+	}
+
+	var serial *snap
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
@@ -60,7 +73,13 @@ func TestExploreResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireForked(t, refSim, workers, "straight")
 			ref := capture(refSim, refRes)
+			if serial == nil {
+				serial = &ref
+			} else if !reflect.DeepEqual(ref, *serial) {
+				t.Fatalf("straight run at %d shards diverged from the serial one", workers)
+			}
 
 			// Interrupted run: MaxRounds == cut aborts the exploration (the
 			// non-convergence error is the simulated crash) after the
@@ -102,6 +121,8 @@ func TestExploreResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireForked(t, cutSim, workers, "cut")
+			requireForked(t, resSim, workers, "resumed")
 			got := capture(resSim, resRes)
 
 			if !reflect.DeepEqual(got, ref) {

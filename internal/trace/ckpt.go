@@ -276,6 +276,19 @@ func (r *WordReader) Take(n int) []uint64 {
 	return s
 }
 
+// Count consumes the length of a list whose records take at least per
+// words each. A length the remaining words cannot back reads as 0 and
+// latches the failure, like a read past the end, so a decoder never loops
+// or allocates on a count the section does not hold.
+func (r *WordReader) Count(per int) int {
+	c := r.Int()
+	if c < 0 || c > (len(r.words)-r.pos)/per {
+		r.fail = true
+		return 0
+	}
+	return c
+}
+
 // Done reports decoding health: an error if any read ran past the end, or if
 // words remain unconsumed (both indicate a layout mismatch — for a
 // CRC-validated checkpoint that means writer/reader version skew, not

@@ -199,6 +199,23 @@ func TestWordReader(t *testing.T) {
 			t.Fatal("oversized Take not flagged")
 		}
 	})
+	t.Run("count", func(t *testing.T) {
+		// Two 2-word records follow the count: 2 fits, 3 and -1 do not.
+		for _, tc := range []struct {
+			count uint64
+			want  int
+			ok    bool
+		}{{2, 2, true}, {3, 0, false}, {^uint64(0), 0, false}} {
+			r := NewWordReader([]uint64{tc.count, 1, 2, 3, 4})
+			if got := r.Count(2); got != tc.want {
+				t.Fatalf("Count(2) of %d = %d, want %d", int64(tc.count), got, tc.want)
+			}
+			r.Take(4)
+			if err := r.Done(); (err == nil) != tc.ok {
+				t.Fatalf("count %d: Done()=%v", int64(tc.count), err)
+			}
+		}
+	})
 	t.Run("trailing", func(t *testing.T) {
 		r := NewWordReader([]uint64{1, 2})
 		r.Word()

@@ -80,7 +80,11 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 	// cursor already covers it, snapshotted after running otherwise.
 	for _, ph := range b.phases() {
 		unit := "tree:" + ph.name
-		if ck.UnitDone(unit) {
+		done, err := ck.UnitDone(unit)
+		if err != nil {
+			return nil, err
+		}
+		if done {
 			continue
 		}
 		if err := ph.run(); err != nil {

@@ -131,24 +131,29 @@ func TestMultiTreeMemoryScalesWithS(t *testing.T) {
 
 func TestDistributedWorkerCountInvariance(t *testing.T) {
 	// The scheme and the round count must not depend on the number of
-	// goroutines executing rounds.
-	r := rand.New(rand.NewSource(11))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 150, r)
+	// goroutines executing rounds. Three spanning trees of a 33×33 grid
+	// give rounds past the engine's fork threshold (1024 active vertices
+	// or dirty destinations), so the 4-worker build runs the tree-routing
+	// handlers on the worker pool.
+	g, err := graph.Generate(graph.FamilyGrid, 33*33, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trees := makeTrees(t, g, []int{0, 544, 1088}, "bfs", 3)
 	var rounds []int64
 	for _, workers := range []int{1, 4} {
 		sim := congest.New(g, congest.WithSeed(12), congest.WithWorkers(workers))
-		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 12})
+		res, err := BuildDistributed(sim, trees, DistOptions{Seed: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSchemesEqual(t, res.Schemes[0], BuildCentralized(tr))
+		for i, tr := range trees {
+			requireSchemesEqual(t, res.Schemes[i], BuildCentralized(tr))
+		}
+		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
+			t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; the build never forked",
+				workers, steps, deliveries)
+		}
 		rounds = append(rounds, sim.Rounds())
 	}
 	if rounds[0] != rounds[1] {
