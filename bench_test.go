@@ -247,10 +247,10 @@ func BenchmarkBoundedBellmanFord(b *testing.B) {
 }
 
 func BenchmarkCongestFlood(b *testing.B) {
-	g := benchGraph(b, 1024)
+	topo := graph.FromGraph(benchGraph(b, 1024))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := congest.New(g)
+		sim := congest.NewTopo(topo)
 		if _, err := hopset.Explore(sim, []hopset.Source{{Root: 0, At: 0, Dist: 0}},
 			hopset.ExploreOptions{Hops: 6}); err != nil {
 			b.Fatal(err)
@@ -276,9 +276,10 @@ func BenchmarkTreeRouteDistributed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	topo := graph.FromGraph(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := congest.New(g, congest.WithSeed(int64(i)))
+		sim := congest.NewTopo(topo, congest.WithSeed(int64(i)))
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr},
 			treeroute.DistOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
@@ -287,10 +288,10 @@ func BenchmarkTreeRouteDistributed(b *testing.B) {
 }
 
 func BenchmarkCoreBuild(b *testing.B) {
-	g := benchGraph(b, 256)
+	topo := graph.FromGraph(benchGraph(b, 256))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := congest.New(g, congest.WithSeed(12))
+		sim := congest.NewTopo(topo, congest.WithSeed(12))
 		if _, err := core.Build(sim, core.Options{K: 3, Seed: 12}); err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +300,7 @@ func BenchmarkCoreBuild(b *testing.B) {
 
 func BenchmarkRoutePhase(b *testing.B) {
 	g := benchGraph(b, 512)
-	sim := congest.New(g, congest.WithSeed(13))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(13))
 	s, err := core.Build(sim, core.Options{K: 3, Seed: 13})
 	if err != nil {
 		b.Fatal(err)

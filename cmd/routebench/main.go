@@ -296,14 +296,8 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			simOpts := []congest.Option{congest.WithSeed(seed), congest.WithMetrics(reg)}
-			if rec != nil {
-				simOpts = append(simOpts, congest.WithTrace(rec))
-			}
-			if plan != nil && !plan.Empty() {
-				simOpts = append(simOpts, congest.WithFaults(plan))
-			}
-			sim := congest.New(g, simOpts...)
+			sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed), congest.WithMetrics(reg),
+				congest.WithTrace(rec), congest.WithFaults(plan))
 			rec.Attach(sim)
 			sp := rec.Begin(fmt.Sprintf("paper[n=%d,k=%d]", n, k))
 			s, err := core.Build(sim, core.Options{K: k, Seed: seed, Trace: rec, Metrics: reg})

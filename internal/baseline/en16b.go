@@ -38,13 +38,18 @@ type EN16bScheme struct {
 //   - the virtual-graph rounds are charged analytically as
 //     (n^{1/2+1/k} + D)·log²(n)·log(Λ), the Table 1 formula with the
 //     polylog factor instantiated at log²(n).
-func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
+//
+// g is the centralized reference copy of sim's communication graph: the TZ
+// structure and the virtual graph are computed on it, the costs land on sim.
+func BuildEN16b(sim *congest.Simulator, g *graph.Graph, opts Options) (*EN16bScheme, error) {
 	n := sim.N()
 	k := opts.K
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: k=%d < 1", k)
 	}
-	g := sim.Graph()
+	if g.N() != n {
+		return nil, fmt.Errorf("baseline: reference graph has %d vertices, simulator %d", g.N(), n)
+	}
 	ref, err := tz.Build(g, tz.Options{K: k, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: EN16b structure: %w", err)

@@ -36,7 +36,7 @@ func reportPeakHeap(b *testing.B) {
 func BenchmarkRunFlood(b *testing.B) {
 	const side = 32 // 1024 vertices, 2048 edges
 	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g)
+	s := newGraphSim(g)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
@@ -67,7 +67,7 @@ func BenchmarkRunFlood(b *testing.B) {
 func BenchmarkRunSparse(b *testing.B) {
 	const n = 16384
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g)
+	s := newGraphSim(g)
 	const hops = 64
 	start := []int{0}
 	b.ReportAllocs()
@@ -91,7 +91,7 @@ func BenchmarkRunSparse(b *testing.B) {
 func BenchmarkDelivery(b *testing.B) {
 	const n = 16
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g, WithEdgeCapacity(2))
+	s := newGraphSim(g, WithEdgeCapacity(2))
 	leaves := make([]int, 0, n-1)
 	for v := 1; v < n; v++ {
 		leaves = append(leaves, v)

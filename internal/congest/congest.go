@@ -60,12 +60,8 @@ type StepFunc func(v int, ctx *Ctx)
 // edges and owns every per-round structure; see the engine file comment for
 // the layout and the determinism argument.
 type Simulator struct {
-	g *graph.Graph
-
-	// topo is the read-only adjacency the engine compiles and handlers
-	// iterate. Graph-backed simulators (New) leave it nil and lazily bridge
-	// through Topo(); topology-backed simulators (NewTopo) carry only this
-	// and never materialise a *graph.Graph — the million-vertex path.
+	// topo is the frozen read-only adjacency the engine compiles and
+	// handlers iterate (Topo).
 	topo graph.Topology
 
 	d        int // hop-diameter bound used for broadcast cost accounting
@@ -116,19 +112,12 @@ type Simulator struct {
 	// strictly observational and costs one nil check per round when off.
 	obs *obsHooks
 
-	// topoBridge caches the compact bridge Topo() hands out for
-	// graph-backed simulators, invalidated when the graph changes shape.
-	topoBridge               *graph.CSR
-	topoBridgeN, topoBridgeM int
-
-	// CSR index over directed edges, compiled by ensureTopology and
-	// rebuilt only when the adjacency changes shape (topoN/topoM mismatch).
-	topoN, topoM int
-	outStart     []int32 // per sender: offsets into outTo
-	outTo        []int32 // destinations, ascending per sender, deduplicated
-	inStart      []int32 // per destination: offsets into inEdges
-	inEdges      []int32 // incoming directed edge ids, ascending-sender order
-	inPos        []int32 // directed edge id -> its slot in inEdges
+	// CSR index over directed edges, compiled once by ensureTopology.
+	outStart []int32 // per sender: offsets into outTo
+	outTo    []int32 // destinations, ascending per sender, deduplicated
+	inStart  []int32 // per destination: offsets into inEdges
+	inEdges  []int32 // incoming directed edge ids, ascending-sender order
+	inPos    []int32 // directed edge id -> its slot in inEdges
 
 	// Per-directed-edge queues plus the dirty-destination bookkeeping:
 	// dirtyIn's region [inStart[v], inStart[v]+dirtyCnt[v]) lists the
@@ -202,7 +191,13 @@ type Simulator struct {
 // Option configures a Simulator.
 type Option func(*Simulator)
 
-// WithWorkers sets the number of goroutines executing each round.
+// WithWorkers sets the number of parallel execution shards, which is also
+// the width of the goroutine pool executing each round. A shard owns a
+// contiguous vertex range — those vertices' handler steps, inboxes, dirty
+// worklists and payload arena — and cross-shard traffic merges at the
+// per-round barrier in canonical (destination, sender, edge-sequence) order,
+// so every observable quantity is byte-identical at any shard count (pinned
+// by TestRunWorkerCountInvariance and the core trace test).
 func WithWorkers(w int) Option {
 	return func(s *Simulator) {
 		if w > 0 {
@@ -210,17 +205,6 @@ func WithWorkers(w int) Option {
 		}
 	}
 }
-
-// WithShards sets the number of parallel execution shards. A shard owns a
-// contiguous vertex range — those vertices' handler steps, inboxes, dirty
-// worklists and payload arena — and cross-shard traffic merges at the
-// per-round barrier in canonical (destination, sender, edge-sequence) order,
-// so every observable quantity is byte-identical at any shard count (pinned
-// by TestRunWorkerCountInvariance and the core trace test). Shards and the
-// step-phase worker pool are the same partition; WithShards and WithWorkers
-// are therefore aliases, with WithShards the vocabulary of the scale
-// tooling (routebench -shards).
-func WithShards(p int) Option { return WithWorkers(p) }
 
 // WithSeed sets the seed of the simulator's deterministic RNG.
 func WithSeed(seed int64) Option {
@@ -238,9 +222,15 @@ func WithDiameter(d int) Option {
 }
 
 // WithTrace attaches a telemetry sink receiving per-round samples. Pass a
-// *trace.Recorder; a nil sink leaves tracing disabled.
+// *trace.Recorder; a nil sink, including a nil *trace.Recorder, leaves
+// tracing disabled (and the idle fast-forward on).
 func WithTrace(t trace.Sink) Option {
-	return func(s *Simulator) { s.tracer = t }
+	return func(s *Simulator) {
+		if r, ok := t.(*trace.Recorder); ok && r == nil {
+			t = nil
+		}
+		s.tracer = t
+	}
 }
 
 // WithEdgeCapacity sets the per-round word budget of each directed edge.
@@ -275,37 +265,10 @@ func WithIdleFastForward(on bool) Option {
 	return func(s *Simulator) { s.ffOff = !on }
 }
 
-// New creates a simulator over communication graph g.
-func New(g *graph.Graph, opts ...Option) *Simulator {
-	s := &Simulator{
-		g:        g,
-		d:        1,
-		capacity: DefaultEdgeCapacity,
-		inbox:    make([][]Message, g.N()),
-		meters:   make([]Meter, g.N()),
-		workers:  runtime.GOMAXPROCS(0),
-		rng:      rand.New(rand.NewSource(1)),
-	}
-	if g.N() > 0 {
-		if ub, err := g.HopRadiusUpperBound(); err == nil {
-			s.d = ub
-		}
-	}
-	if s.d < 1 {
-		s.d = 1
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
-// NewTopo creates a simulator directly over a compact read-only topology
-// (typically a *graph.CSR from a streaming generator). No *graph.Graph is
-// ever materialised: handlers iterate adjacency through Topo, and Graph()
-// returns nil. Everything else — options, determinism, accounting — matches
-// New exactly, and for the same adjacency the two constructors produce
-// byte-identical runs.
+// NewTopo creates a simulator over the frozen communication graph t: a
+// *graph.CSR from a streaming generator, or graph.FromGraph of a
+// *graph.Graph built edge by edge. Handlers iterate its adjacency through
+// Topo; the engine compiles its directed-edge index on the first Run.
 func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 	s := &Simulator{
 		topo:     t,
@@ -330,43 +293,18 @@ func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 	return s
 }
 
-// Graph returns the communication graph, or nil for a topology-backed
-// simulator (NewTopo). Handler code should prefer Topo, which works for
-// both; Graph remains for reference paths (Dijkstra, baselines) that need
-// the mutable structure.
-func (s *Simulator) Graph() *graph.Graph { return s.g }
-
-// Topo returns the read-only adjacency of the communication graph. For a
-// topology-backed simulator this is the topology it was built over; for a
-// graph-backed one it is a compact bridge compiled on first use and
-// refreshed if the graph changes shape (same heuristic as the engine's
-// directed-edge index). The per-vertex neighbor order equals
-// Graph.Neighbors order, so handlers iterating either surface produce
-// byte-identical message streams.
-func (s *Simulator) Topo() graph.Topology {
-	if s.topo != nil {
-		return s.topo
-	}
-	if s.topoBridge == nil || s.topoBridgeN != s.g.N() || s.topoBridgeM != s.g.M() {
-		s.topoBridge = graph.FromGraph(s.g)
-		s.topoBridgeN, s.topoBridgeM = s.g.N(), s.g.M()
-	}
-	return s.topoBridge
-}
+// Topo returns the read-only adjacency of the communication graph: the
+// topology the simulator was built over.
+func (s *Simulator) Topo() graph.Topology { return s.topo }
 
 // N returns the number of processors.
-func (s *Simulator) N() int {
-	if s.g != nil {
-		return s.g.N()
-	}
-	return s.topo.N()
-}
+func (s *Simulator) N() int { return s.topo.N() }
 
 // Diameter returns the hop-diameter bound used for broadcast accounting.
 func (s *Simulator) Diameter() int { return s.d }
 
 // Shards returns the number of parallel execution shards (== the worker
-// pool width; see WithShards).
+// pool width; see WithWorkers).
 func (s *Simulator) Shards() int {
 	if s.workers < 1 {
 		return 1
@@ -426,8 +364,8 @@ func (s *Simulator) FaultsEnabled() bool { return s.faultPlan != nil }
 // plan is installed or no fault has fired).
 func (s *Simulator) FaultCounters() faults.Counters { return s.faultCtr }
 
-// ensureFaults lazily compiles the installed fault plan against the current
-// vertex count; returns nil (and stays on the clean path) without a plan.
+// ensureFaults lazily compiles the installed fault plan against the vertex
+// count; returns nil (and stays on the clean path) without a plan.
 func (s *Simulator) ensureFaults() *faults.Compiled {
 	if s.faultPlan == nil {
 		return nil
@@ -444,10 +382,7 @@ func (s *Simulator) ensureFaults() *faults.Compiled {
 		}
 		s.shardFault = make([]faults.Counters, shards)
 		s.shardSpike = make([][]faults.Spike, shards)
-	}
-	// Callers run ensureTopology first, so queues is current here; track it
-	// if the graph grew between Runs.
-	if len(s.faultQ) != len(s.queues) {
+		s.ensureTopology() // a Broadcast may come before the first Run
 		s.faultQ = make([]edgeFaultState, len(s.queues))
 	}
 	return s.faults

@@ -12,13 +12,18 @@ func pathGraph(n int) *graph.Graph {
 	return graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
 }
 
+// newGraphSim is NewTopo over the frozen bridge of a test-built graph.
+func newGraphSim(g *graph.Graph, opts ...Option) *Simulator {
+	return NewTopo(graph.FromGraph(g), opts...)
+}
+
 func TestRunFloodOnPath(t *testing.T) {
 	// Flood a token from vertex 0 down a path: vertex i must receive it in
 	// round i, and the run must take exactly n-1 rounds plus the final
 	// quiescent check.
 	n := 10
 	g := pathGraph(n)
-	s := New(g)
+	s := newGraphSim(g)
 	got := make([]int, n)
 	for i := range got {
 		got[i] = -1
@@ -53,7 +58,7 @@ func TestRunFloodOnPath(t *testing.T) {
 
 func TestSendToNonNeighborPanics(t *testing.T) {
 	g := pathGraph(4)
-	s := New(g)
+	s := newGraphSim(g)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on non-neighbor send")
@@ -66,7 +71,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 
 func TestWakeKeepsVertexActive(t *testing.T) {
 	g := pathGraph(3)
-	s := New(g)
+	s := newGraphSim(g)
 	count := 0
 	s.Run([]int{0}, 5, func(v int, ctx *Ctx) {
 		if v == 0 {
@@ -83,7 +88,7 @@ func TestWakeKeepsVertexActive(t *testing.T) {
 
 func TestRunStopsAtMaxRounds(t *testing.T) {
 	g := pathGraph(2)
-	s := New(g)
+	s := newGraphSim(g)
 	rounds := s.Run([]int{0}, 7, func(v int, ctx *Ctx) {
 		ctx.Wake() // never quiesce
 	})
@@ -103,7 +108,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 	n := 2 * parallelMin
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for trial := 0; trial < 3; trial++ {
-		s := New(g, WithWorkers(8))
+		s := newGraphSim(g, WithWorkers(8))
 		leaves := make([]int, 0, n-1)
 		for v := 1; v < n; v++ {
 			leaves = append(leaves, v)
@@ -136,7 +141,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 
 func TestMessageAndWordAccounting(t *testing.T) {
 	g := pathGraph(3)
-	s := New(g)
+	s := newGraphSim(g)
 	s.Run([]int{0, 1}, 5, func(v int, ctx *Ctx) {
 		if ctx.Round() != 0 {
 			return
@@ -161,7 +166,7 @@ func TestBandwidthDelaysLargeMessages(t *testing.T) {
 	// A 5-word message over a capacity-2 edge needs 3 rounds of
 	// transmission: sent in round 0, delivered at the start of round 2.
 	g := pathGraph(2)
-	s := New(g, WithEdgeCapacity(2))
+	s := newGraphSim(g, WithEdgeCapacity(2))
 	deliveredAt := -1
 	s.Run([]int{0}, 10, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -182,7 +187,7 @@ func TestBandwidthQueuePacesDeliveryWithoutMemoryCharge(t *testing.T) {
 	// count but charges no memory (a CONGEST processor regenerates
 	// outgoing messages from its stored, separately-charged state).
 	g := pathGraph(2)
-	s := New(g, WithEdgeCapacity(1))
+	s := newGraphSim(g, WithEdgeCapacity(1))
 	got := 0
 	s.Run([]int{0}, 50, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -207,7 +212,7 @@ func TestBandwidthQueuePacesDeliveryWithoutMemoryCharge(t *testing.T) {
 
 func TestUnlimitedCapacityDeliversInstantly(t *testing.T) {
 	g := pathGraph(2)
-	s := New(g, WithEdgeCapacity(0))
+	s := newGraphSim(g, WithEdgeCapacity(0))
 	got := 0
 	s.Run([]int{0}, 3, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -232,7 +237,7 @@ func TestFanOutSendIsMemoryFree(t *testing.T) {
 	// built-in ability of a CONGEST processor and must not charge memory.
 	n := 100
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g)
+	s := newGraphSim(g)
 	s.Run([]int{0}, 3, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
 			for u := 1; u < n; u++ {
@@ -310,7 +315,7 @@ func TestMeterProperty(t *testing.T) {
 func TestBroadcastDeliversToAll(t *testing.T) {
 	n := 20
 	g := pathGraph(n)
-	s := New(g)
+	s := newGraphSim(g)
 	msgs := []BroadcastMsg{
 		{Origin: 3, Words: 2},
 		{Origin: 7, Words: 1},
@@ -339,7 +344,7 @@ func TestBroadcastDeliversToAll(t *testing.T) {
 }
 
 func TestBroadcastEmptyIsFree(t *testing.T) {
-	s := New(pathGraph(5))
+	s := newGraphSim(pathGraph(5))
 	s.Broadcast(nil, nil)
 	if s.Rounds() != 0 || s.Messages() != 0 {
 		t.Fatal("empty broadcast should cost nothing")
@@ -348,7 +353,7 @@ func TestBroadcastEmptyIsFree(t *testing.T) {
 
 func TestBroadcastRoundCost(t *testing.T) {
 	g := pathGraph(5)
-	s := New(g, WithDiameter(4))
+	s := newGraphSim(g, WithDiameter(4))
 	msgs := make([]BroadcastMsg, 10)
 	for i := range msgs {
 		msgs[i] = BroadcastMsg{Origin: 0, Words: 1}
@@ -361,7 +366,7 @@ func TestBroadcastRoundCost(t *testing.T) {
 
 func TestConvergecast(t *testing.T) {
 	g := pathGraph(6)
-	s := New(g, WithDiameter(5))
+	s := newGraphSim(g, WithDiameter(5))
 	msgs := []BroadcastMsg{
 		{Origin: 4, Payload: Payload{W0: IntWord(40)}, Words: 1},
 		{Origin: 1, Payload: Payload{W0: IntWord(10)}, Words: 1},
@@ -386,7 +391,7 @@ func TestConvergecast(t *testing.T) {
 }
 
 func TestBroadcastSpikesMemory(t *testing.T) {
-	s := New(pathGraph(4))
+	s := newGraphSim(pathGraph(4))
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 7}}, func(v int, d *Delivery) {})
 	for v := 0; v < 4; v++ {
 		if s.Mem(v).Peak() != 7 {
@@ -405,7 +410,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) ([]float64, int64) {
-		s := New(g, WithWorkers(workers))
+		s := newGraphSim(g, WithWorkers(workers))
 		dist := make([]float64, g.N())
 		for i := range dist {
 			dist[i] = graph.Infinity
@@ -451,7 +456,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 }
 
 func TestDeriveRandDeterministic(t *testing.T) {
-	s := New(pathGraph(3))
+	s := newGraphSim(pathGraph(3))
 	a := s.DeriveRand(1).Int63()
 	b := s.DeriveRand(1).Int63()
 	c := s.DeriveRand(2).Int63()
@@ -464,7 +469,7 @@ func TestDeriveRandDeterministic(t *testing.T) {
 }
 
 func TestAddRounds(t *testing.T) {
-	s := New(pathGraph(2))
+	s := newGraphSim(pathGraph(2))
 	s.AddRounds(5)
 	s.AddRounds(-3)
 	if s.Rounds() != 5 {
@@ -473,7 +478,7 @@ func TestAddRounds(t *testing.T) {
 }
 
 func TestAvgPeakMemory(t *testing.T) {
-	s := New(pathGraph(4))
+	s := newGraphSim(pathGraph(4))
 	s.Mem(0).Charge(4)
 	s.Mem(1).Charge(8)
 	if got := s.AvgPeakMemory(); got != 3 {

@@ -64,7 +64,7 @@ func TestRunEmitsRoundSamples(t *testing.T) {
 	n := 6
 	g := pathGraph(n)
 	sink := &collectingSink{}
-	s := New(g, WithTrace(sink))
+	s := newGraphSim(g, WithTrace(sink))
 	s.Run([]int{0}, 50, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
 			ctx.Send(1, Payload{}, 1)
@@ -103,7 +103,7 @@ func TestRunEmitsRoundSamples(t *testing.T) {
 func TestBroadcastEmitsAggregateSample(t *testing.T) {
 	g := pathGraph(5)
 	sink := &collectingSink{}
-	s := New(g, WithTrace(sink))
+	s := newGraphSim(g, WithTrace(sink))
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}}, nil)
 	if len(sink.samples) != 1 {
 		t.Fatalf("samples=%d want 1", len(sink.samples))
@@ -120,13 +120,27 @@ func TestBroadcastEmitsAggregateSample(t *testing.T) {
 	}
 }
 
+// TestWithTraceTypedNilRecorder pins that a nil *trace.Recorder passed
+// through the trace.Sink interface installs no sink: a non-nil interface
+// holding it would turn the idle fast-forward off for every untraced run.
+func TestWithTraceTypedNilRecorder(t *testing.T) {
+	var rec *trace.Recorder
+	s := newGraphSim(pathGraph(3), WithTrace(rec))
+	if s.tracer != nil {
+		t.Fatal("WithTrace((*trace.Recorder)(nil)) installed a sink")
+	}
+	if s := newGraphSim(pathGraph(3), WithTrace(trace.NewRecorder())); s.tracer == nil {
+		t.Fatal("WithTrace(recorder) installed no sink")
+	}
+}
+
 func TestTracingIsObservational(t *testing.T) {
 	run := func(opts ...Option) (*Simulator, error) {
 		g, err := graph.Generate(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(21)))
 		if err != nil {
 			return nil, err
 		}
-		s := New(g, opts...)
+		s := newGraphSim(g, opts...)
 		// Flood a token everywhere, charging memory along the way, so
 		// every counter moves.
 		seen := make([]bool, s.N())
@@ -141,9 +155,10 @@ func TestTracingIsObservational(t *testing.T) {
 				seen[v] = true
 				ctx.Mem().Charge(2)
 				ctx.Mem().Spike(5)
-				for _, u := range s.Graph().Neighbors(v) {
-					if !seen[u.To] {
-						ctx.Send(u.To, Payload{}, 1)
+				ts, _ := s.Topo().NeighborRange(v)
+				for _, u := range ts {
+					if !seen[u] {
+						ctx.Send(int(u), Payload{}, 1)
 					}
 				}
 			}

@@ -24,8 +24,8 @@ import (
 func ckptImage(s *Simulator, body ...uint64) []uint64 {
 	s.ensureTopology()
 	w := []uint64{engineCkptVersion, engineFlagMid,
-		uint64(s.topoN), uint64(len(s.outTo)), uint64(s.capacity), 0, 0, 0}
-	w = append(w, make([]uint64, 3*s.topoN+7)...)
+		uint64(s.N()), uint64(len(s.outTo)), uint64(s.capacity), 0, 0, 0}
+	w = append(w, make([]uint64, 3*s.N()+7)...)
 	w = append(w, 0) // fault cursors
 	return append(w, body...)
 }
@@ -85,7 +85,7 @@ func TestRestoreEngineCkptRejects(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(g)
+			s := newGraphSim(g)
 			body := tc.body
 			if body == nil {
 				body = cat(u(3), active, u(1), u(1, 1), queue, u(1, 5, 2))
@@ -109,9 +109,9 @@ func TestRestoreEngineCkptRejects(t *testing.T) {
 	}
 
 	// A fault-cursor count the section cannot back, on a faulty simulator.
-	s := New(g, WithFaults(&faults.Plan{Seed: 1, Drop: 0.1}))
+	s := newGraphSim(g, WithFaults(&faults.Plan{Seed: 1, Drop: 0.1}))
 	img := ckptImage(s, 3, 0, 0, 0)
-	img[8+3*s.topoN+7] = huge
+	img[8+3*s.N()+7] = huge
 	if err := s.restoreEngineCkpt(img); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("huge fault-cursor count: err=%v", err)
 	}
@@ -179,7 +179,7 @@ func engineImages(tb testing.TB) map[string][]uint64 {
 	flood := func(opts ...Option) []uint64 {
 		return midRunImage(tb, 3, func(ck *Checkpointer) {
 			g := fuzzTorus()
-			s := New(g, append(opts, withCheckpointer(tb, ck))...)
+			s := newGraphSim(g, append(opts, withCheckpointer(tb, ck))...)
 			s.Run([]int{0, 5, 10, 15}, 3, fuzzFlood(g))
 		})
 	}
@@ -220,7 +220,7 @@ func FuzzRestoreEngineCkpt(f *testing.F) {
 		}
 		for _, g := range []*graph.Graph{torus, path} {
 			for _, opts := range [][]Option{nil, {WithFaults(fuzzPlan)}} {
-				s := New(g, opts...)
+				s := newGraphSim(g, opts...)
 				if s.restoreEngineCkpt(words) != nil {
 					continue
 				}

@@ -75,7 +75,7 @@ type ringLayout struct{ len, head int }
 func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ringRun {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g, opts...)
+	s := newGraphSim(g, opts...)
 	s.ensureTopology()
 	e := s.edgeID(0, 1)
 	q := &s.queues[e]
@@ -246,7 +246,7 @@ func TestRingCheckpointWrapped(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ring.ckpt")
 			ckw := NewCheckpointer(path, int64(cut))
 			ckw.MidRun(true)
-			_ = runRing(t, layout, cut, append(append([]Option{WithShards(1)}, tc.opts...), withCheckpointer(t, ckw))...)
+			_ = runRing(t, layout, cut, append(append([]Option{WithWorkers(1)}, tc.opts...), withCheckpointer(t, ckw))...)
 			if err := ckw.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func TestRingCheckpointWrapped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runRing(t, layout, 1000, append(append([]Option{WithShards(4)}, tc.opts...), withCheckpointer(t, ckr))...)
+			got := runRing(t, layout, 1000, append(append([]Option{WithWorkers(4)}, tc.opts...), withCheckpointer(t, ckr))...)
 			var tail []rcvd
 			for _, m := range ref.log {
 				if m.Round >= cut {
@@ -272,7 +272,7 @@ func TestRingCheckpointWrapped(t *testing.T) {
 // step is the only place an edge's count grows, so the peak is read there.
 func TestRingCapacityBound(t *testing.T) {
 	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	s := New(g, WithWorkers(1))
+	s := newGraphSim(g, WithWorkers(1))
 	s.ensureTopology()
 	peak := make([]int32, len(s.queues))
 	all := make([]int, g.N())

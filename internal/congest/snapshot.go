@@ -191,8 +191,8 @@ func (ck *Checkpointer) Attach(sim *Simulator) error {
 	r := trace.NewWordReader(ck.engineWords)
 	r.Word() // version, checked at load
 	r.Word() // flags
-	if n := r.Int(); n != sim.topoN {
-		return fmt.Errorf("congest: checkpoint %s is for n=%d, simulator has n=%d", ck.path, n, sim.topoN)
+	if n := r.Int(); n != sim.N() {
+		return fmt.Errorf("congest: checkpoint %s is for n=%d, simulator has n=%d", ck.path, n, sim.N())
 	}
 	if ne := r.Int(); ne != len(sim.outTo) {
 		return fmt.Errorf("congest: checkpoint %s is for %d directed edges, simulator has %d", ck.path, ne, len(sim.outTo))
@@ -370,7 +370,7 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 		flags |= engineFlagMid
 	}
 	dst = append(dst, engineCkptVersion, flags,
-		uint64(int64(s.topoN)), uint64(int64(len(s.outTo))), uint64(int64(s.capacity)),
+		uint64(int64(s.N())), uint64(int64(len(s.outTo))), uint64(int64(s.capacity)),
 		uint64(s.rounds), uint64(s.messages), uint64(s.words))
 	for i := range s.meters {
 		m := &s.meters[i]
@@ -462,7 +462,7 @@ func (s *Simulator) readMsgCkpt(r *trace.WordReader, from, v int) (Message, erro
 	m.Payload.Ext = s.arena.clone(r.Take(r.Count(1)))
 	switch {
 	case from >= 0 && m.From != from,
-		m.From < 0 || m.From >= s.topoN || s.edgeID(m.From, v) < 0:
+		m.From < 0 || m.From >= s.N() || s.edgeID(m.From, v) < 0:
 		return m, fmt.Errorf("congest: checkpoint message from %d on an edge into %d", m.From, v)
 	case m.Words < 1 || m.Words > math.MaxInt32:
 		return m, fmt.Errorf("congest: checkpoint message of %d words", m.Words)
@@ -485,8 +485,8 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		return fmt.Errorf("congest: engine section version %d, want 1..%d", version, engineCkptVersion)
 	}
 	flags := r.Word()
-	if n := r.Int(); n != s.topoN {
-		return fmt.Errorf("congest: engine section n=%d, simulator n=%d", n, s.topoN)
+	if n := r.Int(); n != s.N() {
+		return fmt.Errorf("congest: engine section n=%d, simulator n=%d", n, s.N())
 	}
 	if ne := r.Int(); ne != len(s.outTo) {
 		return fmt.Errorf("congest: engine section has %d directed edges, simulator %d", ne, len(s.outTo))
@@ -541,7 +541,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	s.actList = s.actList[:0]
 	for i, prev := 0, -1; i < alen; i++ {
 		v := r.Int()
-		if v <= prev || v >= s.topoN {
+		if v <= prev || v >= s.N() {
 			return fmt.Errorf("congest: checkpoint active vertex %d out of range or order", v)
 		}
 		prev = v
@@ -572,7 +572,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	for i, prevV := 0, -1; i < nd; i++ {
 		v := r.Int()
 		cnt := r.Int()
-		if v <= prevV || v >= s.topoN || cnt < 1 || cnt > int(s.inStart[v+1]-s.inStart[v]) {
+		if v <= prevV || v >= s.N() || cnt < 1 || cnt > int(s.inStart[v+1]-s.inStart[v]) {
 			return fmt.Errorf("congest: checkpoint dirty destination %d with %d edges out of range or order", v, cnt)
 		}
 		prevV = v
@@ -616,7 +616,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		nt := r.Count(2)
 		for i := 0; i < nt; i++ {
 			round, v := r.Int(), r.Int()
-			if v < 0 || v >= s.topoN || round <= executed {
+			if v < 0 || v >= s.N() || round <= executed {
 				return fmt.Errorf("congest: checkpoint timer (round %d, vertex %d) out of range", round, v)
 			}
 			s.pushTimer(round, int32(v))

@@ -43,11 +43,11 @@ func runSnapshotFlood(t *testing.T, workers, maxRounds int, ck *Checkpointer, pl
 	t.Helper()
 	const floodRounds = 10
 	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	opts := []Option{WithShards(workers)}
+	opts := []Option{WithWorkers(workers)}
 	if plan != nil {
 		opts = append(opts, WithFaults(plan))
 	}
-	s := New(g, opts...)
+	s := newGraphSim(g, opts...)
 	if ck != nil {
 		ck.MidRun(true)
 		if err := ck.Attach(s); err != nil {
@@ -190,7 +190,7 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 	t.Helper()
 	const n = 8
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g)
+	s := newGraphSim(g)
 	if err := ck.Attach(s); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -321,7 +321,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 
 	newSim := func(n int, opts ...Option) *Simulator {
 		g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-		return New(g, opts...)
+		return newGraphSim(g, opts...)
 	}
 
 	t.Run("wrong-vertex-count", func(t *testing.T) {
@@ -340,7 +340,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-		if err := ckr.Attach(New(g, WithEdgeCapacity(2))); err == nil || !strings.Contains(err.Error(), "capacity") {
+		if err := ckr.Attach(newGraphSim(g, WithEdgeCapacity(2))); err == nil || !strings.Contains(err.Error(), "capacity") {
 			t.Fatalf("Attach under capacity 2: err=%v, want capacity mismatch", err)
 		}
 	})

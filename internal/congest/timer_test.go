@@ -40,7 +40,7 @@ func TestWakeAtStepsExactlyAtRound(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 16
 			g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := New(g)
+			s := newGraphSim(g)
 			var steps []int
 			executed := s.Run([]int{0, 1}, 100, func(v int, ctx *Ctx) {
 				if v == 0 {
@@ -90,15 +90,15 @@ const timerSide = 72
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
 	g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	return timerWorkloadOn(t, New(g, append([]Option{WithShards(workers)}, opts...)...), spin, maxRounds)
+	return timerWorkloadOn(t, newGraphSim(g, append([]Option{WithWorkers(workers)}, opts...)...), spin, maxRounds)
 }
 
 // timerWorkloadOn runs timerWorkload's program on s, a simulator over
 // timerWorkload's torus, which may already have run.
 func timerWorkloadOn(t *testing.T, s *Simulator, spin bool, maxRounds int) timerRun {
 	t.Helper()
-	g := s.Graph()
-	n := g.N()
+	topo := s.Topo()
+	n := topo.N()
 	offset := func(v int) int { return 40*(v%4) + (v*7)%5 }
 	steps := make([]int, n)
 	logs := make([][]rcvd, n)
@@ -121,8 +121,9 @@ func timerWorkloadOn(t *testing.T, s *Simulator, spin bool, maxRounds int) timer
 		case ctx.Round() < o:
 			ctx.WakeAt(o)
 		case ctx.Round() == o:
-			for _, nb := range g.Neighbors(v) {
-				ctx.Send(nb.To, Payload{Kind: 1, W0: IntWord(v*1000 + o)}, 1+(v+nb.To)%6)
+			ts, _ := topo.NeighborRange(v)
+			for _, to := range ts {
+				ctx.Send(int(to), Payload{Kind: 1, W0: IntWord(v*1000 + o)}, 1+(v+int(to))%6)
 			}
 		}
 	})
@@ -193,7 +194,7 @@ func TestWakeAtPastMaxRounds(t *testing.T) {
 	for _, ff := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fastforward=%v", ff), func(t *testing.T) {
 			g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := New(g, WithIdleFastForward(ff))
+			s := newGraphSim(g, WithIdleFastForward(ff))
 			var steps []int
 			executed := s.Run([]int{0}, 10, func(v int, ctx *Ctx) {
 				steps = append(steps, ctx.Round())
@@ -220,7 +221,7 @@ func TestWakeAtPastMaxRounds(t *testing.T) {
 func TestWakeAtTraceSamplesEveryRound(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sink := &collectingSink{}
-	s := New(g, WithTrace(sink))
+	s := newGraphSim(g, WithTrace(sink))
 	executed := s.Run([]int{0, 3}, 100, func(v int, ctx *Ctx) {
 		if ctx.Round() == 0 {
 			ctx.WakeAt(5 * (v + 1)) // vertex 0 at round 5, vertex 3 at round 20
@@ -263,7 +264,7 @@ func TestWakeAtCrashKeepsSpinSemantics(t *testing.T) {
 		lone := &faults.Plan{Crashes: []faults.Crash{{Vertex: 2, From: 5, Until: 10}}}
 		for _, spin := range []bool{true, false} {
 			g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := New(g, WithFaults(lone))
+			s := newGraphSim(g, WithFaults(lone))
 			var steps []int
 			s.Run([]int{2}, 100, func(v int, ctx *Ctx) {
 				steps = append(steps, ctx.Round())
@@ -335,7 +336,7 @@ func TestWakeAtRestoreOnUsedSimulator(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
 			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-			s := New(g, WithShards(workers))
+			s := newGraphSim(g, WithWorkers(workers))
 			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
 			ckr, err := ResumeCheckpointer(path, cut)
 			if err != nil {
@@ -389,7 +390,7 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 	run := func(t *testing.T, spin bool, workers int) result {
 		var s *Simulator
 		probe := &timerProbe{}
-		s = New(g, WithShards(workers), WithTrace(probe))
+		s = newGraphSim(g, WithWorkers(workers), WithTrace(probe))
 		peak := 0
 		probe.check = func() {
 			seen := map[timer]bool{}
@@ -500,7 +501,7 @@ func TestWakeAtCheckpointValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-			if err := ckr.Attach(New(g)); err == nil || !strings.Contains(err.Error(), "timer") {
+			if err := ckr.Attach(newGraphSim(g)); err == nil || !strings.Contains(err.Error(), "timer") {
 				t.Fatalf("Attach with a bad timer: err=%v", err)
 			}
 		})
@@ -517,7 +518,7 @@ func TestWakeAtCheckpointTimersUnique(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dup.ckpt")
 	ck := NewCheckpointer(path, cut)
 	ck.MidRun(true)
-	s := New(g, withCheckpointer(t, ck))
+	s := newGraphSim(g, withCheckpointer(t, ck))
 	s.Run([]int{0, 1}, cut+1, func(v int, ctx *Ctx) {
 		switch r := ctx.Round(); {
 		case v == 1 && r == 0:
@@ -609,7 +610,7 @@ func (p *sleepers) step(v int, ctx *Ctx) {
 func TestWakeAtSteadyStateAllocFree(t *testing.T) {
 	const n = 512
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g, WithWorkers(1))
+	s := newGraphSim(g, WithWorkers(1))
 	all := make([]int, n)
 	for v := range all {
 		all[v] = v

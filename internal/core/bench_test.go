@@ -21,7 +21,7 @@ func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.New(g, congest.WithSeed(5), congest.WithWorkers(1))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5), congest.WithWorkers(1))
 	o := (&Options{K: 4, Seed: 5}).withDefaults()
 	b := &builder{
 		sim: sim, topo: sim.Topo(), n: g.N(), k: o.K, o: o,

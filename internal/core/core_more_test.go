@@ -12,7 +12,7 @@ import (
 
 func TestPhaseRoundsSumToTotal(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 201)
-	sim := congest.New(g, congest.WithSeed(202))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(202))
 	s, err := Build(sim, Options{K: 2, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestBetaCapStillRoutes(t *testing.T) {
 	// scheme must keep routing (top-level clusters have no distance limit,
 	// so coverage survives; only approximation quality degrades).
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 205)
-	sim := congest.New(g, congest.WithSeed(206))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(206))
 	s, err := Build(sim, Options{K: 2, Seed: 206, Beta: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBScaleControlsHopBudget(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 150, 208)
 	bs := make(map[float64]int)
 	for _, scale := range []float64{0.5, 2.0} {
-		sim := congest.New(g, congest.WithSeed(209))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(209))
 		s, err := Build(sim, Options{K: 2, Seed: 209, BScale: scale})
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 	g := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e5), r)
 	eps := 0.1
 	q := g.QuantizeWeights(eps)
-	sim := congest.New(q, congest.WithSeed(214))
+	sim := congest.NewTopo(graph.FromGraph(q), congest.WithSeed(214))
 	s, err := Build(sim, Options{K: 2, Seed: 214})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 	// k far above log n: most levels are empty; the scheme must still
 	// build and route.
 	g := testGraph(t, graph.FamilyErdosRenyi, 60, 215)
-	sim := congest.New(g, congest.WithSeed(216))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(216))
 	s, err := Build(sim, Options{K: 8, Seed: 216})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 
 func TestTreeQOverride(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 218)
-	sim := congest.New(g, congest.WithSeed(219))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(219))
 	s, err := Build(sim, Options{K: 2, Seed: 219, TreeQ: 0.4})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.Graph {
 
 func buildScheme(t *testing.T, g *graph.Graph, k int, seed int64) (*Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.New(g, congest.WithSeed(seed))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
 	s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 	if err != nil {
 		t.Fatalf("Build k=%d: %v", k, err)
@@ -30,7 +30,7 @@ func buildScheme(t *testing.T, g *graph.Graph, k int, seed int64) (*Scheme, *con
 
 func TestBuildErrors(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 20, 1)
-	if _, err := Build(congest.New(g), Options{K: 0}); err == nil {
+	if _, err := Build(congest.NewTopo(graph.FromGraph(g)), Options{K: 0}); err == nil {
 		t.Fatal("k=0 should error")
 	}
 }
@@ -243,7 +243,7 @@ func TestMemoryIsSublinear(t *testing.T) {
 func TestDeterministicBuild(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 90, 71)
 	run := func() (int64, int64, int) {
-		sim := congest.New(g, congest.WithSeed(5))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5))
 		s, err := Build(sim, Options{K: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestDeterministicBuild(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.New(0)
-	s, err := Build(congest.New(g), Options{K: 2})
+	s, err := Build(congest.NewTopo(graph.FromGraph(g)), Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 		if faultOpt != nil {
 			opts = append(opts, faultOpt)
 		}
-		sim := congest.New(g, opts...)
+		sim := congest.NewTopo(graph.FromGraph(g), opts...)
 		if _, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}

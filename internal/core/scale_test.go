@@ -57,65 +57,11 @@ func runBuildOn(t *testing.T, sim *congest.Simulator, rec *trace.Recorder, n, k 
 	return res
 }
 
-// TestTopoBuildMatchesGraphBuild pins the substrate-independence contract of
-// the compact topology: the full construction on a CSR-backed simulator
-// (congest.NewTopo(graph.FromGraph(g))) must be byte-identical to the same
-// construction on the slice-of-slices simulator (congest.New(g)) — same
-// trace export (every message of every round), same per-vertex meter peaks,
-// same tables, labels and routes. FromGraph preserves adjacency order and
-// exact weights, so any divergence means an accessor (NeighborRange,
-// ArcWeight, Degree) reordered or requantized something.
-func TestTopoBuildMatchesGraphBuild(t *testing.T) {
-	cases := []struct {
-		family graph.Family
-		n, k   int
-	}{
-		{graph.FamilyErdosRenyi, 120, 3},
-		{graph.FamilyGrid, 144, 2},
-		{graph.FamilyPowerLaw, 150, 2},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/n=%d/k=%d", tc.family, tc.n, tc.k), func(t *testing.T) {
-			g, err := graph.Generate(tc.family, tc.n, rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const seed = 42
-
-			recG := trace.NewRecorder()
-			simG := congest.New(g, congest.WithSeed(seed), congest.WithTrace(recG))
-			want := runBuildOn(t, simG, recG, g.N(), tc.k, seed)
-
-			recC := trace.NewRecorder()
-			simC := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed), congest.WithTrace(recC))
-			got := runBuildOn(t, simC, recC, g.N(), tc.k, seed)
-
-			if !bytes.Equal(want.trace, got.trace) {
-				t.Error("trace exports differ between Graph-backed and CSR-backed builds")
-			}
-			for v := range want.peaks {
-				if want.peaks[v] != got.peaks[v] {
-					t.Fatalf("vertex %d meter peak: %d on Graph, %d on CSR", v, want.peaks[v], got.peaks[v])
-				}
-			}
-			if want.tables != got.tables {
-				t.Error("routing tables differ between substrates")
-			}
-			if want.labels != got.labels {
-				t.Error("labels differ between substrates")
-			}
-			if want.routes != got.routes {
-				t.Errorf("sampled routes differ between substrates:\nGraph: %s\nCSR: %s", want.routes, got.routes)
-			}
-		})
-	}
-}
-
 // TestTopoBuildWorkerInvariant extends the LM003 worker-count invariance to
-// the CSR-backed path: the scale harness runs congest.NewTopo under whatever
+// a full construction: the scale harness runs congest.NewTopo under whatever
 // GOMAXPROCS the host has, and its machine-readable stdout rows must not
-// depend on it. Byte-identical traces at pool widths 1, 4 and 8 pin that.
+// depend on it. Byte-identical traces, meter peaks, tables, labels and
+// routes at pool widths 1, 4 and 8 pin that.
 //
 // The engine forks a round only from 1024 active vertices or dirty
 // destinations on, so the 33×33 grid is the test's point: its larger rounds
@@ -146,7 +92,13 @@ func TestTopoBuildWorkerInvariant(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		got := runAt(workers)
 		if !bytes.Equal(want.trace, got.trace) {
-			t.Errorf("workers=%d: trace differs from serial run on the CSR path", workers)
+			t.Errorf("workers=%d: trace differs from serial run", workers)
+		}
+		if want.tables != got.tables || want.labels != got.labels {
+			t.Errorf("workers=%d: routing tables or labels differ from serial run", workers)
+		}
+		if want.routes != got.routes {
+			t.Errorf("workers=%d: sampled routes differ from serial run:\nserial: %s\ngot: %s", workers, want.routes, got.routes)
 		}
 		for v := range want.peaks {
 			if want.peaks[v] != got.peaks[v] {

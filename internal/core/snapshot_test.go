@@ -39,7 +39,7 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.New(g, congest.WithSeed(seed), congest.WithWorkers(workers))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed), congest.WithWorkers(workers))
 		s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Ckpt: ck})
 		if err != nil {
 			return coreSnap{}, err

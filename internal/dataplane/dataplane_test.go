@@ -26,13 +26,13 @@ func buildSchemes(t *testing.T, g *graph.Graph, k int, seed int64) map[string]*c
 	}
 	out["tz"] = s.Scheme
 
-	lp, err := baseline.BuildLP15(congest.New(g, congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
+	lp, err := baseline.BuildLP15(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("lp15: %v", err)
 	}
 	out["lp15"] = lp
 
-	p, err := core.Build(congest.New(g, congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
+	p, err := core.Build(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("paper: %v", err)
 	}

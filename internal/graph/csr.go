@@ -17,8 +17,8 @@ import (
 // weight values whenever the graph has at most 65536 distinct weights
 // (every generator family in this repo is far below that); otherwise a
 // plain []float64 fallback is kept. Either way ArcWeight returns the exact
-// float64 the edge was added with, so CSR-backed builds are byte-identical
-// to *Graph-backed builds.
+// float64 the edge was added with, so a build over FromGraph(g) sees
+// exactly g's weights.
 //
 // Footprint: 4(n+1) + 4·2m bytes of structure plus 2·2m bytes of weight
 // classes — about 12 bytes per undirected edge, versus ~24 bytes plus a

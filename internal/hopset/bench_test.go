@@ -30,7 +30,7 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.New(g, congest.WithSeed(31), congest.WithWorkers(1))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(31), congest.WithWorkers(1))
 	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: 33})
 	if err != nil {
 		tb.Fatal(err)

@@ -118,7 +118,7 @@ func TestExactDistancesAreMetricOverVirtual(t *testing.T) {
 
 func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 	g := testGraph(t, 80, 6)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 
 func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 80, 7)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	res, err := Explore(sim, []Source{{Root: 5, At: 5, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 
 func TestExploreParentChainsAreConsistent(t *testing.T) {
 	g := testGraph(t, 60, 8)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	res, err := Explore(sim, []Source{{Root: 3, At: 3, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestExploreParentChainsAreConsistent(t *testing.T) {
 
 func TestExploreMultiRootIndependence(t *testing.T) {
 	g := testGraph(t, 60, 9)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	srcs := []Source{
 		{Root: 0, At: 0, Dist: 0},
 		{Root: 10, At: 10, Dist: 0},
@@ -211,7 +211,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 	// it (no storage, no forwarding - the TZ cluster boundary), so nothing
 	// beyond distance 2 holds an entry.
 	g := graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	limit := func(v, root int, d float64) bool { return d < 3 }
 	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 100, Limit: limit})
 	if err != nil {
@@ -230,7 +230,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 
 func TestExploreChargesEntryMemory(t *testing.T) {
 	g := graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	if _, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestExploreChargesEntryMemory(t *testing.T) {
 
 func TestExploreErrors(t *testing.T) {
 	g := testGraph(t, 10, 1)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	if _, err := Explore(sim, nil, ExploreOptions{Hops: 0}); err == nil {
 		t.Fatal("hops 0 should error")
 	}
@@ -254,7 +254,7 @@ func TestExploreErrors(t *testing.T) {
 
 func TestDistToSet(t *testing.T) {
 	g := testGraph(t, 70, 11)
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	seeds := []int{0, 33, 66}
 	dist, parent, origin, err := DistToSet(sim, seeds, g.N())
 	if err != nil {
@@ -285,7 +285,7 @@ func TestDistToSet(t *testing.T) {
 
 func TestDistToSetEmpty(t *testing.T) {
 	g := testGraph(t, 10, 1)
-	dist, _, _, err := DistToSet(congest.New(g), nil, 5)
+	dist, _, _, err := DistToSet(congest.NewTopo(graph.FromGraph(g)), nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.Graph, *Vir
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.New(g, congest.WithSeed(seed))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
 	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestHopsetArboricityShrinksWithKappa(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.New(g)
+		sim := congest.NewTopo(graph.FromGraph(g))
 		hs, err := Build(sim, vg, Options{Kappa: kappa, Seed: 19})
 		if err != nil {
 			t.Fatal(err)
@@ -418,7 +418,7 @@ func TestHopsetEmptyVirtualGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.New(g), vg, Options{})
+	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sim := congest.New(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
 		hs, err := Build(sim, vg, Options{Kappa: 2, Seed: seed})
 		if err != nil {
 			return false

@@ -19,7 +19,7 @@ func buildSparseHopset(t *testing.T, family graph.Family, n, b, kappa int, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.New(g), vg, Options{Kappa: kappa, Seed: seed})
+	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{Kappa: kappa, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestVerifyHopsetDetectsTooSmallBeta(t *testing.T) {
 func TestMeasureHopboundTinyGraph(t *testing.T) {
 	g := graph.New(1)
 	vg := mustVirtualForTest(t, g, []int{0}, 2)
-	hs, err := Build(congest.New(g), vg, Options{})
+	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestExploreResumeEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
-			refSim := congest.New(g, congest.WithShards(workers))
+			refSim := congest.NewTopo(graph.FromGraph(g), congest.WithWorkers(workers))
 			refRes, err := Explore(refSim, srcs, ExploreOptions{Hops: hops})
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +87,7 @@ func TestExploreResumeEquivalence(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "explore.ckpt")
 			ck := congest.NewCheckpointer(path, cut)
 			ck.MidRun(true)
-			cutSim := congest.New(g, congest.WithShards(workers))
+			cutSim := congest.NewTopo(graph.FromGraph(g), congest.WithWorkers(workers))
 			if err := ck.Attach(cutSim); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestExploreResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resSim := congest.New(g, congest.WithShards(workers))
+			resSim := congest.NewTopo(graph.FromGraph(g), congest.WithWorkers(workers))
 			if err := ckr.Attach(resSim); err != nil {
 				t.Fatal(err)
 			}

@@ -73,14 +73,14 @@ type Table1Config struct {
 	// scheme's stretch measurement.
 	Metrics *obs.Registry
 	// Shards sets the paper scheme's parallel execution shard count
-	// (congest.WithShards); 0 keeps the simulator default. Every measured
+	// (congest.WithWorkers); 0 keeps the simulator default. Every measured
 	// column is byte-identical at any shard count, so this only changes
 	// wall-clock time.
 	Shards int
 }
 
-// RunTable1 builds every requested scheme on a fresh copy of the same graph
-// and measures the five columns of the paper's Table 1.
+// RunTable1 builds every requested scheme on the same graph and measures
+// the five columns of the paper's Table 1.
 func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 200
@@ -93,9 +93,10 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	topo := graph.FromGraph(g)
 	var rows []SchemeRow
 	for _, name := range schemes {
-		row, err := runScheme(name, g, cfg)
+		row, err := runScheme(name, g, topo, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("metrics: scheme %q: %w", name, err)
 		}
@@ -104,7 +105,9 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	return rows, nil
 }
 
-func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error) {
+// runScheme builds and measures one Table 1 row; topo is the frozen
+// simulation substrate of g, shared by every row's simulator.
+func runScheme(name string, g *graph.Graph, topo *graph.CSR, cfg Table1Config) (SchemeRow, error) {
 	row := SchemeRow{Scheme: name, Family: cfg.Family, N: g.N(), K: cfg.K}
 	r := rand.New(rand.NewSource(cfg.Seed + 7))
 	lat := lookupHist(cfg.Metrics)
@@ -118,7 +121,7 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
 	case "lp15":
-		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
@@ -128,8 +131,8 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
 	case "en16b":
-		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
-		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		s, err := baseline.BuildEN16b(sim, g, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
 		}
@@ -138,15 +141,8 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
 	case "paper":
-		simOpts := []congest.Option{congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
-			congest.WithShards(cfg.Shards)}
-		if cfg.Trace != nil {
-			simOpts = append(simOpts, congest.WithTrace(cfg.Trace))
-		}
-		if cfg.Faults != nil && !cfg.Faults.Empty() {
-			simOpts = append(simOpts, congest.WithFaults(cfg.Faults))
-		}
-		sim := congest.New(g, simOpts...)
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
+			congest.WithWorkers(cfg.Shards), congest.WithTrace(cfg.Trace), congest.WithFaults(cfg.Faults))
 		cfg.Trace.Attach(sim)
 		sp := cfg.Trace.Begin(fmt.Sprintf("paper[n=%d,k=%d]", g.N(), cfg.K))
 		s, err := core.Build(sim, core.Options{
@@ -236,9 +232,10 @@ func RunTable2(cfg Table2Config) ([]TreeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	topo := graph.FromGraph(g)
 	var rows []TreeRow
 	for _, name := range schemes {
-		row, err := runTreeScheme(name, g, tree, cfg)
+		row, err := runTreeScheme(name, topo, tree, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("metrics: tree scheme %q: %w", name, err)
 		}
@@ -249,8 +246,8 @@ func RunTable2(cfg Table2Config) ([]TreeRow, error) {
 	return rows, nil
 }
 
-func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Config) (TreeRow, error) {
-	row := TreeRow{Scheme: name, N: g.N()}
+func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Config) (TreeRow, error) {
+	row := TreeRow{Scheme: name, N: topo.N()}
 	r := rand.New(rand.NewSource(cfg.Seed + 13))
 	pairs := treeroute.SamplePairs(tree, cfg.Pairs, r)
 	switch name {
@@ -260,13 +257,10 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
 	case "paper-tree":
-		simOpts := []congest.Option{congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics)}
-		if cfg.Trace != nil {
-			simOpts = append(simOpts, congest.WithTrace(cfg.Trace))
-		}
-		sim := congest.New(g, simOpts...)
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
+			congest.WithTrace(cfg.Trace))
 		cfg.Trace.Attach(sim)
-		sp := cfg.Trace.Begin(fmt.Sprintf("paper-tree[n=%d]", g.N()))
+		sp := cfg.Trace.Begin(fmt.Sprintf("paper-tree[n=%d]", topo.N()))
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree},
 			treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace})
 		sp.End()
@@ -283,7 +277,7 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
 	case "en16b-tree":
-		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: cfg.Seed})
 		if err != nil {
 			return row, err

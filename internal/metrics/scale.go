@@ -51,7 +51,7 @@ type ScaleConfig struct {
 	Family graph.Family
 	N, K   int
 	Seed   int64
-	// Shards is the parallel execution shard count (congest.WithShards);
+	// Shards is the parallel execution shard count (congest.WithWorkers);
 	// 0 keeps the simulator default. Every observable row field is
 	// byte-identical at any shard count.
 	Shards int
@@ -93,7 +93,7 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	}
 
 	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
-		congest.WithShards(cfg.Shards))
+		congest.WithWorkers(cfg.Shards))
 	t1 := time.Now()
 	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Metrics: cfg.Metrics, Ckpt: cfg.Ckpt})
 	if err != nil {
@@ -184,7 +184,7 @@ type ProbeConfig struct {
 	// not Bellman-Ford congestion.
 	Hops int
 	Seed int64
-	// Shards is the parallel execution shard count (congest.WithShards);
+	// Shards is the parallel execution shard count (congest.WithWorkers);
 	// 0 keeps the simulator default.
 	Shards int
 	// Ckpt, when non-nil, checkpoints the exploration mid-run at the
@@ -227,7 +227,7 @@ func RunSubstrateProbe(cfg ProbeConfig) (*ProbeRow, error) {
 		}
 	}
 
-	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithShards(cfg.Shards))
+	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithWorkers(cfg.Shards))
 	// The probe is a single Run with one stateful provider (the explorer),
 	// whose estimate lists are consistent at every round boundary — exactly
 	// the contract mid-run cadence snapshots need.

@@ -32,15 +32,16 @@ func SweepMemoryVsK(family graph.Family, n int, ks []int, seed int64) ([]MemoryP
 	if err != nil {
 		return nil, err
 	}
+	topo := graph.FromGraph(g)
 	var out []MemoryPoint
 	for _, k := range ks {
-		simP := congest.New(g, congest.WithSeed(seed))
+		simP := congest.NewTopo(topo, congest.WithSeed(seed))
 		s, err := core.Build(simP, core.Options{K: k, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("metrics: memory sweep k=%d: %w", k, err)
 		}
-		simB := congest.New(g, congest.WithSeed(seed))
-		if _, err := baseline.BuildEN16b(simB, baseline.Options{K: k, Seed: seed}); err != nil {
+		simB := congest.NewTopo(topo, congest.WithSeed(seed))
+		if _, err := baseline.BuildEN16b(simB, g, baseline.Options{K: k, Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: memory sweep baseline k=%d: %w", k, err)
 		}
 		out = append(out, MemoryPoint{
@@ -81,7 +82,7 @@ func SweepTreeRoundsVsN(family graph.Family, ns []int, seed int64) ([]RoundsPoin
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.New(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree}, treeroute.DistOptions{Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: rounds sweep n=%d: %w", n, err)
 		}
@@ -115,6 +116,7 @@ func RunMultiTree(family graph.Family, n int, trees []int, seed int64) ([]MultiT
 	if err != nil {
 		return nil, err
 	}
+	topo := graph.FromGraph(g)
 	var out []MultiTreePoint
 	for _, s := range trees {
 		var ts []*graph.Tree
@@ -126,14 +128,14 @@ func RunMultiTree(family graph.Family, n int, trees []int, seed int64) ([]MultiT
 			ts = append(ts, tree)
 		}
 		// Parallel: one simulator, all trees at once.
-		simPar := congest.New(g, congest.WithSeed(seed))
+		simPar := congest.NewTopo(topo, congest.WithSeed(seed))
 		if _, err := treeroute.BuildDistributed(simPar, ts, treeroute.DistOptions{Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: multi-tree parallel s=%d: %w", s, err)
 		}
 		// Sequential: one build per tree, rounds summed.
 		var seq int64
 		for _, tree := range ts {
-			sim := congest.New(g, congest.WithSeed(seed))
+			sim := congest.NewTopo(topo, congest.WithSeed(seed))
 			if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree}, treeroute.DistOptions{Seed: seed}); err != nil {
 				return nil, fmt.Errorf("metrics: multi-tree sequential: %w", err)
 			}
@@ -186,13 +188,14 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 	// acceleration is visible (with B near the diameter the virtual graph
 	// is almost complete and everything converges in one step).
 	b := 3
+	topo := graph.FromGraph(g)
 	var out []HopsetPoint
 	for _, kappa := range kappas {
 		vg, err := hopset.NewVirtualGraph(g, members, b)
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.New(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(topo, congest.WithSeed(seed))
 		hs, err := hopset.Build(sim, vg, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
@@ -203,11 +206,11 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 			return nil, err
 		}
 		// Without the hopset: same machinery over an empty hopset.
-		empty, err := hopset.Build(congest.New(g), mustVirtual(g, nil, b), hopset.Options{Kappa: kappa, Seed: seed})
+		empty, err := hopset.Build(congest.NewTopo(topo), mustVirtual(g, nil, b), hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		simNo := congest.New(g, congest.WithSeed(seed))
+		simNo := congest.NewTopo(topo, congest.WithSeed(seed))
 		without, err := hopset.BellmanFord(simNo, vg, empty, seeds, hopset.BFOptions{})
 		if err != nil {
 			return nil, err

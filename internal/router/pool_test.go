@@ -4,27 +4,6 @@ import (
 	"testing"
 )
 
-// TestWithQueueDepth checks the option plumbs through (a depth-1 network
-// still delivers) and rejects non-positive depths.
-func TestWithQueueDepth(t *testing.T) {
-	s, g := buildScheme(t, 40, 2, 3)
-	net := New(s.Scheme, WithQueueDepth(1))
-	defer net.Close()
-	for u := 0; u < g.N(); u += 7 {
-		for v := 0; v < g.N(); v += 5 {
-			if _, err := net.Send(u, v); err != nil {
-				t.Fatalf("depth-1 send %d->%d: %v", u, v, err)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithQueueDepth(0) should panic")
-		}
-	}()
-	New(s.Scheme, WithQueueDepth(0))
-}
-
 // TestPooledPathsStayIntact pins the pool-recycling contract: the Path a
 // delivery hands out must not be clobbered when its packet (and trace
 // buffer) is reused by later sends.

@@ -59,7 +59,7 @@ type Delivery struct {
 	Err     error
 	// Degraded marks a packet that was rerouted around at least one crashed
 	// node: the path is a valid scheme walk through a fallback cluster tree,
-	// but its stretch may exceed the clean 4k-5 bound.
+	// but its stretch may exceed the clean 4k-3 bound.
 	Degraded bool
 	// Reroutes counts the tree re-selections the packet went through.
 	Reroutes int
@@ -87,36 +87,13 @@ type Network struct {
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("router: network closed")
 
-// defaultQueueDepth bounds each node's inbox unless WithQueueDepth says
-// otherwise; senders block when a node is saturated (backpressure, like a
-// real forwarding queue).
-const defaultQueueDepth = 64
-
-// Option configures a Network at construction.
-type Option func(*config)
-
-type config struct {
-	queueDepth int
-}
-
-// WithQueueDepth sets the per-node inbox capacity (default 64). Depth <= 0
-// panics: an unbuffered inbox deadlocks a node forwarding to itself.
-func WithQueueDepth(depth int) Option {
-	return func(c *config) {
-		if depth <= 0 {
-			panic(fmt.Sprintf("router: queue depth must be positive, got %d", depth))
-		}
-		c.queueDepth = depth
-	}
-}
+// queueDepth bounds each node's inbox; senders block when a node is
+// saturated (backpressure, like a real forwarding queue).
+const queueDepth = 64
 
 // New compiles the scheme into a flat data-plane table and starts one
 // forwarding goroutine per node.
-func New(scheme *clusterroute.Scheme, opts ...Option) *Network {
-	cfg := config{queueDepth: defaultQueueDepth}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func New(scheme *clusterroute.Scheme) *Network {
 	tab := dataplane.Compile(scheme)
 	n := tab.N()
 	net := &Network{
@@ -129,7 +106,7 @@ func New(scheme *clusterroute.Scheme, opts ...Option) *Network {
 		return &Packet{done: make(chan Delivery, 1)}
 	}
 	for v := 0; v < n; v++ {
-		net.inbox[v] = make(chan *Packet, cfg.queueDepth)
+		net.inbox[v] = make(chan *Packet, queueDepth)
 	}
 	for v := 0; v < n; v++ {
 		net.wg.Add(1)

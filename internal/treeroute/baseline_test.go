@@ -40,7 +40,7 @@ func TestBaselineExactSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	s, err := BuildBaseline(sim, tr, DistOptions{Q: 0.25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestBaselineExactShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.New(g)
+		sim := congest.NewTopo(graph.FromGraph(g))
 		s, err := BuildBaseline(sim, tr, DistOptions{Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestBaselineExactProperty(t *testing.T) {
 			return false
 		}
 		q := 0.05 + 0.9*float64(qRaw)/65535
-		sim := congest.New(g)
+		sim := congest.NewTopo(graph.FromGraph(g))
 		s, err := BuildBaseline(sim, tr, DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
@@ -117,11 +117,11 @@ func TestBaselineMemorySignature(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simB := congest.New(g)
+	simB := congest.NewTopo(graph.FromGraph(g))
 	if _, err := BuildBaseline(simB, tr, DistOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	simD := congest.New(g)
+	simD := congest.NewTopo(graph.FromGraph(g))
 	if _, err := BuildDistributed(simD, []*graph.Tree{tr}, DistOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestBaselineSizesVersusPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simB := congest.New(g)
+	simB := congest.NewTopo(graph.FromGraph(g))
 	base, err := BuildBaseline(simB, tr, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simD := congest.New(g)
+	simD := congest.NewTopo(graph.FromGraph(g))
 	res, err := BuildDistributed(simD, []*graph.Tree{tr}, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestBaselineSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildBaseline(congest.New(g), tr, DistOptions{})
+	s, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBaselineHostMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildBaseline(congest.New(g), tr, DistOptions{}); err == nil {
+	if _, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{}); err == nil {
 		t.Fatal("host mismatch should error")
 	}
 }
@@ -205,7 +205,7 @@ func TestBaselineRouteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildBaseline(congest.New(g), tr, DistOptions{Q: 0.3, Seed: 1})
+	s, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{Q: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

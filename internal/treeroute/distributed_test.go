@@ -14,7 +14,7 @@ import (
 // the same tree.
 func buildBoth(t *testing.T, g *graph.Graph, tr *graph.Tree, opts DistOptions) (*Scheme, *Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.New(g, congest.WithSeed(opts.Seed))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(opts.Seed))
 	res, err := BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed: %v", err)
@@ -187,7 +187,7 @@ func TestDistributedMatchesCentralizedProperty(t *testing.T) {
 			return false
 		}
 		q := 0.02 + 0.96*float64(qRaw)/65535
-		sim := congest.New(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
 		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
@@ -229,7 +229,7 @@ func TestDistributedMemoryIsLogarithmic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.New(g, congest.WithSeed(1))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
 		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.New(g, congest.WithSeed(2))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(2))
 		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestDistributedTreeEdgesMustBeGraphEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{}); err == nil {
 		t.Fatal("tree with non-graph edge should be rejected")
 	}
@@ -289,7 +289,7 @@ func TestDistributedHostSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.New(g)
+	sim := congest.NewTopo(graph.FromGraph(g))
 	if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{}); err == nil {
 		t.Fatal("host size mismatch should be rejected")
 	}
@@ -298,7 +298,7 @@ func TestDistributedHostSizeMismatch(t *testing.T) {
 func TestDistributedNoTrees(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
-	res, err := BuildDistributed(congest.New(g), nil, DistOptions{})
+	res, err := BuildDistributed(congest.NewTopo(graph.FromGraph(g)), nil, DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDistributedMultiTree(t *testing.T) {
 		}
 		trees = append(trees, tr)
 	}
-	sim := congest.New(g, congest.WithSeed(5))
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5))
 	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestDistributedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() (int64, int64) {
-		sim := congest.New(g, congest.WithSeed(9))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(9))
 		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 9}); err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	opts := DistOptions{Seed: 5}
 
 	build := func(ck *congest.Checkpointer) (buildSnap, error) {
-		sim := congest.New(g, congest.WithSeed(opts.Seed))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(opts.Seed))
 		if err := ck.Attach(sim); err != nil {
 			return buildSnap{}, err
 		}
@@ -145,7 +145,7 @@ func TestLocalDFSMidRunResume(t *testing.T) {
 
 	// setup returns a builder that has run every phase before local-dfs.
 	setup := func(shards int) *distBuilder {
-		sim := congest.New(g, congest.WithSeed(5), congest.WithShards(shards))
+		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5), congest.WithWorkers(shards))
 		b := newDistBuilder(sim, trees, DistOptions{Seed: 5})
 		for _, ph := range b.phases()[:dfs] {
 			if err := ph.run(); err != nil {
@@ -225,7 +225,7 @@ func TestBuilderOldSectionsRestore(t *testing.T) {
 	}
 	trees := makeTrees(t, g, []int{0}, "dfs", 4)
 	const dfs = 7 // index of local-dfs in phases(): cut with DFS state set
-	b := newDistBuilder(congest.New(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+	b := newDistBuilder(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5)), trees, DistOptions{Seed: 5})
 	for _, ph := range b.phases()[:dfs+1] {
 		if err := ph.run(); err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestBuilderOldSectionsRestore(t *testing.T) {
 					old = append(old, 1) // every member kicked
 				}
 			}
-			fresh := newDistBuilder(congest.New(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+			fresh := newDistBuilder(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5)), trees, DistOptions{Seed: 5})
 			if err := fresh.RestoreCkpt(old); err != nil {
 				t.Fatal(err)
 			}

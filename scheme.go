@@ -41,12 +41,6 @@ type Config struct {
 	// observational: the scheme and Report are identical with or without
 	// it.
 	Metrics *Metrics
-	// DataPlane, when true, compiles the built tables into the flat-array
-	// forwarding data plane (see Compile) and serves Scheme.Route from it:
-	// paths and weights are byte-identical, lookups are allocation-free
-	// array walks instead of map-chasing. Equivalent to calling Compile
-	// yourself and routing through the returned DataPlane.
-	DataPlane bool
 }
 
 // Report summarises the distributed construction's cost in the CONGEST
@@ -96,9 +90,17 @@ type Scheme struct {
 	// lookups, when non-nil (Config.Metrics was set), receives each
 	// Route call's wall latency in nanoseconds.
 	lookups *obs.Histogram
-	// dp, when non-nil (Config.DataPlane was set), serves Route from the
-	// compiled flat-array tables.
-	dp *DataPlane
+}
+
+// newSim boots the simulated CONGEST network for one facade build: the
+// engine runs over the frozen topology of net, with the build's seed,
+// tracer, fault plan and metrics registry (each nil-safe).
+func newSim(net *Network, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
+	sim := congest.NewTopo(graph.FromGraph(net.g), congest.WithSeed(seed),
+		congest.WithTrace(tr.recorder()), congest.WithFaults(plan.internal()),
+		congest.WithMetrics(m.Registry()))
+	tr.recorder().Attach(sim)
+	return sim
 }
 
 // Build runs the full distributed construction of Theorem 3 on a simulated
@@ -113,18 +115,7 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	if net.Nodes() > 1 && !net.Connected() {
 		return nil, fmt.Errorf("lowmemroute: network is not connected")
 	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
+	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	s, err := core.Build(sim, core.Options{
 		K:       cfg.K,
 		Epsilon: cfg.Epsilon,
@@ -160,33 +151,19 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 			Faults:             publicFaultReport(sim.FaultCounters()),
 		},
 	}
-	if cfg.DataPlane {
-		dp, err := Compile(sch)
-		if err != nil {
-			return nil, err
-		}
-		sch.dp = dp
-	}
 	return sch, nil
 }
 
 // Route forwards a message from src to dst using only src's table, dst's
 // label, and the tables of intermediate nodes - exactly the routing phase
-// of the scheme. With Config.DataPlane set the walk runs over the compiled
-// flat-array tables (same paths and weights, no per-hop map lookups).
+// of the scheme. Compile the scheme for allocation-free array walks over
+// flat tables (same paths and weights, no per-hop map lookups).
 func (s *Scheme) Route(src, dst int) (Path, error) {
 	var began time.Time
 	if s.lookups != nil {
 		began = time.Now()
 	}
-	var nodes []int
-	var w float64
-	var err error
-	if s.dp != nil {
-		nodes, w, err = s.dp.RouteAppend(src, dst, nil)
-	} else {
-		nodes, w, err = s.inner.Route(src, dst)
-	}
+	nodes, w, err := s.inner.Route(src, dst)
 	if s.lookups != nil {
 		s.lookups.Record(int64(time.Since(began)))
 	}
@@ -205,13 +182,7 @@ func (s *Scheme) RouteAppend(src, dst int, nodes []int) ([]int, float64, error) 
 	if s.lookups != nil {
 		began = time.Now()
 	}
-	var w float64
-	var err error
-	if s.dp != nil {
-		nodes, w, err = s.dp.RouteAppend(src, dst, nodes)
-	} else {
-		nodes, w, err = s.inner.RouteAppend(src, dst, nodes)
-	}
+	nodes, w, err := s.inner.RouteAppend(src, dst, nodes)
 	if s.lookups != nil {
 		s.lookups.Record(int64(time.Since(began)))
 	}
@@ -308,18 +279,7 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 	if net == nil || tree == nil {
 		return nil, fmt.Errorf("lowmemroute: nil network or tree")
 	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
+	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t},
 		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
 	if err != nil {
@@ -361,18 +321,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		}
 		inner[i] = t.t
 	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
+	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, inner,
 		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
 	if err != nil {
