@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
 
 all: build vet lint test race
 
@@ -175,3 +175,7 @@ demo:
 
 fmt:
 	gofmt -w .
+
+# Fail when any file is not gofmt-clean; `make fmt` rewrites them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi

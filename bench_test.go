@@ -221,20 +221,20 @@ func BenchmarkHopset(b *testing.B) {
 
 // --- Micro-benchmarks of the substrates ---
 
-func benchGraph(b *testing.B, n int) *graph.Graph {
+func benchGraph(b *testing.B, n int) *graph.CSR {
 	b.Helper()
 	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(9)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g
+	return graph.FromGraph(g)
 }
 
 func BenchmarkDijkstra(b *testing.B) {
 	g := benchGraph(b, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(i % g.N())
+		graph.Dijkstra(g, i%g.N())
 	}
 }
 
@@ -242,12 +242,12 @@ func BenchmarkBoundedBellmanFord(b *testing.B) {
 	g := benchGraph(b, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BoundedBellmanFord(i%g.N(), 8)
+		graph.BoundedBellmanFord(g, i%g.N(), 8)
 	}
 }
 
 func BenchmarkCongestFlood(b *testing.B) {
-	topo := graph.FromGraph(benchGraph(b, 1024))
+	topo := benchGraph(b, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := congest.NewTopo(topo)
@@ -259,8 +259,7 @@ func BenchmarkCongestFlood(b *testing.B) {
 }
 
 func BenchmarkTreeRouteCentralized(b *testing.B) {
-	g := benchGraph(b, 4096)
-	tr, err := graph.SpanningTree(g, 0, "dfs", rand.New(rand.NewSource(10)))
+	tr, err := graph.SpanningTree(benchGraph(b, 4096), 0, "dfs", rand.New(rand.NewSource(10)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,12 +270,11 @@ func BenchmarkTreeRouteCentralized(b *testing.B) {
 }
 
 func BenchmarkTreeRouteDistributed(b *testing.B) {
-	g := benchGraph(b, 1024)
-	tr, err := graph.SpanningTree(g, 0, "dfs", rand.New(rand.NewSource(11)))
+	topo := benchGraph(b, 1024)
+	tr, err := graph.SpanningTree(topo, 0, "dfs", rand.New(rand.NewSource(11)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	topo := graph.FromGraph(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := congest.NewTopo(topo, congest.WithSeed(int64(i)))
@@ -288,7 +286,7 @@ func BenchmarkTreeRouteDistributed(b *testing.B) {
 }
 
 func BenchmarkCoreBuild(b *testing.B) {
-	topo := graph.FromGraph(benchGraph(b, 256))
+	topo := benchGraph(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := congest.NewTopo(topo, congest.WithSeed(12))
@@ -300,7 +298,7 @@ func BenchmarkCoreBuild(b *testing.B) {
 
 func BenchmarkRoutePhase(b *testing.B) {
 	g := benchGraph(b, 512)
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(13))
+	sim := congest.NewTopo(g, congest.WithSeed(13))
 	s, err := core.Build(sim, core.Options{K: 3, Seed: 13})
 	if err != nil {
 		b.Fatal(err)

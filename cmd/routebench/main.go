@@ -296,7 +296,8 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed), congest.WithMetrics(reg),
+			topo := graph.FromGraph(g)
+			sim := congest.NewTopo(topo, congest.WithSeed(seed), congest.WithMetrics(reg),
 				congest.WithTrace(rec), congest.WithFaults(plan))
 			rec.Attach(sim)
 			sp := rec.Begin(fmt.Sprintf("paper[n=%d,k=%d]", n, k))
@@ -305,7 +306,7 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("build: %v", err)
 			}
-			hist, failures := metrics.StretchHistogram(g, s, pairs, buckets, width, rand.New(rand.NewSource(seed+1)))
+			hist, failures := metrics.StretchHistogram(topo, s, pairs, buckets, width, rand.New(rand.NewSource(seed+1)))
 			totalFailures += failures
 			fmt.Printf("E5: stretch distribution, n=%d k=%d (%s), bound 4k-3 = %d\n\n", n, k, family, 4*k-3)
 			if plan != nil && !plan.Empty() {
@@ -346,7 +347,7 @@ func runTraffic(family graph.Family, ns, ks []int, seed int64, workers []int, sk
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
+			s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
 			if err != nil {
 				fatalf("n=%d k=%d: %v", n, k, err)
 			}

@@ -167,3 +167,27 @@ func TestQuantizeLargeAspectRatio(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeRejectsOutOfRangeNodes: node ids from outside the network are
+// answered, not panicked on — SpanningTree errors and ShortestPath is +Inf.
+func TestFacadeRejectsOutOfRangeNodes(t *testing.T) {
+	net, err := Generate(Grid, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []int{-1, net.Nodes(), 99} {
+		for _, kind := range []string{"bfs", "sssp", "dfs"} {
+			if _, err := net.SpanningTree(root, kind, 1); err == nil {
+				t.Errorf("SpanningTree(%d, %q): want an error", root, kind)
+			}
+		}
+	}
+	for _, tc := range []struct{ u, v int }{{0, 99}, {99, 0}, {-1, 0}, {0, -1}, {0, net.Nodes()}} {
+		if d := net.ShortestPath(tc.u, tc.v); !math.IsInf(d, 1) {
+			t.Errorf("ShortestPath(%d, %d) = %v, want +Inf", tc.u, tc.v, d)
+		}
+	}
+	if d := net.ShortestPath(0, net.Nodes()-1); math.IsInf(d, 0) || d <= 0 {
+		t.Errorf("ShortestPath(0, %d) = %v, want a finite distance", net.Nodes()-1, d)
+	}
+}

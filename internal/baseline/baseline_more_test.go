@@ -14,7 +14,7 @@ func TestLP15SizesMatchCentralizedTZ(t *testing.T) {
 	// only its round complexity differs. Sizes must be in the same ballpark
 	// (the hierarchies are sampled independently, so allow a small band).
 	g := testGraph(t, graph.FamilyErdosRenyi, 150, 51)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	lp, err := BuildLP15(sim, Options{K: 2, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestLP15SizesMatchCentralizedTZ(t *testing.T) {
 
 func TestLP15SelfRoute(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 50, 53)
-	s, err := BuildLP15(congest.NewTopo(graph.FromGraph(g)), Options{K: 2, Seed: 54})
+	s, err := BuildLP15(congest.NewTopo(g), Options{K: 2, Seed: 54})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestLP15SelfRoute(t *testing.T) {
 
 func TestLP15ChargesClusterMemory(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 150, 55)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	s, err := BuildLP15(sim, Options{K: 3, Seed: 56})
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +60,12 @@ func TestLP15ChargesClusterMemory(t *testing.T) {
 func TestEN16bK1(t *testing.T) {
 	// k=1: single level, clusters are full SSSP trees; routing exact.
 	g := testGraph(t, graph.FamilyErdosRenyi, 60, 57)
-	sim := congest.NewTopo(graph.FromGraph(g))
-	s, err := BuildEN16b(sim, g, Options{K: 1, Seed: 58})
+	sim := congest.NewTopo(g)
+	s, err := BuildEN16b(sim, Options{K: 1, Seed: 58})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 50; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -85,8 +85,8 @@ func TestEN16bK1(t *testing.T) {
 func TestEN16bDeterministic(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 60)
 	run := func() (int64, int) {
-		sim := congest.NewTopo(graph.FromGraph(g))
-		s, err := BuildEN16b(sim, g, Options{K: 2, Seed: 61})
+		sim := congest.NewTopo(g)
+		s, err := BuildEN16b(sim, Options{K: 2, Seed: 61})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestEN16bRoundsCarryLogLambda(t *testing.T) {
 
 	rounds := func(g *graph.Graph) int64 {
 		sim := congest.NewTopo(graph.FromGraph(g))
-		if _, err := BuildEN16b(sim, g, Options{K: 2, Seed: 63}); err != nil {
+		if _, err := BuildEN16b(sim, Options{K: 2, Seed: 63}); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Rounds()

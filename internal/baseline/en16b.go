@@ -22,7 +22,8 @@ type EN16bScheme struct {
 	// PivotRoots[j][v] is v's level-j pivot.
 	PivotRoots [][]int
 
-	n       int
+	n int
+	// weights[c] is tree c's member-indexed UpWeights.
 	weights map[int][]float64
 }
 
@@ -39,18 +40,16 @@ type EN16bScheme struct {
 //     (n^{1/2+1/k} + D)·log²(n)·log(Λ), the Table 1 formula with the
 //     polylog factor instantiated at log²(n).
 //
-// g is the centralized reference copy of sim's communication graph: the TZ
-// structure and the virtual graph are computed on it, the costs land on sim.
-func BuildEN16b(sim *congest.Simulator, g *graph.Graph, opts Options) (*EN16bScheme, error) {
+// The TZ structure and the virtual graph are computed centrally on sim's
+// topology; the costs land on sim.
+func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 	n := sim.N()
 	k := opts.K
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: k=%d < 1", k)
 	}
-	if g.N() != n {
-		return nil, fmt.Errorf("baseline: reference graph has %d vertices, simulator %d", g.N(), n)
-	}
-	ref, err := tz.Build(g, tz.Options{K: k, Seed: opts.Seed})
+	topo := sim.Topo()
+	ref, err := tz.Build(topo, tz.Options{K: k, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: EN16b structure: %w", err)
 	}
@@ -75,7 +74,7 @@ func BuildEN16b(sim *congest.Simulator, g *graph.Graph, opts Options) (*EN16bSch
 		if b > n {
 			b = n
 		}
-		vg, err := hopset.NewVirtualGraph(g, members, b)
+		vg, err := hopset.NewVirtualGraph(topo, members, b)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: EN16b virtual graph: %w", err)
 		}
@@ -87,7 +86,7 @@ func BuildEN16b(sim *congest.Simulator, g *graph.Graph, opts Options) (*EN16bSch
 		// Bellman-Ford phases over it (Table 1's EN16b row, polylog
 		// instantiated at log², times the log Λ weight-discovery factor).
 		logn := math.Log2(float64(n) + 1)
-		logLambda := math.Log2(g.AspectRatio() + 2)
+		logLambda := math.Log2(graph.AspectRatio(topo) + 2)
 		rounds := (math.Pow(float64(n), 0.5+1/float64(k)) + float64(sim.Diameter())) * logn * logn * logLambda
 		sim.AddRounds(int64(math.Ceil(rounds)))
 	}
@@ -101,7 +100,7 @@ func BuildEN16b(sim *congest.Simulator, g *graph.Graph, opts Options) (*EN16bSch
 		}
 		s.Trees[c] = tree
 		s.TreeSchemes[c] = ts
-		s.weights[c] = tree.TreeWeights(g)
+		s.weights[c] = tree.UpWeights(topo)
 	}
 
 	// Pivot roots per level, straight from the reference labels.
@@ -161,9 +160,9 @@ func (s *EN16bScheme) Route(src, dst int) ([]int, float64, error) {
 		var total float64
 		for i := 1; i < len(path); i++ {
 			if tree.Parent(path[i-1]) == path[i] {
-				total += weights[path[i-1]]
+				total += weights[tree.MemberIndex(path[i-1])]
 			} else {
-				total += weights[path[i]]
+				total += weights[tree.MemberIndex(path[i])]
 			}
 		}
 		return path, total, nil

@@ -10,20 +10,21 @@ import (
 
 // buildSingleTreeScheme wraps one spanning tree as a one-cluster scheme:
 // routing should then be exact tree routing.
-func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.Graph, *graph.Tree) {
+func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.CSR, *graph.Tree) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+	gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := graph.FromGraph(gen)
 	tree, err := graph.SpanningTree(g, 0, "sssp", r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(1, n)
 	ts := treeroute.BuildCentralized(tree)
-	s.AddTree(0, tree, graph.FromGraph(g), ts)
+	s.AddTree(0, tree, g, ts)
 	for v := 0; v < n; v++ {
 		s.AddLabelEntry(v, 0, 0, ts)
 	}
@@ -56,11 +57,11 @@ func TestSchemeRoutesInSingleTree(t *testing.T) {
 
 func TestSchemeRouteWeightMatchesTreePath(t *testing.T) {
 	s, g, tree := buildSingleTreeScheme(t, 60, 3)
-	weights := tree.TreeWeights(g)
+	weights := tree.UpWeights(g)
 	depth := make([]float64, g.N())
 	for _, v := range tree.PreOrder() {
 		if v != tree.Root {
-			depth[v] = depth[tree.Parent(v)] + weights[v]
+			depth[v] = depth[tree.Parent(v)] + weights[tree.MemberIndex(v)]
 		}
 	}
 	r := rand.New(rand.NewSource(4))
@@ -115,10 +116,11 @@ func TestSchemeLevelPreference(t *testing.T) {
 	// Two clusters both containing everything; labels list level 0 first:
 	// routing must use the level-0 tree.
 	r := rand.New(rand.NewSource(5))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 30, r)
+	gen, err := graph.Generate(graph.FamilyErdosRenyi, 30, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := graph.FromGraph(gen)
 	treeA, err := graph.SpanningTree(g, 0, "sssp", r)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +132,8 @@ func TestSchemeLevelPreference(t *testing.T) {
 	s := New(2, g.N())
 	tsA := treeroute.BuildCentralized(treeA)
 	tsB := treeroute.BuildCentralized(treeB)
-	s.AddTree(0, treeA, graph.FromGraph(g), tsA)
-	s.AddTree(5, treeB, graph.FromGraph(g), tsB)
+	s.AddTree(0, treeA, g, tsA)
+	s.AddTree(5, treeB, g, tsB)
 	for v := 0; v < g.N(); v++ {
 		s.AddLabelEntry(v, 0, 0, tsA)
 		s.AddLabelEntry(v, 1, 5, tsB)

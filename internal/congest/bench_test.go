@@ -47,8 +47,8 @@ func BenchmarkRunFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Run(all, floodRounds, func(v int, ctx *Ctx) {
 			if ctx.Round() < floodRounds-1 {
-				for _, nb := range g.Neighbors(v) {
-					ctx.Send(nb.To, Payload{}, 1)
+				for _, nb := range neighbors(s.Topo(), v) {
+					ctx.Send(int(nb), Payload{}, 1)
 				}
 				ctx.Wake()
 			}

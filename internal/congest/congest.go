@@ -280,7 +280,7 @@ func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 		rng:      rand.New(rand.NewSource(1)),
 	}
 	if t.N() > 0 {
-		if ub, err := graph.TopoHopRadiusUpperBound(t); err == nil {
+		if ub, err := graph.HopRadiusUpperBound(t); err == nil {
 			s.d = ub
 		}
 	}

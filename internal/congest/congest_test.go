@@ -17,6 +17,12 @@ func newGraphSim(g *graph.Graph, opts ...Option) *Simulator {
 	return NewTopo(graph.FromGraph(g), opts...)
 }
 
+// neighbors returns v's neighbor ids in t, in adjacency order.
+func neighbors(t graph.Topology, v int) []int32 {
+	to, _ := t.NeighborRange(v)
+	return to
+}
+
 func TestRunFloodOnPath(t *testing.T) {
 	// Flood a token from vertex 0 down a path: vertex i must receive it in
 	// round i, and the run must take exactly n-1 rounds plus the final
@@ -418,8 +424,9 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 		dist[0] = 0
 		s.Run([]int{0}, g.N(), func(v int, ctx *Ctx) {
 			if ctx.Round() == 0 && v == 0 {
-				for _, nb := range g.Neighbors(v) {
-					ctx.Send(nb.To, Payload{W0: FloatWord(dist[v] + nb.Weight)}, 1)
+				to, base := s.Topo().NeighborRange(v)
+				for i, u := range to {
+					ctx.Send(int(u), Payload{W0: FloatWord(dist[v] + s.Topo().ArcWeight(base+i))}, 1)
 				}
 				return
 			}
@@ -431,8 +438,9 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 			}
 			if best < dist[v] {
 				dist[v] = best
-				for _, nb := range g.Neighbors(v) {
-					ctx.Send(nb.To, Payload{W0: FloatWord(dist[v] + nb.Weight)}, 1)
+				to, base := s.Topo().NeighborRange(v)
+				for i, u := range to {
+					ctx.Send(int(u), Payload{W0: FloatWord(dist[v] + s.Topo().ArcWeight(base+i))}, 1)
 				}
 			}
 		})
@@ -444,7 +452,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 	if r1 != r8 {
 		t.Fatalf("rounds differ: %d vs %d", r1, r8)
 	}
-	exact := g.Dijkstra(0)
+	exact := graph.Dijkstra(graph.FromGraph(g), 0)
 	for v := range d1 {
 		if d1[v] != d8[v] {
 			t.Fatalf("vertex %d: serial %v parallel %v", v, d1[v], d8[v])

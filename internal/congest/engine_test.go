@@ -54,10 +54,10 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 				logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
 			}
 			if ctx.Round() < floodRounds {
-				for _, nb := range g.Neighbors(v) {
+				for _, nb := range neighbors(s.Topo(), v) {
 					// Payload identifies the send event; Words varies so the
 					// capacity pacer splits some messages across rounds.
-					ctx.Send(nb.To, Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+nb.To+ctx.Round())%7)
+					ctx.Send(int(nb), Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+int(nb)+ctx.Round())%7)
 				}
 				ctx.Wake()
 			}

@@ -49,8 +49,8 @@ func runFloodSim(workers, floodRounds int, opts ...Option) (floodResult, *Simula
 			logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
 		}
 		if ctx.Round() < floodRounds {
-			for _, nb := range g.Neighbors(v) {
-				ctx.Send(nb.To, Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+nb.To+ctx.Round())%7)
+			for _, nb := range neighbors(s.Topo(), v) {
+				ctx.Send(int(nb), Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+int(nb)+ctx.Round())%7)
 			}
 			ctx.Wake()
 		}
@@ -301,8 +301,8 @@ func TestFaultCrashForever(t *testing.T) {
 	executed := s.Run([]int{0, 1, 2}, 1000, func(v int, ctx *Ctx) {
 		stepped[v]++
 		if ctx.Round() == 0 {
-			for _, nb := range g.Neighbors(v) {
-				ctx.Send(nb.To, Payload{W0: IntWord(v)}, 1)
+			for _, nb := range neighbors(s.Topo(), v) {
+				ctx.Send(int(nb), Payload{W0: IntWord(v)}, 1)
 			}
 		}
 	})
@@ -358,8 +358,8 @@ func TestFaultPartition(t *testing.T) {
 			log = append(log, rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
 		}
 		if ctx.Round() == 0 {
-			for _, nb := range g.Neighbors(v) {
-				ctx.Send(nb.To, Payload{W0: IntWord(v)}, 1)
+			for _, nb := range neighbors(s.Topo(), v) {
+				ctx.Send(int(nb), Payload{W0: IntWord(v)}, 1)
 			}
 		}
 	})

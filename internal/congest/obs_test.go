@@ -21,8 +21,8 @@ func floodOnce(t *testing.T, opts ...Option) *Simulator {
 	}
 	s.Run(all, floodRounds+1, func(v int, ctx *Ctx) {
 		if ctx.Round() < floodRounds {
-			for _, nb := range g.Neighbors(v) {
-				ctx.Send(nb.To, Payload{W0: IntWord(v)}, 1)
+			for _, nb := range neighbors(s.Topo(), v) {
+				ctx.Send(int(nb), Payload{W0: IntWord(v)}, 1)
 			}
 			ctx.Wake()
 		}

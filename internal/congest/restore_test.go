@@ -125,7 +125,7 @@ func fuzzTorus() *graph.Graph {
 // fuzzFlood is a stateless flood over g with Ext tails, capacity-paced
 // backlog and WakeAt sleepers, so its mid-Run images carry inboxes, queues,
 // arena chunks and timers.
-func fuzzFlood(g *graph.Graph) StepFunc {
+func fuzzFlood(g graph.Topology) StepFunc {
 	return func(v int, ctx *Ctx) {
 		for range ctx.In() {
 			ctx.Mem().Charge(1)
@@ -133,10 +133,10 @@ func fuzzFlood(g *graph.Graph) StepFunc {
 		if ctx.Round() >= 6 {
 			return
 		}
-		for _, nb := range g.Neighbors(v) {
+		for _, nb := range neighbors(g, v) {
 			ext := ctx.Ext(1 + v%2)
 			ext[0] = uint64(v)
-			ctx.Send(nb.To, Payload{Kind: 1, W0: IntWord(v*100 + ctx.Round()), Ext: ext}, 1+(v+nb.To+ctx.Round())%7)
+			ctx.Send(int(nb), Payload{Kind: 1, W0: IntWord(v*100 + ctx.Round()), Ext: ext}, 1+(v+int(nb)+ctx.Round())%7)
 		}
 		if v%3 == 0 {
 			ctx.WakeAt(ctx.Round() + 3)
@@ -180,7 +180,7 @@ func engineImages(tb testing.TB) map[string][]uint64 {
 		return midRunImage(tb, 3, func(ck *Checkpointer) {
 			g := fuzzTorus()
 			s := newGraphSim(g, append(opts, withCheckpointer(tb, ck))...)
-			s.Run([]int{0, 5, 10, 15}, 3, fuzzFlood(g))
+			s.Run([]int{0, 5, 10, 15}, 3, fuzzFlood(s.Topo()))
 		})
 	}
 	layout := wrappingLayout
@@ -224,7 +224,7 @@ func FuzzRestoreEngineCkpt(f *testing.F) {
 				if s.restoreEngineCkpt(words) != nil {
 					continue
 				}
-				s.Run(nil, s.resumeRound+64, fuzzFlood(g))
+				s.Run(nil, s.resumeRound+64, fuzzFlood(s.Topo()))
 			}
 		}
 	})

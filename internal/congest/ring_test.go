@@ -284,9 +284,9 @@ func TestRingCapacityBound(t *testing.T) {
 			if ctx.Round() >= 12 {
 				return
 			}
-			for _, nb := range g.Neighbors(v) {
-				for i := 0; i <= (v+nb.To+ctx.Round())%3; i++ {
-					ctx.Send(nb.To, Payload{W0: uint64(v)}, 1+(v+nb.To+ctx.Round()+i)%7)
+			for _, nb := range neighbors(s.Topo(), v) {
+				for i := 0; i <= (v+int(nb)+ctx.Round())%3; i++ {
+					ctx.Send(int(nb), Payload{W0: uint64(v)}, 1+(v+int(nb)+ctx.Round()+i)%7)
 				}
 			}
 			for e := s.outStart[v]; e < s.outStart[v+1]; e++ {

@@ -67,11 +67,11 @@ func runSnapshotFlood(t *testing.T, workers, maxRounds int, ck *Checkpointer, pl
 			logs[v] = append(logs[v], r)
 		}
 		if ctx.Round() < floodRounds {
-			for _, nb := range g.Neighbors(v) {
+			for _, nb := range neighbors(s.Topo(), v) {
 				ext := ctx.Ext(2)
 				ext[0], ext[1] = uint64(v), uint64(ctx.Round())
-				ctx.Send(nb.To, Payload{Kind: 1, W0: IntWord(v*1000 + ctx.Round()), Ext: ext},
-					1+(v+nb.To+ctx.Round())%7)
+				ctx.Send(int(nb), Payload{Kind: 1, W0: IntWord(v*1000 + ctx.Round()), Ext: ext},
+					1+(v+int(nb)+ctx.Round())%7)
 			}
 			ctx.Wake()
 		}
@@ -208,8 +208,8 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 				p.vals[v] += m.Payload.W0
 			}
 			if ctx.Round() < 3 {
-				for _, nb := range g.Neighbors(v) {
-					ctx.Send(nb.To, Payload{W0: uint64(v*7 + ctx.Round() + 1)}, 1+v%3)
+				for _, nb := range neighbors(s.Topo(), v) {
+					ctx.Send(int(nb), Payload{W0: uint64(v*7 + ctx.Round() + 1)}, 1+v%3)
 				}
 				ctx.Wake()
 			}
@@ -222,8 +222,8 @@ func runUnitBuild(t *testing.T, ck *Checkpointer, stopAfter int) ([]uint64, snap
 				p.vals[v] = p.vals[v]*31 + m.Payload.W0
 			}
 			if ctx.Round() == 0 {
-				for _, nb := range g.Neighbors(v) {
-					ctx.Send(nb.To, Payload{W0: p.vals[v] + 1}, 1)
+				for _, nb := range neighbors(s.Topo(), v) {
+					ctx.Send(int(nb), Payload{W0: p.vals[v] + 1}, 1)
 				}
 			}
 		})

@@ -415,8 +415,8 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 				}
 				if chatty(v) {
 					if ctx.Round() < 30 {
-						for _, nb := range g.Neighbors(v) {
-							ctx.Send(nb.To, Payload{Kind: 1, W0: IntWord(v)}, 1)
+						for _, nb := range neighbors(s.Topo(), v) {
+							ctx.Send(int(nb), Payload{Kind: 1, W0: IntWord(v)}, 1)
 						}
 						ctx.Wake()
 					}
@@ -429,8 +429,8 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 					ctx.WakeAt(o)
 				case ctx.Round() == o:
 					res.acted[v] = append(res.acted[v], ctx.Round())
-					for _, nb := range g.Neighbors(v) {
-						ctx.Send(nb.To, Payload{Kind: 2, W0: IntWord(v)}, 1)
+					for _, nb := range neighbors(s.Topo(), v) {
+						ctx.Send(int(nb), Payload{Kind: 2, W0: IntWord(v)}, 1)
 					}
 				}
 			})

@@ -381,7 +381,7 @@ func (b *builder) buildHopset() error {
 	if b.kHalf < b.k {
 		members = b.levels[b.kHalf]
 	}
-	vg, err := hopset.NewVirtualGraphN(b.n, members, b.hopBudget(b.kHalf))
+	vg, err := hopset.NewVirtualGraph(b.sim.Topo(), members, b.hopBudget(b.kHalf))
 	if err != nil {
 		return fmt.Errorf("core: virtual graph: %w", err)
 	}

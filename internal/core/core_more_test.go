@@ -12,7 +12,7 @@ import (
 
 func TestPhaseRoundsSumToTotal(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 201)
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(202))
+	sim := congest.NewTopo(g, congest.WithSeed(202))
 	s, err := Build(sim, Options{K: 2, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestBetaCapStillRoutes(t *testing.T) {
 	// scheme must keep routing (top-level clusters have no distance limit,
 	// so coverage survives; only approximation quality degrades).
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 205)
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(206))
+	sim := congest.NewTopo(g, congest.WithSeed(206))
 	s, err := Build(sim, Options{K: 2, Seed: 206, Beta: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBScaleControlsHopBudget(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 150, 208)
 	bs := make(map[float64]int)
 	for _, scale := range []float64{0.5, 2.0} {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(209))
+		sim := congest.NewTopo(g, congest.WithSeed(209))
 		s, err := Build(sim, Options{K: 2, Seed: 209, BScale: scale})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestUnitWeightGraph(t *testing.T) {
 	// Hypercube with unit-ish weights: aspect ratio near 1.
 	g := testGraph(t, graph.FamilyHypercube, 128, 210)
 	s, _ := buildScheme(t, g, 3, 211)
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(212))
 	for trial := 0; trial < 80; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -138,7 +138,7 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := g.AllPairs() // stretch measured against the ORIGINAL metric
+	exact := graph.AllPairs(graph.FromGraph(g)) // stretch measured against the ORIGINAL metric
 	bound := (float64(4*2-3) + 0.5) * (1 + eps)
 	for trial := 0; trial < 80; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -159,7 +159,7 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 	// k far above log n: most levels are empty; the scheme must still
 	// build and route.
 	g := testGraph(t, graph.FamilyErdosRenyi, 60, 215)
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(216))
+	sim := congest.NewTopo(g, congest.WithSeed(216))
 	s, err := Build(sim, Options{K: 8, Seed: 216})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 
 func TestTreeQOverride(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 218)
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(219))
+	sim := congest.NewTopo(g, congest.WithSeed(219))
 	s, err := Build(sim, Options{K: 2, Seed: 219, TreeQ: 0.4})
 	if err != nil {
 		t.Fatal(err)

@@ -9,18 +9,18 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.Graph {
+func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.CSR {
 	t.Helper()
 	g, err := graph.Generate(f, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return graph.FromGraph(g)
 }
 
-func buildScheme(t *testing.T, g *graph.Graph, k int, seed int64) (*Scheme, *congest.Simulator) {
+func buildScheme(t *testing.T, g *graph.CSR, k int, seed int64) (*Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
+	sim := congest.NewTopo(g, congest.WithSeed(seed))
 	s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 	if err != nil {
 		t.Fatalf("Build k=%d: %v", k, err)
@@ -30,7 +30,7 @@ func buildScheme(t *testing.T, g *graph.Graph, k int, seed int64) (*Scheme, *con
 
 func TestBuildErrors(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 20, 1)
-	if _, err := Build(congest.NewTopo(graph.FromGraph(g)), Options{K: 0}); err == nil {
+	if _, err := Build(congest.NewTopo(g), Options{K: 0}); err == nil {
 		t.Fatal("k=0 should error")
 	}
 }
@@ -53,7 +53,7 @@ func TestRoutingArrivesAndWalksEdges(t *testing.T) {
 				t.Fatalf("k=%d route %d->%d ends at %d", k, u, v, path[len(path)-1])
 			}
 			for i := 1; i < len(path); i++ {
-				if !g.HasEdge(path[i-1], path[i]) {
+				if !graph.TopoHasEdge(g, path[i-1], path[i]) {
 					t.Fatalf("hop {%d,%d} not an edge", path[i-1], path[i])
 				}
 			}
@@ -74,7 +74,7 @@ func TestStretchBound(t *testing.T) {
 	} {
 		g := testGraph(t, tt.family, tt.n, 7)
 		s, _ := buildScheme(t, g, tt.k, 8)
-		exact := g.AllPairs()
+		exact := graph.AllPairs(g)
 		bound := float64(4*tt.k-3) + 0.5
 		r := rand.New(rand.NewSource(9))
 		worst := 0.0
@@ -100,7 +100,7 @@ func TestStretchBound(t *testing.T) {
 func TestK1IsExact(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 11)
 	s, _ := buildScheme(t, g, 1, 12)
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -147,7 +147,7 @@ func TestClaim9ApproxClustersInsideExactClusters(t *testing.T) {
 		if tree == nil {
 			continue
 		}
-		exact := g.Dijkstra(root)
+		exact := graph.Dijkstra(g, root)
 		for _, u := range tree.Members() {
 			if exact.Dist[u] > dA2[u] {
 				t.Fatalf("member %d of C̃(%d) violates Claim 9", u, root)
@@ -163,15 +163,15 @@ func TestClusterTreesAreShortestPathLike(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, n, 31)
 	s, _ := buildScheme(t, g, k, 32)
 	for root, tree := range s.ClusterTrees {
-		exact := g.Dijkstra(root)
-		weights := tree.TreeWeights(g)
+		exact := graph.Dijkstra(g, root)
+		weights := tree.UpWeights(g)
 		depths := make(map[int]float64)
 		for _, v := range tree.PreOrder() {
 			if v == root {
 				depths[v] = 0
 				continue
 			}
-			depths[v] = depths[tree.Parent(v)] + weights[v]
+			depths[v] = depths[tree.Parent(v)] + weights[tree.MemberIndex(v)]
 		}
 		for _, v := range tree.Members() {
 			if depths[v] < exact.Dist[v]-1e-9 {
@@ -243,7 +243,7 @@ func TestMemoryIsSublinear(t *testing.T) {
 func TestDeterministicBuild(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 90, 71)
 	run := func() (int64, int64, int) {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5))
+		sim := congest.NewTopo(g, congest.WithSeed(5))
 		s, err := Build(sim, Options{K: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -258,8 +258,8 @@ func TestDeterministicBuild(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := graph.New(0)
-	s, err := Build(congest.NewTopo(graph.FromGraph(g)), Options{K: 2})
+	g := graph.FromGraph(graph.New(0))
+	s, err := Build(congest.NewTopo(g), Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestGridStretch(t *testing.T) {
 	// Large-diameter family: exercises the D term and deep trees.
 	g := testGraph(t, graph.FamilyGrid, 100, 81)
 	s, _ := buildScheme(t, g, 2, 82)
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(83))
 	bound := float64(4*2-3) + 0.5
 	for trial := 0; trial < 100; trial++ {

@@ -17,7 +17,7 @@ func benchTable(b *testing.B) *Table {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 17})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func BenchmarkCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 17})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func buildSchemes(t *testing.T, g *graph.Graph, k int, seed int64) map[string]*c
 	t.Helper()
 	out := make(map[string]*clusterroute.Scheme)
 
-	s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("tz: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestLookupMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 3})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLookupBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 2, Seed: 5})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestLookupAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 7})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEngineSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 9})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCompileShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 13})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func benchEngine(b *testing.B) *dataplane.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 17})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func testEngine(t *testing.T, n int) *dataplane.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 21})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

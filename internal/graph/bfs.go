@@ -8,9 +8,9 @@ type BFSResult struct {
 	Parent []int // NoVertex for source/unreachable
 }
 
-// BFS explores the underlying unweighted graph from src.
-func (g *Graph) BFS(src int) *BFSResult {
-	n := g.N()
+// BFS explores the underlying unweighted graph of t from src.
+func BFS(t Topology, src int) *BFSResult {
+	n := t.N()
 	res := &BFSResult{Source: src, Hops: make([]int, n), Parent: make([]int, n)}
 	for i := range res.Hops {
 		res.Hops[i] = -1
@@ -18,14 +18,14 @@ func (g *Graph) BFS(src int) *BFSResult {
 	}
 	res.Hops[src] = 0
 	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[u] {
-			if res.Hops[nb.To] == -1 {
-				res.Hops[nb.To] = res.Hops[u] + 1
-				res.Parent[nb.To] = u
-				queue = append(queue, nb.To)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		to, _ := t.NeighborRange(u)
+		for _, x := range to {
+			if v := int(x); res.Hops[v] == -1 {
+				res.Hops[v] = res.Hops[u] + 1
+				res.Parent[v] = u
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -48,26 +48,20 @@ func (r *BFSResult) Eccentricity() (int, bool) {
 	return ecc, all
 }
 
-// Connected reports whether the graph is connected (true for empty and
-// single-vertex graphs).
-func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
-		return true
-	}
-	_, all := g.BFS(0).Eccentricity()
-	return all
+// Connected reports whether t is connected (true for empty and
+// single-vertex topologies).
+func Connected(t Topology) bool {
+	_, err := HopRadiusUpperBound(t)
+	return err == nil
 }
 
 // HopDiameter computes D, the diameter of the underlying unweighted graph,
 // by running BFS from every vertex. Returns ErrDisconnected for disconnected
 // graphs.
-func (g *Graph) HopDiameter() (int, error) {
-	if g.N() == 0 {
-		return 0, nil
-	}
+func HopDiameter(t Topology) (int, error) {
 	d := 0
-	for s := 0; s < g.N(); s++ {
-		ecc, all := g.BFS(s).Eccentricity()
+	for s := 0; s < t.N(); s++ {
+		ecc, all := BFS(t, s).Eccentricity()
 		if !all {
 			return 0, ErrDisconnected
 		}
@@ -79,28 +73,50 @@ func (g *Graph) HopDiameter() (int, error) {
 }
 
 // HopRadiusUpperBound returns 2·ecc(0), a cheap upper bound on the hop
-// diameter usable by algorithms that only need "some" D. Returns
-// ErrDisconnected for disconnected graphs.
-func (g *Graph) HopRadiusUpperBound() (int, error) {
-	if g.N() == 0 {
+// diameter usable by algorithms that only need "some" D; the simulator
+// computes it at every boot, so the BFS keeps int32 state for million-
+// vertex topologies. Returns ErrDisconnected for disconnected topologies.
+func HopRadiusUpperBound(t Topology) (int, error) {
+	n := t.N()
+	if n == 0 {
 		return 0, nil
 	}
-	ecc, all := g.BFS(0).Eccentricity()
-	if !all {
+	hops := make([]int32, n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[0] = 0
+	queue := make([]int32, 1, n)
+	queue[0] = 0
+	ecc := int32(0)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		to, _ := t.NeighborRange(int(u))
+		for _, v := range to {
+			if hops[v] == -1 {
+				hops[v] = hops[u] + 1
+				if hops[v] > ecc {
+					ecc = hops[v]
+				}
+				queue = append(queue, v)
+			}
+		}
+	}
+	if len(queue) != n {
 		return 0, ErrDisconnected
 	}
-	return 2 * ecc, nil
+	return 2 * int(ecc), nil
 }
 
 // ShortestPathDiameter computes S, the maximum over all pairs (u,v) of the
 // minimum hop count among shortest (by weight) u-v paths. This is the
 // quantity the running time of [LP15]'s scheme depends on. Quadratic work;
 // intended for evaluation.
-func (g *Graph) ShortestPathDiameter() (int, error) {
-	n := g.N()
+func ShortestPathDiameter(t Topology) (int, error) {
+	n := t.N()
 	s := 0
 	for src := 0; src < n; src++ {
-		hops := g.minHopShortestPaths(src)
+		hops := minHopShortestPaths(t, src)
 		for v, h := range hops {
 			if h == -1 {
 				if v != src {
@@ -118,8 +134,8 @@ func (g *Graph) ShortestPathDiameter() (int, error) {
 
 // minHopShortestPaths returns, for each v, the minimum number of hops over
 // all minimum-weight src-v paths (lexicographic Dijkstra on (dist, hops)).
-func (g *Graph) minHopShortestPaths(src int) []int {
-	n := g.N()
+func minHopShortestPaths(t Topology, src int) []int {
+	n := t.N()
 	dist := make([]float64, n)
 	hops := make([]int, n)
 	for i := range dist {
@@ -139,15 +155,17 @@ func (g *Graph) minHopShortestPaths(src int) []int {
 			continue
 		}
 		done[u] = true
-		for _, nb := range g.adj[u] {
-			alt := dist[u] + nb.Weight
+		to, base := t.NeighborRange(u)
+		for i, x := range to {
+			v := int(x)
+			alt := dist[u] + t.ArcWeight(base+i)
 			altHops := hops[u] + 1
-			if alt < dist[nb.To] || (alt == dist[nb.To] && altHops < hops[nb.To]) {
-				if alt < dist[nb.To] {
-					h.PushOrDecrease(nb.To, alt)
+			if alt < dist[v] || (alt == dist[v] && altHops < hops[v]) {
+				if alt < dist[v] {
+					h.PushOrDecrease(v, alt)
 				}
-				dist[nb.To] = alt
-				hops[nb.To] = altHops
+				dist[v] = alt
+				hops[v] = altHops
 			}
 		}
 	}
@@ -160,9 +178,10 @@ func (g *Graph) minHopShortestPaths(src int) []int {
 			if dist[u] == Infinity {
 				continue
 			}
-			for _, nb := range g.adj[u] {
-				if dist[u]+nb.Weight == dist[nb.To] && hops[u]+1 < hops[nb.To] {
-					hops[nb.To] = hops[u] + 1
+			to, base := t.NeighborRange(u)
+			for i, x := range to {
+				if v := int(x); dist[u]+t.ArcWeight(base+i) == dist[v] && hops[u]+1 < hops[v] {
+					hops[v] = hops[u] + 1
 					changed = true
 				}
 			}

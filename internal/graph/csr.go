@@ -9,9 +9,9 @@ import (
 // CSR is an immutable compressed-sparse-row adjacency: one flat int32
 // offset array, one flat int32 neighbor array, and quantized edge weights.
 // It is built once (FromGraph or CSRBuilder.Build) and then shared
-// read-only across the simulator, the construction phases, and the data
-// plane — no per-vertex slice headers, no Neighbor structs, no pointers
-// for the GC to trace.
+// read-only across the simulator, the construction phases, the centralized
+// oracles and the data plane — no per-vertex slice headers, no neighbor
+// structs, no pointers for the GC to trace.
 //
 // Weights are stored as uint16 indices into a sorted table of the distinct
 // weight values whenever the graph has at most 65536 distinct weights
@@ -22,7 +22,7 @@ import (
 //
 // Footprint: 4(n+1) + 4·2m bytes of structure plus 2·2m bytes of weight
 // classes — about 12 bytes per undirected edge, versus ~24 bytes plus a
-// slice header and allocator slack per edge for [][]Neighbor.
+// slice header and allocator slack per edge for *Graph's adjacency lists.
 type CSR struct {
 	off     []int32   // len n+1; arcs of u are [off[u], off[u+1])
 	to      []int32   // len 2m; neighbor of each arc, adjacency order
@@ -68,28 +68,11 @@ func (c *CSR) MemoryBytes() int64 {
 	return b
 }
 
-// ToGraph expands the CSR back into a mutable *Graph with identical
-// adjacency order and weights — the bridge that lets small-n reference
-// paths (Dijkstra, baselines, seed tests) run against a CSR-built topology.
-func (c *CSR) ToGraph() *Graph {
-	n := c.N()
-	g := New(n)
-	for u := 0; u < n; u++ {
-		lo, hi := c.off[u], c.off[u+1]
-		adj := make([]Neighbor, hi-lo)
-		for i := lo; i < hi; i++ {
-			adj[i-lo] = Neighbor{To: int(c.to[i]), Weight: c.ArcWeight(int(i))}
-		}
-		g.adj[u] = adj
-	}
-	g.edges = c.m
-	return g
-}
-
-// FromGraph compacts g into a CSR preserving per-vertex adjacency order
-// exactly, so every handler that iterates NeighborRange sees the same
-// neighbor sequence Graph.Neighbors produced and message traces stay
-// byte-identical.
+// FromGraph freezes the builder g into a CSR, preserving per-vertex
+// adjacency order exactly: NeighborRange(u) lists u's neighbors in the
+// order its edges were added, so handlers and oracles see the same
+// neighbor sequence whether the CSR was frozen from g or streamed by
+// GenerateCSR, and message traces stay byte-identical.
 func FromGraph(g *Graph) *CSR {
 	n := g.N()
 	c := &CSR{off: make([]int32, n+1), m: g.M()}

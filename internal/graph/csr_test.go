@@ -36,7 +36,7 @@ func TestFromGraphPreservesAdjacency(t *testing.T) {
 		t.Fatalf("shape: csr (n=%d,m=%d), graph (n=%d,m=%d)", c.N(), c.M(), g.N(), g.M())
 	}
 	for u := 0; u < g.N(); u++ {
-		nbs := g.Neighbors(u)
+		nbs := g.adj[u]
 		to, base := c.NeighborRange(u)
 		if len(to) != len(nbs) || c.Degree(u) != len(nbs) {
 			t.Fatalf("vertex %d: degree %d vs %d", u, len(to), len(nbs))
@@ -45,25 +45,6 @@ func TestFromGraphPreservesAdjacency(t *testing.T) {
 			if int(to[i]) != nb.To || c.ArcWeight(base+i) != nb.Weight {
 				t.Fatalf("vertex %d arc %d: (%d,%v) vs (%d,%v)",
 					u, i, to[i], c.ArcWeight(base+i), nb.To, nb.Weight)
-			}
-		}
-	}
-}
-
-func TestCSRToGraphRoundTrip(t *testing.T) {
-	g := ErdosRenyi(150, 0.06, UniformWeights(0.5, 9.5), rand.New(rand.NewSource(11)))
-	back := FromGraph(g).ToGraph()
-	if back.N() != g.N() || back.M() != g.M() {
-		t.Fatalf("round-trip shape mismatch")
-	}
-	for u := 0; u < g.N(); u++ {
-		a, b := g.Neighbors(u), back.Neighbors(u)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree %d vs %d", u, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d arc %d: %+v vs %+v", u, i, a[i], b[i])
 			}
 		}
 	}
@@ -134,31 +115,43 @@ func TestStreamingGeneratorsSeedStability(t *testing.T) {
 	csrEqual(t, a, b)
 }
 
+// TestTopoHelpersMatchGraph checks the Topology helpers against the
+// builder's edge list (lightest weight per pair) and HopRadiusUpperBound
+// against twice a BFS eccentricity.
 func TestTopoHelpersMatchGraph(t *testing.T) {
 	g := ErdosRenyi(120, 0.08, IntegerWeights(50), rand.New(rand.NewSource(5)))
 	c := FromGraph(g)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if TopoHasEdge(c, u, v) != g.HasEdge(u, v) {
-				t.Fatalf("TopoHasEdge(%d,%d) disagrees with graph", u, v)
-			}
-			wt, ok := TopoEdgeWeight(c, u, v)
-			wg, okg := g.EdgeWeight(u, v)
-			if ok != okg || (ok && wt != wg) {
-				t.Fatalf("TopoEdgeWeight(%d,%d) = (%v,%v), graph (%v,%v)", u, v, wt, ok, wg, okg)
+	type pair struct{ u, v int }
+	lightest := make(map[pair]float64)
+	for _, e := range g.Edges() {
+		for _, p := range []pair{{e.U, e.V}, {e.V, e.U}} {
+			if w, ok := lightest[p]; !ok || e.Weight < w {
+				lightest[p] = e.Weight
 			}
 		}
 	}
-	want, err := g.HopRadiusUpperBound()
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			want, wantOK := lightest[pair{u, v}]
+			if TopoHasEdge(c, u, v) != wantOK {
+				t.Fatalf("TopoHasEdge(%d,%d) disagrees with the edge list", u, v)
+			}
+			got, ok := TopoEdgeWeight(c, u, v)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("TopoEdgeWeight(%d,%d) = (%v,%v), edge list (%v,%v)", u, v, got, ok, want, wantOK)
+			}
+		}
+	}
+	ecc, all := BFS(c, 0).Eccentricity()
+	if !all {
+		t.Fatal("test graph is disconnected")
+	}
+	got, err := HopRadiusUpperBound(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TopoHopRadiusUpperBound(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("TopoHopRadiusUpperBound = %d, graph = %d", got, want)
+	if got != 2*ecc {
+		t.Fatalf("HopRadiusUpperBound = %d, 2·ecc(0) = %d", got, 2*ecc)
 	}
 }
 
@@ -167,7 +160,8 @@ func TestTopoHelpersMatchGraph(t *testing.T) {
 func TestNewTreeCompactMatchesNewTree(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	g := ErdosRenyi(100, 0.06, IntegerWeights(10), r)
-	tr, err := SpanningTree(g, 3, "sssp", r)
+	c := FromGraph(g)
+	tr, err := SpanningTree(c, 3, "sssp", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +198,10 @@ func TestNewTreeCompactMatchesNewTree(t *testing.T) {
 			t.Fatalf("preorder slot %d differs", i)
 		}
 	}
-	uw := ct.UpWeights(FromGraph(g))
-	tw := tr.TreeWeights(g)
+	uw, tw := ct.UpWeights(c), tr.UpWeights(c)
 	for i, v := range members {
-		if v == tr.Root {
-			continue
-		}
-		if uw[i] != tw[v] {
-			t.Fatalf("UpWeights[%d]=%v, TreeWeights[%d]=%v", i, uw[i], v, tw[v])
+		if uw[i] != tw[i] {
+			t.Fatalf("UpWeights[%d] (vertex %d): compact %v, host-sized %v", i, v, uw[i], tw[i])
 		}
 		if ct.MemberIndex(v) != i || ct.MemberAt(i) != v {
 			t.Fatalf("MemberIndex/MemberAt inconsistent at slot %d", i)

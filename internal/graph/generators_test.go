@@ -34,7 +34,7 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 			if err := tt.g.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
-			if !tt.g.Connected() {
+			if !Connected(FromGraph(tt.g)) {
 				t.Fatal("not connected")
 			}
 		})
@@ -51,7 +51,7 @@ func TestTreesHaveExactlyNMinusOneEdges(t *testing.T) {
 			if g.M() != n-1 {
 				t.Fatalf("n=%d: M=%d want %d", n, g.M(), n-1)
 			}
-			if !g.Connected() {
+			if !Connected(FromGraph(g)) {
 				t.Fatalf("n=%d: tree not connected", n)
 			}
 		}
@@ -76,7 +76,7 @@ func TestRandomTreeProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%100) + 2
 		g := RandomTree(n, UnitWeights, rand.New(rand.NewSource(seed)))
-		return g.M() == n-1 && g.Connected() && g.Validate() == nil
+		return g.M() == n-1 && Connected(FromGraph(g)) && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestErdosRenyiProperty(t *testing.T) {
 		n := int(sz%80) + 2
 		p := float64(praw) / 65535
 		g := ErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)))
-		return g.Connected() && g.Validate() == nil
+		return Connected(FromGraph(g)) && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestGenerateFamilies(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
-			if !g.Connected() {
+			if !Connected(FromGraph(g)) {
 				t.Fatal("not connected")
 			}
 		})
@@ -134,7 +134,7 @@ func TestHypercubeStructure(t *testing.T) {
 			t.Fatalf("degree(%d)=%d want 4", v, g.Degree(v))
 		}
 	}
-	d, err := g.HopDiameter()
+	d, err := HopDiameter(FromGraph(g))
 	if err != nil || d != 4 {
 		t.Fatalf("diameter=%d err=%v want 4", d, err)
 	}

@@ -1,7 +1,9 @@
 // Package graph provides the weighted undirected graph substrate used by the
-// routing schemes: graph construction, classic generators, shortest-path
-// algorithms (Dijkstra, bounded-hop Bellman-Ford, BFS), diameter measures,
-// and rooted-tree utilities (heavy-child decomposition, DFS intervals).
+// routing schemes: the edge-by-edge *Graph builder and the classic
+// generators, the immutable CSR topology they freeze into (FromGraph,
+// GenerateCSR), the algorithms that read a Topology (Dijkstra, bounded-hop
+// Bellman-Ford, BFS, diameter measures, spanning trees), and rooted-tree
+// utilities (heavy-child decomposition, DFS intervals).
 //
 // All algorithms are deterministic given the caller-supplied *rand.Rand.
 package graph
@@ -25,18 +27,19 @@ type Edge struct {
 	Weight float64
 }
 
-// Neighbor is one endpoint of an incident edge, as seen from its other
+// neighbor is one endpoint of an incident edge, as seen from its other
 // endpoint.
-type Neighbor struct {
+type neighbor struct {
 	To     int
 	Weight float64
 }
 
-// Graph is a weighted undirected graph on vertices 0..N()-1 stored as
-// adjacency lists. The zero value is an empty graph; use New to preallocate
-// vertices.
+// Graph is the edge-by-edge builder of a weighted undirected graph on
+// vertices 0..N()-1, stored as adjacency lists. Algorithms do not read it:
+// freeze it with FromGraph and hand them the CSR. The zero value is an
+// empty graph; use New to preallocate vertices.
 type Graph struct {
-	adj   [][]Neighbor
+	adj   [][]neighbor
 	edges int
 }
 
@@ -45,7 +48,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{adj: make([][]Neighbor, n)}
+	return &Graph{adj: make([][]neighbor, n)}
 }
 
 // N returns the number of vertices.
@@ -72,8 +75,8 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	case !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w):
 		return fmt.Errorf("graph: invalid weight %v on {%d,%d}", w, u, v)
 	}
-	g.adj[u] = append(g.adj[u], Neighbor{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Neighbor{To: u, Weight: w})
+	g.adj[u] = append(g.adj[u], neighbor{To: v, Weight: w})
+	g.adj[v] = append(g.adj[v], neighbor{To: u, Weight: w})
 	g.edges++
 	return nil
 }
@@ -99,25 +102,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// EdgeWeight returns the weight of the lightest edge {u,v}, and whether one
-// exists.
-func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
-	if u < 0 || u >= len(g.adj) {
-		return 0, false
-	}
-	best, ok := 0.0, false
-	for _, nb := range g.adj[u] {
-		if nb.To == v && (!ok || nb.Weight < best) {
-			best, ok = nb.Weight, true
-		}
-	}
-	return best, ok
-}
-
-// Neighbors returns the adjacency list of u. The returned slice is owned by
-// the graph and must not be mutated.
-func (g *Graph) Neighbors(u int) []Neighbor { return g.adj[u] }
-
 // Degree returns the number of edges incident on u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
@@ -142,60 +126,11 @@ func (g *Graph) Edges() []Edge {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Neighbor, len(g.adj)), edges: g.edges}
+	c := &Graph{adj: make([][]neighbor, len(g.adj)), edges: g.edges}
 	for i, nbs := range g.adj {
-		c.adj[i] = append([]Neighbor(nil), nbs...)
+		c.adj[i] = append([]neighbor(nil), nbs...)
 	}
 	return c
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var t float64
-	for u, nbs := range g.adj {
-		for _, nb := range nbs {
-			if u < nb.To {
-				t += nb.Weight
-			}
-		}
-	}
-	return t
-}
-
-// MaxWeight returns the maximum edge weight (0 for an edgeless graph).
-func (g *Graph) MaxWeight() float64 {
-	var mx float64
-	for _, nbs := range g.adj {
-		for _, nb := range nbs {
-			if nb.Weight > mx {
-				mx = nb.Weight
-			}
-		}
-	}
-	return mx
-}
-
-// MinWeight returns the minimum edge weight (0 for an edgeless graph).
-func (g *Graph) MinWeight() float64 {
-	mn, seen := 0.0, false
-	for _, nbs := range g.adj {
-		for _, nb := range nbs {
-			if !seen || nb.Weight < mn {
-				mn, seen = nb.Weight, true
-			}
-		}
-	}
-	return mn
-}
-
-// AspectRatio returns Λ, the ratio of the largest to the smallest edge
-// weight, or 1 for graphs with fewer than one edge.
-func (g *Graph) AspectRatio() float64 {
-	mn, mx := g.MinWeight(), g.MaxWeight()
-	if mn <= 0 {
-		return 1
-	}
-	return mx / mn
 }
 
 // ErrDisconnected is returned by algorithms that require a connected graph.

@@ -23,9 +23,9 @@ func TestNewAndAddEdge(t *testing.T) {
 	if g.HasEdge(0, 2) {
 		t.Fatal("unexpected edge {0,2}")
 	}
-	w, ok := g.EdgeWeight(1, 0)
+	w, ok := TopoEdgeWeight(FromGraph(g), 1, 0)
 	if !ok || w != 2.5 {
-		t.Fatalf("EdgeWeight = %v,%v want 2.5,true", w, ok)
+		t.Fatalf("TopoEdgeWeight = %v,%v want 2.5,true", w, ok)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("Validate on generator output: %v", err)
 	}
 	// Corrupt: inject asymmetric adjacency.
-	g.adj[0] = append(g.adj[0], Neighbor{To: 1, Weight: 1})
+	g.adj[0] = append(g.adj[0], neighbor{To: 1, Weight: 1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate should catch asymmetric adjacency")
 	}
@@ -113,23 +113,17 @@ func TestWeightStats(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(1, 2, 8)
-	if got := g.TotalWeight(); got != 10 {
-		t.Fatalf("TotalWeight=%v want 10", got)
-	}
-	if got := g.MaxWeight(); got != 8 {
-		t.Fatalf("MaxWeight=%v want 8", got)
-	}
-	if got := g.MinWeight(); got != 2 {
-		t.Fatalf("MinWeight=%v want 2", got)
-	}
-	if got := g.AspectRatio(); got != 4 {
+	if got := AspectRatio(FromGraph(g)); got != 4 {
 		t.Fatalf("AspectRatio=%v want 4", got)
+	}
+	if got := AspectRatio(FromGraph(New(3))); got != 1 {
+		t.Fatalf("edgeless AspectRatio=%v want 1", got)
 	}
 }
 
 func TestDijkstraLine(t *testing.T) {
 	g := Path(5, UnitWeights, rand.New(rand.NewSource(1)))
-	res := g.Dijkstra(0)
+	res := Dijkstra(FromGraph(g), 0)
 	for v := 0; v < 5; v++ {
 		if res.Dist[v] != float64(v) {
 			t.Fatalf("Dist[%d]=%v want %d", v, res.Dist[v], v)
@@ -156,7 +150,7 @@ func TestDijkstraPrefersLightDetour(t *testing.T) {
 	g.MustAddEdge(0, 2, 10)
 	g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(1, 2, 3)
-	res := g.Dijkstra(0)
+	res := Dijkstra(FromGraph(g), 0)
 	if res.Dist[2] != 5 {
 		t.Fatalf("Dist[2]=%v want 5", res.Dist[2])
 	}
@@ -168,7 +162,7 @@ func TestDijkstraPrefersLightDetour(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
-	res := g.Dijkstra(0)
+	res := Dijkstra(FromGraph(g), 0)
 	if res.Dist[2] != Infinity || res.Parent[2] != NoVertex || res.Hops[2] != -1 {
 		t.Fatalf("unreachable vertex: %v %v %v", res.Dist[2], res.Parent[2], res.Hops[2])
 	}
@@ -186,13 +180,13 @@ func TestBoundedBellmanFordRespectsHopBound(t *testing.T) {
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(3, 4, 1)
-	if d := g.BoundedBellmanFord(0, 1).Dist[4]; d != 10 {
+	if d := BoundedBellmanFord(FromGraph(g), 0, 1).Dist[4]; d != 10 {
 		t.Fatalf("t=1: Dist[4]=%v want 10", d)
 	}
-	if d := g.BoundedBellmanFord(0, 4).Dist[4]; d != 4 {
+	if d := BoundedBellmanFord(FromGraph(g), 0, 4).Dist[4]; d != 4 {
 		t.Fatalf("t=4: Dist[4]=%v want 4", d)
 	}
-	if d := g.BoundedBellmanFord(0, 2).Dist[4]; d != 10 {
+	if d := BoundedBellmanFord(FromGraph(g), 0, 2).Dist[4]; d != 10 {
 		t.Fatalf("t=2: Dist[4]=%v want 10", d)
 	}
 }
@@ -200,8 +194,8 @@ func TestBoundedBellmanFordRespectsHopBound(t *testing.T) {
 func TestBoundedBellmanFordMatchesDijkstraWhenUnbounded(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := ErdosRenyi(80, 0.08, IntegerWeights(20), r)
-	exact := g.Dijkstra(3)
-	bf := g.BoundedBellmanFord(3, g.N())
+	exact := Dijkstra(FromGraph(g), 3)
+	bf := BoundedBellmanFord(FromGraph(g), 3, g.N())
 	for v := 0; v < g.N(); v++ {
 		if bf.Dist[v] != exact.Dist[v] {
 			t.Fatalf("vertex %d: BF=%v Dijkstra=%v", v, bf.Dist[v], exact.Dist[v])
@@ -211,7 +205,7 @@ func TestBoundedBellmanFordMatchesDijkstraWhenUnbounded(t *testing.T) {
 
 func TestBoundedBellmanFordMulti(t *testing.T) {
 	g := Path(6, UnitWeights, rand.New(rand.NewSource(1)))
-	res := g.BoundedBellmanFordMulti([]int{0, 5}, []float64{0, 0.5}, 10)
+	res := BoundedBellmanFordMulti(FromGraph(g), []int{0, 5}, []float64{0, 0.5}, 10)
 	// Vertex 2 is 2 from source 0 and 3+0.5 from source 5.
 	if res.Dist[2] != 2 {
 		t.Fatalf("Dist[2]=%v want 2", res.Dist[2])
@@ -225,14 +219,14 @@ func TestBoundedBellmanFordMulti(t *testing.T) {
 func TestBFSAndHopDiameter(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := Grid(4, 5, UnitWeights, r)
-	d, err := g.HopDiameter()
+	d, err := HopDiameter(FromGraph(g))
 	if err != nil {
 		t.Fatalf("HopDiameter: %v", err)
 	}
 	if d != 4-1+5-1 {
 		t.Fatalf("grid diameter=%d want 7", d)
 	}
-	ub, err := g.HopRadiusUpperBound()
+	ub, err := HopRadiusUpperBound(FromGraph(g))
 	if err != nil {
 		t.Fatalf("HopRadiusUpperBound: %v", err)
 	}
@@ -245,10 +239,10 @@ func TestHopDiameterDisconnected(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(2, 3, 1)
-	if _, err := g.HopDiameter(); err == nil {
+	if _, err := HopDiameter(FromGraph(g)); err == nil {
 		t.Fatal("HopDiameter on disconnected graph should error")
 	}
-	if g.Connected() {
+	if Connected(FromGraph(g)) {
 		t.Fatal("Connected should be false")
 	}
 }
@@ -262,14 +256,14 @@ func TestShortestPathDiameter(t *testing.T) {
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(3, 4, 1)
 	g.MustAddEdge(4, 0, 100)
-	s, err := g.ShortestPathDiameter()
+	s, err := ShortestPathDiameter(FromGraph(g))
 	if err != nil {
 		t.Fatalf("ShortestPathDiameter: %v", err)
 	}
 	if s != 4 {
 		t.Fatalf("S=%d want 4", s)
 	}
-	d, _ := g.HopDiameter()
+	d, _ := HopDiameter(FromGraph(g))
 	if d != 2 {
 		t.Fatalf("D=%d want 2", d)
 	}
@@ -278,11 +272,11 @@ func TestShortestPathDiameter(t *testing.T) {
 func TestShortestPathDiameterAtLeastHopDiameter(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := ErdosRenyi(60, 0.1, IntegerWeights(50), r)
-	s, err := g.ShortestPathDiameter()
+	s, err := ShortestPathDiameter(FromGraph(g))
 	if err != nil {
 		t.Fatalf("S: %v", err)
 	}
-	d, err := g.HopDiameter()
+	d, err := HopDiameter(FromGraph(g))
 	if err != nil {
 		t.Fatalf("D: %v", err)
 	}
@@ -294,7 +288,7 @@ func TestShortestPathDiameterAtLeastHopDiameter(t *testing.T) {
 func TestAllPairsSymmetric(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := ErdosRenyi(40, 0.15, IntegerWeights(9), r)
-	ap := g.AllPairs()
+	ap := AllPairs(FromGraph(g))
 	for u := 0; u < g.N(); u++ {
 		if ap[u][u] != 0 {
 			t.Fatalf("d(%d,%d)=%v", u, u, ap[u][u])

@@ -12,7 +12,7 @@ func TestTreeDistHopsProperty(t *testing.T) {
 		n := int(sz%120) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(g, 0, "bfs", r)
+		tr, err := SpanningTree(FromGraph(g), 0, "bfs", r)
 		if err != nil {
 			return false
 		}
@@ -49,20 +49,21 @@ func TestDijkstraInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%80) + 5
 		r := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(n, 0.1, IntegerWeights(20), r)
-		res := g.Dijkstra(0)
+		c := FromGraph(ErdosRenyi(n, 0.1, IntegerWeights(20), r))
+		res := Dijkstra(c, 0)
 		for v := 0; v < n; v++ {
 			if res.Dist[v] == Infinity {
 				continue
 			}
 			if p := res.Parent[v]; p != NoVertex {
-				w, ok := g.EdgeWeight(p, v)
+				w, ok := TopoEdgeWeight(c, p, v)
 				if !ok || res.Dist[p]+w != res.Dist[v] {
 					return false
 				}
 			}
-			for _, nb := range g.Neighbors(v) {
-				if res.Dist[nb.To] > res.Dist[v]+nb.Weight {
+			to, base := c.NeighborRange(v)
+			for i, u := range to {
+				if res.Dist[u] > res.Dist[v]+c.ArcWeight(base+i) {
 					return false
 				}
 			}
@@ -80,11 +81,11 @@ func TestBoundedBFMonotoneProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%60) + 5
 		r := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(n, 0.12, IntegerWeights(9), r)
-		exact := g.Dijkstra(0)
-		prev := g.BoundedBellmanFord(0, 1)
+		c := FromGraph(ErdosRenyi(n, 0.12, IntegerWeights(9), r))
+		exact := Dijkstra(c, 0)
+		prev := BoundedBellmanFord(c, 0, 1)
 		for t := 2; t <= 8; t++ {
-			cur := g.BoundedBellmanFord(0, t)
+			cur := BoundedBellmanFord(c, 0, t)
 			for v := 0; v < n; v++ {
 				if cur.Dist[v] > prev.Dist[v] {
 					return false
@@ -104,16 +105,16 @@ func TestBoundedBFMonotoneProperty(t *testing.T) {
 
 func TestPathToReconstructsWeights(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	g := ErdosRenyi(70, 0.1, IntegerWeights(15), r)
-	res := g.Dijkstra(3)
-	for v := 0; v < g.N(); v++ {
+	c := FromGraph(ErdosRenyi(70, 0.1, IntegerWeights(15), r))
+	res := Dijkstra(c, 3)
+	for v := 0; v < c.N(); v++ {
 		path := res.PathTo(v)
 		if path == nil {
 			continue
 		}
 		var w float64
 		for i := 1; i < len(path); i++ {
-			ew, ok := g.EdgeWeight(path[i-1], path[i])
+			ew, ok := TopoEdgeWeight(c, path[i-1], path[i])
 			if !ok {
 				t.Fatalf("path hop {%d,%d} missing", path[i-1], path[i])
 			}
@@ -128,7 +129,7 @@ func TestPathToReconstructsWeights(t *testing.T) {
 func TestHopsFieldCountsEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	g := ErdosRenyi(60, 0.1, IntegerWeights(5), r)
-	res := g.Dijkstra(0)
+	res := Dijkstra(FromGraph(g), 0)
 	for v := 0; v < g.N(); v++ {
 		path := res.PathTo(v)
 		if path == nil {

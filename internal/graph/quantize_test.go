@@ -24,8 +24,8 @@ func TestQuantizeWeightsDistortionBound(t *testing.T) {
 		}
 	}
 	// Whole-metric distortion in [1, 1+eps].
-	exact := g.Dijkstra(0)
-	quant := q.Dijkstra(0)
+	exact := Dijkstra(FromGraph(g), 0)
+	quant := Dijkstra(FromGraph(q), 0)
 	for v := 0; v < g.N(); v++ {
 		if exact.Dist[v] == Infinity {
 			continue

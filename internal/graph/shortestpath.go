@@ -12,9 +12,9 @@ type SSSPResult struct {
 	Hops []int
 }
 
-// Dijkstra computes exact single-source shortest paths from src.
-func (g *Graph) Dijkstra(src int) *SSSPResult {
-	n := g.N()
+// Dijkstra computes exact single-source shortest paths from src in t.
+func Dijkstra(t Topology, src int) *SSSPResult {
+	n := t.N()
 	res := &SSSPResult{
 		Source: src,
 		Dist:   make([]float64, n),
@@ -37,13 +37,15 @@ func (g *Graph) Dijkstra(src int) *SSSPResult {
 			continue
 		}
 		done[u] = true
-		for _, nb := range g.adj[u] {
-			alt := du + nb.Weight
-			if alt < res.Dist[nb.To] {
-				res.Dist[nb.To] = alt
-				res.Parent[nb.To] = u
-				res.Hops[nb.To] = res.Hops[u] + 1
-				h.PushOrDecrease(nb.To, alt)
+		to, base := t.NeighborRange(u)
+		for i, x := range to {
+			v := int(x)
+			alt := du + t.ArcWeight(base+i)
+			if alt < res.Dist[v] {
+				res.Dist[v] = alt
+				res.Parent[v] = u
+				res.Hops[v] = res.Hops[u] + 1
+				h.PushOrDecrease(v, alt)
 			}
 		}
 	}
@@ -66,19 +68,19 @@ func (r *SSSPResult) PathTo(v int) []int {
 	return rev
 }
 
-// BoundedBellmanFord computes t-bounded distances d^(t)(src, ·): the length
-// of the shortest path using at most t edges. It runs t synchronous
-// relaxation rounds; unreachable-within-t vertices get Infinity.
-func (g *Graph) BoundedBellmanFord(src, t int) *SSSPResult {
-	return g.BoundedBellmanFordMulti([]int{src}, nil, t)
+// BoundedBellmanFord computes h-bounded distances d^(h)(src, ·) in t: the
+// length of the shortest path using at most h edges. It runs h synchronous
+// relaxation rounds; unreachable-within-h vertices get Infinity.
+func BoundedBellmanFord(t Topology, src, h int) *SSSPResult {
+	return BoundedBellmanFordMulti(t, []int{src}, nil, h)
 }
 
-// BoundedBellmanFordMulti runs t rounds of synchronous Bellman-Ford from a
-// set of sources. inits, when non-nil, gives each source an initial distance
+// BoundedBellmanFordMulti runs h rounds of synchronous Bellman-Ford in t
+// from a set of sources. inits, when non-nil, gives each source an initial distance
 // offset (same length as sources); otherwise sources start at 0. The Source
 // field of the result is NoVertex when len(sources) != 1.
-func (g *Graph) BoundedBellmanFordMulti(sources []int, inits []float64, t int) *SSSPResult {
-	n := g.N()
+func BoundedBellmanFordMulti(t Topology, sources []int, inits []float64, h int) *SSSPResult {
+	n := t.N()
 	res := &SSSPResult{
 		Source: NoVertex,
 		Dist:   make([]float64, n),
@@ -109,21 +111,23 @@ func (g *Graph) BoundedBellmanFordMulti(sources []int, inits []float64, t int) *
 	for _, s := range frontier {
 		inFrontier[s] = true
 	}
-	for round := 0; round < t && len(frontier) > 0; round++ {
+	for round := 0; round < h && len(frontier) > 0; round++ {
 		var next []int
 		inNext := make([]bool, n)
 		for _, u := range frontier {
 			inFrontier[u] = false
 			du := res.Dist[u]
-			for _, nb := range g.adj[u] {
-				alt := du + nb.Weight
-				if alt < res.Dist[nb.To] {
-					res.Dist[nb.To] = alt
-					res.Parent[nb.To] = u
-					res.Hops[nb.To] = res.Hops[u] + 1
-					if !inNext[nb.To] {
-						inNext[nb.To] = true
-						next = append(next, nb.To)
+			to, base := t.NeighborRange(u)
+			for i, x := range to {
+				v := int(x)
+				alt := du + t.ArcWeight(base+i)
+				if alt < res.Dist[v] {
+					res.Dist[v] = alt
+					res.Parent[v] = u
+					res.Hops[v] = res.Hops[u] + 1
+					if !inNext[v] {
+						inNext[v] = true
+						next = append(next, v)
 					}
 				}
 			}
@@ -135,11 +139,11 @@ func (g *Graph) BoundedBellmanFordMulti(sources []int, inits []float64, t int) *
 
 // AllPairs computes exact all-pairs shortest path distances with n Dijkstra
 // runs. Intended for evaluation on moderate n (quadratic memory).
-func (g *Graph) AllPairs() [][]float64 {
-	n := g.N()
+func AllPairs(t Topology) [][]float64 {
+	n := t.N()
 	out := make([][]float64, n)
 	for s := 0; s < n; s++ {
-		out[s] = g.Dijkstra(s).Dist
+		out[s] = Dijkstra(t, s).Dist
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // core drives both the slice-based *Graph constructors (emit =
 // MustAddEdge) and the compact *CSR builders (emit = CSRBuilder.AddEdge)
 // with bit-identical output — same edge order, same weights, same RNG
-// consumption. The CSR paths never materialise [][]Neighbor or any other
+// consumption. The CSR paths never materialise adjacency lists or any other
 // per-vertex slice state: transient memory is the builder's flat edge
 // arrays plus O(n) generator scratch.
 

@@ -1,12 +1,12 @@
 package graph
 
-// Topology is the narrow read-only adjacency surface consumed by the
-// simulator and the construction phases (congest, hopset, core, treeroute).
-// It abstracts over the mutable pointer-based *Graph (bridged through
-// FromGraph) and the compact immutable *CSR, so the whole stack can run on
-// either substrate: small-n paths and seed tests keep using *Graph, while
-// the million-vertex scale harness hands the simulator a CSR directly and
-// never materialises [][]Neighbor at all.
+// Topology is the narrow read-only adjacency surface every algorithm reads:
+// the simulator and the construction phases (congest, hopset, core,
+// treeroute) as well as the centralized oracles (shortest paths, spanning
+// trees, the TZ reference, stretch measurement, virtual graphs). Its one
+// implementation is the compact immutable *CSR, frozen from a *Graph
+// builder by FromGraph or streamed by GenerateCSR; the million-vertex scale
+// harness never materialises a *Graph at all.
 //
 // Directed arcs are numbered globally: vertex u's incident arcs occupy the
 // contiguous id range [base, base+Degree(u)) returned by NeighborRange, in
@@ -14,7 +14,7 @@ package graph
 // handler observes, which the determinism gates pin). ArcWeight(a) returns
 // the weight of arc a. The returned neighbor slice is owned by the topology
 // and MUST NOT be mutated or retained beyond the caller's own lifetime:
-// handler code reads it in place, exactly like Graph.Neighbors.
+// handler code reads it in place.
 type Topology interface {
 	// N returns the number of vertices.
 	N() int
@@ -30,7 +30,7 @@ type Topology interface {
 }
 
 // TopoEdgeWeight returns the weight of the lightest edge {u,v} of t and
-// whether one exists — Graph.EdgeWeight over the accessor surface.
+// whether one exists.
 func TopoEdgeWeight(t Topology, u, v int) (float64, bool) {
 	if u < 0 || u >= t.N() {
 		return 0, false
@@ -61,37 +61,24 @@ func TopoHasEdge(t Topology, u, v int) bool {
 	return false
 }
 
-// TopoHopRadiusUpperBound returns 2·ecc(0), the same cheap hop-diameter
-// bound as Graph.HopRadiusUpperBound, computed over the accessor surface.
-// Returns ErrDisconnected for disconnected topologies.
-func TopoHopRadiusUpperBound(t Topology) (int, error) {
-	n := t.N()
-	if n == 0 {
-		return 0, nil
-	}
-	hops := make([]int32, n)
-	for i := range hops {
-		hops[i] = -1
-	}
-	hops[0] = 0
-	queue := make([]int32, 1, n)
-	queue[0] = 0
-	ecc := int32(0)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		to, _ := t.NeighborRange(int(u))
-		for _, v := range to {
-			if hops[v] == -1 {
-				hops[v] = hops[u] + 1
-				if hops[v] > ecc {
-					ecc = hops[v]
-				}
-				queue = append(queue, v)
+// AspectRatio returns Λ, the ratio of the largest to the smallest edge
+// weight of t, or 1 for an edgeless topology.
+func AspectRatio(t Topology) float64 {
+	mn, mx := 0.0, 0.0
+	for u := 0; u < t.N(); u++ {
+		to, base := t.NeighborRange(u)
+		for i := range to {
+			w := t.ArcWeight(base + i)
+			if mn == 0 || w < mn {
+				mn = w
+			}
+			if w > mx {
+				mx = w
 			}
 		}
 	}
-	if len(queue) != n {
-		return 0, ErrDisconnected
+	if mn <= 0 {
+		return 1
 	}
-	return 2 * int(ecc), nil
+	return mx / mn
 }

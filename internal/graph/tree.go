@@ -442,18 +442,22 @@ func (t *Tree) TreeDistHops(u, v int) int {
 	return hops
 }
 
-// SpanningTree extracts a spanning tree of a connected graph. kind selects
-// the flavor: "bfs" (shallow), "sssp" (shortest-path tree, weighted), or
-// "dfs" (deep — worst case for naive tree algorithms, the regime the paper's
-// tree routing targets).
-func SpanningTree(g *Graph, root int, kind string, r *rand.Rand) (*Tree, error) {
+// SpanningTree extracts a spanning tree of a connected topology. kind
+// selects the flavor: "bfs" (shallow), "sssp" (shortest-path tree,
+// weighted), or "dfs" (deep — worst case for naive tree algorithms, the
+// regime the paper's tree routing targets). A root outside [0, N()) is an
+// error.
+func SpanningTree(t Topology, root int, kind string, r *rand.Rand) (*Tree, error) {
+	n := t.N()
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("graph: spanning tree root %d out of range [0,%d)", root, n)
+	}
 	switch kind {
 	case "bfs":
-		return TreeFromBFS(g.BFS(root))
+		return TreeFromBFS(BFS(t, root))
 	case "sssp":
-		return TreeFromSSSP(g.Dijkstra(root))
+		return TreeFromSSSP(Dijkstra(t, root))
 	case "dfs":
-		n := g.N()
 		parent := make([]int, n)
 		for i := range parent {
 			parent[i] = NoVertex
@@ -464,10 +468,10 @@ func SpanningTree(g *Graph, root int, kind string, r *rand.Rand) (*Tree, error) 
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			nbs := g.Neighbors(u)
-			order := r.Perm(len(nbs))
+			to, _ := t.NeighborRange(u)
+			order := r.Perm(len(to))
 			for _, i := range order {
-				v := nbs[i].To
+				v := int(to[i])
 				if !visited[v] {
 					visited[v] = true
 					parent[v] = u
@@ -484,27 +488,6 @@ func SpanningTree(g *Graph, root int, kind string, r *rand.Rand) (*Tree, error) 
 	default:
 		return nil, fmt.Errorf("graph: unknown spanning tree kind %q", kind)
 	}
-}
-
-// TreeWeights returns, for each member v other than the root, the weight of
-// the tree edge (v, parent(v)) looked up in the host graph g; missing edges
-// get weight 1 (trees built over virtual edges). The slice is indexed by
-// host vertex id — prefer the member-indexed UpWeights for anything kept
-// alive per tree.
-func (t *Tree) TreeWeights(g *Graph) []float64 {
-	w := make([]float64, t.hostN)
-	for i, v32 := range t.verts {
-		v := int(v32)
-		if v == t.Root {
-			continue
-		}
-		if wt, ok := g.EdgeWeight(v, int(t.verts[t.parSlot[i]])); ok {
-			w[v] = wt
-		} else {
-			w[v] = 1
-		}
-	}
-	return w
 }
 
 // UpWeights returns, for each member slot i (addressed via MemberIndex),

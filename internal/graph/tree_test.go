@@ -155,7 +155,7 @@ func TestSpanningTreeKinds(t *testing.T) {
 	g := ErdosRenyi(80, 0.08, IntegerWeights(10), r)
 	for _, kind := range []string{"bfs", "sssp", "dfs"} {
 		t.Run(kind, func(t *testing.T) {
-			tr, err := SpanningTree(g, 0, kind, r)
+			tr, err := SpanningTree(FromGraph(g), 0, kind, r)
 			if err != nil {
 				t.Fatalf("SpanningTree: %v", err)
 			}
@@ -170,8 +170,15 @@ func TestSpanningTreeKinds(t *testing.T) {
 			}
 		})
 	}
-	if _, err := SpanningTree(g, 0, "bogus", r); err == nil {
+	if _, err := SpanningTree(FromGraph(g), 0, "bogus", r); err == nil {
 		t.Fatal("unknown kind should error")
+	}
+	for _, root := range []int{-1, g.N()} {
+		for _, kind := range []string{"bfs", "sssp", "dfs"} {
+			if _, err := SpanningTree(FromGraph(g), root, kind, r); err == nil {
+				t.Fatalf("%s spanning tree rooted at %d should error", kind, root)
+			}
+		}
 	}
 }
 
@@ -179,7 +186,7 @@ func TestSpanningTreeDisconnected(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(2, 3, 1)
-	if _, err := SpanningTree(g, 0, "dfs", rand.New(rand.NewSource(1))); err == nil {
+	if _, err := SpanningTree(FromGraph(g), 0, "dfs", rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("dfs spanning tree of disconnected graph should error")
 	}
 }
@@ -192,9 +199,9 @@ func TestTreeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tr.TreeWeights(g)
-	if w[1] != 5 || w[2] != 7 {
-		t.Fatalf("TreeWeights=%v", w)
+	w := tr.UpWeights(FromGraph(g))
+	if w[0] != 0 || w[1] != 5 || w[2] != 7 {
+		t.Fatalf("UpWeights=%v", w)
 	}
 }
 
@@ -205,7 +212,7 @@ func TestLightEdgeBoundProperty(t *testing.T) {
 		n := int(sz%200) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(g, 0, "dfs", r)
+		tr, err := SpanningTree(FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -240,7 +247,7 @@ func TestSubtreeSizesProperty(t *testing.T) {
 		n := int(sz%150) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(g, 0, "bfs", r)
+		tr, err := SpanningTree(FromGraph(g), 0, "bfs", r)
 		if err != nil {
 			return false
 		}

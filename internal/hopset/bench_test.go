@@ -15,10 +15,11 @@ import (
 // goroutine-spawn noise.
 func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []Source) {
 	tb.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 200, rand.New(rand.NewSource(31)))
+	gen, err := graph.Generate(graph.FamilyErdosRenyi, 200, rand.New(rand.NewSource(31)))
 	if err != nil {
 		tb.Fatal(err)
 	}
+	g := graph.FromGraph(gen)
 	r := rand.New(rand.NewSource(32))
 	var members []int
 	for v := 0; v < g.N(); v++ {
@@ -30,7 +31,7 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(31), congest.WithWorkers(1))
+	sim := congest.NewTopo(g, congest.WithSeed(31), congest.WithWorkers(1))
 	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: 33})
 	if err != nil {
 		tb.Fatal(err)

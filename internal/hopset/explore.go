@@ -262,9 +262,9 @@ func (e *Explorer) forward(v int, st *RootEntry, ctx *congest.Ctx) {
 	if e.limit != nil && !e.limit(v, st.Root, st.Dist) {
 		return
 	}
-	// Iterate the compact topology surface: same neighbor order as
-	// Graph.Neighbors, so the message stream is byte-identical on either
-	// substrate.
+	// Iterate the compact topology surface in adjacency order (the order
+	// edges were added): the message stream's determinism relies on that
+	// order, on a frozen builder and a streamed CSR alike.
 	to, base := e.topo.NeighborRange(v)
 	for i, nb := range to {
 		ctx.Send(int(nb), congest.Payload{

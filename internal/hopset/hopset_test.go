@@ -9,16 +9,16 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-func testGraph(t *testing.T, n int, seed int64) *graph.Graph {
+func testGraph(t *testing.T, n int, seed int64) *graph.CSR {
 	t.Helper()
 	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return graph.FromGraph(g)
 }
 
-func sampleMembers(g *graph.Graph, frac float64, r *rand.Rand) []int {
+func sampleMembers(g graph.Topology, frac float64, r *rand.Rand) []int {
 	var ms []int
 	for v := 0; v < g.N(); v++ {
 		if r.Float64() < frac {
@@ -69,17 +69,18 @@ func TestMaterializeMatchesBoundedDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, toVirt := vg.Materialize()
+	built, toVirt := vg.Materialize()
+	gp := graph.FromGraph(built)
 	if gp.N() != vg.M() {
 		t.Fatalf("materialized N=%d want %d", gp.N(), vg.M())
 	}
 	for _, u := range vg.Members() {
-		bb := g.BoundedBellmanFord(u, 3)
+		bb := graph.BoundedBellmanFord(g, u, 3)
 		for _, w := range vg.Members() {
 			if u >= w {
 				continue
 			}
-			got, ok := gp.EdgeWeight(toVirt[u], toVirt[w])
+			got, ok := graph.TopoEdgeWeight(gp, toVirt[u], toVirt[w])
 			if bb.Dist[w] == graph.Infinity {
 				if ok {
 					t.Fatalf("edge {%d,%d} should not exist", u, w)
@@ -107,7 +108,7 @@ func TestExactDistancesAreMetricOverVirtual(t *testing.T) {
 			t.Fatalf("d(%d,%d)=%v", s, s, dist[s])
 		}
 		// Virtual distances dominate host distances.
-		exact := g.Dijkstra(s)
+		exact := graph.Dijkstra(g, s)
 		for _, w := range ms {
 			if dist[w] != graph.Infinity && dist[w] < exact.Dist[w] {
 				t.Fatalf("d_G'(%d,%d)=%v below d_G=%v", s, w, dist[w], exact.Dist[w])
@@ -118,18 +119,18 @@ func TestExactDistancesAreMetricOverVirtual(t *testing.T) {
 
 func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 	g := testGraph(t, 80, 6)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := g.BoundedBellmanFord(0, 4)
+	ref := graph.BoundedBellmanFord(g, 0, 4)
 	for v := 0; v < g.N(); v++ {
 		got := res.Dist(v, 0)
 		// The Pareto-merged exploration may find shorter-than-B-bounded
 		// genuine paths but never below the true distance nor above the
 		// strict B-bounded distance.
-		exact := g.Dijkstra(0).Dist[v]
+		exact := graph.Dijkstra(g, 0).Dist[v]
 		if got > ref.Dist[v] {
 			t.Fatalf("v=%d: explore %v above bounded BF %v", v, got, ref.Dist[v])
 		}
@@ -141,12 +142,12 @@ func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 
 func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 80, 7)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	res, err := Explore(sim, []Source{{Root: 5, At: 5, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := g.Dijkstra(5)
+	exact := graph.Dijkstra(g, 5)
 	for v := 0; v < g.N(); v++ {
 		if got := res.Dist(v, 5); got != exact.Dist[v] {
 			t.Fatalf("v=%d: %v want %v", v, got, exact.Dist[v])
@@ -156,7 +157,7 @@ func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 
 func TestExploreParentChainsAreConsistent(t *testing.T) {
 	g := testGraph(t, 60, 8)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	res, err := Explore(sim, []Source{{Root: 3, At: 3, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +172,7 @@ func TestExploreParentChainsAreConsistent(t *testing.T) {
 		}
 		var w float64
 		for i := 1; i < len(path); i++ {
-			ew, ok := g.EdgeWeight(path[i-1], path[i])
+			ew, ok := graph.TopoEdgeWeight(g, path[i-1], path[i])
 			if !ok {
 				t.Fatalf("path hop {%d,%d} not an edge", path[i-1], path[i])
 			}
@@ -185,7 +186,7 @@ func TestExploreParentChainsAreConsistent(t *testing.T) {
 
 func TestExploreMultiRootIndependence(t *testing.T) {
 	g := testGraph(t, 60, 9)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	srcs := []Source{
 		{Root: 0, At: 0, Dist: 0},
 		{Root: 10, At: 10, Dist: 0},
@@ -196,7 +197,7 @@ func TestExploreMultiRootIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range srcs {
-		exact := g.Dijkstra(s.Root)
+		exact := graph.Dijkstra(g, s.Root)
 		for v := 0; v < g.N(); v++ {
 			if got := res.Dist(v, s.Root); got != exact.Dist[v] {
 				t.Fatalf("root %d, v=%d: %v want %v", s.Root, v, got, exact.Dist[v])
@@ -210,8 +211,8 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 	// and forward; the vertex at distance 3 receives the message but drops
 	// it (no storage, no forwarding - the TZ cluster boundary), so nothing
 	// beyond distance 2 holds an entry.
-	g := graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	sim := congest.NewTopo(graph.FromGraph(g))
+	g := graph.FromGraph(graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1))))
+	sim := congest.NewTopo(g)
 	limit := func(v, root int, d float64) bool { return d < 3 }
 	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 100, Limit: limit})
 	if err != nil {
@@ -229,8 +230,8 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 }
 
 func TestExploreChargesEntryMemory(t *testing.T) {
-	g := graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	sim := congest.NewTopo(graph.FromGraph(g))
+	g := graph.FromGraph(graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1))))
+	sim := congest.NewTopo(g)
 	if _, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestExploreChargesEntryMemory(t *testing.T) {
 
 func TestExploreErrors(t *testing.T) {
 	g := testGraph(t, 10, 1)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	if _, err := Explore(sim, nil, ExploreOptions{Hops: 0}); err == nil {
 		t.Fatal("hops 0 should error")
 	}
@@ -254,13 +255,13 @@ func TestExploreErrors(t *testing.T) {
 
 func TestDistToSet(t *testing.T) {
 	g := testGraph(t, 70, 11)
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	seeds := []int{0, 33, 66}
 	dist, parent, origin, err := DistToSet(sim, seeds, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := g.BoundedBellmanFordMulti(seeds, nil, g.N())
+	want := graph.BoundedBellmanFordMulti(g, seeds, nil, g.N())
 	for v := 0; v < g.N(); v++ {
 		if dist[v] != want.Dist[v] {
 			t.Fatalf("v=%d: %v want %v", v, dist[v], want.Dist[v])
@@ -277,7 +278,7 @@ func TestDistToSet(t *testing.T) {
 		if o != 0 && o != 33 && o != 66 {
 			t.Fatalf("v=%d origin %d not a seed", v, o)
 		}
-		if d := g.Dijkstra(o).Dist[v]; dist[v] < d {
+		if d := graph.Dijkstra(g, o).Dist[v]; dist[v] < d {
 			t.Fatalf("v=%d: dist %v below d(origin) %v", v, dist[v], d)
 		}
 	}
@@ -285,7 +286,7 @@ func TestDistToSet(t *testing.T) {
 
 func TestDistToSetEmpty(t *testing.T) {
 	g := testGraph(t, 10, 1)
-	dist, _, _, err := DistToSet(congest.NewTopo(graph.FromGraph(g)), nil, 5)
+	dist, _, _, err := DistToSet(congest.NewTopo(g), nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestDistToSetEmpty(t *testing.T) {
 	}
 }
 
-func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.Graph, *VirtualGraph, *Hopset, *congest.Simulator) {
+func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.CSR, *VirtualGraph, *Hopset, *congest.Simulator) {
 	t.Helper()
 	g := testGraph(t, n, seed)
 	r := rand.New(rand.NewSource(seed + 1))
@@ -304,7 +305,7 @@ func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.Graph, *Vir
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
+	sim := congest.NewTopo(g, congest.WithSeed(seed))
 	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +316,7 @@ func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.Graph, *Vir
 func TestHopsetEdgesAreValidDistances(t *testing.T) {
 	g, _, hs, _ := buildTestHopset(t, 100, 4, 13)
 	for _, e := range hs.Edges() {
-		exact := g.Dijkstra(e.From).Dist[e.To]
+		exact := graph.Dijkstra(g, e.From).Dist[e.To]
 		if e.Weight < exact {
 			t.Fatalf("hopset edge (%d,%d) weight %v below exact %v", e.From, e.To, e.Weight, exact)
 		}
@@ -334,7 +335,7 @@ func TestHopsetPathRecovery(t *testing.T) {
 		}
 		var w float64
 		for i := 1; i < len(path); i++ {
-			ew, ok := g.EdgeWeight(path[i-1], path[i])
+			ew, ok := graph.TopoEdgeWeight(g, path[i-1], path[i])
 			if !ok {
 				t.Fatalf("edge (%d,%d): recovery hop {%d,%d} not a graph edge",
 					e.From, e.To, path[i-1], path[i])
@@ -358,7 +359,7 @@ func TestHopsetAcceleratesBF(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactVirt := vg.ExactDistances([]int{vg.Members()[0]})[vg.Members()[0]]
-	exactHost := g.Dijkstra(vg.Members()[0])
+	exactHost := graph.Dijkstra(g, vg.Members()[0])
 	for _, w := range vg.Members() {
 		if res.Dist[w] == graph.Infinity {
 			t.Fatalf("virtual vertex %d unreached", w)
@@ -398,7 +399,7 @@ func TestHopsetArboricityShrinksWithKappa(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g))
+		sim := congest.NewTopo(g)
 		hs, err := Build(sim, vg, Options{Kappa: kappa, Seed: 19})
 		if err != nil {
 			t.Fatal(err)
@@ -418,7 +419,7 @@ func TestHopsetEmptyVirtualGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{})
+	hs, err := Build(congest.NewTopo(g), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,16 +434,17 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%60) + 20
 		r := rand.New(rand.NewSource(seed))
-		g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+		gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
 		if err != nil {
 			return false
 		}
+		g := graph.FromGraph(gen)
 		members := sampleMembers(g, 0.3, r)
 		vg, err := NewVirtualGraph(g, members, 3)
 		if err != nil {
 			return false
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
+		sim := congest.NewTopo(g, congest.WithSeed(seed))
 		hs, err := Build(sim, vg, Options{Kappa: 2, Seed: seed})
 		if err != nil {
 			return false
@@ -453,7 +455,7 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 			return false
 		}
 		exactVirt := vg.ExactDistances([]int{src})[src]
-		exactHost := g.Dijkstra(src)
+		exactHost := graph.Dijkstra(g, src)
 		for _, w := range members {
 			if res.Dist[w] < exactHost.Dist[w] || res.Dist[w] > exactVirt[w] {
 				return false

@@ -17,15 +17,7 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 	if m < 2 {
 		return 0, 0
 	}
-	gp, toVirt := vg.Materialize()
-	// Union graph on virtual indices: G' plus hopset edges.
-	union := gp.Clone()
-	for _, e := range hs.Edges() {
-		ui, wi := toVirt[e.From], toVirt[e.To]
-		if ui >= 0 && wi >= 0 && !union.HasEdge(ui, wi) {
-			union.MustAddEdge(ui, wi, e.Weight)
-		}
-	}
+	gp, union, toVirt := materializeUnion(vg, hs)
 
 	members := vg.Members()
 	type pair struct{ u, v int }
@@ -43,7 +35,7 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 		if p.u == p.v {
 			continue
 		}
-		exact := gp.Dijkstra(p.u).Dist[p.v]
+		exact := graph.Dijkstra(gp, p.u).Dist[p.v]
 		if exact == graph.Infinity {
 			continue
 		}
@@ -53,7 +45,7 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 		target := (1 + eps) * exact
 		t := 1
 		for t <= union.N() {
-			if union.BoundedBellmanFord(p.u, t).Dist[p.v] <= target {
+			if graph.BoundedBellmanFord(union, p.u, t).Dist[p.v] <= target {
 				break
 			}
 			t *= 2
@@ -61,7 +53,7 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 		lo, hi := t/2, t
 		for lo+1 < hi {
 			mid := (lo + hi) / 2
-			if union.BoundedBellmanFord(p.u, mid).Dist[p.v] <= target {
+			if graph.BoundedBellmanFord(union, p.u, mid).Dist[p.v] <= target {
 				hi = mid
 			} else {
 				lo = mid
@@ -84,14 +76,7 @@ func VerifyHopset(vg *VirtualGraph, hs *Hopset, eps float64, beta, pairs int, r 
 	if m < 2 {
 		return -1, -1
 	}
-	gp, toVirt := vg.Materialize()
-	union := gp.Clone()
-	for _, e := range hs.Edges() {
-		ui, wi := toVirt[e.From], toVirt[e.To]
-		if ui >= 0 && wi >= 0 && !union.HasEdge(ui, wi) {
-			union.MustAddEdge(ui, wi, e.Weight)
-		}
-	}
+	gp, union, toVirt := materializeUnion(vg, hs)
 	members := vg.Members()
 	for i := 0; i < pairs; i++ {
 		u, v := members[r.Intn(m)], members[r.Intn(m)]
@@ -99,15 +84,30 @@ func VerifyHopset(vg *VirtualGraph, hs *Hopset, eps float64, beta, pairs int, r 
 			continue
 		}
 		ui, vi := toVirt[u], toVirt[v]
-		exactVirt := gp.Dijkstra(ui).Dist[vi]
+		exactVirt := graph.Dijkstra(gp, ui).Dist[vi]
 		if exactVirt == graph.Infinity {
 			continue
 		}
-		exactHost := vg.Host().Dijkstra(u).Dist[v]
-		got := union.BoundedBellmanFord(ui, beta).Dist[vi]
+		exactHost := graph.Dijkstra(vg.Host(), u).Dist[v]
+		got := graph.BoundedBellmanFord(union, ui, beta).Dist[vi]
 		if got < exactHost-1e-9 || got > (1+eps)*exactVirt+1e-9 {
 			return u, v
 		}
 	}
 	return -1, -1
+}
+
+// materializeUnion materialises G' and the union G'∪H on virtual indices
+// (hopset edges parallel to a G' edge are dropped), both frozen, plus the
+// host-id-to-virtual-index map of Materialize.
+func materializeUnion(vg *VirtualGraph, hs *Hopset) (gp, union *graph.CSR, toVirt []int) {
+	g, toVirt := vg.Materialize()
+	u := g.Clone()
+	for _, e := range hs.Edges() {
+		ui, wi := toVirt[e.From], toVirt[e.To]
+		if ui >= 0 && wi >= 0 && !u.HasEdge(ui, wi) {
+			u.MustAddEdge(ui, wi, e.Weight)
+		}
+	}
+	return graph.FromGraph(g), graph.FromGraph(u), toVirt
 }

@@ -11,15 +11,16 @@ import (
 func buildSparseHopset(t *testing.T, family graph.Family, n, b, kappa int, seed int64) (*VirtualGraph, *Hopset) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	g, err := graph.Generate(family, n, r)
+	gen, err := graph.Generate(family, n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := graph.FromGraph(gen)
 	vg, err := NewVirtualGraph(g, sampleMembers(g, 0.3, r), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{Kappa: kappa, Seed: seed})
+	hs, err := Build(congest.NewTopo(g), vg, Options{Kappa: kappa, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMeasureHopboundBeatsPlainBF(t *testing.T) {
 	}
 }
 
-func mustVirtualForTest(t *testing.T, g *graph.Graph, members []int, b int) *VirtualGraph {
+func mustVirtualForTest(t *testing.T, g graph.Topology, members []int, b int) *VirtualGraph {
 	t.Helper()
 	vg, err := NewVirtualGraph(g, members, b)
 	if err != nil {
@@ -78,9 +79,9 @@ func TestVerifyHopsetDetectsTooSmallBeta(t *testing.T) {
 }
 
 func TestMeasureHopboundTinyGraph(t *testing.T) {
-	g := graph.New(1)
+	g := graph.FromGraph(graph.New(1))
 	vg := mustVirtualForTest(t, g, []int{0}, 2)
-	hs, err := Build(congest.NewTopo(graph.FromGraph(g)), vg, Options{})
+	hs, err := Build(congest.NewTopo(g), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

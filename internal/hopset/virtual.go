@@ -24,38 +24,25 @@ import (
 
 // VirtualGraph is a graph G' = (V', E') embedded in a host graph G: V' is a
 // subset of G's vertices and E' corresponds to B-bounded distances in G.
-// E' is never materialised; algorithms explore it through B-bounded
-// Bellman-Ford searches in G.
+// E' is never materialised by the distributed machinery; it explores E'
+// through B-bounded Bellman-Ford searches in G.
 type VirtualGraph struct {
-	host     *graph.Graph // nil for topology-backed virtual graphs
-	hostN    int
+	host     graph.Topology
 	members  []int
 	isMember []bool
 	b        int
 }
 
-// NewVirtualGraph creates the virtual graph over the given members with hop
-// bound b. Members must be valid host vertices; duplicates are removed.
-func NewVirtualGraph(host *graph.Graph, members []int, b int) (*VirtualGraph, error) {
-	vg, err := NewVirtualGraphN(host.N(), members, b)
-	if err != nil {
-		return nil, err
-	}
-	vg.host = host
-	return vg, nil
-}
-
-// NewVirtualGraphN is NewVirtualGraph for topology-backed builds: the
-// virtual graph records only the host size, never a *graph.Graph. The
-// distributed machinery (hopset construction, Bellman-Ford) needs nothing
-// more — only the centralized reference paths (Materialize, ExactDistances)
-// require a *graph.Graph host and panic on a host-less virtual graph.
-func NewVirtualGraphN(hostN int, members []int, b int) (*VirtualGraph, error) {
+// NewVirtualGraph creates the virtual graph over the given members of host
+// with hop bound b. Members must be valid host vertices; duplicates are
+// removed.
+func NewVirtualGraph(host graph.Topology, members []int, b int) (*VirtualGraph, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("hopset: hop bound %d < 1", b)
 	}
+	hostN := host.N()
 	vg := &VirtualGraph{
-		hostN:    hostN,
+		host:     host,
 		isMember: make([]bool, hostN),
 		b:        b,
 	}
@@ -72,12 +59,8 @@ func NewVirtualGraphN(hostN int, members []int, b int) (*VirtualGraph, error) {
 	return vg, nil
 }
 
-// Host returns the host graph, or nil for a virtual graph built with
-// NewVirtualGraphN (centralized reference paths only).
-func (vg *VirtualGraph) Host() *graph.Graph { return vg.host }
-
-// HostN returns the host graph's vertex count.
-func (vg *VirtualGraph) HostN() int { return vg.hostN }
+// Host returns the host topology.
+func (vg *VirtualGraph) Host() graph.Topology { return vg.host }
 
 // Members returns the virtual vertices in increasing order (owned by the
 // virtual graph).
@@ -101,7 +84,7 @@ func (vg *VirtualGraph) B() int { return vg.b }
 // blowup. Returns the explicit graph and the host-id-to-virtual-index map
 // (-1 for non-members).
 func (vg *VirtualGraph) Materialize() (*graph.Graph, []int) {
-	toVirt := make([]int, vg.hostN)
+	toVirt := make([]int, vg.host.N())
 	for i := range toVirt {
 		toVirt[i] = -1
 	}
@@ -110,7 +93,7 @@ func (vg *VirtualGraph) Materialize() (*graph.Graph, []int) {
 	}
 	gp := graph.New(len(vg.members))
 	for i, u := range vg.members {
-		bb := vg.host.BoundedBellmanFord(u, vg.b)
+		bb := graph.BoundedBellmanFord(vg.host, u, vg.b)
 		for j := i + 1; j < len(vg.members); j++ {
 			w := vg.members[j]
 			if bb.Dist[w] != graph.Infinity {
@@ -126,10 +109,11 @@ func (vg *VirtualGraph) Materialize() (*graph.Graph, []int) {
 // slice is indexed by host id; non-members hold Infinity.
 func (vg *VirtualGraph) ExactDistances(sources []int) map[int][]float64 {
 	gp, toVirt := vg.Materialize()
+	frozen := graph.FromGraph(gp)
 	out := make(map[int][]float64, len(sources))
 	for _, s := range sources {
-		res := gp.Dijkstra(toVirt[s])
-		dist := make([]float64, vg.hostN)
+		res := graph.Dijkstra(frozen, toVirt[s])
+		dist := make([]float64, vg.host.N())
 		for i := range dist {
 			dist[i] = graph.Infinity
 		}

@@ -96,7 +96,7 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	topo := graph.FromGraph(g)
 	var rows []SchemeRow
 	for _, name := range schemes {
-		row, err := runScheme(name, g, topo, cfg)
+		row, err := runScheme(name, topo, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("metrics: scheme %q: %w", name, err)
 		}
@@ -105,21 +105,21 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	return rows, nil
 }
 
-// runScheme builds and measures one Table 1 row; topo is the frozen
-// simulation substrate of g, shared by every row's simulator.
-func runScheme(name string, g *graph.Graph, topo *graph.CSR, cfg Table1Config) (SchemeRow, error) {
-	row := SchemeRow{Scheme: name, Family: cfg.Family, N: g.N(), K: cfg.K}
+// runScheme builds and measures one Table 1 row on topo, the frozen
+// instance shared by every row's simulator and stretch oracle.
+func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error) {
+	row := SchemeRow{Scheme: name, Family: cfg.Family, N: topo.N(), K: cfg.K}
 	r := rand.New(rand.NewSource(cfg.Seed + 7))
 	lat := lookupHist(cfg.Metrics)
 	switch name {
 	case "tz":
-		s, err := tz.Build(g, tz.Options{K: cfg.K, Seed: cfg.Seed})
+		s, err := tz.Build(topo, tz.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
 		}
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
 	case "lp15":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
@@ -129,22 +129,22 @@ func runScheme(name string, g *graph.Graph, topo *graph.CSR, cfg Table1Config) (
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
 	case "en16b":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
-		s, err := baseline.BuildEN16b(sim, g, baseline.Options{K: cfg.K, Seed: cfg.Seed})
+		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
 		}
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
 	case "paper":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 			congest.WithWorkers(cfg.Shards), congest.WithTrace(cfg.Trace), congest.WithFaults(cfg.Faults))
 		cfg.Trace.Attach(sim)
-		sp := cfg.Trace.Begin(fmt.Sprintf("paper[n=%d,k=%d]", g.N(), cfg.K))
+		sp := cfg.Trace.Begin(fmt.Sprintf("paper[n=%d,k=%d]", topo.N(), cfg.K))
 		s, err := core.Build(sim, core.Options{
 			K: cfg.K, Seed: cfg.Seed, Trace: cfg.Trace, Metrics: cfg.Metrics,
 		})
@@ -156,7 +156,7 @@ func runScheme(name string, g *graph.Graph, topo *graph.CSR, cfg Table1Config) (
 		row.Faults = sim.FaultCounters()
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
 	default:
 		return row, fmt.Errorf("unknown scheme %q", name)
 	}
@@ -228,11 +228,11 @@ func RunTable2(cfg Table2Config) ([]TreeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := graph.SpanningTree(g, 0, cfg.TreeKind, r)
+	topo := graph.FromGraph(g)
+	tree, err := graph.SpanningTree(topo, 0, cfg.TreeKind, r)
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	var rows []TreeRow
 	for _, name := range schemes {
 		row, err := runTreeScheme(name, topo, tree, cfg)

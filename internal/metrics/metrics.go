@@ -48,9 +48,9 @@ type StretchStats struct {
 }
 
 // MeasureStretch routes k sampled pairs and compares against exact
-// distances computed by Dijkstra on demand.
-func MeasureStretch(g *graph.Graph, router WeightedRouter, pairs int, r *rand.Rand) StretchStats {
-	return MeasureStretchObserved(g, router, pairs, r, nil)
+// distances in t computed by Dijkstra on demand.
+func MeasureStretch(t graph.Topology, router WeightedRouter, pairs int, r *rand.Rand) StretchStats {
+	return MeasureStretchObserved(t, router, pairs, r, nil)
 }
 
 // MeasureStretchObserved is MeasureStretch with per-lookup latency
@@ -59,9 +59,9 @@ func MeasureStretch(g *graph.Graph, router WeightedRouter, pairs int, r *rand.Ra
 // expose it as route_lookup_seconds). A nil histogram skips the clock
 // reads entirely, so the unobserved path measures nothing it didn't
 // before.
-func MeasureStretchObserved(g *graph.Graph, router WeightedRouter, pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
+func MeasureStretchObserved(t graph.Topology, router WeightedRouter, pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
 	var st StretchStats
-	n := g.N()
+	n := t.N()
 	if n < 2 {
 		return st
 	}
@@ -70,7 +70,7 @@ func MeasureStretchObserved(g *graph.Graph, router WeightedRouter, pairs int, r 
 		if d, ok := exactCache[u]; ok {
 			return d
 		}
-		d := g.Dijkstra(u).Dist
+		d := graph.Dijkstra(t, u).Dist
 		exactCache[u] = d
 		return d
 	}
@@ -113,14 +113,14 @@ func MeasureStretchObserved(g *graph.Graph, router WeightedRouter, pairs int, r 
 	return st
 }
 
-// StretchHistogram routes sampled pairs and buckets stretch values; bucket i
+// StretchHistogram routes sampled pairs of t and buckets stretch values; bucket i
 // covers [1 + i*width, 1 + (i+1)*width). Pairs the router fails on are
 // counted and skipped (like MeasureStretch) rather than aborting the whole
 // measurement; the failure count is returned alongside the histogram.
-func StretchHistogram(g *graph.Graph, router WeightedRouter, pairs, buckets int, width float64, r *rand.Rand) ([]int, int) {
+func StretchHistogram(t graph.Topology, router WeightedRouter, pairs, buckets int, width float64, r *rand.Rand) ([]int, int) {
 	hist := make([]int, buckets)
 	failures := 0
-	n := g.N()
+	n := t.N()
 	route := routeFunc(router)
 	var buf []int
 	for i := 0; i < pairs; i++ {
@@ -135,7 +135,7 @@ func StretchHistogram(g *graph.Graph, router WeightedRouter, pairs, buckets int,
 			failures++
 			continue
 		}
-		d := g.Dijkstra(u).Dist[v]
+		d := graph.Dijkstra(t, u).Dist[v]
 		if d <= 0 || d == graph.Infinity {
 			continue
 		}

@@ -41,7 +41,7 @@ func SweepMemoryVsK(family graph.Family, n int, ks []int, seed int64) ([]MemoryP
 			return nil, fmt.Errorf("metrics: memory sweep k=%d: %w", k, err)
 		}
 		simB := congest.NewTopo(topo, congest.WithSeed(seed))
-		if _, err := baseline.BuildEN16b(simB, g, baseline.Options{K: k, Seed: seed}); err != nil {
+		if _, err := baseline.BuildEN16b(simB, baseline.Options{K: k, Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: memory sweep baseline k=%d: %w", k, err)
 		}
 		out = append(out, MemoryPoint{
@@ -78,11 +78,12 @@ func SweepTreeRoundsVsN(family graph.Family, ns []int, seed int64) ([]RoundsPoin
 		if err != nil {
 			return nil, err
 		}
-		tree, err := graph.SpanningTree(g, 0, "dfs", r)
+		topo := graph.FromGraph(g)
+		tree, err := graph.SpanningTree(topo, 0, "dfs", r)
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
+		sim := congest.NewTopo(topo, congest.WithSeed(seed))
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree}, treeroute.DistOptions{Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: rounds sweep n=%d: %w", n, err)
 		}
@@ -121,7 +122,7 @@ func RunMultiTree(family graph.Family, n int, trees []int, seed int64) ([]MultiT
 	for _, s := range trees {
 		var ts []*graph.Tree
 		for j := 0; j < s; j++ {
-			tree, err := graph.SpanningTree(g, r.Intn(n), "sssp", r)
+			tree, err := graph.SpanningTree(topo, r.Intn(n), "sssp", r)
 			if err != nil {
 				return nil, err
 			}
@@ -174,8 +175,9 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 	if err != nil {
 		return nil, err
 	}
+	topo := graph.FromGraph(g)
 	var members []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < topo.N(); v++ {
 		if r.Float64() < frac {
 			members = append(members, v)
 		}
@@ -188,10 +190,9 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 	// acceleration is visible (with B near the diameter the virtual graph
 	// is almost complete and everything converges in one step).
 	b := 3
-	topo := graph.FromGraph(g)
 	var out []HopsetPoint
 	for _, kappa := range kappas {
-		vg, err := hopset.NewVirtualGraph(g, members, b)
+		vg, err := hopset.NewVirtualGraph(topo, members, b)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +207,11 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 			return nil, err
 		}
 		// Without the hopset: same machinery over an empty hopset.
-		empty, err := hopset.Build(congest.NewTopo(topo), mustVirtual(g, nil, b), hopset.Options{Kappa: kappa, Seed: seed})
+		none, err := hopset.NewVirtualGraph(topo, nil, b)
+		if err != nil {
+			return nil, err
+		}
+		empty, err := hopset.Build(congest.NewTopo(topo), none, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -226,12 +231,4 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		})
 	}
 	return out, nil
-}
-
-func mustVirtual(g *graph.Graph, members []int, b int) *hopset.VirtualGraph {
-	vg, err := hopset.NewVirtualGraph(g, members, b)
-	if err != nil {
-		panic(err) // unreachable: inputs validated by the caller
-	}
-	return vg
 }

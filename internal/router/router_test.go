@@ -15,7 +15,7 @@ func buildScheme(t *testing.T, n int, k int, seed int64) (*tz.Scheme, *graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func verifyBaselineExact(t *testing.T, s *BaselineScheme, tr *graph.Tree, pairs 
 func TestBaselineExactSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	g := graph.RandomTree(40, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestBaselineExactShapes(t *testing.T) {
 		graph.BalancedTree(80, 3, graph.UnitWeights, r),
 	}
 	for i, g := range shapes {
-		tr, err := graph.SpanningTree(g, 0, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestBaselineExactProperty(t *testing.T) {
 		n := int(sz%80) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(g, int(rootRaw)%n, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), int(rootRaw)%n, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestBaselineMemorySignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBaselineSizesVersusPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestBaselineHostMismatch(t *testing.T) {
 func TestBaselineRouteErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	g := graph.RandomTree(20, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}

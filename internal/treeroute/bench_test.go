@@ -20,7 +20,7 @@ func benchWorkload(tb testing.TB) (*congest.Simulator, []*graph.Tree) {
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 10, 20} {
-		tr, err := graph.SpanningTree(g, root, "bfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
 		if err != nil {
 			tb.Fatal(err)
 		}

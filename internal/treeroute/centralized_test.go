@@ -45,7 +45,7 @@ func TestCentralizedLabelBound(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 17, 100, 500} {
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(g, 0, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 	// A path is the worst case for naive schemes: only heavy edges.
 	r := rand.New(rand.NewSource(2))
 	g := graph.Path(60, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 func TestCentralizedStarTreeExact(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := graph.Star(40, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCentralizedExactProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
 		root := int(rootRaw) % n
-		tr, err := graph.SpanningTree(g, root, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -202,7 +202,7 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 		n := int(sz%100) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(g, 0, "bfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 		if err != nil {
 			return false
 		}

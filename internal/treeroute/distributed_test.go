@@ -58,7 +58,7 @@ func requireSchemesEqual(t *testing.T, dist, central *Scheme) {
 func TestDistributedMatchesCentralizedSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := graph.RandomTree(30, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDistributedMatchesCentralizedShapes(t *testing.T) {
 	}
 	for _, tt := range shapes {
 		t.Run(tt.name, func(t *testing.T) {
-			tr, err := graph.SpanningTree(tt.g, 0, "dfs", r)
+			tr, err := graph.SpanningTree(graph.FromGraph(tt.g), 0, "dfs", r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestDistributedTreeOnGeneralGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 5, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 5, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDistributedSubsetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs := g.BFS(0)
+	bfs := graph.BFS(graph.FromGraph(g), 0)
 	parent := make([]int, g.N())
 	for i := range parent {
 		parent[i] = graph.NoVertex
@@ -164,7 +164,7 @@ func TestDistributedSubsetTree(t *testing.T) {
 func TestDistributedQExtremes(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	g := graph.RandomTree(50, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDistributedMatchesCentralizedProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
 		root := int(rootRaw) % n
-		tr, err := graph.SpanningTree(g, root, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -225,7 +225,7 @@ func TestDistributedMemoryIsLogarithmic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(g, 0, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := graph.SpanningTree(g, 0, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestDistributedMultiTree(t *testing.T) {
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 17, 42, 99} {
-		tr, err := graph.SpanningTree(g, root, "sssp", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "sssp", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestDistributedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func buildFaulty(t *testing.T, g *graph.Graph, tr *graph.Tree, opts DistOptions,
 func TestDistributedUnderLinkFaults(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	g := graph.RandomTree(60, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "bfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDistributedDuplicateStorm(t *testing.T) {
 		{"caterpillar", graph.Caterpillar(12, 36, graph.UnitWeights, r)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			tr, err := graph.SpanningTree(tt.g, 0, "dfs", r)
+			tr, err := graph.SpanningTree(graph.FromGraph(tt.g), 0, "dfs", r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestDistributedDuplicateStorm(t *testing.T) {
 func TestDistributedFaultCostAboveClean(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := graph.RandomTree(50, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 7, 19} {
-		tr, err := graph.SpanningTree(g, root, "bfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestDistributedLossyBudgetErrors(t *testing.T) {
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 7, 19} {
-		tr, err := graph.SpanningTree(g, root, "bfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}

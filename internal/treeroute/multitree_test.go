@@ -14,7 +14,7 @@ func makeTrees(t *testing.T, g *graph.Graph, roots []int, kind string, seed int6
 	r := rand.New(rand.NewSource(seed))
 	var trees []*graph.Tree
 	for _, root := range roots {
-		tr, err := graph.SpanningTree(g, root, kind, r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), root, kind, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestMultiTreeDuplicateTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPortalCountTracksQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(g, 0, "dfs", r)
+	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLabelWordsLogarithmic(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, n := range []int{128, 512, 2048} {
 		g := graph.Caterpillar(n/4, 3*n/4, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(g, 0, "dfs", r)
+		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}

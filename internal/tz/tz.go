@@ -36,9 +36,9 @@ type Scheme struct {
 	Levels [][]int // Levels[i] = A_i
 }
 
-// Build constructs the scheme centrally.
-func Build(g *graph.Graph, opts Options) (*Scheme, error) {
-	n := g.N()
+// Build constructs the scheme centrally over the topology t.
+func Build(t graph.Topology, opts Options) (*Scheme, error) {
+	n := t.N()
 	k := opts.K
 	if k < 1 {
 		return nil, fmt.Errorf("tz: k=%d < 1", k)
@@ -90,7 +90,7 @@ func Build(g *graph.Graph, opts Options) (*Scheme, error) {
 	pivotDist := make([][]float64, k+1)
 	pivot := make([][]int, k)
 	for i := 0; i < k; i++ {
-		res := g.BoundedBellmanFordMulti(levels[i], nil, n)
+		res := graph.BoundedBellmanFordMulti(t, levels[i], nil, n)
 		pivotDist[i] = res.Dist
 		piv := make([]int, n)
 		for v := 0; v < n; v++ {
@@ -105,21 +105,20 @@ func Build(g *graph.Graph, opts Options) (*Scheme, error) {
 	}
 
 	s := &Scheme{Scheme: clusterroute.New(k, n), Levels: levels}
-	topo := graph.FromGraph(g)
 	treeSchemes := make(map[int]*treeroute.Scheme)
 	for i := 0; i < k; i++ {
 		for _, w := range levels[i] {
 			if levelOf[w] != i {
 				continue // clusters are built once, at the top level
 			}
-			dist, parent := prunedDijkstra(g, w, pivotDist[i+1])
+			dist, parent := prunedDijkstra(t, w, pivotDist[i+1])
 			tree, err := clusterTree(w, dist, parent, n)
 			if err != nil {
 				return nil, fmt.Errorf("tz: cluster of %d: %w", w, err)
 			}
 			ts := treeroute.BuildCentralized(tree)
 			treeSchemes[w] = ts
-			s.AddTree(w, tree, topo, ts)
+			s.AddTree(w, tree, t, ts)
 		}
 	}
 
@@ -152,8 +151,8 @@ func nearestSeed(res *graph.SSSPResult, v int) int {
 
 // prunedDijkstra grows the Thorup-Zwick cluster of w: vertex v is expanded
 // only while d(w,v) < bound(v) (the next-level pivot distance at v).
-func prunedDijkstra(g *graph.Graph, w int, bound []float64) (dist []float64, parent []int) {
-	n := g.N()
+func prunedDijkstra(t graph.Topology, w int, bound []float64) (dist []float64, parent []int) {
+	n := t.N()
 	dist = make([]float64, n)
 	parent = make([]int, n)
 	for i := range dist {
@@ -177,11 +176,13 @@ func prunedDijkstra(g *graph.Graph, w int, bound []float64) (dist []float64, par
 			parent[u] = graph.NoVertex
 			continue
 		}
-		for _, nb := range g.Neighbors(u) {
-			if alt := du + nb.Weight; alt < dist[nb.To] && !done[nb.To] {
-				dist[nb.To] = alt
-				parent[nb.To] = u
-				h.pushOrDecrease(nb.To, alt)
+		to, base := t.NeighborRange(u)
+		for i, x := range to {
+			v := int(x)
+			if alt := du + t.ArcWeight(base+i); alt < dist[v] && !done[v] {
+				dist[v] = alt
+				parent[v] = u
+				h.pushOrDecrease(v, alt)
 			}
 		}
 	}

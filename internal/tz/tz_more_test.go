@@ -26,12 +26,12 @@ func TestHugeAspectRatio(t *testing.T) {
 	// Weights spanning 6 orders of magnitude: routing must stay within
 	// the stretch bound (no Λ-dependence in correctness).
 	r := rand.New(rand.NewSource(104))
-	g := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e6), r)
+	g := graph.FromGraph(graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e6), r))
 	s, err := Build(g, Options{K: 2, Seed: 105})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	for trial := 0; trial < 100; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
 		if u == v {
@@ -108,7 +108,7 @@ func TestSelfRouteIsTrivial(t *testing.T) {
 }
 
 func TestEmptyGraphBuild(t *testing.T) {
-	s, err := Build(graph.New(0), Options{K: 2, Seed: 1})
+	s, err := Build(graph.FromGraph(graph.New(0)), Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.Graph {
+func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.CSR {
 	t.Helper()
 	g, err := graph.Generate(f, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return graph.FromGraph(g)
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -33,7 +33,7 @@ func TestK1IsShortestPathRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := g.AllPairs()
+	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -68,7 +68,7 @@ func TestRoutingAlwaysArrives(t *testing.T) {
 				t.Fatalf("k=%d route %d->%d ends at %d", k, u, v, path[len(path)-1])
 			}
 			for i := 1; i < len(path); i++ {
-				if !g.HasEdge(path[i-1], path[i]) {
+				if !graph.TopoHasEdge(g, path[i-1], path[i]) {
 					t.Fatalf("hop {%d,%d} not an edge", path[i-1], path[i])
 				}
 			}
@@ -92,7 +92,7 @@ func TestStretchBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := g.AllPairs()
+		exact := graph.AllPairs(g)
 		bound := float64(4*tt.k - 3)
 		r := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 200; trial++ {
@@ -167,12 +167,12 @@ func TestClusterDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reconstruct d(v, A_1).
-	d1 := g.BoundedBellmanFordMulti(s.Levels[1], nil, n).Dist
+	d1 := graph.BoundedBellmanFordMulti(g, s.Levels[1], nil, n).Dist
 	inA1 := make(map[int]bool)
 	for _, v := range s.Levels[1] {
 		inA1[v] = true
 	}
-	ap := g.AllPairs()
+	ap := graph.AllPairs(g)
 	for w, tree := range s.ClusterTrees {
 		bound := d1
 		if inA1[w] {
@@ -215,10 +215,11 @@ func TestStretchProperty(t *testing.T) {
 		n := int(sz%80) + 20
 		k := int(kRaw%3) + 1
 		r := rand.New(rand.NewSource(seed))
-		g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+		gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
 		if err != nil {
 			return false
 		}
+		g := graph.FromGraph(gen)
 		s, err := Build(g, Options{K: k, Seed: seed})
 		if err != nil {
 			return false
@@ -233,7 +234,7 @@ func TestStretchProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if w/g.Dijkstra(u).Dist[v] > bound+1e-9 {
+			if w/graph.Dijkstra(g, u).Dist[v] > bound+1e-9 {
 				return false
 			}
 		}

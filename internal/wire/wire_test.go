@@ -82,7 +82,7 @@ func TestSchemeLabelsAndTablesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(g, tz.Options{K: 3, Seed: 2})
+	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,22 @@ package lowmemroute
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lowmemroute/internal/graph"
 )
 
-// Network is a weighted undirected communication network.
+// Network is a weighted undirected communication network. It is built link
+// by link; every algorithm runs on a frozen copy (see freeze).
 type Network struct {
 	g *graph.Graph
 }
+
+// freeze returns the network's current topology as an immutable CSR, the
+// only form the simulator and the centralized algorithms read. It costs
+// O(n+m), which every query below already spends on the algorithm itself.
+func (n *Network) freeze() *graph.CSR { return graph.FromGraph(n.g) }
 
 // NewNetwork returns a network with n isolated nodes (ids 0..n-1).
 func NewNetwork(n int) *Network {
@@ -38,12 +45,20 @@ func (n *Network) Nodes() int { return n.g.N() }
 func (n *Network) Links() int { return n.g.M() }
 
 // Connected reports whether the network is connected.
-func (n *Network) Connected() bool { return n.g.Connected() }
+func (n *Network) Connected() bool { return graph.Connected(n.freeze()) }
 
 // ShortestPath returns the exact shortest-path distance between two nodes
-// (for evaluating routing stretch). Unreachable pairs return +Inf.
+// (for evaluating routing stretch). Unreachable pairs, and endpoints outside
+// [0, Nodes()), return +Inf.
 func (n *Network) ShortestPath(u, v int) float64 {
-	return n.g.Dijkstra(u).Dist[v]
+	if u < 0 || u >= n.Nodes() || v < 0 || v >= n.Nodes() {
+		return math.Inf(1)
+	}
+	d := graph.Dijkstra(n.freeze(), u).Dist[v]
+	if d == graph.Infinity {
+		return math.Inf(1)
+	}
+	return d
 }
 
 // Family names a built-in topology generator.
@@ -78,7 +93,7 @@ func (n *Network) Quantize(eps float64) *Network {
 }
 
 // AspectRatio returns Λ, the ratio of the heaviest to the lightest link.
-func (n *Network) AspectRatio() float64 { return n.g.AspectRatio() }
+func (n *Network) AspectRatio() float64 { return graph.AspectRatio(n.freeze()) }
 
 // Tree is a rooted tree embedded in a network: every tree edge must be a
 // network link.
@@ -104,9 +119,10 @@ func (t *Tree) Parent(v int) int { return t.t.Parent(v) }
 // SpanningTree extracts a spanning tree of a connected network. kind is
 // "bfs" (shallow), "sssp" (shortest-path tree) or "dfs" (deep - the regime
 // where the paper's tree routing shines, since its round complexity depends
-// on the network diameter rather than the tree height).
+// on the network diameter rather than the tree height). A root outside
+// [0, Nodes()) is an error.
 func (n *Network) SpanningTree(root int, kind string, seed int64) (*Tree, error) {
-	t, err := graph.SpanningTree(n.g, root, kind, rand.New(rand.NewSource(seed)))
+	t, err := graph.SpanningTree(n.freeze(), root, kind, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -93,10 +93,10 @@ type Scheme struct {
 }
 
 // newSim boots the simulated CONGEST network for one facade build: the
-// engine runs over the frozen topology of net, with the build's seed,
-// tracer, fault plan and metrics registry (each nil-safe).
-func newSim(net *Network, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
-	sim := congest.NewTopo(graph.FromGraph(net.g), congest.WithSeed(seed),
+// engine runs over topo, the network frozen once for this build, with the
+// build's seed, tracer, fault plan and metrics registry (each nil-safe).
+func newSim(topo *graph.CSR, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
+	sim := congest.NewTopo(topo, congest.WithSeed(seed),
 		congest.WithTrace(tr.recorder()), congest.WithFaults(plan.internal()),
 		congest.WithMetrics(m.Registry()))
 	tr.recorder().Attach(sim)
@@ -112,10 +112,11 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("lowmemroute: K=%d < 1", cfg.K)
 	}
-	if net.Nodes() > 1 && !net.Connected() {
+	topo := net.freeze()
+	if !graph.Connected(topo) {
 		return nil, fmt.Errorf("lowmemroute: network is not connected")
 	}
-	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(topo, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	s, err := core.Build(sim, core.Options{
 		K:       cfg.K,
 		Epsilon: cfg.Epsilon,
@@ -279,7 +280,7 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 	if net == nil || tree == nil {
 		return nil, fmt.Errorf("lowmemroute: nil network or tree")
 	}
-	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t},
 		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
 	if err != nil {
@@ -321,7 +322,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		}
 		inner[i] = t.t
 	}
-	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, inner,
 		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
 	if err != nil {
