@@ -152,10 +152,13 @@ ckpt-smoke:
 # Fuzz smoke: ten seconds of FuzzRestoreEngineCkpt, starting from the real
 # mid-Run engine images in internal/congest/testdata/fuzz. A malformed
 # checkpoint must restore with an error or run without panicking; a crasher
-# is written to that corpus directory. Minimisation is off so the short
-# budget goes to new inputs.
+# is written to that corpus directory. Then ten seconds of FuzzFreezeWeights:
+# arbitrary positive finite weights must read back exactly through both CSR
+# freeze paths (FromGraph and CSRBuilder). Minimisation is off so the short
+# budgets go to new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
+	$(GO) test -run '^$$' -fuzz '^FuzzFreezeWeights$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
 
 # Regenerate the paper's tables and sweeps (EXPERIMENTS.md).
 table1:

@@ -68,7 +68,7 @@ func main() {
 		trafficRate     = flag.Float64("traffic-rate", 0, "throttle to about this many lookups/sec across workers (0 = unthrottled)")
 
 		scaleMode      = flag.Bool("scale", false, "E12: scale sweep on the streaming CSR substrate; one machine-readable row per (n,k) cell (overrides -sweep)")
-		scaleN         = flag.String("scale-n", "256,512,1024", "comma-separated sizes for -scale (full builds are Õ(√n·n) messages; sizes past ~2^10 need hours — probe larger substrates with -scale-probe)")
+		scaleN         = flag.String("scale-n", "256,512,1024", "comma-separated sizes for -scale (full builds are Õ(√n·n) messages: a 2^13 grid cell takes 15–74 s at k=3–2 and ~2 GB RSS on a 2-CPU host; probe larger substrates with -scale-probe)")
 		scaleBudget    = flag.Duration("scale-budget", 0, "soft wall-clock budget for -scale; cells starting after it elapses are skipped and reported on stderr (0 = no budget)")
 		scaleProbe     = flag.Int("scale-probe", 0, "boot the CSR substrate at this size and run one hop-bounded exploration instead of full builds (million-vertex memory check; overrides -sweep)")
 		scaleProbeHops = flag.Int("scale-probe-hops", 64, "exploration hop budget for -scale-probe (0 = flood the whole graph)")

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -72,53 +73,139 @@ func (c *CSR) MemoryBytes() int64 {
 // adjacency order exactly: NeighborRange(u) lists u's neighbors in the
 // order its edges were added, so handlers and oracles see the same
 // neighbor sequence whether the CSR was frozen from g or streamed by
-// GenerateCSR, and message traces stay byte-identical.
+// GenerateCSR, and message traces stay byte-identical. Adjacency lists
+// hold each edge twice, so weights are classed per arc.
 func FromGraph(g *Graph) *CSR {
 	n := g.N()
 	c := &CSR{off: make([]int32, n+1), m: g.M()}
+	wc := newWeightClasser()
 	arcs := 0
 	for u := 0; u < n; u++ {
+		for _, nb := range g.adj[u] {
+			wc.add(nb.Weight)
+		}
 		arcs += len(g.adj[u])
 		c.off[u+1] = int32(arcs)
 	}
 	c.to = make([]int32, arcs)
-	w := make([]float64, arcs)
-	i := 0
+	c.allocWeights(wc)
+	a := 0
 	for u := 0; u < n; u++ {
 		for _, nb := range g.adj[u] {
-			c.to[i] = int32(nb.To)
-			w[i] = nb.Weight
-			i++
+			c.to[a] = int32(nb.To)
+			if c.w64 != nil {
+				c.w64[a] = nb.Weight
+			} else {
+				c.wcls[a] = wc.class(nb.Weight)
+			}
+			a++
 		}
 	}
-	c.quantize(w)
 	return c
 }
 
-// quantize builds the uint16 class table from the per-arc weights, falling
-// back to retaining w itself when there are too many distinct values.
-func (c *CSR) quantize(w []float64) {
-	distinct := make(map[float64]struct{}, 64)
-	for _, x := range w {
-		distinct[x] = struct{}{}
-		if len(distinct) > 1<<16 {
-			c.w64 = w
-			return
+// allocWeights sizes the per-arc weight storage for len(c.to) arcs: the
+// uint16 classes of wc's ranked table, or the float64 fallback when wc saw
+// more than maxWeightClasses distinct weights. It runs after every weight
+// was added and before any is stored, so a freeze allocates only the
+// representation it keeps.
+func (c *CSR) allocWeights(wc *weightClasser) {
+	if wc.over {
+		c.w64 = make([]float64, len(c.to))
+		return
+	}
+	c.classes = wc.rank()
+	c.wcls = make([]uint16, len(c.to))
+}
+
+// maxWeightClasses is the number of distinct weights a uint16 class can name.
+const maxWeightClasses = 1 << 16
+
+// weightClasser maps each distinct edge weight to its class: its rank among
+// the topology's distinct weights in ascending order, which is the index
+// ArcWeight reads back through CSR.classes. It is an open-addressed,
+// linearly probed table keyed by math.Float64bits. Weights are positive
+// and finite, so bit equality is float equality and no key is 0, which
+// marks an empty slot. A freeze adds every weight, ranks the table once,
+// then looks each weight up again with class.
+type weightClasser struct {
+	keys  []uint64 // Float64bits of the weight in each slot; 0 = empty
+	ranks []uint16 // class of the weight in the same slot, set by rank
+	shift uint     // 64 - log2(len(keys)): a key's home slot is its hash >> shift
+	n     int      // distinct weights added
+	over  bool     // a weight past maxWeightClasses was added; keys is abandoned
+}
+
+func newWeightClasser() *weightClasser {
+	wc := &weightClasser{}
+	wc.resize(16)
+	return wc
+}
+
+// slot returns the slot holding key k, or the empty slot where k belongs.
+func (wc *weightClasser) slot(k uint64) int {
+	mask := len(wc.keys) - 1
+	i := int((k * 0x9e3779b97f4a7c15) >> wc.shift) // Fibonacci hashing
+	for wc.keys[i] != 0 && wc.keys[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add records w; once more than maxWeightClasses distinct weights were
+// seen, it stops and marks the classer over.
+func (wc *weightClasser) add(w float64) {
+	if wc.over {
+		return
+	}
+	k := math.Float64bits(w)
+	i := wc.slot(k)
+	if wc.keys[i] == k {
+		return
+	}
+	if wc.n == maxWeightClasses {
+		wc.over, wc.keys = true, nil
+		return
+	}
+	wc.keys[i] = k
+	wc.n++
+	if 2*wc.n > len(wc.keys) {
+		wc.resize(2 * len(wc.keys))
+	}
+}
+
+// resize rehashes the keys into a table of size slots, a power of two.
+func (wc *weightClasser) resize(size int) {
+	old := wc.keys
+	wc.keys = make([]uint64, size)
+	wc.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, k := range old {
+		if k != 0 {
+			wc.keys[wc.slot(k)] = k
 		}
 	}
-	c.classes = make([]float64, 0, len(distinct))
-	for x := range distinct {
-		c.classes = append(c.classes, x)
+}
+
+// rank sorts the distinct weights into the class table it returns and
+// records each weight's class in its slot.
+func (wc *weightClasser) rank() []float64 {
+	classes := make([]float64, 0, wc.n)
+	for _, k := range wc.keys {
+		if k != 0 {
+			classes = append(classes, math.Float64frombits(k))
+		}
 	}
-	sort.Float64s(c.classes)
-	idx := make(map[float64]uint16, len(c.classes))
-	for i, x := range c.classes {
-		idx[x] = uint16(i)
+	sort.Float64s(classes)
+	wc.ranks = make([]uint16, len(wc.keys))
+	for r, w := range classes {
+		wc.ranks[wc.slot(math.Float64bits(w))] = uint16(r)
 	}
-	c.wcls = make([]uint16, len(w))
-	for i, x := range w {
-		c.wcls[i] = idx[x]
-	}
+	return classes
+}
+
+// class returns the class of a weight that was added before rank.
+func (wc *weightClasser) class(w float64) uint16 {
+	return wc.ranks[wc.slot(math.Float64bits(w))]
 }
 
 // CSRBuilder accumulates a fixed-order edge stream and compacts it into a
@@ -143,6 +230,14 @@ func NewCSRBuilder(n int) *CSRBuilder {
 	return &CSRBuilder{n: n}
 }
 
+// reserve presizes the edge stream for m edges, so a generator that knows
+// its edge count streams without regrowing the arrays.
+func (b *CSRBuilder) reserve(m int) {
+	b.eu = make([]int32, 0, m)
+	b.ev = make([]int32, 0, m)
+	b.ew = make([]float64, 0, m)
+}
+
 // N returns the number of vertices.
 func (b *CSRBuilder) N() int { return b.n }
 
@@ -165,35 +260,38 @@ func (b *CSRBuilder) AddEdge(u, v int, w float64) {
 // builder's transient arrays. The counting sort is stable in edge order,
 // so vertex u's arcs appear in the order edges incident to u were added —
 // matching Graph.AddEdge adjacency order (u's entry first, then v's, per
-// call).
+// call). Each edge's weight is classed once and written into both arcs.
 func (b *CSRBuilder) Build() *CSR {
 	n, m := b.n, len(b.eu)
-	c := &CSR{off: make([]int32, n+1), m: m}
-	deg := make([]int32, n)
+	c := &CSR{off: make([]int32, n+1), to: make([]int32, 2*m), m: m}
+	wc := newWeightClasser()
 	for i := 0; i < m; i++ {
-		deg[b.eu[i]]++
-		deg[b.ev[i]]++
+		c.off[b.eu[i]]++
+		c.off[b.ev[i]]++
+		wc.add(b.ew[i])
 	}
-	arcs := int32(0)
-	for u := 0; u < n; u++ {
-		c.off[u] = arcs
-		arcs += deg[u]
+	// off[u] counts u's arcs; the running sum turns it into the end of u's
+	// range. The scatter walks the edges backwards and decrements off[u]
+	// per arc, so it fills each range back to front in edge order and
+	// leaves off[u] at u's first arc.
+	for u := 1; u < n; u++ {
+		c.off[u] += c.off[u-1]
 	}
-	c.off[n] = arcs
-	c.to = make([]int32, arcs)
-	w := make([]float64, arcs)
-	cursor := make([]int32, n)
-	copy(cursor, c.off[:n])
-	for i := 0; i < m; i++ {
-		u, v, wt := b.eu[i], b.ev[i], b.ew[i]
-		c.to[cursor[u]] = v
-		w[cursor[u]] = wt
-		cursor[u]++
-		c.to[cursor[v]] = u
-		w[cursor[v]] = wt
-		cursor[v]++
+	c.off[n] = int32(2 * m)
+	c.allocWeights(wc)
+	for i := m - 1; i >= 0; i-- {
+		u, v, w := b.eu[i], b.ev[i], b.ew[i]
+		c.off[u]--
+		c.off[v]--
+		a, z := c.off[u], c.off[v]
+		c.to[a], c.to[z] = v, u
+		if c.w64 != nil {
+			c.w64[a], c.w64[z] = w, w
+		} else {
+			k := wc.class(w)
+			c.wcls[a], c.wcls[z] = k, k
+		}
 	}
 	b.eu, b.ev, b.ew = nil, nil, nil
-	c.quantize(w)
 	return c
 }

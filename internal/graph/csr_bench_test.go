@@ -1,0 +1,31 @@
+package graph
+
+import (
+	"math/rand"
+	"testing"
+)
+
+var benchCSR *CSR
+
+// BenchmarkGenerateCSRGrid times streaming a 256×256 grid into a CSR: the
+// set-up of the explore-grid64k bench workload.
+func BenchmarkGenerateCSRGrid(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := GenerateCSR(FamilyGrid, 1<<16, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCSR = c
+	}
+}
+
+// BenchmarkFromGraph times freezing a slice-built 256×256 grid.
+func BenchmarkFromGraph(b *testing.B) {
+	g := Grid(256, 256, IntegerWeights(10), rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCSR = FromGraph(g)
+	}
+}

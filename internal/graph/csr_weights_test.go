@@ -1,0 +1,182 @@
+package graph
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// csrIdentical fails the test unless a and b hold the same arrays: offsets,
+// neighbors, class table, classes and fallback weights, nil-ness included.
+func csrIdentical(t *testing.T, a, b *CSR) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("CSRs differ: m %d/%d, %d/%d classes, w64 %d/%d arcs",
+			a.m, b.m, len(a.classes), len(b.classes), len(a.w64), len(b.w64))
+	}
+}
+
+// freezeBoth freezes the same edge stream through FromGraph and through
+// CSRBuilder, checks the two CSRs are identical, and checks every arc reads
+// back the exact weight it was added with and that the class table, when
+// kept, is strictly ascending. It returns the builder's CSR.
+func freezeBoth(t *testing.T, n int, eu, ev []int, ew []float64) *CSR {
+	t.Helper()
+	g := New(n)
+	b := NewCSRBuilder(n)
+	for i := range eu {
+		g.MustAddEdge(eu[i], ev[i], ew[i])
+		b.AddEdge(eu[i], ev[i], ew[i])
+	}
+	c := b.Build()
+	csrIdentical(t, FromGraph(g), c)
+	for u := 0; u < n; u++ {
+		to, base := c.NeighborRange(u)
+		for i, nb := range g.adj[u] {
+			if int(to[i]) != nb.To || c.ArcWeight(base+i) != nb.Weight {
+				t.Fatalf("vertex %d arc %d: (%d, %v), added (%d, %v)",
+					u, i, to[i], c.ArcWeight(base+i), nb.To, nb.Weight)
+			}
+		}
+	}
+	for i := 1; i < len(c.classes); i++ {
+		if !(c.classes[i-1] < c.classes[i]) {
+			t.Fatalf("classes not strictly ascending at %d: %v, %v", i, c.classes[i-1], c.classes[i])
+		}
+	}
+	return c
+}
+
+// ulpPath returns a path on d+1 vertices whose d edges carry d distinct
+// weights, each one ulp above the last, in shuffled order, plus a chord
+// per 64 edges that repeats an existing weight.
+func ulpPath(d int) (n int, eu, ev []int, ew []float64) {
+	ws := make([]float64, d)
+	w := 1.0
+	for i := range ws {
+		ws[i] = w
+		w = math.Nextafter(w, math.Inf(1))
+	}
+	r := rand.New(rand.NewSource(int64(d)))
+	r.Shuffle(d, func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+	for i := 0; i < d; i++ {
+		eu, ev, ew = append(eu, i), append(ev, i+1), append(ew, ws[i])
+		if i%64 == 0 && i+2 <= d {
+			eu, ev, ew = append(eu, i), append(ev, i+2), append(ew, ws[i/2])
+		}
+	}
+	return d + 1, eu, ev, ew
+}
+
+// TestWeightClassBoundary pins the class-table limit: 65,536 distinct
+// weights keep uint16 classes, 65,537 fall back to per-arc float64s, and
+// both read back every weight exactly. The weights are one ulp apart, so
+// any classer that merged near-equal values would lose one.
+func TestWeightClassBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		distinct, classes int
+	}{
+		{maxWeightClasses, maxWeightClasses},
+		{maxWeightClasses + 1, 0},
+	} {
+		n, eu, ev, ew := ulpPath(tc.distinct)
+		c := freezeBoth(t, n, eu, ev, ew)
+		if got := c.WeightClasses(); got != tc.classes {
+			t.Fatalf("%d distinct weights: WeightClasses() = %d, want %d", tc.distinct, got, tc.classes)
+		}
+		if kept := c.w64 == nil; kept != (tc.classes > 0) {
+			t.Fatalf("%d distinct weights: class table kept = %v", tc.distinct, kept)
+		}
+	}
+}
+
+// TestWeightClassEdgeCases freezes small streams through both paths: no
+// edges, one weight repeated, adjacent ulps, subnormals and the largest
+// finite float64.
+func TestWeightClassEdgeCases(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, ws := range [][]float64{
+		nil,
+		{7, 7, 7, 7},
+		{1, math.Nextafter(1, 2), math.Nextafter(1, 0), 1},
+		{tiny, 2 * tiny, tiny, math.Float64frombits(0x000fffffffffffff)},
+		{math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0), 1, math.MaxFloat64},
+	} {
+		n := len(ws) + 1
+		var eu, ev []int
+		for i := range ws {
+			eu, ev = append(eu, i), append(ev, i+1)
+		}
+		freezeBoth(t, n, eu, ev, ws)
+	}
+}
+
+// FuzzFreezeWeights feeds arbitrary positive finite weights on arbitrary
+// edges through both freeze paths. Each 10-byte record is one edge: two
+// endpoint bytes and the 8-byte little-endian bits of its weight, with the
+// sign cleared; records that decode to a self-loop, zero, an infinity or a
+// NaN are skipped. The seed corpus is in testdata/fuzz/FuzzFreezeWeights.
+func FuzzFreezeWeights(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		n := 2 + int(size)%32
+		var eu, ev []int
+		var ew []float64
+		for ; len(data) >= 10; data = data[10:] {
+			u, v := int(data[0])%n, int(data[1])%n
+			w := math.Float64frombits(binary.LittleEndian.Uint64(data[2:10]) &^ (1 << 63))
+			if u == v || w == 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+				continue
+			}
+			eu, ev, ew = append(eu, u), append(ev, v), append(ew, w)
+		}
+		freezeBoth(t, n, eu, ev, ew)
+	})
+}
+
+// TestStreamConstructorsPresize pins the builder presizing: a constructor
+// that reserves its exact edge count allocates the same number of times at
+// every size, where appending into an unsized builder regrows its three
+// edge arrays about log2(m) times each.
+func TestStreamConstructorsPresize(t *testing.T) {
+	w := IntegerWeights(10)
+	r := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name  string
+		build func(small bool) *CSR
+	}{
+		{"grid", func(small bool) *CSR {
+			if small {
+				return GridCSR(64, 64, w, r) // n=4,096
+			}
+			return GridCSR(256, 256, w, r) // n=65,536
+		}},
+		{"torus", func(small bool) *CSR {
+			if small {
+				return TorusCSR(64, 64, w, r)
+			}
+			return TorusCSR(256, 256, w, r)
+		}},
+		{"hypercube", func(small bool) *CSR {
+			if small {
+				return HypercubeCSR(12, w, r)
+			}
+			return HypercubeCSR(16, w, r)
+		}},
+		{"power-law", func(small bool) *CSR {
+			if small {
+				return BarabasiAlbertCSR(1<<12, 3, IntegerWeights(100), r)
+			}
+			return BarabasiAlbertCSR(1<<16, 3, IntegerWeights(100), r)
+		}},
+	} {
+		// Ten runs each: AllocsPerRun truncates the mean, so a stray
+		// allocation elsewhere in the process does not tip the comparison.
+		small := testing.AllocsPerRun(10, func() { tc.build(true) })
+		large := testing.AllocsPerRun(10, func() { tc.build(false) })
+		if small != large {
+			t.Errorf("%s: %v allocations at the small size, %v at the large one", tc.name, small, large)
+		}
+	}
+}

@@ -239,14 +239,31 @@ func streamGeometric(n int, radius float64, r *rand.Rand, emit func(u, v int, wt
 // FromGraph(Grid(rows, cols, w, r)) with the same *rand.Rand state.
 func GridCSR(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(rows * cols)
+	b.reserve(gridEdges(rows, cols))
 	streamGrid(rows, cols, w, r, b.AddEdge)
 	return b.Build()
+}
+
+// gridEdges is the edge count of the rows×cols grid streamGrid emits.
+func gridEdges(rows, cols int) int {
+	if rows <= 0 || cols <= 0 {
+		return 0
+	}
+	return rows*(cols-1) + (rows-1)*cols
 }
 
 // TorusCSR builds the torus directly into a CSR with the wrap edges
 // generated in-stream, bit-identical to FromGraph(Torus(rows, cols, w, r)).
 func TorusCSR(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(rows * cols)
+	m := gridEdges(rows, cols)
+	if cols > 2 {
+		m += rows
+	}
+	if rows > 2 {
+		m += cols
+	}
+	b.reserve(m)
 	streamTorus(rows, cols, w, r, b.AddEdge)
 	return b.Build()
 }
@@ -255,6 +272,7 @@ func TorusCSR(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
 // bit-identical to FromGraph(Hypercube(d, w, r)).
 func HypercubeCSR(d int, w WeightFunc, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(1 << d)
+	b.reserve(d * (1 << d) / 2)
 	streamHypercube(d, w, r, b.AddEdge)
 	return b.Build()
 }
@@ -263,6 +281,13 @@ func HypercubeCSR(d int, w WeightFunc, r *rand.Rand) *CSR {
 // a CSR, bit-identical to FromGraph(BarabasiAlbert(n, m, w, r)).
 func BarabasiAlbertCSR(n, m int, w WeightFunc, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(n)
+	// streamBarabasiAlbert's edge count: a path over the first start
+	// vertices, then m edges for each later vertex.
+	if n > 0 {
+		mm := max(m, 1)
+		start := min(mm+1, n)
+		b.reserve(start - 1 + (n-start)*mm)
+	}
 	streamBarabasiAlbert(n, m, w, r, b.AddEdge)
 	return b.Build()
 }

@@ -306,3 +306,24 @@ func TestRunHopsetAblation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunScaleAveragesOverRealSize checks that a cell whose requested size
+// the family rounds (grid n=50 is a 7×8 grid) averages per-vertex tables
+// over the vertices actually built, like the cell requested at that size.
+func TestRunScaleAveragesOverRealSize(t *testing.T) {
+	rounded, err := RunScale(ScaleConfig{Family: graph.FamilyGrid, N: 50, K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := RunScale(ScaleConfig{Family: graph.FamilyGrid, N: 56, K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounded.N != 56 {
+		t.Fatalf("grid n=50 built %d vertices, want 56", rounded.N)
+	}
+	if rounded.TableAvgW != exact.TableAvgW || rounded.MemAvgW != exact.MemAvgW {
+		t.Fatalf("n=50 cell averages (table %v, mem %v), n=56 cell (table %v, mem %v)",
+			rounded.TableAvgW, rounded.MemAvgW, exact.TableAvgW, exact.MemAvgW)
+	}
+}

@@ -117,8 +117,8 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 		}
 		sumTab += int64(w)
 	}
-	if cfg.N > 0 {
-		row.TableAvgW = float64(sumTab) / float64(cfg.N)
+	if row.N > 0 {
+		row.TableAvgW = float64(sumTab) / float64(row.N)
 	}
 
 	runtime.GC()
