@@ -150,14 +150,18 @@ ckpt-smoke:
 	@echo "ckpt-smoke: resumed stdout byte-identical"
 
 # Fuzz smoke: ten seconds of FuzzRestoreEngineCkpt, starting from the real
-# mid-Run engine images in internal/congest/testdata/fuzz. A malformed
-# checkpoint must restore with an error or run without panicking; a crasher
-# is written to that corpus directory. Then ten seconds of FuzzFreezeWeights:
-# arbitrary positive finite weights must read back exactly through both CSR
-# freeze paths (FromGraph and CSRBuilder). Minimisation is off so the short
-# budgets go to new inputs.
+# unit-mark engine images in internal/congest/testdata/fuzz. A malformed
+# engine section must fail to decode with an error or apply and run without
+# panicking; a crasher is written to that corpus directory. Then ten seconds
+# of FuzzRestoreBuilderCkpt from the real unit-mark builder sections in
+# internal/treeroute/testdata/fuzz: restore errors or round-trips, never
+# panics. Then ten seconds of FuzzFreezeWeights: arbitrary positive finite
+# weights must read back exactly through both CSR freeze paths (FromGraph
+# and CSRBuilder). Minimisation is off so the short budgets go to new
+# inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreBuilderCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/treeroute
 	$(GO) test -run '^$$' -fuzz '^FuzzFreezeWeights$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
 
 # Regenerate the paper's tables and sweeps (EXPERIMENTS.md).

@@ -74,9 +74,8 @@ func main() {
 		scaleProbeHops = flag.Int("scale-probe-hops", 64, "exploration hop budget for -scale-probe (0 = flood the whole graph)")
 
 		shards     = flag.Int("shards", 0, "parallel execution shards for -scale and -scale-probe; every stdout row is byte-identical at any shard count (0 = runtime default)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint the run to this file (-scale with a single (n,k) cell, or -scale-probe); written atomically at phase boundaries and, for probes, every -ckpt-every rounds")
-		ckptEvery  = flag.Int64("ckpt-every", 2048, "mid-run checkpoint cadence in executed rounds (-scale-probe; -scale checkpoints at phase boundaries)")
-		resume     = flag.Bool("resume", false, "resume from the -checkpoint file when it exists; completed phases are skipped and the interrupted state restored, with output identical to an uninterrupted run")
+		checkpoint = flag.String("checkpoint", "", "checkpoint the build to this file (-scale with a single (n,k) cell); written atomically at phase boundaries")
+		resume     = flag.Bool("resume", false, "resume from the -checkpoint file when it exists; completed phases are skipped and their state restored, with output identical to an uninterrupted run")
 	)
 	flag.Parse()
 
@@ -123,8 +122,8 @@ func main() {
 		schemeFilter = strings.Split(*schemes, ",")
 	}
 
-	if *checkpoint != "" && !*scaleMode && *scaleProbe <= 0 {
-		fatalf("-checkpoint supports -scale and -scale-probe only")
+	if *checkpoint != "" && (!*scaleMode || *scaleProbe > 0) {
+		fatalf("-checkpoint supports -scale only")
 	}
 
 	failures := 0
@@ -133,7 +132,6 @@ func main() {
 		row, err := metrics.RunSubstrateProbe(metrics.ProbeConfig{
 			Family: graph.Family(*family), N: *scaleProbe, Hops: *scaleProbeHops,
 			Seed: *seed, Shards: *shards,
-			Ckpt: makeCheckpointer(*checkpoint, *ckptEvery, *resume),
 		})
 		if err != nil {
 			fatalf("scale-probe: %v", err)
@@ -149,7 +147,7 @@ func main() {
 			fatalf("-scale -checkpoint needs a single (n,k) cell: a checkpoint file belongs to one build (got %d cells)", len(sns)*len(ks))
 		}
 		runScale(graph.Family(*family), sns, ks, *seed, *scaleBudget, *shards,
-			makeCheckpointer(*checkpoint, *ckptEvery, *resume), reg)
+			makeCheckpointer(*checkpoint, *resume), reg)
 	case *trafficMode:
 		tw, err := parseInts(*trafficWorkers)
 		if err != nil {
@@ -431,13 +429,13 @@ func runScale(family graph.Family, ns, ks []int, seed int64, budget time.Duratio
 // checkpointing is off, a resuming checkpointer when -resume finds an
 // existing file, and a fresh one otherwise (so `-checkpoint X -resume` is
 // idempotent — the first run starts fresh, an interrupted rerun resumes).
-func makeCheckpointer(path string, every int64, resume bool) *congest.Checkpointer {
+func makeCheckpointer(path string, resume bool) *congest.Checkpointer {
 	if path == "" {
 		return nil
 	}
 	if resume {
 		if _, err := os.Stat(path); err == nil {
-			ck, err := congest.ResumeCheckpointer(path, every)
+			ck, err := congest.ResumeCheckpointer(path)
 			if err != nil {
 				fatalf("resume %s: %v", path, err)
 			}
@@ -448,7 +446,7 @@ func makeCheckpointer(path string, every int64, resume bool) *congest.Checkpoint
 		}
 		fmt.Fprintf(os.Stderr, "routebench: -resume: no checkpoint at %s, starting fresh\n", path)
 	}
-	return congest.NewCheckpointer(path, every)
+	return congest.NewCheckpointer(path)
 }
 
 // faultSummary renders fault counters as one human line.

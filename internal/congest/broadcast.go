@@ -69,9 +69,6 @@ func (d *Delivery) At(j int) *BroadcastMsg {
 // pipelined stream's in-flight load; anything a handler keeps it charges
 // itself.
 func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, d *Delivery)) {
-	if s.resumePending {
-		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
-	}
 	if len(msgs) == 0 {
 		return
 	}
@@ -209,9 +206,6 @@ func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, han
 // as Broadcast. handle is invoked at the sink for every message, in origin
 // order; it must treat the message as read-only.
 func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *BroadcastMsg)) {
-	if s.resumePending {
-		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
-	}
 	if len(msgs) == 0 {
 		return
 	}

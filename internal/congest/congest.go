@@ -174,13 +174,6 @@ type Simulator struct {
 	shardFault []faults.Counters
 	shardSpike [][]faults.Spike
 
-	// Checkpoint/resume wiring (snapshot.go). ckpt, when non-nil, receives
-	// the per-round mid-Run write hook; resumePending arms the next Run call
-	// to continue a restored mid-Run execution at resumeRound.
-	ckpt          *Checkpointer
-	resumePending bool
-	resumeRound   int
-
 	// delivery is the one Delivery view Broadcast hands every vertex's
 	// handler in turn (reused, so a broadcast allocates nothing);
 	// bcastLost backs its per-message lost flags under a fault plan.
@@ -400,9 +393,6 @@ func (s *Simulator) DeriveRand(v int) *rand.Rand {
 
 // AddRounds charges extra rounds for phases accounted analytically.
 func (s *Simulator) AddRounds(k int64) {
-	if s.resumePending {
-		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
-	}
 	if k > 0 {
 		s.rounds += k
 		if s.tracer != nil {

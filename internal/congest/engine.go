@@ -226,42 +226,30 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	// meaningful (delays tick, crash windows open and close).
 	skipIdle := !s.ffOff && s.tracer == nil && s.faults == nil
 
-	start := 0
-	if s.resumePending {
-		// Continuing a restored mid-Run checkpoint: the active list,
-		// inboxes, edge queues and dirty worklists are already in place
-		// (restoreEngineCkpt), so initial is ignored and execution picks up
-		// at the recorded round. The epoch bump keeps the stamp array's
-		// semantics identical to the uninterrupted run.
-		s.resumePending = false
-		start = s.resumeRound
-		s.epoch++
-	} else {
-		// A fresh Run starts a new round frame: the previous Run's armed
-		// rounds name timers that were dropped when it returned.
-		clear(s.armed)
-		// Deduplicated, sorted initial active list in the recycled buffer.
-		s.epoch++
-		act := s.actList[:0]
-		for _, v := range initial {
-			if s.nextStamp[v] != s.epoch {
-				s.nextStamp[v] = s.epoch
-				act = append(act, int32(v))
-			}
+	// A Run starts a new round frame: the previous Run's armed rounds name
+	// timers that were dropped when it returned.
+	clear(s.armed)
+	// Deduplicated, sorted initial active list in the recycled buffer.
+	s.epoch++
+	act := s.actList[:0]
+	for _, v := range initial {
+		if s.nextStamp[v] != s.epoch {
+			s.nextStamp[v] = s.epoch
+			act = append(act, int32(v))
 		}
-		slices.Sort(act)
-		s.actList = act
 	}
+	slices.Sort(act)
+	s.actList = act
 
 	pending := 0 // dirty destinations == destinations with queued traffic
 	for _, l := range s.shardCur {
 		pending += len(l)
 	}
 
-	executed := start
+	executed := 0
 	baseRounds := s.rounds
 	s.faultBase = baseRounds
-	for round := start; round < maxRounds && (len(s.actList) > 0 || pending > 0 || len(s.timers) > 0); round++ {
+	for round := 0; round < maxRounds && (len(s.actList) > 0 || pending > 0 || len(s.timers) > 0); round++ {
 		// Idle-round fast-forward: with no vertex active, the rounds until
 		// the next delivery or the next timer only tick bandwidth budgets.
 		// Jump straight there - the rounds counter advances exactly as if
@@ -282,7 +270,6 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 			round += jump
 			executed += jump
 			if round >= maxRounds {
-				s.ckpt.maybeWriteMid(executed)
 				break
 			}
 			s.epoch++
@@ -409,13 +396,6 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		slices.Sort(next)
 		s.nextList = next
 		s.actList, s.nextList = s.nextList, s.actList
-
-		// Mid-Run checkpoint hook: the state here — next round's active
-		// list, its delivered inboxes, the carried backlog — is exactly a
-		// round boundary, the point restoreEngineCkpt rebuilds.
-		if s.ckpt != nil {
-			s.ckpt.maybeWriteMid(executed)
-		}
 	}
 	s.rounds += int64(executed)
 

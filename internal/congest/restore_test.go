@@ -1,17 +1,16 @@
 package congest
 
-// Malformed engine checkpoints: restoreEngineCkpt must reject every image
-// that is not in appendEngineCkpt's canonical layout with an error — never
-// accept a state Run cannot execute, and never loop or allocate on a count
-// the section cannot back. FuzzRestoreEngineCkpt checks the property on
-// mutations of real mid-Run images; TestRestoreEngineCkptRejects pins the
-// known bad shapes.
+// Malformed engine checkpoints: decodeEngineCkpt must reject every section
+// that is not in appendEngineCkpt's canonical quiescent layout with an error
+// — never accept fault state the simulator cannot hold, and never loop or
+// allocate on a count the section cannot back. FuzzRestoreEngineCkpt checks
+// the property on mutations of real unit-mark images;
+// TestRestoreEngineCkptRejects pins the known bad shapes.
 
 import (
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"lowmemroute/internal/faults"
@@ -19,79 +18,83 @@ import (
 	"lowmemroute/internal/trace"
 )
 
-// ckptImage assembles a mid-Run engine section for s: zero counters and
-// meters, no fault cursors, then body (from the executed-round count on).
-func ckptImage(s *Simulator, body ...uint64) []uint64 {
+// restoreEngineCkpt decodes an engine section against s and applies it.
+func restoreEngineCkpt(s *Simulator, words []uint64) error {
+	img, err := s.decodeEngineCkpt(words)
+	if err != nil {
+		return err
+	}
+	s.applyEngineCkpt(img)
+	return nil
+}
+
+// ckptImage assembles a quiescent engine section for s: zero counters,
+// meters and fault tallies, then the fault-cursor count and cursors (five
+// words each: edge, seq, attempt, hold, rolled).
+func ckptImage(s *Simulator, cursors ...[]uint64) []uint64 {
 	s.ensureTopology()
-	w := []uint64{engineCkptVersion, engineFlagMid,
+	w := []uint64{engineCkptVersion, 0,
 		uint64(s.N()), uint64(len(s.outTo)), uint64(s.capacity), 0, 0, 0}
 	w = append(w, make([]uint64, 3*s.N()+7)...)
-	w = append(w, 0) // fault cursors
-	return append(w, body...)
-}
-
-// ckptMsg encodes a message from `from` of the given word count, with no
-// Ext tail.
-func ckptMsg(from, words int) []uint64 {
-	return []uint64{uint64(from), 1, 0, 0, 0, 0, uint64(int64(words)), 0}
-}
-
-func cat(parts ...[]uint64) []uint64 {
-	var w []uint64
-	for _, p := range parts {
-		w = append(w, p...)
+	w = append(w, uint64(len(cursors)))
+	for _, c := range cursors {
+		w = append(w, c...)
 	}
 	return w
 }
 
 // TestRestoreEngineCkptRejects: on the path 0-1-2 (edges 0:0->1, 1:1->0,
-// 2:1->2, 3:2->1), a well-formed hand-built image restores and runs, and
-// each malformed variant fails with an error.
+// 2:1->2, 3:2->1) under a drop plan, a well-formed hand-built image with two
+// fault cursors restores and runs, and each malformed variant fails with an
+// error.
 func TestRestoreEngineCkptRejects(t *testing.T) {
 	const huge = 1 << 60
 	neg := uint64(1<<64 - 1) // -1
-	u := func(ws ...uint64) []uint64 { return ws }
-	// Shared pieces: the active list {1} with one inbox message from 0, a
-	// dirty destination 1 with edge 0 carrying two messages, one timer.
-	active := cat(u(1, 1), u(1, 2), ckptMsg(0, 2))
-	queue := cat(u(0, 1, 2), ckptMsg(0, 3), ckptMsg(0, 1))
-	// Trailing words, so the check under test fails rather than an
-	// earlier list's size check.
-	pad := make([]uint64, 64)
-	cases := []struct {
-		name string
-		body []uint64 // nil: the well-formed image
-	}{
-		{"well-formed", nil},
-		{"empty-queue", cat(u(3), active, u(1, 1, 1, 0, 0, 0), u(0), pad)},
-		{"sent-past-front", cat(u(3), active, u(1, 1, 1, 0, 3, 1), ckptMsg(0, 3), u(0))},
-		{"sent-negative", cat(u(3), active, u(1, 1, 1, 0, neg, 1), ckptMsg(0, 3), u(0))},
-		{"wrong-sender", cat(u(3), active, u(1, 1, 1, 0, 0, 1), ckptMsg(2, 3), u(0))},
-		{"zero-words", cat(u(3), active, u(1, 1, 1, 0, 0, 1), ckptMsg(0, 0), u(0))},
-		{"not-an-in-edge", cat(u(3), active, u(1, 1, 1, 2, 0, 1), ckptMsg(1, 3), u(0))},
-		{"no-edges", cat(u(3), active, u(1, 1, 0), u(0), pad)},
-		{"inbox-from-non-neighbor", cat(u(3), u(1, 0), u(1, 1), ckptMsg(2, 1), u(0, 0))},
-		{"active-twice", cat(u(3), u(2, 1, 1), u(0, 0, 0, 0), u(0, 0))},
-		{"destination-twice", cat(u(3), active, u(2), u(1, 1), queue, u(1, 1), queue, u(0))},
-		{"edge-twice", cat(u(3), active, u(1), u(1, 2), queue, queue, u(0))},
-		{"huge-active", cat(u(3), u(huge))},
-		{"huge-inbox", cat(u(3), u(1, 1), u(huge, 1))},
-		{"huge-ext", cat(u(3), u(1, 1), u(1, 1), u(0, 1, 0, 0, 0, 0, 1, huge))},
-		{"huge-dirty", cat(u(3), active, u(huge))},
-		{"huge-edges", cat(u(3), active, u(1, 1, huge), pad)},
-		{"huge-queue", cat(u(3), active, u(1, 1, 1, 0, 0, huge), pad)},
-		{"huge-timers", cat(u(3), active, u(1), u(1, 1), queue, u(huge), pad)},
-	}
+	plan := &faults.Plan{Seed: 1, Drop: 0.1}
+	c0 := []uint64{0, 7, 1, 0, 1}
+	c2 := []uint64{2, 3, 0, 2, 0}
 	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
+	// edit returns the well-formed image with f applied.
+	edit := func(f func(s *Simulator, w []uint64) []uint64) func(s *Simulator) []uint64 {
+		return func(s *Simulator) []uint64 { return f(s, ckptImage(s, c0, c2)) }
+	}
+	cases := []struct {
+		name  string
+		clean bool                        // restore into a simulator without a fault plan
+		image func(s *Simulator) []uint64 // nil: the well-formed image
+	}{
+		{name: "well-formed"},
+		{name: "zero-words", image: func(*Simulator) []uint64 { return nil }},
+		{name: "mid-run-flag", image: edit(func(_ *Simulator, w []uint64) []uint64 { w[1] = 1; return w })},
+		{name: "version-0", image: edit(func(_ *Simulator, w []uint64) []uint64 { w[0] = 0; return w })},
+		{name: "version-3", image: edit(func(_ *Simulator, w []uint64) []uint64 { w[0] = 3; return w })},
+		{name: "trailing-words", image: edit(func(_ *Simulator, w []uint64) []uint64 { return append(w, 0) })},
+		{name: "truncated", image: edit(func(_ *Simulator, w []uint64) []uint64 { return w[:len(w)-1] })},
+		{name: "cursors-out-of-order", image: func(s *Simulator) []uint64 { return ckptImage(s, c2, c0) }},
+		{name: "cursor-repeated", image: func(s *Simulator) []uint64 { return ckptImage(s, c0, c0) }},
+		{name: "cursor-edge-out-of-range", image: func(s *Simulator) []uint64 { return ckptImage(s, c0, []uint64{4, 0, 0, 0, 0}) }},
+		{name: "cursor-edge-negative", image: func(s *Simulator) []uint64 { return ckptImage(s, []uint64{neg, 0, 0, 0, 0}) }},
+		{name: "cursor-attempt-out-of-range", image: func(s *Simulator) []uint64 { return ckptImage(s, []uint64{0, 0, 1 << 31, 0, 0}) }},
+		{name: "cursor-hold-negative", image: func(s *Simulator) []uint64 { return ckptImage(s, []uint64{0, 0, 0, neg, 0}) }},
+		{name: "huge-cursors", image: edit(func(s *Simulator, w []uint64) []uint64 { w[8+3*s.N()+7] = huge; return w })},
+		{name: "fault-state-no-plan", clean: true},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newGraphSim(g)
-			body := tc.body
-			if body == nil {
-				body = cat(u(3), active, u(1), u(1, 1), queue, u(1, 5, 2))
+			var opts []Option
+			if !tc.clean {
+				opts = append(opts, WithFaults(plan))
 			}
-			err := s.restoreEngineCkpt(ckptImage(s, body...))
-			if tc.body != nil {
+			s := newGraphSim(g, opts...)
+			image := tc.image
+			if image == nil {
+				image = edit(func(_ *Simulator, w []uint64) []uint64 { return w })
+			}
+			if s.ensureFaults() != nil {
+				s.faultQ[1].seq = 5 // stale state the image must clear
+			}
+			err := restoreEngineCkpt(s, image(s))
+			if tc.image != nil || tc.clean {
 				if err == nil {
 					t.Fatal("malformed image restored without error")
 				}
@@ -101,30 +104,21 @@ func TestRestoreEngineCkptRejects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("well-formed image: %v", err)
 			}
-			s.Run(nil, 100, func(v int, ctx *Ctx) {})
-			if s.Messages() != 2 {
-				t.Fatalf("resumed run delivered %d messages, want the 2 queued", s.Messages())
+			if s.faultQ[0].seq != 7 || s.faultQ[2].hold != 2 || s.faultQ[1] != (edgeFaultState{}) {
+				t.Fatalf("restored fault cursors %+v", s.faultQ)
 			}
+			s.Run([]int{0, 1, 2}, 100, fuzzFlood(s.Topo()))
 		})
-	}
-
-	// A fault-cursor count the section cannot back, on a faulty simulator.
-	s := newGraphSim(g, WithFaults(&faults.Plan{Seed: 1, Drop: 0.1}))
-	img := ckptImage(s, 3, 0, 0, 0)
-	img[8+3*s.N()+7] = huge
-	if err := s.restoreEngineCkpt(img); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("huge fault-cursor count: err=%v", err)
 	}
 }
 
-// fuzzTorus is the torus the flood seed images are cut from.
+// fuzzTorus is the torus the flood seed images are written on.
 func fuzzTorus() *graph.Graph {
 	return graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(3)))
 }
 
-// fuzzFlood is a stateless flood over g with Ext tails, capacity-paced
-// backlog and WakeAt sleepers, so its mid-Run images carry inboxes, queues,
-// arena chunks and timers.
+// fuzzFlood is a flood over g with Ext tails, capacity-paced backlog and
+// WakeAt sleepers: under a fault plan it leaves fault cursors on many edges.
 func fuzzFlood(g graph.Topology) StepFunc {
 	return func(v int, ctx *Ctx) {
 		for range ctx.In() {
@@ -146,14 +140,14 @@ func fuzzFlood(g graph.Topology) StepFunc {
 	}
 }
 
-// midRunImage runs run under a mid-Run checkpointer of cadence cut and
-// returns the engine section of the image written at that cut.
-func midRunImage(tb testing.TB, cut int, run func(ck *Checkpointer)) []uint64 {
+// markImage runs run with a checkpointer attached to its simulator, marks
+// one unit after it, and returns the engine section that mark wrote.
+func markImage(tb testing.TB, run func(ck *Checkpointer)) []uint64 {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "image.ckpt")
-	ck := NewCheckpointer(path, int64(cut))
-	ck.MidRun(true)
+	ck := NewCheckpointer(path)
 	run(ck)
+	ck.Mark("run")
 	c, err := trace.ReadCheckpointFile(path)
 	if err == nil {
 		err = ck.Err()
@@ -170,28 +164,34 @@ func midRunImage(tb testing.TB, cut int, run func(ck *Checkpointer)) []uint64 {
 
 var fuzzPlan = &faults.Plan{Seed: 2, Drop: 0.2, Delay: 1, Duplicate: 0.2}
 
-// engineImages are the fuzz seeds: real mid-Run images of the torus flood
-// (clean, and under fuzzPlan with its per-edge fault cursors) and of the
-// ring workload cut while its ring is wrapped. The committed corpus in
+// engineImages are the fuzz seeds: the unit-mark images written after the
+// torus flood (clean, and under fuzzPlan with its per-edge fault cursors)
+// and after the ring workload on the path 0-1 (under fuzzPlan, with its
+// ring wrapped from the first round). The committed corpus in
 // testdata/fuzz/FuzzRestoreEngineCkpt holds the same images, encoded as
 // little-endian words.
 func engineImages(tb testing.TB) map[string][]uint64 {
 	flood := func(opts ...Option) []uint64 {
-		return midRunImage(tb, 3, func(ck *Checkpointer) {
-			g := fuzzTorus()
-			s := newGraphSim(g, append(opts, withCheckpointer(tb, ck))...)
-			s.Run([]int{0, 5, 10, 15}, 3, fuzzFlood(s.Topo()))
+		return markImage(tb, func(ck *Checkpointer) {
+			s := newGraphSim(fuzzTorus(), append(opts, withCheckpointer(tb, ck))...)
+			s.Run([]int{0, 5, 10, 15}, 100, fuzzFlood(s.Topo()))
 		})
 	}
-	layout := wrappingLayout
-	cut := wrappedCut(tb, layout)
-	wrapped := midRunImage(tb, cut, func(ck *Checkpointer) {
-		runRing(tb, layout, cut, withCheckpointer(tb, ck))
-	})
 	return map[string][]uint64{
 		"flood-clean":  flood(),
 		"flood-faulty": flood(WithFaults(fuzzPlan)),
-		"ring-wrapped": wrapped,
+		"ring-wrapped": markImage(tb, func(ck *Checkpointer) {
+			runRing(tb, wrappingLayout, 1000, WithFaults(fuzzPlan), withCheckpointer(tb, ck))
+		}),
+	}
+}
+
+// withCheckpointer attaches ck to the simulator under construction.
+func withCheckpointer(tb testing.TB, ck *Checkpointer) Option {
+	return func(s *Simulator) {
+		if err := ck.Attach(s); err != nil {
+			tb.Fatalf("Attach: %v", err)
+		}
 	}
 }
 
@@ -204,9 +204,9 @@ func wordsToBytes(words []uint64) []byte {
 }
 
 // FuzzRestoreEngineCkpt: an engine section (little-endian words) either
-// fails to restore with an error, or the Run that continues it completes
-// without panicking — on the torus and on the ring workload's path, each
-// with and without a fault plan.
+// fails to decode with an error, or it applies and a Run on the restored
+// simulator completes without panicking — on the torus and on the ring
+// workload's path, each with and without a fault plan.
 func FuzzRestoreEngineCkpt(f *testing.F) {
 	for _, img := range engineImages(f) {
 		f.Add(wordsToBytes(img))
@@ -221,10 +221,10 @@ func FuzzRestoreEngineCkpt(f *testing.F) {
 		for _, g := range []*graph.Graph{torus, path} {
 			for _, opts := range [][]Option{nil, {WithFaults(fuzzPlan)}} {
 				s := newGraphSim(g, opts...)
-				if s.restoreEngineCkpt(words) != nil {
+				if restoreEngineCkpt(s, words) != nil {
 					continue
 				}
-				s.Run(nil, s.resumeRound+64, fuzzFlood(s.Topo()))
+				s.Run([]int{0, 1}, 64, fuzzFlood(s.Topo()))
 			}
 		}
 	})

@@ -2,15 +2,14 @@ package congest
 
 // Edge-queue ring tests: wraparound and growth while wrapped under capacity
 // pacing (against a plain-slice FIFO reference), every fault path on a
-// wrapped ring (against the same run on a ring that never wraps), a mid-Run
-// checkpoint cut while a ring is wrapped, and the capacity bound the ring
-// exists for: an edge's ring is the next power of two of its peak backlog.
+// wrapped ring (against the same run on a ring that never wraps), and the
+// capacity bound the ring exists for: an edge's ring is the next power of
+// two of its peak backlog.
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -61,7 +60,6 @@ type ringRun struct {
 	ctr                     faults.Counters
 	log                     []rcvd
 	wrapped, grewWrapped    bool
-	wrappedAt               []int // rounds that began with the ring wrapped
 }
 
 // ringLayout presets edge 0->1's ring before the run: nil keeps the default
@@ -71,7 +69,7 @@ type ringLayout struct{ len, head int }
 
 // runRing runs the ring workload on the path 0-1 with Ext-carrying payloads
 // (so lost and discarded messages recycle arena chunks) for maxRounds
-// rounds. The handler is stateless, as a mid-Run checkpoint requires.
+// rounds.
 func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ringRun {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
@@ -79,7 +77,7 @@ func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ri
 	s.ensureTopology()
 	e := s.edgeID(0, 1)
 	q := &s.queues[e]
-	if layout != nil && !s.resumePending {
+	if layout != nil {
 		*q = edgeQueue{buf: make([]Message, layout.len), head: int32(layout.head)}
 	}
 	var res ringRun
@@ -97,9 +95,6 @@ func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ri
 			return
 		}
 		head, size := q.head, len(q.buf)
-		if int(q.head)+int(q.n) > len(q.buf) {
-			res.wrappedAt = append(res.wrappedAt, r)
-		}
 		seq := 0
 		for _, b := range backlogSends[:r] {
 			seq += len(b)
@@ -213,59 +208,6 @@ func TestRingFaultPathsWrapped(t *testing.T) {
 // wrappingLayout starts the ring full-circle: a 4-slot ring whose front is
 // its last slot, so the first round's sends already wrap.
 var wrappingLayout = &ringLayout{len: 4, head: 3}
-
-// wrappedCut is the first round boundary after round 2 at which the ring
-// workload on layout, under opts, has its ring wrapped: a mid-Run
-// checkpoint cut there captures a wrapped queue.
-func wrappedCut(tb testing.TB, layout *ringLayout, opts ...Option) int {
-	tb.Helper()
-	for _, r := range runRing(tb, layout, 1000, opts...).wrappedAt {
-		if r >= 3 {
-			return r
-		}
-	}
-	tb.Fatal("no round after the second begins with the ring wrapped")
-	return 0
-}
-
-// TestRingCheckpointWrapped cuts a mid-Run checkpoint while the ring is
-// wrapped, on one shard, and resumes it on four: the resumed run equals the
-// uninterrupted one, clean and under a fault plan.
-func TestRingCheckpointWrapped(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"clean", nil},
-		{"faulty", []Option{WithFaults(&faults.Plan{Seed: 7, Drop: 0.2, Delay: 1, Duplicate: 0.2})}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := runRing(t, nil, 1000, tc.opts...)
-			layout := wrappingLayout
-			cut := wrappedCut(t, layout, tc.opts...)
-			path := filepath.Join(t.TempDir(), "ring.ckpt")
-			ckw := NewCheckpointer(path, int64(cut))
-			ckw.MidRun(true)
-			_ = runRing(t, layout, cut, append(append([]Option{WithWorkers(1)}, tc.opts...), withCheckpointer(t, ckw))...)
-			if err := ckw.Err(); err != nil {
-				t.Fatal(err)
-			}
-			ckr, err := ResumeCheckpointer(path, int64(cut))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runRing(t, layout, 1000, append(append([]Option{WithWorkers(4)}, tc.opts...), withCheckpointer(t, ckr))...)
-			var tail []rcvd
-			for _, m := range ref.log {
-				if m.Round >= cut {
-					tail = append(tail, m)
-				}
-			}
-			ref.log = tail
-			requireRingRunsEqual(t, got, ref)
-		})
-	}
-}
 
 // TestRingCapacityBound: after backlogged runs, every edge's ring holds at
 // most the next power of two of that edge's peak live count. The sender's

@@ -1,12 +1,11 @@
 package congest
 
-// Checkpoint/resume semantics: mid-Run resume equivalence (the strong
-// condition — a run interrupted at an arbitrary round boundary and resumed
-// from its checkpoint is indistinguishable from one that was never
-// interrupted, at every shard count, clean and under faults), unit-granularity
-// skip/restore with a registered provider, and the error paths a resume must
-// fail loudly on (shape mismatch, meta mismatch, corrupt file, missing
-// section, unreached unit cursor).
+// Checkpoint/resume semantics: a flood build resumed at a unit mark equals
+// the uninterrupted one at every shard count, clean and under faults;
+// unit-granularity skip/restore with a registered provider; version-1
+// engine sections; validation of the whole engine section at Attach; and
+// the error paths a resume must fail loudly on (shape mismatch, meta
+// mismatch, corrupt file, missing section, unreached unit cursor).
 
 import (
 	"fmt"
@@ -22,122 +21,103 @@ import (
 	"lowmemroute/internal/trace"
 )
 
-// snapRun captures everything observable about a flood run: the engine
-// counters, fault tallies, per-vertex meter state, and the full per-vertex
-// delivery logs.
+// snapRun captures the engine counters and per-vertex meter state of a run.
 type snapRun struct {
-	executed                int
 	rounds, messages, words int64
-	ctr                     faults.Counters
 	cur, peak               []int64
-	logs                    [][]rcvd
-	sim                     *Simulator
 }
 
-// runSnapshotFlood runs the torus flood workload (stateless handler: behaviour
-// depends only on the vertex, the round, and the inbox — exactly the contract
-// a mid-Run checkpoint needs) for maxRounds rounds, optionally under a
-// checkpointer and a fault plan. Ext payloads exercise the arena-backed
-// message tails through the snapshot encode/restore.
-func runSnapshotFlood(t *testing.T, workers, maxRounds int, ck *Checkpointer, plan *faults.Plan) snapRun {
+// floodUnits runs the flood torus as a build of two units, each one flood
+// Run with Ext payloads followed by a Mark, under an optional checkpointer
+// and fault plan; stopAfter truncates the build after that many units (the
+// "crash"). A resuming ck skips the first unit and restores its image. The
+// result holds the final engine state and the last executed unit's
+// delivery logs.
+func floodUnits(t *testing.T, workers int, plan *faults.Plan, ck *Checkpointer, stopAfter int) (floodResult, *Simulator) {
 	t.Helper()
-	const floodRounds = 10
 	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	opts := []Option{WithWorkers(workers)}
 	if plan != nil {
 		opts = append(opts, WithFaults(plan))
 	}
 	s := newGraphSim(g, opts...)
-	if ck != nil {
-		ck.MidRun(true)
-		if err := ck.Attach(s); err != nil {
-			t.Fatalf("Attach: %v", err)
-		}
+	if err := ck.Attach(s); err != nil {
+		t.Fatalf("Attach: %v", err)
 	}
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
 	}
-	logs := make([][]rcvd, g.N())
-	executed := s.Run(all, maxRounds, func(v int, ctx *Ctx) {
-		for _, m := range ctx.In() {
-			r := rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload}
-			// The inbox Ext is recycled after the round; log a copy.
-			r.Payload.Ext = append([]uint64(nil), m.Payload.Ext...)
-			logs[v] = append(logs[v], r)
+	var logs [][]rcvd
+	for unit := 1; unit <= stopAfter; unit++ {
+		name := fmt.Sprintf("flood-%d", unit)
+		if unitDone(t, ck, name) {
+			continue
 		}
-		if ctx.Round() < floodRounds {
-			for _, nb := range neighbors(s.Topo(), v) {
-				ext := ctx.Ext(2)
-				ext[0], ext[1] = uint64(v), uint64(ctx.Round())
-				ctx.Send(int(nb), Payload{Kind: 1, W0: IntWord(v*1000 + ctx.Round()), Ext: ext},
-					1+(v+int(nb)+ctx.Round())%7)
+		logs = make([][]rcvd, g.N())
+		s.Run(all, 1000, func(v int, ctx *Ctx) {
+			for _, m := range ctx.In() {
+				r := rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload}
+				// The inbox Ext is recycled after the round; log a copy.
+				r.Payload.Ext = append([]uint64(nil), m.Payload.Ext...)
+				logs[v] = append(logs[v], r)
 			}
-			ctx.Wake()
-		}
-	})
-	res := snapRun{
-		executed: executed,
-		rounds:   s.Rounds(), messages: s.Messages(), words: s.Words(),
-		ctr:  s.FaultCounters(),
-		logs: logs,
-		sim:  s,
+			if ctx.Round() < 10 {
+				for _, nb := range neighbors(s.Topo(), v) {
+					ext := ctx.Ext(2)
+					ext[0], ext[1] = uint64(v), uint64(unit)
+					ctx.Send(int(nb), Payload{Kind: 1, W0: IntWord(v*1000 + ctx.Round()), Ext: ext},
+						1+(v+int(nb)+ctx.Round()+unit)%7)
+				}
+				ctx.Wake()
+			}
+		})
+		ck.Mark(name)
 	}
+	res := floodResult{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs, ctr: s.FaultCounters()}
 	for v := 0; v < g.N(); v++ {
-		res.cur = append(res.cur, s.Mem(v).Current())
-		res.peak = append(res.peak, s.Mem(v).Peak())
+		res.peaks = append(res.peaks, s.Mem(v).Peak())
 	}
-	return res
+	return res, s
 }
 
-// TestRunResumeEquivalence is the mid-Run checkpoint gate: run the flood to
-// quiescence straight through, then again truncated at an interior round with
-// a checkpoint cadence that lands exactly one snapshot at the cut, then resume
-// that snapshot on a fresh simulator. Counters, fault tallies, meter state,
-// and the post-cut delivery logs must all match the uninterrupted run — at
-// shard widths 1 and 4, clean and under a drop/delay/duplicate plan.
+// TestRunResumeEquivalence is the unit-mark checkpoint gate for the engine
+// section: a two-unit flood build interrupted after its first unit, at one
+// shard width, and resumed from that unit's image at another must equal
+// the uninterrupted build — counters, fault tallies and per-edge fault
+// cursors (which decide the second unit's faults), meter peaks, and the
+// second unit's delivery logs — clean and under a drop/delay/duplicate
+// plan. The torus forks its rounds, so the sharded runs use the pool.
 func TestRunResumeEquivalence(t *testing.T) {
-	const (
-		cut   = 5  // interrupt after 5 executed rounds
-		total = 60 // past quiescence for the 10-round flood
-	)
-	plans := []struct {
+	for _, tc := range []struct {
 		name string
 		plan *faults.Plan
 	}{
 		{"clean", nil},
 		{"faulty", &faults.Plan{Seed: 9, Drop: 0.1, Delay: 1, Duplicate: 0.1}},
-	}
-	for _, tc := range plans {
+	} {
 		for _, workers := range []int{1, 4} {
-			tc, workers := tc, workers
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, workers), func(t *testing.T) {
-				ref := runSnapshotFlood(t, workers, total, nil, tc.plan)
-				if ref.executed >= total || ref.executed <= cut {
-					t.Fatalf("workload executed %d rounds; need quiescence inside (%d, %d) for a meaningful cut", ref.executed, cut, total)
-				}
+				ref, refSim := floodUnits(t, workers, tc.plan, nil, 2)
 				if tc.plan != nil && !ref.ctr.Any() {
 					t.Fatal("fault plan injected nothing; faulty variant is vacuous")
 				}
-
 				path := filepath.Join(t.TempDir(), "flood.ckpt")
-				ckw := NewCheckpointer(path, cut)
-				_ = runSnapshotFlood(t, workers, cut, ckw, tc.plan)
+				ckw := NewCheckpointer(path)
+				_, _ = floodUnits(t, 5-workers, tc.plan, ckw, 1)
 				if err := ckw.Err(); err != nil {
 					t.Fatalf("checkpoint write: %v", err)
 				}
-
-				ckr, err := ResumeCheckpointer(path, cut)
+				ckr, err := ResumeCheckpointer(path)
 				if err != nil {
-					t.Fatalf("ResumeCheckpointer: %v", err)
+					t.Fatal(err)
 				}
-				got := runSnapshotFlood(t, workers, total, ckr, tc.plan)
-				requireForked(t, ref.sim, workers)
-				requireForked(t, got.sim, workers)
-
-				if got.executed != ref.executed {
-					t.Fatalf("resumed run executed %d rounds, straight run %d", got.executed, ref.executed)
+				got, gotSim := floodUnits(t, workers, tc.plan, ckr, 2)
+				if err := ckr.Err(); err != nil {
+					t.Fatalf("resumed build: %v", err)
 				}
+				requireForked(t, refSim, workers)
+				requireForked(t, gotSim, workers)
 				if got.rounds != ref.rounds || got.messages != ref.messages || got.words != ref.words {
 					t.Fatalf("counters differ after resume: rounds %d vs %d, messages %d vs %d, words %d vs %d",
 						got.rounds, ref.rounds, got.messages, ref.messages, got.words, ref.words)
@@ -145,20 +125,12 @@ func TestRunResumeEquivalence(t *testing.T) {
 				if got.ctr != ref.ctr {
 					t.Fatalf("fault counters differ after resume: %+v vs %+v", got.ctr, ref.ctr)
 				}
-				if !reflect.DeepEqual(got.cur, ref.cur) || !reflect.DeepEqual(got.peak, ref.peak) {
-					t.Fatal("per-vertex meter state differs after resume")
+				if !reflect.DeepEqual(got.peaks, ref.peaks) {
+					t.Fatal("per-vertex meter peaks differ after resume")
 				}
-				// The resumed run only observes rounds >= cut; the straight
-				// run's log suffix must match it exactly.
 				for v := range ref.logs {
-					var tail []rcvd
-					for _, r := range ref.logs[v] {
-						if r.Round >= cut {
-							tail = append(tail, r)
-						}
-					}
-					if !reflect.DeepEqual(tail, got.logs[v]) {
-						t.Fatalf("vertex %d post-cut delivery log differs:\nstraight: %v\nresumed:  %v", v, tail, got.logs[v])
+					if !reflect.DeepEqual(got.logs[v], ref.logs[v]) {
+						t.Fatalf("vertex %d second-unit delivery log differs:\nstraight: %v\nresumed:  %v", v, ref.logs[v], got.logs[v])
 					}
 				}
 			})
@@ -257,7 +229,7 @@ func TestUnitCheckpointResume(t *testing.T) {
 
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "after-p1.ckpt")
-	ckw := NewCheckpointer(p1, 0)
+	ckw := NewCheckpointer(p1)
 	if err := ckw.SetMeta("workload", "unit-build"); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +238,7 @@ func TestUnitCheckpointResume(t *testing.T) {
 		t.Fatalf("interrupted build: %v", err)
 	}
 
-	ckr, err := ResumeCheckpointer(p1, 0)
+	ckr, err := ResumeCheckpointer(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +259,12 @@ func TestUnitCheckpointResume(t *testing.T) {
 	// Full build with a checkpointer leaves a units=2 snapshot; resuming it
 	// skips both phases and must still reproduce everything.
 	p2 := filepath.Join(dir, "after-p2.ckpt")
-	ckFull := NewCheckpointer(p2, 0)
+	ckFull := NewCheckpointer(p2)
 	_, _ = runUnitBuild(t, ckFull, 2)
 	if err := ckFull.Err(); err != nil {
 		t.Fatal(err)
 	}
-	ckSkip, err := ResumeCheckpointer(p2, 0)
+	ckSkip, err := ResumeCheckpointer(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +282,11 @@ func TestUnitCheckpointResume(t *testing.T) {
 func TestCheckpointResumeErrors(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckpt")
-	ck := NewCheckpointer(good, 3)
-	if err := ck.SetMeta("family", "torus"); err != nil {
+	ck := NewCheckpointer(good)
+	if err := ck.SetMeta("family", "path"); err != nil {
 		t.Fatal(err)
 	}
-	_ = runSnapshotFlood(t, 2, 3, ck, nil)
+	_, _ = runUnitBuild(t, ck, 1)
 	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +297,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 	}
 
 	t.Run("wrong-vertex-count", func(t *testing.T) {
-		ckr, err := ResumeCheckpointer(good, 3)
+		ckr, err := ResumeCheckpointer(good)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,23 +307,22 @@ func TestCheckpointResumeErrors(t *testing.T) {
 	})
 
 	t.Run("wrong-capacity", func(t *testing.T) {
-		ckr, err := ResumeCheckpointer(good, 3)
+		ckr, err := ResumeCheckpointer(good)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-		if err := ckr.Attach(newGraphSim(g, WithEdgeCapacity(2))); err == nil || !strings.Contains(err.Error(), "capacity") {
+		if err := ckr.Attach(newSim(8, WithEdgeCapacity(2))); err == nil || !strings.Contains(err.Error(), "capacity") {
 			t.Fatalf("Attach under capacity 2: err=%v, want capacity mismatch", err)
 		}
 	})
 
 	t.Run("meta-mismatch", func(t *testing.T) {
-		ckr, err := ResumeCheckpointer(good, 3)
+		ckr, err := ResumeCheckpointer(good)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ckr.SetMeta("family", "grid"); err == nil || !strings.Contains(err.Error(), "family") {
-			t.Fatalf("SetMeta(family, grid) against a torus checkpoint: err=%v, want mismatch", err)
+			t.Fatalf("SetMeta(family, grid) against a path checkpoint: err=%v, want mismatch", err)
 		}
 	})
 
@@ -366,7 +337,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err := os.WriteFile(bad, flipped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ResumeCheckpointer(bad, 3); err == nil {
+		if _, err := ResumeCheckpointer(bad); err == nil {
 			t.Fatal("resuming a bit-flipped checkpoint file succeeded")
 		}
 	})
@@ -380,7 +351,7 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err := os.WriteFile(bad, raw[:len(raw)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ResumeCheckpointer(bad, 3); err == nil {
+		if _, err := ResumeCheckpointer(bad); err == nil {
 			t.Fatal("resuming a truncated checkpoint file succeeded")
 		}
 	})
@@ -392,21 +363,15 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err := trace.WriteCheckpointFile(bad, c); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ResumeCheckpointer(bad, 3); err == nil || !strings.Contains(err.Error(), EngineSection) {
+		if _, err := ResumeCheckpointer(bad); err == nil || !strings.Contains(err.Error(), EngineSection) {
 			t.Fatalf("resume without an engine section: err=%v", err)
 		}
 	})
 
 	t.Run("malformed-unit-section", func(t *testing.T) {
 		// A CRC-valid unit checkpoint whose engine section carries a
-		// trailing word: applying it at the cursor is an error, not a panic.
-		p1 := filepath.Join(dir, "one-unit.ckpt")
-		ckw := NewCheckpointer(p1, 0)
-		_, _ = runUnitBuild(t, ckw, 1)
-		if err := ckw.Err(); err != nil {
-			t.Fatal(err)
-		}
-		c, err := trace.ReadCheckpointFile(p1)
+		// trailing word: Attach rejects it before the build starts.
+		c, err := trace.ReadCheckpointFile(good)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,27 +385,24 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		if err := trace.WriteCheckpointFile(bad, tampered); err != nil {
 			t.Fatal(err)
 		}
-		ckr, err := ResumeCheckpointer(bad, 0)
+		ckr, err := ResumeCheckpointer(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ckr.Attach(newSim(8)); err != nil {
-			t.Fatal(err)
-		}
-		if done, err := ckr.UnitDone("p1"); done || err == nil || !strings.Contains(err.Error(), "trailing") {
-			t.Fatalf("UnitDone on a malformed section: done=%v err=%v", done, err)
+		if err := ckr.Attach(newSim(8)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("Attach with a malformed engine section: err=%v", err)
 		}
 	})
 	t.Run("unreached-unit-cursor", func(t *testing.T) {
 		// A quiescent checkpoint recording 2 completed units, resumed by a
 		// run that only ever declares one: Err must flag the mismatch.
 		p2 := filepath.Join(dir, "two-units.ckpt")
-		ckw := NewCheckpointer(p2, 0)
+		ckw := NewCheckpointer(p2)
 		_, _ = runUnitBuild(t, ckw, 2)
 		if err := ckw.Err(); err != nil {
 			t.Fatal(err)
 		}
-		ckr, err := ResumeCheckpointer(p2, 0)
+		ckr, err := ResumeCheckpointer(p2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,4 +416,110 @@ func TestCheckpointResumeErrors(t *testing.T) {
 			t.Fatalf("Err with an unreached cursor: %v", err)
 		}
 	})
+}
+
+// TestEngineV1CheckpointRestores: a version-1 engine section — the layout a
+// quiescent version-2 section has under its old version word — resumes to
+// the uninterrupted build.
+func TestEngineV1CheckpointRestores(t *testing.T) {
+	refVals, refRun := runUnitBuild(t, nil, 2)
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "v2.ckpt")
+	ckw := NewCheckpointer(v2)
+	_, _ = runUnitBuild(t, ckw, 1)
+	if err := ckw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.ReadCheckpointFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, _, err := c.Section(EngineSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if words[0] != 2 || words[1] != 0 {
+		t.Fatalf("unit checkpoint: version %d flags %d; want version 2, flags 0", words[0], words[1])
+	}
+	v1 := &trace.Checkpoint{Meta: c.Meta}
+	v1.AddSection(EngineSection, append([]uint64{1}, words[1:]...))
+	for _, sec := range c.Sections {
+		if sec.Name != EngineSection {
+			v1.Sections = append(v1.Sections, sec)
+		}
+	}
+	path := filepath.Join(dir, "v1.ckpt")
+	if err := trace.WriteCheckpointFile(path, v1); err != nil {
+		t.Fatal(err)
+	}
+	ckr, err := ResumeCheckpointer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotVals, gotRun := runUnitBuild(t, ckr, 2)
+	if err := ckr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotVals, refVals) || !reflect.DeepEqual(gotRun, refRun) {
+		t.Fatal("v1 resume diverged from the straight build")
+	}
+}
+
+// TestAttachValidatesEngineSection: a unit-mark image whose fault cursors
+// are out of order fails at Attach, before the build replays anything, and
+// leaves the simulator's counters and meters untouched.
+func TestAttachValidatesEngineSection(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	ckw := NewCheckpointer(good)
+	s := newGraphSim(fuzzTorus(), WithFaults(fuzzPlan), withCheckpointer(t, ckw))
+	s.Run([]int{0, 5, 10, 15}, 100, fuzzFlood(s.Topo()))
+	ckw.Mark("flood")
+	if err := ckw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.ReadCheckpointFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, _, err := c.Section(EngineSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 8 + 3*s.N() + 7 // the fault-cursor count
+	if words[at] < 2 {
+		t.Fatalf("image carries %d fault cursors, want at least 2", words[at])
+	}
+	bad := append([]uint64(nil), words...)
+	first, second := bad[at+1:at+6], bad[at+6:at+11]
+	swapped := append(append([]uint64(nil), second...), first...)
+	copy(bad[at+1:], swapped)
+	tampered := &trace.Checkpoint{Meta: c.Meta}
+	tampered.AddSection(EngineSection, bad)
+	path := filepath.Join(dir, "unordered.ckpt")
+	if err := trace.WriteCheckpointFile(path, tampered); err != nil {
+		t.Fatal(err)
+	}
+
+	used := newGraphSim(fuzzTorus(), WithFaults(fuzzPlan))
+	used.Run([]int{1, 2}, 100, fuzzFlood(used.Topo()))
+	snap := func() snapRun {
+		r := snapRun{rounds: used.Rounds(), messages: used.Messages(), words: used.Words()}
+		for v := 0; v < used.N(); v++ {
+			r.cur = append(r.cur, used.Mem(v).Current())
+			r.peak = append(r.peak, used.Mem(v).Peak())
+		}
+		return r
+	}
+	before, ctr := snap(), used.FaultCounters()
+	ckr, err := ResumeCheckpointer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckr.Attach(used); err == nil || !strings.Contains(err.Error(), "order") {
+		t.Fatalf("Attach with out-of-order fault cursors: err=%v", err)
+	}
+	if after := snap(); !reflect.DeepEqual(after, before) || used.FaultCounters() != ctr {
+		t.Fatal("a rejected Attach modified the simulator")
+	}
 }

@@ -4,8 +4,7 @@ package congest
 // program is indistinguishable from the same program spinning on Wake (at
 // every shard count, with the idle fast-forward on or off, and under crash
 // windows), timers past maxRounds are dropped, tracing still samples every
-// round, timers survive a mid-Run checkpoint, and a timer-heavy steady state
-// allocates nothing.
+// round, and a timer-heavy steady state allocates nothing.
 
 import (
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"lowmemroute/internal/faults"
@@ -85,7 +83,7 @@ const timerSide = 72
 // start offset and then sends to its neighbors; receivers charge memory and
 // answer some arrivals, so traffic overlaps the sleeps. Offsets are bunched
 // into waves with idle gaps between them. The handler keeps no state of its
-// own (a mid-Run checkpoint needs that). spin selects the reference
+// own. spin selects the reference
 // implementation of the wait: Wake every round instead of WakeAt.
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
@@ -281,78 +279,39 @@ func TestWakeAtCrashKeepsSpinSemantics(t *testing.T) {
 	})
 }
 
-// TestWakeAtResumeEquivalence: a mid-Run checkpoint cut while timers are
-// pending carries them, and the resumed run - at a different shard count -
-// equals the uninterrupted one.
-func TestWakeAtResumeEquivalence(t *testing.T) {
-	const cut = 60 // waves start at 0, 40, 80, 120: later waves are asleep
-	ref := timerWorkload(t, false, 1, 1000)
-	path := filepath.Join(t.TempDir(), "timers.ckpt")
-	ckw := NewCheckpointer(path, cut)
-	ckw.MidRun(true)
-	_ = timerWorkload(t, false, 1, cut, withCheckpointer(t, ckw))
-	if err := ckw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	ckr, err := ResumeCheckpointer(path, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := timerWorkload(t, false, 4, 1000, withCheckpointer(t, ckr))
-	if got.executed != ref.executed || got.rounds != ref.rounds || got.messages != ref.messages || got.words != ref.words {
-		t.Fatalf("resumed counters: executed %d rounds %d messages %d words %d; straight run %d %d %d %d",
-			got.executed, got.rounds, got.messages, got.words, ref.executed, ref.rounds, ref.messages, ref.words)
-	}
-	if !reflect.DeepEqual(got.peaks, ref.peaks) {
-		t.Fatal("per-vertex meter peaks differ after resume")
-	}
-	for v := range ref.logs {
-		var tail []rcvd
-		for _, r := range ref.logs[v] {
-			if r.Round >= cut {
-				tail = append(tail, r)
-			}
-		}
-		if !reflect.DeepEqual(got.logs[v], tail) {
-			t.Fatalf("vertex %d post-cut delivery log differs:\nstraight: %v\nresumed:  %v", v, tail, got.logs[v])
-		}
-	}
-}
-
-// TestWakeAtRestoreOnUsedSimulator: restoring a mid-Run checkpoint into a
-// simulator whose earlier Run armed the very (round, vertex) timers the
-// checkpoint carries must push every one of them, so the resumed run still
-// equals the uninterrupted one.
+// TestWakeAtRestoreOnUsedSimulator: a unit-mark image restored into a
+// simulator whose earlier WakeAt runs left armed timer slots, counters,
+// meters and fault cursors of their own replaces all of that state, so the
+// next unit runs exactly as in the uninterrupted build.
 func TestWakeAtRestoreOnUsedSimulator(t *testing.T) {
-	const cut = 60 // the waves at rounds 80 and 120 are asleep at the cut
-	ref := timerWorkload(t, false, 1, 1000)
+	plan := &faults.Plan{Seed: 9, Drop: 0.1, Delay: 1} // no crash windows: WakeAt keeps its timers
+	ref := timerWorkload(t, false, 1, 1000, WithFaults(plan))
+	ref = timerWorkloadOn(t, ref.sim, false, 1000) // the second unit
 	path := filepath.Join(t.TempDir(), "timers.ckpt")
-	ckw := NewCheckpointer(path, cut)
-	ckw.MidRun(true)
-	_ = timerWorkload(t, false, 1, cut, withCheckpointer(t, ckw))
+	ckw := NewCheckpointer(path)
+	_ = timerWorkload(t, false, 1, 1000, WithFaults(plan), withCheckpointer(t, ckw))
+	ckw.Mark("first")
 	if err := ckw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
 			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-			s := newGraphSim(g, WithWorkers(workers))
-			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
-			ckr, err := ResumeCheckpointer(path, cut)
+			s := newGraphSim(g, WithWorkers(workers), WithFaults(plan))
+			// Two units' worth of history the image must overwrite.
+			timerWorkloadOn(t, s, false, 1000)
+			timerWorkloadOn(t, s, false, 1000)
+			ckr, err := ResumeCheckpointer(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := ckr.Attach(s); err != nil {
 				t.Fatal(err)
 			}
-			got := timerWorkloadOn(t, s, false, 1000)
-			if got.executed != ref.executed || got.rounds != ref.rounds || got.messages != ref.messages || got.words != ref.words {
-				t.Fatalf("resumed counters: executed %d rounds %d messages %d words %d; straight run %d %d %d %d",
-					got.executed, got.rounds, got.messages, got.words, ref.executed, ref.rounds, ref.messages, ref.words)
+			if !unitDone(t, ckr, "first") {
+				t.Fatal("the checkpointed unit was not skipped")
 			}
-			if !reflect.DeepEqual(got.peaks, ref.peaks) {
-				t.Fatal("per-vertex meter peaks differ after resume")
-			}
+			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
 		})
 	}
 }
@@ -449,146 +408,6 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 					got.executed, ref.executed, got.acted, ref.acted)
 			}
 		})
-	}
-}
-
-// withCheckpointer attaches ck to the simulator under construction.
-func withCheckpointer(t testing.TB, ck *Checkpointer) Option {
-	return func(s *Simulator) {
-		if err := ck.Attach(s); err != nil {
-			t.Fatalf("Attach: %v", err)
-		}
-	}
-}
-
-// TestWakeAtCheckpointValidation: restore rejects a timer for a vertex out
-// of range or for a round the checkpoint has already executed.
-func TestWakeAtCheckpointValidation(t *testing.T) {
-	const cut = 60
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.ckpt")
-	ckw := NewCheckpointer(good, cut)
-	ckw.MidRun(true)
-	_ = timerWorkload(t, false, 1, cut, withCheckpointer(t, ckw))
-	if err := ckw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := trace.ReadCheckpointFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, _, err := c.Section(EngineSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The section ends with the timer block: count, then (round, vertex)
-	// pairs; corrupt the last timer.
-	for name, last := range map[string][2]uint64{
-		"vertex-out-of-range": {words[len(words)-2], timerSide * timerSide},
-		"round-already-run":   {cut, words[len(words)-1]},
-	} {
-		t.Run(name, func(t *testing.T) {
-			bad := append([]uint64(nil), words...)
-			bad[len(bad)-2], bad[len(bad)-1] = last[0], last[1]
-			tampered := &trace.Checkpoint{Meta: c.Meta}
-			tampered.AddSection(EngineSection, bad)
-			path := filepath.Join(dir, name+".ckpt")
-			if err := trace.WriteCheckpointFile(path, tampered); err != nil {
-				t.Fatal(err)
-			}
-			ckr, err := ResumeCheckpointer(path, cut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-			if err := ckr.Attach(newGraphSim(g)); err == nil || !strings.Contains(err.Error(), "timer") {
-				t.Fatalf("Attach with a bad timer: err=%v", err)
-			}
-		})
-	}
-}
-
-// TestWakeAtCheckpointTimersUnique: a re-arm of an older round slips a
-// duplicate past the one-slot dedupe - vertex 0 arms round 50, a message
-// wakes it to arm round 40, and round 40 arms 50 again - but the checkpoint
-// writes each pending (round, vertex) once.
-func TestWakeAtCheckpointTimersUnique(t *testing.T) {
-	const cut = 45
-	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	path := filepath.Join(t.TempDir(), "dup.ckpt")
-	ck := NewCheckpointer(path, cut)
-	ck.MidRun(true)
-	s := newGraphSim(g, withCheckpointer(t, ck))
-	s.Run([]int{0, 1}, cut+1, func(v int, ctx *Ctx) {
-		switch r := ctx.Round(); {
-		case v == 1 && r == 0:
-			ctx.WakeAt(4)
-		case v == 1 && r == 4:
-			ctx.Send(0, Payload{}, 1)
-		case v == 0 && (r == 0 || r == 40):
-			ctx.WakeAt(50)
-		case v == 0:
-			ctx.WakeAt(40)
-		}
-	})
-	if err := ck.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := trace.ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, _, err := c.Section(EngineSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := words[len(words)-3:]; !reflect.DeepEqual(tail, []uint64{1, 50, 0}) || words[len(words)-5] == 50 {
-		t.Fatalf("timer block ends %v; want the single timer (round 50, vertex 0)", words[len(words)-5:])
-	}
-}
-
-// TestEngineV1CheckpointRestores: a version-1 engine section - the layout
-// before timers, which is version 2 without the trailing timer block -
-// still resumes to the uninterrupted run.
-func TestEngineV1CheckpointRestores(t *testing.T) {
-	const cut, total = 5, 60
-	ref := runSnapshotFlood(t, 1, total, nil, nil)
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "v2.ckpt")
-	ckw := NewCheckpointer(v2, cut)
-	_ = runSnapshotFlood(t, 1, cut, ckw, nil)
-	if err := ckw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := trace.ReadCheckpointFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, _, err := c.Section(EngineSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words[0] != 2 || words[len(words)-1] != 0 {
-		t.Fatalf("flood checkpoint: version %d, timer count %d; want version 2 with no timers", words[0], words[len(words)-1])
-	}
-	old := append([]uint64{1}, words[1:len(words)-1]...)
-	v1 := &trace.Checkpoint{Meta: c.Meta}
-	v1.AddSection(EngineSection, old)
-	path := filepath.Join(dir, "v1.ckpt")
-	if err := trace.WriteCheckpointFile(path, v1); err != nil {
-		t.Fatal(err)
-	}
-	ckr, err := ResumeCheckpointer(path, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runSnapshotFlood(t, 4, total, ckr, nil)
-	if got.executed != ref.executed || got.rounds != ref.rounds || got.messages != ref.messages || got.words != ref.words {
-		t.Fatalf("v1 resume: executed %d rounds %d messages %d words %d; straight run %d %d %d %d",
-			got.executed, got.rounds, got.messages, got.words, ref.executed, ref.rounds, ref.messages, ref.words)
-	}
-	if !reflect.DeepEqual(got.peak, ref.peak) {
-		t.Fatal("per-vertex meter peaks differ after a v1 resume")
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/trace"
+	"lowmemroute/internal/treeroute"
 )
 
 type coreSnap struct {
@@ -79,7 +81,7 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 	// every completed tree-routing unit.
 	dir := t.TempDir()
 	live := filepath.Join(dir, "build.ckpt")
-	ck := congest.NewCheckpointer(live, 0)
+	ck := congest.NewCheckpointer(live)
 	setMeta := func(t *testing.T, ck *congest.Checkpointer, family string) {
 		t.Helper()
 		for _, kv := range [][2]string{{"family", family}, {"n", fmt.Sprint(n)}, {"k", fmt.Sprint(k)}} {
@@ -121,7 +123,7 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 			workers = 4
 		}
 		t.Run(fmt.Sprintf("%s/workers=%d", units[i], workers), func(t *testing.T) {
-			ckr, err := congest.ResumeCheckpointer(cut, 0)
+			ckr, err := congest.ResumeCheckpointer(cut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +139,7 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 	// A stale-metadata resume must fail before touching the engine: the
 	// checkpoint records the run parameters it belongs to.
 	t.Run("meta-mismatch", func(t *testing.T) {
-		ckr, err := congest.ResumeCheckpointer(cuts[0], 0)
+		ckr, err := congest.ResumeCheckpointer(cuts[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,4 +147,49 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 			t.Fatal("SetMeta accepted a family mismatch against the resumed checkpoint")
 		}
 	})
+}
+
+// TestBuildUnitMarksAreQuiescent: every image a checkpointed Build writes is
+// a unit mark at a quiescent point. The engine section is version 2 with
+// flag word 0 (no in-flight round state), and the only other section is the
+// tree-routing builder's: the explorations write nothing of their own.
+func TestBuildUnitMarksAreQuiescent(t *testing.T) {
+	g, err := graph.Generate(graph.FamilyGrid, 256, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
+	path := filepath.Join(t.TempDir(), "build.ckpt")
+	ck := congest.NewCheckpointer(path)
+	marks := 0
+	ck.SetOnMark(func(unit string, step int64) {
+		marks++
+		c, err := trace.ReadCheckpointFile(path)
+		if err != nil {
+			t.Errorf("unit %s: %v", unit, err)
+			return
+		}
+		words, ok, err := c.Section(congest.EngineSection)
+		if err != nil || !ok || len(words) < 2 {
+			t.Errorf("unit %s: engine section present=%v err=%v", unit, ok, err)
+			return
+		}
+		if words[0] != 2 || words[1] != 0 {
+			t.Errorf("unit %s: engine section version %d flags %#x, want version 2 flags 0", unit, words[0], words[1])
+		}
+		for _, s := range c.Sections {
+			if s.Name != congest.EngineSection && s.Name != treeroute.BuilderSection {
+				t.Errorf("unit %s: unexpected section %q", unit, s.Name)
+			}
+		}
+	})
+	if _, err := Build(sim, Options{K: 2, Seed: 1, Ckpt: ck}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if marks != 10 {
+		t.Fatalf("observed %d unit marks, want the 10 tree-routing phases", marks)
+	}
 }

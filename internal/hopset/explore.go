@@ -166,15 +166,9 @@ func (e *Explorer) Explore(sources []Source, opts ExploreOptions) (*ExploreResul
 		maxRounds = 10*opts.Hops + 4*n + 4096
 	}
 
-	// Reset the previous call's state (its result is hereby invalidated) —
-	// unless this Explore continues a restored mid-run checkpoint, in which
-	// case the lists were just rebuilt by RestoreCkpt and the simulator
-	// resumes the interrupted Run at its recorded round (past round 0, so
-	// the seeds below are never re-applied).
-	if !e.sim.ResumePending() {
-		for v := range e.state {
-			e.state[v] = e.state[v][:0]
-		}
+	// Reset the previous call's state (its result is hereby invalidated).
+	for v := range e.state {
+		e.state[v] = e.state[v][:0]
 	}
 
 	// Stable-sort the seeds by host vertex so step's round-0 seeding is a

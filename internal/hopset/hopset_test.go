@@ -1,7 +1,9 @@
 package hopset
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -465,5 +467,42 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExploreWorkerCountInvariance runs a four-root exploration serially and
+// on four shards. The graph is large enough for the engine to fork rounds
+// (from 1024 active vertices or dirty destinations on), so the sharded run
+// executes the explorer's handlers on the worker pool; distances, meter
+// readings and rounds must equal the serial run's.
+func TestExploreWorkerCountInvariance(t *testing.T) {
+	const n, hops = 1500, 12
+	g := testGraph(t, n, 7)
+	roots := []int{0, 17, 42, 80}
+	srcs := make([]Source, 0, len(roots))
+	for _, r := range roots {
+		srcs = append(srcs, Source{Root: r, At: r})
+	}
+	run := func(workers int) []int64 {
+		sim := congest.NewTopo(g, congest.WithWorkers(workers))
+		res, err := Explore(sim, srcs, ExploreOptions{Hops: hops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
+			t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; it never forked",
+				workers, steps, deliveries)
+		}
+		out := []int64{sim.Rounds()}
+		for v := 0; v < n; v++ {
+			for _, r := range roots {
+				out = append(out, int64(math.Float64bits(res.Dist(v, r))))
+			}
+			out = append(out, sim.Mem(v).Current(), sim.Mem(v).Peak())
+		}
+		return out
+	}
+	if want, got := run(1), run(4); !reflect.DeepEqual(got, want) {
+		t.Fatal("exploration on four shards diverged from the serial run")
 	}
 }

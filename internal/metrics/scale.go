@@ -187,12 +187,6 @@ type ProbeConfig struct {
 	// Shards is the parallel execution shard count (congest.WithWorkers);
 	// 0 keeps the simulator default.
 	Shards int
-	// Ckpt, when non-nil, checkpoints the exploration mid-run at the
-	// checkpointer's round cadence: the probe is one long Run, so the
-	// explorer registers as a provider and the engine snapshots at round
-	// boundaries. A resumed probe continues the interrupted exploration and
-	// reports the same row.
-	Ckpt *congest.Checkpointer
 }
 
 // RunSubstrateProbe streams an n-vertex instance into CSR form, boots the
@@ -215,37 +209,11 @@ func RunSubstrateProbe(cfg ProbeConfig) (*ProbeRow, error) {
 	row.M = csr.M()
 	row.GraphBytes = csr.MemoryBytes()
 
-	for _, kv := range [][2]string{
-		{"mode", "probe"},
-		{"family", string(cfg.Family)},
-		{"n", strconv.Itoa(csr.N())},
-		{"hops", strconv.Itoa(hops)},
-		{"seed", strconv.FormatInt(cfg.Seed, 10)},
-	} {
-		if err := cfg.Ckpt.SetMeta(kv[0], kv[1]); err != nil {
-			return nil, fmt.Errorf("metrics: probe checkpoint: %w", err)
-		}
-	}
-
 	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithWorkers(cfg.Shards))
-	// The probe is a single Run with one stateful provider (the explorer),
-	// whose estimate lists are consistent at every round boundary — exactly
-	// the contract mid-run cadence snapshots need.
-	cfg.Ckpt.MidRun(true)
-	if err := cfg.Ckpt.Attach(sim); err != nil {
-		return nil, fmt.Errorf("metrics: probe checkpoint: %w", err)
-	}
-	ex := hopset.NewExplorer(sim)
-	if err := cfg.Ckpt.Register(ex); err != nil {
-		return nil, fmt.Errorf("metrics: probe checkpoint: %w", err)
-	}
 	t1 := time.Now()
-	dist, _, _, err := ex.DistToSet([]int{0}, hops)
+	dist, _, _, err := hopset.NewExplorer(sim).DistToSet([]int{0}, hops)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: probe exploration n=%d: %w", cfg.N, err)
-	}
-	if err := cfg.Ckpt.Err(); err != nil {
-		return nil, fmt.Errorf("metrics: probe checkpoint n=%d: %w", cfg.N, err)
 	}
 	row.ExploreWall = time.Since(t1)
 	for _, d := range dist {

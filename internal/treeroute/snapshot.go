@@ -9,9 +9,7 @@ package treeroute
 //
 // What is durable is exactly the state a later phase reads: the per-vertex
 // algorithm outputs (local roots, sizes, heavy children, light-edge lists,
-// DFS frames, shifts); local-dfs's handler state is all durable, so a
-// mid-Run checkpoint inside it resumes too (TestLocalDFSMidRunResume).
-// Convergecast scratch (pending/acc), the kickoff schedule, the
+// DFS frames, shifts). Convergecast scratch (pending/acc), the kickoff schedule, the
 // pointer-jumping commit buffers (tmp*), and the fault-duplicate filters
 // (sizeSeen/lightSeen) are re-initialised by whichever phase uses them, and
 // the sampling state (inU, offsets) replays deterministically from
@@ -131,40 +129,32 @@ func readBools(r *trace.WordReader, xs []bool) {
 	}
 }
 
-func readIntLists(r *trace.WordReader, xs [][]int) error {
+// readIntLists and readLightLists read rows in the appendIntLists and
+// appendLightLists encoding. A row header (len+1) is read with Count, so a
+// length the section cannot back fails r.Done instead of sizing an
+// allocation; a real row always can, since every tree's fixed-width arrays
+// follow its lists. A failed header reads as a nil row.
+func readIntLists(r *trace.WordReader, xs [][]int) {
 	for i := range xs {
-		k := r.Int()
-		if k == 0 {
-			xs[i] = nil
-			continue
+		xs[i] = nil
+		if k := r.Count(1); k > 0 {
+			xs[i] = make([]int, k-1)
+			readInts(r, xs[i])
 		}
-		if k < 0 {
-			return fmt.Errorf("treeroute: builder section row length %d", k)
-		}
-		row := make([]int, k-1)
-		readInts(r, row)
-		xs[i] = row
 	}
-	return nil
 }
 
-func readLightLists(r *trace.WordReader, xs [][]LightEdge) error {
+func readLightLists(r *trace.WordReader, xs [][]LightEdge) {
 	for i := range xs {
-		k := r.Int()
-		if k == 0 {
-			xs[i] = nil
-			continue
+		xs[i] = nil
+		if k := r.Count(2); k > 0 {
+			row := make([]LightEdge, k-1)
+			for j := range row {
+				row[j] = LightEdge{Parent: r.Int(), Child: r.Int()}
+			}
+			xs[i] = row
 		}
-		if k < 0 {
-			return fmt.Errorf("treeroute: builder section row length %d", k)
-		}
-		row := make([]LightEdge, k-1)
-		for j := range row {
-			row[j] = LightEdge{Parent: r.Int(), Child: r.Int()}
-		}
-		xs[i] = row
 	}
-	return nil
 }
 
 // RestoreCkpt rebuilds the durable arrays of every tree. The builder must be
@@ -190,18 +180,10 @@ func (b *distBuilder) RestoreCkpt(words []uint64) error {
 		readInts(r, st.heavyBest)
 		readInts(r, st.pjS)
 		readInts(r, st.pjA)
-		if err := readIntLists(r, st.anc); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.lightLocal); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.lightGlobal); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.fullLight); err != nil {
-			return err
-		}
+		readIntLists(r, st.anc)
+		readLightLists(r, st.lightLocal)
+		readLightLists(r, st.lightGlobal)
+		readLightLists(r, st.fullLight)
 		readInts(r, st.sibIdx)
 		readInts(r, st.lowSum)
 		readInts(r, st.highSum)

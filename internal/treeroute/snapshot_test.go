@@ -9,16 +9,18 @@ package treeroute
 // wrote it.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
-
-	"math/rand"
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/trace"
 )
 
 type buildSnap struct {
@@ -87,7 +89,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	// each of the ten phases.
 	dir := t.TempDir()
 	live := filepath.Join(dir, "build.ckpt")
-	ck := congest.NewCheckpointer(live, 0)
+	ck := congest.NewCheckpointer(live)
 	var cuts []string
 	var units []string
 	ck.SetOnMark(func(unit string, step int64) {
@@ -115,7 +117,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 
 	for i, cut := range cuts {
 		t.Run(units[i], func(t *testing.T) {
-			ckr, err := congest.ResumeCheckpointer(cut, 0)
+			ckr, err := congest.ResumeCheckpointer(cut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,90 +128,6 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 			requireBuildsEqual(t, got, ref)
 		})
 	}
-}
-
-// TestLocalDFSMidRunResume cuts a build inside local-dfs with a mid-Run
-// checkpoint while some trees have kicked off and others are still asleep
-// on their start-offset timers, then resumes the checkpoint on a fresh
-// builder at a different shard count. The finished build must equal an
-// uninterrupted one: the timers and the rest of the phase's state travel in
-// the checkpoint, and the rebuilt kickoff schedule starts no tree twice.
-func TestLocalDFSMidRunResume(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees := makeTrees(t, g, []int{0, 10, 20, 30, 40, 50}, "dfs", 4)
-	const dfs = 7 // index of local-dfs in phases()
-
-	// setup returns a builder that has run every phase before local-dfs.
-	setup := func(shards int) *distBuilder {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5), congest.WithWorkers(shards))
-		b := newDistBuilder(sim, trees, DistOptions{Seed: 5})
-		for _, ph := range b.phases()[:dfs] {
-			if err := ph.run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b
-	}
-	// finish runs local-dfs and the phases after it.
-	finish := func(b *distBuilder) buildSnap {
-		res := &DistResult{}
-		for _, ph := range b.phases()[dfs:] {
-			if err := ph.run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, st := range b.ts {
-			res.Schemes = append(res.Schemes, st.finish())
-		}
-		return captureBuild(b.sim, res)
-	}
-	ref := finish(setup(1))
-
-	b := setup(1)
-	lo, hi := b.ts[0].offset, b.ts[0].offset
-	for _, st := range b.ts {
-		lo, hi = min(lo, st.offset), max(hi, st.offset)
-	}
-	cut := (lo + hi) / 2
-	if cut <= lo || cut >= hi {
-		t.Fatalf("tree offsets span [%d, %d]: no round has both started and sleeping trees", lo, hi)
-	}
-	path := filepath.Join(t.TempDir(), "dfs.ckpt")
-	ckw := congest.NewCheckpointer(path, int64(cut))
-	ckw.MidRun(true)
-	if err := ckw.Attach(b.sim); err != nil {
-		t.Fatal(err)
-	}
-	if err := ckw.Register(b); err != nil {
-		t.Fatal(err)
-	}
-	b.cap = cut // the "crash": local-dfs stops after cut rounds
-	if err := b.phaseLocalDFS(); err == nil {
-		t.Fatalf("local-dfs finished within %d rounds; the cut is not inside the phase", cut)
-	}
-	if err := ckw.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed := setup(4)
-	ckr, err := congest.ResumeCheckpointer(path, int64(cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ckr.Attach(resumed.sim); err != nil {
-		t.Fatal(err)
-	}
-	if err := ckr.Register(resumed); err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.sim.ResumePending() {
-		t.Fatal("mid-Run checkpoint did not arm a resume")
-	}
-	requireBuildsEqual(t, finish(resumed), ref)
 }
 
 // TestBuilderOldSectionsRestore: a version-2 builder section (a tree's block
@@ -255,4 +173,140 @@ func TestBuilderOldSectionsRestore(t *testing.T) {
 	if err := b.RestoreCkpt(append([]uint64{4}, want[1:]...)); err == nil {
 		t.Fatal("a future builder section version restored")
 	}
+}
+
+// builderFixture is a two-tree build over an ER graph, small enough to
+// fuzz: the graph and trees FuzzRestoreBuilderCkpt restores into.
+func builderFixture(tb testing.TB) (*graph.CSR, []*graph.Tree) {
+	tb.Helper()
+	g, err := graph.Generate(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(31)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo := graph.FromGraph(g)
+	r := rand.New(rand.NewSource(4))
+	var trees []*graph.Tree
+	for _, root := range []int{0, 10} {
+		tr, err := graph.SpanningTree(topo, root, "dfs", r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	return topo, trees
+}
+
+// builderSections runs the fixture's build under a checkpointer and returns
+// the builder section each of the named unit marks wrote.
+func builderSections(tb testing.TB, units ...string) map[string][]uint64 {
+	tb.Helper()
+	topo, trees := builderFixture(tb)
+	path := filepath.Join(tb.TempDir(), "build.ckpt")
+	ck := congest.NewCheckpointer(path)
+	out := map[string][]uint64{}
+	ck.SetOnMark(func(unit string, _ int64) {
+		if !slices.Contains(units, unit) {
+			return
+		}
+		c, err := trace.ReadCheckpointFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		words, _, err := c.Section(BuilderSection)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[unit] = words
+	})
+	sim := congest.NewTopo(topo, congest.WithSeed(5))
+	if err := ck.Attach(sim); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := BuildDistributed(sim, trees, DistOptions{Seed: 5, Ckpt: ck}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := ck.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	if len(out) != len(units) {
+		tb.Fatalf("captured %d of the units %v", len(out), units)
+	}
+	return out
+}
+
+// TestRestoreBuilderCkptRejectsHugeRows: a list row whose length the
+// section cannot back — huge, or negative — is an error, not an
+// allocation.
+func TestRestoreBuilderCkptRejectsHugeRows(t *testing.T) {
+	topo, trees := builderFixture(t)
+	words := builderSections(t, "tree:shifts-down")["tree:shifts-down"]
+	// Locate the first tree's first ancestor row header and first
+	// light-edge row header: version, tree count, member count m, seven
+	// m-word arrays, then m ancestor rows.
+	m := int(words[2])
+	anc := 3 + 7*m
+	light := anc
+	for i := 0; i < m; i++ {
+		k := int(words[light])
+		light++
+		if k > 0 {
+			light += k - 1
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		len  uint64
+	}{
+		{"anc-2^62", anc, 1 << 62},
+		{"anc-maxint", anc, 1<<63 - 1},
+		{"anc-negative", anc, 1<<64 - 1},
+		{"light-2^62", light, 1 << 62},
+		{"light-maxint", light, 1<<63 - 1},
+		{"light-negative", light, 1<<64 - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(words)
+			bad[tc.at] = tc.len
+			b := newDistBuilder(congest.NewTopo(topo, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+			if err := b.RestoreCkpt(bad); err == nil {
+				t.Fatal("a section with an unbacked row length restored")
+			}
+		})
+	}
+}
+
+// FuzzRestoreBuilderCkpt: a builder section (little-endian words) either
+// fails to restore with an error, or restores to a state whose own section
+// restores back to the same state. The seeds are real unit-mark sections of
+// the fixture build; the committed corpus in
+// testdata/fuzz/FuzzRestoreBuilderCkpt holds the same sections.
+func FuzzRestoreBuilderCkpt(f *testing.F) {
+	for _, words := range builderSections(f, "tree:local-dfs", "tree:shifts-down") {
+		b := make([]byte, 8*len(words))
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		f.Add(b)
+	}
+	topo, trees := builderFixture(f)
+	sim := congest.NewTopo(topo, congest.WithSeed(5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		words := make([]uint64, len(data)/8)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		b := newDistBuilder(sim, trees, DistOptions{Seed: 5})
+		if b.RestoreCkpt(words) != nil {
+			return
+		}
+		first := b.AppendCkpt(nil)
+		again := newDistBuilder(sim, trees, DistOptions{Seed: 5})
+		if err := again.RestoreCkpt(first); err != nil {
+			t.Fatalf("a builder's own section does not restore: %v", err)
+		}
+		if !reflect.DeepEqual(again.AppendCkpt(nil), first) {
+			t.Fatal("a restored builder re-serialises differently")
+		}
+	})
 }
