@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-ab bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
 
 all: build vet lint test race
 
@@ -53,6 +53,16 @@ test-record:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# A/B the repository benchmark (scripts/bench-ab.sh): WORKLOAD at git
+# revision REV against the working tree, in PAIRS alternating pairs; prints
+# every pair's setup_s and the geometric-mean change/base ratio. REV is
+# checked out in a git worktree under .bench_build/, removed afterwards.
+REV ?= HEAD
+WORKLOAD ?= serve-grid400-k3
+PAIRS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # Benchmark-regression snapshot (internal/benchfmt, schema
 # lowmemroute.bench/v1): the congest hot-path micro-benchmarks and the

@@ -90,7 +90,8 @@ func New(k, n int) *Scheme {
 func (s *Scheme) AddTree(center int, tree *graph.Tree, host graph.Topology, ts *treeroute.Scheme) {
 	s.ClusterTrees[center] = tree
 	s.weights[center] = tree.UpWeights(host)
-	for _, v := range tree.Members() {
+	for i := 0; i < tree.Size(); i++ {
+		v := tree.MemberAt(i)
 		s.Tables[v].Trees[center] = ts.Tables[v]
 	}
 }

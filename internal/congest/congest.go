@@ -9,9 +9,11 @@
 // per round; within a round all vertices observe the same pre-round state
 // (message delivery is barrier-synchronised), and rounds are executed by a
 // goroutine worker pool. Bandwidth is enforced: traffic exceeding an edge's
-// per-round word budget is queued, the queue delays delivery and its words
-// are charged to the sender's memory meter - this is exactly the congestion
-// that the paper's random start-time scheduling is designed to avoid.
+// per-round word budget is queued and the queue delays delivery - this is
+// exactly the congestion that the paper's random start-time scheduling is
+// designed to avoid. Queued words charge no memory: a CONGEST processor
+// regenerates outgoing messages from its stored state, which is charged
+// already (DESIGN.md §2).
 //
 // Receiving is link-buffered and free (a vertex may receive one message per
 // incident edge per round and process them streaming, as the model allows);
@@ -27,6 +29,7 @@ package congest
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
@@ -112,19 +115,27 @@ type Simulator struct {
 	// strictly observational and costs one nil check per round when off.
 	obs *obsHooks
 
-	// CSR index over directed edges, compiled once by ensureTopology.
-	outStart []int32 // per sender: offsets into outTo
+	// CSR index over directed edges, compiled once by ensureTopology. The
+	// topology is undirected, so v's senders are its destinations: inEdges
+	// shares outStart's ranges, and slot p holds the edge from outTo[p].
+	outStart []int32 // per sender: offsets into outTo (and inEdges)
 	outTo    []int32 // destinations, ascending per sender, deduplicated
-	inStart  []int32 // per destination: offsets into inEdges
-	inEdges  []int32 // incoming directed edge ids, ascending-sender order
+	inEdges  []int32 // slot p of v's range: the directed edge outTo[p] -> v
 	inPos    []int32 // directed edge id -> its slot in inEdges
 
 	// Per-directed-edge queues plus the dirty-destination bookkeeping:
-	// dirtyIn's region [inStart[v], inStart[v]+dirtyCnt[v]) lists the
+	// dirtyIn's region [outStart[v], outStart[v]+dirtyCnt[v]) lists the
 	// inEdges slots of v's currently backlogged incoming edges.
 	queues   []edgeQueue
 	dirtyIn  []int32
 	dirtyCnt []int32
+
+	// tails[e] is edge e's Ext tail ring, slot-parallel to queues[e].buf
+	// once queues[e].tails is set (see edgeQueue). The slice is allocated
+	// on the first tail any edge carries (tailsOnce), so a simulator whose
+	// messages never carry one pays nothing for it.
+	tails     [][][]uint64
+	tailsOnce sync.Once
 
 	// Sharded delivery worklists: shard sh owns the contiguous destination
 	// range [sh*shardBlock, (sh+1)*shardBlock). Cur is this round's dirty
@@ -143,6 +154,7 @@ type Simulator struct {
 	// (int32 vertex ids — half the footprint of the O(n) worklists).
 	epoch     int64
 	nextStamp []int64
+	actBits   []uint64 // sortActive's bitmap, clear between calls
 	ctxs      []Ctx
 	actList   []int32
 	nextList  []int32

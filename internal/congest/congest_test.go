@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -73,6 +75,36 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 	s.Run([]int{0}, 1, func(v int, ctx *Ctx) {
 		ctx.Send(3, Payload{}, 1) // 0 and 3 are not adjacent on the path
 	})
+}
+
+// TestSendWordsBound: a queued entry stores its word count as an int32, so
+// Send rejects a message of 2^31 words or more the way it rejects a
+// non-neighbour, and a message of exactly MaxInt32 words arrives intact.
+func TestSendWordsBound(t *testing.T) {
+	for _, words := range []int{math.MaxInt32 + 1, math.MaxInt} {
+		t.Run(fmt.Sprint(words), func(t *testing.T) {
+			s := newGraphSim(pathGraph(2))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic on a %d-word send", words)
+				}
+			}()
+			s.Run([]int{0}, 1, func(v int, ctx *Ctx) { ctx.Send(1, Payload{}, words) })
+		})
+	}
+	s := newGraphSim(pathGraph(2), WithEdgeCapacity(0))
+	got := 0
+	s.Run([]int{0}, 4, func(v int, ctx *Ctx) {
+		if v == 0 && ctx.Round() == 0 {
+			ctx.Send(1, Payload{}, math.MaxInt32)
+		}
+		for _, m := range ctx.In() {
+			got = m.Words
+		}
+	})
+	if got != math.MaxInt32 || s.Words() != math.MaxInt32 {
+		t.Fatalf("delivered %d words (counter %d), want %d", got, s.Words(), math.MaxInt32)
+	}
 }
 
 func TestWakeKeepsVertexActive(t *testing.T) {

@@ -12,8 +12,10 @@ package congest
 //                   edges deduplicated (they share one queue and therefore
 //                   one bandwidth budget, exactly like the map-keyed queues
 //                   they replace);
-//   inStart/inEdges per-destination lists of incoming directed edge ids,
-//                   senders ascending;
+//   inEdges         per-destination lists of incoming directed edge ids,
+//                   senders ascending; the topology is undirected, so v's
+//                   list shares v's outStart range, and slot p holds the
+//                   edge from outTo[p];
 //   inPos           edge id -> its slot in inEdges.
 //
 // Every per-round structure (contexts, send buffers, inboxes, queues, the
@@ -34,6 +36,8 @@ package congest
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -49,23 +53,78 @@ import (
 const parallelMin = 1024
 
 // edgeQueue models the pacing of a bandwidth-limited directed edge as a
-// FIFO. Backlog delays delivery (rounds) but does not charge the sender's
-// memory: a real CONGEST processor regenerates outgoing messages from its
-// stored state (already charged) rather than holding per-edge copies.
+// FIFO. Backlog delays delivery (rounds) but charges no memory: a real
+// CONGEST processor regenerates outgoing messages from its stored state
+// (already charged) rather than holding per-edge copies (DESIGN.md §2).
 //
-// The FIFO is a power-of-two ring, nil until the edge first carries
-// traffic and doubled only when a push finds it full: its length is the
-// next power of two of the edge's largest live backlog, however much
-// traffic the edge carries in all. Popped slots hold no Ext chunk. Cursors
-// are int32 (an edge never queues 2^31 messages): the queue array is the
-// engine's largest O(m) structure.
+// The FIFO is a power-of-two ring of pointer-free qEntry slots, nil until
+// the edge first carries traffic, carved from the sending shard's ring slab
+// (ringSlab) and doubled only when a Send finds it full. Ext tails ride in
+// the edge's tail ring (Simulator.tails), slot-parallel to buf, which exists
+// only once the edge has carried a tail and grows in lockstep with buf. Both
+// rings have one writer, the sender's step, and one reader, the
+// destination's delivery, which never run at the same time. Popped slots
+// hold no Ext chunk. The queue array is the engine's largest O(m) structure,
+// so a queue is 40 bytes: cursors are int32 (an edge never queues 2^31
+// messages) and the tail ring is kept outside it.
 type edgeQueue struct {
-	buf  []Message
+	buf  []qEntry
 	head int32 // ring index of the front (oldest live) message
 	n    int32 // live messages
 	// sent is the number of words of the front message already transmitted
 	// in previous rounds (large messages take several rounds to cross).
 	sent int32
+	// tails is set once the edge has carried an Ext tail: from then on
+	// Simulator.tails holds its tail ring. Only the edge's own Send sets it,
+	// so reading it never races. A Send on another edge may be allocating
+	// the tails slice, so every read of that slice checks this flag first
+	// (setTail passes tailsOnce instead).
+	tails bool
+}
+
+// qEntry is one queued message in 40 bytes with no pointer, so the GC never
+// scans a ring: the inline payload words, the word count and the kind. The
+// sender is implied by the edge, the tail lives in the edge's tail ring, and
+// Ctx.Send bounds words to an int32.
+type qEntry struct {
+	w     [4]uint64
+	words int32
+	kind  PayloadKind
+}
+
+// Ring sizes: a ring starts at one slot, so the rings of edges that never
+// back up sit densely in their chunk, and its first growth jumps to ringMin
+// slots, skipping the doublings a backlog would soon outgrow. Rings up to
+// ringSlabMax slots are carved from ringChunk-slot chunks instead of being
+// allocated one by one.
+const (
+	ringMin     = 8
+	ringSlabMax = 256
+	ringChunk   = 4096
+)
+
+// ringSlab hands out entry and tail rings from large chunks, so an edge's
+// rings cost no allocation of their own. A ring outgrown by its edge stays in
+// its chunk, which is freed with the last ring carved from it; doubling
+// bounds that waste by the edge's live ring. A slab belongs to one execution
+// shard (see wordArena), so it is never shared between goroutines.
+type ringSlab struct {
+	entries []qEntry
+	tails   [][]uint64
+}
+
+// carve cuts an n-slot ring from the chunk *free, starting a new chunk when
+// it runs short.
+func carve[T any](free *[]T, n int) []T {
+	if n > ringSlabMax {
+		return make([]T, n)
+	}
+	if len(*free) < n {
+		*free = make([]T, ringChunk)
+	}
+	b := (*free)[:n:n]
+	*free = (*free)[n:]
+	return b
 }
 
 // edgeFaultState is the per-edge-queue fault bookkeeping, kept out of
@@ -85,35 +144,119 @@ type edgeFaultState struct {
 func (q *edgeQueue) empty() bool { return q.n == 0 }
 
 // front is the oldest live message; the queue must not be empty.
-func (q *edgeQueue) front() *Message { return &q.buf[q.head] }
+func (q *edgeQueue) front() *qEntry { return &q.buf[q.head] }
+
+// slot is the ring index of the i-th live message, 0 being the front.
+func (q *edgeQueue) slot(i int) int { return (int(q.head) + i) & (len(q.buf) - 1) }
 
 // at is the i-th live message, 0 being the front.
-func (q *edgeQueue) at(i int) *Message { return &q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
+func (q *edgeQueue) at(i int) *qEntry { return &q.buf[q.slot(i)] }
 
-// push appends m, doubling a full ring (unwrapped to the new ring's start).
-func (q *edgeQueue) push(m Message) {
-	if int(q.n) == len(q.buf) {
-		buf := make([]Message, max(1, 2*len(q.buf)))
-		k := copy(buf, q.buf[q.head:])
-		copy(buf[k:], q.buf[:q.head])
-		q.buf, q.head = buf, 0
+// tailRing is edge e's tail ring, or nil while the edge has carried no
+// tail.
+func (s *Simulator) tailRing(e int32) *[][]uint64 {
+	if !s.queues[e].tails {
+		return nil
 	}
-	*q.at(int(q.n)) = m
-	q.n++
+	return &s.tails[e]
 }
 
-// pop retires the front message, whose Ext chunk the caller has handed to
-// an inbox or recycled, and restarts the transmission count.
+// setTail stores the arena-owned tail of the message in slot i of edge e's
+// queue, creating the tail ring on the edge's first tail (and the tails
+// slice on the simulator's first).
+func (s *Simulator) setTail(e int32, i int, ext []uint64, slab *ringSlab) {
+	q := &s.queues[e]
+	if !q.tails {
+		s.tailsOnce.Do(func() { s.tails = make([][][]uint64, len(s.queues)) })
+		s.tails[e] = carve(&slab.tails, len(q.buf))
+		q.tails = true
+	}
+	s.tails[e][i] = ext
+}
+
+// grow replaces a full ring by a larger one (see ringMin), unwrapping it,
+// and its tail ring when tails is not nil, to the new ring's start.
+func (q *edgeQueue) grow(slab *ringSlab, tails *[][]uint64) {
+	n := 1
+	if len(q.buf) > 0 {
+		n = max(ringMin, 2*len(q.buf))
+	}
+	buf := carve(&slab.entries, n)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	if tails != nil {
+		old := *tails
+		t := carve(&slab.tails, n)
+		k := copy(t, old[q.head:])
+		copy(t[k:], old[:q.head])
+		clear(old) // the outgrown ring keeps no reference to a live tail
+		*tails = t
+	}
+	q.buf, q.head = buf, 0
+}
+
+// popTail detaches the tail of edge e's front message (nil when it has
+// none), handing its arena chunk to the caller.
+func (s *Simulator) popTail(e int32) []uint64 {
+	tails := s.tailRing(e)
+	if tails == nil {
+		return nil
+	}
+	t := &(*tails)[s.queues[e].head]
+	ext := *t
+	*t = nil
+	return ext
+}
+
+// pop retires the front message, whose tail the caller has taken with
+// popTail, and restarts the transmission count. A queue that empties starts
+// over at slot 0, so an edge that never backs up keeps reusing one slot
+// (one cache line) instead of cycling through its whole ring.
 func (q *edgeQueue) pop() {
-	q.buf[q.head].Payload.Ext = nil
 	q.head = (q.head + 1) & int32(len(q.buf)-1)
 	q.n--
 	q.sent = 0
+	if q.n == 0 {
+		q.head = 0
+	}
 }
 
-// reset empties the queue and keeps its ring. Callers recycle the live
-// messages' Ext chunks first: recycleExt(q.buf) reaches exactly those.
-func (q *edgeQueue) reset() { q.head, q.n, q.sent = 0, 0, 0 }
+// resetQueue empties edge e's queue and keeps its rings, returning the live
+// messages' tails to a: popped slots hold none, so these are exactly the
+// live ones.
+func (s *Simulator) resetQueue(e int32, a *wordArena) {
+	if tails := s.tailRing(e); tails != nil {
+		for i, t := range *tails {
+			if t != nil {
+				a.put(t)
+				(*tails)[i] = nil
+			}
+		}
+	}
+	q := &s.queues[e]
+	q.head, q.n, q.sent = 0, 0, 0
+}
+
+// inboxMin is the capacity an inbox starts at (a grid vertex's in-degree),
+// so most inboxes reach their size in one allocation instead of three.
+const inboxMin = 4
+
+// appendMessage appends the inbox form of entry en sent by from, owning
+// tail ext, writing its fields in place rather than copying a built Message.
+func appendMessage(inb []Message, from int32, en *qEntry, ext []uint64) []Message {
+	if len(inb) == cap(inb) {
+		inb = slices.Grow(inb, max(1, inboxMin-len(inb)))
+	}
+	inb = inb[:len(inb)+1]
+	m := &inb[len(inb)-1]
+	m.From = int(from)
+	m.Words = int(en.words)
+	p := &m.Payload
+	p.Kind = en.kind
+	p.W0, p.W1, p.W2, p.W3 = en.w[0], en.w[1], en.w[2], en.w[3]
+	p.Ext = ext
+	return inb
+}
 
 // ensureTopology compiles the CSR edge index and sizes every recycled
 // buffer. It runs once, on the first Run (or restore); the topology is
@@ -149,18 +292,13 @@ func (s *Simulator) ensureTopology() {
 
 	// Incoming CSR: for each destination, the incoming directed edge ids
 	// in ascending-sender order (edge ids ascend with their sender, so a
-	// counting pass in id order lands them presorted).
-	s.inStart = make([]int32, n+1)
-	for _, to := range outTo {
-		s.inStart[to+1]++
-	}
-	for v := 0; v < n; v++ {
-		s.inStart[v+1] += s.inStart[v]
-	}
+	// pass in id order lands them presorted). The topology is undirected:
+	// v's senders are exactly its destinations, so v's list fills v's
+	// outStart range and slot p holds the edge from outTo[p].
 	s.inEdges = make([]int32, ne)
 	s.inPos = make([]int32, ne)
 	cursor := make([]int32, n)
-	copy(cursor, s.inStart[:n])
+	copy(cursor, s.outStart[:n])
 	for e := 0; e < ne; e++ {
 		to := outTo[e]
 		p := cursor[to]
@@ -173,6 +311,7 @@ func (s *Simulator) ensureTopology() {
 	s.dirtyIn = make([]int32, ne)
 	s.dirtyCnt = make([]int32, n)
 	s.nextStamp = make([]int64, n)
+	s.actBits = make([]uint64, (n+63)/64)
 	s.armed = make([]int, n)
 	s.inboxMax = make([]int32, n)
 	s.epoch = 0
@@ -282,12 +421,10 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		executed++
 
 		// Ran vertices have consumed their inboxes; harvest the arena
-		// chunks and recycle the buffers. recycleExt nils every Ext, so
-		// truncating is enough - no delivered payload outlives the round.
+		// chunks and recycle the buffers - no delivered payload outlives
+		// the round.
 		for _, v := range s.actList {
-			in := s.inbox[v]
-			s.recycleExt(in)
-			s.inbox[v] = in[:0]
+			s.recycleInbox(v)
 		}
 
 		// Register this round's sends (messages are already on their edge
@@ -316,7 +453,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 					s.shardCur[sh] = append(s.shardCur[sh], int32(to))
 					pending++
 				}
-				s.dirtyIn[int(s.inStart[to])+int(s.dirtyCnt[to])] = s.inPos[e]
+				s.dirtyIn[int(s.outStart[to])+int(s.dirtyCnt[to])] = s.inPos[e]
 				s.dirtyCnt[to]++
 			}
 			c.outEdge = c.outEdge[:0]
@@ -393,8 +530,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		}
 
 		// Next round's active list: woken + received, sorted ascending.
-		slices.Sort(next)
-		s.nextList = next
+		s.nextList = s.sortActive(next)
 		s.actList, s.nextList = s.nextList, s.actList
 	}
 	s.rounds += int64(executed)
@@ -402,9 +538,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	// Drop undelivered state and pending timers if we hit maxRounds.
 	s.timers = s.timers[:0]
 	for _, v := range s.actList {
-		in := s.inbox[v]
-		s.recycleExt(in)
-		s.inbox[v] = in[:0]
+		s.recycleInbox(v)
 		s.inboxMax[v] = 0
 	}
 	if pending > 0 {
@@ -520,7 +654,7 @@ func (s *Simulator) deliverShard(sh int) {
 // message and word counts.
 func (s *Simulator) drainDst(v int) (int64, int64) {
 	var msgs, words int64
-	region := s.dirtyIn[s.inStart[v] : int(s.inStart[v])+int(s.dirtyCnt[v])]
+	region := s.dirtyIn[s.outStart[v] : int(s.outStart[v])+int(s.dirtyCnt[v])]
 	// Carried entries (compacted last round) and this round's arrivals are
 	// each already ascending, so this is a near-linear merge for pdqsort.
 	slices.Sort(region)
@@ -529,7 +663,8 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 	inb := s.inbox[v]
 	inbMax := int64(s.inboxMax[v])
 	for _, p := range region {
-		q := &s.queues[s.inEdges[p]]
+		e := s.inEdges[p]
+		q := &s.queues[e]
 		budget := s.capacity
 		for !q.empty() {
 			m := q.front()
@@ -537,7 +672,7 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 				if budget <= 0 {
 					break
 				}
-				if remaining := m.Words - int(q.sent); remaining > budget {
+				if remaining := int(m.words - q.sent); remaining > budget {
 					q.sent += int32(budget)
 					budget = 0
 					break
@@ -545,10 +680,10 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 					budget -= remaining
 				}
 			}
-			w := int64(m.Words)
-			// The inbox owns the arena chunk now; pop drops the slot's
-			// reference (Ext is the only pointer in a Message).
-			inb = append(inb, *m)
+			w := int64(m.words)
+			// The inbox owns the arena chunk now; popTail drops the ring's
+			// reference.
+			inb = appendMessage(inb, s.outTo[p], m, s.popTail(e))
 			q.pop()
 			if w > inbMax {
 				inbMax = w
@@ -582,7 +717,7 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 	clock := s.faultClock
 	ctr := &s.shardFault[sh]
 	ar := &s.shardArena[sh]
-	base := int(s.inStart[v])
+	base := int(s.outStart[v])
 	region := s.dirtyIn[base : base+int(s.dirtyCnt[v])]
 	slices.Sort(region)
 	if down, forever := f.Crashed(v, clock); down {
@@ -604,7 +739,7 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 		e := s.inEdges[p]
 		q := &s.queues[e]
 		fq := &s.faultQ[e]
-		if cut, forever := f.CutPair(q.front().From, v, clock); cut {
+		if cut, forever := f.CutPair(int(s.outTo[p]), v, clock); cut {
 			if forever {
 				ctr.Discarded += s.discardQueue(e)
 				continue
@@ -630,7 +765,7 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 				if budget <= 0 {
 					break
 				}
-				if remaining := m.Words - int(q.sent); remaining > budget {
+				if remaining := int(m.words - q.sent); remaining > budget {
 					q.sent += int32(budget)
 					budget = 0
 					break
@@ -641,12 +776,12 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 			// The message would complete this round: roll its drop.
 			if f.DropRoll(e, fq.seq, int(fq.attempt)) {
 				ctr.Dropped++
-				ctr.RetryWords += int64(m.Words)
+				ctr.RetryWords += int64(m.words)
 				q.sent = 0
 				if int(fq.attempt) >= f.Budget() {
 					ctr.Lost++
-					if m.Payload.Ext != nil {
-						ar.put(m.Payload.Ext)
+					if ext := s.popTail(e); ext != nil {
+						ar.put(ext)
 					}
 					q.pop()
 					fq.attempt, fq.hold, fq.rolled = 0, 0, false
@@ -659,17 +794,17 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 				// rounds.
 				ctr.Retried++
 				s.shardSpike[sh] = append(s.shardSpike[sh],
-					faults.Spike{V: int32(m.From), Words: int32(m.Words)})
+					faults.Spike{V: s.outTo[p], Words: m.words})
 				fq.attempt++
 				break
 			}
-			w := int64(m.Words)
-			inb = append(inb, *m)
+			w := int64(m.words)
+			inb = appendMessage(inb, s.outTo[p], m, s.popTail(e))
 			if f.DupRoll(e, fq.seq) {
 				// Deliver a second copy. Its Ext must be a fresh arena
 				// chunk: inbox recycling frees each Ext exactly once.
-				dup := *m
-				dup.Payload.Ext = ar.clone(m.Payload.Ext)
+				dup := inb[len(inb)-1]
+				dup.Payload.Ext = ar.clone(dup.Payload.Ext)
 				inb = append(inb, dup)
 				ctr.Duplicated++
 				msgs++
@@ -703,8 +838,7 @@ func (s *Simulator) discardQueue(e int32) int64 {
 	q := &s.queues[e]
 	fq := &s.faultQ[e]
 	dropped := int64(q.n)
-	s.recycleExt(q.buf)
-	q.reset()
+	s.resetQueue(e, &s.arena)
 	fq.seq += uint64(dropped)
 	fq.attempt, fq.hold, fq.rolled = 0, 0, false
 	return dropped
@@ -715,7 +849,7 @@ func (s *Simulator) discardQueue(e int32) int64 {
 func (s *Simulator) eachDirty(fn func(e int32, q *edgeQueue)) {
 	for sh := range s.shardCur {
 		for _, v := range s.shardCur[sh] {
-			base := int(s.inStart[v])
+			base := int(s.outStart[v])
 			for _, p := range s.dirtyIn[base : base+int(s.dirtyCnt[v])] {
 				e := s.inEdges[p]
 				fn(e, &s.queues[e])
@@ -728,8 +862,7 @@ func (s *Simulator) eachDirty(fn func(e int32, q *edgeQueue)) {
 // "drop undelivered state" path when maxRounds cut the simulation short.
 func (s *Simulator) drainAll() {
 	s.eachDirty(func(e int32, q *edgeQueue) {
-		s.recycleExt(q.buf)
-		q.reset()
+		s.resetQueue(e, &s.arena)
 		if s.faultQ != nil {
 			fq := &s.faultQ[e]
 			fq.attempt, fq.hold, fq.rolled = 0, 0, false
@@ -748,7 +881,7 @@ func (s *Simulator) queueBacklog() (backlog int64) {
 	s.eachDirty(func(_ int32, q *edgeQueue) {
 		backlog -= int64(q.sent)
 		for j := 0; j < int(q.n); j++ {
-			backlog += int64(q.at(j).Words)
+			backlog += int64(q.at(j).words)
 		}
 	})
 	return backlog
@@ -759,7 +892,8 @@ func (s *Simulator) queueBacklog() (backlog int64) {
 // messages but charges no memory (see edgeQueue). The payload's Ext slice is
 // borrowed: Send copies it into an arena chunk, so the caller's buffer (and a
 // received payload being relayed) may be reused immediately. Sending to a
-// non-neighbor panics: it is a programming error that would break the model.
+// non-neighbor, or a message of 2^31 words or more, panics: either is a
+// programming error that would break the model.
 func (c *Ctx) Send(to int, p Payload, words int) {
 	e := c.sim.edgeID(c.v, to)
 	if e < 0 {
@@ -767,12 +901,13 @@ func (c *Ctx) Send(to int, p Payload, words int) {
 	}
 	if words < 1 {
 		words = 1
+	} else if words > math.MaxInt32 {
+		panic(fmt.Sprintf("congest: vertex %d sent a %d-word message to %d", c.v, words, to))
 	}
 	ar := c.arena
 	if ar == nil {
 		ar = &c.sim.arena
 	}
-	p.Ext = ar.clone(p.Ext)
 	// Enqueue straight onto the edge queue: the sender is this queue's only
 	// writer and delivery only runs between rounds, so the append is safe
 	// even on the parallel step path - and the message is copied once, not
@@ -783,7 +918,45 @@ func (c *Ctx) Send(to int, p Payload, words int) {
 	if q.empty() {
 		c.outEdge = append(c.outEdge, e)
 	}
-	q.push(Message{From: c.v, Payload: p, Words: words})
+	if int(q.n) == len(q.buf) {
+		q.grow(&ar.rings, c.sim.tailRing(e))
+	}
+	i := q.slot(int(q.n))
+	q.n++
+	en := &q.buf[i]
+	en.w[0], en.w[1], en.w[2], en.w[3] = p.W0, p.W1, p.W2, p.W3
+	en.words, en.kind = int32(words), p.Kind
+	if len(p.Ext) > 0 {
+		c.sim.setTail(e, i, ar.clone(p.Ext), &ar.rings)
+	}
+}
+
+// bitmapSortMin is the length from which sortActive sorts through the
+// bitmap; shorter lists are cheaper to sort outright.
+const bitmapSortMin = 64
+
+// sortActive sorts a duplicate-free vertex list ascending, in place. A long
+// list is sorted by setting its vertices in actBits and reading them back in
+// one pass over the words between its smallest and largest vertex, which
+// leaves actBits clear again.
+func (s *Simulator) sortActive(list []int32) []int32 {
+	if len(list) < bitmapSortMin {
+		slices.Sort(list)
+		return list
+	}
+	lo, hi := list[0], list[0]
+	for _, v := range list {
+		s.actBits[v>>6] |= 1 << (v & 63)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	out := list[:0]
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for b := s.actBits[w]; b != 0; b &= b - 1 {
+			out = append(out, w<<6|int32(bits.TrailingZeros64(b)))
+		}
+		s.actBits[w] = 0
+	}
+	return out
 }
 
 // fastForward advances every backlogged queue by k-1 rounds of bandwidth,
@@ -799,7 +972,7 @@ func (s *Simulator) fastForward(limit int) int {
 	}
 	minRounds := 0
 	s.eachDirty(func(_ int32, q *edgeQueue) {
-		r := (q.front().Words - int(q.sent) + s.capacity - 1) / s.capacity
+		r := (int(q.front().words-q.sent) + s.capacity - 1) / s.capacity
 		if minRounds == 0 || r < minRounds {
 			minRounds = r
 		}

@@ -28,7 +28,9 @@ type rcvd struct {
 // worker-pool widths and requires identical counters, identical per-vertex
 // meter peaks, and — the strong condition — identical per-vertex delivery
 // logs: every vertex sees the same messages in the same order in the same
-// rounds regardless of how delivery was sharded.
+// rounds regardless of how delivery was sharded. Some messages carry Ext
+// tails from round 0 on, so many edges carry their first tail in the same
+// forked step phase.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	const (
 		side        = 33 // 1089 vertices: round 0 forks both phases
@@ -51,13 +53,23 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		s.Run(all, floodRounds+1, func(v int, ctx *Ctx) {
 			// Each vertex owns logs[v]; step parallelism never races here.
 			for _, m := range ctx.In() {
-				logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
+				r := rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload}
+				r.Payload.Ext = append([]uint64(nil), m.Payload.Ext...)
+				logs[v] = append(logs[v], r)
 			}
 			if ctx.Round() < floodRounds {
 				for _, nb := range neighbors(s.Topo(), v) {
 					// Payload identifies the send event; Words varies so the
 					// capacity pacer splits some messages across rounds.
-					ctx.Send(int(nb), Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+int(nb)+ctx.Round())%7)
+					k := v + int(nb) + ctx.Round()
+					p := Payload{W0: IntWord(v*1000 + ctx.Round())}
+					if k%5 == 0 {
+						p.Ext = ctx.Ext(1 + k%3)
+						for i := range p.Ext {
+							p.Ext[i] = uint64(k + i)
+						}
+					}
+					ctx.Send(int(nb), p, 1+k%7)
 				}
 				ctx.Wake()
 			}

@@ -69,9 +69,14 @@ func WordBool(w uint64) bool { return w != 0 }
 // so the lists are mutex-guarded; put runs only on the engine's serial paths
 // (inbox recycle, end-of-Run cleanup). Chunks are not zeroed on get: Send
 // copies exactly the words it returns, so no stale data is ever observable.
+//
+// An arena also carries its shard's ring slab: the Sends of the shard that
+// owns the arena carve edge-queue rings from it (edgeQueue), unlocked, since
+// only that shard's goroutine does.
 type wordArena struct {
-	mu   sync.Mutex
-	free [maxArenaClass + 1][][]uint64
+	mu    sync.Mutex
+	free  [maxArenaClass + 1][][]uint64
+	rings ringSlab
 }
 
 const maxArenaClass = 48 // chunks up to 2^48 words; larger would OOM first
@@ -135,18 +140,19 @@ func (a *wordArena) stats() (chunks, words int64) {
 	return chunks, words
 }
 
-// recycleExt harvests the arena chunks of a delivered message batch, nil-ing
-// each Ext as it goes so a chunk can never be double-freed. Ext is the only
-// pointer in a Message, so callers that truncate the batch afterwards need
-// no further zeroing. The batch must be owned by the caller (serial paths,
-// or a delivery shard discarding its own queues — put itself is locked).
-func (s *Simulator) recycleExt(msgs []Message) {
-	for i := range msgs {
-		if e := msgs[i].Payload.Ext; e != nil {
+// recycleInbox empties v's inbox on a serial path, first harvesting its
+// messages' arena chunks and nil-ing each Ext so a chunk can never be
+// double-freed. Ext is the only pointer in a Message, so the truncated
+// messages need no further zeroing.
+func (s *Simulator) recycleInbox(v int32) {
+	in := s.inbox[v]
+	for i := range in {
+		if e := in[i].Payload.Ext; e != nil {
 			s.arena.put(e)
-			msgs[i].Payload.Ext = nil
+			in[i].Payload.Ext = nil
 		}
 	}
+	s.inbox[v] = in[:0]
 }
 
 // Ext returns this context's reusable encode buffer, resized to n words. It

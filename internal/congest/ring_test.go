@@ -1,10 +1,12 @@
 package congest
 
 // Edge-queue ring tests: wraparound and growth while wrapped under capacity
-// pacing (against a plain-slice FIFO reference), every fault path on a
-// wrapped ring (against the same run on a ring that never wraps), and the
-// capacity bound the ring exists for: an edge's ring is the next power of
-// two of its peak backlog.
+// pacing (against a plain-slice FIFO reference), the Ext side ring growing in
+// lockstep, every fault path on a wrapped ring (against the same run on a
+// ring that never wraps), arena chunks coming back exactly once from every
+// fault path, the capacity bound the ring exists for (an edge's ring is the
+// next power of two of its peak backlog), and the layout (a 40-byte entry
+// with no pointers, a 40-byte queue).
 
 import (
 	"fmt"
@@ -12,6 +14,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
@@ -53,13 +56,16 @@ func refPacing(sends [][]int, capacity int) []int {
 }
 
 // ringRun is everything observable about one run of the ring workload, plus
-// what the sender saw of its ring (not part of the equality).
+// what the sender saw of its rings (not part of the equality).
 type ringRun struct {
 	executed                int
 	rounds, messages, words int64
 	ctr                     faults.Counters
 	log                     []rcvd
 	wrapped, grewWrapped    bool
+	// extGrewWrapped: the Ext side ring grew while wrapped; extSkew: after
+	// some send the side ring's length differed from the entry ring's.
+	extGrewWrapped, extSkew bool
 }
 
 // ringLayout presets edge 0->1's ring before the run: nil keeps the default
@@ -71,6 +77,12 @@ type ringLayout struct{ len, head int }
 // (so lost and discarded messages recycle arena chunks) for maxRounds
 // rounds.
 func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ringRun {
+	return runRingTails(t, layout, nil, maxRounds, opts...)
+}
+
+// runRingTails is runRing where message seq carries a one-word Ext tail only
+// when tail(seq) holds (every message when tail is nil).
+func runRingTails(t testing.TB, layout *ringLayout, tail func(seq int) bool, maxRounds int, opts ...Option) ringRun {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	s := newGraphSim(g, opts...)
@@ -78,7 +90,7 @@ func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ri
 	e := s.edgeID(0, 1)
 	q := &s.queues[e]
 	if layout != nil {
-		*q = edgeQueue{buf: make([]Message, layout.len), head: int32(layout.head)}
+		*q = edgeQueue{buf: make([]qEntry, layout.len), head: int32(layout.head)}
 	}
 	var res ringRun
 	res.executed = s.Run([]int{0}, maxRounds, func(v int, ctx *Ctx) {
@@ -95,20 +107,33 @@ func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ri
 			return
 		}
 		head, size := q.head, len(q.buf)
+		extSize := 0
+		if tails := s.tailRing(e); tails != nil {
+			extSize = len(*tails)
+		}
 		seq := 0
 		for _, b := range backlogSends[:r] {
 			seq += len(b)
 		}
 		for i, w := range backlogSends[r] {
-			ext := ctx.Ext(1)
-			ext[0] = uint64(seq + i)
-			ctx.Send(1, Payload{Kind: 1, W0: uint64(seq + i), Ext: ext}, w)
+			p := Payload{Kind: 1, W0: uint64(seq + i)}
+			if tail == nil || tail(seq+i) {
+				p.Ext = ctx.Ext(1)
+				p.Ext[0] = uint64(seq + i)
+			}
+			ctx.Send(1, p, w)
 		}
 		if int(q.head)+int(q.n) > len(q.buf) {
 			res.wrapped = true
 		}
 		if len(q.buf) > size && head != 0 {
 			res.grewWrapped = true
+			if extSize > 0 {
+				res.extGrewWrapped = true
+			}
+		}
+		if tails := s.tailRing(e); tails != nil && len(*tails) != len(q.buf) {
+			res.extSkew = true
 		}
 		ctx.Wake()
 	})
@@ -153,6 +178,148 @@ func TestRingWrapUnderPacing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRingExtTailsGrowInLockstep: messages carry tails only now and then,
+// so the Ext side ring appears once the entry ring has already wrapped and
+// then grows while wrapped. It stays slot-parallel to the entry ring, and
+// every message arrives with exactly its own tail, in the reference's round.
+func TestRingExtTailsGrowInLockstep(t *testing.T) {
+	want := refPacing(backlogSends, DefaultEdgeCapacity)
+	tail := func(seq int) bool { return seq >= 5 && seq%3 == 2 }
+	for _, layout := range []*ringLayout{nil, wrappingLayout} {
+		got := runRingTails(t, layout, tail, 1000)
+		if !got.wrapped || !got.extGrewWrapped {
+			t.Fatalf("layout %+v: ring wrapped=%v, side ring grew while wrapped=%v: the workload no longer exercises the side ring",
+				layout, got.wrapped, got.extGrewWrapped)
+		}
+		if got.extSkew {
+			t.Fatalf("layout %+v: the Ext side ring left lockstep with the entry ring", layout)
+		}
+		if len(got.log) != len(want) {
+			t.Fatalf("layout %+v: delivered %d messages, want %d", layout, len(got.log), len(want))
+		}
+		for i, m := range got.log {
+			if m.Payload.W0 != uint64(i) || m.Round != want[i] {
+				t.Fatalf("delivery %d: message %d in round %d, want message %d in round %d", i, m.Payload.W0, m.Round, i, want[i])
+			}
+			if wantExt := tail(i); (len(m.Payload.Ext) == 1) != wantExt || wantExt && m.Payload.Ext[0] != uint64(i) {
+				t.Fatalf("message %d arrived with tail %v (tail expected: %v)", i, m.Payload.Ext, wantExt)
+			}
+		}
+	}
+}
+
+// arenas lists the simulator's serial arena and its shard arenas.
+func arenas(s *Simulator) []*wordArena {
+	out := []*wordArena{&s.arena}
+	for i := range s.shardArena {
+		out = append(out, &s.shardArena[i])
+	}
+	return out
+}
+
+// parkedChunks counts the Ext chunks parked in the simulator's arenas and
+// how many times each backing array is parked.
+func parkedChunks(s *Simulator) (total int64, seen map[*uint64]int) {
+	seen = make(map[*uint64]int)
+	for _, a := range arenas(s) {
+		chunks, _ := a.stats()
+		total += chunks
+		for _, list := range a.free {
+			for _, c := range list {
+				seen[&c[:1][0]]++
+			}
+		}
+	}
+	return total, seen
+}
+
+// TestRingFaultPathsReturnChunksOnce: on the discard, duplicate and lost
+// paths every Ext chunk comes back to an arena exactly once. Every arena is
+// stocked with more chunks of each size class than the run can hold live,
+// so no clone allocates: afterwards the parked inventory must be exactly the
+// stock (a chunk returned twice would grow it, one never returned would
+// shrink it), with every stocked chunk parked once.
+func TestRingFaultPathsReturnChunksOnce(t *testing.T) {
+	plans := []struct {
+		name string
+		plan *faults.Plan
+		want func(faults.Counters) bool
+	}{
+		{"discard-crash", &faults.Plan{Crashes: []faults.Crash{{Vertex: 1, From: 9, Until: faults.Forever}}},
+			func(c faults.Counters) bool { return c.Discarded > 0 }},
+		{"discard-partition", &faults.Plan{Partitions: []faults.Partition{{Members: []int{0}, From: 9, Until: faults.Forever}}},
+			func(c faults.Counters) bool { return c.Discarded > 0 }},
+		{"dup", &faults.Plan{Seed: 4, Duplicate: 0.3}, func(c faults.Counters) bool { return c.Duplicated > 0 }},
+		{"lost", &faults.Plan{Seed: 3, Drop: 0.5, RetryBudget: 1}, func(c faults.Counters) bool { return c.Lost > 0 }},
+	}
+	for _, tc := range plans {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
+			s := newGraphSim(g, WithFaults(tc.plan))
+			s.ensureTopology()
+			for _, a := range arenas(s) {
+				for cls := 0; cls <= 2; cls++ {
+					for i := 0; i < 100; i++ {
+						a.put(make([]uint64, 1<<cls))
+					}
+				}
+			}
+			stock, stocked := parkedChunks(s)
+			s.Run([]int{0}, 1000, func(v int, ctx *Ctx) {
+				if v != 0 || ctx.Round() >= len(backlogSends) {
+					return
+				}
+				for i, w := range backlogSends[ctx.Round()] {
+					ext := ctx.Ext(1 + i%3)
+					ext[0] = uint64(i)
+					ctx.Send(1, Payload{Kind: 1, Ext: ext}, w)
+				}
+				ctx.Wake()
+			})
+			if !tc.want(s.FaultCounters()) {
+				t.Fatalf("plan injected %+v: the fault path under test did not fire", s.FaultCounters())
+			}
+			total, seen := parkedChunks(s)
+			if total != stock || len(seen) != int(stock) {
+				t.Fatalf("%d chunks parked (%d distinct) after the run, %d stocked", total, len(seen), stock)
+			}
+			for c := range seen {
+				if stocked[c] == 0 {
+					t.Fatal("a clone allocated: the stock no longer covers the workload")
+				}
+			}
+		})
+	}
+}
+
+// TestQueueEntryLayout: a queued entry is at most 40 bytes and holds no
+// pointer, so rings stay small and the collector never scans them; a queue
+// is at most 40 bytes, since the queue array is the engine's largest O(m)
+// structure.
+func TestQueueEntryLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(qEntry{}); sz > 40 {
+		t.Fatalf("qEntry is %d bytes, want <= 40", sz)
+	}
+	if sz := unsafe.Sizeof(edgeQueue{}); sz > 40 {
+		t.Fatalf("edgeQueue is %d bytes, want <= 40", sz)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer:
+			t.Fatalf("qEntry%s is a %s: entries must hold no pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(typ.Elem(), path+"[i]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(qEntry{}), "")
 }
 
 // TestRingFaultPathsWrapped runs every fault class on the ring workload
@@ -210,8 +377,9 @@ func TestRingFaultPathsWrapped(t *testing.T) {
 var wrappingLayout = &ringLayout{len: 4, head: 3}
 
 // TestRingCapacityBound: after backlogged runs, every edge's ring holds at
-// most the next power of two of that edge's peak live count. The sender's
-// step is the only place an edge's count grows, so the peak is read there.
+// most the next power of two of that edge's peak live count, or ringMin
+// slots once it has grown at all. The sender's step is the only place an
+// edge's count grows, so the peak is read there.
 func TestRingCapacityBound(t *testing.T) {
 	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	s := newGraphSim(g, WithWorkers(1))
@@ -240,8 +408,18 @@ func TestRingCapacityBound(t *testing.T) {
 	for e := range s.queues {
 		if p := peak[e]; p == 0 {
 			t.Fatalf("edge %d carried no traffic", e)
-		} else if got, bound := len(s.queues[e].buf), 1<<bits.Len32(uint32(p-1)); got > bound {
+		} else if got, bound := len(s.queues[e].buf), ringBound(p); got > bound {
 			t.Fatalf("edge %d: ring of %d slots for a peak backlog of %d (bound %d)", e, got, p, bound)
 		}
 	}
+}
+
+// ringBound is the largest ring an edge whose live count peaked at p may
+// hold: one slot while it never backed up, else the next power of two of p,
+// but at least ringMin.
+func ringBound(p int32) int {
+	if p <= 1 {
+		return 1
+	}
+	return max(ringMin, 1<<bits.Len32(uint32(p-1)))
 }

@@ -90,7 +90,7 @@ func newClusterGrowth(b *builder) *clusterGrowth {
 	g := &clusterGrowth{
 		b:   b,
 		est: make([][]rootCEntry, b.n),
-		ex:  hopset.NewExplorer(b.sim),
+		ex:  b.ex,
 		eps: b.o.Epsilon,
 	}
 	g.handler = g.onHMsg
@@ -282,7 +282,7 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 			}
 			return a.r - c.r
 		})
-		g.srcs = g.srcs[:0]
+		g.srcs = slices.Grow(g.srcs[:0], len(g.dirtyList))
 		for _, k := range g.dirtyList {
 			e := g.get(k.v, k.r)
 			e.dirty = false
@@ -535,8 +535,8 @@ func (b *builder) assemble() (*Scheme, error) {
 	for _, c := range centers {
 		t := b.trees[c]
 		trees = append(trees, t)
-		for _, v := range t.Members() {
-			perVertex[v]++
+		for i := 0; i < t.Size(); i++ {
+			perVertex[t.MemberAt(i)]++
 		}
 	}
 	s := 1
@@ -572,6 +572,10 @@ func (b *builder) assemble() (*Scheme, error) {
 	}
 
 	scheme := &Scheme{Scheme: clusterroute.New(b.k, b.n)}
+	for v, c := range perVertex {
+		scheme.Tables[v].Trees = make(map[int]treeroute.Table, c) // no rehash while trees land
+		scheme.Labels[v].Entries = make([]clusterroute.PivotEntry, 0, b.k)
+	}
 	treeSchemes := make(map[int]*treeroute.Scheme, len(centers))
 	for j, c := range centers {
 		ts := res.Schemes[j]

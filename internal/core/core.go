@@ -140,16 +140,11 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 	if n == 0 {
 		return &Scheme{Scheme: clusterroute.New(k, 0)}, nil
 	}
-	topo := sim.Topo()
 	if err := o.Ckpt.Attach(sim); err != nil {
 		return nil, fmt.Errorf("core: attach checkpointer: %w", err)
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
 
-	b := &builder{
-		sim: sim, topo: topo, n: n, k: k, o: o, rng: rng,
-		phaseRounds: make(map[string]int64),
-	}
+	b := newBuilder(sim, o)
 	b.sampleHierarchy()
 	if err := b.timed("exact-pivots", b.exactPivots); err != nil {
 		return nil, err
@@ -184,6 +179,16 @@ func (b *builder) timed(name string, phase func() error) error {
 	return err
 }
 
+// newBuilder starts a build on sim with the defaulted options o.
+func newBuilder(sim *congest.Simulator, o Options) *builder {
+	return &builder{
+		sim: sim, topo: sim.Topo(), n: sim.N(), k: o.K, o: o,
+		rng:         rand.New(rand.NewSource(o.Seed)),
+		ex:          hopset.NewExplorer(sim),
+		phaseRounds: make(map[string]int64),
+	}
+}
+
 type builder struct {
 	sim  *congest.Simulator
 	topo graph.Topology
@@ -191,6 +196,12 @@ type builder struct {
 	k    int
 	o    Options
 	rng  *rand.Rand
+
+	// ex is the build's one exploration workspace: every phase explores
+	// through it, so its per-vertex state is grown once per build. A
+	// result it returns is valid until the next exploration, so each
+	// phase consumes its results before the next runs.
+	ex *hopset.Explorer
 
 	kHalf  int
 	levels [][]int // A_0 .. A_{k-1}
@@ -290,7 +301,7 @@ func (b *builder) sampleHierarchy() {
 // explorations with the Claim 8 hop budgets.
 func (b *builder) exactPivots() error {
 	for j := 1; j <= b.kHalf && j < b.k; j++ {
-		dist, _, origin, err := hopset.DistToSet(b.sim, b.levels[j], b.hopBudget(j))
+		dist, _, origin, err := b.ex.DistToSet(b.levels[j], b.hopBudget(j))
 		if err != nil {
 			return fmt.Errorf("core: pivots for level %d: %w", j, err)
 		}
@@ -321,7 +332,7 @@ func (b *builder) lowClusters() error {
 			continue
 		}
 		limit := func(v, root int, d float64) bool { return d < bound[v] }
-		res, err := hopset.Explore(b.sim, srcs, hopset.ExploreOptions{
+		res, err := b.ex.Explore(srcs, hopset.ExploreOptions{
 			Hops:  b.hopBudget(i + 1),
 			Limit: limit,
 		})
@@ -336,24 +347,44 @@ func (b *builder) lowClusters() error {
 }
 
 // treesFromEntries extracts every source root's cluster tree from the
-// exploration entries in a single pass over the vertices: members are
-// vertices whose estimate beats the bound (the root always). Because
-// vertices are scanned ascending, each root's member bucket arrives
-// strictly sorted and feeds NewTreeCompact directly - no per-root
-// host-sized parent array is ever allocated.
+// exploration entries in two passes over the vertices (count, then fill):
+// members are vertices whose estimate beats the bound (the root always).
+// Because vertices are scanned ascending, each root's member bucket arrives
+// strictly sorted and feeds NewTreeCompact directly - no per-root host-sized
+// parent array is ever allocated, and all buckets share two allocations.
 func (b *builder) treesFromEntries(srcs []hopset.Source, res *hopset.ExploreResult, bound []float64) error {
 	slot := make(map[int]int, len(srcs))
 	for i, s := range srcs {
 		slot[s.Root] = i
 	}
+	member := func(v int, en *hopset.RootEntry) (int, bool) {
+		if v != en.Root && en.Dist >= bound[v] {
+			return 0, false
+		}
+		i, ok := slot[en.Root]
+		return i, ok
+	}
+	size := make([]int, len(srcs))
+	total := 0
+	for v := 0; v < b.n; v++ {
+		for j := range res.At(v) {
+			if i, ok := member(v, &res.At(v)[j]); ok {
+				size[i]++
+				total++
+			}
+		}
+	}
+	vertSlab, parSlab := make([]int32, total), make([]int32, total)
 	verts := make([][]int32, len(srcs))
 	pars := make([][]int32, len(srcs))
+	for i, k := range size {
+		verts[i], vertSlab = vertSlab[:0:k], vertSlab[k:]
+		pars[i], parSlab = parSlab[:0:k], parSlab[k:]
+	}
 	for v := 0; v < b.n; v++ {
-		for _, en := range res.At(v) {
-			if v != en.Root && en.Dist >= bound[v] {
-				continue
-			}
-			i, ok := slot[en.Root]
+		for j := range res.At(v) {
+			en := &res.At(v)[j]
+			i, ok := member(v, en)
 			if !ok {
 				continue
 			}
@@ -386,7 +417,7 @@ func (b *builder) buildHopset() error {
 		return fmt.Errorf("core: virtual graph: %w", err)
 	}
 	b.vg = vg
-	hs, err := hopset.Build(b.sim, vg, hopset.Options{
+	hs, err := hopset.Build(b.ex, vg, hopset.Options{
 		Kappa: b.o.HopsetKappa,
 		Seed:  b.o.Seed + 1,
 		Trace: b.o.Trace,
@@ -407,7 +438,10 @@ func (b *builder) approxPivots() error {
 		for _, v := range b.levels[j] {
 			seeds = append(seeds, hopset.Source{Root: -1, At: v, Dist: 0})
 		}
-		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, hopset.BFOptions{Beta: b.o.Beta})
+		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, hopset.BFOptions{
+			Beta:    b.o.Beta,
+			Scratch: hopset.NewBFScratch(b.ex),
+		})
 		if err != nil {
 			return fmt.Errorf("core: approximate pivots for level %d: %w", j, err)
 		}

@@ -32,7 +32,7 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 		tb.Fatal(err)
 	}
 	sim := congest.NewTopo(g, congest.WithSeed(31), congest.WithWorkers(1))
-	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: 33})
+	hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 3, Seed: 33})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 // commits, with the workspace recycled across calls.
 func BenchmarkBellmanFordSteady(b *testing.B) {
 	sim, vg, hs, seeds := buildBFBench(b)
-	sc := NewBFScratch()
+	sc := NewBFScratch(nil)
 	if _, err := BellmanFord(sim, vg, hs, seeds, BFOptions{Scratch: sc}); err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkBellmanFordSteady(b *testing.B) {
 // arena size classes are warm, a full Bellman-Ford run allocates nothing.
 func TestBellmanFordSteadyStateAllocFree(t *testing.T) {
 	sim, vg, hs, seeds := buildBFBench(t)
-	sc := NewBFScratch()
+	sc := NewBFScratch(nil)
 	run := func() {
 		if _, err := BellmanFord(sim, vg, hs, seeds, BFOptions{Scratch: sc}); err != nil {
 			t.Fatal(err)

@@ -73,10 +73,11 @@ type BFScratch struct {
 	hs  *Hopset
 }
 
-// NewBFScratch creates an empty BellmanFord workspace; it binds itself to a
-// simulator lazily on first use.
-func NewBFScratch() *BFScratch {
-	sc := &BFScratch{}
+// NewBFScratch creates an empty BellmanFord workspace that explores through
+// ex when it runs on ex's simulator. It binds itself to a simulator lazily
+// on first use, with a fresh Explorer when ex is nil or bound elsewhere.
+func NewBFScratch(ex *Explorer) *BFScratch {
+	sc := &BFScratch{ex: ex}
 	sc.handler = sc.onBEst
 	return sc
 }
@@ -173,7 +174,7 @@ func (sc *BFScratch) relax(v int, alt float64, viaU int) {
 func BellmanFord(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source, opts BFOptions) (*BFResult, error) {
 	sc := opts.Scratch
 	if sc == nil {
-		sc = NewBFScratch()
+		sc = NewBFScratch(nil)
 	}
 	return sc.run(sim, vg, hs, seeds, opts)
 }

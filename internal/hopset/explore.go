@@ -2,6 +2,7 @@ package hopset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lowmemroute/internal/congest"
@@ -174,7 +175,7 @@ func (e *Explorer) Explore(sources []Source, opts ExploreOptions) (*ExploreResul
 	// Stable-sort the seeds by host vertex so step's round-0 seeding is a
 	// binary search. Callers build seed lists in ascending-At order, so the
 	// common case is a no-op sortedness check.
-	e.seeds = e.seeds[:0]
+	e.seeds = slices.Grow(e.seeds[:0], len(sources))
 	for _, s := range sources {
 		if s.At < 0 || s.At >= n {
 			return nil, fmt.Errorf("hopset: seed at %d out of range", s.At)

@@ -53,8 +53,10 @@ type Hopset struct {
 // centers with probability m^{-1/κ}; every virtual vertex connects to its
 // nearest next-level center (pivot) and to every center of the current level
 // that is closer than the pivot (its bunch). All distances come from
-// hop-bounded explorations in the host graph - E' is never materialised.
-func Build(sim *congest.Simulator, vg *VirtualGraph, opts Options) (*Hopset, error) {
+// hop-bounded explorations in the host graph - E' is never materialised -
+// run on ex's simulator through ex's workspace.
+func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
+	sim := ex.sim
 	kappa := opts.Kappa
 	if kappa < 2 {
 		kappa = 3
@@ -91,7 +93,7 @@ func Build(sim *congest.Simulator, vg *VirtualGraph, opts Options) (*Hopset, err
 
 		// Pivot distances d(·, W_{i+1}) at every host vertex.
 		pivotSpan := opts.Trace.Begin("pivots")
-		pivotDist, pivotParent, pivotOrigin, err := DistToSet(sim, next, hops)
+		pivotDist, pivotParent, pivotOrigin, err := ex.DistToSet(next, hops)
 		pivotSpan.End()
 		if err != nil {
 			levelSpan.End()
@@ -114,7 +116,7 @@ func Build(sim *congest.Simulator, vg *VirtualGraph, opts Options) (*Hopset, err
 		}
 		limit := func(v, root int, d float64) bool { return d < pivotDist[v] }
 		clusterSpan := opts.Trace.Begin("clusters")
-		res, err := Explore(sim, srcs, ExploreOptions{Hops: hops, Limit: limit})
+		res, err := ex.Explore(srcs, ExploreOptions{Hops: hops, Limit: limit})
 		clusterSpan.End()
 		if err != nil {
 			levelSpan.End()

@@ -308,7 +308,7 @@ func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.CSR, *Virtu
 		t.Fatal(err)
 	}
 	sim := congest.NewTopo(g, congest.WithSeed(seed))
-	hs, err := Build(sim, vg, Options{Kappa: 3, Seed: seed})
+	hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestHopsetArboricityShrinksWithKappa(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := congest.NewTopo(g)
-		hs, err := Build(sim, vg, Options{Kappa: kappa, Seed: 19})
+		hs, err := Build(NewExplorer(sim), vg, Options{Kappa: kappa, Seed: 19})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestHopsetEmptyVirtualGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.NewTopo(g), vg, Options{})
+	hs, err := Build(NewExplorer(congest.NewTopo(g)), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 			return false
 		}
 		sim := congest.NewTopo(g, congest.WithSeed(seed))
-		hs, err := Build(sim, vg, Options{Kappa: 2, Seed: seed})
+		hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 2, Seed: seed})
 		if err != nil {
 			return false
 		}

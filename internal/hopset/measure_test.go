@@ -20,7 +20,7 @@ func buildSparseHopset(t *testing.T, family graph.Family, n, b, kappa int, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Build(congest.NewTopo(g), vg, Options{Kappa: kappa, Seed: seed})
+	hs, err := Build(NewExplorer(congest.NewTopo(g)), vg, Options{Kappa: kappa, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestVerifyHopsetDetectsTooSmallBeta(t *testing.T) {
 func TestMeasureHopboundTinyGraph(t *testing.T) {
 	g := graph.FromGraph(graph.New(1))
 	vg := mustVirtualForTest(t, g, []int{0}, 2)
-	hs, err := Build(congest.NewTopo(g), vg, Options{})
+	hs, err := Build(NewExplorer(congest.NewTopo(g)), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

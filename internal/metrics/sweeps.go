@@ -197,7 +197,7 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 			return nil, err
 		}
 		sim := congest.NewTopo(topo, congest.WithSeed(seed))
-		hs, err := hopset.Build(sim, vg, hopset.Options{Kappa: kappa, Seed: seed})
+		hs, err := hopset.Build(hopset.NewExplorer(sim), vg, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +211,7 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		empty, err := hopset.Build(congest.NewTopo(topo), none, hopset.Options{Kappa: kappa, Seed: seed})
+		empty, err := hopset.Build(hopset.NewExplorer(congest.NewTopo(topo)), none, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

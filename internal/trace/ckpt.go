@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -257,6 +258,17 @@ func (r *WordReader) Word() uint64 {
 // Int consumes one word as a signed integer.
 func (r *WordReader) Int() int { return int(int64(r.Word())) }
 
+// Int32 consumes one word as a signed integer that must fit an int32 (a
+// vertex id); a word outside that range reads as 0 and latches the failure.
+func (r *WordReader) Int32() int32 {
+	x := r.Int()
+	if x < math.MinInt32 || x > math.MaxInt32 {
+		r.fail = true
+		return 0
+	}
+	return int32(x)
+}
+
 // Bool consumes one word as a flag.
 func (r *WordReader) Bool() bool { return r.Word() != 0 }
 
@@ -289,13 +301,13 @@ func (r *WordReader) Count(per int) int {
 	return c
 }
 
-// Done reports decoding health: an error if any read ran past the end, or if
-// words remain unconsumed (both indicate a layout mismatch — for a
-// CRC-validated checkpoint that means writer/reader version skew, not
-// corruption).
+// Done reports decoding health: an error if any read ran past the end or out
+// of its range, or if words remain unconsumed (all indicate a layout
+// mismatch — for a CRC-validated checkpoint that means writer/reader version
+// skew, not corruption).
 func (r *WordReader) Done() error {
 	if r.fail {
-		return fmt.Errorf("trace: checkpoint section truncated (%d words)", len(r.words))
+		return fmt.Errorf("trace: checkpoint section truncated or out of range (%d words)", len(r.words))
 	}
 	if r.pos != len(r.words) {
 		return fmt.Errorf("trace: checkpoint section has %d trailing words", len(r.words)-r.pos)

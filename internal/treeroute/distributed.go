@@ -64,8 +64,8 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 		if t.HostSize() != n {
 			return nil, fmt.Errorf("treeroute: tree %d host size %d != graph size %d", j, t.HostSize(), n)
 		}
-		for i, v := range t.Members() {
-			if p := t.ParentAt(i); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
+		for i := 0; i < t.Size(); i++ {
+			if v, p := t.MemberAt(i), t.ParentAt(i); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
 				return nil, fmt.Errorf("treeroute: tree %d edge {%d,%d} is not a graph edge", j, v, p)
 			}
 		}
@@ -120,11 +120,33 @@ func newDistBuilder(sim *congest.Simulator, trees []*graph.Tree, opts DistOption
 	if maxOffset <= 0 && len(trees) > 1 {
 		maxOffset = int(math.Sqrt(float64(len(trees))*float64(n))*math.Log2(float64(n+1))) + 1
 	}
-	for j, t := range trees {
-		b.ts = append(b.ts, newTreeState(j, t, q, maxOffset, b.rng))
+	members := 0
+	for _, t := range trees {
+		members += t.Size()
 	}
+	sl := newMemberSlabs(members)
+	states := make([]treeState, len(trees))
+	b.ts = make([]*treeState, len(trees))
+	counts := make([]int, len(trees))
+	portals := 0
+	for j, t := range trees {
+		counts[j] = states[j].init(j, t, q, maxOffset, b.rng, sl)
+		portals += counts[j]
+		b.ts[j] = &states[j]
+	}
+	ps := newPortalSlabs(portals)
+	pbase := 0
+	for j := range states {
+		states[j].initPortals(counts[j], pbase, ps)
+		pbase += counts[j]
+	}
+	b.jumpA, b.jumpS, b.jumpQ = make([]int32, portals), make([]int32, portals), make([]int32, portals)
+	b.jumpHead, b.jumpNext = make([]int32, portals), make([]int32, portals)
+	b.jumpW, b.jumpGot = make([][]uint64, portals), make([]bool, portals)
+	b.msgs = make([]congest.BroadcastMsg, 0, portals) // a stage broadcasts one message per portal
 	b.buildMembership()
 	b.schedOff = make([]int32, n+1)
+	b.schedEnt = make([]schedEntry, 0, members) // a kickoff per membership at most
 	// The cap is generous: local phases are bounded by tree height times
 	// list transmission time; hitting the cap means a bug, not load.
 	b.cap = 16*n*(b.iters+2) + 64*b.iters + 4096
@@ -167,63 +189,35 @@ func pointerJumpIterations(n int) int {
 
 // treeState is the per-tree slice of every member vertex's local memory,
 // indexed by local member index (position in tree.Members()) so that host
-// memory stays proportional to the tree size, not the graph size. A vertex
-// only ever reads and writes its own index, which keeps the per-round
-// goroutine pool race-free.
+// memory stays proportional to the tree size, not the graph size: m[l] is
+// member l's record. State only portals hold is indexed by portal slot
+// instead (memberState.portal, portalAt): portals are a 1/sqrt(s*n) sample,
+// so that state stays proportional to their count. A vertex only ever reads
+// and writes its own index, which keeps the per-round goroutine pool
+// race-free. The arrays are carved from the builder's treeSlabs.
 type treeState struct {
 	idx    int
 	tree   *graph.Tree
 	offset int
 	verts  []int // local index -> host vertex (= tree.Members())
+	m      []memberState
 
-	inU        []bool
-	localRoot  []int
-	virtParent []int // p'(x) for portals (host ids)
-	pending    []int // outstanding child reports in convergecasts
-	acc        []int // running sum in convergecasts
-	size       []int // s_y: global subtree size in T
-	heavy      []int // host id
-	heavyBest  []int // best child size seen so far
+	portalAt []int32 // portal slot -> local index, ascending
+	// pbase is the pointer-jumping message slot of portal slot 0: every
+	// stage broadcasts one message per portal, trees in order and each
+	// tree's portals by slot, so portal px owns message slot pbase+px.
+	pbase int
 
-	anc [][]int // anc[l][i] = a_i (host id) for portals
-	pjS []int   // s_i(x) during Algorithm 1
-	pjA []int   // a_i(x) during Algorithm 1 (host id)
+	lightLocal [][]LightEdge // light edges from the local root to v
+	fullLight  [][]LightEdge
 
-	lightLocal  [][]LightEdge // light edges from the local root to v
-	lightGlobal [][]LightEdge // for portals: light edges from the tree root
-	fullLight   [][]LightEdge
-
-	sibIdx   []int // 1-based index among siblings
-	lowSum   []int // prefix adds with iteration < tz(sibIdx)
-	highSum  []int // prefix adds with iteration >= tz(sibIdx)
-	addMask  []int // bitmask of iterations whose add arrived
-	sentAdd  []bool
-	localIn  []int // DFS entry time in the local frame
-	qShift   []int // q_x: enclosing-frame range start minus one (portals)
-	shift    []int // final accumulated shift
-	haveIn   []bool
-	haveQ    []bool
-	dfsDone  []bool
-	finalIn  []int
-	finalOut []int
-
-	// Per-iteration scratch for the pointer-jumping stages (commit targets
-	// so broadcast handling stays synchronous). tmpW aliases the received
-	// broadcast tail (caller-owned words, valid until the next iteration's
-	// encode); the commit loop decodes it.
-	tmpA   []int
-	tmpS   []int
-	tmpQ   []int
-	tmpW   [][]uint64
-	tmpGot []bool
-
-	// Builder-side indexes of the pointer-jumping broadcasts (not vertex
-	// memory, like the builder's msgs): msgAt[l] is portal l's message slot,
-	// the same in every iteration of every stage; jumpHead[l] heads the
-	// Algorithm 1 list of messages whose a_i(w) is portal l (chained through
-	// distBuilder.jumpNext), -1 when empty.
-	msgAt    []int32
-	jumpHead []int32
+	// Per portal slot.
+	virtParent  []int32       // p'(x) (host id)
+	anc         [][]int32     // anc[px][i] = a_i (host id)
+	pjS         []int32       // s_i(x) during Algorithm 1
+	pjA         []int32       // a_i(x) during Algorithm 1 (host id)
+	lightGlobal [][]LightEdge // light edges from the tree root
+	shift       []int32       // final accumulated shift
 
 	// Duplicate-suppression state for faulty runs. A fault plan's Duplicate
 	// rolls can re-deliver a message, so the size convergecasts track which
@@ -236,57 +230,128 @@ type treeState struct {
 	lightSeen []bool   // per local index: light-list flood message consumed
 }
 
-func newTreeState(idx int, t *graph.Tree, q float64, maxOffset int, rng *rand.Rand) *treeState {
-	m := t.Size()
-	st := &treeState{
-		idx:         idx,
-		tree:        t,
-		verts:       t.Members(),
-		inU:         make([]bool, m),
-		localRoot:   make([]int, m),
-		virtParent:  make([]int, m),
-		pending:     make([]int, m),
-		acc:         make([]int, m),
-		size:        make([]int, m),
-		heavy:       make([]int, m),
-		heavyBest:   make([]int, m),
-		anc:         make([][]int, m),
-		pjS:         make([]int, m),
-		pjA:         make([]int, m),
-		lightLocal:  make([][]LightEdge, m),
-		lightGlobal: make([][]LightEdge, m),
-		fullLight:   make([][]LightEdge, m),
-		sibIdx:      make([]int, m),
-		lowSum:      make([]int, m),
-		highSum:     make([]int, m),
-		addMask:     make([]int, m),
-		sentAdd:     make([]bool, m),
-		localIn:     make([]int, m),
-		qShift:      make([]int, m),
-		shift:       make([]int, m),
-		haveIn:      make([]bool, m),
-		haveQ:       make([]bool, m),
-		dfsDone:     make([]bool, m),
-		finalIn:     make([]int, m),
-		finalOut:    make([]int, m),
-		msgAt:       make([]int32, m),
+// memberState is one member vertex's record in one tree. Host ids, local
+// indices, sizes and DFS numbers all stay below n, so every number is an
+// int32.
+type memberState struct {
+	portal    int32 // portal slot, -1 for a non-portal
+	localRoot int32
+	pending   int32 // outstanding child reports in convergecasts
+	acc       int32 // running sum in convergecasts
+	size      int32 // s_y: global subtree size in T
+	heavy     int32 // host id
+	heavyBest int32 // best child size seen so far
+	sibIdx    int32 // 1-based index among siblings
+	lowSum    int32 // prefix adds with iteration < tz(sibIdx)
+	highSum   int32 // prefix adds with iteration >= tz(sibIdx)
+	addMask   int32 // bitmask of iterations whose add arrived
+	localIn   int32 // DFS entry time in the local frame
+	qShift    int32 // q_x: enclosing-frame range start minus one (portals)
+	finalIn   int32
+	finalOut  int32
+	sentAdd   bool
+	haveIn    bool
+	haveQ     bool
+	dfsDone   bool
+}
+
+// inU reports whether the member is a portal, in the sampled set U(T).
+func (m *memberState) inU() bool { return m.portal >= 0 }
+
+// treeSlabs backs the treeStates of a build with one allocation per element
+// type, instead of some thirty per tree. A build takes two: one sized by the
+// member count for the per-member arrays, one sized by the portal count for
+// the per-portal arrays. (The rows of anc come from one more allocation in
+// phaseGlobalSizes.)
+type treeSlabs struct {
+	ints    slab[int]
+	members slab[memberState]
+	int32s  slab[int32]
+	lists   slab[[]LightEdge]
+	rows    slab[[]int32]
+}
+
+// Array counts per member and per portal, by element type: the treeSlabs
+// are sized from these, and treeState.init and initPortals carve exactly as
+// many.
+const (
+	memberLists               = 2
+	portalInt32s, portalLists = 5, 1
+)
+
+func newMemberSlabs(members int) *treeSlabs {
+	return &treeSlabs{
+		ints:    slab[int]{make([]int, members)},
+		members: slab[memberState]{make([]memberState, members)},
+		lists:   slab[[]LightEdge]{make([][]LightEdge, memberLists*members)},
 	}
-	for l := range st.localRoot {
-		st.localRoot[l] = graph.NoVertex
-		st.virtParent[l] = graph.NoVertex
-		st.heavy[l] = graph.NoVertex
-		st.heavyBest[l] = -1
-		st.pjA[l] = graph.NoVertex
+}
+
+func newPortalSlabs(portals int) *treeSlabs {
+	return &treeSlabs{
+		int32s: slab[int32]{make([]int32, portalInt32s*portals)},
+		lists:  slab[[]LightEdge]{make([][]LightEdge, portalLists*portals)},
+		rows:   slab[[]int32]{make([][]int32, portals)},
+	}
+}
+
+// slab carves consecutive full-capacity-bounded slices from one array.
+type slab[T any] struct{ buf []T }
+
+func (s *slab[T]) take(n int) []T {
+	x := s.buf[:n:n]
+	s.buf = s.buf[n:]
+	return x
+}
+
+// init sets up tree idx's per-member state, its arrays carved from sl, and
+// samples its portals and start offset from rng. It returns the portal
+// count; initPortals completes the state.
+func (st *treeState) init(idx int, t *graph.Tree, q float64, maxOffset int, rng *rand.Rand, sl *treeSlabs) int {
+	n := t.Size()
+	*st = treeState{
+		idx:        idx,
+		tree:       t,
+		verts:      sl.ints.take(n),
+		m:          sl.members.take(n),
+		lightLocal: sl.lists.take(n),
+		fullLight:  sl.lists.take(n),
+	}
+	for l := range st.verts {
+		st.verts[l] = t.MemberAt(l)
+		st.m[l] = memberState{portal: -1, localRoot: graph.NoVertex, heavy: graph.NoVertex, heavyBest: -1}
 	}
 	if maxOffset > 0 {
 		st.offset = rng.Intn(maxOffset)
 	}
+	portals := 0
 	for l, v := range st.verts {
 		if v == t.Root || rng.Float64() < q {
-			st.inU[l] = true
+			st.m[l].portal = int32(portals)
+			portals++
 		}
 	}
-	return st
+	return portals
+}
+
+// initPortals carves the per-portal arrays of a tree with p portals, whose
+// messages start at slot pbase, from sl.
+func (st *treeState) initPortals(p, pbase int, sl *treeSlabs) {
+	int32s := sl.int32s.take
+	st.pbase = pbase
+	st.portalAt = int32s(p)
+	st.virtParent, st.pjS, st.pjA, st.shift = int32s(p), int32s(p), int32s(p), int32s(p)
+	st.lightGlobal = sl.lists.take(p)
+	st.anc = sl.rows.take(p)
+	for l := range st.m {
+		if px := st.m[l].portal; px >= 0 {
+			st.portalAt[px] = int32(l)
+		}
+	}
+	for px := range st.portalAt {
+		st.virtParent[px] = graph.NoVertex
+		st.pjA[px] = graph.NoVertex
+	}
 }
 
 // resetConvergecast arms a size convergecast in every tree: each member
@@ -300,7 +365,7 @@ func (b *distBuilder) resetConvergecast() {
 		}
 		for l := range st.verts {
 			kids := len(st.tree.ChildrenAt(l))
-			st.pending[l], st.acc[l] = kids, 1
+			st.m[l].pending, st.m[l].acc = int32(kids), 1
 			if faulty {
 				st.sizeSeen[l] = slices.Grow(st.sizeSeen[l][:0], kids)[:kids]
 				clear(st.sizeSeen[l])
@@ -354,15 +419,7 @@ func (st *treeState) dupLight(l int) bool {
 	return false
 }
 
-func (st *treeState) portals() int {
-	c := 0
-	for l := range st.verts {
-		if st.inU[l] {
-			c++
-		}
-	}
-	return c
-}
+func (st *treeState) portals() int { return len(st.portalAt) }
 
 // finish assembles the Scheme from per-vertex state.
 func (st *treeState) finish() *Scheme {
@@ -373,12 +430,12 @@ func (st *treeState) finish() *Scheme {
 	}
 	for l, v := range st.verts {
 		s.Tables[v] = Table{
-			In:     st.finalIn[l],
-			Out:    st.finalOut[l],
+			In:     int(st.m[l].finalIn),
+			Out:    int(st.m[l].finalOut),
 			Parent: st.tree.ParentAt(l),
-			Heavy:  st.heavy[l],
+			Heavy:  int(st.m[l].heavy),
 		}
-		s.Labels[v] = Label{In: st.finalIn[l], Light: st.fullLight[l]}
+		s.Labels[v] = Label{In: int(st.m[l].finalIn), Light: st.fullLight[l]}
 	}
 	return s
 }
@@ -415,9 +472,17 @@ type distBuilder struct {
 	msgs    []congest.BroadcastMsg
 	extBufs [][]uint64
 
-	// jumpNext[j] is the next message on message j's treeState.jumpHead
-	// list, -1 at the end.
-	jumpNext []int32
+	// Pointer-jumping scratch, by message slot (treeState.pbase). jumpA,
+	// jumpS, jumpQ, jumpW and jumpGot are the portals' commit targets, so
+	// broadcast handling stays synchronous; jumpW aliases a received tail
+	// (caller-owned words, valid until the next iteration's encode), which
+	// the commit loop decodes. jumpHead[j] heads the Algorithm 1 list of
+	// messages whose a_i(w) is slot j's portal, chained through jumpNext, -1
+	// at the end: builder-side indexes, not vertex memory, like msgs.
+	jumpA, jumpS, jumpQ []int32
+	jumpW               [][]uint64
+	jumpGot             []bool
+	jumpHead, jumpNext  []int32
 }
 
 type membEntry struct{ tree, local int32 }
@@ -476,25 +541,16 @@ func (b *distBuilder) local(st *treeState, v int) int {
 	return -1
 }
 
-// portalSlot returns x's local index in st when x is one of st's portals, -1
+// portalSlot returns x's portal slot in st when x is one of st's portals, -1
 // otherwise (x may be NoVertex, the ancestor past the root).
 func (b *distBuilder) portalSlot(st *treeState, x int) int {
 	if x == graph.NoVertex {
 		return -1
 	}
-	if l := b.local(st, x); l >= 0 && st.inU[l] {
-		return l
+	if l := b.local(st, x); l >= 0 {
+		return int(st.m[l].portal)
 	}
 	return -1
-}
-
-// appendPortalMsg appends portal l's message to the pointer-jumping
-// broadcast and records its slot in st.msgAt.
-func (b *distBuilder) appendPortalMsg(st *treeState, l int, m congest.BroadcastMsg) int32 {
-	j := int32(len(b.msgs))
-	st.msgAt[l] = j
-	b.msgs = append(b.msgs, m)
-	return j
 }
 
 // portalMsg returns the pointer-jumping message of st's portal x if it
@@ -502,8 +558,8 @@ func (b *distBuilder) appendPortalMsg(st *treeState, l int, m congest.BroadcastM
 // of one known origin, its 2^i-ancestor; the slot index finds it without
 // reading the other M-1 messages.
 func (b *distBuilder) portalMsg(d *congest.Delivery, st *treeState, x int) *congest.BroadcastMsg {
-	if lx := b.portalSlot(st, x); lx >= 0 {
-		return d.At(int(st.msgAt[lx]))
+	if px := b.portalSlot(st, x); px >= 0 {
+		return d.At(st.pbase + px)
 	}
 	return nil
 }

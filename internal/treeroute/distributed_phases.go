@@ -57,12 +57,12 @@ func encodeLight(dst []uint64, list []LightEdge) {
 // their tree's offset. The portal floods start at the portals, local-sizes
 // at the leaves, sizes-down also at the non-root portals (which report
 // their global size), and local-dfs at every parent or portal.
-func isPortal(st *treeState, l int) bool { return st.inU[l] }
-func isLeaf(st *treeState, l int) bool   { return st.pending[l] == 0 }
+func isPortal(st *treeState, l int) bool { return st.m[l].inU() }
+func isLeaf(st *treeState, l int) bool   { return st.m[l].pending == 0 }
 func reportsSize(st *treeState, l int) bool {
-	return (st.inU[l] && st.verts[l] != st.tree.Root) || st.pending[l] == 0
+	return (st.m[l].inU() && st.verts[l] != st.tree.Root) || st.m[l].pending == 0
 }
-func opensFrame(st *treeState, l int) bool { return st.inU[l] || len(st.tree.ChildrenAt(l)) > 0 }
+func opensFrame(st *treeState, l int) bool { return st.m[l].inU() || len(st.tree.ChildrenAt(l)) > 0 }
 
 // Phase output checks (runPhase): a message lost past the retry budget can
 // leave a phase quiescent with its output broken, which the build reports
@@ -70,16 +70,16 @@ func opensFrame(st *treeState, l int) bool { return st.inU[l] || len(st.tree.Chi
 
 // sizeMismatch: a completed portal convergecast must agree with Algorithm 1.
 func sizeMismatch(st *treeState, l int) error {
-	if st.inU[l] && st.pending[l] == 0 && st.acc[l] != st.size[l] {
+	if st.m[l].inU() && st.m[l].pending == 0 && st.m[l].acc != st.m[l].size {
 		return fmt.Errorf("treeroute: tree %d portal %d: convergecast size %d != pointer-jump size %d",
-			st.idx, st.verts[l], st.acc[l], st.size[l])
+			st.idx, st.verts[l], st.m[l].acc, st.m[l].size)
 	}
 	return nil
 }
 
 // noShiftSeed: Algorithm 6 needs every non-root portal's shift seed q_x.
 func noShiftSeed(st *treeState, l int) error {
-	if st.inU[l] && st.verts[l] != st.tree.Root && !st.dfsDone[l] {
+	if st.m[l].inU() && st.verts[l] != st.tree.Root && !st.m[l].dfsDone {
 		return fmt.Errorf("treeroute: portal %d of tree %d has no shift seed", st.verts[l], st.idx)
 	}
 	return nil
@@ -87,7 +87,7 @@ func noShiftSeed(st *treeState, l int) error {
 
 // noRange: every non-portal ends with a DFS range.
 func noRange(st *treeState, l int) error {
-	if !st.haveIn[l] && !st.inU[l] {
+	if !st.m[l].haveIn && !st.m[l].inU() {
 		return fmt.Errorf("treeroute: tree %d vertex %d never received a DFS range", st.idx, st.verts[l])
 	}
 	return nil
@@ -100,7 +100,7 @@ func (b *distBuilder) phaseLocalRoots() error {
 	return b.runPhase("local-roots", b.schedule(isPortal), func(v int, ctx *congest.Ctx) {
 		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			st.localRoot[l] = v
+			st.m[l].localRoot = int32(v)
 			ctx.Mem().Charge(1)
 			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, congest.Payload{Kind: kindRoot, W0: congest.IntWord(st.idx), W1: congest.IntWord(v)}, pRootWords)
@@ -118,18 +118,18 @@ func (b *distBuilder) phaseLocalRoots() error {
 			// Each vertex receives exactly one kindRoot per tree; a second
 			// receipt is a faulty re-delivery and must not re-charge or
 			// re-flood.
-			if st.inU[l] {
-				if st.virtParent[l] != graph.NoVertex {
+			if px := st.m[l].portal; px >= 0 {
+				if st.virtParent[px] != graph.NoVertex {
 					continue
 				}
-				st.virtParent[l] = congest.WordInt(p.W1)
+				st.virtParent[px] = int32(congest.WordInt(p.W1))
 				ctx.Mem().Charge(1)
 				continue
 			}
-			if st.localRoot[l] != graph.NoVertex {
+			if st.m[l].localRoot != graph.NoVertex {
 				continue
 			}
-			st.localRoot[l] = congest.WordInt(p.W1)
+			st.m[l].localRoot = int32(congest.WordInt(p.W1))
 			ctx.Mem().Charge(1)
 			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, *p, pRootWords)
@@ -144,8 +144,8 @@ func (b *distBuilder) phaseLocalRoots() error {
 func (b *distBuilder) phaseLocalSizes() error {
 	b.resetConvergecast()
 	complete := func(st *treeState, v, l int, ctx *congest.Ctx) {
-		if st.inU[l] {
-			st.pjS[l] = st.acc[l] // s_0(x) = |T_x|
+		if px := st.m[l].portal; px >= 0 {
+			st.pjS[px] = st.m[l].acc // s_0(x) = |T_x|
 			ctx.Mem().Charge(1)
 			if v != st.tree.Root {
 				// Portal children report size 0 explicitly; receivers decode
@@ -154,7 +154,7 @@ func (b *distBuilder) phaseLocalSizes() error {
 			}
 			return
 		}
-		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
+		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(int(st.m[l].acc))}, pSizeWords)
 	}
 	return b.runPhase("local-sizes", b.schedule(isLeaf), func(v int, ctx *congest.Ctx) {
 		for _, e := range b.due(v, ctx) {
@@ -174,9 +174,9 @@ func (b *distBuilder) phaseLocalSizes() error {
 			if st.dupSize(l, m.From) {
 				continue
 			}
-			st.acc[l] += congest.WordInt(p.W1)
-			st.pending[l]--
-			if st.pending[l] == 0 {
+			st.m[l].acc += int32(congest.WordInt(p.W1))
+			st.m[l].pending--
+			if st.m[l].pending == 0 {
 				complete(st, v, l, ctx)
 			}
 		}
@@ -186,60 +186,55 @@ func (b *distBuilder) phaseLocalSizes() error {
 // phaseGlobalSizes is Algorithm 1: pointer jumping over broadcasts computes
 // every portal's global subtree size s_x and its 2^i-ancestor table.
 func (b *distBuilder) phaseGlobalSizes() {
+	rows := slab[int32]{make([]int32, len(b.jumpHead)*(b.iters+1))} // a row per portal
 	for _, st := range b.ts {
-		st.tmpA = make([]int, len(st.verts))
-		st.tmpS = make([]int, len(st.verts))
-		st.jumpHead = make([]int32, len(st.verts))
-		for l, v := range st.verts {
-			if st.inU[l] {
-				st.pjA[l] = st.virtParent[l] // a_0(x) = p'(x)
-				st.anc[l] = make([]int, b.iters+1)
-				st.anc[l][0] = st.pjA[l]
-				b.sim.Mem(v).Charge(int64(b.iters) + 1)
-			}
+		for px, l := range st.portalAt {
+			st.pjA[px] = st.virtParent[px] // a_0(x) = p'(x)
+			st.anc[px] = rows.take(b.iters + 1)
+			st.anc[px][0] = st.pjA[px]
+			b.sim.Mem(st.verts[l]).Charge(int64(b.iters) + 1)
 		}
 	}
 	for i := 0; i < b.iters; i++ {
 		b.msgs = b.msgs[:0]
-		b.jumpNext = b.jumpNext[:0]
+		for j := range b.jumpHead {
+			b.jumpHead[j] = -1
+		}
 		for _, st := range b.ts {
-			for l := range st.jumpHead {
-				st.jumpHead[l] = -1
-			}
-			for l, v := range st.verts {
-				if !st.inU[l] {
-					continue
-				}
-				st.tmpA[l] = st.pjA[l]
-				st.tmpS[l] = 0
-				j := b.appendPortalMsg(st, l, congest.BroadcastMsg{
+			for px, l := range st.portalAt {
+				v := st.verts[l]
+				j := st.pbase + px
+				b.jumpA[j] = st.pjA[px]
+				b.jumpS[j] = 0
+				b.msgs = append(b.msgs, congest.BroadcastMsg{
 					Origin: v,
 					Payload: congest.Payload{
 						Kind: kindBSize,
 						W0:   congest.IntWord(st.idx),
 						W1:   congest.IntWord(v),
-						W2:   congest.IntWord(st.pjA[l]),
-						W3:   congest.IntWord(st.pjS[l]),
+						W2:   congest.IntWord(int(st.pjA[px])),
+						W3:   congest.IntWord(int(st.pjS[px])),
 					},
 					Words: bSizeWords,
 				})
 				// Every receiver v sums the messages whose a_i(w) is v;
 				// chaining each message onto its target's list lets v read
 				// exactly those instead of testing all of them.
-				next := int32(-1)
-				if la := b.portalSlot(st, st.pjA[l]); la >= 0 {
-					next, st.jumpHead[la] = st.jumpHead[la], j
+				b.jumpNext[j] = -1
+				if pa := b.portalSlot(st, int(st.pjA[px])); pa >= 0 {
+					b.jumpNext[j], b.jumpHead[st.pbase+pa] = b.jumpHead[st.pbase+pa], int32(j)
 				}
-				b.jumpNext = append(b.jumpNext, next)
 			}
 		}
 		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
 			for _, e := range b.memb(v) {
-				st, l := b.ts[e.tree], int(e.local)
-				if !st.inU[l] {
+				st := b.ts[e.tree]
+				px := st.m[e.local].portal
+				if px < 0 {
 					continue
 				}
-				for j := st.jumpHead[l]; j >= 0; j = b.jumpNext[j] {
+				own := st.pbase + int(px)
+				for j := b.jumpHead[own]; j >= 0; j = b.jumpNext[j] {
 					m := d.At(int(j))
 					if m == nil {
 						continue
@@ -251,9 +246,9 @@ func (b *distBuilder) phaseGlobalSizes() {
 					if congest.WordInt(p.W0) != st.idx || congest.WordInt(p.W2) != v {
 						continue
 					}
-					st.tmpS[l] += congest.WordInt(p.W3) // w with a_i(w) = v contributes s_i(w)
+					b.jumpS[own] += int32(congest.WordInt(p.W3)) // w with a_i(w) = v contributes s_i(w)
 				}
-				m := b.portalMsg(d, st, st.pjA[l])
+				m := b.portalMsg(d, st, int(st.pjA[px]))
 				if m == nil {
 					continue
 				}
@@ -261,27 +256,23 @@ func (b *distBuilder) phaseGlobalSizes() {
 				if p.Kind != kindBSize {
 					continue
 				}
-				if isFrom(p, st, st.pjA[l]) {
-					st.tmpA[l] = congest.WordInt(p.W2) // a_{i+1}(v) = a_i(a_i(v))
+				if isFrom(p, st, int(st.pjA[px])) {
+					b.jumpA[own] = int32(congest.WordInt(p.W2)) // a_{i+1}(v) = a_i(a_i(v))
 				}
 			}
 		})
 		for _, st := range b.ts {
-			for l := range st.verts {
-				if st.inU[l] {
-					st.pjA[l] = st.tmpA[l]
-					st.pjS[l] += st.tmpS[l]
-					st.anc[l][i+1] = st.pjA[l]
-				}
+			for px := range st.portalAt {
+				st.pjA[px] = b.jumpA[st.pbase+px]
+				st.pjS[px] += b.jumpS[st.pbase+px]
+				st.anc[px][i+1] = st.pjA[px]
 			}
 		}
 	}
 	for _, st := range b.ts {
-		for l, v := range st.verts {
-			if st.inU[l] {
-				st.size[l] = st.pjS[l]
-				b.sim.Mem(v).Charge(1)
-			}
+		for px, l := range st.portalAt {
+			st.m[l].size = st.pjS[px]
+			b.sim.Mem(st.verts[l]).Charge(1)
 		}
 	}
 }
@@ -292,20 +283,20 @@ func (b *distBuilder) phaseGlobalSizes() {
 func (b *distBuilder) phaseSizesDown() error {
 	b.resetConvergecast()
 	complete := func(st *treeState, v, l int, ctx *congest.Ctx) {
-		if st.inU[l] {
+		if st.m[l].inU() {
 			return // the portal announced its size at kickoff already
 		}
-		st.size[l] = st.acc[l]
+		st.m[l].size = st.m[l].acc
 		ctx.Mem().Charge(1)
-		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.acc[l])}, pSizeWords)
+		ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(int(st.m[l].acc))}, pSizeWords)
 	}
 	return b.runPhase("sizes-down", b.schedule(reportsSize), func(v int, ctx *congest.Ctx) {
 		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			if st.inU[l] && v != st.tree.Root {
-				ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.size[l])}, pSizeWords)
+			if st.m[l].inU() && v != st.tree.Root {
+				ctx.Send(st.tree.ParentAt(l), congest.Payload{Kind: kindSize, W0: congest.IntWord(st.idx), W1: congest.IntWord(int(st.m[l].size))}, pSizeWords)
 			}
-			if st.pending[l] == 0 {
+			if st.m[l].pending == 0 {
 				complete(st, v, l, ctx)
 			}
 		}
@@ -321,19 +312,19 @@ func (b *distBuilder) phaseSizesDown() error {
 			if st.dupSize(l, m.From) {
 				continue
 			}
-			size := congest.WordInt(p.W1)
+			size := int32(congest.WordInt(p.W1))
 			// Tie-break toward the smaller child id so the choice is
 			// independent of report arrival order (and matches the
 			// centralized reference).
-			if size > st.heavyBest[l] ||
-				(size == st.heavyBest[l] && m.From < st.heavy[l]) {
-				st.heavyBest[l] = size
-				st.heavy[l] = m.From
+			if size > st.m[l].heavyBest ||
+				(size == st.m[l].heavyBest && m.From < int(st.m[l].heavy)) {
+				st.m[l].heavyBest = size
+				st.m[l].heavy = int32(m.From)
 				ctx.Mem().Charge(1)
 			}
-			st.acc[l] += size
-			st.pending[l]--
-			if st.pending[l] == 0 {
+			st.m[l].acc += size
+			st.m[l].pending--
+			if st.m[l].pending == 0 {
 				complete(st, v, l, ctx)
 			}
 		}
@@ -351,7 +342,7 @@ func (b *distBuilder) phaseLocalLight() error {
 			ctx.Send(c, congest.Payload{
 				Kind: kindLight,
 				W0:   congest.IntWord(st.idx),
-				W1:   congest.BoolWord(c != st.heavy[l]),
+				W1:   congest.BoolWord(c != int(st.m[l].heavy)),
 				W2:   congest.IntWord(len(list)),
 				Ext:  ext,
 			}, 3+lightWords(list))
@@ -363,7 +354,7 @@ func (b *distBuilder) phaseLocalLight() error {
 			st, l := b.ts[e.tree], int(e.local)
 			st.lightLocal[l] = []LightEdge{}
 			if v == st.tree.Root {
-				st.lightGlobal[l] = []LightEdge{}
+				st.lightGlobal[st.m[l].portal] = []LightEdge{}
 			}
 			forward(st, l, nil, ctx)
 		}
@@ -394,8 +385,8 @@ func (b *distBuilder) phaseLocalLight() error {
 					list = append(list, LightEdge{Parent: m.From, Child: v})
 				}
 			}
-			if st.inU[l] {
-				st.lightGlobal[l] = list // L_0(v): lights from p'(v) to v
+			if px := st.m[l].portal; px >= 0 {
+				st.lightGlobal[px] = list // L_0(v): lights from p'(v) to v
 				ctx.Mem().Charge(int64(lightWords(list)))
 				continue
 			}
@@ -409,32 +400,28 @@ func (b *distBuilder) phaseLocalLight() error {
 // phaseGlobalLight is Algorithm 3: pointer jumping assembles, for every
 // portal, the light edges on its full root path.
 func (b *distBuilder) phaseGlobalLight() {
-	for _, st := range b.ts {
-		st.tmpW = make([][]uint64, len(st.verts))
-		st.tmpGot = make([]bool, len(st.verts))
-	}
 	for i := 0; i < b.iters; i++ {
 		b.msgs = b.msgs[:0]
 		for _, st := range b.ts {
-			for l, v := range st.verts {
-				if st.inU[l] {
-					st.tmpW[l] = nil
-					st.tmpGot[l] = false
-					list := st.lightGlobal[l]
-					ext := b.extBuf(len(b.msgs), lightWords(list))
-					encodeLight(ext, list)
-					b.appendPortalMsg(st, l, congest.BroadcastMsg{
-						Origin: v,
-						Payload: congest.Payload{
-							Kind: kindBLight,
-							W0:   congest.IntWord(st.idx),
-							W1:   congest.IntWord(v),
-							W2:   congest.IntWord(len(list)),
-							Ext:  ext,
-						},
-						Words: 3 + lightWords(list),
-					})
-				}
+			for px, l := range st.portalAt {
+				v := st.verts[l]
+				j := st.pbase + px
+				b.jumpW[j] = nil
+				b.jumpGot[j] = false
+				list := st.lightGlobal[px]
+				ext := b.extBuf(j, lightWords(list))
+				encodeLight(ext, list)
+				b.msgs = append(b.msgs, congest.BroadcastMsg{
+					Origin: v,
+					Payload: congest.Payload{
+						Kind: kindBLight,
+						W0:   congest.IntWord(st.idx),
+						W1:   congest.IntWord(v),
+						W2:   congest.IntWord(len(list)),
+						Ext:  ext,
+					},
+					Words: 3 + lightWords(list),
+				})
 			}
 		}
 		// The handler only records the received tail (caller-owned, valid
@@ -443,11 +430,12 @@ func (b *distBuilder) phaseGlobalLight() {
 		// below, where the growth is charged to the meter.
 		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
 			for _, e := range b.memb(v) {
-				st, l := b.ts[e.tree], int(e.local)
-				if !st.inU[l] {
+				st := b.ts[e.tree]
+				px := st.m[e.local].portal
+				if px < 0 {
 					continue
 				}
-				m := b.portalMsg(d, st, st.anc[l][i])
+				m := b.portalMsg(d, st, int(st.anc[px][i]))
 				if m == nil {
 					continue
 				}
@@ -455,28 +443,29 @@ func (b *distBuilder) phaseGlobalLight() {
 				if p.Kind != kindBLight {
 					continue
 				}
-				if !isFrom(p, st, st.anc[l][i]) {
+				if !isFrom(p, st, int(st.anc[px][i])) {
 					continue
 				}
 				k := congest.WordInt(p.W2)
-				st.tmpW[l] = p.Ext[:2*k] // L_i(a_i(v)), 2*k == len(p.Ext)
-				st.tmpGot[l] = true
+				b.jumpW[st.pbase+int(px)] = p.Ext[:2*k] // L_i(a_i(v)), 2*k == len(p.Ext)
+				b.jumpGot[st.pbase+int(px)] = true
 			}
 		})
 		for _, st := range b.ts {
-			for l, v := range st.verts {
-				if st.inU[l] && st.tmpGot[l] {
-					// L_{i+1}(v) = L_i(a_i(v)) ++ L_i(v)
-					w := st.tmpW[l]
-					merged := make([]LightEdge, 0, len(w)/2+len(st.lightGlobal[l]))
-					for j := 0; j+1 < len(w); j += 2 {
-						merged = append(merged, LightEdge{Parent: congest.WordInt(w[j]), Child: congest.WordInt(w[j+1])})
-					}
-					merged = append(merged, st.lightGlobal[l]...)
-					grow := lightWords(merged) - lightWords(st.lightGlobal[l])
-					st.lightGlobal[l] = merged
-					b.sim.Mem(v).Charge(int64(grow))
+			for px, l := range st.portalAt {
+				if !b.jumpGot[st.pbase+px] {
+					continue
 				}
+				// L_{i+1}(v) = L_i(a_i(v)) ++ L_i(v)
+				w := b.jumpW[st.pbase+px]
+				merged := make([]LightEdge, 0, len(w)/2+len(st.lightGlobal[px]))
+				for j := 0; j+1 < len(w); j += 2 {
+					merged = append(merged, LightEdge{Parent: congest.WordInt(w[j]), Child: congest.WordInt(w[j+1])})
+				}
+				merged = append(merged, st.lightGlobal[px]...)
+				grow := lightWords(merged) - lightWords(st.lightGlobal[px])
+				st.lightGlobal[px] = merged
+				b.sim.Mem(st.verts[l]).Charge(int64(grow))
 			}
 		}
 	}
@@ -490,8 +479,8 @@ func (b *distBuilder) phaseLightDown() error {
 	return b.runPhase("light-down", b.schedule(isPortal), func(v int, ctx *congest.Ctx) {
 		for _, e := range b.due(v, ctx) {
 			st, l := b.ts[e.tree], int(e.local)
-			st.fullLight[l] = st.lightGlobal[l]
-			list := st.lightGlobal[l]
+			list := st.lightGlobal[st.m[l].portal]
+			st.fullLight[l] = list
 			ext := ctx.Ext(lightWords(list))
 			encodeLight(ext, list)
 			for _, c := range st.tree.ChildrenAt(l) {
@@ -512,7 +501,7 @@ func (b *distBuilder) phaseLightDown() error {
 			}
 			st := b.ts[congest.WordInt(p.W0)]
 			l := b.local(st, v)
-			if st.inU[l] || st.dupLight(l) {
+			if st.m[l].inU() || st.dupLight(l) {
 				continue
 			}
 			k := congest.WordInt(p.W1)
@@ -538,42 +527,42 @@ func (b *distBuilder) phaseLightDown() error {
 // shift seed q_x.
 func (b *distBuilder) phaseLocalDFS() error {
 	maybeSendAdd := func(st *treeState, l int, ctx *congest.Ctx) {
-		if st.sentAdd[l] || st.sibIdx[l] == 0 {
+		if st.m[l].sentAdd || st.m[l].sibIdx == 0 {
 			return
 		}
-		tz := bits.TrailingZeros(uint(st.sibIdx[l]))
-		lowMask := (1 << tz) - 1
-		if st.addMask[l]&lowMask != lowMask {
+		tz := bits.TrailingZeros(uint(st.m[l].sibIdx))
+		lowMask := int32(1)<<tz - 1
+		if st.m[l].addMask&lowMask != lowMask {
 			return
 		}
-		st.sentAdd[l] = true
+		st.m[l].sentAdd = true
 		ctx.Send(st.tree.ParentAt(l), congest.Payload{
 			Kind: kindAdd,
 			W0:   congest.IntWord(st.idx),
-			W1:   congest.IntWord(st.sibIdx[l]),
-			W2:   congest.IntWord(st.size[l] + st.lowSum[l]),
+			W1:   congest.IntWord(int(st.m[l].sibIdx)),
+			W2:   congest.IntWord(int(st.m[l].size + st.m[l].lowSum)),
 		}, pAddWords)
 	}
 	maybeComplete := func(st *treeState, l int, ctx *congest.Ctx) {
-		if st.dfsDone[l] {
+		if st.m[l].dfsDone {
 			return
 		}
-		if st.sibIdx[l] == 0 || !st.haveQ[l] || st.addMask[l] != st.sibIdx[l]-1 {
+		if st.m[l].sibIdx == 0 || !st.m[l].haveQ || st.m[l].addMask != st.m[l].sibIdx-1 {
 			return
 		}
-		st.dfsDone[l] = true
+		st.m[l].dfsDone = true
 		// Prefix S(y_j) = own size + all sibling adds; our range starts at
 		// a + 1 + (S - size) where a is the parent's range start.
-		start := st.qShift[l] + 1 + st.lowSum[l] + st.highSum[l]
-		if st.inU[l] {
-			st.qShift[l] = start - 1 // q_x for Algorithm 6
+		start := st.m[l].qShift + 1 + st.m[l].lowSum + st.m[l].highSum
+		if st.m[l].inU() {
+			st.m[l].qShift = start - 1 // q_x for Algorithm 6
 			return
 		}
-		st.localIn[l] = start
-		st.haveIn[l] = true
+		st.m[l].localIn = start
+		st.m[l].haveIn = true
 		ctx.Mem().Charge(2)
 		for _, c := range st.tree.ChildrenAt(l) {
-			ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(start)}, pRangeWords)
+			ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(int(start))}, pRangeWords)
 		}
 	}
 	return b.runPhase("local-dfs", b.schedule(opensFrame), func(v int, ctx *congest.Ctx) {
@@ -582,12 +571,12 @@ func (b *distBuilder) phaseLocalDFS() error {
 			for i, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, congest.Payload{Kind: kindIdx, W0: congest.IntWord(st.idx), W1: congest.IntWord(i + 1)}, pIdxWords)
 			}
-			if st.inU[l] {
-				st.localIn[l] = 1
-				st.haveIn[l] = true
+			if st.m[l].inU() {
+				st.m[l].localIn = 1
+				st.m[l].haveIn = true
 				ctx.Mem().Charge(2)
 				if v == st.tree.Root {
-					st.haveQ[l] = true // q_z = 0
+					st.m[l].haveQ = true // q_z = 0
 				}
 				for _, c := range st.tree.ChildrenAt(l) {
 					ctx.Send(c, congest.Payload{Kind: kindRange, W0: congest.IntWord(st.idx), W1: congest.IntWord(1)}, pRangeWords)
@@ -604,10 +593,10 @@ func (b *distBuilder) phaseLocalDFS() error {
 				l := b.local(st, v)
 				// Sibling indices are 1-based, so a non-zero sibIdx means
 				// this is a faulty re-delivery.
-				if st.sibIdx[l] != 0 {
+				if st.m[l].sibIdx != 0 {
 					continue
 				}
-				st.sibIdx[l] = congest.WordInt(p.W1)
+				st.m[l].sibIdx = int32(congest.WordInt(p.W1))
 				ctx.Mem().Charge(1)
 				maybeSendAdd(st, l, ctx)
 				maybeComplete(st, l, ctx)
@@ -629,7 +618,7 @@ func (b *distBuilder) phaseLocalDFS() error {
 			case kindFwd:
 				st := b.ts[congest.WordInt(p.W0)]
 				l := b.local(st, v)
-				if st.sibIdx[l] == 0 {
+				if st.m[l].sibIdx == 0 {
 					// Per-edge FIFO delivery puts kindIdx first even under
 					// faults, unless the index was lost outright (exhausted
 					// retry budget); then the phase fails to converge and the
@@ -643,26 +632,26 @@ func (b *distBuilder) phaseLocalDFS() error {
 				// One add arrives per iteration; a set mask bit means a
 				// faulty re-delivery (directly, or relayed by a duplicated
 				// kindAdd).
-				if st.addMask[l]&(1<<iter) != 0 {
+				if st.m[l].addMask&(1<<iter) != 0 {
 					continue
 				}
-				tz := bits.TrailingZeros(uint(st.sibIdx[l]))
+				tz := bits.TrailingZeros(uint(st.m[l].sibIdx))
 				if iter < tz {
-					st.lowSum[l] += congest.WordInt(p.W2)
+					st.m[l].lowSum += int32(congest.WordInt(p.W2))
 				} else {
-					st.highSum[l] += congest.WordInt(p.W2)
+					st.m[l].highSum += int32(congest.WordInt(p.W2))
 				}
-				st.addMask[l] |= 1 << iter
+				st.m[l].addMask |= 1 << iter
 				maybeSendAdd(st, l, ctx)
 				maybeComplete(st, l, ctx)
 			case kindRange:
 				st := b.ts[congest.WordInt(p.W0)]
 				l := b.local(st, v)
-				if st.haveQ[l] {
+				if st.m[l].haveQ {
 					continue // faulty re-delivery; one range per vertex
 				}
-				st.qShift[l] = congest.WordInt(p.W1)
-				st.haveQ[l] = true
+				st.m[l].qShift = int32(congest.WordInt(p.W1))
+				st.m[l].haveQ = true
 				ctx.Mem().Charge(1)
 				maybeComplete(st, l, ctx)
 			}
@@ -674,43 +663,41 @@ func (b *distBuilder) phaseLocalDFS() error {
 // portal, the total DFS shift induced by its portal ancestors.
 func (b *distBuilder) phaseGlobalShifts() {
 	for _, st := range b.ts {
-		st.tmpQ = make([]int, len(st.verts))
-		for l, v := range st.verts {
-			if st.inU[l] {
-				st.shift[l] = st.qShift[l]
-				if v == st.tree.Root {
-					st.shift[l] = 0
-				}
-				b.sim.Mem(v).Charge(1)
+		for px, l := range st.portalAt {
+			v := st.verts[l]
+			st.shift[px] = st.m[l].qShift
+			if v == st.tree.Root {
+				st.shift[px] = 0
 			}
+			b.sim.Mem(v).Charge(1)
 		}
 	}
 	for i := 0; i < b.iters; i++ {
 		b.msgs = b.msgs[:0]
 		for _, st := range b.ts {
-			for l, v := range st.verts {
-				if st.inU[l] {
-					st.tmpQ[l] = 0
-					b.appendPortalMsg(st, l, congest.BroadcastMsg{
-						Origin: v,
-						Payload: congest.Payload{
-							Kind: kindBShift,
-							W0:   congest.IntWord(st.idx),
-							W1:   congest.IntWord(v),
-							W2:   congest.IntWord(st.shift[l]),
-						},
-						Words: bShiftWords,
-					})
-				}
+			for px, l := range st.portalAt {
+				v := st.verts[l]
+				b.jumpQ[st.pbase+px] = 0
+				b.msgs = append(b.msgs, congest.BroadcastMsg{
+					Origin: v,
+					Payload: congest.Payload{
+						Kind: kindBShift,
+						W0:   congest.IntWord(st.idx),
+						W1:   congest.IntWord(v),
+						W2:   congest.IntWord(int(st.shift[px])),
+					},
+					Words: bShiftWords,
+				})
 			}
 		}
 		b.sim.Broadcast(b.msgs, func(v int, d *congest.Delivery) {
 			for _, e := range b.memb(v) {
-				st, l := b.ts[e.tree], int(e.local)
-				if !st.inU[l] {
+				st := b.ts[e.tree]
+				px := st.m[e.local].portal
+				if px < 0 {
 					continue
 				}
-				m := b.portalMsg(d, st, st.anc[l][i])
+				m := b.portalMsg(d, st, int(st.anc[px][i]))
 				if m == nil {
 					continue
 				}
@@ -718,17 +705,15 @@ func (b *distBuilder) phaseGlobalShifts() {
 				if p.Kind != kindBShift {
 					continue
 				}
-				if !isFrom(p, st, st.anc[l][i]) {
+				if !isFrom(p, st, int(st.anc[px][i])) {
 					continue
 				}
-				st.tmpQ[l] = congest.WordInt(p.W2) // q_i(a_i(v))
+				b.jumpQ[st.pbase+int(px)] = int32(congest.WordInt(p.W2)) // q_i(a_i(v))
 			}
 		})
 		for _, st := range b.ts {
-			for l := range st.verts {
-				if st.inU[l] {
-					st.shift[l] += st.tmpQ[l]
-				}
+			for px := range st.portalAt {
+				st.shift[px] += b.jumpQ[st.pbase+px]
 			}
 		}
 	}
@@ -736,9 +721,9 @@ func (b *distBuilder) phaseGlobalShifts() {
 
 // finalizeShift records a vertex's final DFS interval from its local entry
 // time plus the accumulated portal shift.
-func (b *distBuilder) finalizeShift(st *treeState, l, shift int, ctx *congest.Ctx) {
-	st.finalIn[l] = st.localIn[l] + shift
-	st.finalOut[l] = st.finalIn[l] + st.size[l] - 1
+func (b *distBuilder) finalizeShift(st *treeState, l int, shift int32, ctx *congest.Ctx) {
+	st.m[l].finalIn = st.m[l].localIn + shift
+	st.m[l].finalOut = st.m[l].finalIn + st.m[l].size - 1
 	ctx.Mem().Charge(2)
 }
 
@@ -748,9 +733,10 @@ func (b *distBuilder) finalizeShift(st *treeState, l, shift int, ctx *congest.Ct
 func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
 	for _, e := range b.due(v, ctx) {
 		st, l := b.ts[e.tree], int(e.local)
-		b.finalizeShift(st, l, st.shift[l], ctx)
+		shift := st.shift[st.m[l].portal]
+		b.finalizeShift(st, l, shift, ctx)
 		for _, c := range st.tree.ChildrenAt(l) {
-			ctx.Send(c, congest.Payload{Kind: kindShift, W0: congest.IntWord(st.idx), W1: congest.IntWord(st.shift[l])}, pShiftWords)
+			ctx.Send(c, congest.Payload{Kind: kindShift, W0: congest.IntWord(st.idx), W1: congest.IntWord(int(shift))}, pShiftWords)
 		}
 	}
 	in := ctx.In()
@@ -764,10 +750,10 @@ func (b *distBuilder) stepShiftsDown(v int, ctx *congest.Ctx) {
 		l := b.local(st, v)
 		// finalIn is at least 1 once set (localIn >= 1, shift >= 0), so a
 		// non-zero value marks a faulty re-delivery of the shift flood.
-		if st.inU[l] || st.finalIn[l] != 0 {
+		if st.m[l].inU() || st.m[l].finalIn != 0 {
 			continue
 		}
-		b.finalizeShift(st, l, congest.WordInt(p.W1), ctx)
+		b.finalizeShift(st, l, int32(congest.WordInt(p.W1)), ctx)
 		for _, c := range st.tree.ChildrenAt(l) {
 			ctx.Send(c, *p, pShiftWords)
 		}

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"lowmemroute/internal/congest"
@@ -271,6 +272,55 @@ func TestRestoreBuilderCkptRejectsHugeRows(t *testing.T) {
 			b := newDistBuilder(congest.NewTopo(topo, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
 			if err := b.RestoreCkpt(bad); err == nil {
 				t.Fatal("a section with an unbacked row length restored")
+			}
+		})
+	}
+}
+
+// TestRestoreBuilderCkptRejectsOutOfRange: the builder keeps its numbers as
+// int32 and portal state only for portals, so a section holding a number
+// outside the int32 range, or portal state at a non-portal (which the
+// builder never writes), fails to restore instead of being truncated or
+// dropped. The unmodified section restores.
+func TestRestoreBuilderCkptRejectsOutOfRange(t *testing.T) {
+	topo, trees := builderFixture(t)
+	words := builderSections(t, "tree:shifts-down")["tree:shifts-down"]
+	fresh := func() *distBuilder {
+		return newDistBuilder(congest.NewTopo(topo, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+	}
+	if err := fresh().RestoreCkpt(words); err != nil {
+		t.Fatalf("the builder's own section: %v", err)
+	}
+	// Layout of the first tree: version, tree count, member count m, then
+	// m-word arrays localRoot, virtParent, ..., then m ancestor rows.
+	m := int(words[2])
+	nonPortal := slices.IndexFunc(fresh().ts[0].m, func(ms memberState) bool { return ms.portal < 0 })
+	if nonPortal < 0 {
+		t.Fatal("the fixture's first tree has no non-portal")
+	}
+	ancRow := 3 + 7*m
+	for i := 0; i < nonPortal; i++ {
+		if k := int(words[ancRow]); k > 0 {
+			ancRow += k - 1
+		}
+		ancRow++
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		word uint64
+		want string
+	}{
+		{"localRoot-2^40", 3, 1 << 40, "out of range"},
+		{"localRoot-below-minint32", 3, 1<<64 - 1<<40, "out of range"},
+		{"virtParent-at-non-portal", 3 + m + nonPortal, 5, "non-portal"},
+		{"anc-row-at-non-portal", ancRow, 1, "non-portal"}, // an empty row: the layout is unchanged
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(words)
+			bad[tc.at] = tc.word
+			if err := fresh().RestoreCkpt(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error %v, want one mentioning %q", err, tc.want)
 			}
 		})
 	}

@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Benchmark A/B (make bench-ab): run one workload of the repository
+# benchmark at git revision REV ("base") and at the working tree ("change")
+# in alternating pairs, print every pair's setup_s, and summarise the
+# change/base ratios by their geometric mean and median.
+#
+#   bash scripts/bench-ab.sh REV WORKLOAD [PAIRS]
+#   make bench-ab REV=HEAD~1 WORKLOAD=serve-grid400-k3 PAIRS=10
+#
+# REV is checked out as a detached git worktree under .bench_build/ and
+# removed again on exit. Both sides build and run through their own
+# bench/run.sh, whose build output stays in the checkout's .bench_build/, so
+# the script writes nothing outside the checkout. Pair i runs seed i; odd
+# pairs run base first, even pairs change first, so a drift in host speed
+# lands on both sides alike.
+set -euo pipefail
+
+rev=${1:?usage: bench-ab.sh REV WORKLOAD [PAIRS]}
+workload=${2:?usage: bench-ab.sh REV WORKLOAD [PAIRS]}
+pairs=${3:-10}
+
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+base="$root/.bench_build/ab-base"
+
+cleanup() {
+    git -C "$root" worktree remove --force "$base" >/dev/null 2>&1 || true
+    git -C "$root" worktree prune
+}
+trap cleanup EXIT
+cleanup
+git -C "$root" worktree add --detach "$base" "$rev" >/dev/null 2>&1
+
+# setup_s of one run of the checkout in $1 at seed $2. A run whose JSON is
+# not correct or reports failed operations aborts the comparison.
+setup() {
+    local json
+    json=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$2" --seconds 2 | grep '^{' | tail -1)
+    case $json in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *)
+        echo "bench-ab: $1 seed $2 did not run clean: $json" >&2
+        exit 1
+        ;;
+    esac
+    sed -n 's/.*"setup_s":{"value":\([^,}]*\).*/\1/p' <<<"$json"
+}
+
+echo "bench-ab: $workload, base $(git -C "$root" rev-parse --short "$rev") vs the working tree, $pairs pairs"
+ratios=()
+for i in $(seq 1 "$pairs"); do
+    if ((i % 2)); then
+        a=$(setup "$base" "$i")
+        b=$(setup "$root" "$i")
+    else
+        b=$(setup "$root" "$i")
+        a=$(setup "$base" "$i")
+    fi
+    r=$(awk -v a="$a" -v b="$b" 'BEGIN { printf "%.4f", b / a }')
+    ratios+=("$r")
+    printf 'pair %2d  seed %2d  base %.6f s  change %.6f s  ratio %s\n' "$i" "$i" "$a" "$b" "$r"
+done
+printf '%s\n' "${ratios[@]}" | sort -g | awk '
+    { r[NR] = $1; s += log($1); if ($1 < 1) better++ }
+    END {
+        med = NR % 2 ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2
+        printf "geometric-mean ratio %.4f  median ratio %.4f  change faster in %d of %d pairs\n", exp(s / NR), med, better, NR
+    }'
