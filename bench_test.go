@@ -55,56 +55,20 @@ func BenchmarkTable1(b *testing.B) {
 				b.ReportMetric(float64(last.LabelWords), "label-words")
 				b.ReportMetric(last.Stretch.Max, "stretch-max")
 				b.ReportMetric(float64(last.PeakMem), "mem-words")
-				// Lookup latency percentiles over every Route call of the run.
-				// The "-ns" suffix marks them host-measured for bench-diff:
-				// compared with tolerance, not exactly (see internal/benchfmt).
+				// Lookup latency percentiles over every Route call of the run;
+				// the "-ns" suffix marks them host-measured.
 				if s := reg.Histogram(metrics.LookupHistogram, 1e-9).Snapshot(); s.Count > 0 {
 					b.ReportMetric(float64(s.Quantile(0.5)), "p50-ns")
 					b.ReportMetric(float64(s.Quantile(0.99)), "p99-ns")
 					b.ReportMetric(float64(s.Quantile(0.999)), "p999-ns")
 				}
-				// Post-GC live heap; host-measured like the -ns quantiles
-				// (single-iteration rows record it without gating).
+				// Post-GC live heap; host-measured like the -ns quantiles.
 				runtime.GC()
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				b.ReportMetric(float64(ms.HeapAlloc), "peak_heap_bytes")
 			})
 		}
-	}
-}
-
-// BenchmarkTable1Sharded regenerates the paper scheme's Table 1 row with the
-// round engine running at 4 execution shards. The deterministic metrics
-// (rounds, table/label words, memory) are gated exactly by bench-diff and
-// must equal the unsharded paper row — shard-count invariance as a standing
-// benchmark gate, not just a test.
-func BenchmarkTable1Sharded(b *testing.B) {
-	const n = 192
-	for _, k := range []int{2, 3} {
-		b.Run(fmt.Sprintf("k=%d/paper/shards=4", k), func(b *testing.B) {
-			var last metrics.SchemeRow
-			for i := 0; i < b.N; i++ {
-				rows, err := metrics.RunTable1(metrics.Table1Config{
-					Family:  graph.FamilyErdosRenyi,
-					N:       n,
-					K:       k,
-					Seed:    1,
-					Pairs:   100,
-					Schemes: []string{"paper"},
-					Shards:  4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = rows[0]
-			}
-			b.ReportMetric(float64(last.Rounds), "rounds")
-			b.ReportMetric(float64(last.TableWords), "table-words")
-			b.ReportMetric(float64(last.LabelWords), "label-words")
-			b.ReportMetric(last.Stretch.Max, "stretch-max")
-			b.ReportMetric(float64(last.PeakMem), "mem-words")
-		})
 	}
 }
 

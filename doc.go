@@ -75,8 +75,7 @@
 // (internal/router), the centralized Thorup-Zwick reference (internal/tz),
 // prior-work baselines (internal/baseline), construction tracing and
 // telemetry (internal/trace), the evaluation harness (internal/metrics),
-// the benchmark-regression format (internal/benchfmt), and the
-// model-invariant static analyzers (internal/lint).
+// and the model-invariant static analyzers (internal/lint).
 //
 // # Commands
 //
@@ -86,6 +85,5 @@
 // -scale-probe modes, -shards sets the parallel shard count, and in -scale
 // mode -checkpoint/-resume snapshot and restore long builds), cmd/treebench
 // regenerates Table 2, and cmd/routedemo builds a scheme and routes
-// sample pairs end to end. cmd/lowmemlint runs the static analyzers and
-// cmd/benchdiff gates benchmark snapshots against the committed baseline.
+// sample pairs end to end. cmd/lowmemlint runs the static analyzers.
 package lowmemroute

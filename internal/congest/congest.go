@@ -105,6 +105,17 @@ type Simulator struct {
 	// phases ran on the worker pool (ParallelRounds).
 	parSteps, parDeliveries int
 
+	// Fork/join state (engine.go, fork): pool is the running Run's worker
+	// pool, nil until its first fork; stepTask and deliverTask are the fork
+	// tasks, bound once in NewTopo; stepRound, stepFn and stepChunk carry a
+	// forked step phase's arguments to stepShard.
+	pool        *forkPool
+	stepTask    func(int)
+	deliverTask func(int)
+	stepRound   int
+	stepFn      StepFunc
+	stepChunk   int
+
 	// tracer, when non-nil, receives one RoundSample per simulated round
 	// and per analytically-charged primitive. Disabled tracing costs one
 	// nil check per round.
@@ -295,6 +306,7 @@ func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 	for _, o := range opts {
 		o(s)
 	}
+	s.stepTask, s.deliverTask = s.stepShard, s.deliverShard
 	return s
 }
 

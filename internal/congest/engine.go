@@ -358,6 +358,7 @@ func (s *Simulator) edgeID(from, to int) int32 {
 // added to the simulator's round counter).
 func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	s.ensureTopology()
+	defer s.stopPool()
 	s.ensureFaults()
 	s.spinTimers = s.faults != nil && s.faults.HasCrashes()
 	// Idle rounds are skipped only when nothing observes them: tracing emits
@@ -467,19 +468,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		s.faultClock = baseRounds + int64(round) + 1
 		if s.workers > 1 && pending >= parallelMin {
 			s.parDeliveries++
-			var wg sync.WaitGroup
-			for sh := range s.shardCur {
-				if len(s.shardCur[sh]) == 0 {
-					s.deliverShard(sh)
-					continue
-				}
-				wg.Add(1)
-				go func(sh int) {
-					defer wg.Done()
-					s.deliverShard(sh)
-				}(sh)
-			}
-			wg.Wait()
+			s.fork(len(s.shardCur), s.deliverTask)
 		} else {
 			for sh := range s.shardCur {
 				s.deliverShard(sh)
@@ -562,27 +551,68 @@ func (s *Simulator) runRound(round int, step StepFunc) {
 		return
 	}
 	s.parSteps++
-	var wg sync.WaitGroup
-	chunk := (len(act) + s.workers - 1) / s.workers
-	for w := 0; w < s.workers; w++ {
-		lo := w * chunk
-		if lo >= len(act) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(act) {
-			hi = len(act)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ar := &s.shardArena[w]
-			for i := lo; i < hi; i++ {
-				s.stepVertex(i, round, step, ar)
-			}
-		}(w, lo, hi)
+	s.stepRound, s.stepFn = round, step
+	s.stepChunk = (len(act) + s.workers - 1) / s.workers
+	s.fork(s.workers, s.stepTask)
+	s.stepFn = nil
+}
+
+// stepShard steps the w-th chunk of the active list (runRound's fork task,
+// empty past the list's end) on execution shard w's arena.
+func (s *Simulator) stepShard(w int) {
+	lo := w * s.stepChunk
+	hi := min(lo+s.stepChunk, len(s.actList))
+	ar := &s.shardArena[w]
+	for i := lo; i < hi; i++ {
+		s.stepVertex(i, s.stepRound, s.stepFn, ar)
 	}
-	wg.Wait()
+}
+
+// forkPool is the worker pool of one Run: Shards()-1 goroutines serving the
+// task indices the Run's forks hand them.
+type forkPool struct {
+	work chan int
+	task func(int)
+	wg   sync.WaitGroup
+}
+
+func (p *forkPool) serve() {
+	for i := range p.work {
+		p.task(i)
+		p.wg.Done()
+	}
+}
+
+// fork runs task(0), ..., task(k-1) in parallel and returns when all are
+// done: index 0 on the calling goroutine, the rest on the Run's pool, which
+// the Run's first fork starts and the Run's return stops (stopPool). The
+// tasks are method values bound once per simulator and the pool is fed
+// plain ints, so a fork allocates nothing (DESIGN.md §15).
+func (s *Simulator) fork(k int, task func(int)) {
+	p := s.pool
+	if p == nil {
+		p = &forkPool{work: make(chan int, s.workers)}
+		for range s.workers - 1 {
+			go p.serve()
+		}
+		s.pool = p
+	}
+	p.task = task
+	p.wg.Add(k - 1)
+	for i := 1; i < k; i++ {
+		p.work <- i
+	}
+	task(0)
+	p.wg.Wait()
+}
+
+// stopPool ends the Run's pool, if a fork started one. Run defers it, so a
+// handler that panics on the calling goroutine leaks no worker.
+func (s *Simulator) stopPool() {
+	if s.pool != nil {
+		close(s.pool.work)
+		s.pool = nil
+	}
 }
 
 // stepVertex runs one vertex's program for one round in its recycled

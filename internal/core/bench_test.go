@@ -64,8 +64,7 @@ func BenchmarkClusterGrowth(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	// Post-GC live heap, host-measured: bench-diff tolerance-gates it so a
-	// workspace memory regression shows up without GC wobble failing runs.
+	// Post-GC live heap, host-measured.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -5,40 +5,37 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
 
-// benchTable compiles a mid-size TZ scheme once per benchmark binary: the
-// lookup benchmarks measure the forwarding walk, not construction.
-func benchTable(b *testing.B) *Table {
-	b.Helper()
+// benchScheme builds the mid-size TZ scheme of the forwarding benchmarks
+// (Erdős–Rényi n=512, seed 17, k=3): they measure flattening and the
+// forwarding walk, not construction.
+func benchScheme(tb testing.TB) *clusterroute.Scheme {
+	tb.Helper()
 	g, err := graph.Generate(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return Compile(s.Scheme)
+	return s.Scheme
 }
+
+func benchTable(tb testing.TB) *Table { return Compile(benchScheme(tb)) }
 
 // BenchmarkCompile measures control-plane -> data-plane flattening; the
 // member count is a simulation metric (deterministic for the fixed seed).
 func BenchmarkCompile(b *testing.B) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchScheme(b)
 	b.ResetTimer()
 	var tab *Table
 	for i := 0; i < b.N; i++ {
-		tab = Compile(s.Scheme)
+		tab = Compile(s)
 	}
 	b.ReportMetric(float64(tab.MemberCount()), "members")
 }

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lowmemroute/internal/dataplane"
@@ -130,5 +131,31 @@ func TestRunPartialFinalBatch(t *testing.T) {
 	rep := Run(eng, Config{Workers: 3, Batch: 64, Seed: 1, Lookups: 1001}, nil)
 	if rep.Lookups != 1001 {
 		t.Fatalf("lookups %d, want 1001", rep.Lookups)
+	}
+}
+
+// TestRunBatchAllocFree pins that a warm traffic batch (Zipf draws, a table
+// pin, one LookupBatch, the latency record) allocates nothing: a 64-batch
+// Run allocates exactly as often as a 1-batch Run. Each count is the fewest
+// mallocs of any of 20 Runs, because a Run's worker goroutine sometimes
+// needs a fresh goroutine from the runtime.
+func TestRunBatchAllocFree(t *testing.T) {
+	eng := testEngine(t, 128)
+	lat := obs.NewRegistry().Histogram("traffic_lookup_seconds", 1e-9)
+	allocs := func(batches int64) uint64 {
+		cfg := Config{Workers: 1, Batch: 256, Skew: 1.0, Seed: 17, Lookups: 256 * batches}
+		var ms runtime.MemStats
+		fewest := uint64(math.MaxUint64)
+		for i := 0; i < 20; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			Run(eng, cfg, lat)
+			runtime.ReadMemStats(&ms)
+			fewest = min(fewest, ms.Mallocs-before)
+		}
+		return fewest
+	}
+	if one, many := allocs(1), allocs(64); one != many {
+		t.Fatalf("a 1-batch Run allocates %d times, a 64-batch Run %d times", one, many)
 	}
 }

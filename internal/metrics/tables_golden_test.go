@@ -10,11 +10,18 @@ import (
 
 // TestTablesGolden pins every deterministic column of the Table 1 and
 // Table 2 rows that BenchmarkTable1/BenchmarkTable2 regenerate, at full
-// precision. The rounds, words and 3-decimal stretch equal the committed
-// BENCH_PR10.json snapshot; any change to a simulated quantity, an oracle
-// distance or a scheme's sizes fails here, without a benchmark run (~1 s).
+// precision; any change to a simulated quantity, an oracle distance or a
+// scheme's sizes fails here, without a benchmark run. The paper rows run
+// twice, the second time with the engine at 4 execution shards, and must
+// match the same golden line: the shard count is unobservable.
 func TestTablesGolden(t *testing.T) {
 	var got []string
+	row := func(r SchemeRow) string {
+		return fmt.Sprintf("t1 %s k=%d D=%v rounds=%v msgs=%v table=%v label=%v peak=%v avg=%v stretch=%v/%v/%v/%v",
+			r.Scheme, r.K, r.D, r.Rounds, r.Messages, r.TableWords, r.LabelWords,
+			r.PeakMem, r.AvgMem, r.Stretch.Max, r.Stretch.Avg, r.Stretch.Pairs, r.Stretch.Failures)
+	}
+	paper := map[int]string{}
 	for _, k := range []int{2, 3} {
 		rows, err := RunTable1(Table1Config{
 			Family: graph.FamilyErdosRenyi, N: 192, K: k, Seed: 1, Pairs: 100,
@@ -23,9 +30,22 @@ func TestTablesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			got = append(got, fmt.Sprintf("t1 %s k=%d D=%v rounds=%v msgs=%v table=%v label=%v peak=%v avg=%v stretch=%v/%v/%v/%v",
-				r.Scheme, r.K, r.D, r.Rounds, r.Messages, r.TableWords, r.LabelWords,
-				r.PeakMem, r.AvgMem, r.Stretch.Max, r.Stretch.Avg, r.Stretch.Pairs, r.Stretch.Failures))
+			got = append(got, row(r))
+			if r.Scheme == "paper" {
+				paper[k] = row(r)
+			}
+		}
+	}
+	for _, k := range []int{2, 3} {
+		rows, err := RunTable1(Table1Config{
+			Family: graph.FamilyErdosRenyi, N: 192, K: k, Seed: 1, Pairs: 100,
+			Schemes: []string{"paper"}, Shards: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharded := row(rows[0]); sharded != paper[k] {
+			t.Errorf("k=%d paper row at 4 shards:\n got %s\nwant %s", k, sharded, paper[k])
 		}
 	}
 	rows, err := RunTable2(Table2Config{Family: graph.FamilyErdosRenyi, N: 512, Seed: 2, Pairs: 100})

@@ -31,8 +31,8 @@ func benchWorkload(tb testing.TB) (*congest.Simulator, []*graph.Tree) {
 
 // BenchmarkLightPipeline measures the full Section 3 construction pipeline
 // (portal sampling through DFS shifts) over three trees in parallel. The
-// pipeline allocates per-build state by design; the figure tracks the cost
-// of the whole construction, while the steady-state contract is pinned by
+// pipeline allocates per-build state by design; TestLightPipelineAllocBudget
+// caps it, while the steady-state contract is pinned by
 // TestShiftsDownSteadyStateAllocFree below.
 func BenchmarkLightPipeline(b *testing.B) {
 	sim, trees := benchWorkload(b)
@@ -45,6 +45,27 @@ func BenchmarkLightPipeline(b *testing.B) {
 		if _, err := BuildDistributed(sim, trees, DistOptions{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// lightPipelineAllocBudget is how many allocations one warm
+// BenchmarkLightPipeline build may make: the 820 measured when this pin was
+// set (the same under -race), plus 10%. A change that needs more must say
+// why and move the pin.
+const lightPipelineAllocBudget = 902
+
+// TestLightPipelineAllocBudget pins the per-build allocation count of the
+// BenchmarkLightPipeline workload.
+func TestLightPipelineAllocBudget(t *testing.T) {
+	sim, trees := benchWorkload(t)
+	run := func() {
+		if _, err := BuildDistributed(sim, trees, DistOptions{Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs > lightPipelineAllocBudget {
+		t.Fatalf("light pipeline build allocates %v/op, budget %d", allocs, lightPipelineAllocBudget)
 	}
 }
 
