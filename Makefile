@@ -42,10 +42,12 @@ test:
 # Race-detector pass over the concurrent engine and the per-round goroutine
 # pools (the packages where a data race could actually hide), plus the
 # lock-free metrics registry whose histograms take concurrent writers, the
-# COW data plane (readers hammering LookupBatch across table swaps), and the
-# pooled-packet router built on it.
+# COW data plane (readers hammering LookupBatch across table swaps), the
+# pooled-packet router built on it, and the facade Network's lazily frozen
+# topology under concurrent read-only queries.
 race:
 	$(GO) test -race ./internal/congest/... ./internal/treeroute/... ./internal/hopset/... ./internal/core/... ./internal/obs/... ./internal/dataplane/... ./internal/router/...
+	$(GO) test -race -run '^TestNetworkConcurrentReads$$' .
 
 # Full test run with the output captured (the repository's test record).
 test-record:
@@ -111,12 +113,16 @@ ckpt-smoke:
 # internal/treeroute/testdata/fuzz: restore errors or round-trips, never
 # panics. Then ten seconds of FuzzFreezeWeights: arbitrary positive finite
 # weights must read back exactly through both CSR freeze paths (FromGraph
-# and CSRBuilder). Minimisation is off so the short budgets go to new
-# inputs.
+# and CSRBuilder). Then ten seconds of FuzzParseSpec from the committed
+# specs in internal/faults/testdata/fuzz: a malformed fault spec must fail
+# with an error, never panic, and an accepted one must render back through
+# String to the same plan. Minimisation is off so the short budgets go to
+# new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreBuilderCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/treeroute
 	$(GO) test -run '^$$' -fuzz '^FuzzFreezeWeights$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/faults
 
 # Regenerate the paper's tables and sweeps (EXPERIMENTS.md).
 table1:

@@ -187,11 +187,11 @@ func BenchmarkHopset(b *testing.B) {
 
 func benchGraph(b *testing.B, n int) *graph.CSR {
 	b.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(9)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(9)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return graph.FromGraph(g)
+	return g
 }
 
 func BenchmarkDijkstra(b *testing.B) {

@@ -290,11 +290,10 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 	totalFailures := 0
 	for _, n := range ns {
 		for _, k := range ks {
-			g, err := graph.Generate(family, n, rand.New(rand.NewSource(seed)))
+			topo, err := graph.GenerateCSR(family, n, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			topo := graph.FromGraph(g)
 			sim := congest.NewTopo(topo, congest.WithSeed(seed), congest.WithMetrics(reg),
 				congest.WithTrace(rec), congest.WithFaults(plan))
 			rec.Attach(sim)
@@ -341,11 +340,11 @@ func runTraffic(family graph.Family, ns, ks []int, seed int64, workers []int, sk
 	var rows [][]string
 	for _, n := range ns {
 		for _, k := range ks {
-			g, err := graph.Generate(family, n, rand.New(rand.NewSource(seed)))
+			topo, err := graph.GenerateCSR(family, n, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
+			s, err := tz.Build(topo, tz.Options{K: k, Seed: seed})
 			if err != nil {
 				fatalf("n=%d k=%d: %v", n, k, err)
 			}

@@ -13,11 +13,11 @@ import (
 func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.CSR, *graph.Tree) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+	gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.FromGraph(gen)
+	g := gen
 	tree, err := graph.SpanningTree(g, 0, "sssp", r)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +116,11 @@ func TestSchemeLevelPreference(t *testing.T) {
 	// Two clusters both containing everything; labels list level 0 first:
 	// routing must use the level-0 tree.
 	r := rand.New(rand.NewSource(5))
-	gen, err := graph.Generate(graph.FamilyErdosRenyi, 30, r)
+	gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 30, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.FromGraph(gen)
+	g := gen
 	treeA, err := graph.SpanningTree(g, 0, "sssp", r)
 	if err != nil {
 		t.Fatal(err)

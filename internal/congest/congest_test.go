@@ -443,12 +443,12 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 	// must produce identical distance vectors and identical round counts.
 	// The graph is large enough for the flood's middle rounds to cross
 	// parallelMin.
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 1500, rand.New(rand.NewSource(5)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 1500, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(workers int) ([]float64, int64) {
-		s := newGraphSim(g, WithWorkers(workers))
+		s := NewTopo(g, WithWorkers(workers))
 		dist := make([]float64, g.N())
 		for i := range dist {
 			dist[i] = graph.Infinity
@@ -484,7 +484,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 	if r1 != r8 {
 		t.Fatalf("rounds differ: %d vs %d", r1, r8)
 	}
-	exact := graph.Dijkstra(graph.FromGraph(g), 0)
+	exact := graph.Dijkstra(g, 0)
 	for v := range d1 {
 		if d1[v] != d8[v] {
 			t.Fatalf("vertex %d: serial %v parallel %v", v, d1[v], d8[v])

@@ -95,8 +95,11 @@ type qEntry struct {
 // Ring sizes: a ring starts at one slot, so the rings of edges that never
 // back up sit densely in their chunk, and its first growth jumps to ringMin
 // slots, skipping the doublings a backlog would soon outgrow. Rings up to
-// ringSlabMax slots are carved from ringChunk-slot chunks instead of being
-// allocated one by one.
+// ringSlabMax slots are carved from chunks instead of being allocated one by
+// one. A chunk has ringMin slots per directed edge of the simulator, at most
+// ringChunk: room for every edge's first growth, so a small graph's rings do
+// not cost a 160 KB chunk, while a graph of 512 or more directed edges gets
+// ringChunk-slot chunks.
 const (
 	ringMin     = 8
 	ringSlabMax = 256
@@ -111,16 +114,17 @@ const (
 type ringSlab struct {
 	entries []qEntry
 	tails   [][]uint64
+	chunk   int // slots in a new chunk (see ringChunk)
 }
 
-// carve cuts an n-slot ring from the chunk *free, starting a new chunk when
-// it runs short.
-func carve[T any](free *[]T, n int) []T {
+// carve cuts an n-slot ring from the chunk *free, starting a new chunk of
+// chunk slots (n if larger) when it runs short.
+func carve[T any](free *[]T, n, chunk int) []T {
 	if n > ringSlabMax {
 		return make([]T, n)
 	}
 	if len(*free) < n {
-		*free = make([]T, ringChunk)
+		*free = make([]T, max(chunk, n))
 	}
 	b := (*free)[:n:n]
 	*free = (*free)[n:]
@@ -168,7 +172,7 @@ func (s *Simulator) setTail(e int32, i int, ext []uint64, slab *ringSlab) {
 	q := &s.queues[e]
 	if !q.tails {
 		s.tailsOnce.Do(func() { s.tails = make([][][]uint64, len(s.queues)) })
-		s.tails[e] = carve(&slab.tails, len(q.buf))
+		s.tails[e] = carve(&slab.tails, len(q.buf), slab.chunk)
 		q.tails = true
 	}
 	s.tails[e][i] = ext
@@ -181,12 +185,12 @@ func (q *edgeQueue) grow(slab *ringSlab, tails *[][]uint64) {
 	if len(q.buf) > 0 {
 		n = max(ringMin, 2*len(q.buf))
 	}
-	buf := carve(&slab.entries, n)
+	buf := carve(&slab.entries, n, slab.chunk)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	if tails != nil {
 		old := *tails
-		t := carve(&slab.tails, n)
+		t := carve(&slab.tails, n, slab.chunk)
 		k := copy(t, old[q.head:])
 		copy(t[k:], old[:q.head])
 		clear(old) // the outgrown ring keeps no reference to a live tail
@@ -330,6 +334,11 @@ func (s *Simulator) ensureTopology() {
 	s.shardMsgs = make([]int64, shards)
 	s.shardWords = make([]int64, shards)
 	s.shardArena = make([]wordArena, shards)
+	chunk := min(ringChunk, ringMin*max(ne, 1)) // see ringChunk
+	s.arena.rings.chunk = chunk
+	for i := range s.shardArena {
+		s.shardArena[i].rings.chunk = chunk
+	}
 }
 
 // edgeID returns the directed-edge id of from->to, or -1 if the vertices are

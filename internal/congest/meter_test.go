@@ -136,11 +136,11 @@ func TestWithTraceTypedNilRecorder(t *testing.T) {
 
 func TestTracingIsObservational(t *testing.T) {
 	run := func(opts ...Option) (*Simulator, error) {
-		g, err := graph.Generate(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(21)))
+		g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(21)))
 		if err != nil {
 			return nil, err
 		}
-		s := newGraphSim(g, opts...)
+		s := NewTopo(g, opts...)
 		// Flood a token everywhere, charging memory along the way, so
 		// every counter moves.
 		seen := make([]bool, s.N())

@@ -5,14 +5,15 @@ package congest
 // lockstep, every fault path on a wrapped ring (against the same run on a
 // ring that never wraps), arena chunks coming back exactly once from every
 // fault path, the capacity bound the ring exists for (an edge's ring is the
-// next power of two of its peak backlog), and the layout (a 40-byte entry
-// with no pointers, a 40-byte queue).
+// next power of two of its peak backlog), the layout (a 40-byte entry
+// with no pointers, a 40-byte queue), and ring chunks sized to the graph.
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -422,4 +423,19 @@ func ringBound(p int32) int {
 		return 1
 	}
 	return max(ringMin, 1<<bits.Len32(uint32(p-1)))
+}
+
+// TestRingChunkSizedToGraph pins the ring chunk size to the simulator: the
+// first Run of a fresh 16-vertex star (the delivery benchmark, 30 directed
+// edges) carves its rings from 240-slot chunks. With a fixed 4,096-slot
+// chunk the same Run allocated about 174 KB.
+func TestRingChunkSizedToGraph(t *testing.T) {
+	_, run := deliveryWorkload()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 32<<10 {
+		t.Errorf("first Run of a fresh 16-vertex star allocated %d B, want at most 32 KB", b)
+	}
 }

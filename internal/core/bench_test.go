@@ -17,11 +17,11 @@ import (
 // alloc figures measure the handler layer, not goroutine spawns.
 func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 	tb.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 220, rand.New(rand.NewSource(5)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 220, rand.New(rand.NewSource(5)))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5), congest.WithWorkers(1))
+	sim := congest.NewTopo(g, congest.WithSeed(5), congest.WithWorkers(1))
 	o := (&Options{K: 4, Seed: 5}).withDefaults()
 	b := newBuilder(sim, o)
 	b.sampleHierarchy()

@@ -11,11 +11,11 @@ import (
 
 func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.CSR {
 	t.Helper()
-	g, err := graph.Generate(f, n, rand.New(rand.NewSource(seed)))
+	g, err := graph.GenerateCSR(f, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graph.FromGraph(g)
+	return g
 }
 
 func buildScheme(t *testing.T, g *graph.CSR, k int, seed int64) (*Scheme, *congest.Simulator) {

@@ -40,7 +40,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 		seed = 42
 	)
 	runOnce := func(workers int, faultOpt congest.Option) ([]byte, []int64) {
-		g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(7)))
+		g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 		if faultOpt != nil {
 			opts = append(opts, faultOpt)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), opts...)
+		sim := congest.NewTopo(g, opts...)
 		if _, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}

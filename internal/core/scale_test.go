@@ -73,13 +73,13 @@ func TestTopoBuildWorkerInvariant(t *testing.T) {
 		k    = 3
 		seed = 11
 	)
-	g, err := graph.Generate(graph.FamilyGrid, n, rand.New(rand.NewSource(3)))
+	g, err := graph.GenerateCSR(graph.FamilyGrid, n, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	runAt := func(workers int) buildResult {
 		rec := trace.NewRecorder()
-		sim := congest.NewTopo(graph.FromGraph(g),
+		sim := congest.NewTopo(g,
 			congest.WithSeed(seed), congest.WithTrace(rec), congest.WithWorkers(workers))
 		res := runBuildOn(t, sim, rec, g.N(), k, seed)
 		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {

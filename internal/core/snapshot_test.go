@@ -37,11 +37,11 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 		seed = 42
 	)
 	build := func(workers int, ck *congest.Checkpointer) (coreSnap, error) {
-		g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(7)))
+		g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed), congest.WithWorkers(workers))
+		sim := congest.NewTopo(g, congest.WithSeed(seed), congest.WithWorkers(workers))
 		s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Ckpt: ck})
 		if err != nil {
 			return coreSnap{}, err
@@ -154,11 +154,11 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 // flag word 0 (no in-flight round state), and the only other section is the
 // tree-routing builder's: the explorations write nothing of their own.
 func TestBuildUnitMarksAreQuiescent(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyGrid, 256, rand.New(rand.NewSource(1)))
+	g, err := graph.GenerateCSR(graph.FamilyGrid, 256, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
+	sim := congest.NewTopo(g, congest.WithSeed(1))
 	path := filepath.Join(t.TempDir(), "build.ckpt")
 	ck := congest.NewCheckpointer(path)
 	marks := 0

@@ -15,11 +15,11 @@ import (
 // forwarding walk, not construction.
 func benchScheme(tb testing.TB) *clusterroute.Scheme {
 	tb.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 17})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,23 +17,23 @@ import (
 // buildSchemes constructs every clusterroute-backed Table 1 scheme row over
 // g — the compiled data plane is defined exactly over clusterroute.Scheme,
 // so these are the rows whose walks it must reproduce byte-for-byte.
-func buildSchemes(t *testing.T, g *graph.Graph, k int, seed int64) map[string]*clusterroute.Scheme {
+func buildSchemes(t *testing.T, g *graph.CSR, k int, seed int64) map[string]*clusterroute.Scheme {
 	t.Helper()
 	out := make(map[string]*clusterroute.Scheme)
 
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
+	s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("tz: %v", err)
 	}
 	out["tz"] = s.Scheme
 
-	lp, err := baseline.BuildLP15(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
+	lp, err := baseline.BuildLP15(congest.NewTopo(g, congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("lp15: %v", err)
 	}
 	out["lp15"] = lp
 
-	p, err := core.Build(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
+	p, err := core.Build(congest.NewTopo(g, congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("paper: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestCompiledEquivalence(t *testing.T) {
 		{graph.FamilyGrid, 64, 2},
 	}
 	for _, tc := range cases {
-		g, err := graph.Generate(tc.family, tc.n, rand.New(rand.NewSource(11)))
+		g, err := graph.GenerateCSR(tc.family, tc.n, rand.New(rand.NewSource(11)))
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
@@ -106,11 +106,11 @@ func TestCompiledEquivalence(t *testing.T) {
 // walk: starting from Lookup and stepping with Step must retrace exactly
 // the path Route returns.
 func TestLookupMatchesRoute(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, rand.New(rand.NewSource(3)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 80, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 3})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestLookupMatchesRoute(t *testing.T) {
 // TestLookupBatch checks batch semantics: index-aligned results identical
 // to per-call Lookup, truncation to the shorter slice.
 func TestLookupBatch(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(5)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 2, Seed: 5})
+	s, err := tz.Build(g, tz.Options{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ const compileBudget = 650_000
 // and the fixture of the forwarding benchmarks: its member count, Compile's
 // allocation budget, and allocation-free lookups and engine swaps.
 func TestLookupAllocFree(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(7)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 7})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestLookupAllocFree(t *testing.T) {
 // assertions check every reader always sees one complete, self-consistent
 // snapshot (decisions match a direct lookup against the pinned table).
 func TestEngineSwapUnderLoad(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(9)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 64, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 9})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +302,11 @@ func TestEngineSwapUnderLoad(t *testing.T) {
 // source maps, membership roots are strictly ascending per vertex, and
 // label entries preserve level order.
 func TestCompileShape(t *testing.T) {
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 48, rand.New(rand.NewSource(13)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 48, rand.New(rand.NewSource(13)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 13})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,11 @@ import (
 
 func benchEngine(b *testing.B) *dataplane.Engine {
 	b.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 512, rand.New(rand.NewSource(17)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 17})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}

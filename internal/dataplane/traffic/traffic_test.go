@@ -14,11 +14,11 @@ import (
 
 func testEngine(t *testing.T, n int) *dataplane.Engine {
 	t.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(21)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 21})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

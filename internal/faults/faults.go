@@ -364,7 +364,7 @@ func ParseSpec(spec string) (*Plan, error) {
 		switch {
 		case hasKey && key == "drop":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return nil, fmt.Errorf("faults: bad drop probability %q", val)
 			}
 			p.Drop = f
@@ -376,7 +376,7 @@ func ParseSpec(spec string) (*Plan, error) {
 			p.Delay = d
 		case hasKey && key == "dup":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) {
 				return nil, fmt.Errorf("faults: bad dup probability %q", val)
 			}
 			p.Duplicate = f

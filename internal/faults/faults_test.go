@@ -185,6 +185,7 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"drop=1.5", "drop=x", "delay=-1", "dup=2", "seed=-3", "budget=x",
 		"crash=x", "crash=1@5", "crash=1@9-3", "frob=1", "3",
+		"drop=NaN", "dup=nan",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)

@@ -104,6 +104,24 @@ func FromGraph(g *Graph) *CSR {
 	return c
 }
 
+// Thaw returns an edge-by-edge builder holding c's edges: vertex u's
+// adjacency list is u's arcs in c's order, so FromGraph(c.Thaw()) equals c
+// and edges added to the builder land after the ones c had, exactly where
+// they would have landed on the builder c was frozen from.
+func (c *CSR) Thaw() *Graph {
+	g := &Graph{adj: make([][]neighbor, c.N()), edges: c.m}
+	arcs := make([]neighbor, len(c.to))
+	for a, v := range c.to {
+		arcs[a] = neighbor{To: int(v), Weight: c.ArcWeight(a)}
+	}
+	for u := range g.adj {
+		// Capped at u's arcs, so an append copies instead of overwriting
+		// u+1's list.
+		g.adj[u] = arcs[c.off[u]:c.off[u+1]:c.off[u+1]]
+	}
+	return g
+}
+
 // allocWeights sizes the per-arc weight storage for len(c.to) arcs: the
 // uint16 classes of wc's ranked table, or the float64 fallback when wc saw
 // more than maxWeightClasses distinct weights. It runs after every weight
@@ -213,8 +231,8 @@ func (wc *weightClasser) class(w float64) uint16 {
 // directly: transient state is three flat arrays of 16 bytes per edge, and
 // the per-vertex neighbor order of the built CSR equals the order AddEdge
 // touched each endpoint — exactly the order Graph.AddEdge would have
-// appended, so builder output is bit-identical to FromGraph of the
-// slice-built graph for the same edge stream.
+// appended, so builder output is bit-identical to FromGraph of a *Graph
+// fed the same edge stream.
 type CSRBuilder struct {
 	n  int
 	eu []int32
@@ -263,28 +281,30 @@ func (b *CSRBuilder) AddEdge(u, v int, w float64) {
 // call). Each edge's weight is classed once and written into both arcs.
 func (b *CSRBuilder) Build() *CSR {
 	n, m := b.n, len(b.eu)
-	c := &CSR{off: make([]int32, n+1), to: make([]int32, 2*m), m: m}
+	eu, ev, ew := b.eu[:m], b.ev[:m], b.ew[:m]
+	off, to := make([]int32, n+1), make([]int32, 2*m)
+	c := &CSR{off: off, to: to, m: m}
 	wc := newWeightClasser()
-	for i := 0; i < m; i++ {
-		c.off[b.eu[i]]++
-		c.off[b.ev[i]]++
-		wc.add(b.ew[i])
+	for i, u := range eu {
+		off[u]++
+		off[ev[i]]++
+		wc.add(ew[i])
 	}
 	// off[u] counts u's arcs; the running sum turns it into the end of u's
 	// range. The scatter walks the edges backwards and decrements off[u]
 	// per arc, so it fills each range back to front in edge order and
 	// leaves off[u] at u's first arc.
 	for u := 1; u < n; u++ {
-		c.off[u] += c.off[u-1]
+		off[u] += off[u-1]
 	}
-	c.off[n] = int32(2 * m)
+	off[n] = int32(2 * m)
 	c.allocWeights(wc)
 	for i := m - 1; i >= 0; i-- {
-		u, v, w := b.eu[i], b.ev[i], b.ew[i]
-		c.off[u]--
-		c.off[v]--
-		a, z := c.off[u], c.off[v]
-		c.to[a], c.to[z] = v, u
+		u, v, w := eu[i], ev[i], ew[i]
+		off[u]--
+		off[v]--
+		a, z := off[u], off[v]
+		to[a], to[z] = v, u
 		if c.w64 != nil {
 			c.w64[a], c.w64[z] = w, w
 		} else {

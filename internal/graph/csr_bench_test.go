@@ -20,6 +20,19 @@ func BenchmarkGenerateCSRGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateCSRErdosRenyi times streaming the n=192 Erdős–Rényi
+// instance into a CSR: the set-up of the build-er192-k2 bench workload.
+func BenchmarkGenerateCSRErdosRenyi(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := GenerateCSR(FamilyErdosRenyi, 192, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCSR = c
+	}
+}
+
 // BenchmarkFromGraph times freezing a slice-built 256×256 grid.
 func BenchmarkFromGraph(b *testing.B) {
 	g := Grid(256, 256, IntegerWeights(10), rand.New(rand.NewSource(1)))

@@ -61,46 +61,6 @@ func TestCSRWeightClassTable(t *testing.T) {
 	}
 }
 
-// TestStreamingGeneratorsByteIdentical pins the CSR generator paths
-// bit-identical — same edge order, same weights, same RNG consumption — to
-// the slice-based generators at n ∈ {256, 4096}.
-func TestStreamingGeneratorsByteIdentical(t *testing.T) {
-	families := []Family{FamilyGrid, FamilyTorus, FamilyPowerLaw, FamilyGeometric, FamilyHypercube, FamilyErdosRenyi}
-	for _, n := range []int{256, 4096} {
-		for _, f := range families {
-			if f == FamilyErdosRenyi && n > 256 {
-				continue // quadratic slice path; the CSR path is a documented bridge anyway
-			}
-			t.Run(string(f)+"/"+itoa(n), func(t *testing.T) {
-				const seed = 42
-				g, err := Generate(f, n, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := GenerateCSR(f, n, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				csrEqual(t, FromGraph(g), c)
-			})
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // TestStreamingGeneratorsSeedStability locks the deterministic edge stream:
 // the same seed must give the same CSR, and different seeds should not.
 func TestStreamingGeneratorsSeedStability(t *testing.T) {
@@ -229,4 +189,26 @@ func TestNewTreeCompactValidation(t *testing.T) {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
+}
+
+// TestThawRoundTrip pins Thaw: freezing a thawed CSR gives it back bit for
+// bit, and an edge added after the thaw lands where the builder the CSR was
+// frozen from would have put it.
+func TestThawRoundTrip(t *testing.T) {
+	for _, f := range goldenFamilies {
+		c, err := GenerateCSR(f, 200, rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrEqual(t, FromGraph(c.Thaw()), c)
+	}
+	g := ErdosRenyi(50, 0.1, IntegerWeights(10), rand.New(rand.NewSource(2)))
+	thawed := FromGraph(g).Thaw()
+	for _, b := range []*Graph{g, thawed} {
+		b.MustAddEdge(3, 7, 0.5)
+		b.MustAddEdge(7, 3, 2)
+		b.AddVertex()
+		b.MustAddEdge(50, 0, 1)
+	}
+	csrEqual(t, FromGraph(thawed), FromGraph(g))
 }

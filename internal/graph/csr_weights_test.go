@@ -135,48 +135,24 @@ func FuzzFreezeWeights(f *testing.F) {
 	})
 }
 
-// TestStreamConstructorsPresize pins the builder presizing: a constructor
-// that reserves its exact edge count allocates the same number of times at
-// every size, where appending into an unsized builder regrows its three
-// edge arrays about log2(m) times each.
+// TestStreamConstructorsPresize pins the builder presizing: a family whose
+// edge count GenerateCSR reserves up front allocates the same number of
+// times at every size, where appending into an unsized builder regrows its
+// three edge arrays about log2(m) times each.
 func TestStreamConstructorsPresize(t *testing.T) {
-	w := IntegerWeights(10)
 	r := rand.New(rand.NewSource(1))
-	for _, tc := range []struct {
-		name  string
-		build func(small bool) *CSR
-	}{
-		{"grid", func(small bool) *CSR {
-			if small {
-				return GridCSR(64, 64, w, r) // n=4,096
+	for _, f := range []Family{FamilyGrid, FamilyTorus, FamilyHypercube, FamilyPowerLaw} {
+		gen := func(n int) {
+			if _, err := GenerateCSR(f, n, r); err != nil {
+				t.Fatal(err)
 			}
-			return GridCSR(256, 256, w, r) // n=65,536
-		}},
-		{"torus", func(small bool) *CSR {
-			if small {
-				return TorusCSR(64, 64, w, r)
-			}
-			return TorusCSR(256, 256, w, r)
-		}},
-		{"hypercube", func(small bool) *CSR {
-			if small {
-				return HypercubeCSR(12, w, r)
-			}
-			return HypercubeCSR(16, w, r)
-		}},
-		{"power-law", func(small bool) *CSR {
-			if small {
-				return BarabasiAlbertCSR(1<<12, 3, IntegerWeights(100), r)
-			}
-			return BarabasiAlbertCSR(1<<16, 3, IntegerWeights(100), r)
-		}},
-	} {
+		}
 		// Ten runs each: AllocsPerRun truncates the mean, so a stray
 		// allocation elsewhere in the process does not tip the comparison.
-		small := testing.AllocsPerRun(10, func() { tc.build(true) })
-		large := testing.AllocsPerRun(10, func() { tc.build(false) })
+		small := testing.AllocsPerRun(10, func() { gen(1 << 12) })
+		large := testing.AllocsPerRun(10, func() { gen(1 << 16) })
 		if small != large {
-			t.Errorf("%s: %v allocations at the small size, %v at the large one", tc.name, small, large)
+			t.Errorf("%s: %v allocations at the small size, %v at the large one", f, small, large)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -22,99 +21,25 @@ func IntegerWeights(max int) WeightFunc {
 	return func(r *rand.Rand) float64 { return float64(1 + r.Intn(max)) }
 }
 
-// ErdosRenyi generates G(n, p) with the given weight function, then adds a
+// ErdosRenyi generates G(n, p) with the given weight function, plus a
 // random Hamiltonian-path backbone so the result is always connected (the
-// standard trick for benchmarking on connected instances).
+// standard trick for benchmarking on connected instances); see
+// streamErdosRenyi.
 func ErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand) *Graph {
 	g := New(n)
-	perm := r.Perm(n)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(perm[i-1], perm[i], w(r))
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if r.Float64() < p && !g.HasEdge(u, v) {
-				g.MustAddEdge(u, v, w(r))
-			}
-		}
-	}
+	streamErdosRenyi(n, p, w, r, g.MustAddEdge)
 	return g
 }
 
 // RandomGeometric places n points uniformly in the unit square and connects
 // pairs within distance radius, weighting each edge by its Euclidean length
 // (scaled by 1000 and floored at 1 to keep weights positive). A backbone
-// path over the points sorted by x-coordinate keeps the graph connected.
+// path over the points sorted by x-coordinate keeps the graph connected;
+// see streamGeometric.
 func RandomGeometric(n int, radius float64, r *rand.Rand) *Graph {
-	type pt struct{ x, y float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{r.Float64(), r.Float64()}
-	}
 	g := New(n)
-	dist := func(a, b pt) float64 {
-		dx, dy := a.x-b.x, a.y-b.y
-		return math.Sqrt(dx*dx + dy*dy)
-	}
-	weight := func(d float64) float64 { return math.Max(1, d*1000) }
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if d := dist(pts[u], pts[v]); d <= radius {
-				g.MustAddEdge(u, v, weight(d))
-			}
-		}
-	}
-	// Connect by stitching components along the x-sorted order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && pts[order[j]].x < pts[order[j-1]].x; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	comp := g.components()
-	for i := 1; i < n; i++ {
-		u, v := order[i-1], order[i]
-		if comp[u] != comp[v] {
-			g.MustAddEdge(u, v, weight(dist(pts[u], pts[v])))
-			old, nw := comp[u], comp[v]
-			for x := range comp {
-				if comp[x] == old {
-					comp[x] = nw
-				}
-			}
-		}
-	}
+	streamGeometric(n, radius, r, g.MustAddEdge)
 	return g
-}
-
-func (g *Graph) components() []int {
-	comp := make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	for s := 0; s < g.N(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		stack := []int{s}
-		comp[s] = c
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.adj[u] {
-				if comp[nb.To] == -1 {
-					comp[nb.To] = c
-					stack = append(stack, nb.To)
-				}
-			}
-		}
-		c++
-	}
-	return comp
 }
 
 // Grid generates a rows×cols grid with the given weights. Hop diameter is
@@ -126,9 +51,7 @@ func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
 }
 
 // Torus is Grid with wraparound edges, halving the diameter. The wrap edges
-// are generated in the same edge stream as the grid edges (streamTorus)
-// rather than retrofitted onto a built Grid, so the slice path and the CSR
-// path share one emission order.
+// are generated in the same edge stream as the grid edges (streamTorus).
 func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
 	g := New(rows * cols)
 	streamTorus(rows, cols, w, r, g.MustAddEdge)
@@ -260,8 +183,7 @@ const (
 	FamilyHypercube  Family = "hypercube"
 )
 
-// Density defaults shared by Generate and GenerateCSR, so the two paths
-// cannot drift apart.
+// Density defaults of GenerateCSR's families.
 
 func erdosRenyiDefaultP(n int) float64 {
 	return 4 * math.Log(float64(n+2)) / float64(n+1)
@@ -285,27 +207,4 @@ func hypercubeDefaultDim(n int) int {
 		d++
 	}
 	return d
-}
-
-// Generate builds an n-vertex connected instance of the named family with
-// sensible density defaults for routing benchmarks.
-func Generate(f Family, n int, r *rand.Rand) (*Graph, error) {
-	switch f {
-	case FamilyErdosRenyi:
-		return ErdosRenyi(n, erdosRenyiDefaultP(n), IntegerWeights(100), r), nil
-	case FamilyGeometric:
-		return RandomGeometric(n, geometricDefaultRadius(n), r), nil
-	case FamilyGrid:
-		rows, cols := gridDefaultDims(n)
-		return Grid(rows, cols, IntegerWeights(10), r), nil
-	case FamilyTorus:
-		rows, cols := gridDefaultDims(n)
-		return Torus(rows, cols, IntegerWeights(10), r), nil
-	case FamilyPowerLaw:
-		return BarabasiAlbert(n, 3, IntegerWeights(100), r), nil
-	case FamilyHypercube:
-		return Hypercube(hypercubeDefaultDim(n), IntegerWeights(10), r), nil
-	default:
-		return nil, fmt.Errorf("graph: unknown family %q", f)
-	}
 }

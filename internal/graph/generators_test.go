@@ -1,10 +1,52 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// csrValid checks a CSR's internal consistency: monotone offsets covering
+// 2M arcs, in-range neighbours, no self loops, positive finite weights, and
+// symmetric adjacency (as many u→v arcs as v→u arcs, with equal weights).
+func csrValid(c *CSR) error {
+	n := c.N()
+	if c.off[0] != 0 || int(c.off[n]) != 2*c.M() || len(c.to) != 2*c.M() {
+		return fmt.Errorf("offsets [%d, %d] for %d arcs, M=%d", c.off[0], c.off[n], len(c.to), c.M())
+	}
+	type arc struct {
+		u, v int32
+		w    float64
+	}
+	count := map[arc]int{}
+	for u := 0; u < n; u++ {
+		if c.off[u+1] < c.off[u] {
+			return fmt.Errorf("offsets decrease at vertex %d", u)
+		}
+		to, base := c.NeighborRange(u)
+		for i, v := range to {
+			w := c.ArcWeight(base + i)
+			switch {
+			case v < 0 || int(v) >= n:
+				return fmt.Errorf("vertex %d has neighbour %d out of range", u, v)
+			case int(v) == u:
+				return fmt.Errorf("self loop at %d", u)
+			case !(w > 0) || math.IsInf(w, 0):
+				return fmt.Errorf("invalid weight %v on {%d,%d}", w, u, v)
+			}
+			count[arc{int32(u), v, w}]++
+		}
+	}
+	for a, k := range count {
+		if count[arc{a.v, a.u, a.w}] != k {
+			return fmt.Errorf("asymmetric adjacency between %d and %d", a.u, a.v)
+		}
+	}
+	return nil
+}
 
 func TestGeneratorsConnectedAndValid(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
@@ -33,6 +75,9 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 			}
 			if err := tt.g.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
+			}
+			if err := csrValid(FromGraph(tt.g)); err != nil {
+				t.Fatalf("frozen: %v", err)
 			}
 			if !Connected(FromGraph(tt.g)) {
 				t.Fatal("not connected")
@@ -83,14 +128,18 @@ func TestRandomTreeProperty(t *testing.T) {
 	}
 }
 
-// Property: Erdős–Rényi generator always yields valid connected graphs
-// (thanks to the backbone), for any p in [0,1].
+// Property: the Erdős–Rényi core streamed into a CSR always yields a valid
+// connected topology (thanks to the backbone) for any p in [0,1], equal to
+// the edge-by-edge builder fed the same stream.
 func TestErdosRenyiProperty(t *testing.T) {
 	f := func(seed int64, praw uint16, sz uint8) bool {
 		n := int(sz%80) + 2
 		p := float64(praw) / 65535
+		b := NewCSRBuilder(n)
+		streamErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)), b.AddEdge)
+		c := b.Build()
 		g := ErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)))
-		return Connected(FromGraph(g)) && g.Validate() == nil
+		return Connected(c) && csrValid(c) == nil && csrDigest(c) == csrDigest(FromGraph(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -98,58 +147,72 @@ func TestErdosRenyiProperty(t *testing.T) {
 }
 
 func TestGenerateFamilies(t *testing.T) {
-	fams := []Family{
-		FamilyErdosRenyi, FamilyGeometric, FamilyGrid,
-		FamilyTorus, FamilyPowerLaw, FamilyHypercube,
-	}
-	for _, f := range fams {
+	for _, f := range goldenFamilies {
 		t.Run(string(f), func(t *testing.T) {
-			g, err := Generate(f, 120, rand.New(rand.NewSource(9)))
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
-			if g.N() < 120 {
-				t.Fatalf("N=%d want >= 120", g.N())
-			}
-			if err := g.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
-			}
-			if !Connected(FromGraph(g)) {
-				t.Fatal("not connected")
+			for _, n := range []int{1, 2, 5, 120, 1000} {
+				c, err := GenerateCSR(f, n, rand.New(rand.NewSource(9)))
+				if err != nil {
+					t.Fatalf("GenerateCSR: %v", err)
+				}
+				if c.N() < n {
+					t.Fatalf("n=%d: N=%d", n, c.N())
+				}
+				if err := csrValid(c); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				if !Connected(c) {
+					t.Fatalf("n=%d: not connected", n)
+				}
 			}
 		})
 	}
-	if _, err := Generate(Family("nope"), 10, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := GenerateCSR(Family("nope"), 10, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("unknown family should error")
 	}
 }
 
 func TestHypercubeStructure(t *testing.T) {
-	g := Hypercube(4, UnitWeights, rand.New(rand.NewSource(1)))
-	if g.N() != 16 {
-		t.Fatalf("N=%d", g.N())
+	c, err := GenerateCSR(FamilyHypercube, 16, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.N() != 16 || c.M() != 32 {
+		t.Fatalf("N=%d M=%d", c.N(), c.M())
 	}
 	for v := 0; v < 16; v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("degree(%d)=%d want 4", v, g.Degree(v))
+		to, _ := c.NeighborRange(v)
+		if len(to) != 4 {
+			t.Fatalf("degree(%d)=%d want 4", v, len(to))
+		}
+		for _, u := range to {
+			if bits.OnesCount(uint(v)^uint(u)) != 1 {
+				t.Fatalf("arc %d-%d joins vertices more than one bit apart", v, u)
+			}
 		}
 	}
-	d, err := HopDiameter(FromGraph(g))
+	d, err := HopDiameter(c)
 	if err != nil || d != 4 {
 		t.Fatalf("diameter=%d err=%v want 4", d, err)
 	}
 }
 
 func TestDeterminismUnderSeed(t *testing.T) {
-	g1 := ErdosRenyi(60, 0.1, IntegerWeights(10), rand.New(rand.NewSource(123)))
-	g2 := ErdosRenyi(60, 0.1, IntegerWeights(10), rand.New(rand.NewSource(123)))
-	e1, e2 := g1.Edges(), g2.Edges()
-	if len(e1) != len(e2) {
-		t.Fatalf("edge counts differ: %d vs %d", len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, e1[i], e2[i])
+	for _, f := range goldenFamilies {
+		a, err := GenerateCSR(f, 300, rand.New(rand.NewSource(123)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := GenerateCSR(f, 300, rand.New(rand.NewSource(123)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrEqual(t, a, b)
+		c, err := GenerateCSR(f, 300, rand.New(rand.NewSource(124)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csrDigest(a) == csrDigest(c) {
+			t.Errorf("%s: seeds 123 and 124 generate the same topology", f)
 		}
 	}
 }

@@ -7,14 +7,44 @@ import (
 	"sort"
 )
 
-// This file holds the streaming generator cores: each family emits its
-// edges in a fixed, documented order through an emit callback, so the same
-// core drives both the slice-based *Graph constructors (emit =
-// MustAddEdge) and the compact *CSR builders (emit = CSRBuilder.AddEdge)
-// with bit-identical output — same edge order, same weights, same RNG
-// consumption. The CSR paths never materialise adjacency lists or any other
+// This file holds the generator cores: each topology family has exactly
+// one, which emits its edges in a fixed, documented order through an emit
+// callback. GenerateCSR streams a core straight into a CSRBuilder
+// (emit = CSRBuilder.AddEdge); the *Graph constructors of generators.go
+// feed the same core to the edge-by-edge builder (emit = MustAddEdge) for
+// tests. Either way the edge order, the weights and the RNG consumption are
+// the core's. The CSR path never materialises adjacency lists or any other
 // per-vertex slice state: transient memory is the builder's flat edge
 // arrays plus O(n) generator scratch.
+
+// streamErdosRenyi emits G(n, p) plus a connecting backbone: first the
+// Hamiltonian path over r.Perm(n), one weight per backbone edge, then one
+// r.Float64() coin per vertex pair u < v in ascending (u, v) order, emitting
+// the pair with a fresh weight when the coin falls below p and the backbone
+// has not already joined it. A backbone vertex has at most two backbone
+// neighbours, so prev/next arrays answer "already joined" in O(1), and
+// memory stays O(n + m) — but the coins still cost O(n²) time.
+func streamErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand, emit func(u, v int, wt float64)) {
+	perm := r.Perm(n)
+	prev := make([]int32, n)
+	next := make([]int32, n)
+	for i := range prev {
+		prev[i], next[i] = -1, -1
+	}
+	for i := 1; i < n; i++ {
+		a, b := perm[i-1], perm[i]
+		emit(a, b, w(r))
+		next[a], prev[b] = int32(b), int32(a)
+	}
+	for u := 0; u < n; u++ {
+		pu, nu := int(prev[u]), int(next[u])
+		for v := u + 1; v < n; v++ {
+			if r.Float64() < p && v != pu && v != nu {
+				emit(u, v, w(r))
+			}
+		}
+	}
+}
 
 // streamGrid emits the rows×cols grid row-major: for each cell, the right
 // edge then the down edge. Matches the historical Grid order exactly.
@@ -235,15 +265,6 @@ func streamGeometric(n int, radius float64, r *rand.Rand, emit func(u, v int, wt
 	}
 }
 
-// GridCSR builds the rows×cols grid directly into a CSR, bit-identical to
-// FromGraph(Grid(rows, cols, w, r)) with the same *rand.Rand state.
-func GridCSR(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(rows * cols)
-	b.reserve(gridEdges(rows, cols))
-	streamGrid(rows, cols, w, r, b.AddEdge)
-	return b.Build()
-}
-
 // gridEdges is the edge count of the rows×cols grid streamGrid emits.
 func gridEdges(rows, cols int) int {
 	if rows <= 0 || cols <= 0 {
@@ -252,82 +273,61 @@ func gridEdges(rows, cols int) int {
 	return rows*(cols-1) + (rows-1)*cols
 }
 
-// TorusCSR builds the torus directly into a CSR with the wrap edges
-// generated in-stream, bit-identical to FromGraph(Torus(rows, cols, w, r)).
-func TorusCSR(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(rows * cols)
-	m := gridEdges(rows, cols)
-	if cols > 2 {
-		m += rows
-	}
-	if rows > 2 {
-		m += cols
-	}
-	b.reserve(m)
-	streamTorus(rows, cols, w, r, b.AddEdge)
-	return b.Build()
-}
-
-// HypercubeCSR builds the d-dimensional hypercube directly into a CSR,
-// bit-identical to FromGraph(Hypercube(d, w, r)).
-func HypercubeCSR(d int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(1 << d)
-	b.reserve(d * (1 << d) / 2)
-	streamHypercube(d, w, r, b.AddEdge)
-	return b.Build()
-}
-
-// BarabasiAlbertCSR builds the preferential-attachment graph directly into
-// a CSR, bit-identical to FromGraph(BarabasiAlbert(n, m, w, r)).
-func BarabasiAlbertCSR(n, m int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(n)
-	// streamBarabasiAlbert's edge count: a path over the first start
-	// vertices, then m edges for each later vertex.
-	if n > 0 {
-		mm := max(m, 1)
-		start := min(mm+1, n)
-		b.reserve(start - 1 + (n-start)*mm)
-	}
-	streamBarabasiAlbert(n, m, w, r, b.AddEdge)
-	return b.Build()
-}
-
-// RandomGeometricCSR builds the random geometric graph directly into a CSR
-// using O(n) cell-bucket scratch instead of the O(n^2) all-pairs scan,
-// bit-identical to FromGraph(RandomGeometric(n, radius, r)).
-func RandomGeometricCSR(n int, radius float64, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(n)
-	streamGeometric(n, radius, r, b.AddEdge)
-	return b.Build()
-}
-
 // GenerateCSR builds an n-vertex connected instance of the named family
-// directly into a CSR with the same density defaults as Generate, emitting
-// edges in a fixed order without O(n^2) work or per-vertex slice state.
-// The Erdős–Rényi family is the one exception: its definition is a coin
-// flip per vertex pair, so it falls back to compacting the slice-built
-// graph and is not suitable for million-vertex runs.
+// with its density defaults, streaming the family's core straight into a
+// CSR: no adjacency lists, and generator scratch of O(n), or O(n + m) for
+// the flat edge arrays. Every family but Erdős–Rényi also runs in O(n + m)
+// time; Erdős–Rényi flips one coin per vertex pair, so it takes O(n²) time
+// and does not suit million-vertex runs. Grid and torus round n to
+// rows×cols and the hypercube to a power of two, so read N() back.
 func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
+	var b *CSRBuilder
 	switch f {
 	case FamilyErdosRenyi:
-		g, err := Generate(f, n, r)
-		if err != nil {
-			return nil, err
-		}
-		return FromGraph(g), nil
+		p := erdosRenyiDefaultP(n)
+		b = NewCSRBuilder(n)
+		// The backbone plus the expected coin hits and some slack, so the
+		// edge arrays rarely regrow.
+		hits := p * float64(n) * float64(n-1) / 2
+		b.reserve(max(n-1, 0) + int(hits+4*math.Sqrt(hits)) + 8)
+		streamErdosRenyi(n, p, IntegerWeights(100), r, b.AddEdge)
 	case FamilyGeometric:
-		return RandomGeometricCSR(n, geometricDefaultRadius(n), r), nil
+		b = NewCSRBuilder(n)
+		streamGeometric(n, geometricDefaultRadius(n), r, b.AddEdge)
 	case FamilyGrid:
 		rows, cols := gridDefaultDims(n)
-		return GridCSR(rows, cols, IntegerWeights(10), r), nil
+		b = NewCSRBuilder(rows * cols)
+		b.reserve(gridEdges(rows, cols))
+		streamGrid(rows, cols, IntegerWeights(10), r, b.AddEdge)
 	case FamilyTorus:
 		rows, cols := gridDefaultDims(n)
-		return TorusCSR(rows, cols, IntegerWeights(10), r), nil
+		b = NewCSRBuilder(rows * cols)
+		m := gridEdges(rows, cols)
+		if cols > 2 {
+			m += rows
+		}
+		if rows > 2 {
+			m += cols
+		}
+		b.reserve(m)
+		streamTorus(rows, cols, IntegerWeights(10), r, b.AddEdge)
 	case FamilyPowerLaw:
-		return BarabasiAlbertCSR(n, 3, IntegerWeights(100), r), nil
+		// streamBarabasiAlbert's edge count: a path over the first
+		// m+1 vertices, then m edges for each later vertex.
+		const m = 3
+		b = NewCSRBuilder(n)
+		if n > 0 {
+			start := min(m+1, n)
+			b.reserve(start - 1 + (n-start)*m)
+		}
+		streamBarabasiAlbert(n, m, IntegerWeights(100), r, b.AddEdge)
 	case FamilyHypercube:
-		return HypercubeCSR(hypercubeDefaultDim(n), IntegerWeights(10), r), nil
+		d := hypercubeDefaultDim(n)
+		b = NewCSRBuilder(1 << d)
+		b.reserve(d * (1 << d) / 2)
+		streamHypercube(d, IntegerWeights(10), r, b.AddEdge)
 	default:
 		return nil, fmt.Errorf("graph: unknown family %q", f)
 	}
+	return b.Build(), nil
 }

@@ -15,11 +15,11 @@ import (
 // goroutine-spawn noise.
 func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []Source) {
 	tb.Helper()
-	gen, err := graph.Generate(graph.FamilyErdosRenyi, 200, rand.New(rand.NewSource(31)))
+	gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 200, rand.New(rand.NewSource(31)))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g := graph.FromGraph(gen)
+	g := gen
 	r := rand.New(rand.NewSource(32))
 	var members []int
 	for v := 0; v < g.N(); v++ {

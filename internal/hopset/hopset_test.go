@@ -13,11 +13,11 @@ import (
 
 func testGraph(t *testing.T, n int, seed int64) *graph.CSR {
 	t.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(seed)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graph.FromGraph(g)
+	return g
 }
 
 func sampleMembers(g graph.Topology, frac float64, r *rand.Rand) []int {
@@ -436,11 +436,11 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%60) + 20
 		r := rand.New(rand.NewSource(seed))
-		gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+		gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, r)
 		if err != nil {
 			return false
 		}
-		g := graph.FromGraph(gen)
+		g := gen
 		members := sampleMembers(g, 0.3, r)
 		vg, err := NewVirtualGraph(g, members, 3)
 		if err != nil {

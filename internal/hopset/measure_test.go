@@ -11,11 +11,11 @@ import (
 func buildSparseHopset(t *testing.T, family graph.Family, n, b, kappa int, seed int64) (*VirtualGraph, *Hopset) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	gen, err := graph.Generate(family, n, r)
+	gen, err := graph.GenerateCSR(family, n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.FromGraph(gen)
+	g := gen
 	vg, err := NewVirtualGraph(g, sampleMembers(g, 0.3, r), b)
 	if err != nil {
 		t.Fatal(err)

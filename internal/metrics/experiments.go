@@ -89,11 +89,10 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 	if schemes == nil {
 		schemes = []string{"tz", "lp15", "en16b", "paper"}
 	}
-	g, err := graph.Generate(cfg.Family, cfg.N, rand.New(rand.NewSource(cfg.Seed)))
+	topo, err := graph.GenerateCSR(cfg.Family, cfg.N, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	var rows []SchemeRow
 	for _, name := range schemes {
 		row, err := runScheme(name, topo, cfg)
@@ -224,11 +223,10 @@ func RunTable2(cfg Table2Config) ([]TreeRow, error) {
 		schemes = []string{"en16b-tree", "tz-tree", "paper-tree"}
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g, err := graph.Generate(cfg.Family, cfg.N, r)
+	topo, err := graph.GenerateCSR(cfg.Family, cfg.N, r)
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	tree, err := graph.SpanningTree(topo, 0, cfg.TreeKind, r)
 	if err != nil {
 		return nil, err

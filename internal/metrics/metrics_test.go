@@ -58,15 +58,15 @@ func TestFormatInt(t *testing.T) {
 
 func TestMeasureStretch(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 80, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 2, Seed: 2})
+	s, err := tz.Build(g, tz.Options{K: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := MeasureStretch(graph.FromGraph(g), s, 100, rand.New(rand.NewSource(3)))
+	st := MeasureStretch(g, s, 100, rand.New(rand.NewSource(3)))
 	if st.Pairs == 0 {
 		t.Fatal("no pairs measured")
 	}
@@ -83,15 +83,15 @@ func TestMeasureStretch(t *testing.T) {
 
 func TestStretchHistogram(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 60, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 2, Seed: 5})
+	s, err := tz.Build(g, tz.Options{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(graph.FromGraph(g), s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	hist, failures := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures != 0 {
 		t.Fatalf("failures=%d on a complete scheme", failures)
 	}
@@ -120,15 +120,15 @@ func (f flakyRouter) Route(src, dst int) ([]int, float64, error) {
 
 func TestStretchHistogramCountsFailures(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 60, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 2, Seed: 5})
+	s, err := tz.Build(g, tz.Options{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(graph.FromGraph(g), flakyRouter{s}, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	hist, failures := StretchHistogram(g, flakyRouter{s}, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures == 0 {
 		t.Fatal("expected some failed pairs")
 	}
@@ -140,7 +140,7 @@ func TestStretchHistogramCountsFailures(t *testing.T) {
 		t.Fatal("failures must not wipe out the histogram")
 	}
 	// The routable half of the pairs must bucket exactly as before.
-	full, _ := StretchHistogram(graph.FromGraph(g), s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	full, _ := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	fullTotal := 0
 	for _, c := range full {
 		fullTotal += c

@@ -28,11 +28,10 @@ type MemoryPoint struct {
 // SweepMemoryVsK measures per-vertex peak memory of the paper's scheme and
 // the EN16b-style baseline for each k.
 func SweepMemoryVsK(family graph.Family, n int, ks []int, seed int64) ([]MemoryPoint, error) {
-	g, err := graph.Generate(family, n, rand.New(rand.NewSource(seed)))
+	topo, err := graph.GenerateCSR(family, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	var out []MemoryPoint
 	for _, k := range ks {
 		simP := congest.NewTopo(topo, congest.WithSeed(seed))
@@ -74,11 +73,10 @@ func SweepTreeRoundsVsN(family graph.Family, ns []int, seed int64) ([]RoundsPoin
 	var out []RoundsPoint
 	for _, n := range ns {
 		r := rand.New(rand.NewSource(seed))
-		g, err := graph.Generate(family, n, r)
+		topo, err := graph.GenerateCSR(family, n, r)
 		if err != nil {
 			return nil, err
 		}
-		topo := graph.FromGraph(g)
 		tree, err := graph.SpanningTree(topo, 0, "dfs", r)
 		if err != nil {
 			return nil, err
@@ -113,11 +111,10 @@ type MultiTreePoint struct {
 // SSSP trees rooted at random vertices of one network.
 func RunMultiTree(family graph.Family, n int, trees []int, seed int64) ([]MultiTreePoint, error) {
 	r := rand.New(rand.NewSource(seed))
-	g, err := graph.Generate(family, n, r)
+	topo, err := graph.GenerateCSR(family, n, r)
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	var out []MultiTreePoint
 	for _, s := range trees {
 		var ts []*graph.Tree
@@ -171,11 +168,10 @@ type HopsetPoint struct {
 // and without them.
 func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, seed int64) ([]HopsetPoint, error) {
 	r := rand.New(rand.NewSource(seed))
-	g, err := graph.Generate(family, n, r)
+	topo, err := graph.GenerateCSR(family, n, r)
 	if err != nil {
 		return nil, err
 	}
-	topo := graph.FromGraph(g)
 	var members []int
 	for v := 0; v < topo.N(); v++ {
 		if r.Float64() < frac {

@@ -9,13 +9,13 @@ import (
 	"lowmemroute/internal/tz"
 )
 
-func buildScheme(t *testing.T, n int, k int, seed int64) (*tz.Scheme, *graph.Graph) {
+func buildScheme(t *testing.T, n int, k int, seed int64) (*tz.Scheme, *graph.CSR) {
 	t.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(seed)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: k, Seed: seed})
+	s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

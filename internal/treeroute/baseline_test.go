@@ -108,20 +108,20 @@ func TestBaselineMemorySignature(t *testing.T) {
 	// portals (Θ(sqrt(n)) at default q), far above the paper's O(log n).
 	r := rand.New(rand.NewSource(79))
 	n := 1024
-	g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	simB := congest.NewTopo(graph.FromGraph(g))
+	simB := congest.NewTopo(g)
 	if _, err := BuildBaseline(simB, tr, DistOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	simD := congest.NewTopo(graph.FromGraph(g))
+	simD := congest.NewTopo(g)
 	if _, err := BuildDistributed(simD, []*graph.Tree{tr}, DistOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,20 +135,20 @@ func TestBaselineSizesVersusPaper(t *testing.T) {
 	// Baseline labels carry an O(log n) factor over the paper's labels;
 	// baseline tables are O(log n) versus the paper's O(1).
 	r := rand.New(rand.NewSource(83))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 512, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 512, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simB := congest.NewTopo(graph.FromGraph(g))
+	simB := congest.NewTopo(g)
 	base, err := BuildBaseline(simB, tr, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simD := congest.NewTopo(graph.FromGraph(g))
+	simD := congest.NewTopo(g)
 	res, err := BuildDistributed(simD, []*graph.Tree{tr}, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -14,19 +14,19 @@ import (
 func benchWorkload(tb testing.TB) (*congest.Simulator, []*graph.Tree) {
 	tb.Helper()
 	r := rand.New(rand.NewSource(7))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 120, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 120, r)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 10, 20} {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
+		tr, err := graph.SpanningTree(g, root, "bfs", r)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		trees = append(trees, tr)
 	}
-	return congest.NewTopo(graph.FromGraph(g), congest.WithSeed(7), congest.WithWorkers(1)), trees
+	return congest.NewTopo(g, congest.WithSeed(7), congest.WithWorkers(1)), trees
 }
 
 // BenchmarkLightPipeline measures the full Section 3 construction pipeline

@@ -12,9 +12,9 @@ import (
 
 // buildBoth builds the distributed scheme and the centralized reference on
 // the same tree.
-func buildBoth(t *testing.T, g *graph.Graph, tr *graph.Tree, opts DistOptions) (*Scheme, *Scheme, *congest.Simulator) {
+func buildBoth(t *testing.T, g graph.Topology, tr *graph.Tree, opts DistOptions) (*Scheme, *Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(opts.Seed))
+	sim := congest.NewTopo(g, congest.WithSeed(opts.Seed))
 	res, err := BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed: %v", err)
@@ -62,7 +62,7 @@ func TestDistributedMatchesCentralizedSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, g, tr, DistOptions{Q: 0.3, Seed: 11})
+	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: 0.3, Seed: 11})
 	requireSchemesEqual(t, dist, central)
 }
 
@@ -84,7 +84,7 @@ func TestDistributedMatchesCentralizedShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dist, central, _ := buildBoth(t, tt.g, tr, DistOptions{Seed: 3})
+			dist, central, _ := buildBoth(t, graph.FromGraph(tt.g), tr, DistOptions{Seed: 3})
 			requireSchemesEqual(t, dist, central)
 			if err := VerifyExact(dist, tr, SamplePairs(tr, 60, r)); err != nil {
 				t.Fatal(err)
@@ -97,11 +97,11 @@ func TestDistributedTreeOnGeneralGraph(t *testing.T) {
 	// The tree is a DFS spanning tree (deep) of a well-connected graph
 	// (shallow D): the regime the paper targets.
 	r := rand.New(rand.NewSource(21))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 200, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 200, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 5, "dfs", r)
+	tr, err := graph.SpanningTree(g, 5, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDistributedSingleVertexTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, g, tr, DistOptions{Seed: 1})
+	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Seed: 1})
 	requireSchemesEqual(t, dist, central)
 }
 
@@ -130,7 +130,7 @@ func TestDistributedTwoVertexTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.01, 0.5, 1} {
-		dist, central, _ := buildBoth(t, g, tr, DistOptions{Q: q, Seed: 2})
+		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: q, Seed: 2})
 		requireSchemesEqual(t, dist, central)
 	}
 }
@@ -138,11 +138,11 @@ func TestDistributedTwoVertexTree(t *testing.T) {
 func TestDistributedSubsetTree(t *testing.T) {
 	// Tree over a strict subset of the graph's vertices.
 	r := rand.New(rand.NewSource(31))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 60, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs := graph.BFS(graph.FromGraph(g), 0)
+	bfs := graph.BFS(g, 0)
 	parent := make([]int, g.N())
 	for i := range parent {
 		parent[i] = graph.NoVertex
@@ -169,7 +169,7 @@ func TestDistributedQExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.999, 0.02} {
-		dist, central, _ := buildBoth(t, g, tr, DistOptions{Q: q, Seed: 23})
+		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: q, Seed: 23})
 		requireSchemesEqual(t, dist, central)
 	}
 }
@@ -247,15 +247,15 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 	// by checking against c·sqrt(n)·log^2(n)+c·D·log(n).
 	r := rand.New(rand.NewSource(43))
 	for _, n := range []int{256, 1024} {
-		g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+		g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+		tr, err := graph.SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(2))
+		sim := congest.NewTopo(g, congest.WithSeed(2))
 		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -311,19 +311,19 @@ func TestDistributedMultiTree(t *testing.T) {
 	// Several overlapping trees built in parallel: all must match their
 	// centralized references.
 	r := rand.New(rand.NewSource(55))
-	g, err := graph.Generate(graph.FamilyGeometric, 150, r)
+	g, err := graph.GenerateCSR(graph.FamilyGeometric, 150, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 17, 42, 99} {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "sssp", r)
+		tr, err := graph.SpanningTree(g, root, "sssp", r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trees = append(trees, tr)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5))
+	sim := congest.NewTopo(g, congest.WithSeed(5))
 	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -346,16 +346,16 @@ func TestDistributedMultiTree(t *testing.T) {
 
 func TestDistributedDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(60))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 100, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() (int64, int64) {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(9))
+		sim := congest.NewTopo(g, congest.WithSeed(9))
 		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 9}); err != nil {
 			t.Fatal(err)
 		}

@@ -110,19 +110,19 @@ func TestDistributedFaultCostAboveClean(t *testing.T) {
 // a lossy plan; every scheme must still match its centralized reference.
 func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 80, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 7, 19} {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
+		tr, err := graph.SpanningTree(g, root, "bfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trees = append(trees, tr)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(2),
+	sim := congest.NewTopo(g, congest.WithSeed(2),
 		congest.WithFaults(&faults.Plan{Seed: 3, Drop: 0.1, Duplicate: 0.1}))
 	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 2})
 	if err != nil {
@@ -139,13 +139,13 @@ func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 // sizes-down convergecast check and the missing shift seed are reached.
 func TestDistributedLossyBudgetErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 80, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trees []*graph.Tree
 	for _, root := range []int{0, 7, 19} {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "bfs", r)
+		tr, err := graph.SpanningTree(g, root, "bfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestDistributedLossyBudgetErrors(t *testing.T) {
 	} {
 		t.Run(tc.want, func(t *testing.T) {
 			plan := &faults.Plan{Seed: tc.seed, Drop: 0.05, RetryBudget: -1}
-			sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(2), congest.WithFaults(plan))
+			sim := congest.NewTopo(g, congest.WithSeed(2), congest.WithFaults(plan))
 			_, err := BuildDistributed(sim, trees, DistOptions{Seed: 2})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("lossy build: err=%v, want one mentioning %q", err, tc.want)

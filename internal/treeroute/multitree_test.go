@@ -9,12 +9,12 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-func makeTrees(t *testing.T, g *graph.Graph, roots []int, kind string, seed int64) []*graph.Tree {
+func makeTrees(t *testing.T, g graph.Topology, roots []int, kind string, seed int64) []*graph.Tree {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	var trees []*graph.Tree
 	for _, root := range roots {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, kind, r)
+		tr, err := graph.SpanningTree(g, root, kind, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,15 +27,15 @@ func TestMultiTreeDuplicateTrees(t *testing.T) {
 	// Building the same tree twice in parallel: both schemes must equal
 	// the centralized reference (state is fully per-tree).
 	r := rand.New(rand.NewSource(1))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 80, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 80, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(2))
+	sim := congest.NewTopo(g, congest.WithSeed(2))
 	res, err := BuildDistributed(sim, []*graph.Tree{tr, tr}, DistOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestMultiTreeOffsetsAreBounded(t *testing.T) {
 	// With explicit MaxOffset, the construction still converges and is
 	// exact; larger offsets only add rounds.
 	r := rand.New(rand.NewSource(3))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 100, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMultiTreeOffsetsAreBounded(t *testing.T) {
 
 	rounds := make(map[int]int64)
 	for _, off := range []int{1, 200} {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5))
+		sim := congest.NewTopo(g, congest.WithSeed(5))
 		res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5, MaxOffset: off})
 		if err != nil {
 			t.Fatal(err)
@@ -77,17 +77,17 @@ func TestMultiTreeOffsetsAreBounded(t *testing.T) {
 
 func TestPortalCountTracksQ(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 400, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 400, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	portals := make(map[float64]int)
 	for _, q := range []float64{0.02, 0.3} {
-		sim := congest.NewTopo(graph.FromGraph(g))
+		sim := congest.NewTopo(g)
 		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Q: q, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestMultiTreeMemoryScalesWithS(t *testing.T) {
 	// Theorem 2 second assertion: memory O(s log n). Doubling the tree
 	// count must not blow memory up superlinearly.
 	r := rand.New(rand.NewSource(8))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 200, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 200, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMultiTreeMemoryScalesWithS(t *testing.T) {
 			roots[i] = i * 11
 		}
 		trees := makeTrees(t, g, roots, "sssp", 9)
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(10))
+		sim := congest.NewTopo(g, congest.WithSeed(10))
 		if _, err := BuildDistributed(sim, trees, DistOptions{Seed: 10}); err != nil {
 			t.Fatal(err)
 		}
@@ -135,14 +135,14 @@ func TestDistributedWorkerCountInvariance(t *testing.T) {
 	// give rounds past the engine's fork threshold (1024 active vertices
 	// or dirty destinations), so the 4-worker build runs the tree-routing
 	// handlers on the worker pool.
-	g, err := graph.Generate(graph.FamilyGrid, 33*33, rand.New(rand.NewSource(11)))
+	g, err := graph.GenerateCSR(graph.FamilyGrid, 33*33, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	trees := makeTrees(t, g, []int{0, 544, 1088}, "bfs", 3)
 	var rounds []int64
 	for _, workers := range []int{1, 4} {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(12), congest.WithWorkers(workers))
+		sim := congest.NewTopo(g, congest.WithSeed(12), congest.WithWorkers(workers))
 		res, err := BuildDistributed(sim, trees, DistOptions{Seed: 12})
 		if err != nil {
 			t.Fatal(err)

@@ -57,7 +57,7 @@ func requireBuildsEqual(t *testing.T, got, want buildSnap) {
 
 func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 100, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 100, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	opts := DistOptions{Seed: 5}
 
 	build := func(ck *congest.Checkpointer) (buildSnap, error) {
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(opts.Seed))
+		sim := congest.NewTopo(g, congest.WithSeed(opts.Seed))
 		if err := ck.Attach(sim); err != nil {
 			return buildSnap{}, err
 		}
@@ -138,13 +138,13 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 // at the end of the section.
 func TestBuilderOldSectionsRestore(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 60, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trees := makeTrees(t, g, []int{0}, "dfs", 4)
 	const dfs = 7 // index of local-dfs in phases(): cut with DFS state set
-	b := newDistBuilder(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+	b := newDistBuilder(congest.NewTopo(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
 	for _, ph := range b.phases()[:dfs+1] {
 		if err := ph.run(); err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestBuilderOldSectionsRestore(t *testing.T) {
 					old = append(old, 1) // every member kicked
 				}
 			}
-			fresh := newDistBuilder(congest.NewTopo(graph.FromGraph(g), congest.WithSeed(5)), trees, DistOptions{Seed: 5})
+			fresh := newDistBuilder(congest.NewTopo(g, congest.WithSeed(5)), trees, DistOptions{Seed: 5})
 			if err := fresh.RestoreCkpt(old); err != nil {
 				t.Fatal(err)
 			}
@@ -180,11 +180,11 @@ func TestBuilderOldSectionsRestore(t *testing.T) {
 // fuzz: the graph and trees FuzzRestoreBuilderCkpt restores into.
 func builderFixture(tb testing.TB) (*graph.CSR, []*graph.Tree) {
 	tb.Helper()
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(31)))
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 40, rand.New(rand.NewSource(31)))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	topo := graph.FromGraph(g)
+	topo := g
 	r := rand.New(rand.NewSource(4))
 	var trees []*graph.Tree
 	for _, root := range []int{0, 10} {

@@ -11,11 +11,11 @@ import (
 
 func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.CSR {
 	t.Helper()
-	g, err := graph.Generate(f, n, rand.New(rand.NewSource(seed)))
+	g, err := graph.GenerateCSR(f, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graph.FromGraph(g)
+	return g
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -215,11 +215,11 @@ func TestStretchProperty(t *testing.T) {
 		n := int(sz%80) + 20
 		k := int(kRaw%3) + 1
 		r := rand.New(rand.NewSource(seed))
-		gen, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
+		gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, n, r)
 		if err != nil {
 			return false
 		}
-		g := graph.FromGraph(gen)
+		g := gen
 		s, err := Build(g, Options{K: k, Seed: seed})
 		if err != nil {
 			return false

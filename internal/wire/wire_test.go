@@ -78,11 +78,11 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestSchemeLabelsAndTablesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 120, r)
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 120, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tz.Build(graph.FromGraph(g), tz.Options{K: 3, Seed: 2})
+	s, err := tz.Build(g, tz.Options{K: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,56 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"lowmemroute/internal/graph"
 )
 
-// Network is a weighted undirected communication network. It is built link
-// by link; every algorithm runs on a frozen copy (see freeze).
+// Network is a weighted undirected communication network. A generated
+// network holds the topology it was generated as; AddNode and AddLink edit
+// it link by link. Every algorithm reads the frozen topology (see freeze),
+// which the network caches until the next edit. Its methods are safe for
+// concurrent use; a query reads the links added before it started.
 type Network struct {
-	g *graph.Graph
+	mu   sync.Mutex
+	g    *graph.Graph // edge-by-edge builder; nil while topo is current
+	topo *graph.CSR   // frozen topology; nil after an edit until the next freeze
 }
 
-// freeze returns the network's current topology as an immutable CSR, the
-// only form the simulator and the centralized algorithms read. It costs
-// O(n+m), which every query below already spends on the algorithm itself.
-func (n *Network) freeze() *graph.CSR { return graph.FromGraph(n.g) }
+// freeze returns the network's topology as an immutable CSR, the only form
+// the simulator and the centralized algorithms read. The first call after
+// an edit freezes the builder in O(n+m); later calls return the same CSR.
+func (n *Network) freeze() *graph.CSR {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.topo == nil {
+		n.topo, n.g = graph.FromGraph(n.g), nil
+	}
+	return n.topo
+}
+
+// edit returns the builder for an edit and drops the frozen topology. A
+// frozen network is thawed first, with the same per-vertex arc order, so an
+// added link lands where it would have on the builder the topology came
+// from. The caller holds n.mu.
+func (n *Network) edit() *graph.Graph {
+	if n.g == nil {
+		n.g = n.topo.Thaw()
+	}
+	n.topo = nil
+	return n.g
+}
+
+// shape returns the node and link counts of whichever form the network is
+// in, without freezing it.
+func (n *Network) shape() (nodes, links int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.topo != nil {
+		return n.topo.N(), n.topo.M()
+	}
+	return n.g.N(), n.g.M()
+}
 
 // NewNetwork returns a network with n isolated nodes (ids 0..n-1).
 func NewNetwork(n int) *Network {
@@ -25,24 +61,39 @@ func NewNetwork(n int) *Network {
 }
 
 // AddNode appends a node and returns its id.
-func (n *Network) AddNode() int { return n.g.AddVertex() }
+func (n *Network) AddNode() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.edit().AddVertex()
+}
 
 // AddLink inserts a bidirectional link of the given positive weight.
+// Parallel links are kept.
 func (n *Network) AddLink(u, v int, weight float64) error {
-	return n.g.AddEdge(u, v, weight)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.edit().AddEdge(u, v, weight)
 }
 
 // MustAddLink is AddLink that panics on error, for networks built from
 // static, known-good descriptions.
 func (n *Network) MustAddLink(u, v int, weight float64) {
-	n.g.MustAddEdge(u, v, weight)
+	if err := n.AddLink(u, v, weight); err != nil {
+		panic(err)
+	}
 }
 
 // Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return n.g.N() }
+func (n *Network) Nodes() int {
+	nodes, _ := n.shape()
+	return nodes
+}
 
 // Links returns the number of links.
-func (n *Network) Links() int { return n.g.M() }
+func (n *Network) Links() int {
+	_, links := n.shape()
+	return links
+}
 
 // Connected reports whether the network is connected.
 func (n *Network) Connected() bool { return graph.Connected(n.freeze()) }
@@ -51,10 +102,11 @@ func (n *Network) Connected() bool { return graph.Connected(n.freeze()) }
 // (for evaluating routing stretch). Unreachable pairs, and endpoints outside
 // [0, Nodes()), return +Inf.
 func (n *Network) ShortestPath(u, v int) float64 {
-	if u < 0 || u >= n.Nodes() || v < 0 || v >= n.Nodes() {
+	topo := n.freeze()
+	if u < 0 || u >= topo.N() || v < 0 || v >= topo.N() {
 		return math.Inf(1)
 	}
-	d := graph.Dijkstra(n.freeze(), u).Dist[v]
+	d := graph.Dijkstra(topo, u).Dist[v]
 	if d == graph.Infinity {
 		return math.Inf(1)
 	}
@@ -76,11 +128,11 @@ const (
 
 // Generate builds a connected n-node instance of a named topology family.
 func Generate(f Family, n int, seed int64) (*Network, error) {
-	g, err := graph.Generate(f, n, rand.New(rand.NewSource(seed)))
+	topo, err := graph.GenerateCSR(f, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
-	return &Network{g: g}, nil
+	return &Network{topo: topo}, nil
 }
 
 // Quantize returns a copy of the network with every link weight rounded up
@@ -89,7 +141,7 @@ func Generate(f Family, n int, seed int64) (*Network, error) {
 // standard O(log n)-bit CONGEST messages - and distort any routing scheme's
 // stretch by at most a (1+eps) factor.
 func (n *Network) Quantize(eps float64) *Network {
-	return &Network{g: n.g.QuantizeWeights(eps)}
+	return &Network{g: n.freeze().Thaw().QuantizeWeights(eps)}
 }
 
 // AspectRatio returns Λ, the ratio of the heaviest to the lightest link.
@@ -133,15 +185,16 @@ func (n *Network) SpanningTree(root int, kind string, seed int64) (*Tree, error)
 // is v's parent, -1 for the root and for nodes outside the tree. Every
 // (child, parent) pair must be a network link.
 func (n *Network) TreeFromParents(root int, parents []int) (*Tree, error) {
-	if len(parents) != n.g.N() {
-		return nil, fmt.Errorf("lowmemroute: parents length %d != nodes %d", len(parents), n.g.N())
+	topo := n.freeze()
+	if len(parents) != topo.N() {
+		return nil, fmt.Errorf("lowmemroute: parents length %d != nodes %d", len(parents), topo.N())
 	}
 	t, err := graph.NewTree(root, parents)
 	if err != nil {
 		return nil, err
 	}
 	for _, v := range t.Members() {
-		if p := t.Parent(v); p != graph.NoVertex && !n.g.HasEdge(v, p) {
+		if p := t.Parent(v); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
 			return nil, fmt.Errorf("lowmemroute: tree edge {%d,%d} is not a network link", v, p)
 		}
 	}
