@@ -42,12 +42,14 @@ test:
 # Race-detector pass over the concurrent engine and the per-round goroutine
 # pools (the packages where a data race could actually hide), plus the
 # lock-free metrics registry whose histograms take concurrent writers, the
-# COW data plane (readers hammering LookupBatch across table swaps), the
-# pooled-packet router built on it, and the facade Network's lazily frozen
-# topology under concurrent read-only queries.
+# COW data plane (readers hammering LookupBatch across table swaps, and
+# crash-detour walks reading a down mask that flips under them), the facade
+# Network's lazily frozen topology under concurrent read-only queries, and
+# the facade PacketNetwork's concurrent Sends while a node crashes and
+# recovers.
 race:
-	$(GO) test -race ./internal/congest/... ./internal/treeroute/... ./internal/hopset/... ./internal/core/... ./internal/obs/... ./internal/dataplane/... ./internal/router/...
-	$(GO) test -race -run '^TestNetworkConcurrentReads$$' .
+	$(GO) test -race ./internal/congest/... ./internal/treeroute/... ./internal/hopset/... ./internal/core/... ./internal/obs/... ./internal/dataplane/...
+	$(GO) test -race -run '^(TestNetworkConcurrentReads|TestConcurrentSends)$$' .
 
 # Full test run with the output captured (the repository's test record).
 test-record:
@@ -116,13 +118,18 @@ ckpt-smoke:
 # and CSRBuilder). Then ten seconds of FuzzParseSpec from the committed
 # specs in internal/faults/testdata/fuzz: a malformed fault spec must fail
 # with an error, never panic, and an accepted one must render back through
-# String to the same plan. Minimisation is off so the short budgets go to
-# new inputs.
+# String to the same plan. Then ten seconds each of FuzzDecodeLabel and
+# FuzzDecodeTable (internal/wire), seeded with a real scheme's encodings: a
+# malformed label or table must fail with an error, and an accepted one must
+# decode equal to its own re-encoding. Minimisation is off so the short
+# budgets go to new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreBuilderCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/treeroute
 	$(GO) test -run '^$$' -fuzz '^FuzzFreezeWeights$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLabel$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wire
 
 # Regenerate the paper's tables and sweeps (EXPERIMENTS.md).
 table1:

@@ -18,6 +18,7 @@ import (
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
 	"lowmemroute/internal/metrics"
@@ -267,11 +268,12 @@ func BenchmarkRoutePhase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	r := rand.New(rand.NewSource(14))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		if _, _, err := s.Route(u, v); err != nil {
+		if _, _, err := tab.Route(u, v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -303,7 +303,7 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("build: %v", err)
 			}
-			hist, failures := metrics.StretchHistogram(topo, s, pairs, buckets, width, rand.New(rand.NewSource(seed+1)))
+			hist, failures := metrics.StretchHistogram(topo, dataplane.Compile(s.Scheme).RouteAppend, pairs, buckets, width, rand.New(rand.NewSource(seed+1)))
 			totalFailures += failures
 			fmt.Printf("E5: stretch distribution, n=%d k=%d (%s), bound 4k-3 = %d\n\n", n, k, family, 4*k-3)
 			if plan != nil && !plan.Empty() {

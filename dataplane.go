@@ -23,17 +23,15 @@ type DataPlane struct {
 	eng    *dataplane.Engine
 }
 
-// Compile flattens the scheme's routing tables and labels into a DataPlane.
-// The compiled table is a snapshot: it serves lookups independently of the
-// scheme afterwards (call Rebuild to re-snapshot).
+// Compile returns a DataPlane serving the flat arrays Build compiled the
+// scheme's routing tables and labels into. The table is a snapshot: it
+// serves lookups independently of the scheme afterwards (call Rebuild to
+// re-snapshot).
 func Compile(s *Scheme) (*DataPlane, error) {
 	if s == nil || s.inner == nil {
 		return nil, fmt.Errorf("lowmemroute: Compile of a nil scheme")
 	}
-	return &DataPlane{
-		scheme: s,
-		eng:    dataplane.NewEngine(dataplane.Compile(s.inner.Scheme)),
-	}, nil
+	return &DataPlane{scheme: s, eng: dataplane.NewEngine(s.tab)}, nil
 }
 
 // Lookup makes one forwarding decision at src toward dst. Allocation-free;
@@ -50,8 +48,8 @@ func (d *DataPlane) LookupBatch(src int, dst []Label, out []NextHop) int {
 	return d.eng.Table().LookupBatch(src, dst, out)
 }
 
-// Route walks src → dst through the compiled table. Paths and weights are
-// byte-identical to Scheme.Route.
+// Route walks src → dst through the compiled table. Until a Rebuild, paths
+// and weights are those of Scheme.Route, which walks the same table.
 func (d *DataPlane) Route(src, dst int) (Path, error) {
 	nodes, w, err := d.eng.Table().Route(src, dst)
 	if err != nil {

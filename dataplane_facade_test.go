@@ -4,9 +4,10 @@ import (
 	"testing"
 )
 
-// TestDataPlaneEquivalence pins the facade contract: Compile's flat-array
-// walks are byte-identical to Scheme.Route and RouteAppend, and Rebuild
-// keeps serving.
+// TestDataPlaneEquivalence pins the facade contract: Scheme.Route,
+// Scheme.RouteAppend and a DataPlane's Route agree on every pair (paths,
+// bit-equal weights, errors), Lookup's first hops start those walks, and
+// Rebuild keeps serving.
 func TestDataPlaneEquivalence(t *testing.T) {
 	net, err := Generate(ErdosRenyi, 72, 5)
 	if err != nil {
@@ -82,11 +83,10 @@ func TestDataPlaneEquivalence(t *testing.T) {
 	}
 }
 
-// TestDataPlaneEquivalenceUnderCrash serves the scheme (the router now
-// forwards from the compiled table), crashes a transit node, and checks
-// that every pair whose clean compiled walk avoids the victim still
-// delivers exactly that walk, undegraded — the compiled fast path and the
-// degraded-mode machinery interfere with each other not at all.
+// TestDataPlaneEquivalenceUnderCrash serves the scheme, crashes a transit
+// node, and checks that every pair whose clean compiled walk avoids the
+// victim still delivers exactly that walk, undegraded: the crash detours
+// change nothing for packets that never meet the crash.
 func TestDataPlaneEquivalenceUnderCrash(t *testing.T) {
 	net, err := Generate(ErdosRenyi, 64, 9)
 	if err != nil {
@@ -164,5 +164,37 @@ func TestDataPlaneEquivalenceUnderCrash(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no victim-avoiding pairs found")
+	}
+}
+
+// TestCompileReusesBuildTable pins that a facade scheme is compiled exactly
+// once, by Build: Compile serves that same table and allocates only its
+// DataPlane and engine, while Rebuild compiles a fresh one.
+func TestCompileReusesBuildTable(t *testing.T) {
+	net, err := Generate(ErdosRenyi, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(net, Config{K: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.eng.Table() != s.tab {
+		t.Fatal("Compile compiled a second table")
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(s); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Fatalf("Compile allocates %v objects per call, want at most 2 (no table)", a)
+	}
+	dp.Rebuild()
+	if dp.eng.Table() == s.tab {
+		t.Fatal("Rebuild did not recompile")
 	}
 }

@@ -59,8 +59,9 @@
 // see ExampleBuild_faults and DESIGN.md section 11 for the full model.
 //
 // After construction, PacketNetwork simulates the forwarding plane and
-// exposes runtime failures directly: Crash(v) drops a node mid-flight,
-// Recover(v) brings it back, and in-flight packets reroute over fallback
+// exposes runtime failures directly: each Send is a walk over the compiled
+// table masked by the nodes that are down. Crash(v) drops a node
+// mid-flight, Recover(v) brings it back, and packets reroute over fallback
 // cluster trees (arriving with Path.Degraded set) or crank back toward
 // their source instead of blackholing.
 //
@@ -71,8 +72,9 @@
 // model it consults at delivery time (internal/faults), graph algorithms
 // and generators (internal/graph), hopsets with path recovery
 // (internal/hopset), tree routing (internal/treeroute), the paper's
-// general-graph scheme (internal/core), degraded-mode packet forwarding
-// (internal/router), the centralized Thorup-Zwick reference (internal/tz),
+// general-graph scheme (internal/core), the compiled forwarding tables
+// every route walks, crash detours included (internal/dataplane), the
+// centralized Thorup-Zwick reference (internal/tz),
 // prior-work baselines (internal/baseline), construction tracing and
 // telemetry (internal/trace), the evaluation harness (internal/metrics),
 // and the model-invariant static analyzers (internal/lint).

@@ -51,7 +51,8 @@ type FaultPlan struct {
 
 // ParseFaultSpec parses the routebench -faults mini-language, e.g.
 // "drop=0.05,delay=2,dup=0.01,seed=7,crash=3,17,part=0,1,2". Crash and
-// partition members accept v@from-until windows.
+// partition members accept v@from-until windows, and v@from- for a window
+// that never ends.
 func ParseFaultSpec(spec string) (*FaultPlan, error) {
 	p, err := faults.ParseSpec(spec)
 	if err != nil {
@@ -134,14 +135,25 @@ func publicFaultReport(c faults.Counters) FaultReport {
 }
 
 // Crash marks node v of the packet network as failed: packets are no longer
-// forwarded into it, packets queued at it are lost, and packets that would
-// route through it are rerouted onto fallback cluster trees (arriving with
-// Path.Degraded set) or cranked back toward their source.
-func (p *PacketNetwork) Crash(v int) { p.inner.Crash(v) }
+// forwarded into it, packets in flight to it are lost, and packets that
+// would route through it are rerouted onto fallback cluster trees (arriving
+// with Path.Degraded set) or cranked back toward their source. Safe for
+// concurrent use with Send; out-of-range nodes are ignored.
+func (p *PacketNetwork) Crash(v int) {
+	if v >= 0 && v < len(p.down) {
+		p.down[v].Store(true)
+	}
+}
 
 // Recover brings a crashed node back; forwarding through it resumes
 // immediately.
-func (p *PacketNetwork) Recover(v int) { p.inner.Recover(v) }
+func (p *PacketNetwork) Recover(v int) {
+	if v >= 0 && v < len(p.down) {
+		p.down[v].Store(false)
+	}
+}
 
 // Down reports whether node v is currently crashed.
-func (p *PacketNetwork) Down(v int) bool { return p.inner.Down(v) }
+func (p *PacketNetwork) Down(v int) bool {
+	return v >= 0 && v < len(p.down) && p.down[v].Load()
+}

@@ -136,12 +136,12 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 	return s, nil
 }
 
-// Route walks a message from src to dst through the lowest mutual cluster,
-// using the EN16b-style tree routing inside it. Returns the vertex path and
-// its weighted length.
-func (s *EN16bScheme) Route(src, dst int) ([]int, float64, error) {
+// RouteAppend walks a message from src to dst through the lowest mutual
+// cluster, using the EN16b-style tree routing inside it. It appends the
+// vertex path to path and returns it with the path's weighted length.
+func (s *EN16bScheme) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
 	if src == dst {
-		return []int{src}, 0, nil
+		return append(path, src), 0, nil
 	}
 	for j := 0; j < s.K; j++ {
 		root := s.PivotRoots[j][dst]
@@ -152,22 +152,22 @@ func (s *EN16bScheme) Route(src, dst int) ([]int, float64, error) {
 		if !ok || !tree.Member(src) || !tree.Member(dst) {
 			continue
 		}
-		path, err := s.TreeSchemes[root].Route(src, dst)
+		hops, err := s.TreeSchemes[root].Route(src, dst)
 		if err != nil {
-			return nil, 0, err
+			return path, 0, err
 		}
 		weights := s.weights[root]
 		var total float64
-		for i := 1; i < len(path); i++ {
-			if tree.Parent(path[i-1]) == path[i] {
-				total += weights[tree.MemberIndex(path[i-1])]
+		for i := 1; i < len(hops); i++ {
+			if tree.Parent(hops[i-1]) == hops[i] {
+				total += weights[tree.MemberIndex(hops[i-1])]
 			} else {
-				total += weights[tree.MemberIndex(path[i])]
+				total += weights[tree.MemberIndex(hops[i])]
 			}
 		}
-		return path, total, nil
+		return append(path, hops...), total, nil
 	}
-	return nil, 0, fmt.Errorf("baseline: EN16b: no common cluster for %d -> %d", src, dst)
+	return path, 0, fmt.Errorf("baseline: EN16b: no common cluster for %d -> %d", src, dst)
 }
 
 // MaxTableWords returns the largest per-vertex table size in words: the sum

@@ -2,14 +2,13 @@
 // general-graph scheme in this repository (the centralized Thorup-Zwick
 // reference, the paper's distributed scheme, and the LP15/EN16b-style
 // baselines): per-vertex tables mapping cluster centers to tree-routing
-// tables, per-vertex labels carrying one pivot entry per hierarchy level,
-// and the forwarding walk that picks the lowest mutual cluster and routes
-// exactly in its tree.
+// tables and per-vertex labels carrying one pivot entry per hierarchy
+// level. Routing walks the scheme compiled into flat arrays
+// (internal/dataplane): pick the lowest mutual cluster and route exactly in
+// its tree.
 package clusterroute
 
 import (
-	"fmt"
-
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/treeroute"
 )
@@ -116,68 +115,6 @@ func (s *Scheme) AddLabelEntry(v, level, root int, ts *treeroute.Scheme) {
 // such tree. The returned slice is the scheme's own storage — callers must
 // not mutate it.
 func (s *Scheme) TreeWeights(center int) []float64 { return s.weights[center] }
-
-// Route walks a message from src to dst: it picks the lowest level whose
-// pivot cluster contains both endpoints and follows the exact tree-routing
-// scheme of that cluster tree. Returns the vertex path and weighted length.
-func (s *Scheme) Route(src, dst int) ([]int, float64, error) {
-	return s.RouteAppend(src, dst, nil)
-}
-
-// RouteAppend is Route with a caller-provided path buffer: the vertex path
-// is appended to path (which may be nil or a reused buffer with its length
-// reset to 0) so measurement loops issuing many queries allocate only on
-// buffer growth.
-func (s *Scheme) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
-	if src == dst {
-		return append(path, src), 0, nil
-	}
-	lab := s.Labels[dst]
-	for _, e := range lab.Entries {
-		if !e.InCluster {
-			continue
-		}
-		if _, ok := s.Tables[src].Trees[e.Root]; !ok {
-			continue
-		}
-		return s.routeInTree(e.Root, src, dst, e.TreeLabel, path)
-	}
-	return path, 0, fmt.Errorf("clusterroute: no common cluster for %d -> %d", src, dst)
-}
-
-func (s *Scheme) routeInTree(root, src, dst int, target treeroute.Label, path []int) ([]int, float64, error) {
-	tree := s.ClusterTrees[root]
-	weights := s.weights[root]
-	path = append(path, src)
-	var total float64
-	cur := src
-	limit := 2*len(s.Tables) + 2
-	for steps := 0; ; steps++ {
-		if steps > limit {
-			return path, 0, fmt.Errorf("clusterroute: routing loop in tree %d from %d to %d", root, src, dst)
-		}
-		tab, ok := s.Tables[cur].Trees[root]
-		if !ok {
-			return path, 0, fmt.Errorf("clusterroute: vertex %d lacks table for tree %d", cur, root)
-		}
-		next, arrived := treeroute.NextHop(cur, tab, target)
-		if arrived {
-			return path, total, nil
-		}
-		if next == graph.NoVertex {
-			return path, 0, fmt.Errorf("clusterroute: dead end at %d in tree %d", cur, root)
-		}
-		// Every hop is a tree edge: charge the up-edge weight of whichever
-		// endpoint is the child (weights are member-indexed).
-		if tree.Parent(cur) == next {
-			total += weights[tree.MemberIndex(cur)]
-		} else {
-			total += weights[tree.MemberIndex(next)]
-		}
-		path = append(path, next)
-		cur = next
-	}
-}
 
 // MaxTableWords returns the largest table size in words.
 func (s *Scheme) MaxTableWords() int {

@@ -6,6 +6,7 @@ import (
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/treeroute"
 )
@@ -34,12 +35,13 @@ func TestPhaseRoundsSumToTotal(t *testing.T) {
 func TestRouteFailsOnCorruptedTable(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 203)
 	s, _ := buildScheme(t, g, 2, 204)
+	tab := dataplane.Compile(s.Scheme)
 	// Find a pair routed through at least one intermediate vertex.
 	var src, dst, mid int
 	found := false
 	for u := 0; u < g.N() && !found; u++ {
 		for v := 0; v < g.N() && !found; v++ {
-			path, _, err := s.Route(u, v)
+			path, _, err := tab.Route(u, v)
 			if err == nil && len(path) >= 3 {
 				src, dst, mid = u, v, path[1]
 				found = true
@@ -52,7 +54,7 @@ func TestRouteFailsOnCorruptedTable(t *testing.T) {
 	// Drop every table at the intermediate vertex: routing must error,
 	// not loop or panic.
 	s.Tables[mid] = clusterroute.Table{Trees: map[int]treeroute.Table{}}
-	if _, _, err := s.Route(src, dst); err == nil {
+	if _, _, err := dataplane.Compile(s.Scheme).Route(src, dst); err == nil {
 		t.Fatal("routing through a table-less vertex should fail loudly")
 	}
 }
@@ -67,10 +69,11 @@ func TestBetaCapStillRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	r := rand.New(rand.NewSource(207))
 	for trial := 0; trial < 60; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		if _, _, err := s.Route(u, v); err != nil {
+		if _, _, err := tab.Route(u, v); err != nil {
 			t.Fatalf("route %d->%d with capped beta: %v", u, v, err)
 		}
 	}
@@ -91,11 +94,12 @@ func TestBScaleControlsHopBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab := dataplane.Compile(s.Scheme)
 		bs[scale] = s.Stats.B
 		r := rand.New(rand.NewSource(210))
 		for trial := 0; trial < 40; trial++ {
 			u, v := r.Intn(g.N()), r.Intn(g.N())
-			if _, _, err := s.Route(u, v); err != nil {
+			if _, _, err := tab.Route(u, v); err != nil {
 				t.Fatalf("scale=%v route %d->%d: %v", scale, u, v, err)
 			}
 		}
@@ -109,6 +113,7 @@ func TestUnitWeightGraph(t *testing.T) {
 	// Hypercube with unit-ish weights: aspect ratio near 1.
 	g := testGraph(t, graph.FamilyHypercube, 128, 210)
 	s, _ := buildScheme(t, g, 3, 211)
+	tab := dataplane.Compile(s.Scheme)
 	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(212))
 	for trial := 0; trial < 80; trial++ {
@@ -116,7 +121,7 @@ func TestUnitWeightGraph(t *testing.T) {
 		if u == v {
 			continue
 		}
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -138,6 +143,7 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	exact := graph.AllPairs(graph.FromGraph(g)) // stretch measured against the ORIGINAL metric
 	bound := (float64(4*2-3) + 0.5) * (1 + eps)
 	for trial := 0; trial < 80; trial++ {
@@ -145,7 +151,7 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 		if u == v {
 			continue
 		}
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -164,10 +170,11 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	r := rand.New(rand.NewSource(217))
 	for trial := 0; trial < 40; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		if _, _, err := s.Route(u, v); err != nil {
+		if _, _, err := tab.Route(u, v); err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
 	}

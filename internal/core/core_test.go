@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 )
 
@@ -39,10 +40,11 @@ func TestRoutingArrivesAndWalksEdges(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
 		g := testGraph(t, graph.FamilyErdosRenyi, 150, int64(100+k))
 		s, _ := buildScheme(t, g, k, int64(k))
+		tab := dataplane.Compile(s.Scheme)
 		r := rand.New(rand.NewSource(int64(k)))
 		for trial := 0; trial < 120; trial++ {
 			u, v := r.Intn(g.N()), r.Intn(g.N())
-			path, _, err := s.Route(u, v)
+			path, _, err := tab.Route(u, v)
 			if err != nil {
 				t.Fatalf("k=%d route %d->%d: %v", k, u, v, err)
 			}
@@ -74,6 +76,7 @@ func TestStretchBound(t *testing.T) {
 	} {
 		g := testGraph(t, tt.family, tt.n, 7)
 		s, _ := buildScheme(t, g, tt.k, 8)
+		tab := dataplane.Compile(s.Scheme)
 		exact := graph.AllPairs(g)
 		bound := float64(4*tt.k-3) + 0.5
 		r := rand.New(rand.NewSource(9))
@@ -83,7 +86,7 @@ func TestStretchBound(t *testing.T) {
 			if u == v {
 				continue
 			}
-			_, w, err := s.Route(u, v)
+			_, w, err := tab.Route(u, v)
 			if err != nil {
 				t.Fatalf("%s k=%d route %d->%d: %v", tt.family, tt.k, u, v, err)
 			}
@@ -100,11 +103,12 @@ func TestStretchBound(t *testing.T) {
 func TestK1IsExact(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 80, 11)
 	s, _ := buildScheme(t, g, 1, 12)
+	tab := dataplane.Compile(s.Scheme)
 	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -272,6 +276,7 @@ func TestGridStretch(t *testing.T) {
 	// Large-diameter family: exercises the D term and deep trees.
 	g := testGraph(t, graph.FamilyGrid, 100, 81)
 	s, _ := buildScheme(t, g, 2, 82)
+	tab := dataplane.Compile(s.Scheme)
 	exact := graph.AllPairs(g)
 	r := rand.New(rand.NewSource(83))
 	bound := float64(4*2-3) + 0.5
@@ -280,7 +285,7 @@ func TestGridStretch(t *testing.T) {
 		if u == v {
 			continue
 		}
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}

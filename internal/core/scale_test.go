@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/trace"
 )
@@ -28,6 +29,7 @@ func runBuildOn(t *testing.T, sim *congest.Simulator, rec *trace.Recorder, n, k 
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	ex := rec.Export()
 	ex.StripWall()
 	var buf bytes.Buffer
@@ -47,7 +49,7 @@ func runBuildOn(t *testing.T, sim *congest.Simulator, rec *trace.Recorder, n, k 
 	var routes bytes.Buffer
 	for i := 0; i < 50; i++ {
 		u, v := r.Intn(n), r.Intn(n)
-		path, dist, err := s.Route(u, v)
+		path, dist, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}

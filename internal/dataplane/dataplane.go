@@ -25,15 +25,19 @@
 // one. Readers pin a table once per batch (Engine.Table) and do the whole
 // batch against that snapshot.
 //
-// The forwarding rule is byte-identical to the interpretive walk in
-// clusterroute.Scheme.Route: pick the lowest level of the destination label
-// whose pivot cluster contains both endpoints, then follow the Thorup-Zwick
-// tree-routing rule in that cluster tree. The equivalence suite in this
-// package pins path-for-path equality across every Table 1 scheme row.
+// The forwarding rule is the routing phase of the paper: pick the lowest
+// level of the destination label whose pivot cluster contains both
+// endpoints, then follow the Thorup-Zwick tree-routing rule in that cluster
+// tree. A compiled Table is the only forwarder of cluster-forest schemes:
+// the facade's routes, its packet network (RouteAround, a walk that detours
+// around crashed vertices) and the stretch measurements all walk it. The
+// tests in this package check every pair's walk against the unique tree
+// path of the chosen cluster tree and pin walks and detours to digests.
 package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -238,7 +242,7 @@ func (t *Table) stepMem(v int, ve, le int32) (next int32, arrived bool) {
 }
 
 // selectEntry picks the destination label's lowest-level entry whose
-// cluster tree contains src — the same rule as clusterroute.Scheme.Route.
+// cluster tree contains src.
 // Returns (-1, -1) when no common cluster exists.
 func (t *Table) selectEntry(src, dst int) (le, ve int32) {
 	for e := t.labStart[dst]; e < t.labStart[dst+1]; e++ {
@@ -305,10 +309,9 @@ func (t *Table) Step(v int, e int32) (next int32, arrived, ok bool) {
 
 // RouteAppend walks src → dst through the compiled table, appending the
 // vertex path (inclusive of both endpoints) to path and returning it with
-// the walk's weighted length. The walk, its errors, and the float64
-// addition order are those of clusterroute.Scheme.Route, so paths and
-// weights are byte-identical; with a caller-reused buffer it allocates only
-// on buffer growth.
+// the walk's weighted length: the up-edge weights of the crossed tree
+// edges, summed in path order. With a caller-reused buffer it allocates
+// only on buffer growth.
 func (t *Table) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
 		return path, 0, fmt.Errorf("dataplane: endpoints (%d,%d) out of range", src, dst)
@@ -352,6 +355,110 @@ func (t *Table) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
 // Route is RouteAppend with a fresh path buffer.
 func (t *Table) Route(src, dst int) ([]int, float64, error) {
 	return t.RouteAppend(src, dst, nil)
+}
+
+// RouteAround walks src → dst like a forwarding network whose vertices
+// marked in down have crashed, appending every vertex the packet visits to
+// path. It makes hop by hop the decisions each node would make: a node
+// about to forward into a crashed neighbor re-chooses the packet's cluster
+// tree from the destination label's remaining entries (reroute), and a node
+// with no usable fallback sends the packet one hop back along its walk
+// (crankback), so upstream nodes, ultimately the source, retry with the
+// trees they hold. The mask is read at every hop, so vertices may crash and
+// recover while walks are in flight: a packet that reaches a vertex that
+// crashed after it was forwarded there is lost. The result counts the tree
+// re-selections; a delivery with any is degraded, a valid scheme walk plus
+// its detour. A crashed or out-of-range source fails before the walk.
+func (t *Table) RouteAround(src, dst int, down []atomic.Bool, path []int) ([]int, int, error) {
+	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
+		return path, 0, fmt.Errorf("dataplane: endpoints (%d,%d) out of range", src, dst)
+	}
+	if down[src].Load() {
+		return path, 0, fmt.Errorf("dataplane: source %d is crashed", src)
+	}
+	var (
+		entry    = None
+		tried    []int32 // roots abandoned because their walk ran into a crash
+		upstream []int   // hops walked forward, for crankback
+		reroutes int
+		crank    bool // walking back, looking for a usable fallback tree
+	)
+	// reroute re-chooses the tree at v, in level order (the fallback is the
+	// lowest-stretch tree still usable): one v holds, not abandoned already,
+	// whose next hop from v is alive. None when no candidate remains.
+	reroute := func(v int) int32 {
+		if root := t.labRoot[entry]; !slices.Contains(tried, root) {
+			tried = append(tried, root)
+		}
+		for e := t.labStart[dst]; e < t.labStart[dst+1]; e++ {
+			if slices.Contains(tried, t.labRoot[e]) {
+				continue
+			}
+			next, arrived, ok := t.Step(v, e)
+			if !ok || arrived || next == None || down[next].Load() {
+				continue
+			}
+			entry = e
+			reroutes++
+			return next
+		}
+		return None
+	}
+	for v := src; ; {
+		path = append(path, v)
+		if down[v].Load() {
+			return path, reroutes, fmt.Errorf("dataplane: packet lost at crashed node %d", v)
+		}
+		// Crankback lengthens the walk by up to one round trip per abandoned
+		// tree, so the TTL scales with the trees tried.
+		if len(path) > (2*t.n+2)*(1+len(tried)) {
+			return path, reroutes, fmt.Errorf("dataplane: ttl exceeded at %d", v)
+		}
+		if entry == None {
+			hop := t.Lookup(v, Label(dst))
+			if hop.Arrived {
+				return path, reroutes, nil
+			}
+			if hop.Next == None {
+				return path, reroutes, fmt.Errorf("dataplane: no common cluster at source %d", v)
+			}
+			entry = hop.Entry
+		}
+		var next int32
+		if crank {
+			crank = false
+			next = reroute(v)
+		} else {
+			var arrived, ok bool
+			next, arrived, ok = t.Step(v, entry)
+			switch {
+			case !ok:
+				return path, reroutes, fmt.Errorf("dataplane: node %d lacks tree %d", v, t.labRoot[entry])
+			case arrived:
+				return path, reroutes, nil
+			case next == None:
+				return path, reroutes, fmt.Errorf("dataplane: dead end at %d", v)
+			case down[next].Load():
+				next = reroute(v)
+			}
+		}
+		if next != None {
+			upstream = append(upstream, v)
+			v = int(next)
+			continue
+		}
+		// The tree is dead and v holds no fallback: back one hop. The walk
+		// crossed real links, so the reverse hop exists.
+		if len(upstream) == 0 {
+			return path, reroutes, fmt.Errorf("dataplane: no usable cluster tree reaches %d after crashes (tried %v)", dst, tried)
+		}
+		v = upstream[len(upstream)-1]
+		upstream = upstream[:len(upstream)-1]
+		if down[v].Load() {
+			return path, reroutes, fmt.Errorf("dataplane: upstream hop %d crashed during crankback to %d", v, dst)
+		}
+		crank = true
+	}
 }
 
 // Engine holds the live compiled table behind an atomic pointer: readers

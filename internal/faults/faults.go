@@ -341,9 +341,10 @@ func (c *Compiled) BroadcastDrop(v, msg, attempt int) bool {
 //
 // Comma-separated key=value tokens; bare tokens extend the most recent
 // crash= or part= list. Crash entries accept an optional @from-until window
-// (crash=5@100-200); omitted windows mean "down forever from round 0".
+// (crash=5@100-200); an empty until never ends (crash=5@100- is down from
+// round 100 on), and omitted windows mean "down forever from round 0".
 // part= starts one partition group per occurrence, with an optional window
-// on its first member (part=0@50-90,1,2).
+// on its first member (part=0@50-90,1,2 or part=0@50-,1,2).
 func ParseSpec(spec string) (*Plan, error) {
 	p := &Plan{}
 	if strings.TrimSpace(spec) == "" {
@@ -428,7 +429,7 @@ func ParseSpec(spec string) (*Plan, error) {
 	return p, nil
 }
 
-// parseCrash parses "v" or "v@from-until".
+// parseCrash parses "v", "v@from-until" or "v@from-".
 func parseCrash(s string) (Crash, error) {
 	v, w, err := parseWindowed(s)
 	if err != nil {
@@ -437,8 +438,8 @@ func parseCrash(s string) (Crash, error) {
 	return Crash{Vertex: v, From: w.from, Until: w.until}, nil
 }
 
-// parseWindowed parses "v" or "v@from-until" into a vertex and a window
-// (default: down forever from round 0).
+// parseWindowed parses "v", "v@from-until" or "v@from-" (until Forever)
+// into a vertex and a window (default: down forever from round 0).
 func parseWindowed(s string) (int, window, error) {
 	vs, ws, hasWin := strings.Cut(s, "@")
 	v, err := strconv.Atoi(vs)
@@ -451,10 +452,15 @@ func parseWindowed(s string) (int, window, error) {
 		if !ok {
 			return 0, window{}, fmt.Errorf("faults: bad window %q (want from-until)", ws)
 		}
-		from, err1 := strconv.ParseInt(fs, 10, 64)
-		until, err2 := strconv.ParseInt(us, 10, 64)
-		if err1 != nil || err2 != nil || until <= from {
-			return 0, window{}, fmt.Errorf("faults: bad window %q (want from-until)", ws)
+		from, err := strconv.ParseInt(fs, 10, 64)
+		until := Forever
+		if err == nil && us != "" {
+			if until, err = strconv.ParseInt(us, 10, 64); err == nil && until <= from {
+				err = fmt.Errorf("empty window")
+			}
+		}
+		if err != nil {
+			return 0, window{}, fmt.Errorf("faults: bad window %q (want from-until or from-)", ws)
 		}
 		w = window{from: from, until: until}
 	}
@@ -493,11 +499,7 @@ func (p *Plan) String() string {
 	}
 	for _, cr := range p.Crashes {
 		sep()
-		if cr.Until == Forever || cr.Until <= cr.From {
-			fmt.Fprintf(&b, "crash=%d", cr.Vertex)
-		} else {
-			fmt.Fprintf(&b, "crash=%d@%d-%d", cr.Vertex, cr.From, cr.Until)
-		}
+		fmt.Fprintf(&b, "crash=%d%s", cr.Vertex, windowSpec(cr.From, cr.Until))
 	}
 	for _, pt := range p.Partitions {
 		sep()
@@ -506,12 +508,26 @@ func (p *Plan) String() string {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if i == 0 && pt.Until != Forever && pt.Until > pt.From {
-				fmt.Fprintf(&b, "%d@%d-%d", v, pt.From, pt.Until)
-			} else {
-				fmt.Fprintf(&b, "%d", v)
+			fmt.Fprintf(&b, "%d", v)
+			if i == 0 {
+				b.WriteString(windowSpec(pt.From, pt.Until))
 			}
 		}
 	}
 	return b.String()
+}
+
+// windowSpec renders the window a crash or partition takes effect over
+// (an Until <= From other than Forever never ends, as Compile reads it):
+// "" for down forever from round 0, "@from-" for forever from a later
+// round, "@from-until" for a closed window.
+func windowSpec(from, until int64) string {
+	switch {
+	case until != Forever && until > from:
+		return fmt.Sprintf("@%d-%d", from, until)
+	case from > 0:
+		return fmt.Sprintf("@%d-", from)
+	default:
+		return ""
+	}
 }

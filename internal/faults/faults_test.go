@@ -175,6 +175,51 @@ func TestParseSpecWindows(t *testing.T) {
 	if !reflect.DeepEqual(p.Crashes, want) {
 		t.Fatalf("crashes = %+v, want %+v", p.Crashes, want)
 	}
+	// An empty until never ends: down from round 3 on, and partitioned from
+	// round 5 on.
+	p, err = ParseSpec("crash=1@3-,part=2@5-,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan := &Plan{
+		Crashes:    []Crash{{Vertex: 1, From: 3, Until: Forever}},
+		Partitions: []Partition{{Members: []int{2, 3}, From: 5, Until: Forever}},
+	}
+	if !reflect.DeepEqual(p, wantPlan) {
+		t.Fatalf("open-ended windows parsed to %+v, want %+v", p, wantPlan)
+	}
+}
+
+// TestPlanStringOpenEndedWindows: a window that starts after round 0 and
+// never ends renders as v@from-, so String re-parses to the plan that runs,
+// not to one that is down from round 0.
+func TestPlanStringOpenEndedWindows(t *testing.T) {
+	for _, tc := range []struct {
+		plan *Plan
+		spec string
+	}{
+		{&Plan{Crashes: []Crash{{Vertex: 1, From: 3, Until: Forever}}}, "crash=1@3-"},
+		{&Plan{Crashes: []Crash{{Vertex: 1, From: 0, Until: Forever}}}, "crash=1"},
+		{&Plan{Partitions: []Partition{{Members: []int{2, 3}, From: 5, Until: Forever}}}, "part=2@5-,3"},
+		{&Plan{Partitions: []Partition{{Members: []int{2, 3}, From: 5, Until: 9}}}, "part=2@5-9,3"},
+	} {
+		if got := tc.plan.String(); got != tc.spec {
+			t.Errorf("String(%+v) = %q, want %q", tc.plan, got, tc.spec)
+		}
+		back, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", tc.spec, err)
+		}
+		if !reflect.DeepEqual(back, tc.plan) {
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.spec, back, tc.plan)
+		}
+	}
+	// A window whose Until is at or before its From never ends either
+	// (Compile reads it as Forever): it renders by its effective window.
+	p := &Plan{Crashes: []Crash{{Vertex: 4, From: 7, Until: 2}}}
+	if got := p.String(); got != "crash=4@7-" {
+		t.Errorf("String of an inverted window = %q, want crash=4@7-", got)
+	}
 }
 
 func TestParseSpecEmptyAndErrors(t *testing.T) {
@@ -184,7 +229,7 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"drop=1.5", "drop=x", "delay=-1", "dup=2", "seed=-3", "budget=x",
-		"crash=x", "crash=1@5", "crash=1@9-3", "frob=1", "3",
+		"crash=x", "crash=1@5", "crash=1@9-3", "crash=1@-", "crash=1@5--1", "frob=1", "3",
 		"drop=NaN", "dup=nan",
 	} {
 		if _, err := ParseSpec(bad); err == nil {

@@ -7,6 +7,7 @@ import (
 	"lowmemroute/internal/baseline"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/obs"
@@ -118,7 +119,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		}
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
 	case "lp15":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
@@ -128,7 +129,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s).RouteAppend, cfg.Pairs, r, lat)
 	case "en16b":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
@@ -138,7 +139,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, s.RouteAppend, cfg.Pairs, r, lat)
 	case "paper":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 			congest.WithWorkers(cfg.Shards), congest.WithTrace(cfg.Trace), congest.WithFaults(cfg.Faults))
@@ -155,7 +156,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		row.Faults = sim.FaultCounters()
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
 	default:
 		return row, fmt.Errorf("unknown scheme %q", name)
 	}

@@ -15,31 +15,6 @@ import (
 	"lowmemroute/internal/obs"
 )
 
-// WeightedRouter routes between two vertices and reports the weighted length
-// of the walk. Every general-graph scheme in the repository implements it.
-type WeightedRouter interface {
-	Route(src, dst int) ([]int, float64, error)
-}
-
-// AppendRouter is the buffer-reusing variant of WeightedRouter. Routers that
-// implement it (all clusterroute-backed schemes and the compiled data plane)
-// let the measurement loops below route thousands of pairs without a per-
-// query path allocation.
-type AppendRouter interface {
-	RouteAppend(src, dst int, path []int) ([]int, float64, error)
-}
-
-// routeFunc adapts a router to a single buffer-threading call shape,
-// preferring RouteAppend when available.
-func routeFunc(router WeightedRouter) func(src, dst int, path []int) ([]int, float64, error) {
-	if ar, ok := router.(AppendRouter); ok {
-		return ar.RouteAppend
-	}
-	return func(src, dst int, _ []int) ([]int, float64, error) {
-		return router.Route(src, dst)
-	}
-}
-
 // StretchStats summarises routing stretch over a set of sampled pairs.
 type StretchStats struct {
 	Max, Avg float64
@@ -48,18 +23,21 @@ type StretchStats struct {
 }
 
 // MeasureStretch routes k sampled pairs and compares against exact
-// distances in t computed by Dijkstra on demand.
-func MeasureStretch(t graph.Topology, router WeightedRouter, pairs int, r *rand.Rand) StretchStats {
-	return MeasureStretchObserved(t, router, pairs, r, nil)
+// distances in t computed by Dijkstra on demand. route has the RouteAppend
+// shape (dataplane.Table.RouteAppend for every cluster-forest scheme): it
+// appends the walked path to the buffer it is handed and returns it with
+// the walk's weighted length.
+func MeasureStretch(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs int, r *rand.Rand) StretchStats {
+	return MeasureStretchObserved(t, route, pairs, r, nil)
 }
 
 // MeasureStretchObserved is MeasureStretch with per-lookup latency
-// recording: the wall time of each router.Route call lands in lat
+// recording: the wall time of each route call lands in lat
 // (recorded in nanoseconds; register the histogram with scale 1e-9 to
 // expose it as route_lookup_seconds). A nil histogram skips the clock
 // reads entirely, so the unobserved path measures nothing it didn't
 // before.
-func MeasureStretchObserved(t graph.Topology, router WeightedRouter, pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
+func MeasureStretchObserved(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
 	var st StretchStats
 	n := t.N()
 	if n < 2 {
@@ -74,7 +52,6 @@ func MeasureStretchObserved(t graph.Topology, router WeightedRouter, pairs int, 
 		exactCache[u] = d
 		return d
 	}
-	route := routeFunc(router)
 	var buf []int
 	var sum float64
 	for i := 0; i < pairs; i++ {
@@ -113,15 +90,15 @@ func MeasureStretchObserved(t graph.Topology, router WeightedRouter, pairs int, 
 	return st
 }
 
-// StretchHistogram routes sampled pairs of t and buckets stretch values; bucket i
-// covers [1 + i*width, 1 + (i+1)*width). Pairs the router fails on are
-// counted and skipped (like MeasureStretch) rather than aborting the whole
-// measurement; the failure count is returned alongside the histogram.
-func StretchHistogram(t graph.Topology, router WeightedRouter, pairs, buckets int, width float64, r *rand.Rand) ([]int, int) {
+// StretchHistogram routes sampled pairs of t with route (the RouteAppend
+// shape, as in MeasureStretch) and buckets stretch values; bucket i covers
+// [1 + i*width, 1 + (i+1)*width). Pairs route fails on are counted and
+// skipped (like MeasureStretch) rather than aborting the whole measurement;
+// the failure count is returned alongside the histogram.
+func StretchHistogram(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs, buckets int, width float64, r *rand.Rand) ([]int, int) {
 	hist := make([]int, buckets)
 	failures := 0
 	n := t.N()
-	route := routeFunc(router)
 	var buf []int
 	for i := 0; i < pairs; i++ {
 		u, v := r.Intn(n), r.Intn(n)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
@@ -66,7 +67,7 @@ func TestMeasureStretch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := MeasureStretch(g, s, 100, rand.New(rand.NewSource(3)))
+	st := MeasureStretch(g, dataplane.Compile(s.Scheme).RouteAppend, 100, rand.New(rand.NewSource(3)))
 	if st.Pairs == 0 {
 		t.Fatal("no pairs measured")
 	}
@@ -91,7 +92,7 @@ func TestStretchHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	hist, failures := StretchHistogram(g, dataplane.Compile(s.Scheme).RouteAppend, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures != 0 {
 		t.Fatalf("failures=%d on a complete scheme", failures)
 	}
@@ -109,13 +110,13 @@ func TestStretchHistogram(t *testing.T) {
 
 // flakyRouter fails every route out of an even source, exercising the
 // failure-count paths of MeasureStretch and StretchHistogram.
-type flakyRouter struct{ inner WeightedRouter }
+type flakyRouter struct{ inner *dataplane.Table }
 
-func (f flakyRouter) Route(src, dst int) ([]int, float64, error) {
+func (f flakyRouter) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
 	if src%2 == 0 {
-		return nil, 0, fmt.Errorf("flaky: refusing src %d", src)
+		return path, 0, fmt.Errorf("flaky: refusing src %d", src)
 	}
-	return f.inner.Route(src, dst)
+	return f.inner.RouteAppend(src, dst, path)
 }
 
 func TestStretchHistogramCountsFailures(t *testing.T) {
@@ -128,7 +129,8 @@ func TestStretchHistogramCountsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(g, flakyRouter{s}, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	tab := dataplane.Compile(s.Scheme)
+	hist, failures := StretchHistogram(g, flakyRouter{tab}.RouteAppend, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures == 0 {
 		t.Fatal("expected some failed pairs")
 	}
@@ -140,7 +142,7 @@ func TestStretchHistogramCountsFailures(t *testing.T) {
 		t.Fatal("failures must not wipe out the histogram")
 	}
 	// The routable half of the pairs must bucket exactly as before.
-	full, _ := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	full, _ := StretchHistogram(g, tab.RouteAppend, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	fullTotal := 0
 	for _, c := range full {
 		fullTotal += c

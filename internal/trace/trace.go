@@ -181,12 +181,16 @@ func (r *Recorder) Begin(name string) *Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// The clock starts before the memory probe (runtime.ReadMemStats stops
+	// the world), so the span's wall time covers its own opening probe, as
+	// End's closing probe is covered too.
+	wallStart := time.Now()
 	sp := &Span{
 		rec:       r,
 		name:      name,
 		start:     r.countersLocked(),
 		memStart:  readMemCounters(),
-		wallStart: time.Now(),
+		wallStart: wallStart,
 	}
 	if len(r.stack) > 0 {
 		parent := r.stack[len(r.stack)-1]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 )
 
@@ -13,10 +14,11 @@ func TestLargeKStillRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	r := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 50; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		if _, _, err := s.Route(u, v); err != nil {
+		if _, _, err := tab.Route(u, v); err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
 	}
@@ -31,13 +33,14 @@ func TestHugeAspectRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	exact := graph.AllPairs(g)
 	for trial := 0; trial < 100; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
 		if u == v {
 			continue
 		}
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -101,7 +104,8 @@ func TestSelfRouteIsTrivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, w, err := s.Route(7, 7)
+	tab := dataplane.Compile(s.Scheme)
+	path, w, err := tab.Route(7, 7)
 	if err != nil || len(path) != 1 || w != 0 {
 		t.Fatalf("self route: %v %v %v", path, w, err)
 	}

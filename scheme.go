@@ -1,15 +1,17 @@
 package lowmemroute
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/metrics"
 	"lowmemroute/internal/obs"
-	"lowmemroute/internal/router"
 	"lowmemroute/internal/treeroute"
 	"lowmemroute/internal/wire"
 )
@@ -85,7 +87,10 @@ func (p Path) Hops() int { return len(p.Nodes) - 1 }
 // Scheme is a compact routing scheme for a general network, built by the
 // paper's low-memory distributed construction.
 type Scheme struct {
-	inner  *core.Scheme
+	inner *core.Scheme
+	// tab is inner compiled once, at the end of Build: every route, packet
+	// network and DataPlane of the scheme walks it.
+	tab    *dataplane.Table
 	report Report
 	// lookups, when non-nil (Config.Metrics was set), receives each
 	// Route call's wall latency in nanoseconds.
@@ -134,6 +139,7 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	}
 	sch := &Scheme{
 		inner:   s,
+		tab:     dataplane.Compile(s.Scheme),
 		lookups: lookups,
 		report: Report{
 			Rounds:             sim.Rounds(),
@@ -157,17 +163,10 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 
 // Route forwards a message from src to dst using only src's table, dst's
 // label, and the tables of intermediate nodes - exactly the routing phase
-// of the scheme. Compile the scheme for allocation-free array walks over
-// flat tables (same paths and weights, no per-hop map lookups).
+// of the scheme, walked over the flat arrays Build compiled the tables
+// into.
 func (s *Scheme) Route(src, dst int) (Path, error) {
-	var began time.Time
-	if s.lookups != nil {
-		began = time.Now()
-	}
-	nodes, w, err := s.inner.Route(src, dst)
-	if s.lookups != nil {
-		s.lookups.Record(int64(time.Since(began)))
-	}
+	nodes, w, err := s.RouteAppend(src, dst, nil)
 	if err != nil {
 		return Path{}, err
 	}
@@ -183,7 +182,7 @@ func (s *Scheme) RouteAppend(src, dst int, nodes []int) ([]int, float64, error) 
 	if s.lookups != nil {
 		began = time.Now()
 	}
-	nodes, w, err := s.inner.RouteAppend(src, dst, nodes)
+	nodes, w, err := s.tab.RouteAppend(src, dst, nodes)
 	if s.lookups != nil {
 		s.lookups.Record(int64(time.Since(began)))
 	}
@@ -207,35 +206,49 @@ func (s *Scheme) EncodedLabel(v int) []byte { return wire.EncodeLabel(s.inner.La
 // encoding - the bytes the node persists as routing state.
 func (s *Scheme) EncodedTable(v int) []byte { return wire.EncodeTable(s.inner.Tables[v]) }
 
-// PacketNetwork is a live packet-forwarding overlay running the scheme:
-// one goroutine per node, channels as links, packets addressed by labels.
+// PacketNetwork forwards packets over the scheme while nodes crash and
+// recover: each Send is one walk over the compiled table, masked by the
+// nodes currently down (see Crash). Safe for concurrent use.
 type PacketNetwork struct {
-	inner *router.Network
+	tab    *dataplane.Table
+	down   []atomic.Bool
+	closed atomic.Bool
+	// lat, when non-nil, receives each delivery's wall latency in
+	// nanoseconds.
+	lat *obs.Histogram
 }
 
-// Serve starts the scheme as a concurrent packet-forwarding network. Call
-// Close when done; Send blocks until delivery and is safe for concurrent
-// use. A scheme built with Config.Metrics records each delivery's
-// end-to-end wall latency into the lookup-latency histogram.
+// errClosed is returned by PacketNetwork.Send after Close.
+var errClosed = errors.New("lowmemroute: packet network closed")
+
+// Serve starts forwarding packets over the scheme. Send is safe for
+// concurrent use and fails after Close. A scheme built with Config.Metrics
+// records each delivery's end-to-end wall latency into the lookup-latency
+// histogram.
 func (s *Scheme) Serve() *PacketNetwork {
-	net := router.New(s.inner.Scheme)
-	net.ObserveLatency(s.lookups)
-	return &PacketNetwork{inner: net}
+	return &PacketNetwork{tab: s.tab, down: make([]atomic.Bool, s.tab.N()), lat: s.lookups}
 }
 
-// Send injects a packet at src addressed to dst and returns its delivery
-// path. Under node crashes the path may be Degraded (rerouted around the
+// Send forwards a packet from src to dst and returns its delivery path.
+// Under node crashes the path may be Degraded (rerouted around the
 // failures) rather than an error; see PacketNetwork.Crash.
 func (p *PacketNetwork) Send(src, dst int) (Path, error) {
-	d, err := p.inner.Send(src, dst)
+	if p.closed.Load() {
+		return Path{}, errClosed
+	}
+	began := time.Now()
+	nodes, reroutes, err := p.tab.RouteAround(src, dst, p.down, nil)
+	if len(nodes) > 0 {
+		p.lat.Record(int64(time.Since(began)))
+	}
 	if err != nil {
 		return Path{}, err
 	}
-	return Path{Nodes: d.Path, Degraded: d.Degraded}, nil
+	return Path{Nodes: nodes, Degraded: reroutes > 0}, nil
 }
 
-// Close stops all forwarding goroutines and waits for them.
-func (p *PacketNetwork) Close() { p.inner.Close() }
+// Close stops the network: later Sends fail. Idempotent.
+func (p *PacketNetwork) Close() { p.closed.Store(true) }
 
 // TreeConfig configures BuildTree.
 type TreeConfig struct {
