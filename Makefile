@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-ab bench-smoke metrics-smoke scale-smoke ckpt-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-ab bench-smoke metrics-smoke scale-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
 
 all: build vet lint test race
 
@@ -82,40 +82,31 @@ metrics-smoke:
 	./scripts/metrics-smoke.sh
 
 # Scale-harness smoke (experiment E12): one fast full-build cell through the
-# streaming-CSR → topology-backed simulator → core.Build path, then a
-# 2^15-vertex substrate probe (generation + engine boot + bounded 64-hop
-# exploration) at a size where a full Õ(√n)-round build would not fit a CI
-# budget. Both run under a hard timeout so a scaling regression fails the
-# job instead of hanging it. The stdout rows are deterministic for the seed;
-# wall times and heap figures go to stderr.
+# streaming-CSR → topology-backed simulator → core.Build path, run at one
+# shard and at four with the stdout rows compared by cmp (sharding must be
+# unobservable in every measured quantity), then a 2^15-vertex substrate
+# probe (generation + engine boot + bounded 64-hop exploration) at a size
+# where a full Õ(√n)-round build would not fit a CI budget. Each run has a
+# hard timeout so a scaling regression fails the job instead of hanging it.
+# The stdout rows are deterministic for the seed; wall times and heap
+# figures go to stderr.
+SCALE_SMOKE := /tmp/lowmemroute-scale-smoke
 scale-smoke:
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 -shards 1 > $(SCALE_SMOKE)-1.txt
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 -shards 4 > $(SCALE_SMOKE)-4.txt
+	cat $(SCALE_SMOKE)-1.txt
+	cmp $(SCALE_SMOKE)-1.txt $(SCALE_SMOKE)-4.txt
+	@echo "scale-smoke: stdout byte-identical at 1 and 4 shards"
 	timeout 300 $(GO) run ./cmd/routebench -scale-probe 32768 -family grid -seed 1
 
-# Checkpoint/resume smoke: one full-build scale cell checkpointed to a file,
-# then the same cell rerun with -resume (completed phases skipped, engine and
-# builder state restored) at a different shard count. The deterministic
-# stdout rows must be byte-identical — resume and sharding are both
-# unobservable in every measured quantity.
-CKPT_SMOKE := /tmp/lowmemroute-ckpt-smoke
-ckpt-smoke:
-	rm -f $(CKPT_SMOKE).ckpt
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 \
-		-checkpoint $(CKPT_SMOKE).ckpt > $(CKPT_SMOKE)-1.txt
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 \
-		-checkpoint $(CKPT_SMOKE).ckpt -resume -shards 4 > $(CKPT_SMOKE)-2.txt
-	cmp $(CKPT_SMOKE)-1.txt $(CKPT_SMOKE)-2.txt
-	@echo "ckpt-smoke: resumed stdout byte-identical"
-
-# Fuzz smoke: ten seconds of FuzzRestoreEngineCkpt, starting from the real
-# unit-mark engine images in internal/congest/testdata/fuzz. A malformed
-# engine section must fail to decode with an error or apply and run without
-# panicking; a crasher is written to that corpus directory. Then ten seconds
-# of FuzzRestoreBuilderCkpt from the real unit-mark builder sections in
-# internal/treeroute/testdata/fuzz: restore errors or round-trips, never
-# panics. Then ten seconds of FuzzFreezeWeights: arbitrary positive finite
-# weights must read back exactly through both CSR freeze paths (FromGraph
-# and CSRBuilder). Then ten seconds of FuzzParseSpec from the committed
+# Fuzz smoke: ten seconds of FuzzReadJSON (internal/trace), seeded with a
+# real trace export of every accepted schema version: ReadJSON must never
+# panic, and an accepted export must re-encode and re-read equal. Then ten
+# seconds of FuzzParsePrometheus (internal/obs), seeded with a real registry
+# exposition: the parser must never panic, and it rejects an input exactly
+# when one of its lines is bad on its own. Then ten seconds of
+# FuzzFreezeWeights: arbitrary positive finite weights must read back
+# exactly through both CSR freeze paths (FromGraph and CSRBuilder). Then ten seconds of FuzzParseSpec from the committed
 # specs in internal/faults/testdata/fuzz: a malformed fault spec must fail
 # with an error, never panic, and an accepted one must render back through
 # String to the same plan. Then ten seconds each of FuzzDecodeLabel and
@@ -124,8 +115,8 @@ ckpt-smoke:
 # decode equal to its own re-encoding. Minimisation is off so the short
 # budgets go to new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngineCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/congest
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreBuilderCkpt$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/treeroute
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFreezeWeights$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLabel$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wire

@@ -68,14 +68,12 @@ func main() {
 		trafficRate     = flag.Float64("traffic-rate", 0, "throttle to about this many lookups/sec across workers (0 = unthrottled)")
 
 		scaleMode      = flag.Bool("scale", false, "E12: scale sweep on the streaming CSR substrate; one machine-readable row per (n,k) cell (overrides -sweep)")
-		scaleN         = flag.String("scale-n", "256,512,1024", "comma-separated sizes for -scale (full builds are Õ(√n·n) messages: a 2^13 grid cell takes 15–74 s at k=3–2 and ~2 GB RSS on a 2-CPU host; probe larger substrates with -scale-probe)")
+		scaleN         = flag.String("scale-n", "256,512,1024", "comma-separated sizes for -scale (full builds are Õ(√n·n) messages: a 2^13 grid cell takes 15–88 s at k=3–2 and 0.4–1.4 GB peak RSS on a 2-CPU host, and host memory is the limit; probe larger substrates with -scale-probe)")
 		scaleBudget    = flag.Duration("scale-budget", 0, "soft wall-clock budget for -scale; cells starting after it elapses are skipped and reported on stderr (0 = no budget)")
 		scaleProbe     = flag.Int("scale-probe", 0, "boot the CSR substrate at this size and run one hop-bounded exploration instead of full builds (million-vertex memory check; overrides -sweep)")
 		scaleProbeHops = flag.Int("scale-probe-hops", 64, "exploration hop budget for -scale-probe (0 = flood the whole graph)")
 
-		shards     = flag.Int("shards", 0, "parallel execution shards for -scale and -scale-probe; every stdout row is byte-identical at any shard count (0 = runtime default)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint the build to this file (-scale with a single (n,k) cell); written atomically at phase boundaries")
-		resume     = flag.Bool("resume", false, "resume from the -checkpoint file when it exists; completed phases are skipped and their state restored, with output identical to an uninterrupted run")
+		shards = flag.Int("shards", 0, "parallel execution shards for -scale and -scale-probe; every stdout row is byte-identical at any shard count (0 = runtime default)")
 	)
 	flag.Parse()
 
@@ -122,10 +120,6 @@ func main() {
 		schemeFilter = strings.Split(*schemes, ",")
 	}
 
-	if *checkpoint != "" && (!*scaleMode || *scaleProbe > 0) {
-		fatalf("-checkpoint supports -scale only")
-	}
-
 	failures := 0
 	switch {
 	case *scaleProbe > 0:
@@ -143,11 +137,7 @@ func main() {
 		if err != nil {
 			fatalf("bad -scale-n: %v", err)
 		}
-		if *checkpoint != "" && len(sns)*len(ks) != 1 {
-			fatalf("-scale -checkpoint needs a single (n,k) cell: a checkpoint file belongs to one build (got %d cells)", len(sns)*len(ks))
-		}
-		runScale(graph.Family(*family), sns, ks, *seed, *scaleBudget, *shards,
-			makeCheckpointer(*checkpoint, *resume), reg)
+		runScale(graph.Family(*family), sns, ks, *seed, *scaleBudget, *shards, reg)
 	case *trafficMode:
 		tw, err := parseInts(*trafficWorkers)
 		if err != nil {
@@ -386,7 +376,7 @@ func runTraffic(family graph.Family, ns, ks []int, seed int64, workers []int, sk
 // figures, and budget skips go to stderr. The fitted log-log slope of the
 // per-vertex table and memory averages against n is the paper's n^{1/k}
 // check.
-func runScale(family graph.Family, ns, ks []int, seed int64, budget time.Duration, shards int, ck *congest.Checkpointer, reg *obs.Registry) {
+func runScale(family graph.Family, ns, ks []int, seed int64, budget time.Duration, shards int, reg *obs.Registry) {
 	fmt.Printf("E12: memory-curve scale sweep (%s)\n\n", family)
 	start := time.Now()
 	var rows []*metrics.ScaleRow
@@ -399,7 +389,7 @@ func runScale(family graph.Family, ns, ks []int, seed int64, budget time.Duratio
 				continue
 			}
 			row, err := metrics.RunScale(metrics.ScaleConfig{
-				Family: family, N: n, K: k, Seed: seed, Shards: shards, Ckpt: ck, Metrics: reg,
+				Family: family, N: n, K: k, Seed: seed, Shards: shards, Metrics: reg,
 			})
 			if err != nil {
 				fatalf("scale n=%d k=%d: %v", n, k, err)
@@ -422,30 +412,6 @@ func runScale(family graph.Family, ns, ks []int, seed int64, budget time.Duratio
 		}
 		fmt.Printf("slope k=%d table_avg_w=%.3f mem_avg_w=%.3f expect=%.3f\n", k, ts, memSlope[k], 1/float64(k))
 	}
-}
-
-// makeCheckpointer builds the -checkpoint/-resume checkpointer: nil when
-// checkpointing is off, a resuming checkpointer when -resume finds an
-// existing file, and a fresh one otherwise (so `-checkpoint X -resume` is
-// idempotent — the first run starts fresh, an interrupted rerun resumes).
-func makeCheckpointer(path string, resume bool) *congest.Checkpointer {
-	if path == "" {
-		return nil
-	}
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			ck, err := congest.ResumeCheckpointer(path)
-			if err != nil {
-				fatalf("resume %s: %v", path, err)
-			}
-			fmt.Fprintf(os.Stderr, "routebench: resuming from %s\n", path)
-			return ck
-		} else if !os.IsNotExist(err) {
-			fatalf("resume %s: %v", path, err)
-		}
-		fmt.Fprintf(os.Stderr, "routebench: -resume: no checkpoint at %s, starting fresh\n", path)
-	}
-	return congest.NewCheckpointer(path)
 }
 
 // faultSummary renders fault counters as one human line.

@@ -28,12 +28,8 @@
 // worker goroutines the simulator uses. The same invariant is what makes
 // the simulator's sharded parallel executor safe — each round's work is
 // partitioned across P shard goroutines with a deterministic cross-shard
-// merge, so P changes wall-clock time and nothing else — and what makes
-// long builds checkpointable: at every phase boundary, engine and builder
-// state serialize to a canonical schema-versioned snapshot
-// (lowmemroute.ckpt/v1) that a later process resumes bit-for-bit, even at
-// a different shard count. See
-// DESIGN.md section 15.
+// merge, so P changes wall-clock time and nothing else. See DESIGN.md
+// section 15.
 //
 // # Fault injection
 //
@@ -84,8 +80,7 @@
 // Three CLIs drive the harness: cmd/routebench regenerates the paper's
 // Table 1 (and, with -faults, its degradation under a fault plan;
 // -strict turns routing failures into a non-zero exit; in -scale and
-// -scale-probe modes, -shards sets the parallel shard count, and in -scale
-// mode -checkpoint/-resume snapshot and restore long builds), cmd/treebench
+// -scale-probe modes, -shards sets the parallel shard count), cmd/treebench
 // regenerates Table 2, and cmd/routedemo builds a scheme and routes
 // sample pairs end to end. cmd/lowmemlint runs the static analyzers.
 package lowmemroute

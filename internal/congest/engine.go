@@ -263,8 +263,8 @@ func appendMessage(inb []Message, from int32, en *qEntry, ext []uint64) []Messag
 }
 
 // ensureTopology compiles the CSR edge index and sizes every recycled
-// buffer. It runs once, on the first Run (or restore); the topology is
-// frozen, so later Runs see a single nil check.
+// buffer. It runs once, on the first Run; the topology is frozen, so later
+// Runs see a single nil check.
 func (s *Simulator) ensureTopology() {
 	if s.outStart != nil {
 		return

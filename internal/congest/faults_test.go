@@ -3,8 +3,9 @@ package congest
 // Fault-injection engine semantics: the WithFaults(nil) A/B guarantee (the
 // clean path is byte-identical with and without the option), drop/retry
 // budgets, delay pacing, duplication, crash-stop and crash-recover windows,
-// partitions, worker-count invariance under an active plan, and the
-// Broadcast/Convergecast retry accounting.
+// partitions, worker-count invariance under an active plan (also across
+// two Runs on one simulator), and the Broadcast/Convergecast retry
+// accounting.
 
 import (
 	"fmt"
@@ -37,24 +38,35 @@ func runFlood(workers, floodRounds int, opts ...Option) floodResult {
 
 // runFloodSim is runFlood, also returning the simulator.
 func runFloodSim(workers, floodRounds int, opts ...Option) (floodResult, *Simulator) {
+	return runFloodRuns(workers, floodRounds, 1, opts...)
+}
+
+// runFloodRuns runs the flood runs times in a row on one simulator, the
+// message sizes shifted by the run's index, and returns the final engine
+// state with the last Run's delivery logs. Per-edge fault cursors carry
+// from one Run to the next, as they do between build phases.
+func runFloodRuns(workers, floodRounds, runs int, opts ...Option) (floodResult, *Simulator) {
 	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
 	s := newGraphSim(g, append([]Option{WithWorkers(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
 	}
-	logs := make([][]rcvd, g.N())
-	s.Run(all, 64*floodRounds+64, func(v int, ctx *Ctx) {
-		for _, m := range ctx.In() {
-			logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
-		}
-		if ctx.Round() < floodRounds {
-			for _, nb := range neighbors(s.Topo(), v) {
-				ctx.Send(int(nb), Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+int(nb)+ctx.Round())%7)
+	var logs [][]rcvd
+	for run := 0; run < runs; run++ {
+		logs = make([][]rcvd, g.N())
+		s.Run(all, 64*floodRounds+64, func(v int, ctx *Ctx) {
+			for _, m := range ctx.In() {
+				logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
 			}
-			ctx.Wake()
-		}
-	})
+			if ctx.Round() < floodRounds {
+				for _, nb := range neighbors(s.Topo(), v) {
+					ctx.Send(int(nb), Payload{W0: IntWord(v*1000 + ctx.Round())}, 1+(v+int(nb)+ctx.Round()+run)%7)
+				}
+				ctx.Wake()
+			}
+		})
+	}
 	res := floodResult{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs, ctr: s.FaultCounters()}
 	res.peaks = make([]int64, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -110,6 +122,39 @@ func TestFaultWorkerCountInvariance(t *testing.T) {
 				t.Fatal("observable run state differs from workers=1 under the same fault plan")
 			}
 		})
+	}
+}
+
+// TestRunResumeEquivalence: a second Run resumes where the first left off.
+// Two consecutive Runs on one simulator, clean and under a
+// drop/delay/duplicate plan, give the same counters, fault tallies, meter
+// peaks and second-Run delivery logs at every shard count as the one-shard
+// reference. The second Run's faults depend on the cursors the first one
+// left, so a shard count that leaked into that carried state would show here.
+func TestRunResumeEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"clean", nil},
+		{"faulty", &faults.Plan{Seed: 9, Drop: 0.1, Delay: 1, Duplicate: 0.1}},
+	} {
+		ref, _ := runFloodRuns(1, 10, 2, WithFaults(tc.plan))
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, workers), func(t *testing.T) {
+				if tc.plan != nil && !ref.ctr.Any() {
+					t.Fatal("fault plan injected nothing; faulty variant is vacuous")
+				}
+				got, s := runFloodRuns(workers, 10, 2, WithFaults(tc.plan))
+				requireForked(t, s, workers)
+				if got.ctr != ref.ctr {
+					t.Fatalf("fault counters differ: %+v vs %+v", got.ctr, ref.ctr)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("counters, meter peaks or second-Run delivery logs differ between shards=1 and shards=%d", workers)
+				}
+			})
+		}
 	}
 }
 

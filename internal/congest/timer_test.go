@@ -9,7 +9,6 @@ package congest
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -279,39 +278,29 @@ func TestWakeAtCrashKeepsSpinSemantics(t *testing.T) {
 	})
 }
 
-// TestWakeAtRestoreOnUsedSimulator: a unit-mark image restored into a
-// simulator whose earlier WakeAt runs left armed timer slots, counters,
-// meters and fault cursors of their own replaces all of that state, so the
-// next unit runs exactly as in the uninterrupted build.
+// TestWakeAtRestoreOnUsedSimulator: every Run restores a fresh timer frame
+// on a used simulator. A first WakeAt unit arms a timer slot per sleeping
+// vertex and drops its timers when it returns; the second unit asks for the
+// same rounds again, and those requests must arm new timers rather than
+// match the stale slots. Under a drop/delay plan, whose fault cursors carry
+// from one unit to the next, the second WakeAt unit must equal the second
+// unit of the spin reference (which arms no timers) at every width.
 func TestWakeAtRestoreOnUsedSimulator(t *testing.T) {
 	plan := &faults.Plan{Seed: 9, Drop: 0.1, Delay: 1} // no crash windows: WakeAt keeps its timers
-	ref := timerWorkload(t, false, 1, 1000, WithFaults(plan))
-	ref = timerWorkloadOn(t, ref.sim, false, 1000) // the second unit
-	path := filepath.Join(t.TempDir(), "timers.ckpt")
-	ckw := NewCheckpointer(path)
-	_ = timerWorkload(t, false, 1, 1000, WithFaults(plan), withCheckpointer(t, ckw))
-	ckw.Mark("first")
-	if err := ckw.Err(); err != nil {
-		t.Fatal(err)
+	ref := timerWorkload(t, true, 1, 1000, WithFaults(plan))
+	ref = timerWorkloadOn(t, ref.sim, true, 1000) // the second unit
+	if !ref.ctr.Any() {
+		t.Fatal("fault plan injected nothing; the carried fault cursors go untested")
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
-			g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-			s := newGraphSim(g, WithWorkers(workers), WithFaults(plan))
-			// Two units' worth of history the image must overwrite.
-			timerWorkloadOn(t, s, false, 1000)
-			timerWorkloadOn(t, s, false, 1000)
-			ckr, err := ResumeCheckpointer(path)
-			if err != nil {
-				t.Fatal(err)
+			first := timerWorkload(t, false, workers, 1000, WithFaults(plan))
+			got := timerWorkloadOn(t, first.sim, false, 1000)
+			requireForked(t, got.sim, workers)
+			requireTimerRunsEqual(t, got, ref)
+			if got.steps >= ref.steps {
+				t.Fatalf("second WakeAt unit stepped %d handlers, spin %d: the timers did not sleep", got.steps, ref.steps)
 			}
-			if err := ckr.Attach(s); err != nil {
-				t.Fatal(err)
-			}
-			if !unitDone(t, ckr, "first") {
-				t.Fatal("the checkpointed unit was not skipped")
-			}
-			requireTimerRunsEqual(t, timerWorkloadOn(t, s, false, 1000), ref)
 		})
 	}
 }

@@ -558,7 +558,6 @@ func (b *builder) assemble() (*Scheme, error) {
 		Seed:      b.o.Seed + 2,
 		MaxOffset: maxOffset,
 		Trace:     b.o.Trace,
-		Ckpt:      b.o.Ckpt,
 	})
 	b.phaseRounds["tree-routing"] += b.sim.Rounds() - before
 	sp.End()

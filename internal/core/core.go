@@ -75,14 +75,6 @@ type Options struct {
 	// congest.WithMetrics on the simulator for the throughput counters.
 	// Nil disables publishing at no cost.
 	Metrics *obs.Registry
-	// Ckpt, when non-nil, checkpoints the build: Build attaches it to the
-	// simulator and the tree-routing phases record themselves as resumable
-	// units. The phases before tree routing are cheap (a few percent of a
-	// large build's wall clock) and deterministically replay from Seed; on
-	// resume they re-execute, after which completed tree phases are skipped
-	// and the checkpointed engine/builder state is restored. Check
-	// Ckpt.Err() after Build for write failures or cursor mismatches.
-	Ckpt *congest.Checkpointer
 }
 
 // numBuildPhases is the phase count published to Options.Metrics: the five
@@ -139,9 +131,6 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 	}
 	if n == 0 {
 		return &Scheme{Scheme: clusterroute.New(k, 0)}, nil
-	}
-	if err := o.Ckpt.Attach(sim); err != nil {
-		return nil, fmt.Errorf("core: attach checkpointer: %w", err)
 	}
 
 	b := newBuilder(sim, o)

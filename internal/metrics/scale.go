@@ -57,11 +57,6 @@ type ScaleConfig struct {
 	Shards int
 	// Metrics, when non-nil, receives build phase/progress (see core.Options).
 	Metrics *obs.Registry
-	// Ckpt, when non-nil, checkpoints the build (see core.Options.Ckpt).
-	// RunScale stamps the cell's identity (mode, family, n, k, seed) into the
-	// checkpoint metadata, so resuming under different parameters fails
-	// loudly before any state is restored.
-	Ckpt *congest.Checkpointer
 }
 
 // RunScale generates the instance straight into CSR form (no slice-of-slices
@@ -80,27 +75,12 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	row.M = csr.M()
 	row.GraphBytes = csr.MemoryBytes()
 
-	for _, kv := range [][2]string{
-		{"mode", "scale"},
-		{"family", string(cfg.Family)},
-		{"n", strconv.Itoa(csr.N())},
-		{"k", strconv.Itoa(cfg.K)},
-		{"seed", strconv.FormatInt(cfg.Seed, 10)},
-	} {
-		if err := cfg.Ckpt.SetMeta(kv[0], kv[1]); err != nil {
-			return nil, fmt.Errorf("metrics: scale checkpoint: %w", err)
-		}
-	}
-
 	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 		congest.WithWorkers(cfg.Shards))
 	t1 := time.Now()
-	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Metrics: cfg.Metrics, Ckpt: cfg.Ckpt})
+	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, fmt.Errorf("metrics: scale build n=%d k=%d: %w", cfg.N, cfg.K, err)
-	}
-	if err := cfg.Ckpt.Err(); err != nil {
-		return nil, fmt.Errorf("metrics: scale checkpoint n=%d k=%d: %w", cfg.N, cfg.K, err)
 	}
 	row.BuildWall = time.Since(t1)
 

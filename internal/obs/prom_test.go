@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -84,4 +86,58 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	if fams["ok_metric"].Samples != 1 || fams["with_label"].Samples != 1 {
 		t.Fatalf("families=%+v", fams)
 	}
+}
+
+// FuzzParsePrometheus: ParsePrometheus never panics, and its verdict is
+// the conjunction of per-line verdicts: an input is rejected exactly when
+// one of its lines, parsed alone, is rejected, and the error names such a
+// line. An accepted input attributes every sample line to one family.
+func FuzzParsePrometheus(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("congest_rounds_total").Add(42)
+	r.SetHelp("congest_rounds_total", "Simulated CONGEST rounds executed.")
+	r.Gauge("congest_queue_depth").Set(-7)
+	h := r.Histogram("route_lookup_seconds", 1e-9)
+	for i := int64(1); i <= 100; i++ {
+		h.Record(i * i * 1000)
+	}
+	r.SetPhase(Phase{Name: "hopset", Done: 2, Total: 6})
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(b.String()))
+	f.Add([]byte("# random comment\nok_metric 3.5 1700000000\r\nwith_label{a=\"b\",c=\"d\"} +Inf\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 1<<20 {
+			return // past the scanner's line limit: rejected as a whole
+		}
+		fams, err := ParsePrometheus(bytes.NewReader(data))
+		lines := strings.Split(string(data), "\n")
+		var bad []int // 1-based numbers of the lines rejected alone
+		samples := 0
+		for i, line := range lines {
+			if _, lerr := ParsePrometheus(strings.NewReader(line)); lerr != nil {
+				bad = append(bad, i+1)
+			} else if s := strings.TrimSpace(line); s != "" && !strings.HasPrefix(line, "#") {
+				samples++
+			}
+		}
+		if err != nil {
+			if len(bad) == 0 || !strings.HasPrefix(err.Error(), fmt.Sprintf("line %d:", bad[0])) {
+				t.Fatalf("rejected with %v; lines rejected alone: %v", err, bad)
+			}
+			return
+		}
+		if len(bad) > 0 {
+			t.Fatalf("accepted, but lines %v are rejected alone", bad)
+		}
+		got := 0
+		for _, fam := range fams {
+			got += fam.Samples
+		}
+		if got != samples {
+			t.Fatalf("families hold %d samples, input has %d sample lines", got, samples)
+		}
+	})
 }

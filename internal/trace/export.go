@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 )
 
 // SchemaVersion identifies the JSON export layout. Consumers (CI bench
@@ -29,6 +31,28 @@ const SchemaVersionV2 = "lowmemroute.trace/v2"
 // SchemaVersionV1 is the pre-fault-counter export layout, still accepted by
 // ReadJSON: every v1 field decodes identically under v2 and v3.
 const SchemaVersionV1 = "lowmemroute.trace/v1"
+
+// traceSchemaFamily and traceSchemaMax let ReadJSON tell a future export
+// (same family, higher version) from an unknown schema.
+const (
+	traceSchemaFamily = "lowmemroute.trace"
+	traceSchemaMax    = 4
+)
+
+// schemaNumber parses the version number of a "<family>/v<N>" schema string.
+// ok is false when the string is not of that family or N is not a positive
+// integer — such strings are "unknown", not "future".
+func schemaNumber(schema, family string) (int, bool) {
+	rest, found := strings.CutPrefix(schema, family+"/v")
+	if !found {
+		return 0, false
+	}
+	n, err := strconv.Atoi(rest)
+	if err != nil || n <= 0 {
+		return 0, false
+	}
+	return n, true
+}
 
 // Export is the machine-readable form of a recording.
 type Export struct {

@@ -1,0 +1,115 @@
+package trace
+
+// Export reader tests: the future-version gate, and FuzzReadJSON over real
+// exports of every accepted schema version.
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestReadJSONFutureSchema: exports from a newer writer get a "newer
+// version" error telling the user to upgrade, distinct from the
+// garbage-schema error.
+func TestReadJSONFutureSchema(t *testing.T) {
+	cases := []struct {
+		schema string
+		want   string
+	}{
+		{"lowmemroute.trace/v5", "newer version"},
+		{"lowmemroute.trace/v99", "newer version"},
+		{"lowmemroute.trace/v0", "unsupported schema"},
+		{"lowmemlint/v9", "unsupported schema"}, // wrong family: not "future"
+		{"nonsense", "unsupported schema"},
+	}
+	for _, tc := range cases {
+		t.Run("schema="+tc.schema, func(t *testing.T) {
+			_, err := ReadJSON(strings.NewReader(`{"schema":"` + tc.schema + `","spans":[]}`))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("schema %q: err=%v, want containing %q", tc.schema, err, tc.want)
+			}
+		})
+	}
+}
+
+// seedExports returns one recording exported under every accepted schema
+// version, each carrying only the fields its version defines: v1 has no
+// fault counters or MemStats deltas, v2 adds the fault counters, v3 the
+// deltas, and v4 keeps the v3 layout.
+func seedExports(tb testing.TB) map[string][]byte {
+	src := &fakeSource{}
+	r := NewRecorder()
+	r.Attach(src)
+	r.SetMeta("tool", "routebench")
+	r.SetMeta("n", "64")
+	build := r.Begin("build")
+	src.c = Counters{Rounds: 12, Messages: 34, Words: 56, PeakMemory: 8}
+	phase := r.Begin("tree-routing")
+	src.c = Counters{Rounds: 20, Messages: 90, Words: 200, PeakMemory: 11}
+	r.RoundSample(RoundSample{Round: 19, Rounds: 1, Kind: KindRound, Active: 4, Messages: 9, Words: 18,
+		Backlog: 2, MemMax: 6, MemMean: 1.5, Dropped: 3, Retried: 2, Lost: 1, Duplicated: 1, Discarded: 1})
+	phase.End()
+	r.RoundSample(RoundSample{Round: 25, Rounds: 5, Kind: KindBroadcast, Active: 64, Messages: 63, Words: 63, MemMax: 2})
+	src.c.Rounds = 25
+	build.End()
+
+	var stripDeltas func(spans []SpanExport)
+	stripDeltas = func(spans []SpanExport) {
+		for i := range spans {
+			spans[i].HeapAllocDelta, spans[i].TotalAllocDelta, spans[i].NumGCDelta = 0, 0, 0
+			stripDeltas(spans[i].Children)
+		}
+	}
+	out := make(map[string][]byte)
+	for _, schema := range []string{SchemaVersion, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1} {
+		e := r.Export()
+		e.Schema = schema
+		if schema == SchemaVersionV2 || schema == SchemaVersionV1 {
+			stripDeltas(e.Spans)
+		}
+		if schema == SchemaVersionV1 {
+			for i := range e.Samples {
+				s := &e.Samples[i]
+				s.Dropped, s.Retried, s.Lost, s.Duplicated, s.Discarded = 0, 0, 0, 0, 0
+			}
+		}
+		var b bytes.Buffer
+		if err := WriteExportJSON(&b, e); err != nil {
+			tb.Fatal(err)
+		}
+		if got, err := ReadJSON(bytes.NewReader(b.Bytes())); err != nil || len(got.Spans) != 1 || len(got.Samples) != 2 {
+			tb.Fatalf("%s seed does not read back: %+v, %v", schema, got, err)
+		}
+		out[schema] = b.Bytes()
+	}
+	return out
+}
+
+// FuzzReadJSON: ReadJSON never panics, and an export it accepts re-encodes
+// through WriteExportJSON into a file that reads back to the same encoding.
+func FuzzReadJSON(f *testing.F) {
+	for _, b := range seedExports(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteExportJSON(&first, e); err != nil {
+			t.Fatalf("accepted export does not re-encode: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded export rejected: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteExportJSON(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("export changed across a re-read:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -28,12 +28,6 @@ type DistOptions struct {
 	// (local-roots, local-sizes, global-sizes, ...). Nil disables span
 	// recording at no cost.
 	Trace *trace.Recorder
-	// Ckpt, when non-nil, brackets every phase as a checkpoint unit
-	// ("tree:local-roots", ...): a snapshot is written after each, and a
-	// resumed build skips completed phases, restoring the builder's durable
-	// state at the cursor. The checkpointer must already be attached to the
-	// simulator (core.Build does this; direct callers call Attach).
-	Ckpt *congest.Checkpointer
 }
 
 // DistResult carries the schemes built by BuildDistributed plus
@@ -72,25 +66,10 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 	}
 
 	b := newDistBuilder(sim, trees, opts)
-	ck := opts.Ckpt
-	if err := ck.Register(b); err != nil {
-		return nil, err
-	}
-	// Each phase is a checkpoint unit: skipped entirely when the resumed
-	// cursor already covers it, snapshotted after running otherwise.
 	for _, ph := range b.phases() {
-		unit := "tree:" + ph.name
-		done, err := ck.UnitDone(unit)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			continue
-		}
 		if err := ph.run(); err != nil {
 			return nil, err
 		}
-		ck.Mark(unit)
 	}
 
 	res := &DistResult{Iterations: b.iters}
