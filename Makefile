@@ -84,7 +84,10 @@ metrics-smoke:
 # Scale-harness smoke (experiment E12): one fast full-build cell through the
 # streaming-CSR → topology-backed simulator → core.Build path, run at one
 # shard and at four with the stdout rows compared by cmp (sharding must be
-# unobservable in every measured quantity), then a 2^15-vertex substrate
+# unobservable in every measured quantity). The cell is a 1,024-vertex grid
+# at k=3: big enough that rounds reach the engine's 1,024-vertex fork
+# threshold, so the four-shard run really forks (a 256-vertex grid never
+# does, and its cmp compared the serial path with itself). Then a 2^15-vertex substrate
 # probe (generation + engine boot + bounded 64-hop exploration) at a size
 # where a full Õ(√n)-round build would not fit a CI budget. Each run has a
 # hard timeout so a scaling regression fails the job instead of hanging it.
@@ -92,8 +95,8 @@ metrics-smoke:
 # figures go to stderr.
 SCALE_SMOKE := /tmp/lowmemroute-scale-smoke
 scale-smoke:
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 -shards 1 > $(SCALE_SMOKE)-1.txt
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 256 -k 2 -family grid -seed 1 -shards 4 > $(SCALE_SMOKE)-4.txt
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 1 > $(SCALE_SMOKE)-1.txt
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 4 > $(SCALE_SMOKE)-4.txt
 	cat $(SCALE_SMOKE)-1.txt
 	cmp $(SCALE_SMOKE)-1.txt $(SCALE_SMOKE)-4.txt
 	@echo "scale-smoke: stdout byte-identical at 1 and 4 shards"
@@ -111,8 +114,9 @@ scale-smoke:
 # with an error, never panic, and an accepted one must render back through
 # String to the same plan. Then ten seconds each of FuzzDecodeLabel and
 # FuzzDecodeTable (internal/wire), seeded with a real scheme's encodings: a
-# malformed label or table must fail with an error, and an accepted one must
-# decode equal to its own re-encoding. Minimisation is off so the short
+# malformed label or table must fail with an error, an accepted label must
+# decode equal to its own re-encoding, and an accepted table must re-encode
+# to exactly its own bytes. Minimisation is off so the short
 # budgets go to new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/trace

@@ -107,7 +107,6 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 	pivotD[k] = dk
 
 	s := clusterroute.New(k, n)
-	treeSchemes := make(map[int]*treeroute.Scheme)
 	maxHeight := 0
 	for i := 0; i < k; i++ {
 		bound := pivotD[i+1]
@@ -134,10 +133,9 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 				maxHeight = h
 			}
 			ts := treeroute.BuildCentralized(tree)
-			treeSchemes[src.Root] = ts
-			s.AddTree(src.Root, tree, topo, ts)
-			for _, v := range tree.Members() {
-				sim.Mem(v).Charge(int64(1 + ts.Tables[v].Words()))
+			s.AddTree(ts, topo)
+			for i, tab := range ts.Tables {
+				sim.Mem(tree.MemberAt(i)).Charge(int64(1 + tab.Words()))
 			}
 		}
 	}
@@ -151,7 +149,7 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 			if root == graph.NoVertex {
 				continue
 			}
-			s.AddLabelEntry(v, j, root, treeSchemes[root])
+			s.AddLabelEntry(v, j, root)
 		}
 		sim.Mem(v).Charge(int64(s.Labels[v].Words()))
 	}

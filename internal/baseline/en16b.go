@@ -15,16 +15,14 @@ import (
 // structure with the pre-paper tree routing on every cluster tree.
 type EN16bScheme struct {
 	K int
-	// Trees maps each cluster center to its tree; TreeSchemes holds the
-	// EN16b-style tree-routing scheme of each tree.
-	Trees       map[int]*graph.Tree
-	TreeSchemes map[int]*treeroute.BaselineScheme
+	// Trees[c] is the EN16b-style tree-routing scheme of the cluster
+	// centered at c (its tree included), nil for a non-center.
+	Trees []*treeroute.BaselineScheme
 	// PivotRoots[j][v] is v's level-j pivot.
 	PivotRoots [][]int
 
-	n int
-	// weights[c] is tree c's member-indexed UpWeights.
-	weights map[int][]float64
+	// weights[c] is cluster c's member-indexed UpWeights.
+	weights [][]float64
 }
 
 // BuildEN16b constructs the EN16b-style scheme. The cluster structure is
@@ -55,11 +53,9 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 	}
 
 	s := &EN16bScheme{
-		K:           k,
-		Trees:       make(map[int]*graph.Tree),
-		TreeSchemes: make(map[int]*treeroute.BaselineScheme),
-		n:           n,
-		weights:     make(map[int][]float64),
+		K:       k,
+		Trees:   make([]*treeroute.BaselineScheme, n),
+		weights: make([][]float64, n),
 	}
 	if n == 0 {
 		return s, nil
@@ -93,14 +89,14 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 
 	// Per-cluster EN16b-style tree routing (real construction: charges the
 	// portal memory and broadcast rounds itself).
-	for c, tree := range ref.ClusterTrees {
-		ts, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: opts.Seed + int64(c)})
+	for _, cl := range ref.Clusters {
+		c := cl.Center
+		ts, err := treeroute.BuildBaseline(sim, cl.Tree, treeroute.DistOptions{Seed: opts.Seed + int64(c)})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: EN16b tree routing for %d: %w", c, err)
 		}
-		s.Trees[c] = tree
-		s.TreeSchemes[c] = ts
-		s.weights[c] = tree.UpWeights(topo)
+		s.Trees[c] = ts
+		s.weights[c] = cl.Weights
 	}
 
 	// Pivot roots per level, straight from the reference labels.
@@ -118,20 +114,7 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 	}
 	// Final aggregated label storage (one EN16b tree label per level).
 	for v := 0; v < n; v++ {
-		w := 1
-		for j := 0; j < k; j++ {
-			root := s.PivotRoots[j][v]
-			if root == graph.NoVertex {
-				continue
-			}
-			w += 2
-			if ts, ok := s.TreeSchemes[root]; ok {
-				if lab, in := ts.Labels[v]; in {
-					w += lab.Words()
-				}
-			}
-		}
-		sim.Mem(v).Charge(int64(w))
+		sim.Mem(v).Charge(int64(s.labelWords(v)))
 	}
 	return s, nil
 }
@@ -148,15 +131,16 @@ func (s *EN16bScheme) RouteAppend(src, dst int, path []int) ([]int, float64, err
 		if root == graph.NoVertex {
 			continue
 		}
-		tree, ok := s.Trees[root]
-		if !ok || !tree.Member(src) || !tree.Member(dst) {
+		ts := s.Trees[root]
+		if ts == nil || !ts.Tree.Member(src) || !ts.Tree.Member(dst) {
 			continue
 		}
-		hops, err := s.TreeSchemes[root].Route(src, dst)
-		if err != nil {
-			return path, 0, err
+		start := len(path)
+		var err error
+		if path, err = ts.RouteAppend(src, dst, path); err != nil {
+			return path[:start], 0, err
 		}
-		weights := s.weights[root]
+		tree, weights, hops := ts.Tree, s.weights[root], path[start:]
 		var total float64
 		for i := 1; i < len(hops); i++ {
 			if tree.Parent(hops[i-1]) == hops[i] {
@@ -165,7 +149,7 @@ func (s *EN16bScheme) RouteAppend(src, dst int, path []int) ([]int, float64, err
 				total += weights[tree.MemberIndex(hops[i])]
 			}
 		}
-		return append(path, hops...), total, nil
+		return path, total, nil
 	}
 	return path, 0, fmt.Errorf("baseline: EN16b: no common cluster for %d -> %d", src, dst)
 }
@@ -174,10 +158,13 @@ func (s *EN16bScheme) RouteAppend(src, dst int, path []int) ([]int, float64, err
 // over clusters containing the vertex of the EN16b tree table plus the
 // center id.
 func (s *EN16bScheme) MaxTableWords() int {
-	words := make([]int, s.n)
-	for c, ts := range s.TreeSchemes {
-		for _, v := range s.Trees[c].Members() {
-			words[v] += 1 + ts.Tables[v].Words()
+	words := make([]int, len(s.Trees))
+	for _, ts := range s.Trees {
+		if ts == nil {
+			continue
+		}
+		for i, tab := range ts.Tables {
+			words[ts.Tree.MemberAt(i)] += 1 + tab.Words()
 		}
 	}
 	mx := 0
@@ -189,27 +176,32 @@ func (s *EN16bScheme) MaxTableWords() int {
 	return mx
 }
 
-// MaxLabelWords returns the largest per-vertex label size in words: one
-// EN16b tree label per pivot level (the O(k log² n) signature).
+// MaxLabelWords returns the largest per-vertex label size in words.
 func (s *EN16bScheme) MaxLabelWords() int {
 	mx := 0
-	for v := 0; v < s.n; v++ {
-		w := 1
-		for j := 0; j < s.K; j++ {
-			root := s.PivotRoots[j][v]
-			if root == graph.NoVertex {
-				continue
-			}
-			w += 2
-			if ts, ok := s.TreeSchemes[root]; ok {
-				if lab, in := ts.Labels[v]; in {
-					w += lab.Words()
-				}
-			}
-		}
-		if w > mx {
+	for v := range s.Trees {
+		if w := s.labelWords(v); w > mx {
 			mx = w
 		}
 	}
 	return mx
+}
+
+// labelWords returns v's label size in words: one EN16b tree label per
+// pivot level (the O(k log² n) signature).
+func (s *EN16bScheme) labelWords(v int) int {
+	w := 1
+	for j := 0; j < s.K; j++ {
+		root := s.PivotRoots[j][v]
+		if root == graph.NoVertex {
+			continue
+		}
+		w += 2
+		if ts := s.Trees[root]; ts != nil {
+			if lab, in := ts.Label(v); in {
+				w += lab.Words()
+			}
+		}
+	}
+	return w
 }

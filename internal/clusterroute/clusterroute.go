@@ -1,11 +1,12 @@
 // Package clusterroute holds the routing-phase machinery shared by every
 // general-graph scheme in this repository (the centralized Thorup-Zwick
 // reference, the paper's distributed scheme, and the LP15/EN16b-style
-// baselines): per-vertex tables mapping cluster centers to tree-routing
-// tables and per-vertex labels carrying one pivot entry per hierarchy
-// level. Routing walks the scheme compiled into flat arrays
-// (internal/dataplane): pick the lowest mutual cluster and route exactly in
-// its tree.
+// baselines): the cluster trees with their tree-routing schemes, stored by
+// member slot, and per-vertex labels carrying one pivot entry per hierarchy
+// level. A vertex's table is a view over the clusters containing it.
+// Routing walks the scheme compiled into flat arrays (internal/dataplane):
+// pick the lowest mutual cluster and route exactly in its tree. A single
+// tree's scheme is the one-cluster case (FromTree).
 package clusterroute
 
 import (
@@ -39,92 +40,132 @@ func (l Label) Words() int {
 	return w
 }
 
-// Table is a vertex's routing table: one tree-routing table per cluster
-// containing it.
-type Table struct {
-	Trees map[int]treeroute.Table // keyed by cluster center
+// TableEntry is one cluster's tree-routing table in a vertex's table.
+type TableEntry struct {
+	Center int
+	Tree   treeroute.Table
 }
+
+// Table is a vertex's routing table: one tree-routing table per cluster
+// containing it, in ascending center order.
+type Table []TableEntry
 
 // Words returns the table size in words.
 func (t Table) Words() int {
 	w := 0
-	for _, tt := range t.Trees {
-		w += 1 + tt.Words()
+	for _, e := range t {
+		w += 1 + e.Tree.Words()
 	}
 	return w
 }
 
-// Scheme is a complete cluster-forest routing scheme.
-type Scheme struct {
-	K      int
-	Tables []Table
-	Labels []Label
-	// ClusterTrees maps every cluster center to its cluster tree.
-	ClusterTrees map[int]*graph.Tree
+// Cluster is one cluster tree of a scheme: its center (the tree's root),
+// the tree, its Thorup-Zwick tree-routing scheme and the up-edge weight of
+// every member, the last two stored by member slot of Tree.
+type Cluster struct {
+	Center  int
+	Tree    *graph.Tree
+	Scheme  *treeroute.Scheme
+	Weights []float64
+}
 
-	weights map[int][]float64
+// Scheme is a complete cluster-forest routing scheme. Routing state lives
+// in the clusters, by member slot; a vertex's table is a view over the
+// clusters containing it (Table).
+type Scheme struct {
+	K        int
+	Labels   []Label
+	Clusters []Cluster // in AddTree order
+
+	index []int32 // center -> index in Clusters, -1 for a non-center
+	count []int32 // per vertex: the number of clusters containing it
 }
 
 // New returns an empty scheme over n vertices.
 func New(k, n int) *Scheme {
 	s := &Scheme{
-		K:            k,
-		Tables:       make([]Table, n),
-		Labels:       make([]Label, n),
-		ClusterTrees: make(map[int]*graph.Tree),
-		weights:      make(map[int][]float64),
+		K:      k,
+		Labels: make([]Label, n),
+		index:  make([]int32, n),
+		count:  make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
-		s.Tables[v] = Table{Trees: make(map[int]treeroute.Table)}
 		s.Labels[v] = Label{Vertex: v}
+		s.index[v] = -1
 	}
 	return s
 }
 
-// AddTree registers a cluster tree and installs its tree-routing tables in
-// every member's routing table. Edge weights for path-length accounting are
-// looked up in the host topology and stored member-indexed (one word per
-// member, not per host vertex), so a scheme holding thousands of cluster
-// trees stays O(total membership).
-func (s *Scheme) AddTree(center int, tree *graph.Tree, host graph.Topology, ts *treeroute.Scheme) {
-	s.ClusterTrees[center] = tree
-	s.weights[center] = tree.UpWeights(host)
-	for i := 0; i < tree.Size(); i++ {
-		v := tree.MemberAt(i)
-		s.Tables[v].Trees[center] = ts.Tables[v]
+// FromTree returns the one-cluster scheme of a tree-routing scheme: its
+// tree is the only cluster, and each member's label holds one entry for
+// it. dataplane.Compile turns it into the table that walks ts.
+func FromTree(ts *treeroute.Scheme, host graph.Topology) *Scheme {
+	t := ts.Tree
+	s := New(1, t.HostSize())
+	s.AddTree(ts, host)
+	for i := 0; i < t.Size(); i++ {
+		s.AddLabelEntry(t.MemberAt(i), 0, t.Root)
+	}
+	return s
+}
+
+// AddTree registers the cluster of ts, centered at its tree's root. Edge
+// weights for path-length accounting are looked up in the host topology
+// and stored member-indexed (one word per member, not per host vertex), so
+// a scheme holding thousands of cluster trees stays O(total membership).
+func (s *Scheme) AddTree(ts *treeroute.Scheme, host graph.Topology) {
+	t := ts.Tree
+	s.index[t.Root] = int32(len(s.Clusters))
+	s.Clusters = append(s.Clusters, Cluster{Center: t.Root, Tree: t, Scheme: ts, Weights: t.UpWeights(host)})
+	for i := 0; i < t.Size(); i++ {
+		s.count[t.MemberAt(i)]++
 	}
 }
 
+// Cluster returns the cluster centered at center, or nil when the scheme
+// has none.
+func (s *Scheme) Cluster(center int) *Cluster {
+	if i := s.index[center]; i >= 0 {
+		return &s.Clusters[i]
+	}
+	return nil
+}
+
 // AddLabelEntry appends one pivot entry to v's label; the tree label is
-// attached when the scheme has the cluster and v is a member.
-func (s *Scheme) AddLabelEntry(v, level, root int, ts *treeroute.Scheme) {
+// attached when the scheme has root's cluster and v is a member. Call it
+// after the cluster's AddTree.
+func (s *Scheme) AddLabelEntry(v, level, root int) {
 	e := PivotEntry{Level: level, Root: root}
-	if ts != nil {
-		if lab, in := ts.Labels[v]; in {
-			e.InCluster = true
-			e.TreeLabel = lab
-		}
+	if c := s.Cluster(root); c != nil {
+		e.TreeLabel, e.InCluster = c.Scheme.Label(v)
 	}
 	s.Labels[v].Entries = append(s.Labels[v].Entries, e)
 }
 
-// TreeWeights returns the member-indexed up-edge weights of the cluster
-// tree rooted at center: weights[i] is the weight of the tree edge from
-// member ClusterTrees[center].MemberAt(i) to its parent (0 at the root
-// slot; address slots via Tree.MemberIndex). Nil when the scheme holds no
-// such tree. The returned slice is the scheme's own storage — callers must
-// not mutate it.
-func (s *Scheme) TreeWeights(center int) []float64 { return s.weights[center] }
+// Memberships returns the number of clusters containing v.
+func (s *Scheme) Memberships(v int) int { return int(s.count[v]) }
+
+// Table returns v's routing table, gathered from the clusters containing
+// it in ascending center order.
+func (s *Scheme) Table(v int) Table {
+	tab := make(Table, 0, s.count[v])
+	for center := range s.index {
+		if c := s.Cluster(center); c != nil {
+			if tt, ok := c.Scheme.Table(v); ok {
+				tab = append(tab, TableEntry{Center: center, Tree: tt})
+			}
+		}
+	}
+	return tab
+}
+
+// TableWords returns the size of v's table in words: a center id and a
+// tree-routing table per cluster containing v.
+func (s *Scheme) TableWords(v int) int { return s.Memberships(v) * (1 + treeroute.Table{}.Words()) }
 
 // MaxTableWords returns the largest table size in words.
 func (s *Scheme) MaxTableWords() int {
-	mx := 0
-	for _, t := range s.Tables {
-		if w := t.Words(); w > mx {
-			mx = w
-		}
-	}
-	return mx
+	return s.MaxClustersPerVertex() * (1 + treeroute.Table{}.Words())
 }
 
 // MaxLabelWords returns the largest label size in words.
@@ -141,11 +182,11 @@ func (s *Scheme) MaxLabelWords() int {
 // MaxClustersPerVertex returns the largest number of cluster trees any
 // vertex participates in (Claim 6's quantity).
 func (s *Scheme) MaxClustersPerVertex() int {
-	mx := 0
-	for _, t := range s.Tables {
-		if len(t.Trees) > mx {
-			mx = len(t.Trees)
+	mx := int32(0)
+	for _, c := range s.count {
+		if c > mx {
+			mx = c
 		}
 	}
-	return mx
+	return int(mx)
 }

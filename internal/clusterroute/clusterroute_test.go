@@ -2,6 +2,7 @@ package clusterroute_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lowmemroute/internal/clusterroute"
@@ -10,8 +11,8 @@ import (
 	"lowmemroute/internal/treeroute"
 )
 
-// buildSingleTreeScheme wraps one spanning tree as a one-cluster scheme:
-// routing should then be exact tree routing.
+// buildSingleTreeScheme wraps one spanning tree's scheme as a one-cluster
+// scheme: routing should then be exact tree routing.
 func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*clusterroute.Scheme, *graph.CSR, *graph.Tree) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -24,13 +25,7 @@ func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*clusterroute.Schem
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := clusterroute.New(1, n)
-	ts := treeroute.BuildCentralized(tree)
-	s.AddTree(0, tree, g, ts)
-	for v := 0; v < n; v++ {
-		s.AddLabelEntry(v, 0, 0, ts)
-	}
-	return s, g, tree
+	return clusterroute.FromTree(treeroute.BuildCentralized(tree), g), g, tree
 }
 
 func TestSchemeRoutesInSingleTree(t *testing.T) {
@@ -107,10 +102,10 @@ func TestSchemeNoCommonCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddTree(0, t0, graph.FromGraph(g), treeroute.BuildCentralized(t0))
-	s.AddTree(1, t1, graph.FromGraph(g), treeroute.BuildCentralized(t1))
-	s.AddLabelEntry(0, 0, 0, treeroute.BuildCentralized(t0))
-	s.AddLabelEntry(1, 0, 1, treeroute.BuildCentralized(t1))
+	s.AddTree(treeroute.BuildCentralized(t0), graph.FromGraph(g))
+	s.AddTree(treeroute.BuildCentralized(t1), graph.FromGraph(g))
+	s.AddLabelEntry(0, 0, 0)
+	s.AddLabelEntry(1, 0, 1)
 	if _, _, err := dataplane.Compile(s).Route(0, 1); err == nil {
 		t.Fatal("expected no-common-cluster error")
 	}
@@ -134,13 +129,11 @@ func TestSchemeLevelPreference(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := clusterroute.New(2, g.N())
-	tsA := treeroute.BuildCentralized(treeA)
-	tsB := treeroute.BuildCentralized(treeB)
-	s.AddTree(0, treeA, g, tsA)
-	s.AddTree(5, treeB, g, tsB)
+	s.AddTree(treeroute.BuildCentralized(treeA), g)
+	s.AddTree(treeroute.BuildCentralized(treeB), g)
 	for v := 0; v < g.N(); v++ {
-		s.AddLabelEntry(v, 0, 0, tsA)
-		s.AddLabelEntry(v, 1, 5, tsB)
+		s.AddLabelEntry(v, 0, 0)
+		s.AddLabelEntry(v, 1, 5)
 	}
 	path, _, err := dataplane.Compile(s).Route(1, 2)
 	if err != nil {
@@ -160,17 +153,16 @@ func TestAddLabelEntryWithoutMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := clusterroute.New(1, 3)
-	ts := treeroute.BuildCentralized(tree)
-	s.AddTree(0, tree, graph.FromGraph(g), ts)
+	s.AddTree(treeroute.BuildCentralized(tree), graph.FromGraph(g))
 	// Vertex 2 is not in the tree: its entry must be marked out-of-cluster.
-	s.AddLabelEntry(2, 0, 0, ts)
+	s.AddLabelEntry(2, 0, 0)
 	if s.Labels[2].Entries[0].InCluster {
 		t.Fatal("non-member should not be InCluster")
 	}
-	// Nil scheme pointer also allowed.
-	s.AddLabelEntry(1, 0, 99, nil)
+	// A root without a cluster is allowed too.
+	s.AddLabelEntry(1, 0, 2)
 	if s.Labels[1].Entries[0].InCluster {
-		t.Fatal("nil tree scheme should not set InCluster")
+		t.Fatal("a root without a cluster should not set InCluster")
 	}
 }
 
@@ -183,10 +175,7 @@ func TestWordsAccounting(t *testing.T) {
 	if got := lab.Words(); got != 6 {
 		t.Fatalf("label words=%d want 6", got)
 	}
-	tab := clusterroute.Table{Trees: map[int]treeroute.Table{
-		3: {},
-		9: {},
-	}}
+	tab := clusterroute.Table{{Center: 3}, {Center: 9}}
 	// 2 trees * (1 + 4) = 10.
 	if got := tab.Words(); got != 10 {
 		t.Fatalf("table words=%d want 10", got)
@@ -203,5 +192,45 @@ func TestMaxAccessors(t *testing.T) {
 	}
 	if s.MaxClustersPerVertex() != 1 {
 		t.Fatalf("MaxClustersPerVertex=%d want 1", s.MaxClustersPerVertex())
+	}
+}
+
+// TestTableView checks a vertex's table gathers its clusters' tree tables
+// in ascending center order, whatever order the clusters were added in,
+// and that its size agrees with TableWords.
+func TestTableView(t *testing.T) {
+	g, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 30, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := clusterroute.New(1, g.N())
+	roots := []int{9, 2, 17}
+	var schemes []*treeroute.Scheme
+	for _, root := range roots {
+		tree, err := graph.SpanningTree(g, root, "bfs", rand.New(rand.NewSource(int64(root))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := treeroute.BuildCentralized(tree)
+		schemes = append(schemes, ts)
+		s.AddTree(ts, g)
+	}
+	for v := 0; v < g.N(); v++ {
+		tab := s.Table(v)
+		if len(tab) != 3 || tab[0].Center != 2 || tab[1].Center != 9 || tab[2].Center != 17 {
+			t.Fatalf("table of %d: %+v", v, tab)
+		}
+		for _, e := range tab {
+			want, _ := schemes[slices.Index(roots, e.Center)].Table(v)
+			if e.Tree != want {
+				t.Fatalf("table of %d, center %d: %+v want %+v", v, e.Center, e.Tree, want)
+			}
+		}
+		if got, want := s.TableWords(v), tab.Words(); got != want {
+			t.Fatalf("TableWords(%d)=%d, view has %d", v, got, want)
+		}
+	}
+	if s.Cluster(5) != nil || s.Cluster(17).Tree != schemes[2].Tree {
+		t.Fatal("Cluster looks up the wrong cluster")
 	}
 }

@@ -126,10 +126,10 @@ func BenchmarkGrid400Build(b *testing.B) {
 }
 
 // grid400K3AllocBudget is what one grid400 k=3 Build may allocate: the
-// 6.94 MB measured when this pin was set (the same at GOMAXPROCS 1 to 4;
-// 7.23 MB under -race) plus 10%. A change that needs more must say why and
+// 5.80 MB measured when this pin was set (the same at GOMAXPROCS 1 to 4;
+// 6.10 MB under -race) plus 10%. A change that needs more must say why and
 // move the pin.
-const grid400K3AllocBudget = 7_630_000
+const grid400K3AllocBudget = 6_380_000
 
 // TestBuildAllocBudget pins the build's allocation diet: one Build of the
 // grid400 k=3 instance, on a fresh simulator, allocates at most

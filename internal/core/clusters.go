@@ -571,15 +571,13 @@ func (b *builder) assemble() (*Scheme, error) {
 	}
 
 	scheme := &Scheme{Scheme: clusterroute.New(b.k, b.n)}
-	for v, c := range perVertex {
-		scheme.Tables[v].Trees = make(map[int]treeroute.Table, c) // no rehash while trees land
-		scheme.Labels[v].Entries = make([]clusterroute.PivotEntry, 0, b.k)
+	scheme.Clusters = make([]clusterroute.Cluster, 0, len(centers))
+	entries := make([]clusterroute.PivotEntry, b.n*b.k)
+	for v := range scheme.Labels {
+		scheme.Labels[v].Entries, entries = entries[:0:b.k], entries[b.k:]
 	}
-	treeSchemes := make(map[int]*treeroute.Scheme, len(centers))
-	for j, c := range centers {
-		ts := res.Schemes[j]
-		treeSchemes[c] = ts
-		scheme.AddTree(c, b.trees[c], b.topo, ts)
+	for _, ts := range res.Schemes {
+		scheme.AddTree(ts, b.topo)
 	}
 	for v := 0; v < b.n; v++ {
 		for j := 0; j < b.k; j++ {
@@ -587,7 +585,7 @@ func (b *builder) assemble() (*Scheme, error) {
 			if root == graph.NoVertex {
 				continue
 			}
-			scheme.AddLabelEntry(v, j, root, treeSchemes[root])
+			scheme.AddLabelEntry(v, j, root)
 		}
 		b.sim.Mem(v).Charge(int64(2 * b.k)) // pivot ids in the label
 	}

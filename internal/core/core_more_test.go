@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
@@ -51,9 +50,14 @@ func TestRouteFailsOnCorruptedTable(t *testing.T) {
 	if !found {
 		t.Skip("no multi-hop route found")
 	}
-	// Drop every table at the intermediate vertex: routing must error,
-	// not loop or panic.
-	s.Tables[mid] = clusterroute.Table{Trees: map[int]treeroute.Table{}}
+	// Corrupt every table at the intermediate vertex into a dead end (an
+	// empty interval, no parent, no heavy child): routing must error, not
+	// loop or panic.
+	for _, c := range s.Clusters {
+		if i := c.Tree.MemberIndex(mid); i >= 0 {
+			c.Scheme.Tables[i] = treeroute.Table{In: 0, Out: -1, Parent: graph.NoVertex, Heavy: graph.NoVertex}
+		}
+	}
 	if _, _, err := dataplane.Compile(s.Scheme).Route(src, dst); err == nil {
 		t.Fatal("routing through a table-less vertex should fail loudly")
 	}

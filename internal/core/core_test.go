@@ -147,10 +147,11 @@ func TestClaim9ApproxClustersInsideExactClusters(t *testing.T) {
 		dA2[i] = graph.Infinity
 	}
 	for root := range inA1 {
-		tree := s.ClusterTrees[root]
-		if tree == nil {
+		c := s.Cluster(root)
+		if c == nil {
 			continue
 		}
+		tree := c.Tree
 		exact := graph.Dijkstra(g, root)
 		for _, u := range tree.Members() {
 			if exact.Dist[u] > dA2[u] {
@@ -166,7 +167,8 @@ func TestClusterTreesAreShortestPathLike(t *testing.T) {
 	n, k := 120, 2
 	g := testGraph(t, graph.FamilyErdosRenyi, n, 31)
 	s, _ := buildScheme(t, g, k, 32)
-	for root, tree := range s.ClusterTrees {
+	for _, c := range s.Clusters {
+		root, tree := c.Center, c.Tree
 		exact := graph.Dijkstra(g, root)
 		weights := tree.UpWeights(g)
 		depths := make(map[int]float64)
@@ -267,7 +269,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Tables) != 0 {
+	if len(s.Labels) != 0 || len(s.Clusters) != 0 {
 		t.Fatal("empty graph should give empty scheme")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
@@ -36,10 +37,14 @@ func runBuildOn(t *testing.T, sim *congest.Simulator, rec *trace.Recorder, n, k 
 	if err := trace.WriteExportJSON(&buf, ex); err != nil {
 		t.Fatal(err)
 	}
+	views := make([]clusterroute.Table, n)
+	for v := range views {
+		views[v] = s.Table(v)
+	}
 	res := buildResult{
 		trace:  buf.Bytes(),
 		peaks:  make([]int64, n),
-		tables: fmt.Sprintf("%v", s.Tables),
+		tables: fmt.Sprintf("%v", views),
 		labels: fmt.Sprintf("%v", s.Labels),
 	}
 	for v := 0; v < n; v++ {

@@ -4,10 +4,11 @@
 // out of them at millions of lookups per second.
 //
 // The control plane (internal/core, the paper's distributed construction)
-// produces pointer-rich Go structures — per-vertex maps of cluster trees,
-// per-label slices of pivot entries — that are convenient to build
-// incrementally but slow to walk: every hop chases a map bucket and several
-// heap objects. Compile flattens them once into CSR-style arrays:
+// produces pointer-rich Go structures — cluster trees with member-indexed
+// tree-routing schemes, per-label slices of pivot entries — that are
+// convenient to build incrementally but slow to walk: every hop searches a
+// tree's member list and chases several heap objects. Compile flattens them
+// once into CSR-style arrays:
 //
 //   - memberships: for each vertex, its cluster-tree entries (root, DFS
 //     interval, parent, heavy child, up-edge weight) sorted by root, so a
@@ -28,9 +29,11 @@
 // The forwarding rule is the routing phase of the paper: pick the lowest
 // level of the destination label whose pivot cluster contains both
 // endpoints, then follow the Thorup-Zwick tree-routing rule in that cluster
-// tree. A compiled Table is the only forwarder of cluster-forest schemes:
-// the facade's routes, its packet network (RouteAround, a walk that detours
-// around crashed vertices) and the stretch measurements all walk it. The
+// tree. A compiled Table is the only forwarder of cluster-forest schemes
+// and of Thorup-Zwick tree schemes, which compile as one-cluster schemes
+// (clusterroute.FromTree): the facade's routes and tree routes, its packet
+// network (RouteAround, a walk that detours around crashed vertices), the
+// stretch measurements and Table 2's exactness checks all walk it. The
 // tests in this package check every pair's walk against the unique tree
 // path of the chosen cluster tree and pin walks and detours to digests.
 package dataplane
@@ -38,11 +41,9 @@ package dataplane
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"lowmemroute/internal/clusterroute"
-	"lowmemroute/internal/graph"
 )
 
 // Label addresses a destination in a compiled table: its vertex id. The
@@ -97,87 +98,61 @@ type Table struct {
 // Compile flattens a built scheme into an immutable Table. It is the only
 // allocating operation in this package; everything after it is pure reads.
 func Compile(s *clusterroute.Scheme) *Table {
-	n := len(s.Tables)
+	n := len(s.Labels)
 	t := &Table{n: n}
 
-	// Pass 1: sizes.
-	var mems, labs, lights int
+	// Memberships: the scheme counts them per vertex, so the CSR offsets
+	// are a prefix sum, and one pass over the clusters in ascending center
+	// order fills each vertex's entries already sorted by root, as
+	// member() needs.
+	t.memStart = make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		mems += len(s.Tables[v].Trees)
-		for _, e := range s.Labels[v].Entries {
-			if !e.InCluster {
-				continue
-			}
-			labs++
-			lights += len(e.TreeLabel.Light)
+		t.memStart[v+1] = t.memStart[v] + int32(s.Memberships(v))
+	}
+	mems := t.memStart[n]
+	t.memRoot = make([]int32, mems)
+	t.memIn = make([]int32, mems)
+	t.memOut = make([]int32, mems)
+	t.memParent = make([]int32, mems)
+	t.memHeavy = make([]int32, mems)
+	t.memWUp = make([]float64, mems)
+	next := make([]int32, n)
+	copy(next, t.memStart[:n])
+	for center := 0; center < n; center++ {
+		c := s.Cluster(center)
+		if c == nil {
+			continue
+		}
+		for i, tab := range c.Scheme.Tables {
+			v := c.Tree.MemberAt(i)
+			k := next[v]
+			next[v]++
+			t.memRoot[k] = int32(center)
+			t.memIn[k] = int32(tab.In)
+			t.memOut[k] = int32(tab.Out)
+			t.memParent[k] = int32(tab.Parent)
+			t.memHeavy[k] = int32(tab.Heavy)
+			t.memWUp[k] = c.Weights[i]
 		}
 	}
 
-	t.memStart = make([]int32, n+1)
-	t.memRoot = make([]int32, 0, mems)
-	t.memIn = make([]int32, 0, mems)
-	t.memOut = make([]int32, 0, mems)
-	t.memParent = make([]int32, 0, mems)
-	t.memHeavy = make([]int32, 0, mems)
-	t.memWUp = make([]float64, 0, mems)
-
+	// Labels: only in-cluster entries, in hierarchy-level order.
+	var labs, lights int
+	for v := 0; v < n; v++ {
+		for _, e := range s.Labels[v].Entries {
+			if e.InCluster {
+				labs++
+				lights += len(e.TreeLabel.Light)
+			}
+		}
+	}
 	t.labStart = make([]int32, n+1)
 	t.labRoot = make([]int32, 0, labs)
 	t.labIn = make([]int32, 0, labs)
 	t.labLight = make([]int32, 1, labs+1)
 	t.lightParent = make([]int32, 0, lights)
 	t.lightChild = make([]int32, 0, lights)
-
-	// Pass 2: fill. Membership roots are sorted ascending per vertex (the
-	// source map has no order) so member() can binary-search them.
-	//
-	// TreeWeights is member-indexed; v has a table for r exactly when it is
-	// a member of r's tree. The outer loop visits vertices in ascending
-	// order and each tree's member array is sorted ascending, so a monotone
-	// cursor per root finds v's slot in amortized O(1) — a per-membership
-	// MemberIndex binary search is measurably slower here.
-	type treeCursor struct {
-		tr  *graph.Tree
-		w   []float64
-		cur int
-	}
-	cursorBuf := make([]treeCursor, 0, len(s.ClusterTrees))
-	cursorIdx := make(map[int]int32, len(s.ClusterTrees))
-	for r, tr := range s.ClusterTrees {
-		if tr != nil {
-			cursorIdx[r] = int32(len(cursorBuf))
-			cursorBuf = append(cursorBuf, treeCursor{tr: tr, w: s.TreeWeights(r)})
-		}
-	}
-
-	var roots []int
 	for v := 0; v < n; v++ {
-		roots = roots[:0]
-		for r := range s.Tables[v].Trees {
-			roots = append(roots, r)
-		}
-		sort.Ints(roots)
-		for _, r := range roots {
-			tab := s.Tables[v].Trees[r]
-			wUp := 0.0
-			if ci, ok := cursorIdx[r]; ok {
-				c := &cursorBuf[ci]
-				for c.cur < c.tr.Size() && c.tr.MemberAt(c.cur) < v {
-					c.cur++
-				}
-				if c.cur < c.tr.Size() && c.tr.MemberAt(c.cur) == v && c.cur < len(c.w) {
-					wUp = c.w[c.cur]
-				}
-			}
-			t.memRoot = append(t.memRoot, int32(r))
-			t.memIn = append(t.memIn, int32(tab.In))
-			t.memOut = append(t.memOut, int32(tab.Out))
-			t.memParent = append(t.memParent, int32(tab.Parent))
-			t.memHeavy = append(t.memHeavy, int32(tab.Heavy))
-			t.memWUp = append(t.memWUp, wUp)
-		}
-		t.memStart[v+1] = int32(len(t.memRoot))
-
 		for _, e := range s.Labels[v].Entries {
 			if !e.InCluster {
 				continue

@@ -79,10 +79,11 @@ func oracleRoute(s *clusterroute.Scheme, g graph.Topology, src, dst int) (path [
 		return []int{src}, 0, true
 	}
 	for _, e := range s.Labels[dst].Entries {
-		tree := s.ClusterTrees[e.Root]
-		if !e.InCluster || tree == nil || !tree.Member(src) {
+		c := s.Cluster(e.Root)
+		if !e.InCluster || c == nil || !c.Tree.Member(src) {
 			continue
 		}
+		tree := c.Tree
 		path = treePath(tree, src, dst)
 		up := tree.UpWeights(g)
 		for i := 1; i < len(path); i++ {
@@ -349,8 +350,8 @@ func TestCompileShape(t *testing.T) {
 	}
 	tab := Compile(s.Scheme)
 	wantMems := 0
-	for _, vt := range s.Tables {
-		wantMems += len(vt.Trees)
+	for _, c := range s.Clusters {
+		wantMems += c.Tree.Size()
 	}
 	if tab.MemberCount() != wantMems {
 		t.Fatalf("MemberCount %d, want %d", tab.MemberCount(), wantMems)

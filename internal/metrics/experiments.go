@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"lowmemroute/internal/baseline"
+	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
 	"lowmemroute/internal/dataplane"
@@ -254,7 +255,7 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		s := treeroute.BuildCentralized(tree)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
+		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "paper-tree":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 			congest.WithTrace(cfg.Trace))
@@ -274,7 +275,7 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.AvgMem = sim.AvgPeakMemory()
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
+		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "en16b-tree":
 		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: cfg.Seed})
@@ -289,22 +290,19 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
 		row.HeaderWords = s.MaxHeaderWords()
-		row.Exact = verifyBaselineExact(s, tree, pairs)
+		row.Exact = treeroute.VerifyExact(s.RouteAppend, tree, pairs) == nil
 	default:
 		return row, fmt.Errorf("unknown tree scheme %q", name)
 	}
 	return row, nil
 }
 
-func verifyBaselineExact(s *treeroute.BaselineScheme, tree *graph.Tree, pairs [][2]int) bool {
-	for _, p := range pairs {
-		path, err := s.Route(p[0], p[1])
-		if err != nil {
-			return false
-		}
-		if len(path)-1 != tree.TreeDistHops(p[0], p[1]) {
-			return false
-		}
+// compiledTreeRoute compiles a Thorup-Zwick tree scheme as a one-cluster
+// scheme and returns its table's walk in VerifyExact's route shape.
+func compiledTreeRoute(s *treeroute.Scheme, host graph.Topology) func(src, dst int, path []int) ([]int, error) {
+	tab := dataplane.Compile(clusterroute.FromTree(s, host))
+	return func(src, dst int, path []int) ([]int, error) {
+		path, _, err := tab.RouteAppend(src, dst, path)
+		return path, err
 	}
-	return true
 }

@@ -90,8 +90,8 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	row.MemAvgW = sim.AvgPeakMemory()
 	row.LabelMaxW = s.MaxLabelWords()
 	var sumTab int64
-	for _, t := range s.Tables {
-		w := t.Words()
+	for v := range s.Labels {
+		w := s.TableWords(v)
 		if w > row.TableMaxW {
 			row.TableMaxW = w
 		}

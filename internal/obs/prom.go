@@ -34,8 +34,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		writeHeader(bw, name, "histogram", r.help[name])
 		s := r.hists[name].Snapshot()
 		s.Buckets(func(upper, cum int64) {
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n",
-				name, formatFloat(float64(upper)*s.Scale), cum)
+			fmt.Fprintf(bw, "%s_bucket{le=\"%s\"} %d\n",
+				name, labelEscaper.Replace(formatFloat(float64(upper)*s.Scale)), cum)
 		})
 		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
 		fmt.Fprintf(bw, "%s_sum %s\n", name, formatFloat(float64(s.Sum)*s.Scale))
@@ -44,7 +44,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if p := r.phase; p.Total > 0 {
 		writeHeader(bw, "build_phase_info", "gauge",
 			"Current construction phase (value is 1 for the active phase).")
-		fmt.Fprintf(bw, "build_phase_info{phase=%q} 1\n", p.Name)
+		fmt.Fprintf(bw, "build_phase_info{phase=\"%s\"} 1\n", labelEscaper.Replace(p.Name))
 		writeHeader(bw, "build_phases_done", "gauge", "")
 		fmt.Fprintf(bw, "build_phases_done %d\n", p.Done)
 		writeHeader(bw, "build_phases_total", "gauge", "")
@@ -59,6 +59,10 @@ func writeHeader(w io.Writer, name, typ, help string) {
 	}
 	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 }
+
+// labelEscaper escapes a label value the way the text exposition format
+// does: backslash, double quote and line feed, nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // formatFloat renders a sample value the way Prometheus expects: shortest
 // decimal round-trip representation.
@@ -165,40 +169,55 @@ func splitSample(line string) (name, rest string, err error) {
 		return "", "", fmt.Errorf("sample without value: %q", line)
 	}
 	name = line[:i]
-	if line[i] == '{' {
-		j := strings.IndexByte(line[i:], '}')
-		if j < 0 {
-			return "", "", fmt.Errorf("unterminated label set: %q", line)
-		}
-		if err := validLabels(line[i+1 : i+j]); err != nil {
-			return "", "", err
-		}
-		return name, line[i+j+1:], nil
+	if line[i] != '{' {
+		return name, line[i:], nil
 	}
-	return name, line[i:], nil
+	if rest, err = scanLabels(line[i+1:]); err != nil {
+		return "", "", err
+	}
+	return name, rest, nil
 }
 
-// validLabels checks a comma-separated `key="value"` list (no escapes or
-// embedded quotes beyond \\, \", \n, which our writer never emits).
-func validLabels(s string) error {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		eq := strings.IndexByte(pair, '=')
+// scanLabels checks a `key="value",...}` label set whose opening brace is
+// already consumed and returns what follows its closing brace. A value is
+// a quoted string whose only escapes are \\, \" and \n, so ',' and '}'
+// inside one are plain text; a trailing comma is allowed.
+func scanLabels(s string) (rest string, err error) {
+	for {
+		s = strings.TrimLeft(s, " \t")
+		if strings.HasPrefix(s, "}") {
+			return s[1:], nil
+		}
+		eq := strings.IndexByte(s, '=')
 		if eq < 0 {
-			return fmt.Errorf("label without '=': %q", pair)
+			return "", fmt.Errorf("label without '=': %q", s)
 		}
-		key := strings.TrimSpace(pair[:eq])
-		val := strings.TrimSpace(pair[eq+1:])
-		if !validMetricName(key) {
-			return fmt.Errorf("invalid label name %q", key)
+		if key := strings.TrimSpace(s[:eq]); !validMetricName(key) {
+			return "", fmt.Errorf("invalid label name %q", key)
 		}
-		if len(val) < 2 || val[0] != '"' || val[len(val)-1] != '"' {
-			return fmt.Errorf("label value not quoted: %q", val)
+		s = strings.TrimLeft(s[eq+1:], " \t")
+		if !strings.HasPrefix(s, `"`) {
+			return "", fmt.Errorf("label value not quoted: %q", s)
+		}
+		j := 1
+		for ; j < len(s) && s[j] != '"'; j++ {
+			if s[j] == '\\' {
+				if j++; j == len(s) || !strings.ContainsRune(`\"n`, rune(s[j])) {
+					return "", fmt.Errorf("invalid escape in label value: %q", s)
+				}
+			}
+		}
+		if j == len(s) {
+			return "", fmt.Errorf("unterminated label value: %q", s)
+		}
+		s = strings.TrimLeft(s[j+1:], " \t")
+		if !strings.HasPrefix(s, "}") {
+			if !strings.HasPrefix(s, ",") {
+				return "", fmt.Errorf("unterminated label set: %q", s)
+			}
+			s = s[1:]
 		}
 	}
-	return nil
 }
 
 func validSampleValue(s string) bool {

@@ -88,6 +88,52 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParsePrometheusQuotedLabelValues checks that ',' and '}' inside a
+// quoted label value are plain text, and that escapes other than \\, \"
+// and \n are rejected.
+func TestParsePrometheusQuotedLabelValues(t *testing.T) {
+	for _, in := range []string{
+		`m{a="b,c"} 1`,
+		`m{a="x}y",b="z"} 2`,
+		`m{a="q\"u\\o\nte",} 3`,
+	} {
+		fams, err := ParsePrometheus(strings.NewReader(in + "\n"))
+		if err != nil {
+			t.Errorf("rejected %q: %v", in, err)
+		} else if fams["m"] == nil || fams["m"].Samples != 1 {
+			t.Errorf("%q: families %+v", in, fams)
+		}
+	}
+	for _, in := range []string{`m{a="b\t"} 1`, `m{a="b} 1`, `m{a="b" c="d"} 1`} {
+		if _, err := ParsePrometheus(strings.NewReader(in + "\n")); err == nil {
+			t.Errorf("accepted %q", in)
+		}
+	}
+}
+
+// TestWritePrometheusEscapesLabelValues: a phase name with a comma, a quote,
+// a backslash and a line feed is written with the format's escapes and
+// parses back.
+func TestWritePrometheusEscapesLabelValues(t *testing.T) {
+	for name, want := range map[string]string{
+		"a,b":         `build_phase_info{phase="a,b"} 1`,
+		"x\"y\\z\nw}": `build_phase_info{phase="x\"y\\z\nw}"} 1`,
+	} {
+		r := NewRegistry()
+		r.SetPhase(Phase{Name: name, Done: 1, Total: 2})
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("phase %q: exposition lacks %s:\n%s", name, want, b.String())
+		}
+		if _, err := ParsePrometheus(strings.NewReader(b.String())); err != nil {
+			t.Errorf("phase %q: own exposition rejected: %v", name, err)
+		}
+	}
+}
+
 // FuzzParsePrometheus: ParsePrometheus never panics, and its verdict is
 // the conjunction of per-line verdicts: an input is rejected exactly when
 // one of its lines, parsed alone, is rejected, and the error names such a
@@ -108,6 +154,13 @@ func FuzzParsePrometheus(f *testing.F) {
 	}
 	f.Add([]byte(b.String()))
 	f.Add([]byte("# random comment\nok_metric 3.5 1700000000\r\nwith_label{a=\"b\",c=\"d\"} +Inf\n"))
+	f.Add([]byte("m{a=\"b,c\"} 1\n"))
+	r.SetPhase(Phase{Name: "a,b", Done: 1, Total: 2})
+	b.Reset()
+	if err := r.WritePrometheus(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(b.String()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 1<<20 {
 			return // past the scanner's line limit: rejected as a whole

@@ -87,34 +87,25 @@ type BaselineHeader struct {
 	Child  int   // portal to hop to once the attachment point is reached
 }
 
-// BaselineScheme is a complete EN16b-style tree-routing scheme.
+// BaselineScheme is a complete EN16b-style tree-routing scheme: a table and
+// a label per member of Tree, stored by member slot like Scheme.
 type BaselineScheme struct {
-	Root   int
-	Tables map[int]BaselineTable
-	Labels map[int]BaselineLabel
+	Tree   *graph.Tree
+	Tables []BaselineTable
+	Labels []BaselineLabel
 }
+
+// Table returns v's routing table; ok is false when v is not a member.
+func (s *BaselineScheme) Table(v int) (BaselineTable, bool) { return member(s.Tree, s.Tables, v) }
+
+// Label returns v's routing label; ok is false when v is not a member.
+func (s *BaselineScheme) Label(v int) (BaselineLabel, bool) { return member(s.Tree, s.Labels, v) }
 
 // MaxTableWords returns the largest table size in words.
-func (s *BaselineScheme) MaxTableWords() int {
-	mx := 0
-	for _, t := range s.Tables {
-		if w := t.Words(); w > mx {
-			mx = w
-		}
-	}
-	return mx
-}
+func (s *BaselineScheme) MaxTableWords() int { return maxWords(s.Tables) }
 
 // MaxLabelWords returns the largest label size in words.
-func (s *BaselineScheme) MaxLabelWords() int {
-	mx := 0
-	for _, l := range s.Labels {
-		if w := l.Words(); w > mx {
-			mx = w
-		}
-	}
-	return mx
-}
+func (s *BaselineScheme) MaxLabelWords() int { return maxWords(s.Labels) }
 
 // BuildBaseline constructs the EN16b-style scheme for one tree, charging its
 // communication costs to the simulator.
@@ -129,47 +120,43 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 		q = 1 / math.Sqrt(float64(n))
 	}
 
-	// Portal sampling and partition into local trees.
-	inU := make([]bool, n)
-	localRoot := make([]int, n)
-	for i := range localRoot {
-		localRoot[i] = graph.NoVertex
+	// Portal sampling and partition into local trees. owner[i] is the
+	// index in portals (preorder) of the local root above member slot i.
+	m := t.Size()
+	inU := make([]bool, m)
+	for i := range inU {
+		inU[i] = t.MemberAt(i) == t.Root || rng.Float64() < q
 	}
-	for _, v := range t.Members() {
-		if v == t.Root || rng.Float64() < q {
-			inU[v] = true
-		}
-	}
+	owner := make([]int32, m)
 	var portals []int
 	for _, v := range t.PreOrder() {
-		if inU[v] {
-			localRoot[v] = v
+		i := t.MemberIndex(v)
+		if inU[i] {
+			owner[i] = int32(len(portals))
 			portals = append(portals, v)
 		} else {
-			localRoot[v] = localRoot[t.Parent(v)]
+			owner[i] = owner[t.MemberIndex(t.Parent(v))]
 		}
 	}
+	localOf := func(v int) int32 { return owner[t.MemberIndex(v)] }
 
 	// Build the local trees and their TZ schemes; track the max height for
-	// round accounting of the local flood phases.
-	localParent := make(map[int][]int, len(portals))
-	for _, w := range portals {
-		p := make([]int, n)
-		for i := range p {
-			p[i] = graph.NoVertex
+	// round accounting of the local flood phases. Scanning member slots
+	// ascending fills each local tree's member list in ascending order, the
+	// compact tree's input.
+	verts, pars := make([][]int32, len(portals)), make([][]int32, len(portals))
+	for i, p := range owner {
+		par := t.ParentAt(i)
+		if inU[i] {
+			par = graph.NoVertex
 		}
-		localParent[w] = p
+		verts[p] = append(verts[p], int32(t.MemberAt(i)))
+		pars[p] = append(pars[p], int32(par))
 	}
-	for _, v := range t.Members() {
-		w := localRoot[v]
-		if v != w {
-			localParent[w][v] = t.Parent(v)
-		}
-	}
-	local := make(map[int]*Scheme, len(portals))
+	local := make([]*Scheme, len(portals))
 	maxLocalHeight := 0
-	for _, w := range portals {
-		lt, err := graph.NewTree(w, localParent[w])
+	for p, w := range portals {
+		lt, err := graph.NewTreeCompact(w, n, verts[p], pars[p])
 		if err != nil {
 			return nil, fmt.Errorf("treeroute: baseline local tree at %d: %w", w, err)
 		}
@@ -179,10 +166,8 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 		ls := BuildCentralized(lt)
 		// The portal's upward move leaves its local tree: restore the
 		// global tree parent.
-		tab := ls.Tables[w]
-		tab.Parent = t.Parent(w)
-		ls.Tables[w] = tab
-		local[w] = ls
+		ls.Tables[lt.MemberIndex(w)].Parent = t.Parent(w)
+		local[p] = ls
 	}
 
 	// Virtual tree T' over the portals; every portal stores all of T'
@@ -193,7 +178,7 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 	}
 	for _, x := range portals {
 		if x != t.Root {
-			virtParent[x] = localRoot[t.Parent(x)]
+			virtParent[x] = portals[localOf(t.Parent(x))]
 		}
 	}
 	vt, err := graph.NewTree(t.Root, virtParent)
@@ -212,7 +197,8 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 	var virtSchemeWords int64
 	for _, x := range portals {
 		cmsgs = append(cmsgs, congest.BroadcastMsg{Origin: x, Words: virtConvWords})
-		w := 4 + virt.Labels[x].Words()
+		vlab, _ := virt.Label(x)
+		w := 4 + vlab.Words()
 		bmsgs = append(bmsgs, congest.BroadcastMsg{Origin: x, Words: w})
 		virtSchemeWords += int64(w)
 	}
@@ -228,19 +214,23 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 	attachOf := func(b int) VirtEdgeAttach {
 		a := vt.Parent(b)
 		ap := t.Parent(b) // attachment point: b's tree parent inside T_a
-		return VirtEdgeAttach{Parent: a, Child: b, Attach: local[a].Labels[ap]}
+		lab, _ := local[localOf(a)].Label(ap)
+		return VirtEdgeAttach{Parent: a, Child: b, Attach: lab}
 	}
 
 	s := &BaselineScheme{
-		Root:   t.Root,
-		Tables: make(map[int]BaselineTable, t.Size()),
-		Labels: make(map[int]BaselineLabel, t.Size()),
+		Tree:   t,
+		Tables: make([]BaselineTable, m),
+		Labels: make([]BaselineLabel, m),
 	}
-	for _, v := range t.Members() {
-		x := localRoot[v]
-		vtab := virt.Tables[x]
+	for i, p := range owner {
+		v, x := t.MemberAt(i), portals[p]
+		vtab, _ := virt.Table(x)
+		vlab, _ := virt.Label(x)
+		ltab, _ := local[p].Table(v)
+		llab, _ := local[p].Label(v)
 		btab := BaselineTable{
-			Local:     local[x].Tables[v],
+			Local:     ltab,
 			LocalRoot: x,
 			VirtIn:    vtab.In,
 			VirtOut:   vtab.Out,
@@ -251,14 +241,14 @@ func BuildBaseline(sim *congest.Simulator, t *graph.Tree, opts DistOptions) (*Ba
 		}
 		blab := BaselineLabel{
 			LocalRoot: x,
-			VirtIn:    virt.Labels[x].In,
-			Local:     local[x].Labels[v],
+			VirtIn:    vlab.In,
+			Local:     llab,
 		}
-		for _, e := range virt.Labels[x].Light {
+		for _, e := range vlab.Light {
 			blab.LightAttach = append(blab.LightAttach, attachOf(e.Child))
 		}
-		s.Tables[v] = btab
-		s.Labels[v] = blab
+		s.Tables[i] = btab
+		s.Labels[i] = blab
 		sim.Mem(v).Charge(int64(btab.Words() + blab.Words()))
 	}
 	return s, nil
@@ -310,30 +300,32 @@ func NextHopBaseline(self int, tab BaselineTable, target BaselineLabel, h *Basel
 	return nxt, hdr, false
 }
 
-// Route walks a message from src to dst, returning the vertex path.
-func (s *BaselineScheme) Route(src, dst int) ([]int, error) {
-	target, ok := s.Labels[dst]
+// RouteAppend walks a message from src to dst, appending the vertex path
+// (inclusive of both endpoints) to path. It fails if the scheme misroutes
+// (exceeds 2·|T| hops, or reaches a vertex without a table).
+func (s *BaselineScheme) RouteAppend(src, dst int, path []int) ([]int, error) {
+	target, ok := s.Label(dst)
 	if !ok {
-		return nil, fmt.Errorf("treeroute: baseline: no label for destination %d", dst)
+		return path, fmt.Errorf("treeroute: baseline: no label for destination %d", dst)
 	}
-	path := []int{src}
+	path = append(path, src)
 	cur := src
 	var hdr *BaselineHeader
 	limit := 2*len(s.Tables) + 2
 	for steps := 0; ; steps++ {
 		if steps > limit {
-			return nil, fmt.Errorf("treeroute: baseline: routing loop from %d to %d", src, dst)
+			return path, fmt.Errorf("treeroute: baseline: routing loop from %d to %d", src, dst)
 		}
-		tab, ok := s.Tables[cur]
+		tab, ok := s.Table(cur)
 		if !ok {
-			return nil, fmt.Errorf("treeroute: baseline: no table at %d", cur)
+			return path, fmt.Errorf("treeroute: baseline: no table at %d", cur)
 		}
 		next, nh, arrived := NextHopBaseline(cur, tab, target, hdr)
 		if arrived {
 			return path, nil
 		}
 		if next == graph.NoVertex {
-			return nil, fmt.Errorf("treeroute: baseline: dead end at %d routing %d->%d", cur, src, dst)
+			return path, fmt.Errorf("treeroute: baseline: dead end at %d routing %d->%d", cur, src, dst)
 		}
 		hdr = nh
 		path = append(path, next)

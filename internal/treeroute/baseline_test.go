@@ -9,30 +9,6 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-// verifyBaselineExact checks the baseline walk is the unique tree path.
-func verifyBaselineExact(t *testing.T, s *BaselineScheme, tr *graph.Tree, pairs [][2]int) {
-	t.Helper()
-	for _, p := range pairs {
-		src, dst := p[0], p[1]
-		path, err := s.Route(src, dst)
-		if err != nil {
-			t.Fatalf("route %d->%d: %v", src, dst, err)
-		}
-		if path[0] != src || path[len(path)-1] != dst {
-			t.Fatalf("route %d->%d got path %v", src, dst, path)
-		}
-		for i := 1; i < len(path); i++ {
-			a, b := path[i-1], path[i]
-			if tr.Parent(a) != b && tr.Parent(b) != a {
-				t.Fatalf("route %d->%d: hop %d->%d not a tree edge", src, dst, a, b)
-			}
-		}
-		if got, want := len(path)-1, tr.TreeDistHops(src, dst); got != want {
-			t.Fatalf("route %d->%d: %d hops, want %d", src, dst, got, want)
-		}
-	}
-}
-
 func TestBaselineExactSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	g := graph.RandomTree(40, graph.UnitWeights, r)
@@ -45,7 +21,9 @@ func TestBaselineExactSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyBaselineExact(t, s, tr, AllPairs(tr))
+	if err := VerifyExact(s.RouteAppend, tr, AllPairs(tr)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBaselineExactShapes(t *testing.T) {
@@ -66,7 +44,9 @@ func TestBaselineExactShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyBaselineExact(t, s, tr, SamplePairs(tr, 80, r))
+		if err := VerifyExact(s.RouteAppend, tr, SamplePairs(tr, 80, r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -87,16 +67,7 @@ func TestBaselineExactProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, p := range SamplePairs(tr, 30, r) {
-			path, err := s.Route(p[0], p[1])
-			if err != nil {
-				return false
-			}
-			if len(path)-1 != tr.TreeDistHops(p[0], p[1]) {
-				return false
-			}
-		}
-		return true
+		return VerifyExact(s.RouteAppend, tr, SamplePairs(tr, 30, r)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -180,7 +151,7 @@ func TestBaselineSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := s.Route(0, 0)
+	path, err := s.RouteAppend(0, 0, nil)
 	if err != nil || len(path) != 1 {
 		t.Fatalf("path=%v err=%v", path, err)
 	}
@@ -209,7 +180,7 @@ func TestBaselineRouteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Route(0, 999); err == nil {
+	if _, err := s.RouteAppend(0, 999, nil); err == nil {
 		t.Fatal("unknown destination should error")
 	}
 }

@@ -9,44 +9,34 @@ import "lowmemroute/internal/graph"
 func BuildCentralized(t *graph.Tree) *Scheme {
 	sizes := t.SubtreeSizes()
 	heavy := t.HeavyChildren()
-
-	s := &Scheme{
-		Root:   t.Root,
-		Tables: make(map[int]Table, t.Size()),
-		Labels: make(map[int]Label, t.Size()),
-	}
+	m := t.Size()
+	s := &Scheme{Tree: t, Tables: make([]Table, m), Labels: make([]Label, m)}
 
 	// Assign DFS ranges [in, in+size-1] with children visited in the
 	// tree's canonical (port) order, and accumulate light-edge lists along
-	// root paths. Iterative preorder keeps this robust on deep paths.
-	in := make(map[int]int, t.Size())
-	in[t.Root] = 1
-	light := make(map[int][]LightEdge, t.Size())
-	light[t.Root] = nil
+	// root paths. Preorder reaches a parent before its children, so each
+	// child extends its parent's finished entry time and light list.
+	s.Labels[t.MemberIndex(t.Root)].In = 1
 	for _, u := range t.PreOrder() {
-		start := in[u] + 1
-		for _, c := range t.Children(u) {
-			in[c] = start
+		iu := t.MemberIndex(u)
+		start := s.Labels[iu].In + 1
+		for _, c := range t.ChildrenAt(iu) {
+			ic := t.MemberIndex(c)
+			s.Labels[ic].In = start
 			start += sizes[c]
-			if c == heavy[u] {
-				light[c] = light[u]
-			} else {
-				parentList := light[u]
-				list := make([]LightEdge, len(parentList), len(parentList)+1)
-				copy(list, parentList)
-				light[c] = append(list, LightEdge{Parent: u, Child: c})
+			light := s.Labels[iu].Light
+			if c != heavy[u] {
+				list := make([]LightEdge, len(light), len(light)+1)
+				copy(list, light)
+				light = append(list, LightEdge{Parent: u, Child: c})
 			}
+			s.Labels[ic].Light = light
 		}
 	}
 
-	for _, v := range t.Members() {
-		s.Tables[v] = Table{
-			In:     in[v],
-			Out:    in[v] + sizes[v] - 1,
-			Parent: t.Parent(v),
-			Heavy:  heavy[v],
-		}
-		s.Labels[v] = Label{In: in[v], Light: light[v]}
+	for i := range s.Tables {
+		v, in := t.MemberAt(i), s.Labels[i].In
+		s.Tables[i] = Table{In: in, Out: in + sizes[v] - 1, Parent: t.ParentAt(i), Heavy: heavy[v]}
 	}
 	return s
 }

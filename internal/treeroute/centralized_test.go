@@ -1,4 +1,4 @@
-package treeroute
+package treeroute_test
 
 import (
 	"math"
@@ -6,8 +6,29 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lowmemroute/internal/clusterroute"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/treeroute"
 )
+
+// compiled compiles ts as a one-cluster scheme and returns its table's
+// walk, in VerifyExact's route shape. A walk reads no weights, so the host
+// is the tree itself with unit links.
+func compiled(ts *treeroute.Scheme) func(src, dst int, path []int) ([]int, error) {
+	tr := ts.Tree
+	g := graph.New(tr.HostSize())
+	for i := 0; i < tr.Size(); i++ {
+		if p := tr.ParentAt(i); p != graph.NoVertex {
+			g.MustAddEdge(tr.MemberAt(i), p, 1)
+		}
+	}
+	tab := dataplane.Compile(clusterroute.FromTree(ts, graph.FromGraph(g)))
+	return func(src, dst int, path []int) ([]int, error) {
+		path, _, err := tab.RouteAppend(src, dst, path)
+		return path, err
+	}
+}
 
 func sampleTree(t *testing.T) *graph.Tree {
 	t.Helper()
@@ -27,15 +48,15 @@ func sampleTree(t *testing.T) *graph.Tree {
 
 func TestCentralizedSampleTreeExact(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiled(s), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCentralizedTableIsO1(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
+	s := treeroute.BuildCentralized(tr)
 	if got := s.MaxTableWords(); got != 4 {
 		t.Fatalf("MaxTableWords=%d want 4", got)
 	}
@@ -49,7 +70,7 @@ func TestCentralizedLabelBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := BuildCentralized(tr)
+		s := treeroute.BuildCentralized(tr)
 		// Label = 1 + 2*lightEdges, lightEdges <= log2 n.
 		bound := 1 + 2*int(math.Ceil(math.Log2(float64(n))))
 		if got := s.MaxLabelWords(); got > bound {
@@ -66,8 +87,8 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiled(s), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 	// On a path rooted at an end there are no light edges at all.
@@ -83,8 +104,8 @@ func TestCentralizedStarTreeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiled(s), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 	// Star: every leaf but the heavy one is reached via one light edge.
@@ -98,8 +119,8 @@ func TestCentralizedSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	path, err := s.Route(0, 0)
+	s := treeroute.BuildCentralized(tr)
+	path, err := compiled(s)(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,33 +142,32 @@ func TestCentralizedSubsetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiled(s), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Tables[0]; ok {
+	if _, ok := s.Table(0); ok {
 		t.Fatal("non-member should have no table")
 	}
 }
 
 func TestRouteErrors(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
-	if _, err := s.Route(0, 99); err == nil {
+	s := treeroute.BuildCentralized(tr)
+	if _, err := compiled(s)(0, 99, nil); err == nil {
 		t.Fatal("routing to unlabeled destination should fail")
 	}
 	// Corrupt the scheme: break vertex 4's interval to force a loop.
-	tab := s.Tables[4]
+	tab := &s.Tables[tr.MemberIndex(4)]
 	tab.In, tab.Out = 999, 999
-	s.Tables[4] = tab
-	if _, err := s.Route(3, 6); err == nil {
+	if _, err := compiled(s)(3, 6, nil); err == nil {
 		t.Fatal("corrupted scheme should be detected")
 	}
 }
 
 func TestNextHopRule(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
+	s := treeroute.BuildCentralized(tr)
 	tests := []struct {
 		name     string
 		at, dst  int
@@ -162,7 +182,9 @@ func TestNextHopRule(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			next, arrived := NextHop(tt.at, s.Tables[tt.at], s.Labels[tt.dst])
+			tab, _ := s.Table(tt.at)
+			lab, _ := s.Label(tt.dst)
+			next, arrived := treeroute.NextHop(tt.at, tab, lab)
 			if arrived {
 				t.Fatal("should not have arrived")
 			}
@@ -171,7 +193,9 @@ func TestNextHopRule(t *testing.T) {
 			}
 		})
 	}
-	if _, arrived := NextHop(4, s.Tables[4], s.Labels[4]); !arrived {
+	tab, _ := s.Table(4)
+	lab, _ := s.Label(4)
+	if _, arrived := treeroute.NextHop(4, tab, lab); !arrived {
 		t.Fatal("self-route should arrive immediately")
 	}
 }
@@ -188,8 +212,8 @@ func TestCentralizedExactProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := BuildCentralized(tr)
-		return VerifyExact(s, tr, SamplePairs(tr, 40, r)) == nil
+		s := treeroute.BuildCentralized(tr)
+		return treeroute.VerifyExact(compiled(s), tr, treeroute.SamplePairs(tr, 40, r)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -206,11 +230,11 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := BuildCentralized(tr)
+		s := treeroute.BuildCentralized(tr)
 		for _, v := range tr.Members() {
-			tab := s.Tables[v]
+			tab, _ := s.Table(v)
 			if p := tr.Parent(v); p != graph.NoVertex {
-				pt := s.Tables[p]
+				pt, _ := s.Table(p)
 				if tab.In <= pt.In || tab.Out > pt.Out {
 					return false
 				}

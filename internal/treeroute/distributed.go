@@ -400,21 +400,22 @@ func (st *treeState) dupLight(l int) bool {
 
 func (st *treeState) portals() int { return len(st.portalAt) }
 
-// finish assembles the Scheme from per-vertex state.
+// finish assembles the Scheme from per-member state; the tree's member
+// slots are the state's local indices.
 func (st *treeState) finish() *Scheme {
 	s := &Scheme{
-		Root:   st.tree.Root,
-		Tables: make(map[int]Table, len(st.verts)),
-		Labels: make(map[int]Label, len(st.verts)),
+		Tree:   st.tree,
+		Tables: make([]Table, len(st.verts)),
+		Labels: make([]Label, len(st.verts)),
 	}
-	for l, v := range st.verts {
-		s.Tables[v] = Table{
+	for l := range st.verts {
+		s.Tables[l] = Table{
 			In:     int(st.m[l].finalIn),
 			Out:    int(st.m[l].finalOut),
 			Parent: st.tree.ParentAt(l),
 			Heavy:  int(st.m[l].heavy),
 		}
-		s.Labels[v] = Label{In: int(st.m[l].finalIn), Light: st.fullLight[l]}
+		s.Labels[l] = Label{In: int(st.m[l].finalIn), Light: st.fullLight[l]}
 	}
 	return s
 }

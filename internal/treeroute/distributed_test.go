@@ -1,58 +1,30 @@
-package treeroute
+package treeroute_test
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/treeroute"
 )
 
 // buildBoth builds the distributed scheme and the centralized reference on
 // the same tree.
-func buildBoth(t *testing.T, g graph.Topology, tr *graph.Tree, opts DistOptions) (*Scheme, *Scheme, *congest.Simulator) {
+func buildBoth(t *testing.T, g graph.Topology, tr *graph.Tree, opts treeroute.DistOptions) (*treeroute.Scheme, *treeroute.Scheme, *congest.Simulator) {
 	t.Helper()
 	sim := congest.NewTopo(g, congest.WithSeed(opts.Seed))
-	res, err := BuildDistributed(sim, []*graph.Tree{tr}, opts)
+	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed: %v", err)
 	}
 	if len(res.Schemes) != 1 {
 		t.Fatalf("got %d schemes", len(res.Schemes))
 	}
-	return res.Schemes[0], BuildCentralized(tr), sim
-}
-
-func requireSchemesEqual(t *testing.T, dist, central *Scheme) {
-	t.Helper()
-	if len(dist.Tables) != len(central.Tables) {
-		t.Fatalf("table counts differ: %d vs %d", len(dist.Tables), len(central.Tables))
-	}
-	for v, want := range central.Tables {
-		got, ok := dist.Tables[v]
-		if !ok {
-			t.Fatalf("vertex %d missing from distributed tables", v)
-		}
-		if got != want {
-			t.Fatalf("table of %d: distributed %+v centralized %+v", v, got, want)
-		}
-	}
-	for v, want := range central.Labels {
-		got := dist.Labels[v]
-		if got.In != want.In {
-			t.Fatalf("label In of %d: %d vs %d", v, got.In, want.In)
-		}
-		if len(got.Light) != len(want.Light) {
-			t.Fatalf("label light list of %d: %v vs %v", v, got.Light, want.Light)
-		}
-		for i := range want.Light {
-			if got.Light[i] != want.Light[i] {
-				t.Fatalf("label light list of %d: %v vs %v", v, got.Light, want.Light)
-			}
-		}
-	}
+	return res.Schemes[0], treeroute.BuildCentralized(tr), sim
 }
 
 func TestDistributedMatchesCentralizedSmall(t *testing.T) {
@@ -62,8 +34,8 @@ func TestDistributedMatchesCentralizedSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: 0.3, Seed: 11})
-	requireSchemesEqual(t, dist, central)
+	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: 0.3, Seed: 11})
+	treeroute.RequireSchemesEqual(t, dist, central)
 }
 
 func TestDistributedMatchesCentralizedShapes(t *testing.T) {
@@ -84,9 +56,9 @@ func TestDistributedMatchesCentralizedShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dist, central, _ := buildBoth(t, graph.FromGraph(tt.g), tr, DistOptions{Seed: 3})
-			requireSchemesEqual(t, dist, central)
-			if err := VerifyExact(dist, tr, SamplePairs(tr, 60, r)); err != nil {
+			dist, central, _ := buildBoth(t, graph.FromGraph(tt.g), tr, treeroute.DistOptions{Seed: 3})
+			treeroute.RequireSchemesEqual(t, dist, central)
+			if err := treeroute.VerifyExact(compiled(dist), tr, treeroute.SamplePairs(tr, 60, r)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -105,9 +77,9 @@ func TestDistributedTreeOnGeneralGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, g, tr, DistOptions{Seed: 13})
-	requireSchemesEqual(t, dist, central)
-	if err := VerifyExact(dist, tr, SamplePairs(tr, 100, r)); err != nil {
+	dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Seed: 13})
+	treeroute.RequireSchemesEqual(t, dist, central)
+	if err := treeroute.VerifyExact(compiled(dist), tr, treeroute.SamplePairs(tr, 100, r)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,8 +90,8 @@ func TestDistributedSingleVertexTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Seed: 1})
-	requireSchemesEqual(t, dist, central)
+	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Seed: 1})
+	treeroute.RequireSchemesEqual(t, dist, central)
 }
 
 func TestDistributedTwoVertexTree(t *testing.T) {
@@ -130,8 +102,8 @@ func TestDistributedTwoVertexTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.01, 0.5, 1} {
-		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: q, Seed: 2})
-		requireSchemesEqual(t, dist, central)
+		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: q, Seed: 2})
+		treeroute.RequireSchemesEqual(t, dist, central)
 	}
 }
 
@@ -157,8 +129,8 @@ func TestDistributedSubsetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, g, tr, DistOptions{Q: 0.3, Seed: 5})
-	requireSchemesEqual(t, dist, central)
+	dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Q: 0.3, Seed: 5})
+	treeroute.RequireSchemesEqual(t, dist, central)
 }
 
 func TestDistributedQExtremes(t *testing.T) {
@@ -169,8 +141,8 @@ func TestDistributedQExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.999, 0.02} {
-		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, DistOptions{Q: q, Seed: 23})
-		requireSchemesEqual(t, dist, central)
+		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: q, Seed: 23})
+		treeroute.RequireSchemesEqual(t, dist, central)
 	}
 }
 
@@ -188,26 +160,18 @@ func TestDistributedMatchesCentralizedProperty(t *testing.T) {
 		}
 		q := 0.02 + 0.96*float64(qRaw)/65535
 		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
-		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Q: q, Seed: seed})
+		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
 		}
-		central := BuildCentralized(tr)
+		central := treeroute.BuildCentralized(tr)
 		dist := res.Schemes[0]
-		for v, want := range central.Tables {
-			if dist.Tables[v] != want {
-				return false
-			}
+		if !slices.Equal(dist.Tables, central.Tables) {
+			return false
 		}
-		for v, want := range central.Labels {
-			got := dist.Labels[v]
-			if got.In != want.In || len(got.Light) != len(want.Light) {
+		for i, want := range central.Labels {
+			if got := dist.Labels[i]; got.In != want.In || !slices.Equal(got.Light, want.Light) {
 				return false
-			}
-			for i := range want.Light {
-				if got.Light[i] != want.Light[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -230,7 +194,7 @@ func TestDistributedMemoryIsLogarithmic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
-		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
+		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		logn := math.Log2(float64(n))
@@ -256,7 +220,7 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := congest.NewTopo(g, congest.WithSeed(2))
-		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 2}); err != nil {
+		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
 		logn := math.Log2(float64(n))
@@ -277,7 +241,7 @@ func TestDistributedTreeEdgesMustBeGraphEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := congest.NewTopo(graph.FromGraph(g))
-	if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{}); err == nil {
+	if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{}); err == nil {
 		t.Fatal("tree with non-graph edge should be rejected")
 	}
 }
@@ -290,7 +254,7 @@ func TestDistributedHostSizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := congest.NewTopo(graph.FromGraph(g))
-	if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{}); err == nil {
+	if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{}); err == nil {
 		t.Fatal("host size mismatch should be rejected")
 	}
 }
@@ -298,7 +262,7 @@ func TestDistributedHostSizeMismatch(t *testing.T) {
 func TestDistributedNoTrees(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
-	res, err := BuildDistributed(congest.NewTopo(graph.FromGraph(g)), nil, DistOptions{})
+	res, err := treeroute.BuildDistributed(congest.NewTopo(graph.FromGraph(g)), nil, treeroute.DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +288,13 @@ func TestDistributedMultiTree(t *testing.T) {
 		trees = append(trees, tr)
 	}
 	sim := congest.NewTopo(g, congest.WithSeed(5))
-	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5})
+	res, err := treeroute.BuildDistributed(sim, trees, treeroute.DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j, tr := range trees {
-		requireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
-		if err := VerifyExact(res.Schemes[j], tr, SamplePairs(tr, 40, r)); err != nil {
+		treeroute.RequireSchemesEqual(t, res.Schemes[j], treeroute.BuildCentralized(tr))
+		if err := treeroute.VerifyExact(compiled(res.Schemes[j]), tr, treeroute.SamplePairs(tr, 40, r)); err != nil {
 			t.Fatalf("tree %d: %v", j, err)
 		}
 	}
@@ -356,7 +320,7 @@ func TestDistributedDeterministic(t *testing.T) {
 	}
 	run := func() (int64, int64) {
 		sim := congest.NewTopo(g, congest.WithSeed(9))
-		if _, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 9}); err != nil {
+		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 9}); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Rounds(), sim.Messages()

@@ -38,7 +38,7 @@ func TestDistributedUnderLinkFaults(t *testing.T) {
 	}
 	plan := &faults.Plan{Seed: 9, Drop: 0.15, Delay: 1, Duplicate: 0.15}
 	dist, central, sim := buildFaulty(t, g, tr, DistOptions{Seed: 3}, plan)
-	requireSchemesEqual(t, dist, central)
+	RequireSchemesEqual(t, dist, central)
 	ctr := sim.FaultCounters()
 	if ctr.Dropped == 0 || ctr.Duplicated == 0 || ctr.DelayRounds == 0 {
 		t.Fatalf("fault plan saw no action: %+v", ctr)
@@ -71,7 +71,7 @@ func TestDistributedDuplicateStorm(t *testing.T) {
 			}
 			plan := &faults.Plan{Seed: 2, Duplicate: 0.5}
 			dist, central, sim := buildFaulty(t, tt.g, tr, DistOptions{Seed: 4}, plan)
-			requireSchemesEqual(t, dist, central)
+			RequireSchemesEqual(t, dist, central)
 			if sim.FaultCounters().Duplicated == 0 {
 				t.Fatal("duplicate storm produced no duplicates")
 			}
@@ -129,7 +129,7 @@ func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, tr := range trees {
-		requireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
+		RequireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
 	}
 }
 

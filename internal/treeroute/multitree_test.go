@@ -44,7 +44,7 @@ func TestMultiTreeDuplicateTrees(t *testing.T) {
 	for j := 0; j < 2; j++ {
 		// The two builds sample different portals (per-tree RNG draws) but
 		// must produce the same final scheme.
-		requireSchemesEqual(t, res.Schemes[j], central)
+		RequireSchemesEqual(t, res.Schemes[j], central)
 	}
 }
 
@@ -66,7 +66,7 @@ func TestMultiTreeOffsetsAreBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, tr := range trees {
-			requireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
+			RequireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
 		}
 		rounds[off] = sim.Rounds()
 	}
@@ -148,7 +148,7 @@ func TestDistributedWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tr := range trees {
-			requireSchemesEqual(t, res.Schemes[i], BuildCentralized(tr))
+			RequireSchemesEqual(t, res.Schemes[i], BuildCentralized(tr))
 		}
 		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
 			t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; the build never forked",

@@ -94,7 +94,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	}
 	for j, tr := range trees {
 		want := BuildCentralized(tr)
-		requireSchemesEqual(t, ref.ts[j].finish(), want)
-		requireSchemesEqual(t, wide.ts[j].finish(), want)
+		RequireSchemesEqual(t, ref.ts[j].finish(), want)
+		RequireSchemesEqual(t, wide.ts[j].finish(), want)
 	}
 }

@@ -14,14 +14,16 @@
 //     tables, O(log² n) labels, Ω(√n) memory - the scheme the paper
 //     improves upon (Table 2's first row).
 //
-// All three produce interchangeable Scheme values routed with NextHop.
+// BuildCentralized and BuildDistributed produce interchangeable Scheme
+// values, stored by member slot of their tree. A Scheme is walked through
+// the compiled table: clusterroute.FromTree makes it a one-cluster scheme
+// and dataplane.Compile flattens that, so tree routes and cluster-forest
+// routes share one forwarder. BuildBaseline's scheme is a different one (it
+// threads a header across virtual edges) and keeps its own walk,
+// BaselineScheme.RouteAppend, built on NextHop.
 package treeroute
 
-import (
-	"fmt"
-
-	"lowmemroute/internal/graph"
-)
+import "lowmemroute/internal/graph"
 
 // LightEdge is a non-heavy tree edge (Parent, Child) recorded in a label.
 type LightEdge struct {
@@ -50,17 +52,35 @@ type Label struct {
 func (l Label) Words() int { return 1 + 2*len(l.Light) }
 
 // Scheme is a complete tree-routing scheme: a table and a label per member
-// vertex.
+// of Tree, stored by member slot (Tables[i] and Labels[i] belong to
+// Tree.MemberAt(i)).
 type Scheme struct {
-	Root   int
-	Tables map[int]Table
-	Labels map[int]Label
+	Tree   *graph.Tree
+	Tables []Table
+	Labels []Label
+}
+
+// Table returns v's routing table; ok is false when v is not a member.
+func (s *Scheme) Table(v int) (Table, bool) { return member(s.Tree, s.Tables, v) }
+
+// Label returns v's routing label; ok is false when v is not a member.
+func (s *Scheme) Label(v int) (Label, bool) { return member(s.Tree, s.Labels, v) }
+
+// member returns v's entry of xs, which is stored by member slot of t; ok
+// is false when v is not a member.
+func member[T any](t *graph.Tree, xs []T, v int) (x T, ok bool) {
+	if i := t.MemberIndex(v); i >= 0 {
+		return xs[i], true
+	}
+	return x, false
 }
 
 // NextHop applies the Thorup-Zwick forwarding rule at vertex self: deliver
 // if the target is self; go to the parent if the target is outside self's
 // subtree; follow the recorded light edge out of self if the target's label
-// names one; otherwise descend to the heavy child.
+// names one; otherwise descend to the heavy child. The compiled table
+// (internal/dataplane) walks Scheme values with this same rule; NextHop
+// itself serves the EN16b-style baseline walk.
 func NextHop(self int, tab Table, target Label) (next int, arrived bool) {
 	if target.In == tab.In {
 		return self, true
@@ -76,70 +96,19 @@ func NextHop(self int, tab Table, target Label) (next int, arrived bool) {
 	return tab.Heavy, false
 }
 
-// MaxTableWords returns the largest table size in words.
-func (s *Scheme) MaxTableWords() int {
+// maxWords returns the largest Words() among xs, 0 when xs is empty.
+func maxWords[T interface{ Words() int }](xs []T) int {
 	mx := 0
-	for _, t := range s.Tables {
-		if w := t.Words(); w > mx {
+	for _, x := range xs {
+		if w := x.Words(); w > mx {
 			mx = w
 		}
 	}
 	return mx
 }
+
+// MaxTableWords returns the largest table size in words.
+func (s *Scheme) MaxTableWords() int { return maxWords(s.Tables) }
 
 // MaxLabelWords returns the largest label size in words.
-func (s *Scheme) MaxLabelWords() int {
-	mx := 0
-	for _, l := range s.Labels {
-		if w := l.Words(); w > mx {
-			mx = w
-		}
-	}
-	return mx
-}
-
-// Route walks a message from src to dst through the scheme, returning the
-// vertex path (inclusive of both endpoints). It fails if the scheme
-// misroutes (leaves the tree, exceeds 2·|T| hops, or hits a vertex without
-// a table).
-func (s *Scheme) Route(src, dst int) ([]int, error) {
-	return s.RouteAppend(src, dst, nil)
-}
-
-// RouteAppend is Route with a caller-provided path buffer: the walked path
-// is appended to path (which may be nil, or a reused buffer reset to length
-// 0) so repeated queries allocate only on buffer growth.
-func (s *Scheme) RouteAppend(src, dst int, path []int) ([]int, error) {
-	target, ok := s.Labels[dst]
-	if !ok {
-		return path, fmt.Errorf("treeroute: no label for destination %d", dst)
-	}
-	path = append(path, src)
-	cur := src
-	limit := 2*len(s.Tables) + 2
-	for steps := 0; ; steps++ {
-		if steps > limit {
-			return path, fmt.Errorf("treeroute: routing loop from %d to %d (path %v...)", src, dst, path[:min(len(path), 12)])
-		}
-		tab, ok := s.Tables[cur]
-		if !ok {
-			return path, fmt.Errorf("treeroute: no table at %d while routing %d->%d", cur, src, dst)
-		}
-		next, arrived := NextHop(cur, tab, target)
-		if arrived {
-			return path, nil
-		}
-		if next == graph.NoVertex {
-			return path, fmt.Errorf("treeroute: dead end at %d while routing %d->%d", cur, src, dst)
-		}
-		path = append(path, next)
-		cur = next
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (s *Scheme) MaxLabelWords() int { return maxWords(s.Labels) }

@@ -7,18 +7,22 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-// VerifyExact routes every given (src, dst) pair through the scheme and
-// checks the walk is exactly the unique tree path: correct endpoints, every
-// hop a tree edge, and hop count equal to the tree distance (stretch 1).
-func VerifyExact(s *Scheme, t *graph.Tree, pairs [][2]int) error {
+// VerifyExact routes every given (src, dst) pair with route and checks the
+// walk is exactly the unique tree path of t: correct endpoints, every hop a
+// tree edge, and hop count equal to the tree distance (stretch 1). route
+// has the RouteAppend shape: it appends the walked path, both endpoints
+// included, to the buffer it is given.
+func VerifyExact(route func(src, dst int, path []int) ([]int, error), t *graph.Tree, pairs [][2]int) error {
+	var path []int
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
-		path, err := s.Route(src, dst)
+		var err error
+		path, err = route(src, dst, path[:0])
 		if err != nil {
 			return err
 		}
-		if path[0] != src {
-			return fmt.Errorf("treeroute: path starts at %d, want %d", path[0], src)
+		if len(path) == 0 || path[0] != src {
+			return fmt.Errorf("treeroute: path %d->%d starts at %v, want %d", src, dst, path, src)
 		}
 		if last := path[len(path)-1]; last != dst {
 			return fmt.Errorf("treeroute: path %d->%d ends at %d", src, dst, last)

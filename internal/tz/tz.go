@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/graph"
@@ -105,7 +104,6 @@ func Build(t graph.Topology, opts Options) (*Scheme, error) {
 	}
 
 	s := &Scheme{Scheme: clusterroute.New(k, n), Levels: levels}
-	treeSchemes := make(map[int]*treeroute.Scheme)
 	for i := 0; i < k; i++ {
 		for _, w := range levels[i] {
 			if levelOf[w] != i {
@@ -116,9 +114,7 @@ func Build(t graph.Topology, opts Options) (*Scheme, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tz: cluster of %d: %w", w, err)
 			}
-			ts := treeroute.BuildCentralized(tree)
-			treeSchemes[w] = ts
-			s.AddTree(w, tree, t, ts)
+			s.AddTree(treeroute.BuildCentralized(tree), t)
 		}
 	}
 
@@ -130,7 +126,7 @@ func Build(t graph.Topology, opts Options) (*Scheme, error) {
 			if root == graph.NoVertex {
 				continue
 			}
-			s.AddLabelEntry(v, i, root, treeSchemes[root])
+			s.AddLabelEntry(v, i, root)
 		}
 	}
 	return s, nil
@@ -205,16 +201,6 @@ func clusterTree(w int, dist []float64, parent []int, n int) (*graph.Tree, error
 		}
 	}
 	return graph.NewTree(w, par)
-}
-
-// SortedCenters returns all cluster centers in increasing order.
-func (s *Scheme) SortedCenters() []int {
-	out := make([]int, 0, len(s.ClusterTrees))
-	for w := range s.ClusterTrees {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // heap is a tiny local copy of the graph package's vertex heap (unexported

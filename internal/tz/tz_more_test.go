@@ -87,8 +87,8 @@ func TestEveryVertexHasItsOwnCluster(t *testing.T) {
 	// Every vertex is a center at its top level, so it has a cluster tree
 	// containing at least itself, and its level-0 pivot is itself.
 	for v := 0; v < g.N(); v++ {
-		tree, ok := s.ClusterTrees[v]
-		if !ok || !tree.Member(v) {
+		c := s.Cluster(v)
+		if c == nil || !c.Tree.Member(v) {
 			t.Fatalf("vertex %d lacks its own cluster", v)
 		}
 		e := s.Labels[v].Entries[0]
@@ -116,7 +116,7 @@ func TestEmptyGraphBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Tables) != 0 {
+	if len(s.Labels) != 0 || len(s.Clusters) != 0 {
 		t.Fatal("empty graph should give empty scheme")
 	}
 }

@@ -177,7 +177,8 @@ func TestClusterDefinition(t *testing.T) {
 		inA1[v] = true
 	}
 	ap := graph.AllPairs(g)
-	for w, tree := range s.ClusterTrees {
+	for _, c := range s.Clusters {
+		w, tree := c.Center, c.Tree
 		bound := d1
 		if inA1[w] {
 			// Top-level center: unbounded cluster.
@@ -192,23 +193,6 @@ func TestClusterDefinition(t *testing.T) {
 				t.Fatalf("cluster C(%d): membership of %d = %v, want %v (d=%v bound=%v)",
 					w, v, got, want, ap[w][v], bound[v])
 			}
-		}
-	}
-}
-
-func TestSortedCenters(t *testing.T) {
-	g := testGraph(t, graph.FamilyErdosRenyi, 50, 71)
-	s, err := Build(g, Options{K: 2, Seed: 72})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := s.SortedCenters()
-	if len(cs) != len(s.ClusterTrees) {
-		t.Fatalf("centers %d vs clusters %d", len(cs), len(s.ClusterTrees))
-	}
-	for i := 1; i < len(cs); i++ {
-		if cs[i-1] >= cs[i] {
-			t.Fatal("centers not sorted")
 		}
 	}
 }

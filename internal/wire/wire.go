@@ -6,7 +6,8 @@
 //
 // Formats are self-delimiting and versionless by design (the schemes are
 // rebuilt, not migrated); ints are encoded as unsigned varints with
-// graph.NoVertex mapped to 0 and ids shifted by one.
+// graph.NoVertex mapped to 0 and ids shifted by one. Decoders accept only
+// shortest-form varints.
 package wire
 
 import (
@@ -24,11 +25,22 @@ func putID(b []byte, id int) []byte {
 }
 
 func getID(b []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: truncated id")
+	v, b, err := getUvarint(b)
+	if err != nil {
+		return 0, nil, fmt.Errorf("wire: truncated or overlong id")
 	}
-	return int(v) - 1, b[n:], nil
+	return int(v) - 1, b, nil
+}
+
+// getUvarint reads one varint in its shortest form, returning the
+// remainder. A longer form (a final 0x00 group) is an error, so every
+// accepted value has exactly one encoding.
+func getUvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, nil, fmt.Errorf("wire: malformed varint")
+	}
+	return v, b[n:], nil
 }
 
 // AppendTreeTable encodes a tree-routing table.
@@ -77,11 +89,10 @@ func DecodeTreeLabel(b []byte) (treeroute.Label, []byte, error) {
 	if l.In, b, err = getID(b); err != nil {
 		return l, nil, err
 	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
+	count, b, err := getUvarint(b)
+	if err != nil {
 		return l, nil, fmt.Errorf("wire: truncated light-edge count")
 	}
-	b = b[n:]
 	if count > uint64(len(b)) { // each edge needs at least 2 bytes
 		return l, nil, fmt.Errorf("wire: light-edge count %d exceeds payload", count)
 	}
@@ -123,22 +134,20 @@ func DecodeLabel(b []byte) (clusterroute.Label, error) {
 	if l.Vertex, b, err = getID(b); err != nil {
 		return l, err
 	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
+	count, b, err := getUvarint(b)
+	if err != nil {
 		return l, fmt.Errorf("wire: truncated entry count")
 	}
-	b = b[n:]
 	if count > uint64(len(b))+1 {
 		return l, fmt.Errorf("wire: entry count %d exceeds payload", count)
 	}
 	for i := uint64(0); i < count; i++ {
 		var e clusterroute.PivotEntry
-		lvl, n := binary.Uvarint(b)
-		if n <= 0 {
+		lvl, rest, err := getUvarint(b)
+		if err != nil {
 			return l, fmt.Errorf("wire: truncated level")
 		}
-		e.Level = int(lvl)
-		b = b[n:]
+		e.Level, b = int(lvl), rest
 		if e.Root, b, err = getID(b); err != nil {
 			return l, err
 		}
@@ -162,52 +171,43 @@ func DecodeLabel(b []byte) (clusterroute.Label, error) {
 }
 
 // EncodeTable encodes a vertex's cluster-forest routing table (its
-// persistent routing state). Entries are written in ascending center order
-// for determinism.
+// persistent routing state): the entry count, then each entry's center and
+// tree-routing table, in the table's ascending center order.
 func EncodeTable(t clusterroute.Table) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(t.Trees)))
-	centers := make([]int, 0, len(t.Trees))
-	for c := range t.Trees {
-		centers = append(centers, c)
-	}
-	// Insertion sort: table fan-out is Õ(n^{1/k}), tiny.
-	for i := 1; i < len(centers); i++ {
-		for j := i; j > 0 && centers[j] < centers[j-1]; j-- {
-			centers[j], centers[j-1] = centers[j-1], centers[j]
-		}
-	}
-	for _, c := range centers {
-		b = putID(b, c)
-		b = AppendTreeTable(b, t.Trees[c])
+	b := binary.AppendUvarint(nil, uint64(len(t)))
+	for _, e := range t {
+		b = putID(b, e.Center)
+		b = AppendTreeTable(b, e.Tree)
 	}
 	return b
 }
 
-// DecodeTable decodes a cluster-forest routing table.
+// DecodeTable decodes a cluster-forest routing table. It accepts only the
+// canonical encoding: centers strictly ascending, so no center repeats.
 func DecodeTable(b []byte) (clusterroute.Table, error) {
-	t := clusterroute.Table{Trees: make(map[int]treeroute.Table)}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return t, fmt.Errorf("wire: truncated tree count")
+	count, b, err := getUvarint(b)
+	if err != nil {
+		return nil, fmt.Errorf("wire: truncated tree count")
 	}
-	b = b[n:]
 	if count > uint64(len(b))+1 {
-		return t, fmt.Errorf("wire: tree count %d exceeds payload", count)
+		return nil, fmt.Errorf("wire: tree count %d exceeds payload", count)
 	}
-	var err error
+	t := make(clusterroute.Table, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var c int
-		if c, b, err = getID(b); err != nil {
+		var e clusterroute.TableEntry
+		if e.Center, b, err = getID(b); err != nil {
 			return t, err
 		}
-		if c == graph.NoVertex {
+		if e.Center == graph.NoVertex {
 			return t, fmt.Errorf("wire: invalid center")
 		}
-		var tt treeroute.Table
-		if tt, b, err = DecodeTreeTable(b); err != nil {
+		if i > 0 && e.Center <= t[i-1].Center {
+			return t, fmt.Errorf("wire: center %d after %d: centers must ascend", e.Center, t[i-1].Center)
+		}
+		if e.Tree, b, err = DecodeTreeTable(b); err != nil {
 			return t, err
 		}
-		t.Trees[c] = tt
+		t = append(t, e)
 	}
 	if len(b) != 0 {
 		return t, fmt.Errorf("wire: %d trailing bytes", len(b))

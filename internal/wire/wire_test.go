@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,19 +106,15 @@ func TestSchemeLabelsAndTablesRoundTrip(t *testing.T) {
 			}
 		}
 
-		tb := EncodeTable(s.Tables[v])
+		tab := s.Table(v)
+		tb := EncodeTable(tab)
 		totalTableBytes += len(tb)
 		gotT, err := DecodeTable(tb)
 		if err != nil {
 			t.Fatalf("table %d: %v", v, err)
 		}
-		if len(gotT.Trees) != len(s.Tables[v].Trees) {
-			t.Fatalf("table %d size mismatch", v)
-		}
-		for c, tt := range s.Tables[v].Trees {
-			if gotT.Trees[c] != tt {
-				t.Fatalf("table %d tree %d mismatch", v, c)
-			}
+		if !slices.Equal(gotT, tab) {
+			t.Fatalf("table %d: decoded %+v, want %+v", v, gotT, tab)
 		}
 	}
 	// Sanity: labels are genuinely small on the wire (paper: O(k log n)
@@ -125,6 +122,33 @@ func TestSchemeLabelsAndTablesRoundTrip(t *testing.T) {
 	avgLabel := totalLabelBytes / g.N()
 	if avgLabel > 80 {
 		t.Fatalf("average encoded label %d bytes - not compact", avgLabel)
+	}
+}
+
+// TestDecodeTableRejectsNonCanonical checks that a table decodes only from
+// its one canonical encoding: centers strictly ascending and every varint
+// in its shortest form.
+func TestDecodeTableRejectsNonCanonical(t *testing.T) {
+	entry := func(center int) []byte { return AppendTreeTable(putID(nil, center), treeroute.Table{In: 1, Out: 2}) }
+	table := func(entries ...[]byte) []byte {
+		b := []byte{byte(len(entries))}
+		for _, e := range entries {
+			b = append(b, e...)
+		}
+		return b
+	}
+	if _, err := DecodeTable(table(entry(3), entry(7))); err != nil {
+		t.Fatalf("ascending centers: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"repeated center":   table(entry(3), entry(3)),
+		"descending center": table(entry(7), entry(3)),
+		"overlong count":    append([]byte{0x81, 0x00}, table(entry(3))[1:]...),
+		"overlong id":       append([]byte{1, 0x84, 0x00}, entry(3)[1:]...),
+	} {
+		if tab, err := DecodeTable(b); err == nil {
+			t.Errorf("%s: decoded %x to %+v, want an error", name, b, tab)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
 	"lowmemroute/internal/dataplane"
@@ -193,7 +194,7 @@ func (s *Scheme) RouteAppend(src, dst int, nodes []int) ([]int, float64, error) 
 func (s *Scheme) Report() Report { return s.report }
 
 // TableWords returns node v's routing table size in words.
-func (s *Scheme) TableWords(v int) int { return s.inner.Tables[v].Words() }
+func (s *Scheme) TableWords(v int) int { return s.inner.TableWords(v) }
 
 // LabelWords returns node v's routing label size in words.
 func (s *Scheme) LabelWords(v int) int { return s.inner.Labels[v].Words() }
@@ -204,7 +205,7 @@ func (s *Scheme) EncodedLabel(v int) []byte { return wire.EncodeLabel(s.inner.La
 
 // EncodedTable returns node v's routing table in its compact varint wire
 // encoding - the bytes the node persists as routing state.
-func (s *Scheme) EncodedTable(v int) []byte { return wire.EncodeTable(s.inner.Tables[v]) }
+func (s *Scheme) EncodedTable(v int) []byte { return wire.EncodeTable(s.inner.Table(v)) }
 
 // PacketNetwork forwards packets over the scheme while nodes crash and
 // recover: each Send is one walk over the compiled table, masked by the
@@ -282,9 +283,16 @@ type TreeReport struct {
 // network (Theorem 2: O(1)-word tables, O(log n)-word labels, O(log n)
 // construction memory, Õ(√n + D) rounds).
 type TreeScheme struct {
-	inner  *treeroute.Scheme
-	tree   *Tree
+	tree *graph.Tree
+	// tab is the built scheme compiled as a one-cluster scheme: every route
+	// walks it.
+	tab    *dataplane.Table
 	report TreeReport
+}
+
+// newTreeScheme compiles a built tree scheme for routing.
+func newTreeScheme(ts *treeroute.Scheme, host graph.Topology, rep TreeReport) *TreeScheme {
+	return &TreeScheme{tree: ts.Tree, tab: dataplane.Compile(clusterroute.FromTree(ts, host)), report: rep}
 }
 
 // BuildTree runs the paper's distributed tree-routing construction for one
@@ -299,20 +307,16 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TreeScheme{
-		inner: res.Schemes[0],
-		tree:  tree,
-		report: TreeReport{
-			Rounds:        sim.Rounds(),
-			Messages:      sim.Messages(),
-			PeakMemory:    sim.PeakMemory(),
-			AvgMemory:     sim.AvgPeakMemory(),
-			Portals:       res.Portals[0],
-			MaxTableWords: res.Schemes[0].MaxTableWords(),
-			MaxLabelWords: res.Schemes[0].MaxLabelWords(),
-			Faults:        publicFaultReport(sim.FaultCounters()),
-		},
-	}, nil
+	return newTreeScheme(res.Schemes[0], sim.Topo(), TreeReport{
+		Rounds:        sim.Rounds(),
+		Messages:      sim.Messages(),
+		PeakMemory:    sim.PeakMemory(),
+		AvgMemory:     sim.AvgPeakMemory(),
+		Portals:       res.Portals[0],
+		MaxTableWords: res.Schemes[0].MaxTableWords(),
+		MaxLabelWords: res.Schemes[0].MaxLabelWords(),
+		Faults:        publicFaultReport(sim.FaultCounters()),
+	}), nil
 }
 
 // BuildTrees runs the distributed tree-routing construction for several
@@ -357,17 +361,17 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		if w := res.Schemes[i].MaxLabelWords(); w > rep.MaxLabelWords {
 			rep.MaxLabelWords = w
 		}
-		out[i] = &TreeScheme{inner: res.Schemes[i], tree: trees[i], report: rep}
 	}
 	for i := range out {
-		out[i].report = rep
+		out[i] = newTreeScheme(res.Schemes[i], sim.Topo(), rep)
 	}
 	return out, rep, nil
 }
 
-// Route forwards a message from src to dst along the unique tree path.
+// Route forwards a message from src to dst along the unique tree path. The
+// path's weight is its hop count.
 func (t *TreeScheme) Route(src, dst int) (Path, error) {
-	nodes, err := t.inner.Route(src, dst)
+	nodes, err := t.RouteAppend(src, dst, nil)
 	if err != nil {
 		return Path{}, err
 	}
@@ -377,7 +381,11 @@ func (t *TreeScheme) Route(src, dst int) (Path, error) {
 // RouteAppend is Route with a caller-provided node buffer: the tree path is
 // appended to nodes so repeated queries allocate only on buffer growth.
 func (t *TreeScheme) RouteAppend(src, dst int, nodes []int) ([]int, error) {
-	return t.inner.RouteAppend(src, dst, nodes)
+	if !t.tree.Member(dst) {
+		return nodes, fmt.Errorf("lowmemroute: node %d is not in the tree", dst)
+	}
+	nodes, _, err := t.tab.RouteAppend(src, dst, nodes)
+	return nodes, err
 }
 
 // Report returns the construction cost report.
