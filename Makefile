@@ -108,8 +108,10 @@ scale-smoke:
 # seconds of FuzzParsePrometheus (internal/obs), seeded with a real registry
 # exposition: the parser must never panic, and it rejects an input exactly
 # when one of its lines is bad on its own. Then ten seconds of
-# FuzzFreezeWeights: arbitrary positive finite weights must read back
-# exactly through both CSR freeze paths (FromGraph and CSRBuilder). Then ten seconds of FuzzParseSpec from the committed
+# FuzzFreezeWeights: arbitrary positive finite weights on arbitrary edges
+# must read back exactly, in stream order, from a one-pass CSRBuilder build,
+# and a build split at a fuzzed point (freeze, Thaw, add the rest) must
+# equal it. Then ten seconds of FuzzParseSpec from the committed
 # specs in internal/faults/testdata/fuzz: a malformed fault spec must fail
 # with an error, never panic, and an accepted one must render back through
 # String to the same plan. Then ten seconds each of FuzzDecodeLabel and

@@ -109,8 +109,8 @@ func TestEN16bRoundsCarryLogLambda(t *testing.T) {
 	r2 := rand.New(rand.NewSource(62))
 	big := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e9), r2)
 
-	rounds := func(g *graph.Graph) int64 {
-		sim := congest.NewTopo(graph.FromGraph(g))
+	rounds := func(g *graph.CSR) int64 {
+		sim := congest.NewTopo(g)
 		if _, err := BuildEN16b(sim, Options{K: 2, Seed: 63}); err != nil {
 			t.Fatal(err)
 		}

@@ -58,13 +58,18 @@ func TestLP15RoundsScaleWithS(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	// Cycle with one heavy edge: S = n-1, D = n/2... use a wheel: cycle
 	// plus hub with heavy spokes - D=2 via hub, S large along the rim.
-	wheel := graph.New(n)
+	b := graph.NewCSRBuilder(n)
 	for i := 1; i < n; i++ {
 		if i+1 < n {
-			wheel.MustAddEdge(i, i+1, 1)
+			if err := b.AddEdge(i, i+1, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		wheel.MustAddEdge(0, i, 1000)
+		if err := b.AddEdge(0, i, 1000); err != nil {
+			t.Fatal(err)
+		}
 	}
+	wheel := b.Build()
 	er := testGraph(t, graph.FamilyErdosRenyi, n, 2)
 
 	rounds := func(g graph.Topology) int64 {
@@ -74,7 +79,7 @@ func TestLP15RoundsScaleWithS(t *testing.T) {
 		}
 		return sim.Rounds()
 	}
-	rw, re := rounds(graph.FromGraph(wheel)), rounds(er)
+	rw, re := rounds(wheel), rounds(er)
 	if rw < 2*re {
 		t.Fatalf("LP15 rounds should blow up with S: wheel=%d er=%d", rw, re)
 	}
@@ -162,7 +167,7 @@ func TestBaselineErrors(t *testing.T) {
 }
 
 func TestLP15EmptyGraph(t *testing.T) {
-	g := graph.FromGraph(graph.New(0))
+	g := graph.NewCSRBuilder(0).Build()
 	if _, err := BuildLP15(congest.NewTopo(g), Options{K: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,10 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline: EN16b virtual graph: %w", err)
 		}
-		gp, toVirt := vg.Materialize()
+		gp, toVirt, err := vg.Materialize()
+		if err != nil {
+			return nil, fmt.Errorf("baseline: EN16b virtual graph: %w", err)
+		}
 		for _, u := range members {
 			sim.Mem(u).Charge(2 * int64(gp.Degree(toVirt[u])))
 		}

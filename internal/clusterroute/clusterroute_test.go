@@ -91,8 +91,7 @@ func TestSchemeRouteWeightMatchesTreePath(t *testing.T) {
 
 func TestSchemeNoCommonCluster(t *testing.T) {
 	// Two disjoint single-vertex "clusters": no route exists.
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
+	g := graph.Path(2, graph.UnitWeights, nil)
 	s := clusterroute.New(1, 2)
 	t0, err := graph.NewTree(0, []int{graph.NoVertex, graph.NoVertex})
 	if err != nil {
@@ -102,8 +101,8 @@ func TestSchemeNoCommonCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddTree(treeroute.BuildCentralized(t0), graph.FromGraph(g))
-	s.AddTree(treeroute.BuildCentralized(t1), graph.FromGraph(g))
+	s.AddTree(treeroute.BuildCentralized(t0), g)
+	s.AddTree(treeroute.BuildCentralized(t1), g)
 	s.AddLabelEntry(0, 0, 0)
 	s.AddLabelEntry(1, 0, 1)
 	if _, _, err := dataplane.Compile(s).Route(0, 1); err == nil {
@@ -145,15 +144,13 @@ func TestSchemeLevelPreference(t *testing.T) {
 }
 
 func TestAddLabelEntryWithoutMembership(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g := graph.Path(3, graph.UnitWeights, nil)
 	tree, err := graph.NewTree(0, []int{graph.NoVertex, 0, graph.NoVertex})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := clusterroute.New(1, 3)
-	s.AddTree(treeroute.BuildCentralized(tree), graph.FromGraph(g))
+	s.AddTree(treeroute.BuildCentralized(tree), g)
 	// Vertex 2 is not in the tree: its entry must be marked out-of-cluster.
 	s.AddLabelEntry(2, 0, 0)
 	if s.Labels[2].Entries[0].InCluster {

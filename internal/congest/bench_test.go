@@ -34,7 +34,7 @@ func reportPeakHeap(b *testing.B) {
 // busy).
 func floodWorkload(side, rounds int, opts ...Option) (*Simulator, func()) {
 	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, opts...)
+	s := NewTopo(g, opts...)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
@@ -56,7 +56,7 @@ func floodWorkload(side, rounds int, opts ...Option) (*Simulator, func()) {
 func sparseWorkload() (*Simulator, func()) {
 	const n, hops = 16384, 64
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	start := []int{0}
 	step := func(v int, ctx *Ctx) {
 		if v < hops {
@@ -75,7 +75,7 @@ func deliveryWorkload() (*Simulator, func()) {
 	const burst = 8
 	const bigWords = 5 // > capacity: every message crosses in 3 rounds
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithEdgeCapacity(2))
+	s := NewTopo(g, WithEdgeCapacity(2))
 	leaves := make([]int, 0, n-1)
 	for v := 1; v < n; v++ {
 		leaves = append(leaves, v)

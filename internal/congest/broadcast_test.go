@@ -182,7 +182,7 @@ func TestBroadcastMatchesPerPairDelivery(t *testing.T) {
 		for rname, rd := range readers {
 			t.Run(pname+"/"+rname, func(t *testing.T) {
 				msgs := bcastMsgs()
-				got, want := newGraphSim(g, WithFaults(plan)), newGraphSim(g, WithFaults(plan))
+				got, want := NewTopo(g, WithFaults(plan)), NewTopo(g, WithFaults(plan))
 				var gotLog, wantLog [][2]int
 				// Two broadcasts of different lengths, so the second reuses
 				// the first's scratch; the stored charges carry over.
@@ -205,12 +205,12 @@ func TestBroadcastHandlerOncePerVertex(t *testing.T) {
 	g := pathGraph(6)
 	var calls []int
 	handle := func(v int, d *Delivery) { calls = append(calls, v) }
-	newGraphSim(g).Broadcast(bcastMsgs()[:3], handle)
+	NewTopo(g).Broadcast(bcastMsgs()[:3], handle)
 	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("clean handler calls %v, want %v", calls, want)
 	}
 	calls = nil
-	s := newGraphSim(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 4, From: 0, Until: 100}}}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 4, From: 0, Until: 100}}}))
 	s.Broadcast(bcastMsgs()[:3], handle)
 	if want := []int{0, 1, 2, 3, 5}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("handler calls with vertex 4 down %v, want %v", calls, want)
@@ -225,7 +225,7 @@ func (c *bcastCounter) handle(v int, d *Delivery) { c.reads += delivered(d) }
 func TestBroadcastAllocFree(t *testing.T) {
 	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
 	for name, plan := range map[string]*faults.Plan{"clean": nil, "drop": {Seed: 8, Drop: 0.3}} {
-		s := newGraphSim(g, WithFaults(plan), WithWorkers(1))
+		s := NewTopo(g, WithFaults(plan), WithWorkers(1))
 		c := &bcastCounter{}
 		fn := c.handle
 		msgs := bcastMsgs()

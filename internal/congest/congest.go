@@ -281,10 +281,10 @@ func WithIdleFastForward(on bool) Option {
 	return func(s *Simulator) { s.ffOff = !on }
 }
 
-// NewTopo creates a simulator over the frozen communication graph t: a
-// *graph.CSR from a streaming generator, or graph.FromGraph of a
-// *graph.Graph built edge by edge. Handlers iterate its adjacency through
-// Topo; the engine compiles its directed-edge index on the first Run.
+// NewTopo creates a simulator over the frozen communication graph t, a
+// *graph.CSR that a graph.CSRBuilder built from an edge stream (a
+// generator's, or one added link by link). Handlers iterate its adjacency
+// through Topo; the engine compiles its directed-edge index on the first Run.
 func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 	s := &Simulator{
 		topo:     t,

@@ -11,7 +11,7 @@ func TestQueueFIFOPerEdge(t *testing.T) {
 	// Messages sent on one edge in one round must be delivered in send
 	// order, even when bandwidth splits them across rounds.
 	g := pathGraph(2)
-	s := newGraphSim(g, WithEdgeCapacity(1))
+	s := NewTopo(g, WithEdgeCapacity(1))
 	var got []int
 	s.Run([]int{0}, 30, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -39,7 +39,7 @@ func TestRunTwicePhases(t *testing.T) {
 	// Two consecutive Runs on the same simulator: counters accumulate and
 	// state from phase 1 does not leak into phase 2's inboxes.
 	g := pathGraph(3)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	const kindPhase1, kindPhase2 = PayloadKind(1), PayloadKind(2)
 	s.Run([]int{0}, 5, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -68,8 +68,8 @@ func TestRunTwicePhases(t *testing.T) {
 
 func TestWithDiameterAffectsBroadcastOnly(t *testing.T) {
 	g := pathGraph(4)
-	a := newGraphSim(g, WithDiameter(3))
-	b := newGraphSim(g, WithDiameter(100))
+	a := NewTopo(g, WithDiameter(3))
+	b := NewTopo(g, WithDiameter(100))
 	msg := []BroadcastMsg{{Origin: 0, Words: 1}}
 	a.Broadcast(msg, nil)
 	b.Broadcast(msg, nil)
@@ -80,7 +80,7 @@ func TestWithDiameterAffectsBroadcastOnly(t *testing.T) {
 
 func TestBroadcastWordAccounting(t *testing.T) {
 	g := pathGraph(5)
-	s := newGraphSim(g, WithDiameter(4))
+	s := NewTopo(g, WithDiameter(4))
 	s.Broadcast([]BroadcastMsg{
 		{Origin: 0, Words: 3},
 		{Origin: 1, Words: 2},
@@ -93,7 +93,7 @@ func TestBroadcastWordAccounting(t *testing.T) {
 
 func TestBroadcastZeroWordMessagesCountAsOne(t *testing.T) {
 	g := pathGraph(3)
-	s := newGraphSim(g, WithDiameter(2))
+	s := NewTopo(g, WithDiameter(2))
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 0}}, nil)
 	if got := s.Words(); got != 2 { // 1 word * 2 tree edges
 		t.Fatalf("words=%d want 2", got)
@@ -102,7 +102,7 @@ func TestBroadcastZeroWordMessagesCountAsOne(t *testing.T) {
 
 func TestConvergecastMemorySpikesAtSink(t *testing.T) {
 	g := pathGraph(4)
-	s := newGraphSim(g, WithDiameter(3))
+	s := NewTopo(g, WithDiameter(3))
 	s.Convergecast(0, []BroadcastMsg{{Origin: 2, Words: 5}}, func(m *BroadcastMsg) {})
 	if s.Mem(0).Peak() != 5 {
 		t.Fatalf("sink peak=%d want 5", s.Mem(0).Peak())
@@ -114,7 +114,7 @@ func TestConvergecastMemorySpikesAtSink(t *testing.T) {
 
 func TestSimulatorAccessors(t *testing.T) {
 	g := pathGraph(3)
-	s := newGraphSim(g, WithSeed(5))
+	s := NewTopo(g, WithSeed(5))
 	if s.N() != 3 {
 		t.Fatalf("N=%d", s.N())
 	}
@@ -130,10 +130,13 @@ func TestSimulatorAccessors(t *testing.T) {
 }
 
 func TestDisconnectedGraphDiameterFallback(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
-	s := newGraphSim(g)
+	b := graph.NewCSRBuilder(4)
+	for _, u := range []int{0, 2} {
+		if err := b.AddEdge(u, u+1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewTopo(b.Build())
 	if s.Diameter() < 1 {
 		t.Fatalf("D=%d want >= 1 fallback", s.Diameter())
 	}
@@ -145,7 +148,7 @@ func TestLargeFanInOneRound(t *testing.T) {
 	// spikes the center's memory.
 	n := 300
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	received := 0
 	rounds := s.Run(leafIDs(n), 3, func(v int, ctx *Ctx) {
 		if v != 0 && ctx.Round() == 0 {

@@ -10,13 +10,8 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-func pathGraph(n int) *graph.Graph {
+func pathGraph(n int) *graph.CSR {
 	return graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-}
-
-// newGraphSim is NewTopo over the frozen bridge of a test-built graph.
-func newGraphSim(g *graph.Graph, opts ...Option) *Simulator {
-	return NewTopo(graph.FromGraph(g), opts...)
 }
 
 // neighbors returns v's neighbor ids in t, in adjacency order.
@@ -31,7 +26,7 @@ func TestRunFloodOnPath(t *testing.T) {
 	// quiescent check.
 	n := 10
 	g := pathGraph(n)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	got := make([]int, n)
 	for i := range got {
 		got[i] = -1
@@ -66,7 +61,7 @@ func TestRunFloodOnPath(t *testing.T) {
 
 func TestSendToNonNeighborPanics(t *testing.T) {
 	g := pathGraph(4)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on non-neighbor send")
@@ -83,7 +78,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 func TestSendWordsBound(t *testing.T) {
 	for _, words := range []int{math.MaxInt32 + 1, math.MaxInt} {
 		t.Run(fmt.Sprint(words), func(t *testing.T) {
-			s := newGraphSim(pathGraph(2))
+			s := NewTopo(pathGraph(2))
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("no panic on a %d-word send", words)
@@ -92,7 +87,7 @@ func TestSendWordsBound(t *testing.T) {
 			s.Run([]int{0}, 1, func(v int, ctx *Ctx) { ctx.Send(1, Payload{}, words) })
 		})
 	}
-	s := newGraphSim(pathGraph(2), WithEdgeCapacity(0))
+	s := NewTopo(pathGraph(2), WithEdgeCapacity(0))
 	got := 0
 	s.Run([]int{0}, 4, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -109,7 +104,7 @@ func TestSendWordsBound(t *testing.T) {
 
 func TestWakeKeepsVertexActive(t *testing.T) {
 	g := pathGraph(3)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	count := 0
 	s.Run([]int{0}, 5, func(v int, ctx *Ctx) {
 		if v == 0 {
@@ -126,7 +121,7 @@ func TestWakeKeepsVertexActive(t *testing.T) {
 
 func TestRunStopsAtMaxRounds(t *testing.T) {
 	g := pathGraph(2)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	rounds := s.Run([]int{0}, 7, func(v int, ctx *Ctx) {
 		ctx.Wake() // never quiesce
 	})
@@ -146,7 +141,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 	n := 2 * parallelMin
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for trial := 0; trial < 3; trial++ {
-		s := newGraphSim(g, WithWorkers(8))
+		s := NewTopo(g, WithWorkers(8))
 		leaves := make([]int, 0, n-1)
 		for v := 1; v < n; v++ {
 			leaves = append(leaves, v)
@@ -179,7 +174,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 
 func TestMessageAndWordAccounting(t *testing.T) {
 	g := pathGraph(3)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	s.Run([]int{0, 1}, 5, func(v int, ctx *Ctx) {
 		if ctx.Round() != 0 {
 			return
@@ -204,7 +199,7 @@ func TestBandwidthDelaysLargeMessages(t *testing.T) {
 	// A 5-word message over a capacity-2 edge needs 3 rounds of
 	// transmission: sent in round 0, delivered at the start of round 2.
 	g := pathGraph(2)
-	s := newGraphSim(g, WithEdgeCapacity(2))
+	s := NewTopo(g, WithEdgeCapacity(2))
 	deliveredAt := -1
 	s.Run([]int{0}, 10, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -225,7 +220,7 @@ func TestBandwidthQueuePacesDeliveryWithoutMemoryCharge(t *testing.T) {
 	// count but charges no memory (a CONGEST processor regenerates
 	// outgoing messages from its stored, separately-charged state).
 	g := pathGraph(2)
-	s := newGraphSim(g, WithEdgeCapacity(1))
+	s := NewTopo(g, WithEdgeCapacity(1))
 	got := 0
 	s.Run([]int{0}, 50, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -250,7 +245,7 @@ func TestBandwidthQueuePacesDeliveryWithoutMemoryCharge(t *testing.T) {
 
 func TestUnlimitedCapacityDeliversInstantly(t *testing.T) {
 	g := pathGraph(2)
-	s := newGraphSim(g, WithEdgeCapacity(0))
+	s := NewTopo(g, WithEdgeCapacity(0))
 	got := 0
 	s.Run([]int{0}, 3, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -275,7 +270,7 @@ func TestFanOutSendIsMemoryFree(t *testing.T) {
 	// built-in ability of a CONGEST processor and must not charge memory.
 	n := 100
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	s.Run([]int{0}, 3, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
 			for u := 1; u < n; u++ {
@@ -353,7 +348,7 @@ func TestMeterProperty(t *testing.T) {
 func TestBroadcastDeliversToAll(t *testing.T) {
 	n := 20
 	g := pathGraph(n)
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	msgs := []BroadcastMsg{
 		{Origin: 3, Words: 2},
 		{Origin: 7, Words: 1},
@@ -382,7 +377,7 @@ func TestBroadcastDeliversToAll(t *testing.T) {
 }
 
 func TestBroadcastEmptyIsFree(t *testing.T) {
-	s := newGraphSim(pathGraph(5))
+	s := NewTopo(pathGraph(5))
 	s.Broadcast(nil, nil)
 	if s.Rounds() != 0 || s.Messages() != 0 {
 		t.Fatal("empty broadcast should cost nothing")
@@ -391,7 +386,7 @@ func TestBroadcastEmptyIsFree(t *testing.T) {
 
 func TestBroadcastRoundCost(t *testing.T) {
 	g := pathGraph(5)
-	s := newGraphSim(g, WithDiameter(4))
+	s := NewTopo(g, WithDiameter(4))
 	msgs := make([]BroadcastMsg, 10)
 	for i := range msgs {
 		msgs[i] = BroadcastMsg{Origin: 0, Words: 1}
@@ -404,7 +399,7 @@ func TestBroadcastRoundCost(t *testing.T) {
 
 func TestConvergecast(t *testing.T) {
 	g := pathGraph(6)
-	s := newGraphSim(g, WithDiameter(5))
+	s := NewTopo(g, WithDiameter(5))
 	msgs := []BroadcastMsg{
 		{Origin: 4, Payload: Payload{W0: IntWord(40)}, Words: 1},
 		{Origin: 1, Payload: Payload{W0: IntWord(10)}, Words: 1},
@@ -429,7 +424,7 @@ func TestConvergecast(t *testing.T) {
 }
 
 func TestBroadcastSpikesMemory(t *testing.T) {
-	s := newGraphSim(pathGraph(4))
+	s := NewTopo(pathGraph(4))
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 7}}, func(v int, d *Delivery) {})
 	for v := 0; v < 4; v++ {
 		if s.Mem(v).Peak() != 7 {
@@ -496,7 +491,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 }
 
 func TestDeriveRandDeterministic(t *testing.T) {
-	s := newGraphSim(pathGraph(3))
+	s := NewTopo(pathGraph(3))
 	a := s.DeriveRand(1).Int63()
 	b := s.DeriveRand(1).Int63()
 	c := s.DeriveRand(2).Int63()
@@ -509,7 +504,7 @@ func TestDeriveRandDeterministic(t *testing.T) {
 }
 
 func TestAddRounds(t *testing.T) {
-	s := newGraphSim(pathGraph(2))
+	s := NewTopo(pathGraph(2))
 	s.AddRounds(5)
 	s.AddRounds(-3)
 	if s.Rounds() != 5 {
@@ -518,7 +513,7 @@ func TestAddRounds(t *testing.T) {
 }
 
 func TestAvgPeakMemory(t *testing.T) {
-	s := newGraphSim(pathGraph(4))
+	s := NewTopo(pathGraph(4))
 	s.Mem(0).Charge(4)
 	s.Mem(1).Charge(8)
 	if got := s.AvgPeakMemory(); got != 3 {

@@ -44,7 +44,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	}
 	runOnce := func(workers int) result {
 		g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(3)))
-		s := newGraphSim(g, WithWorkers(workers))
+		s := NewTopo(g, WithWorkers(workers))
 		all := make([]int, g.N())
 		for v := range all {
 			all[v] = v
@@ -137,7 +137,7 @@ func TestPacingLargeMessage(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("cap=%d,words=%d", tc.capacity, tc.words), func(t *testing.T) {
 			g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g, WithEdgeCapacity(tc.capacity))
+			s := NewTopo(g, WithEdgeCapacity(tc.capacity))
 			gotRound := -1
 			s.Run([]int{0}, 100, func(v int, ctx *Ctx) {
 				if v == 0 && ctx.Round() == 0 {
@@ -162,7 +162,7 @@ func TestPacingLargeMessage(t *testing.T) {
 // earlier round's leftover budget.
 func TestPacingFIFOPerEdge(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithEdgeCapacity(4))
+	s := NewTopo(g, WithEdgeCapacity(4))
 	var order []rcvd
 	s.Run([]int{0}, 100, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -194,7 +194,7 @@ func TestPacingUnlimitedCapacity(t *testing.T) {
 		capacity := capacity
 		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
 			g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g, WithEdgeCapacity(capacity))
+			s := NewTopo(g, WithEdgeCapacity(capacity))
 			var got []rcvd
 			s.Run([]int{0}, 10, func(v int, ctx *Ctx) {
 				if v == 0 && ctx.Round() == 0 {

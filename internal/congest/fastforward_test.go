@@ -19,7 +19,7 @@ func ffWorkload(t *testing.T, opts ...Option) (rounds, messages, words int64, pe
 	t.Helper()
 	const n = 6
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(2)))
-	s := newGraphSim(g, append([]Option{WithEdgeCapacity(1)}, opts...)...)
+	s := NewTopo(g, append([]Option{WithEdgeCapacity(1)}, opts...)...)
 	logs = make([][]rcvd, n)
 	s.Run(leafIDs(n), 200, func(v int, ctx *Ctx) {
 		for _, m := range ctx.In() {
@@ -89,7 +89,7 @@ func TestIdleFastForwardTraceByteIdentical(t *testing.T) {
 func TestFastForwardRespectsMaxRounds(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for _, maxRounds := range []int{2, 3, 5, 100} {
-		s := newGraphSim(g, WithEdgeCapacity(1))
+		s := NewTopo(g, WithEdgeCapacity(1))
 		delivered := false
 		executed := s.Run([]int{0}, maxRounds, func(v int, ctx *Ctx) {
 			if v == 0 && ctx.Round() == 0 {

@@ -47,7 +47,7 @@ func runFloodSim(workers, floodRounds int, opts ...Option) (floodResult, *Simula
 // from one Run to the next, as they do between build phases.
 func runFloodRuns(workers, floodRounds, runs int, opts ...Option) (floodResult, *Simulator) {
 	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	s := newGraphSim(g, append([]Option{WithWorkers(workers)}, opts...)...)
+	s := NewTopo(g, append([]Option{WithWorkers(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
@@ -178,7 +178,7 @@ func TestFaultSameSeedSameRun(t *testing.T) {
 func twoVertexRun(t *testing.T, count, maxRounds int, opts ...Option) ([]rcvd, *Simulator) {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, opts...)
+	s := NewTopo(g, opts...)
 	var log []rcvd
 	s.Run([]int{0}, maxRounds, func(v int, ctx *Ctx) {
 		for _, m := range ctx.In() {
@@ -314,7 +314,7 @@ func TestFaultDuplicate(t *testing.T) {
 // chunks (each is recycled exactly once) and carry equal contents.
 func TestFaultDuplicateExt(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithFaults(&faults.Plan{Duplicate: 1}), WithEdgeCapacity(0))
+	s := NewTopo(g, WithFaults(&faults.Plan{Duplicate: 1}), WithEdgeCapacity(0))
 	var got [][]uint64
 	s.Run([]int{0}, 100, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -341,7 +341,7 @@ func TestFaultDuplicateExt(t *testing.T) {
 // traffic to it is discarded (no spin until maxRounds).
 func TestFaultCrashForever(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 1}}}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 1}}}))
 	stepped := make([]int, 3)
 	executed := s.Run([]int{0, 1, 2}, 1000, func(v int, ctx *Ctx) {
 		stepped[v]++
@@ -371,7 +371,7 @@ func TestFaultCrashRecover(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	// Vertex 1 is down for global rounds [1, 6): the message sent in round 0
 	// (arriving at round 1) must wait for recovery.
-	s := newGraphSim(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 1, From: 1, Until: 6}}}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 1, From: 1, Until: 6}}}))
 	var log []rcvd
 	s.Run([]int{0}, 1000, func(v int, ctx *Ctx) {
 		for _, m := range ctx.In() {
@@ -396,7 +396,7 @@ func TestFaultCrashRecover(t *testing.T) {
 // but leaves same-side traffic untouched.
 func TestFaultPartition(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1))) // 0-1-2
-	s := newGraphSim(g, WithFaults(&faults.Plan{Partitions: []faults.Partition{{Members: []int{0}}}}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Partitions: []faults.Partition{{Members: []int{0}}}}))
 	var log []rcvd
 	s.Run([]int{0, 1}, 1000, func(v int, ctx *Ctx) {
 		for _, m := range ctx.In() {
@@ -421,7 +421,7 @@ func TestFaultPartition(t *testing.T) {
 // releases it when the window closes.
 func TestFaultPartitionHeals(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithFaults(&faults.Plan{Partitions: []faults.Partition{{Members: []int{0}, From: 0, Until: 4}}}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Partitions: []faults.Partition{{Members: []int{0}, From: 0, Until: 4}}}))
 	var log []rcvd
 	s.Run([]int{0}, 1000, func(v int, ctx *Ctx) {
 		for _, m := range ctx.In() {
@@ -445,12 +445,12 @@ func TestFaultPartitionHeals(t *testing.T) {
 func TestBroadcastFaultRetry(t *testing.T) {
 	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
 
-	clean := newGraphSim(g)
+	clean := NewTopo(g)
 	var cleanCalls int
 	clean.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}, {Origin: 3, Words: 2}},
 		func(v int, d *Delivery) { cleanCalls += delivered(d) })
 
-	s := newGraphSim(g, WithFaults(&faults.Plan{Seed: 8, Drop: 0.3}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Seed: 8, Drop: 0.3}))
 	var calls int
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}, {Origin: 3, Words: 2}},
 		func(v int, d *Delivery) { calls += delivered(d) })
@@ -468,7 +468,7 @@ func TestBroadcastFaultRetry(t *testing.T) {
 		t.Fatalf("faulty broadcast messages %d not above clean %d", s.Messages(), clean.Messages())
 	}
 
-	s = newGraphSim(g, WithFaults(&faults.Plan{Drop: 1, RetryBudget: 1}))
+	s = NewTopo(g, WithFaults(&faults.Plan{Drop: 1, RetryBudget: 1}))
 	calls = 0
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}}, func(v int, d *Delivery) { calls += delivered(d) })
 	if calls != 1 {
@@ -498,7 +498,7 @@ func TestConvergecastFaultRetry(t *testing.T) {
 		msgs[v] = BroadcastMsg{Origin: v, Words: 1}
 	}
 
-	s := newGraphSim(g, WithFaults(&faults.Plan{Seed: 4, Drop: 0.3}))
+	s := NewTopo(g, WithFaults(&faults.Plan{Seed: 4, Drop: 0.3}))
 	var got int
 	s.Convergecast(0, msgs, func(m *BroadcastMsg) { got++ })
 	if got != g.N() {
@@ -509,7 +509,7 @@ func TestConvergecastFaultRetry(t *testing.T) {
 	}
 
 	// Crashed sink learns nothing.
-	s = newGraphSim(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 0}}}))
+	s = NewTopo(g, WithFaults(&faults.Plan{Crashes: []faults.Crash{{Vertex: 0}}}))
 	got = 0
 	s.Convergecast(0, msgs, func(m *BroadcastMsg) { got++ })
 	if got != 0 {

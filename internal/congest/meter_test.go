@@ -64,7 +64,7 @@ func TestRunEmitsRoundSamples(t *testing.T) {
 	n := 6
 	g := pathGraph(n)
 	sink := &collectingSink{}
-	s := newGraphSim(g, WithTrace(sink))
+	s := NewTopo(g, WithTrace(sink))
 	s.Run([]int{0}, 50, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
 			ctx.Send(1, Payload{}, 1)
@@ -103,7 +103,7 @@ func TestRunEmitsRoundSamples(t *testing.T) {
 func TestBroadcastEmitsAggregateSample(t *testing.T) {
 	g := pathGraph(5)
 	sink := &collectingSink{}
-	s := newGraphSim(g, WithTrace(sink))
+	s := NewTopo(g, WithTrace(sink))
 	s.Broadcast([]BroadcastMsg{{Origin: 0, Words: 2}}, nil)
 	if len(sink.samples) != 1 {
 		t.Fatalf("samples=%d want 1", len(sink.samples))
@@ -125,11 +125,11 @@ func TestBroadcastEmitsAggregateSample(t *testing.T) {
 // holding it would turn the idle fast-forward off for every untraced run.
 func TestWithTraceTypedNilRecorder(t *testing.T) {
 	var rec *trace.Recorder
-	s := newGraphSim(pathGraph(3), WithTrace(rec))
+	s := NewTopo(pathGraph(3), WithTrace(rec))
 	if s.tracer != nil {
 		t.Fatal("WithTrace((*trace.Recorder)(nil)) installed a sink")
 	}
-	if s := newGraphSim(pathGraph(3), WithTrace(trace.NewRecorder())); s.tracer == nil {
+	if s := NewTopo(pathGraph(3), WithTrace(trace.NewRecorder())); s.tracer == nil {
 		t.Fatal("WithTrace(recorder) installed no sink")
 	}
 }

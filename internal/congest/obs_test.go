@@ -14,7 +14,7 @@ func floodOnce(t *testing.T, opts ...Option) *Simulator {
 	t.Helper()
 	const side, floodRounds = 6, 4
 	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(7)))
-	s := newGraphSim(g, opts...)
+	s := NewTopo(g, opts...)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v

@@ -32,7 +32,7 @@ func TestExtPayloadRelayChain(t *testing.T) {
 	const n = 5
 	const kindTrail PayloadKind = 9
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	var final []uint64
 	s.Run([]int{0}, 20, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
@@ -78,7 +78,7 @@ func TestExtPayloadRelayChain(t *testing.T) {
 func TestRelayReceivedPayloadVerbatim(t *testing.T) {
 	const kindList PayloadKind = 3
 	g := graph.Star(4, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g)
+	s := NewTopo(g)
 	got := make([][]uint64, 4)
 	s.Run([]int{1}, 10, func(v int, ctx *Ctx) {
 		switch {
@@ -109,7 +109,7 @@ func TestRelayReceivedPayloadVerbatim(t *testing.T) {
 // allocation.
 func TestExtTrafficSteadyStateAllocFree(t *testing.T) {
 	g := graph.Path(8, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithWorkers(1))
+	s := NewTopo(g, WithWorkers(1))
 	const kindBlob PayloadKind = 5
 	initial := []int{0}
 	step := func(v int, ctx *Ctx) {
@@ -142,7 +142,7 @@ func TestExtTrafficSteadyStateAllocFree(t *testing.T) {
 func TestDrainAllRecyclesExt(t *testing.T) {
 	const kindBlob PayloadKind = 6
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithEdgeCapacity(1))
+	s := NewTopo(g, WithEdgeCapacity(1))
 	// Phase 1: a 10-word ext message over a capacity-1 edge, cut off at 3
 	// rounds - the chunk is stranded in the queue and must be drained.
 	s.Run([]int{0}, 3, func(v int, ctx *Ctx) {

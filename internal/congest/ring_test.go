@@ -86,7 +86,7 @@ func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ri
 func runRingTails(t testing.TB, layout *ringLayout, tail func(seq int) bool, maxRounds int, opts ...Option) ringRun {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, opts...)
+	s := NewTopo(g, opts...)
 	s.ensureTopology()
 	e := s.edgeID(0, 1)
 	q := &s.queues[e]
@@ -258,7 +258,7 @@ func TestRingFaultPathsReturnChunksOnce(t *testing.T) {
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g, WithFaults(tc.plan))
+			s := NewTopo(g, WithFaults(tc.plan))
 			s.ensureTopology()
 			for _, a := range arenas(s) {
 				for cls := 0; cls <= 2; cls++ {
@@ -383,7 +383,7 @@ var wrappingLayout = &ringLayout{len: 4, head: 3}
 // edge's count grows, so the peak is read there.
 func TestRingCapacityBound(t *testing.T) {
 	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	s := newGraphSim(g, WithWorkers(1))
+	s := NewTopo(g, WithWorkers(1))
 	s.ensureTopology()
 	peak := make([]int32, len(s.queues))
 	all := make([]int, g.N())

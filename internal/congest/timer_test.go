@@ -37,7 +37,7 @@ func TestWakeAtStepsExactlyAtRound(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 16
 			g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g)
+			s := NewTopo(g)
 			var steps []int
 			executed := s.Run([]int{0, 1}, 100, func(v int, ctx *Ctx) {
 				if v == 0 {
@@ -87,7 +87,7 @@ const timerSide = 72
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
 	g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	return timerWorkloadOn(t, newGraphSim(g, append([]Option{WithWorkers(workers)}, opts...)...), spin, maxRounds)
+	return timerWorkloadOn(t, NewTopo(g, append([]Option{WithWorkers(workers)}, opts...)...), spin, maxRounds)
 }
 
 // timerWorkloadOn runs timerWorkload's program on s, a simulator over
@@ -191,7 +191,7 @@ func TestWakeAtPastMaxRounds(t *testing.T) {
 	for _, ff := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fastforward=%v", ff), func(t *testing.T) {
 			g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g, WithIdleFastForward(ff))
+			s := NewTopo(g, WithIdleFastForward(ff))
 			var steps []int
 			executed := s.Run([]int{0}, 10, func(v int, ctx *Ctx) {
 				steps = append(steps, ctx.Round())
@@ -218,7 +218,7 @@ func TestWakeAtPastMaxRounds(t *testing.T) {
 func TestWakeAtTraceSamplesEveryRound(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sink := &collectingSink{}
-	s := newGraphSim(g, WithTrace(sink))
+	s := NewTopo(g, WithTrace(sink))
 	executed := s.Run([]int{0, 3}, 100, func(v int, ctx *Ctx) {
 		if ctx.Round() == 0 {
 			ctx.WakeAt(5 * (v + 1)) // vertex 0 at round 5, vertex 3 at round 20
@@ -261,7 +261,7 @@ func TestWakeAtCrashKeepsSpinSemantics(t *testing.T) {
 		lone := &faults.Plan{Crashes: []faults.Crash{{Vertex: 2, From: 5, Until: 10}}}
 		for _, spin := range []bool{true, false} {
 			g := graph.Path(3, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := newGraphSim(g, WithFaults(lone))
+			s := NewTopo(g, WithFaults(lone))
 			var steps []int
 			s.Run([]int{2}, 100, func(v int, ctx *Ctx) {
 				steps = append(steps, ctx.Round())
@@ -338,7 +338,7 @@ func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
 	run := func(t *testing.T, spin bool, workers int) result {
 		var s *Simulator
 		probe := &timerProbe{}
-		s = newGraphSim(g, WithWorkers(workers), WithTrace(probe))
+		s = NewTopo(g, WithWorkers(workers), WithTrace(probe))
 		peak := 0
 		probe.check = func() {
 			seen := map[timer]bool{}
@@ -418,7 +418,7 @@ func (p *sleepers) step(v int, ctx *Ctx) {
 func TestWakeAtSteadyStateAllocFree(t *testing.T) {
 	const n = 512
 	g := graph.Path(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := newGraphSim(g, WithWorkers(1))
+	s := NewTopo(g, WithWorkers(1))
 	all := make([]int, n)
 	for v := range all {
 		all[v] = v

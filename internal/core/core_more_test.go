@@ -141,14 +141,14 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 	r := rand.New(rand.NewSource(213))
 	g := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e5), r)
 	eps := 0.1
-	q := g.QuantizeWeights(eps)
-	sim := congest.NewTopo(graph.FromGraph(q), congest.WithSeed(214))
+	q := g.Quantize(eps)
+	sim := congest.NewTopo(q, congest.WithSeed(214))
 	s, err := Build(sim, Options{K: 2, Seed: 214})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab := dataplane.Compile(s.Scheme)
-	exact := graph.AllPairs(graph.FromGraph(g)) // stretch measured against the ORIGINAL metric
+	exact := graph.AllPairs(g) // stretch measured against the ORIGINAL metric
 	bound := (float64(4*2-3) + 0.5) * (1 + eps)
 	for trial := 0; trial < 80; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())

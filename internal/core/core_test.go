@@ -264,7 +264,7 @@ func TestDeterministicBuild(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := graph.FromGraph(graph.New(0))
+	g := graph.NewCSRBuilder(0).Build()
 	s, err := Build(congest.NewTopo(g), Options{K: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -32,13 +32,3 @@ func BenchmarkGenerateCSRErdosRenyi(b *testing.B) {
 		benchCSR = c
 	}
 }
-
-// BenchmarkFromGraph times freezing a slice-built 256×256 grid.
-func BenchmarkFromGraph(b *testing.B) {
-	g := Grid(256, 256, IntegerWeights(10), rand.New(rand.NewSource(1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCSR = FromGraph(g)
-	}
-}

@@ -29,30 +29,8 @@ func csrEqual(t *testing.T, a, b *CSR) {
 	}
 }
 
-func TestFromGraphPreservesAdjacency(t *testing.T) {
-	g := ErdosRenyi(200, 0.05, IntegerWeights(100), rand.New(rand.NewSource(7)))
-	c := FromGraph(g)
-	if c.N() != g.N() || c.M() != g.M() {
-		t.Fatalf("shape: csr (n=%d,m=%d), graph (n=%d,m=%d)", c.N(), c.M(), g.N(), g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		nbs := g.adj[u]
-		to, base := c.NeighborRange(u)
-		if len(to) != len(nbs) || c.Degree(u) != len(nbs) {
-			t.Fatalf("vertex %d: degree %d vs %d", u, len(to), len(nbs))
-		}
-		for i, nb := range nbs {
-			if int(to[i]) != nb.To || c.ArcWeight(base+i) != nb.Weight {
-				t.Fatalf("vertex %d arc %d: (%d,%v) vs (%d,%v)",
-					u, i, to[i], c.ArcWeight(base+i), nb.To, nb.Weight)
-			}
-		}
-	}
-}
-
 func TestCSRWeightClassTable(t *testing.T) {
-	g := Grid(8, 8, IntegerWeights(10), rand.New(rand.NewSource(3)))
-	c := FromGraph(g)
+	c := Grid(8, 8, IntegerWeights(10), rand.New(rand.NewSource(3)))
 	if c.WeightClasses() == 0 || c.WeightClasses() > 10 {
 		t.Fatalf("expected ≤10 weight classes, got %d", c.WeightClasses())
 	}
@@ -75,30 +53,32 @@ func TestStreamingGeneratorsSeedStability(t *testing.T) {
 	csrEqual(t, a, b)
 }
 
-// TestTopoHelpersMatchGraph checks the Topology helpers against the
-// builder's edge list (lightest weight per pair) and HopRadiusUpperBound
-// against twice a BFS eccentricity.
+// TestTopoHelpersMatchGraph checks the Topology helpers against the edge
+// stream the CSR was built from (lightest weight per pair) and
+// HopRadiusUpperBound against twice a BFS eccentricity.
 func TestTopoHelpersMatchGraph(t *testing.T) {
-	g := ErdosRenyi(120, 0.08, IntegerWeights(50), rand.New(rand.NewSource(5)))
-	c := FromGraph(g)
+	const n = 120
 	type pair struct{ u, v int }
 	lightest := make(map[pair]float64)
-	for _, e := range g.Edges() {
-		for _, p := range []pair{{e.U, e.V}, {e.V, e.U}} {
-			if w, ok := lightest[p]; !ok || e.Weight < w {
-				lightest[p] = e.Weight
+	b := NewCSRBuilder(n)
+	streamErdosRenyi(n, 0.08, IntegerWeights(50), rand.New(rand.NewSource(5)), func(u, v int, w float64) {
+		b.add(u, v, w)
+		for _, p := range []pair{{u, v}, {v, u}} {
+			if lw, ok := lightest[p]; !ok || w < lw {
+				lightest[p] = w
 			}
 		}
-	}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
+	})
+	c := b.Build()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
 			want, wantOK := lightest[pair{u, v}]
 			if TopoHasEdge(c, u, v) != wantOK {
-				t.Fatalf("TopoHasEdge(%d,%d) disagrees with the edge list", u, v)
+				t.Fatalf("TopoHasEdge(%d,%d) disagrees with the edge stream", u, v)
 			}
 			got, ok := TopoEdgeWeight(c, u, v)
 			if ok != wantOK || (ok && got != want) {
-				t.Fatalf("TopoEdgeWeight(%d,%d) = (%v,%v), edge list (%v,%v)", u, v, got, ok, want, wantOK)
+				t.Fatalf("TopoEdgeWeight(%d,%d) = (%v,%v), edge stream (%v,%v)", u, v, got, ok, want, wantOK)
 			}
 		}
 	}
@@ -119,8 +99,7 @@ func TestTopoHelpersMatchGraph(t *testing.T) {
 // the host-sized constructor agree on every accessor for the same tree.
 func TestNewTreeCompactMatchesNewTree(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	g := ErdosRenyi(100, 0.06, IntegerWeights(10), r)
-	c := FromGraph(g)
+	c := ErdosRenyi(100, 0.06, IntegerWeights(10), r)
 	tr, err := SpanningTree(c, 3, "sssp", r)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +118,7 @@ func TestNewTreeCompactMatchesNewTree(t *testing.T) {
 	if ct.Size() != tr.Size() || ct.HostSize() != tr.HostSize() {
 		t.Fatalf("shape mismatch")
 	}
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < c.N(); v++ {
 		if ct.Member(v) != tr.Member(v) || ct.Parent(v) != tr.Parent(v) {
 			t.Fatalf("vertex %d: member/parent disagree", v)
 		}
@@ -191,24 +170,34 @@ func TestNewTreeCompactValidation(t *testing.T) {
 	}
 }
 
-// TestThawRoundTrip pins Thaw: freezing a thawed CSR gives it back bit for
-// bit, and an edge added after the thaw lands where the builder the CSR was
-// frozen from would have put it.
+// TestThawRoundTrip pins Thaw: building a thawed CSR gives it back bit for
+// bit, and edges added after the thaw land where they would have in a
+// single pass over the whole stream.
 func TestThawRoundTrip(t *testing.T) {
 	for _, f := range goldenFamilies {
 		c, err := GenerateCSR(f, 200, rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		csrEqual(t, FromGraph(c.Thaw()), c)
+		csrIdentical(t, c.Thaw().Build(), c)
 	}
-	g := ErdosRenyi(50, 0.1, IntegerWeights(10), rand.New(rand.NewSource(2)))
-	thawed := FromGraph(g).Thaw()
-	for _, b := range []*Graph{g, thawed} {
-		b.MustAddEdge(3, 7, 0.5)
-		b.MustAddEdge(7, 3, 2)
-		b.AddVertex()
-		b.MustAddEdge(50, 0, 1)
+	extend := func(b *CSRBuilder) *CSR {
+		for _, e := range []edge{{3, 7, 0.5}, {7, 3, 2}} {
+			if err := b.AddEdge(e.u, e.v, e.w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.AddEdge(b.AddVertex(), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		return b.Build()
 	}
-	csrEqual(t, FromGraph(thawed), FromGraph(g))
+	stream := func(b *CSRBuilder) {
+		streamErdosRenyi(50, 0.1, IntegerWeights(10), rand.New(rand.NewSource(2)), b.add)
+	}
+	whole := NewCSRBuilder(50)
+	stream(whole)
+	prefix := NewCSRBuilder(50)
+	stream(prefix)
+	csrIdentical(t, extend(prefix.Build().Thaw()), extend(whole))
 }

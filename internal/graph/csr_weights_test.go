@@ -18,26 +18,55 @@ func csrIdentical(t *testing.T, a, b *CSR) {
 	}
 }
 
-// freezeBoth freezes the same edge stream through FromGraph and through
-// CSRBuilder, checks the two CSRs are identical, and checks every arc reads
-// back the exact weight it was added with and that the class table, when
-// kept, is strictly ascending. It returns the builder's CSR.
+// freezeBoth freezes an edge stream in one pass and split at its middle;
+// see freezeSplit.
 func freezeBoth(t *testing.T, n int, eu, ev []int, ew []float64) *CSR {
 	t.Helper()
-	g := New(n)
-	b := NewCSRBuilder(n)
-	for i := range eu {
-		g.MustAddEdge(eu[i], ev[i], ew[i])
-		b.AddEdge(eu[i], ev[i], ew[i])
+	return freezeSplit(t, n, eu, ev, ew, len(eu)/2)
+}
+
+// freezeSplit freezes the same edge stream through one CSRBuilder, and
+// through a builder that freezes the first split edges, thaws, and adds the
+// rest; it checks the two CSRs are identical. It then checks every arc
+// against a reference adjacency list of the stream, neighbour order and
+// exact weight bits, and that the class table, when kept, is strictly
+// ascending. It returns the one-pass CSR.
+func freezeSplit(t *testing.T, n int, eu, ev []int, ew []float64, split int) *CSR {
+	t.Helper()
+	add := func(b *CSRBuilder, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := b.AddEdge(eu[i], ev[i], ew[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	c := b.Build()
-	csrIdentical(t, FromGraph(g), c)
+	one := NewCSRBuilder(n)
+	add(one, 0, len(eu))
+	c := one.Build()
+	prefix := NewCSRBuilder(n)
+	add(prefix, 0, split)
+	thawed := prefix.Build().Thaw()
+	add(thawed, split, len(eu))
+	csrIdentical(t, thawed.Build(), c)
+
+	type arc struct {
+		to int32
+		w  uint64
+	}
+	ref := make([][]arc, n)
+	for i := range eu {
+		w := math.Float64bits(ew[i])
+		ref[eu[i]] = append(ref[eu[i]], arc{int32(ev[i]), w})
+		ref[ev[i]] = append(ref[ev[i]], arc{int32(eu[i]), w})
+	}
 	for u := 0; u < n; u++ {
 		to, base := c.NeighborRange(u)
-		for i, nb := range g.adj[u] {
-			if int(to[i]) != nb.To || c.ArcWeight(base+i) != nb.Weight {
-				t.Fatalf("vertex %d arc %d: (%d, %v), added (%d, %v)",
-					u, i, to[i], c.ArcWeight(base+i), nb.To, nb.Weight)
+		if len(to) != len(ref[u]) {
+			t.Fatalf("vertex %d: degree %d, added %d", u, len(to), len(ref[u]))
+		}
+		for i, a := range ref[u] {
+			if w := math.Float64bits(c.ArcWeight(base + i)); to[i] != a.to || w != a.w {
+				t.Fatalf("vertex %d arc %d: (%d, %#x), added (%d, %#x)", u, i, to[i], w, a.to, a.w)
 			}
 		}
 	}
@@ -114,10 +143,12 @@ func TestWeightClassEdgeCases(t *testing.T) {
 }
 
 // FuzzFreezeWeights feeds arbitrary positive finite weights on arbitrary
-// edges through both freeze paths. Each 10-byte record is one edge: two
-// endpoint bytes and the 8-byte little-endian bits of its weight, with the
-// sign cleared; records that decode to a self-loop, zero, an infinity or a
-// NaN are skipped. The seed corpus is in testdata/fuzz/FuzzFreezeWeights.
+// edges through freezeSplit. Each 10-byte record is one edge: two endpoint
+// bytes and the 8-byte little-endian bits of its weight, with the sign
+// cleared; records that decode to a self-loop, zero, an infinity or a NaN
+// are skipped. The first byte after the last whole record, if any, picks
+// the split point; without one the stream splits in the middle. The seed
+// corpus is in testdata/fuzz/FuzzFreezeWeights.
 func FuzzFreezeWeights(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
 		n := 2 + int(size)%32
@@ -131,7 +162,11 @@ func FuzzFreezeWeights(f *testing.F) {
 			}
 			eu, ev, ew = append(eu, u), append(ev, v), append(ew, w)
 		}
-		freezeBoth(t, n, eu, ev, ew)
+		split := len(eu) / 2
+		if len(data) > 0 {
+			split = int(data[0]) % (len(eu) + 1)
+		}
+		freezeSplit(t, n, eu, ev, ew, split)
 	})
 }
 

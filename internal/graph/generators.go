@@ -5,7 +5,8 @@ import (
 	"math/rand"
 )
 
-// WeightFunc produces an edge weight; generators call it once per edge.
+// WeightFunc produces an edge weight; generators call it once per edge and
+// stream the result unchecked, so it must return positive finite weights.
 type WeightFunc func(r *rand.Rand) float64
 
 // UnitWeights assigns weight 1 to every edge.
@@ -25,10 +26,10 @@ func IntegerWeights(max int) WeightFunc {
 // random Hamiltonian-path backbone so the result is always connected (the
 // standard trick for benchmarking on connected instances); see
 // streamErdosRenyi.
-func ErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(n)
-	streamErdosRenyi(n, p, w, r, g.MustAddEdge)
-	return g
+func ErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
+	streamErdosRenyi(n, p, w, r, b.add)
+	return b.Build()
 }
 
 // RandomGeometric places n points uniformly in the unit square and connects
@@ -36,26 +37,26 @@ func ErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand) *Graph {
 // (scaled by 1000 and floored at 1 to keep weights positive). A backbone
 // path over the points sorted by x-coordinate keeps the graph connected;
 // see streamGeometric.
-func RandomGeometric(n int, radius float64, r *rand.Rand) *Graph {
-	g := New(n)
-	streamGeometric(n, radius, r, g.MustAddEdge)
-	return g
+func RandomGeometric(n int, radius float64, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
+	streamGeometric(n, radius, r, b.add)
+	return b.Build()
 }
 
 // Grid generates a rows×cols grid with the given weights. Hop diameter is
 // rows+cols-2, which makes it a good "large D" stress case.
-func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(rows * cols)
-	streamGrid(rows, cols, w, r, g.MustAddEdge)
-	return g
+func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(rows * cols)
+	streamGrid(rows, cols, w, r, b.add)
+	return b.Build()
 }
 
 // Torus is Grid with wraparound edges, halving the diameter. The wrap edges
 // are generated in the same edge stream as the grid edges (streamTorus).
-func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(rows * cols)
-	streamTorus(rows, cols, w, r, g.MustAddEdge)
-	return g
+func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(rows * cols)
+	streamTorus(rows, cols, w, r, b.add)
+	return b.Build()
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: each new vertex
@@ -63,75 +64,79 @@ func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
 // power-law degree distributions typical of P2P/social overlays. Each new
 // vertex's target edges are emitted in ascending target order, making the
 // edge stream deterministic for a given seed (see streamBarabasiAlbert).
-func BarabasiAlbert(n, m int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(n)
-	streamBarabasiAlbert(n, m, w, r, g.MustAddEdge)
-	return g
+func BarabasiAlbert(n, m int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
+	streamBarabasiAlbert(n, m, w, r, b.add)
+	return b.Build()
+}
+
+// Hypercube generates the d-dimensional hypercube (n = 2^d vertices).
+func Hypercube(d int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(1 << d)
+	streamHypercube(d, w, r, b.add)
+	return b.Build()
 }
 
 // Path generates the n-vertex path 0-1-...-(n-1).
-func Path(n int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(n)
+func Path(n int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(i-1, i, w(r))
+		b.add(i-1, i, w(r))
 	}
-	return g
+	return b.Build()
 }
 
-// Cycle generates the n-vertex cycle.
-func Cycle(n int, w WeightFunc, r *rand.Rand) *Graph {
-	g := Path(n, w, r)
-	if n > 2 {
-		g.MustAddEdge(n-1, 0, w(r))
+// Cycle generates the n-vertex cycle: the path, then the edge closing it.
+func Cycle(n int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
+	for i := 1; i < n; i++ {
+		b.add(i-1, i, w(r))
 	}
-	return g
+	if n > 2 {
+		b.add(n-1, 0, w(r))
+	}
+	return b.Build()
 }
 
 // Star generates a star with center 0 and n-1 leaves.
-func Star(n int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(n)
+func Star(n int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(0, i, w(r))
+		b.add(0, i, w(r))
 	}
-	return g
+	return b.Build()
 }
 
 // BalancedTree generates a complete b-ary tree on n vertices rooted at 0.
-func BalancedTree(n, b int, w WeightFunc, r *rand.Rand) *Graph {
-	if b < 2 {
-		b = 2
-	}
-	g := New(n)
+func BalancedTree(n, arity int, w WeightFunc, r *rand.Rand) *CSR {
+	arity = max(arity, 2)
+	b := NewCSRBuilder(n)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(v, (v-1)/b, w(r))
+		b.add(v, (v-1)/arity, w(r))
 	}
-	return g
+	return b.Build()
 }
 
 // Caterpillar generates a caterpillar tree: a spine path of length spine with
 // legs leaves attached round-robin. Deep spine + bushy legs exercises both
 // the heavy-path and light-edge machinery of tree routing.
-func Caterpillar(spine, legs int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(spine + legs)
+func Caterpillar(spine, legs int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(spine + legs)
 	for i := 1; i < spine; i++ {
-		g.MustAddEdge(i-1, i, w(r))
+		b.add(i-1, i, w(r))
 	}
 	for l := 0; l < legs; l++ {
-		g.MustAddEdge(spine+l, l%spine, w(r))
+		b.add(spine+l, l%spine, w(r))
 	}
-	return g
+	return b.Build()
 }
 
 // RandomTree generates a uniformly random labelled tree on n vertices via a
 // Prüfer sequence.
-func RandomTree(n int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(n)
+func RandomTree(n int, w WeightFunc, r *rand.Rand) *CSR {
+	b := NewCSRBuilder(n)
 	if n < 2 {
-		return g
-	}
-	if n == 2 {
-		g.MustAddEdge(0, 1, w(r))
-		return g
+		return b.Build()
 	}
 	prufer := make([]int, n-2)
 	degree := make([]int, n)
@@ -151,7 +156,7 @@ func RandomTree(n int, w WeightFunc, r *rand.Rand) *Graph {
 	}
 	for _, p := range prufer {
 		leaf, _ := h.Pop()
-		g.MustAddEdge(leaf, p, w(r))
+		b.add(leaf, p, w(r))
 		degree[p]--
 		if degree[p] == 1 {
 			h.Push(p, float64(p))
@@ -159,15 +164,8 @@ func RandomTree(n int, w WeightFunc, r *rand.Rand) *Graph {
 	}
 	u, _ := h.Pop()
 	v, _ := h.Pop()
-	g.MustAddEdge(u, v, w(r))
-	return g
-}
-
-// Hypercube generates the d-dimensional hypercube (n = 2^d vertices).
-func Hypercube(d int, w WeightFunc, r *rand.Rand) *Graph {
-	g := New(1 << d)
-	streamHypercube(d, w, r, g.MustAddEdge)
-	return g
+	b.add(u, v, w(r))
+	return b.Build()
 }
 
 // Family names a graph generator for benchmark sweeps.

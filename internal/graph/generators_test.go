@@ -52,7 +52,7 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	tests := []struct {
 		name string
-		g    *Graph
+		g    *CSR
 		n    int
 	}{
 		{"erdos-renyi", ErdosRenyi(100, 0.05, IntegerWeights(10), r), 100},
@@ -73,13 +73,10 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 			if tt.g.N() != tt.n {
 				t.Fatalf("N=%d want %d", tt.g.N(), tt.n)
 			}
-			if err := tt.g.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
+			if err := csrValid(tt.g); err != nil {
+				t.Fatal(err)
 			}
-			if err := csrValid(FromGraph(tt.g)); err != nil {
-				t.Fatalf("frozen: %v", err)
-			}
-			if !Connected(FromGraph(tt.g)) {
+			if !Connected(tt.g) {
 				t.Fatal("not connected")
 			}
 		})
@@ -89,14 +86,14 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 func TestTreesHaveExactlyNMinusOneEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{2, 3, 10, 100, 257} {
-		for _, g := range []*Graph{
+		for _, g := range []*CSR{
 			RandomTree(n, UnitWeights, r),
 			BalancedTree(n, 3, UnitWeights, r),
 		} {
 			if g.M() != n-1 {
 				t.Fatalf("n=%d: M=%d want %d", n, g.M(), n-1)
 			}
-			if !Connected(FromGraph(g)) {
+			if !Connected(g) {
 				t.Fatalf("n=%d: tree not connected", n)
 			}
 		}
@@ -121,7 +118,7 @@ func TestRandomTreeProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%100) + 2
 		g := RandomTree(n, UnitWeights, rand.New(rand.NewSource(seed)))
-		return g.M() == n-1 && Connected(FromGraph(g)) && g.Validate() == nil
+		return g.M() == n-1 && Connected(g) && csrValid(g) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -129,17 +126,13 @@ func TestRandomTreeProperty(t *testing.T) {
 }
 
 // Property: the Erdős–Rényi core streamed into a CSR always yields a valid
-// connected topology (thanks to the backbone) for any p in [0,1], equal to
-// the edge-by-edge builder fed the same stream.
+// connected topology (thanks to the backbone) for any p in [0,1].
 func TestErdosRenyiProperty(t *testing.T) {
 	f := func(seed int64, praw uint16, sz uint8) bool {
 		n := int(sz%80) + 2
 		p := float64(praw) / 65535
-		b := NewCSRBuilder(n)
-		streamErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)), b.AddEdge)
-		c := b.Build()
-		g := ErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)))
-		return Connected(c) && csrValid(c) == nil && csrDigest(c) == csrDigest(FromGraph(g))
+		c := ErdosRenyi(n, p, IntegerWeights(10), rand.New(rand.NewSource(seed)))
+		return Connected(c) && csrValid(c) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package graph provides the weighted undirected graph substrate used by the
-// routing schemes: the edge-by-edge *Graph builder and the classic
-// generators, the immutable CSR topology they freeze into (FromGraph,
-// GenerateCSR), the algorithms that read a Topology (Dijkstra, bounded-hop
-// Bellman-Ford, BFS, diameter measures, spanning trees), and rooted-tree
-// utilities (heavy-child decomposition, DFS intervals).
+// routing schemes. A graph has one in-memory form, the immutable CSR; the
+// CSRBuilder is the only way to make one, from an edge stream that the
+// generators, the facade's link-by-link edits and the materialised virtual
+// graphs all feed. On top of it sit the algorithms that read a Topology
+// (Dijkstra, bounded-hop Bellman-Ford, BFS, diameter measures, spanning
+// trees), the Section 2 weight quantization, and rooted-tree utilities
+// (heavy-child decomposition, DFS intervals).
 //
 // All algorithms are deterministic given the caller-supplied *rand.Rand.
 package graph
@@ -12,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Infinity is the distance value used for unreachable vertices.
@@ -21,151 +22,149 @@ const Infinity = math.MaxFloat64
 // NoVertex marks an absent vertex id (e.g. the parent of a root).
 const NoVertex = -1
 
-// Edge is a weighted undirected edge between vertices U and V.
-type Edge struct {
-	U, V   int
-	Weight float64
-}
-
-// neighbor is one endpoint of an incident edge, as seen from its other
-// endpoint.
-type neighbor struct {
-	To     int
-	Weight float64
-}
-
-// Graph is the edge-by-edge builder of a weighted undirected graph on
-// vertices 0..N()-1, stored as adjacency lists. Algorithms do not read it:
-// freeze it with FromGraph and hand them the CSR. The zero value is an
-// empty graph; use New to preallocate vertices.
-type Graph struct {
-	adj   [][]neighbor
-	edges int
-}
-
-// New returns a graph with n isolated vertices.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{adj: make([][]neighbor, n)}
-}
-
-// N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
-
-// M returns the number of undirected edges.
-func (g *Graph) M() int { return g.edges }
-
-// AddVertex appends a new isolated vertex and returns its id.
-func (g *Graph) AddVertex() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
-
-// AddEdge inserts an undirected edge {u,v} with weight w. It returns an error
-// for out-of-range endpoints, self loops, or non-positive/non-finite weights.
-// Parallel edges are not deduplicated; callers that care should use HasEdge.
-func (g *Graph) AddEdge(u, v int, w float64) error {
-	switch {
-	case u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj):
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, len(g.adj))
-	case u == v:
-		return fmt.Errorf("graph: self loop at %d", u)
-	case !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w):
-		return fmt.Errorf("graph: invalid weight %v on {%d,%d}", w, u, v)
-	}
-	g.adj[u] = append(g.adj[u], neighbor{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], neighbor{To: u, Weight: w})
-	g.edges++
-	return nil
-}
-
-// MustAddEdge is AddEdge that panics on error; for generators and tests whose
-// inputs are correct by construction.
-func (g *Graph) MustAddEdge(u, v int, w float64) {
-	if err := g.AddEdge(u, v, w); err != nil {
-		panic(err)
-	}
-}
-
-// HasEdge reports whether an edge {u,v} exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) {
-		return false
-	}
-	for _, nb := range g.adj[u] {
-		if nb.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Degree returns the number of edges incident on u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
-// Edges returns every undirected edge once, with U < V, sorted by (U, V).
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.edges)
-	for u, nbs := range g.adj {
-		for _, nb := range nbs {
-			if u < nb.To {
-				out = append(out, Edge{U: u, V: nb.To, Weight: nb.Weight})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]neighbor, len(g.adj)), edges: g.edges}
-	for i, nbs := range g.adj {
-		c.adj[i] = append([]neighbor(nil), nbs...)
-	}
-	return c
-}
-
 // ErrDisconnected is returned by algorithms that require a connected graph.
 var ErrDisconnected = errors.New("graph: not connected")
 
-// Validate performs internal consistency checks (symmetric adjacency,
-// positive finite weights) and returns the first violation found.
-func (g *Graph) Validate() error {
-	type key struct{ u, v int }
-	count := make(map[key]int)
-	for u, nbs := range g.adj {
-		for _, nb := range nbs {
-			if nb.To < 0 || nb.To >= len(g.adj) {
-				return fmt.Errorf("graph: vertex %d has neighbor %d out of range", u, nb.To)
-			}
-			if nb.To == u {
-				return fmt.Errorf("graph: self loop at %d", u)
-			}
-			if !(nb.Weight > 0) || math.IsInf(nb.Weight, 0) || math.IsNaN(nb.Weight) {
-				return fmt.Errorf("graph: invalid weight %v on {%d,%d}", nb.Weight, u, nb.To)
-			}
-			count[key{u, nb.To}]++
-		}
+// emptyCSR is the graph with no vertices, the prefix of a fresh builder.
+var emptyCSR = &CSR{off: []int32{0}}
+
+// CSRBuilder accumulates an edge stream on vertices 0..N()-1 and freezes it
+// into a CSR with a stable counting sort. Transient state is three flat
+// arrays of 16 bytes per edge, plus the CSR it was thawed from, which it
+// keeps as a read-only prefix. Vertex u's arcs in the built CSR
+// are its prefix arcs in the prefix's order, then one arc per added edge
+// incident to u in the order the edges were added (u's arc before v's for
+// an edge {u,v}), so a thawed and extended graph equals one streamed in a
+// single pass. Parallel edges are kept.
+type CSRBuilder struct {
+	n      int
+	prefix *CSR // edges frozen before the stream; emptyCSR for a fresh builder
+	eu     []int32
+	ev     []int32
+	ew     []float64
+}
+
+// NewCSRBuilder returns a builder for a graph with n isolated vertices; a
+// negative n counts as 0.
+func NewCSRBuilder(n int) *CSRBuilder {
+	return &CSRBuilder{n: max(n, 0), prefix: emptyCSR}
+}
+
+// Thaw returns a builder that holds c as its prefix: c.Thaw().Build()
+// equals c bit for bit, and an edge added to the builder lands after the
+// arcs c had, exactly where it would have landed had it been added to the
+// stream c was built from.
+func (c *CSR) Thaw() *CSRBuilder { return &CSRBuilder{n: c.N(), prefix: c} }
+
+// reserve presizes the edge stream for m edges, so a generator that knows
+// its edge count streams without regrowing the arrays.
+func (b *CSRBuilder) reserve(m int) {
+	b.eu = make([]int32, 0, m)
+	b.ev = make([]int32, 0, m)
+	b.ew = make([]float64, 0, m)
+}
+
+// N returns the number of vertices.
+func (b *CSRBuilder) N() int { return b.n }
+
+// M returns the number of edges, the prefix's included.
+func (b *CSRBuilder) M() int { return b.prefix.m + len(b.eu) }
+
+// AddVertex appends an isolated vertex and returns its id.
+func (b *CSRBuilder) AddVertex() int {
+	b.n++
+	return b.n - 1
+}
+
+// AddEdge appends the undirected edge {u,v} with weight w to the stream. It
+// returns an error for out-of-range endpoints, self loops, or non-positive
+// or non-finite weights.
+func (b *CSRBuilder) AddEdge(u, v int, w float64) error {
+	switch {
+	case u < 0 || u >= b.n || v < 0 || v >= b.n:
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
+	case u == v:
+		return fmt.Errorf("graph: self loop at %d", u)
+	case !(w > 0) || math.IsInf(w, 0):
+		return fmt.Errorf("graph: invalid weight %v on {%d,%d}", w, u, v)
 	}
-	for k, c := range count {
-		if count[key{k.v, k.u}] != c {
-			return fmt.Errorf("graph: asymmetric adjacency between %d and %d", k.u, k.v)
-		}
-	}
-	total := 0
-	for _, nbs := range g.adj {
-		total += len(nbs)
-	}
-	if total != 2*g.edges {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency size %d", g.edges, total)
-	}
+	b.add(u, v, w)
 	return nil
+}
+
+// add is AddEdge without the check, for generators whose edges are valid
+// by construction.
+func (b *CSRBuilder) add(u, v int, w float64) {
+	b.eu = append(b.eu, int32(u))
+	b.ev = append(b.ev, int32(v))
+	b.ew = append(b.ew, w)
+}
+
+// Build freezes the prefix and the edge stream into a CSR. The builder then
+// holds that CSR as its prefix, as if Thaw had returned it, so edges added
+// later extend it. Each weight is hashed once: the count pass records every
+// edge's insertion id in the weight classer, and the scatter maps ids to
+// classes through a table.
+func (b *CSRBuilder) Build() *CSR {
+	n, m, p := b.n, len(b.eu), b.prefix
+	eu, ev, ew := b.eu[:m], b.ev[:m], b.ew[:m]
+	arcs := int32(len(p.to) + 2*m)
+	off, to := make([]int32, n+1), make([]int32, arcs)
+	c := &CSR{off: off, to: to, m: p.m + m}
+	wc := newWeightClasser()
+	// The prefix's weights are its class table, or every arc's weight when
+	// it kept the float64 fallback; pid maps its classes to insertion ids.
+	pid := make([]uint16, len(p.classes))
+	for k, w := range p.classes {
+		pid[k] = wc.add(w)
+	}
+	for _, w := range p.w64 {
+		wc.add(w)
+	}
+	for u := 0; u < p.N(); u++ {
+		off[u] = int32(p.Degree(u))
+	}
+	id := make([]uint16, m)
+	for i, u := range eu {
+		off[u]++
+		off[ev[i]]++
+		id[i] = wc.add(ew[i])
+	}
+	// off[u] counts u's arcs; the running sum turns it into the end of u's
+	// range. The scatter walks the edges backwards and decrements off[u]
+	// per arc, so it fills the tail of each range back to front in edge
+	// order and leaves off[u] where u's prefix arcs end.
+	for u := 1; u < n; u++ {
+		off[u] += off[u-1]
+	}
+	off[n] = arcs
+	class := c.allocWeights(wc)
+	for i := m - 1; i >= 0; i-- {
+		u, v, w := eu[i], ev[i], ew[i]
+		off[u]--
+		off[v]--
+		a, z := off[u], off[v]
+		to[a], to[z] = v, u
+		if c.w64 != nil {
+			c.w64[a], c.w64[z] = w, w
+		} else {
+			k := class[id[i]]
+			c.wcls[a], c.wcls[z] = k, k
+		}
+	}
+	for u := 0; u < p.N(); u++ {
+		pto, base := p.NeighborRange(u)
+		off[u] -= int32(len(pto))
+		a := int(off[u])
+		copy(to[a:], pto)
+		for j := range pto {
+			if c.w64 != nil {
+				c.w64[a+j] = p.ArcWeight(base + j)
+			} else {
+				c.wcls[a+j] = class[pid[p.wcls[base+j]]]
+			}
+		}
+	}
+	b.prefix, b.eu, b.ev, b.ew = c, nil, nil, nil
+	return c
 }

@@ -12,7 +12,7 @@ func TestTreeDistHopsProperty(t *testing.T) {
 		n := int(sz%120) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(FromGraph(g), 0, "bfs", r)
+		tr, err := SpanningTree(g, 0, "bfs", r)
 		if err != nil {
 			return false
 		}
@@ -49,7 +49,7 @@ func TestDijkstraInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%80) + 5
 		r := rand.New(rand.NewSource(seed))
-		c := FromGraph(ErdosRenyi(n, 0.1, IntegerWeights(20), r))
+		c := ErdosRenyi(n, 0.1, IntegerWeights(20), r)
 		res := Dijkstra(c, 0)
 		for v := 0; v < n; v++ {
 			if res.Dist[v] == Infinity {
@@ -81,7 +81,7 @@ func TestBoundedBFMonotoneProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%60) + 5
 		r := rand.New(rand.NewSource(seed))
-		c := FromGraph(ErdosRenyi(n, 0.12, IntegerWeights(9), r))
+		c := ErdosRenyi(n, 0.12, IntegerWeights(9), r)
 		exact := Dijkstra(c, 0)
 		prev := BoundedBellmanFord(c, 0, 1)
 		for t := 2; t <= 8; t++ {
@@ -105,7 +105,7 @@ func TestBoundedBFMonotoneProperty(t *testing.T) {
 
 func TestPathToReconstructsWeights(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	c := FromGraph(ErdosRenyi(70, 0.1, IntegerWeights(15), r))
+	c := ErdosRenyi(70, 0.1, IntegerWeights(15), r)
 	res := Dijkstra(c, 3)
 	for v := 0; v < c.N(); v++ {
 		path := res.PathTo(v)
@@ -129,7 +129,7 @@ func TestPathToReconstructsWeights(t *testing.T) {
 func TestHopsFieldCountsEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	g := ErdosRenyi(60, 0.1, IntegerWeights(5), r)
-	res := Dijkstra(FromGraph(g), 0)
+	res := Dijkstra(g, 0)
 	for v := 0; v < g.N(); v++ {
 		path := res.PathTo(v)
 		if path == nil {

@@ -3,29 +3,47 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestQuantizeWeightsDistortionBound(t *testing.T) {
+// sortedEdges lists c's edges once each, u < v, in ascending (u, v) order.
+func sortedEdges(c *CSR) []edge {
+	var es []edge
+	for u := 0; u < c.N(); u++ {
+		to, base := c.NeighborRange(u)
+		for i, v := range to {
+			if int(v) > u {
+				es = append(es, edge{u, int(v), c.ArcWeight(base + i)})
+			}
+		}
+	}
+	sort.SliceStable(es, func(i, j int) bool {
+		return es[i].u < es[j].u || es[i].u == es[j].u && es[i].v < es[j].v
+	})
+	return es
+}
+
+func TestQuantizeDistortionBound(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	g := ErdosRenyi(100, 0.08, UniformWeights(1, 1e6), r)
 	eps := 0.1
-	q := g.QuantizeWeights(eps)
+	q := g.Quantize(eps)
 	if q.N() != g.N() || q.M() != g.M() {
 		t.Fatalf("shape changed: %d/%d vs %d/%d", q.N(), q.M(), g.N(), g.M())
 	}
 	// Per-edge distortion in [1, 1+eps].
-	qe := q.Edges()
-	for i, e := range g.Edges() {
-		ratio := qe[i].Weight / e.Weight
+	qe := sortedEdges(q)
+	for i, e := range sortedEdges(g) {
+		ratio := qe[i].w / e.w
 		if ratio < 1-1e-12 || ratio > (1+eps)+1e-9 {
-			t.Fatalf("edge {%d,%d}: distortion %v", e.U, e.V, ratio)
+			t.Fatalf("edge {%d,%d}: distortion %v", e.u, e.v, ratio)
 		}
 	}
 	// Whole-metric distortion in [1, 1+eps].
-	exact := Dijkstra(FromGraph(g), 0)
-	quant := Dijkstra(FromGraph(q), 0)
+	exact := Dijkstra(g, 0)
+	quant := Dijkstra(q, 0)
 	for v := 0; v < g.N(); v++ {
 		if exact.Dist[v] == Infinity {
 			continue
@@ -37,15 +55,13 @@ func TestQuantizeWeightsDistortionBound(t *testing.T) {
 	}
 }
 
-func TestQuantizeWeightsZeroEpsIsClone(t *testing.T) {
+// TestQuantizeZeroEpsSharesReceiver pins that Quantize(0) returns its
+// receiver, which is safe because a CSR is immutable.
+func TestQuantizeZeroEpsSharesReceiver(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := ErdosRenyi(40, 0.1, UniformWeights(1, 100), r)
-	q := g.QuantizeWeights(0)
-	ge, qe := g.Edges(), q.Edges()
-	for i := range ge {
-		if ge[i] != qe[i] {
-			t.Fatalf("edge %d changed: %v vs %v", i, ge[i], qe[i])
-		}
+	if q := g.Quantize(0); q != g {
+		t.Fatal("Quantize(0) should return its receiver")
 	}
 }
 
@@ -73,13 +89,13 @@ func TestQuantizeProperty(t *testing.T) {
 		eps := 0.01 + float64(epsRaw)/256
 		r := rand.New(rand.NewSource(seed))
 		g := ErdosRenyi(30, 0.15, UniformWeights(0.5, 1e4), r)
-		q := g.QuantizeWeights(eps)
-		if q.Validate() != nil {
+		q := g.Quantize(eps)
+		if csrValid(q) != nil {
 			return false
 		}
-		qe := q.Edges()
-		for i, e := range g.Edges() {
-			if qe[i].Weight < e.Weight || qe[i].Weight > e.Weight*(1+eps)*(1+1e-9) {
+		qe := sortedEdges(q)
+		for i, e := range sortedEdges(g) {
+			if qe[i].w < e.w || qe[i].w > e.w*(1+eps)*(1+1e-9) {
 				return false
 			}
 		}

@@ -7,15 +7,14 @@ import (
 	"sort"
 )
 
-// This file holds the generator cores: each topology family has exactly
-// one, which emits its edges in a fixed, documented order through an emit
-// callback. GenerateCSR streams a core straight into a CSRBuilder
-// (emit = CSRBuilder.AddEdge); the *Graph constructors of generators.go
-// feed the same core to the edge-by-edge builder (emit = MustAddEdge) for
-// tests. Either way the edge order, the weights and the RNG consumption are
-// the core's. The CSR path never materialises adjacency lists or any other
-// per-vertex slice state: transient memory is the builder's flat edge
-// arrays plus O(n) generator scratch.
+// This file holds the generator cores of GenerateCSR's families: each
+// topology family has exactly one, which emits its edges in a fixed,
+// documented order through an emit callback. GenerateCSR and the
+// constructors of generators.go stream a core straight into a CSRBuilder,
+// so the edge order, the weights and the RNG consumption are the core's.
+// No adjacency lists or other per-vertex slice state are materialised:
+// transient memory is the builder's flat edge arrays plus O(n) generator
+// scratch.
 
 // streamErdosRenyi emits G(n, p) plus a connecting backbone: first the
 // Hamiltonian path over r.Perm(n), one weight per backbone edge, then one
@@ -290,15 +289,15 @@ func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 		// edge arrays rarely regrow.
 		hits := p * float64(n) * float64(n-1) / 2
 		b.reserve(max(n-1, 0) + int(hits+4*math.Sqrt(hits)) + 8)
-		streamErdosRenyi(n, p, IntegerWeights(100), r, b.AddEdge)
+		streamErdosRenyi(n, p, IntegerWeights(100), r, b.add)
 	case FamilyGeometric:
 		b = NewCSRBuilder(n)
-		streamGeometric(n, geometricDefaultRadius(n), r, b.AddEdge)
+		streamGeometric(n, geometricDefaultRadius(n), r, b.add)
 	case FamilyGrid:
 		rows, cols := gridDefaultDims(n)
 		b = NewCSRBuilder(rows * cols)
 		b.reserve(gridEdges(rows, cols))
-		streamGrid(rows, cols, IntegerWeights(10), r, b.AddEdge)
+		streamGrid(rows, cols, IntegerWeights(10), r, b.add)
 	case FamilyTorus:
 		rows, cols := gridDefaultDims(n)
 		b = NewCSRBuilder(rows * cols)
@@ -310,7 +309,7 @@ func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 			m += cols
 		}
 		b.reserve(m)
-		streamTorus(rows, cols, IntegerWeights(10), r, b.AddEdge)
+		streamTorus(rows, cols, IntegerWeights(10), r, b.add)
 	case FamilyPowerLaw:
 		// streamBarabasiAlbert's edge count: a path over the first
 		// m+1 vertices, then m edges for each later vertex.
@@ -320,12 +319,12 @@ func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 			start := min(m+1, n)
 			b.reserve(start - 1 + (n-start)*m)
 		}
-		streamBarabasiAlbert(n, m, IntegerWeights(100), r, b.AddEdge)
+		streamBarabasiAlbert(n, m, IntegerWeights(100), r, b.add)
 	case FamilyHypercube:
 		d := hypercubeDefaultDim(n)
 		b = NewCSRBuilder(1 << d)
 		b.reserve(d * (1 << d) / 2)
-		streamHypercube(d, IntegerWeights(10), r, b.AddEdge)
+		streamHypercube(d, IntegerWeights(10), r, b.add)
 	default:
 		return nil, fmt.Errorf("graph: unknown family %q", f)
 	}

@@ -4,9 +4,8 @@ package graph
 // the simulator and the construction phases (congest, hopset, core,
 // treeroute) as well as the centralized oracles (shortest paths, spanning
 // trees, the TZ reference, stretch measurement, virtual graphs). Its one
-// implementation is the compact immutable *CSR, frozen from a *Graph
-// builder by FromGraph or streamed by GenerateCSR; the million-vertex scale
-// harness never materialises a *Graph at all.
+// implementation is the compact immutable *CSR, which a CSRBuilder builds
+// from an edge stream.
 //
 // Directed arcs are numbered globally: vertex u's incident arcs occupy the
 // contiguous id range [base, base+Degree(u)) returned by NeighborRange, in

@@ -239,6 +239,11 @@ func (t *Tree) ChildrenAt(i int) []int {
 	return t.childVerts[t.childStart[i]:t.childStart[i+1]]
 }
 
+// ChildSlotsAt is ChildrenAt as member slots. Owned by the tree.
+func (t *Tree) ChildSlotsAt(i int) []int32 {
+	return t.childSlots[t.childStart[i]:t.childStart[i+1]]
+}
+
 // Members returns all member vertex ids in increasing order.
 func (t *Tree) Members() []int {
 	out := make([]int, len(t.verts))
@@ -278,16 +283,16 @@ func (t *Tree) slotDepths() []int32 {
 	return d
 }
 
-// preOrderSlots returns member slots in depth-first preorder (children in
+// PreOrderSlots returns member slots in depth-first preorder (children in
 // id order).
-func (t *Tree) preOrderSlots() []int32 {
+func (t *Tree) PreOrderSlots() []int32 {
 	out := make([]int32, 0, len(t.verts))
 	stack := append(make([]int32, 0, 64), t.rootSlot)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, u)
-		cs := t.childSlots[t.childStart[u]:t.childStart[u+1]]
+		cs := t.ChildSlotsAt(int(u))
 		for i := len(cs) - 1; i >= 0; i-- {
 			stack = append(stack, cs[i])
 		}
@@ -306,22 +311,9 @@ func (t *Tree) postOrderSlots() []int32 {
 		stack = stack[:len(stack)-1]
 		idx--
 		out[idx] = u
-		stack = append(stack, t.childSlots[t.childStart[u]:t.childStart[u+1]]...)
+		stack = append(stack, t.ChildSlotsAt(int(u))...)
 	}
 	return out
-}
-
-// slotSubtreeSizes returns |subtree(slot)| per member slot.
-func (t *Tree) slotSubtreeSizes() []int32 {
-	s := make([]int32, len(t.verts))
-	for _, u := range t.postOrderSlots() {
-		sum := int32(1)
-		for _, c := range t.childSlots[t.childStart[u]:t.childStart[u+1]] {
-			sum += s[c]
-		}
-		s[u] = sum
-	}
-	return s
 }
 
 // Depths returns each member's edge-depth below the root (-1 for
@@ -350,7 +342,7 @@ func (t *Tree) Height() int {
 
 // PreOrder returns members in depth-first preorder (children in id order).
 func (t *Tree) PreOrder() []int {
-	slots := t.preOrderSlots()
+	slots := t.PreOrderSlots()
 	out := make([]int, len(slots))
 	for i, s := range slots {
 		out[i] = int(t.verts[s])
@@ -368,34 +360,34 @@ func (t *Tree) PostOrder() []int {
 	return out
 }
 
-// SubtreeSizes returns |subtree(v)| for every member (0 for non-members),
-// indexed by host vertex id.
+// SubtreeSizes returns |subtree| for every member, indexed by member slot
+// (see MemberIndex): nothing proportional to the host size.
 func (t *Tree) SubtreeSizes() []int {
-	s := make([]int, t.hostN)
-	for i, sz := range t.slotSubtreeSizes() {
-		s[t.verts[i]] = int(sz)
+	s := make([]int, len(t.verts))
+	for _, u := range t.postOrderSlots() {
+		s[u] = 1
+		for _, c := range t.ChildSlotsAt(int(u)) {
+			s[u] += s[c]
+		}
 	}
 	return s
 }
 
-// HeavyChildren returns, for every member, the child with the largest
+// HeavyChildren returns, for every member slot, the child with the largest
 // subtree (ties broken toward the smaller id), or NoVertex for leaves.
 // This is the decomposition at the heart of Thorup-Zwick tree routing: every
 // root-to-vertex path crosses at most log2(n) non-heavy ("light") edges.
 func (t *Tree) HeavyChildren() []int {
-	sizes := t.slotSubtreeSizes()
-	h := make([]int, t.hostN)
+	sizes := t.SubtreeSizes()
+	h := make([]int, len(t.verts))
 	for i := range h {
-		h[i] = NoVertex
-	}
-	for i, v32 := range t.verts {
-		best, bestSize := NoVertex, int32(-1)
-		for _, c := range t.childSlots[t.childStart[i]:t.childStart[i+1]] {
+		best, bestSize := NoVertex, -1
+		for _, c := range t.ChildSlotsAt(i) {
 			if sizes[c] > bestSize {
 				best, bestSize = int(t.verts[c]), sizes[c]
 			}
 		}
-		h[v32] = best
+		h[i] = best
 	}
 	return h
 }

@@ -76,7 +76,7 @@ func TestTreeDepthsAndHeight(t *testing.T) {
 }
 
 func TestSubtreeSizes(t *testing.T) {
-	tr := buildSampleTree(t)
+	tr := buildSampleTree(t) // spans 0..6, so member slot v is vertex v
 	s := tr.SubtreeSizes()
 	want := []int{7, 4, 2, 1, 2, 1, 1}
 	for v := range want {
@@ -87,7 +87,7 @@ func TestSubtreeSizes(t *testing.T) {
 }
 
 func TestHeavyChildren(t *testing.T) {
-	tr := buildSampleTree(t)
+	tr := buildSampleTree(t) // spans 0..6, so member slot v is vertex v
 	h := tr.HeavyChildren()
 	if h[0] != 1 { // subtree(1)=4 > subtree(2)=2
 		t.Fatalf("heavy(0)=%d want 1", h[0])
@@ -155,7 +155,7 @@ func TestSpanningTreeKinds(t *testing.T) {
 	g := ErdosRenyi(80, 0.08, IntegerWeights(10), r)
 	for _, kind := range []string{"bfs", "sssp", "dfs"} {
 		t.Run(kind, func(t *testing.T) {
-			tr, err := SpanningTree(FromGraph(g), 0, kind, r)
+			tr, err := SpanningTree(g, 0, kind, r)
 			if err != nil {
 				t.Fatalf("SpanningTree: %v", err)
 			}
@@ -164,18 +164,18 @@ func TestSpanningTreeKinds(t *testing.T) {
 			}
 			// Every tree edge must exist in the host graph.
 			for _, v := range tr.Members() {
-				if p := tr.Parent(v); p != NoVertex && !g.HasEdge(v, p) {
+				if p := tr.Parent(v); p != NoVertex && !TopoHasEdge(g, v, p) {
 					t.Fatalf("tree edge {%d,%d} not in graph", v, p)
 				}
 			}
 		})
 	}
-	if _, err := SpanningTree(FromGraph(g), 0, "bogus", r); err == nil {
+	if _, err := SpanningTree(g, 0, "bogus", r); err == nil {
 		t.Fatal("unknown kind should error")
 	}
 	for _, root := range []int{-1, g.N()} {
 		for _, kind := range []string{"bfs", "sssp", "dfs"} {
-			if _, err := SpanningTree(FromGraph(g), root, kind, r); err == nil {
+			if _, err := SpanningTree(g, root, kind, r); err == nil {
 				t.Fatalf("%s spanning tree rooted at %d should error", kind, root)
 			}
 		}
@@ -183,23 +183,19 @@ func TestSpanningTreeKinds(t *testing.T) {
 }
 
 func TestSpanningTreeDisconnected(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
-	if _, err := SpanningTree(FromGraph(g), 0, "dfs", rand.New(rand.NewSource(1))); err == nil {
+	g := fromEdges(t, 4, edge{0, 1, 1}, edge{2, 3, 1})
+	if _, err := SpanningTree(g, 0, "dfs", rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("dfs spanning tree of disconnected graph should error")
 	}
 }
 
 func TestTreeWeights(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1, 5)
-	g.MustAddEdge(1, 2, 7)
+	g := fromEdges(t, 3, edge{0, 1, 5}, edge{1, 2, 7})
 	tr, err := NewTree(0, []int{NoVertex, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tr.UpWeights(FromGraph(g))
+	w := tr.UpWeights(g)
 	if w[0] != 0 || w[1] != 5 || w[2] != 7 {
 		t.Fatalf("UpWeights=%v", w)
 	}
@@ -212,7 +208,7 @@ func TestLightEdgeBoundProperty(t *testing.T) {
 		n := int(sz%200) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(FromGraph(g), 0, "dfs", r)
+		tr, err := SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -221,7 +217,7 @@ func TestLightEdgeBoundProperty(t *testing.T) {
 		for _, v := range tr.Members() {
 			light := 0
 			for x := v; x != tr.Root; x = tr.Parent(x) {
-				if heavy[tr.Parent(x)] != x {
+				if heavy[tr.MemberIndex(tr.Parent(x))] != x {
 					light++
 				}
 			}
@@ -240,27 +236,27 @@ func TestLightEdgeBoundProperty(t *testing.T) {
 	}
 }
 
-// Property: SubtreeSizes of the root equals tree size, and sizes are
-// consistent (parent size = 1 + sum of child sizes).
+// Property: the root's subtree size (by member slot) is the tree size, and
+// sizes are consistent (parent size = 1 + sum of child sizes).
 func TestSubtreeSizesProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%150) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := RandomTree(n, UnitWeights, r)
-		tr, err := SpanningTree(FromGraph(g), 0, "bfs", r)
+		tr, err := SpanningTree(g, 0, "bfs", r)
 		if err != nil {
 			return false
 		}
 		s := tr.SubtreeSizes()
-		if s[tr.Root] != n {
+		if s[tr.MemberIndex(tr.Root)] != n {
 			return false
 		}
 		for _, v := range tr.Members() {
 			total := 1
 			for _, c := range tr.Children(v) {
-				total += s[c]
+				total += s[tr.MemberIndex(c)]
 			}
-			if total != s[v] {
+			if total != s[tr.MemberIndex(v)] {
 				return false
 			}
 		}

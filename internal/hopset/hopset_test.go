@@ -71,8 +71,10 @@ func TestMaterializeMatchesBoundedDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, toVirt := vg.Materialize()
-	gp := graph.FromGraph(built)
+	gp, toVirt, err := vg.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gp.N() != vg.M() {
 		t.Fatalf("materialized N=%d want %d", gp.N(), vg.M())
 	}
@@ -104,7 +106,10 @@ func TestExactDistancesAreMetricOverVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := vg.Members()
-	dists := vg.ExactDistances(ms[:2])
+	dists, err := vg.ExactDistances(ms[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s, dist := range dists {
 		if dist[s] != 0 {
 			t.Fatalf("d(%d,%d)=%v", s, s, dist[s])
@@ -213,7 +218,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 	// and forward; the vertex at distance 3 receives the message but drops
 	// it (no storage, no forwarding - the TZ cluster boundary), so nothing
 	// beyond distance 2 holds an entry.
-	g := graph.FromGraph(graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1))))
+	g := graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sim := congest.NewTopo(g)
 	limit := func(v, root int, d float64) bool { return d < 3 }
 	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 100, Limit: limit})
@@ -232,7 +237,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 }
 
 func TestExploreChargesEntryMemory(t *testing.T) {
-	g := graph.FromGraph(graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1))))
+	g := graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sim := congest.NewTopo(g)
 	if _, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 10}); err != nil {
 		t.Fatal(err)
@@ -360,7 +365,11 @@ func TestHopsetAcceleratesBF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactVirt := vg.ExactDistances([]int{vg.Members()[0]})[vg.Members()[0]]
+	exact, err := vg.ExactDistances([]int{vg.Members()[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactVirt := exact[vg.Members()[0]]
 	exactHost := graph.Dijkstra(g, vg.Members()[0])
 	for _, w := range vg.Members() {
 		if res.Dist[w] == graph.Infinity {
@@ -456,7 +465,11 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exactVirt := vg.ExactDistances([]int{src})[src]
+		exact, err := vg.ExactDistances([]int{src})
+		if err != nil {
+			return false
+		}
+		exactVirt := exact[src]
 		exactHost := graph.Dijkstra(g, src)
 		for _, w := range members {
 			if res.Dist[w] < exactHost.Dist[w] || res.Dist[w] > exactVirt[w] {

@@ -1,6 +1,7 @@
 package hopset
 
 import (
+	"fmt"
 	"math/rand"
 
 	"lowmemroute/internal/graph"
@@ -11,13 +12,17 @@ import (
 // d^{(t)}_{G'∪H}(u,v) ≤ (1+eps)·d_{G'}(u,v). It materialises G' (test and
 // evaluation use only) and runs synchronous Bellman-Ford over G'∪H,
 // recording after how many iterations every pair is (1+eps)-settled.
-// Returns the measured β and the number of pairs checked.
-func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *rand.Rand) (int, int) {
+// Returns the measured β and the number of pairs checked, or
+// materializeUnion's error.
+func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *rand.Rand) (beta, checked int, err error) {
 	m := vg.M()
 	if m < 2 {
-		return 0, 0
+		return 0, 0, nil
 	}
-	gp, union, toVirt := materializeUnion(vg, hs)
+	gp, union, toVirt, err := materializeUnion(vg, hs)
+	if err != nil {
+		return 0, 0, err
+	}
 
 	members := vg.Members()
 	type pair struct{ u, v int }
@@ -29,8 +34,6 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 		})
 	}
 
-	beta := 0
-	checked := 0
 	for _, p := range sampled {
 		if p.u == p.v {
 			continue
@@ -63,20 +66,24 @@ func MeasureHopbound(vg *VirtualGraph, hs *Hopset, eps float64, pairs int, r *ra
 			beta = hi
 		}
 	}
-	return beta, checked
+	return beta, checked, nil
 }
 
 // VerifyHopset checks the two-sided hopset inequality on sampled pairs of
 // virtual vertices: β-bounded distances over G'∪H never undercut the host
 // distance d_G (every hopset edge is a genuine host path - the property all
 // safety claims rely on) and reach (1+eps)·d_{G'} from above. Returns the
-// first violated pair, or (-1, -1) if all pass.
-func VerifyHopset(vg *VirtualGraph, hs *Hopset, eps float64, beta, pairs int, r *rand.Rand) (int, int) {
+// first violated pair, or (-1, -1) if all pass, or materializeUnion's
+// error.
+func VerifyHopset(vg *VirtualGraph, hs *Hopset, eps float64, beta, pairs int, r *rand.Rand) (int, int, error) {
 	m := vg.M()
 	if m < 2 {
-		return -1, -1
+		return -1, -1, nil
 	}
-	gp, union, toVirt := materializeUnion(vg, hs)
+	gp, union, toVirt, err := materializeUnion(vg, hs)
+	if err != nil {
+		return -1, -1, err
+	}
 	members := vg.Members()
 	for i := 0; i < pairs; i++ {
 		u, v := members[r.Intn(m)], members[r.Intn(m)]
@@ -91,23 +98,32 @@ func VerifyHopset(vg *VirtualGraph, hs *Hopset, eps float64, beta, pairs int, r 
 		exactHost := graph.Dijkstra(vg.Host(), u).Dist[v]
 		got := graph.BoundedBellmanFord(union, ui, beta).Dist[vi]
 		if got < exactHost-1e-9 || got > (1+eps)*exactVirt+1e-9 {
-			return u, v
+			return u, v, nil
 		}
 	}
-	return -1, -1
+	return -1, -1, nil
 }
 
-// materializeUnion materialises G' and the union G'∪H on virtual indices
-// (hopset edges parallel to a G' edge are dropped), both frozen, plus the
-// host-id-to-virtual-index map of Materialize.
-func materializeUnion(vg *VirtualGraph, hs *Hopset) (gp, union *graph.CSR, toVirt []int) {
-	g, toVirt := vg.Materialize()
-	u := g.Clone()
+// materializeUnion materialises G' and the union G'∪H on virtual indices,
+// plus the host-id-to-virtual-index map of Materialize. The union drops a
+// hopset edge parallel to a G' edge or to a hopset edge added before it.
+func materializeUnion(vg *VirtualGraph, hs *Hopset) (gp, union *graph.CSR, toVirt []int, err error) {
+	gp, toVirt, err = vg.Materialize()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	u := gp.Thaw()
+	added := make(map[[2]int]bool)
 	for _, e := range hs.Edges() {
 		ui, wi := toVirt[e.From], toVirt[e.To]
-		if ui >= 0 && wi >= 0 && !u.HasEdge(ui, wi) {
-			u.MustAddEdge(ui, wi, e.Weight)
+		key := [2]int{min(ui, wi), max(ui, wi)}
+		if ui < 0 || wi < 0 || added[key] || graph.TopoHasEdge(gp, ui, wi) {
+			continue
 		}
+		if err := u.AddEdge(ui, wi, e.Weight); err != nil {
+			return nil, nil, nil, fmt.Errorf("hopset: materialize union: %w", err)
+		}
+		added[key] = true
 	}
-	return graph.FromGraph(g), graph.FromGraph(u), toVirt
+	return gp, u.Build(), toVirt, nil
 }

@@ -32,13 +32,19 @@ func TestMeasureHopboundBeatsPlainBF(t *testing.T) {
 	// large unweighted diameter; the hopset's measured β must be smaller.
 	vg, hs := buildSparseHopset(t, graph.FamilyGrid, 196, 3, 3, 1)
 	r := rand.New(rand.NewSource(2))
-	betaWith, checked := MeasureHopbound(vg, hs, 0.0, 40, r)
+	betaWith, checked, err := MeasureHopbound(vg, hs, 0.0, 40, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if checked == 0 {
 		t.Skip("no usable pairs")
 	}
 	// β without any hopset = measured on the bare virtual graph.
 	bare := &Hopset{vg: vg, out: map[int][]Edge{}, paths: map[[2]int][]int{}}
-	betaWithout, _ := MeasureHopbound(vg, bare, 0.0, 40, rand.New(rand.NewSource(2)))
+	betaWithout, _, err := MeasureHopbound(vg, bare, 0.0, 40, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if betaWith > betaWithout {
 		t.Fatalf("hopset increased beta: with=%d without=%d", betaWith, betaWithout)
 	}
@@ -59,11 +65,18 @@ func mustVirtualForTest(t *testing.T, g graph.Topology, members []int, b int) *V
 func TestVerifyHopsetHolds(t *testing.T) {
 	vg, hs := buildSparseHopset(t, graph.FamilyErdosRenyi, 150, 3, 3, 3)
 	r := rand.New(rand.NewSource(4))
-	beta, checked := MeasureHopbound(vg, hs, 0.05, 30, r)
+	beta, checked, err := MeasureHopbound(vg, hs, 0.05, 30, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if checked == 0 {
 		t.Skip("no usable pairs")
 	}
-	if u, v := VerifyHopset(vg, hs, 0.05, beta, 60, rand.New(rand.NewSource(5))); u != -1 {
+	u, v, err := VerifyHopset(vg, hs, 0.05, beta, 60, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u != -1 {
 		t.Fatalf("hopset property violated for pair (%d,%d) at beta=%d", u, v, beta)
 	}
 }
@@ -73,19 +86,26 @@ func TestVerifyHopsetDetectsTooSmallBeta(t *testing.T) {
 	// the upper bound (unless the hopset happens to shortcut everything).
 	vg, _ := buildSparseHopset(t, graph.FamilyGrid, 196, 3, 2, 6)
 	bare := &Hopset{vg: vg, out: map[int][]Edge{}, paths: map[[2]int][]int{}}
-	if u, _ := VerifyHopset(vg, bare, 0.0, 1, 80, rand.New(rand.NewSource(7))); u == -1 {
+	u, _, err := VerifyHopset(vg, bare, 0.0, 1, 80, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u == -1 {
 		t.Skip("virtual graph too dense for the negative test")
 	}
 }
 
 func TestMeasureHopboundTinyGraph(t *testing.T) {
-	g := graph.FromGraph(graph.New(1))
+	g := graph.NewCSRBuilder(1).Build()
 	vg := mustVirtualForTest(t, g, []int{0}, 2)
 	hs, err := Build(NewExplorer(congest.NewTopo(g)), vg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, checked := MeasureHopbound(vg, hs, 0.1, 10, rand.New(rand.NewSource(8)))
+	beta, checked, err := MeasureHopbound(vg, hs, 0.1, 10, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if beta != 0 || checked != 0 {
 		t.Fatalf("beta=%d checked=%d want 0,0", beta, checked)
 	}

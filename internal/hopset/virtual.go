@@ -82,8 +82,9 @@ func (vg *VirtualGraph) B() int { return vg.b }
 // it exists only so tests and the evaluation harness have a ground truth to
 // compare against, and so the EN16b-style baseline can exhibit its memory
 // blowup. Returns the explicit graph and the host-id-to-virtual-index map
-// (-1 for non-members).
-func (vg *VirtualGraph) Materialize() (*graph.Graph, []int) {
+// (-1 for non-members); a bounded distance that is no valid edge weight (a
+// sum that overflowed to +Inf) is an error.
+func (vg *VirtualGraph) Materialize() (*graph.CSR, []int, error) {
 	toVirt := make([]int, vg.host.N())
 	for i := range toVirt {
 		toVirt[i] = -1
@@ -91,28 +92,31 @@ func (vg *VirtualGraph) Materialize() (*graph.Graph, []int) {
 	for i, v := range vg.members {
 		toVirt[v] = i
 	}
-	gp := graph.New(len(vg.members))
+	gp := graph.NewCSRBuilder(len(vg.members))
 	for i, u := range vg.members {
 		bb := graph.BoundedBellmanFord(vg.host, u, vg.b)
 		for j := i + 1; j < len(vg.members); j++ {
-			w := vg.members[j]
-			if bb.Dist[w] != graph.Infinity {
-				gp.MustAddEdge(i, j, bb.Dist[w])
+			if d := bb.Dist[vg.members[j]]; d != graph.Infinity {
+				if err := gp.AddEdge(i, j, d); err != nil {
+					return nil, nil, fmt.Errorf("hopset: materialize: %w", err)
+				}
 			}
 		}
 	}
-	return gp, toVirt
+	return gp.Build(), toVirt, nil
 }
 
 // ExactDistances computes reference d_{G'} distances from each source to all
 // virtual vertices (centralized; tests and evaluation only). Each returned
 // slice is indexed by host id; non-members hold Infinity.
-func (vg *VirtualGraph) ExactDistances(sources []int) map[int][]float64 {
-	gp, toVirt := vg.Materialize()
-	frozen := graph.FromGraph(gp)
+func (vg *VirtualGraph) ExactDistances(sources []int) (map[int][]float64, error) {
+	gp, toVirt, err := vg.Materialize()
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[int][]float64, len(sources))
 	for _, s := range sources {
-		res := graph.Dijkstra(frozen, toVirt[s])
+		res := graph.Dijkstra(gp, toVirt[s])
 		dist := make([]float64, vg.host.N())
 		for i := range dist {
 			dist[i] = graph.Infinity
@@ -122,5 +126,5 @@ func (vg *VirtualGraph) ExactDistances(sources []int) map[int][]float64 {
 		}
 		out[s] = dist
 	}
-	return out
+	return out, nil
 }

@@ -216,7 +216,10 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		beta, _ := hopset.MeasureHopbound(vg, hs, 0.05, 40, rand.New(rand.NewSource(seed+1)))
+		beta, _, err := hopset.MeasureHopbound(vg, hs, 0.05, 40, rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, HopsetPoint{
 			Kappa:        kappa,
 			Edges:        hs.Size(),

@@ -12,11 +12,11 @@ import (
 func TestBaselineExactSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	g := graph.RandomTree(40, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	s, err := BuildBaseline(sim, tr, DistOptions{Q: 0.25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -28,18 +28,18 @@ func TestBaselineExactSmall(t *testing.T) {
 
 func TestBaselineExactShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
-	shapes := []*graph.Graph{
+	shapes := []*graph.CSR{
 		graph.Path(70, graph.UnitWeights, r),
 		graph.Star(70, graph.UnitWeights, r),
 		graph.Caterpillar(20, 60, graph.UnitWeights, r),
 		graph.BalancedTree(80, 3, graph.UnitWeights, r),
 	}
 	for i, g := range shapes {
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+		tr, err := graph.SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g))
+		sim := congest.NewTopo(g)
 		s, err := BuildBaseline(sim, tr, DistOptions{Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
@@ -57,12 +57,12 @@ func TestBaselineExactProperty(t *testing.T) {
 		n := int(sz%80) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(graph.FromGraph(g), int(rootRaw)%n, "dfs", r)
+		tr, err := graph.SpanningTree(g, int(rootRaw)%n, "dfs", r)
 		if err != nil {
 			return false
 		}
 		q := 0.05 + 0.9*float64(qRaw)/65535
-		sim := congest.NewTopo(graph.FromGraph(g))
+		sim := congest.NewTopo(g)
 		s, err := BuildBaseline(sim, tr, DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
@@ -142,12 +142,12 @@ func TestBaselineSizesVersusPaper(t *testing.T) {
 }
 
 func TestBaselineSingleVertex(t *testing.T) {
-	g := graph.New(1)
+	g := graph.NewCSRBuilder(1).Build()
 	tr, err := graph.NewTree(0, []int{graph.NoVertex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{})
+	s, err := BuildBaseline(congest.NewTopo(g), tr, DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,16 @@ func TestBaselineSingleVertex(t *testing.T) {
 }
 
 func TestBaselineHostMismatch(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
+	b := graph.NewCSRBuilder(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
 	tr, err := graph.NewTree(0, []int{graph.NoVertex, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{}); err == nil {
+	if _, err := BuildBaseline(congest.NewTopo(g), tr, DistOptions{}); err == nil {
 		t.Fatal("host mismatch should error")
 	}
 }
@@ -172,11 +175,11 @@ func TestBaselineHostMismatch(t *testing.T) {
 func TestBaselineRouteErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	g := graph.RandomTree(20, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildBaseline(congest.NewTopo(graph.FromGraph(g)), tr, DistOptions{Q: 0.3, Seed: 1})
+	s, err := BuildBaseline(congest.NewTopo(g), tr, DistOptions{Q: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,17 +15,18 @@ func BuildCentralized(t *graph.Tree) *Scheme {
 	// Assign DFS ranges [in, in+size-1] with children visited in the
 	// tree's canonical (port) order, and accumulate light-edge lists along
 	// root paths. Preorder reaches a parent before its children, so each
-	// child extends its parent's finished entry time and light list.
+	// child extends its parent's finished entry time and light list. Every
+	// array is indexed by member slot, so the walk allocates nothing
+	// proportional to the host.
 	s.Labels[t.MemberIndex(t.Root)].In = 1
-	for _, u := range t.PreOrder() {
-		iu := t.MemberIndex(u)
+	for _, iu := range t.PreOrderSlots() {
+		u := t.MemberAt(int(iu))
 		start := s.Labels[iu].In + 1
-		for _, c := range t.ChildrenAt(iu) {
-			ic := t.MemberIndex(c)
+		for _, ic := range t.ChildSlotsAt(int(iu)) {
 			s.Labels[ic].In = start
-			start += sizes[c]
+			start += sizes[ic]
 			light := s.Labels[iu].Light
-			if c != heavy[u] {
+			if c := t.MemberAt(int(ic)); c != heavy[iu] {
 				list := make([]LightEdge, len(light), len(light)+1)
 				copy(list, light)
 				light = append(list, LightEdge{Parent: u, Child: c})
@@ -35,8 +36,8 @@ func BuildCentralized(t *graph.Tree) *Scheme {
 	}
 
 	for i := range s.Tables {
-		v, in := t.MemberAt(i), s.Labels[i].In
-		s.Tables[i] = Table{In: in, Out: in + sizes[v] - 1, Parent: t.ParentAt(i), Heavy: heavy[v]}
+		in := s.Labels[i].In
+		s.Tables[i] = Table{In: in, Out: in + sizes[i] - 1, Parent: t.ParentAt(i), Heavy: heavy[i]}
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package treeroute_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -17,13 +18,15 @@ import (
 // is the tree itself with unit links.
 func compiled(ts *treeroute.Scheme) func(src, dst int, path []int) ([]int, error) {
 	tr := ts.Tree
-	g := graph.New(tr.HostSize())
+	b := graph.NewCSRBuilder(tr.HostSize())
 	for i := 0; i < tr.Size(); i++ {
 		if p := tr.ParentAt(i); p != graph.NoVertex {
-			g.MustAddEdge(tr.MemberAt(i), p, 1)
+			if err := b.AddEdge(tr.MemberAt(i), p, 1); err != nil {
+				return func(int, int, []int) ([]int, error) { return nil, err }
+			}
 		}
 	}
-	tab := dataplane.Compile(clusterroute.FromTree(ts, graph.FromGraph(g)))
+	tab := dataplane.Compile(clusterroute.FromTree(ts, b.Build()))
 	return func(src, dst int, path []int) ([]int, error) {
 		path, _, err := tab.RouteAppend(src, dst, path)
 		return path, err
@@ -66,7 +69,7 @@ func TestCentralizedLabelBound(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 17, 100, 500} {
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+		tr, err := graph.SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +86,7 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 	// A path is the worst case for naive schemes: only heavy edges.
 	r := rand.New(rand.NewSource(2))
 	g := graph.Path(60, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 func TestCentralizedStarTreeExact(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := graph.Star(40, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestCentralizedExactProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
 		root := int(rootRaw) % n
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "dfs", r)
+		tr, err := graph.SpanningTree(g, root, "dfs", r)
 		if err != nil {
 			return false
 		}
@@ -226,7 +229,7 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 		n := int(sz%100) + 2
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+		tr, err := graph.SpanningTree(g, 0, "bfs", r)
 		if err != nil {
 			return false
 		}
@@ -239,7 +242,7 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 					return false
 				}
 			}
-			if tab.Out-tab.In+1 != tr.SubtreeSizes()[v] {
+			if tab.Out-tab.In+1 != tr.SubtreeSizes()[tr.MemberIndex(v)] {
 				return false
 			}
 		}
@@ -247,5 +250,35 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCentralizedAllocIndependentOfHost pins that BuildCentralized's
+// scratch is member-indexed: the same 8-member tree allocates the same
+// bytes in a 64-vertex host as in a 4,096-vertex one.
+func TestCentralizedAllocIndependentOfHost(t *testing.T) {
+	bytes := func(hostN int) uint64 {
+		verts := []int32{3, 5, 10, 17, 20, 33, 40, 50}
+		par := []int32{graph.NoVertex, 3, 3, 5, 5, 10, 17, 17}
+		tr, err := graph.NewTreeCompact(3, hostN, verts, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		best := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			for i := 0; i < 10; i++ {
+				treeroute.BuildCentralized(tr)
+			}
+			runtime.ReadMemStats(&ms)
+			best = min(best, (ms.TotalAlloc-before)/10)
+		}
+		return best
+	}
+	if small, large := bytes(64), bytes(4096); small != large {
+		t.Fatalf("BuildCentralized allocated %d bytes in a 64-vertex host, %d in a 4,096-vertex one", small, large)
 	}
 }

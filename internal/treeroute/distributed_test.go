@@ -30,11 +30,11 @@ func buildBoth(t *testing.T, g graph.Topology, tr *graph.Tree, opts treeroute.Di
 func TestDistributedMatchesCentralizedSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := graph.RandomTree(30, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: 0.3, Seed: 11})
+	dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Q: 0.3, Seed: 11})
 	treeroute.RequireSchemesEqual(t, dist, central)
 }
 
@@ -42,7 +42,7 @@ func TestDistributedMatchesCentralizedShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	shapes := []struct {
 		name string
-		g    *graph.Graph
+		g    *graph.CSR
 	}{
 		{"path", graph.Path(80, graph.UnitWeights, r)},
 		{"star", graph.Star(80, graph.UnitWeights, r)},
@@ -52,11 +52,11 @@ func TestDistributedMatchesCentralizedShapes(t *testing.T) {
 	}
 	for _, tt := range shapes {
 		t.Run(tt.name, func(t *testing.T) {
-			tr, err := graph.SpanningTree(graph.FromGraph(tt.g), 0, "dfs", r)
+			tr, err := graph.SpanningTree(tt.g, 0, "dfs", r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dist, central, _ := buildBoth(t, graph.FromGraph(tt.g), tr, treeroute.DistOptions{Seed: 3})
+			dist, central, _ := buildBoth(t, tt.g, tr, treeroute.DistOptions{Seed: 3})
 			treeroute.RequireSchemesEqual(t, dist, central)
 			if err := treeroute.VerifyExact(compiled(dist), tr, treeroute.SamplePairs(tr, 60, r)); err != nil {
 				t.Fatal(err)
@@ -85,24 +85,23 @@ func TestDistributedTreeOnGeneralGraph(t *testing.T) {
 }
 
 func TestDistributedSingleVertexTree(t *testing.T) {
-	g := graph.New(1)
+	g := graph.NewCSRBuilder(1).Build()
 	tr, err := graph.NewTree(0, []int{graph.NoVertex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Seed: 1})
+	dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Seed: 1})
 	treeroute.RequireSchemesEqual(t, dist, central)
 }
 
 func TestDistributedTwoVertexTree(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
+	g := graph.Path(2, graph.UnitWeights, nil)
 	tr, err := graph.NewTree(0, []int{graph.NoVertex, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.01, 0.5, 1} {
-		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: q, Seed: 2})
+		dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Q: q, Seed: 2})
 		treeroute.RequireSchemesEqual(t, dist, central)
 	}
 }
@@ -136,12 +135,12 @@ func TestDistributedSubsetTree(t *testing.T) {
 func TestDistributedQExtremes(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	g := graph.RandomTree(50, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.999, 0.02} {
-		dist, central, _ := buildBoth(t, graph.FromGraph(g), tr, treeroute.DistOptions{Q: q, Seed: 23})
+		dist, central, _ := buildBoth(t, g, tr, treeroute.DistOptions{Q: q, Seed: 23})
 		treeroute.RequireSchemesEqual(t, dist, central)
 	}
 }
@@ -154,12 +153,12 @@ func TestDistributedMatchesCentralizedProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.RandomTree(n, graph.UnitWeights, r)
 		root := int(rootRaw) % n
-		tr, err := graph.SpanningTree(graph.FromGraph(g), root, "dfs", r)
+		tr, err := graph.SpanningTree(g, root, "dfs", r)
 		if err != nil {
 			return false
 		}
 		q := 0.02 + 0.96*float64(qRaw)/65535
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(seed))
+		sim := congest.NewTopo(g, congest.WithSeed(seed))
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
@@ -189,11 +188,11 @@ func TestDistributedMemoryIsLogarithmic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.RandomTree(n, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+		tr, err := graph.SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
+		sim := congest.NewTopo(g, congest.WithSeed(1))
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -232,37 +231,37 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 }
 
 func TestDistributedTreeEdgesMustBeGraphEdges(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g := graph.Path(3, graph.UnitWeights, nil)
 	// Tree claims edge {0,2} which is not in the graph.
 	tr, err := graph.NewTree(0, []int{graph.NoVertex, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{}); err == nil {
 		t.Fatal("tree with non-graph edge should be rejected")
 	}
 }
 
 func TestDistributedHostSizeMismatch(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
+	b := graph.NewCSRBuilder(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
 	tr, err := graph.NewTree(0, []int{graph.NoVertex, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(graph.FromGraph(g))
+	sim := congest.NewTopo(g)
 	if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{}); err == nil {
 		t.Fatal("host size mismatch should be rejected")
 	}
 }
 
 func TestDistributedNoTrees(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
-	res, err := treeroute.BuildDistributed(congest.NewTopo(graph.FromGraph(g)), nil, treeroute.DistOptions{})
+	g := graph.Path(2, graph.UnitWeights, nil)
+	res, err := treeroute.BuildDistributed(congest.NewTopo(g), nil, treeroute.DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 
 // buildFaulty builds the distributed scheme under a fault plan and the
 // centralized reference on the same tree.
-func buildFaulty(t *testing.T, g *graph.Graph, tr *graph.Tree, opts DistOptions, plan *faults.Plan) (*Scheme, *Scheme, *congest.Simulator) {
+func buildFaulty(t *testing.T, g *graph.CSR, tr *graph.Tree, opts DistOptions, plan *faults.Plan) (*Scheme, *Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(opts.Seed), congest.WithFaults(plan))
+	sim := congest.NewTopo(g, congest.WithSeed(opts.Seed), congest.WithFaults(plan))
 	res, err := BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed under faults: %v", err)
@@ -32,7 +32,7 @@ func buildFaulty(t *testing.T, g *graph.Graph, tr *graph.Tree, opts DistOptions,
 func TestDistributedUnderLinkFaults(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	g := graph.RandomTree(60, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "bfs", r)
+	tr, err := graph.SpanningTree(g, 0, "bfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestDistributedDuplicateStorm(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, tt := range []struct {
 		name string
-		g    *graph.Graph
+		g    *graph.CSR
 	}{
 		{"star", graph.Star(40, graph.UnitWeights, r)},
 		{"balanced", graph.BalancedTree(40, 3, graph.UnitWeights, r)},
 		{"caterpillar", graph.Caterpillar(12, 36, graph.UnitWeights, r)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			tr, err := graph.SpanningTree(graph.FromGraph(tt.g), 0, "dfs", r)
+			tr, err := graph.SpanningTree(tt.g, 0, "dfs", r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,15 +85,15 @@ func TestDistributedDuplicateStorm(t *testing.T) {
 func TestDistributedFaultCostAboveClean(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := graph.RandomTree(50, graph.UnitWeights, r)
-	tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+	tr, err := graph.SpanningTree(g, 0, "dfs", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1))
+	clean := congest.NewTopo(g, congest.WithSeed(1))
 	if _, err := BuildDistributed(clean, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	faulty := congest.NewTopo(graph.FromGraph(g), congest.WithSeed(1),
+	faulty := congest.NewTopo(g, congest.WithSeed(1),
 		congest.WithFaults(&faults.Plan{Seed: 6, Drop: 0.2, Duplicate: 0.1}))
 	if _, err := BuildDistributed(faulty, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
 		t.Fatal(err)

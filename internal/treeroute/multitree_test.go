@@ -167,11 +167,11 @@ func TestLabelWordsLogarithmic(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, n := range []int{128, 512, 2048} {
 		g := graph.Caterpillar(n/4, 3*n/4, graph.UnitWeights, r)
-		tr, err := graph.SpanningTree(graph.FromGraph(g), 0, "dfs", r)
+		tr, err := graph.SpanningTree(g, 0, "dfs", r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(graph.FromGraph(g))
+		sim := congest.NewTopo(g)
 		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 14})
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestHugeAspectRatio(t *testing.T) {
 	// Weights spanning 6 orders of magnitude: routing must stay within
 	// the stretch bound (no Λ-dependence in correctness).
 	r := rand.New(rand.NewSource(104))
-	g := graph.FromGraph(graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e6), r))
+	g := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e6), r)
 	s, err := Build(g, Options{K: 2, Seed: 105})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSelfRouteIsTrivial(t *testing.T) {
 }
 
 func TestEmptyGraphBuild(t *testing.T) {
-	s, err := Build(graph.FromGraph(graph.New(0)), Options{K: 2, Seed: 1})
+	s, err := Build(graph.NewCSRBuilder(0).Build(), Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

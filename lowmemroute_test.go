@@ -90,6 +90,9 @@ func TestFacadeBuildErrors(t *testing.T) {
 }
 
 func TestFacadeAddNodeAndLinkErrors(t *testing.T) {
+	if neg := NewNetwork(-1); neg.Nodes() != 0 || neg.Links() != 0 {
+		t.Fatalf("NewNetwork(-1) has %d nodes, %d links, want an empty network", neg.Nodes(), neg.Links())
+	}
 	net := NewNetwork(0)
 	a, b := net.AddNode(), net.AddNode()
 	if err := net.AddLink(a, b, 1); err != nil {

@@ -9,15 +9,20 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-// Network is a weighted undirected communication network. A generated
-// network holds the topology it was generated as; AddNode and AddLink edit
-// it link by link. Every algorithm reads the frozen topology (see freeze),
-// which the network caches until the next edit. Its methods are safe for
-// concurrent use; a query reads the links added before it started.
+// Network is a weighted undirected communication network. It holds an edge
+// builder whose edges every algorithm reads as the frozen topology (see
+// freeze), which the network caches until the next AddNode or AddLink. Its
+// methods are safe for concurrent use; a query reads the links added before
+// it started.
 type Network struct {
 	mu   sync.Mutex
-	g    *graph.Graph // edge-by-edge builder; nil while topo is current
-	topo *graph.CSR   // frozen topology; nil after an edit until the next freeze
+	b    *graph.CSRBuilder // the network's links; Build freezes them
+	topo *graph.CSR        // b frozen; nil after an edit until the next freeze
+}
+
+// frozenNetwork returns a network whose links are topo's.
+func frozenNetwork(topo *graph.CSR) *Network {
+	return &Network{b: topo.Thaw(), topo: topo}
 }
 
 // freeze returns the network's topology as an immutable CSR, the only form
@@ -27,37 +32,23 @@ func (n *Network) freeze() *graph.CSR {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.topo == nil {
-		n.topo, n.g = graph.FromGraph(n.g), nil
+		n.topo = n.b.Build()
 	}
 	return n.topo
 }
 
-// edit returns the builder for an edit and drops the frozen topology. A
-// frozen network is thawed first, with the same per-vertex arc order, so an
-// added link lands where it would have on the builder the topology came
-// from. The caller holds n.mu.
-func (n *Network) edit() *graph.Graph {
-	if n.g == nil {
-		n.g = n.topo.Thaw()
-	}
+// edit returns the builder for an edit and drops the frozen topology. The
+// builder keeps the last frozen topology's arcs in order, so an added link
+// lands after them. The caller holds n.mu.
+func (n *Network) edit() *graph.CSRBuilder {
 	n.topo = nil
-	return n.g
+	return n.b
 }
 
-// shape returns the node and link counts of whichever form the network is
-// in, without freezing it.
-func (n *Network) shape() (nodes, links int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.topo != nil {
-		return n.topo.N(), n.topo.M()
-	}
-	return n.g.N(), n.g.M()
-}
-
-// NewNetwork returns a network with n isolated nodes (ids 0..n-1).
+// NewNetwork returns a network with n isolated nodes (ids 0..n-1); a
+// negative n gives an empty network.
 func NewNetwork(n int) *Network {
-	return &Network{g: graph.New(n)}
+	return &Network{b: graph.NewCSRBuilder(n)}
 }
 
 // AddNode appends a node and returns its id.
@@ -85,14 +76,16 @@ func (n *Network) MustAddLink(u, v int, weight float64) {
 
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int {
-	nodes, _ := n.shape()
-	return nodes
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.b.N()
 }
 
 // Links returns the number of links.
 func (n *Network) Links() int {
-	_, links := n.shape()
-	return links
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.b.M()
 }
 
 // Connected reports whether the network is connected.
@@ -132,7 +125,7 @@ func Generate(f Family, n int, seed int64) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{topo: topo}, nil
+	return frozenNetwork(topo), nil
 }
 
 // Quantize returns a copy of the network with every link weight rounded up
@@ -141,7 +134,7 @@ func Generate(f Family, n int, seed int64) (*Network, error) {
 // standard O(log n)-bit CONGEST messages - and distort any routing scheme's
 // stretch by at most a (1+eps) factor.
 func (n *Network) Quantize(eps float64) *Network {
-	return &Network{g: n.freeze().Thaw().QuantizeWeights(eps)}
+	return frozenNetwork(n.freeze().Quantize(eps))
 }
 
 // AspectRatio returns Λ, the ratio of the heaviest to the lightest link.
