@@ -284,11 +284,12 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			sim := congest.NewTopo(topo, congest.WithSeed(seed), congest.WithMetrics(reg),
-				congest.WithTrace(rec), congest.WithFaults(plan))
+			sink := trace.Tee(rec, trace.RegistrySink(reg))
+			sim := congest.NewTopo(topo, congest.WithSeed(seed),
+				congest.WithTrace(sink), congest.WithFaults(plan))
 			rec.Attach(sim)
-			sp := rec.Begin(fmt.Sprintf("paper[n=%d,k=%d]", n, k))
-			s, err := core.Build(sim, core.Options{K: k, Seed: seed, Trace: rec, Metrics: reg})
+			sp := trace.Begin(sink, fmt.Sprintf("paper[n=%d,k=%d]", n, k))
+			s, err := core.Build(sim, core.Options{K: k, Seed: seed})
 			sp.End()
 			if err != nil {
 				fatalf("build: %v", err)

@@ -3,7 +3,7 @@ package cliutil
 import (
 	"fmt"
 	"io"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"lowmemroute/internal/obs"
@@ -13,9 +13,10 @@ import (
 // every interval: current construction phase, simulated rounds and
 // delivered messages with their rates since the previous line, process
 // heap size with its high-water mark, and a phase-based ETA. It reads only
-// the registry and runtime.MemStats, so it observes a build without
-// touching it. The returned stop func halts the reporter (idempotent,
-// safe to call from the reporting goroutine's owner only).
+// the registry and runtime/metrics (which, unlike runtime.ReadMemStats,
+// does not stop the world), so it observes a build without touching it.
+// The returned stop func halts the reporter (idempotent, safe to call from
+// the reporting goroutine's owner only).
 func StartProgress(w io.Writer, reg *obs.Registry, interval time.Duration) (stop func()) {
 	if reg == nil || interval <= 0 {
 		return func() {}
@@ -29,6 +30,7 @@ func StartProgress(w io.Writer, reg *obs.Registry, interval time.Duration) (stop
 		start := time.Now()
 		last := start
 		var lastRounds, lastMsgs, heapHW int64
+		heapLive := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
@@ -41,9 +43,8 @@ func StartProgress(w io.Writer, reg *obs.Registry, interval time.Duration) (stop
 					dt = 1
 				}
 				r, m := rounds.Value(), msgs.Value()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				heap := int64(ms.HeapAlloc)
+				metrics.Read(heapLive)
+				heap := int64(heapLive[0].Value.Uint64())
 				if heap > heapHW {
 					heapHW = heap
 				}

@@ -72,9 +72,6 @@ func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, d *Deliver
 	if len(msgs) == 0 {
 		return
 	}
-	if s.obs != nil {
-		defer s.obsSyncAll()
-	}
 	if f := s.ensureFaults(); f != nil {
 		s.broadcastFaulty(f, msgs, handle)
 		return
@@ -208,9 +205,6 @@ func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, han
 func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *BroadcastMsg)) {
 	if len(msgs) == 0 {
 		return
-	}
-	if s.obs != nil {
-		defer s.obsSyncAll()
 	}
 	sorted := append([]BroadcastMsg(nil), msgs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Origin < sorted[j].Origin })

@@ -116,15 +116,13 @@ type Simulator struct {
 	stepFn      StepFunc
 	stepChunk   int
 
-	// tracer, when non-nil, receives one RoundSample per simulated round
-	// and per analytically-charged primitive. Disabled tracing costs one
-	// nil check per round.
+	// tracer, when non-nil, receives one RoundSample per stepped round,
+	// per fast-forwarded idle stretch and per analytically-charged
+	// primitive. Disabled tracing costs one nil check per round. levels
+	// says whether it records a sample's levels (trace.RecordsLevels):
+	// only then does a sample pay for the meter scan and backlog walk.
 	tracer trace.Sink
-
-	// obs, when non-nil, publishes live throughput counters and level
-	// gauges into a metrics registry (WithMetrics); like the tracer it is
-	// strictly observational and costs one nil check per round when off.
-	obs *obsHooks
+	levels bool
 
 	// CSR index over directed edges, compiled once by ensureTopology. The
 	// topology is undirected, so v's senders are its destinations: inEdges
@@ -237,17 +235,22 @@ func WithDiameter(d int) Option {
 	}
 }
 
-// WithTrace attaches a telemetry sink receiving per-round samples. Pass a
-// *trace.Recorder; a nil sink, including a nil *trace.Recorder, leaves
-// tracing disabled (and the idle fast-forward on).
+// WithTrace attaches the instrumentation stream: a *trace.Recorder, a
+// trace.RegistrySink, or both joined by trace.Tee. The engine sends it
+// round samples and the builders running on the simulator send it their
+// span boundaries (Trace). A nil sink, including a nil *trace.Recorder,
+// leaves tracing disabled. Tracing is observational: a traced run steps
+// exactly the rounds an untraced one does.
 func WithTrace(t trace.Sink) Option {
 	return func(s *Simulator) {
-		if r, ok := t.(*trace.Recorder); ok && r == nil {
-			t = nil
-		}
-		s.tracer = t
+		s.tracer = trace.Tee(t)
+		s.levels = trace.RecordsLevels(s.tracer)
 	}
 }
+
+// Trace returns the simulator's instrumentation stream (nil when tracing
+// is off): builders open their phase spans on it with trace.Begin.
+func (s *Simulator) Trace() trace.Sink { return s.tracer }
 
 // WithEdgeCapacity sets the per-round word budget of each directed edge.
 // Zero or negative means unlimited (a convenient "LOCAL model" switch for
@@ -422,13 +425,12 @@ func (s *Simulator) AddRounds(k int64) {
 		if s.tracer != nil {
 			s.emitSample(s.rounds, trace.KindAnalytic, k, 0, 0, 0, faults.Counters{})
 		}
-		s.obsSyncAll()
 	}
 }
 
 // meterStats scans all meters: the max windowed instantaneous level (spikes
-// included; windows reset) and the mean persistent level. Only called with
-// tracing enabled.
+// included; windows reset) and the mean persistent level. Only called for a
+// sink that records levels.
 func (s *Simulator) meterStats() (int64, float64) {
 	var mx, sum int64
 	for i := range s.meters {
@@ -447,23 +449,24 @@ func (s *Simulator) meterStats() (int64, float64) {
 // fd carries the interval's fault-counter deltas (zero without a plan, so
 // the omitempty fields keep clean exports v1-shaped).
 func (s *Simulator) emitSample(round int64, kind string, rounds int64, active int, msgs, words int64, fd faults.Counters) {
-	mx, mean := s.meterStats()
-	s.tracer.RoundSample(trace.RoundSample{
+	sm := trace.RoundSample{
 		Round:      round,
 		Rounds:     rounds,
 		Kind:       kind,
 		Active:     active,
 		Messages:   msgs,
 		Words:      words,
-		Backlog:    s.queueBacklog(),
-		MemMax:     mx,
-		MemMean:    mean,
 		Dropped:    fd.Dropped,
 		Retried:    fd.Retried,
 		Lost:       fd.Lost,
 		Duplicated: fd.Duplicated,
 		Discarded:  fd.Discarded,
-	})
+	}
+	if s.levels {
+		sm.MemMax, sm.MemMean = s.meterStats()
+		sm.Backlog = s.queueBacklog()
+	}
+	s.tracer.RoundSample(sm)
 }
 
 // Ctx is the per-vertex, per-round execution context handed to StepFuncs.

@@ -370,10 +370,10 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	defer s.stopPool()
 	s.ensureFaults()
 	s.spinTimers = s.faults != nil && s.faults.HasCrashes()
-	// Idle rounds are skipped only when nothing observes them: tracing emits
-	// one sample per simulated round, and fault plans make empty rounds
-	// meaningful (delays tick, crash windows open and close).
-	skipIdle := !s.ffOff && s.tracer == nil && s.faults == nil
+	// Idle rounds are skipped unless a fault plan makes empty rounds
+	// meaningful (delays tick, crash windows open and close). A tracer sees
+	// each skipped stretch as one idle sample.
+	skipIdle := !s.ffOff && s.faults == nil
 
 	// A Run starts a new round frame: the previous Run's armed rounds name
 	// timers that were dropped when it returned.
@@ -418,6 +418,10 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 			}
 			round += jump
 			executed += jump
+			if jump > 0 && s.tracer != nil {
+				s.emitSample(baseRounds+int64(executed), trace.KindIdle, int64(jump),
+					0, 0, 0, faults.Counters{})
+			}
 			if round >= maxRounds {
 				break
 			}
@@ -521,12 +525,6 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 				s.faultCtr.Delta(ctrBefore))
 		}
 
-		if s.obs != nil {
-			s.obsSync(baseRounds+int64(executed), s.messages, s.words)
-			s.obs.queueDepth.Set(int64(pending))
-			s.obs.active.Set(int64(len(s.actList)))
-		}
-
 		// Next round's active list: woken + received, sorted ascending.
 		s.nextList = s.sortActive(next)
 		s.actList, s.nextList = s.nextList, s.actList
@@ -542,7 +540,6 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	if pending > 0 {
 		s.drainAll()
 	}
-	s.obsRunEnd()
 	return executed
 }
 

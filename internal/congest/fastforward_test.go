@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/trace"
 )
 
 // ffWorkload is a pacing-heavy program with long idle stretches: leaves fire
@@ -65,22 +66,43 @@ func TestIdleFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestIdleFastForwardTraceByteIdentical checks the tracer gate: a traced run
-// executes every round literally regardless of the fast-forward setting, so
-// the per-round sample streams must be byte-identical.
-func TestIdleFastForwardTraceByteIdentical(t *testing.T) {
-	sample := func(on bool) []byte {
+// TestIdleFastForwardTraceEquivalence: a traced run fast-forwards like an
+// untraced one. Its sample stream equals the stream of a run with the
+// fast-forward off once the latter's empty round samples (no vertex stepped,
+// nothing delivered) are removed, and its idle samples cover exactly those
+// removed rounds.
+func TestIdleFastForwardTraceEquivalence(t *testing.T) {
+	stream := func(on bool) (kept []byte, idle, empty int64) {
 		sink := &collectingSink{}
 		_, _, _, _, _ = ffWorkload(t, WithIdleFastForward(on), WithTrace(sink))
 		var buf bytes.Buffer
 		for _, s := range sink.samples {
+			switch {
+			case s.Kind == trace.KindIdle:
+				if s.Active != 0 || s.Messages != 0 || s.Words != 0 {
+					t.Fatalf("idle sample with activity: %+v", s)
+				}
+				idle += s.Rounds
+				continue
+			case s.Kind == trace.KindRound && s.Active == 0 && s.Messages == 0 && s.Words == 0:
+				empty++
+				continue
+			}
 			fmt.Fprintf(&buf, "%d %s %d %d %d %d %d %d %g\n",
 				s.Round, s.Kind, s.Rounds, s.Active, s.Messages, s.Words, s.Backlog, s.MemMax, s.MemMean)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), idle, empty
 	}
-	if on, off := sample(true), sample(false); !bytes.Equal(on, off) {
-		t.Fatalf("trace streams differ under fast-forward:\non:\n%s\noff:\n%s", on, off)
+	on, idleOn, emptyOn := stream(true)
+	off, idleOff, emptyOff := stream(false)
+	if !bytes.Equal(on, off) {
+		t.Fatalf("stepped-round samples differ under fast-forward:\non:\n%s\noff:\n%s", on, off)
+	}
+	if emptyOn != 0 || idleOff != 0 {
+		t.Fatalf("fast-forward on left %d empty round samples; off emitted %d idle rounds", emptyOn, idleOff)
+	}
+	if idleOn == 0 || idleOn != emptyOff {
+		t.Fatalf("idle samples cover %d rounds, want the %d empty rounds of the literal run", idleOn, emptyOff)
 	}
 }
 

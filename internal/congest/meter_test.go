@@ -59,6 +59,7 @@ func TestMeterSampleWindowOverlappingCharges(t *testing.T) {
 type collectingSink struct{ samples []trace.RoundSample }
 
 func (c *collectingSink) RoundSample(s trace.RoundSample) { c.samples = append(c.samples, s) }
+func (c *collectingSink) Span(trace.SpanEvent)            {}
 
 func TestRunEmitsRoundSamples(t *testing.T) {
 	n := 6

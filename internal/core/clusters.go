@@ -10,7 +10,7 @@ import (
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
-	"lowmemroute/internal/obs"
+	"lowmemroute/internal/trace"
 	"lowmemroute/internal/treeroute"
 )
 
@@ -550,19 +550,16 @@ func (b *builder) assemble() (*Scheme, error) {
 		q = 1 / math.Sqrt(float64(s)*float64(b.n))
 	}
 	maxOffset := int(math.Sqrt(float64(s)*float64(b.n))*math.Log2(float64(b.n)+1)) + 1
-	b.o.Metrics.SetPhase(obs.Phase{Name: "tree-routing", Done: b.phasesDone, Total: numBuildPhases})
-	sp := b.o.Trace.Begin("tree-routing")
+	sp := trace.BeginPhase(b.sim.Trace(), "tree-routing", b.phasesDone, numBuildPhases)
 	before := b.sim.Rounds()
 	res, err := treeroute.BuildDistributed(b.sim, trees, treeroute.DistOptions{
 		Q:         q,
 		Seed:      b.o.Seed + 2,
 		MaxOffset: maxOffset,
-		Trace:     b.o.Trace,
 	})
 	b.phaseRounds["tree-routing"] += b.sim.Rounds() - before
 	sp.End()
 	b.phasesDone++
-	b.o.Metrics.SetPhase(obs.Phase{Name: "tree-routing", Done: b.phasesDone, Total: numBuildPhases})
 	if err != nil {
 		return nil, fmt.Errorf("core: tree routing: %w", err)
 	}

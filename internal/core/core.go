@@ -39,7 +39,6 @@ import (
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
-	"lowmemroute/internal/obs"
 	"lowmemroute/internal/trace"
 )
 
@@ -65,20 +64,13 @@ type Options struct {
 	HopsetKappa int
 	// TreeQ overrides the tree-routing portal probability (0 = auto).
 	TreeQ float64
-	// Trace, when non-nil, records one span per construction phase (the
-	// span tree behind Stats.PhaseRounds) with nested sub-phase spans from
-	// treeroute and hopset. Nil disables span recording at no cost.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, receives live build progress: the current
-	// construction phase (obs.Registry.SetPhase) for the CLI progress
-	// reporter and the /metrics endpoint. Pair it with
-	// congest.WithMetrics on the simulator for the throughput counters.
-	// Nil disables publishing at no cost.
-	Metrics *obs.Registry
 }
 
-// numBuildPhases is the phase count published to Options.Metrics: the five
-// timed phases of Build plus the tree-routing phase run during assemble.
+// numBuildPhases is the phase count the phase spans carry: the five timed
+// phases of Build plus the tree-routing phase run during assemble. Build
+// opens one span per phase on the simulator's trace sink (the span tree
+// behind Stats.PhaseRounds), with nested sub-phase spans from treeroute
+// and hopset.
 const numBuildPhases = 6
 
 func (o *Options) withDefaults() Options {
@@ -153,18 +145,16 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 	return b.assemble()
 }
 
-// timed runs a phase under a trace span, records the simulation rounds
-// it consumed, and publishes the phase to the metrics registry so the
-// progress reporter and /metrics can tell where a long build is.
+// timed runs a phase under a phase span, which tells a registry sink (the
+// progress reporter and /metrics) where a long build is, and records the
+// simulation rounds it consumed.
 func (b *builder) timed(name string, phase func() error) error {
-	b.o.Metrics.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
-	sp := b.o.Trace.Begin(name)
+	sp := trace.BeginPhase(b.sim.Trace(), name, b.phasesDone, numBuildPhases)
 	before := b.sim.Rounds()
 	err := phase()
 	b.phaseRounds[name] += b.sim.Rounds() - before
 	sp.End()
 	b.phasesDone++
-	b.o.Metrics.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
 	return err
 }
 
@@ -409,7 +399,6 @@ func (b *builder) buildHopset() error {
 	hs, err := hopset.Build(b.ex, vg, hopset.Options{
 		Kappa: b.o.HopsetKappa,
 		Seed:  b.o.Seed + 1,
-		Trace: b.o.Trace,
 	})
 	if err != nil {
 		return fmt.Errorf("core: hopset: %w", err)

@@ -51,7 +51,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 			opts = append(opts, faultOpt)
 		}
 		sim := congest.NewTopo(g, opts...)
-		if _, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Trace: rec}); err != nil {
+		if _, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 		ex := rec.Export()

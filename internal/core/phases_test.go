@@ -22,7 +22,7 @@ import (
 // cutBuild is one traced build: its tree-routing span, the build-wide
 // counters and meter peaks, and the scheme.
 type cutBuild struct {
-	tree                    *trace.Span
+	tree                    *trace.SpanExport
 	rounds, messages, words int64
 	peaks                   []int64
 	scheme                  *Scheme
@@ -50,9 +50,9 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 	}
 	build := func(workers int) cutBuild {
 		rec := trace.NewRecorder()
-		sim := congest.NewTopo(g, congest.WithSeed(seed), congest.WithWorkers(workers))
+		sim := congest.NewTopo(g, congest.WithSeed(seed), congest.WithWorkers(workers), congest.WithTrace(rec))
 		rec.Attach(sim)
-		s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Trace: rec})
+		s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,30 +62,23 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 		}
 		steps, deliveries := sim.ParallelRounds()
 		b.forked = steps > 0 && deliveries > 0
-		for _, sp := range rec.Roots() {
-			if sp.Name() == "tree-routing" {
-				b.tree = sp
-			}
-		}
-		if b.tree == nil {
-			t.Fatal("no tree-routing span recorded")
-		}
-		cuts := b.tree.Children()
+		b.tree = treeRoutingSpan(t, rec)
+		cuts := b.tree.Children
 		if len(cuts) != 10 {
 			t.Fatalf("workers=%d: %d tree-routing phase spans, want 10", workers, len(cuts))
 		}
 		var rounds, messages, words int64
-		at := b.tree.StartRound()
+		at := b.tree.StartRound
 		for _, ph := range cuts {
-			if ph.StartRound() != at {
-				t.Fatalf("workers=%d: phase %s starts in round %d, the previous cut is at %d", workers, ph.Name(), ph.StartRound(), at)
+			if ph.StartRound != at {
+				t.Fatalf("workers=%d: phase %s starts in round %d, the previous cut is at %d", workers, ph.Name, ph.StartRound, at)
 			}
-			at += ph.Rounds()
-			rounds, messages, words = rounds+ph.Rounds(), messages+ph.Messages(), words+ph.Words()
+			at += ph.Rounds
+			rounds, messages, words = rounds+ph.Rounds, messages+ph.Messages, words+ph.Words
 		}
-		if rounds != b.tree.Rounds() || messages != b.tree.Messages() || words != b.tree.Words() {
+		if rounds != b.tree.Rounds || messages != b.tree.Messages || words != b.tree.Words {
 			t.Fatalf("workers=%d: phases cost %d rounds, %d messages, %d words; tree-routing %d, %d, %d",
-				workers, rounds, messages, words, b.tree.Rounds(), b.tree.Messages(), b.tree.Words())
+				workers, rounds, messages, words, b.tree.Rounds, b.tree.Messages, b.tree.Words)
 		}
 		if got := s.Stats.PhaseRounds["tree-routing"]; got != rounds {
 			t.Fatalf("workers=%d: PhaseRounds[tree-routing] = %d, the phases ran %d", workers, got, rounds)
@@ -118,25 +111,38 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 		requireEqual(t, b, ref, fmt.Sprintf("workers=%d", workers))
 	}
 
-	for i, want := range ref.tree.Children() {
+	for i, want := range ref.tree.Children {
 		workers := 1
 		if i%2 == 1 {
 			workers = 4
 		}
-		t.Run(fmt.Sprintf("tree:%s/workers=%d", want.Name(), workers), func(t *testing.T) {
-			got := byWidth[workers].tree.Children()[i]
-			if got.Name() != want.Name() {
-				t.Fatalf("cut %d is phase %s, want %s", i, got.Name(), want.Name())
+		t.Run(fmt.Sprintf("tree:%s/workers=%d", want.Name, workers), func(t *testing.T) {
+			got := byWidth[workers].tree.Children[i]
+			if got.Name != want.Name {
+				t.Fatalf("cut %d is phase %s, want %s", i, got.Name, want.Name)
 			}
-			if got.StartRound() != want.StartRound() || got.Rounds() != want.Rounds() ||
-				got.Messages() != want.Messages() || got.Words() != want.Words() ||
-				got.PeakMemoryDelta() != want.PeakMemoryDelta() {
+			gotPeak, wantPeak := got.PeakMemAfter-got.PeakMemBefore, want.PeakMemAfter-want.PeakMemBefore
+			if got.StartRound != want.StartRound || got.Rounds != want.Rounds ||
+				got.Messages != want.Messages || got.Words != want.Words || gotPeak != wantPeak {
 				t.Fatalf("phase cost differs: start %d vs %d, rounds %d vs %d, messages %d vs %d, words %d vs %d, peak growth %d vs %d",
-					got.StartRound(), want.StartRound(), got.Rounds(), want.Rounds(), got.Messages(), want.Messages(),
-					got.Words(), want.Words(), got.PeakMemoryDelta(), want.PeakMemoryDelta())
+					got.StartRound, want.StartRound, got.Rounds, want.Rounds, got.Messages, want.Messages,
+					got.Words, want.Words, gotPeak, wantPeak)
 			}
 		})
 	}
+}
+
+// treeRoutingSpan returns the top-level tree-routing span of rec's export.
+func treeRoutingSpan(t *testing.T, rec *trace.Recorder) *trace.SpanExport {
+	t.Helper()
+	spans := rec.Export().Spans
+	for i := range spans {
+		if spans[i].Name == "tree-routing" {
+			return &spans[i]
+		}
+	}
+	t.Fatal("no tree-routing span recorded")
+	return nil
 }
 
 // TestBuildUnitMarksAreQuiescent: every tree-routing phase ends at a
@@ -151,23 +157,17 @@ func TestBuildUnitMarksAreQuiescent(t *testing.T) {
 	rec := trace.NewRecorder()
 	sim := congest.NewTopo(g, congest.WithSeed(1), congest.WithTrace(rec))
 	rec.Attach(sim)
-	if _, err := Build(sim, Options{K: 2, Seed: 1, Trace: rec}); err != nil {
+	if _, err := Build(sim, Options{K: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var tree *trace.Span
-	for _, sp := range rec.Roots() {
-		if sp.Name() == "tree-routing" {
-			tree = sp
-		}
-	}
-	cuts := tree.Children()
+	cuts := treeRoutingSpan(t, rec).Children
 	if len(cuts) != 10 {
 		t.Fatalf("%d tree-routing phase spans, want the 10 phases", len(cuts))
 	}
-	samples := rec.Samples()
+	samples := rec.Export().Samples
 	var queued int64
 	for _, ph := range cuts {
-		start, end := ph.StartRound(), ph.StartRound()+ph.Rounds()
+		start, end := ph.StartRound, ph.StartRound+ph.Rounds
 		var last *trace.RoundSample
 		for i := range samples {
 			if s := &samples[i]; s.Round > start && s.Round <= end {
@@ -176,11 +176,11 @@ func TestBuildUnitMarksAreQuiescent(t *testing.T) {
 			}
 		}
 		if last == nil {
-			t.Fatalf("phase %s: no round sample in rounds (%d, %d]", ph.Name(), start, end)
+			t.Fatalf("phase %s: no round sample in rounds (%d, %d]", ph.Name, start, end)
 		}
 		if last.Round != end || last.Backlog != 0 {
 			t.Errorf("phase %s: last sample at round %d of %d has %d words queued, want a drained cut",
-				ph.Name(), last.Round, end, last.Backlog)
+				ph.Name, last.Round, end, last.Backlog)
 		}
 	}
 	if queued == 0 {

@@ -26,7 +26,7 @@ type buildResult struct {
 
 func runBuildOn(t *testing.T, sim *congest.Simulator, rec *trace.Recorder, n, k int, seed int64) buildResult {
 	t.Helper()
-	s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01, Trace: rec})
+	s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

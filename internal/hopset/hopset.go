@@ -22,9 +22,6 @@ type Options struct {
 	// HopGrowth multiplies the exploration hop budget at each level
 	// (cluster radii grow with level). Defaults to 3.
 	HopGrowth int
-	// Trace, when non-nil, records one span per sampling level with
-	// pivot/cluster sub-spans. Nil disables span recording at no cost.
-	Trace *trace.Recorder
 }
 
 // Edge is one hopset edge, oriented from the vertex that stores it toward
@@ -54,7 +51,8 @@ type Hopset struct {
 // nearest next-level center (pivot) and to every center of the current level
 // that is closer than the pivot (its bunch). All distances come from
 // hop-bounded explorations in the host graph - E' is never materialised -
-// run on ex's simulator through ex's workspace.
+// run on ex's simulator through ex's workspace. Each level runs under a
+// span on the simulator's trace sink, with pivots/clusters sub-spans.
 func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 	sim := ex.sim
 	kappa := opts.Kappa
@@ -81,7 +79,7 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 	hops := vg.B()
 	maxHops := 4 * sim.N()
 	for i := 0; i < kappa && len(level) > 0; i++ {
-		levelSpan := opts.Trace.Begin(fmt.Sprintf("hopset-level-%d", i))
+		levelSpan := trace.Begin(sim.Trace(), fmt.Sprintf("hopset-level-%d", i))
 		var next []int
 		if i < kappa-1 {
 			for _, v := range level {
@@ -92,7 +90,7 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 		}
 
 		// Pivot distances d(·, W_{i+1}) at every host vertex.
-		pivotSpan := opts.Trace.Begin("pivots")
+		pivotSpan := trace.Begin(sim.Trace(), "pivots")
 		pivotDist, pivotParent, pivotOrigin, err := ex.DistToSet(next, hops)
 		pivotSpan.End()
 		if err != nil {
@@ -115,7 +113,7 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 			inLevel[w] = true
 		}
 		limit := func(v, root int, d float64) bool { return d < pivotDist[v] }
-		clusterSpan := opts.Trace.Begin("clusters")
+		clusterSpan := trace.Begin(sim.Trace(), "clusters")
 		res, err := ex.Explore(srcs, ExploreOptions{Hops: hops, Limit: limit})
 		clusterSpan.End()
 		if err != nil {

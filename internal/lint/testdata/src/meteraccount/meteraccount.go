@@ -73,7 +73,7 @@ func seenBuffers(v int, ctx *congest.Ctx, s *faultSt) {
 func obsCalls(v int, ctx *congest.Ctx, g *obs.Gauge, reg *obs.Registry, s *st) {
 	g.Set(int64(len([]int{v, v})))
 	reg.Gauge(string(append([]byte("depth_"), byte(v)))).Set(int64(v))
-	reg.SetPhase(obs.Phase{Name: string([]byte{byte(v)}), Done: v, Total: v})
+	reg.SetHelp(string([]byte{byte(v)}), string([]byte{byte(v), byte(v)}))
 	spill := []int{v} // want `composite literal allocates`
 	_ = spill
 }

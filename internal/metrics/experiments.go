@@ -122,7 +122,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
 	case "lp15":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
@@ -132,7 +132,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s).RouteAppend, cfg.Pairs, r, lat)
 	case "en16b":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
@@ -142,13 +142,12 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(topo, s.RouteAppend, cfg.Pairs, r, lat)
 	case "paper":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
-			congest.WithWorkers(cfg.Shards), congest.WithTrace(cfg.Trace), congest.WithFaults(cfg.Faults))
+		sink := trace.Tee(cfg.Trace, trace.RegistrySink(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithWorkers(cfg.Shards),
+			congest.WithTrace(sink), congest.WithFaults(cfg.Faults))
 		cfg.Trace.Attach(sim)
-		sp := cfg.Trace.Begin(fmt.Sprintf("paper[n=%d,k=%d]", topo.N(), cfg.K))
-		s, err := core.Build(sim, core.Options{
-			K: cfg.K, Seed: cfg.Seed, Trace: cfg.Trace, Metrics: cfg.Metrics,
-		})
+		sp := trace.Begin(sink, fmt.Sprintf("paper[n=%d,k=%d]", topo.N(), cfg.K))
+		s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed})
 		sp.End()
 		if err != nil {
 			return row, err
@@ -257,12 +256,12 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "paper-tree":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
-			congest.WithTrace(cfg.Trace))
+		sink := trace.Tee(cfg.Trace, trace.RegistrySink(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(sink))
 		cfg.Trace.Attach(sim)
-		sp := cfg.Trace.Begin(fmt.Sprintf("paper-tree[n=%d]", topo.N()))
+		sp := trace.Begin(sink, fmt.Sprintf("paper-tree[n=%d]", topo.N()))
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree},
-			treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace})
+			treeroute.DistOptions{Seed: cfg.Seed})
 		sp.End()
 		if err != nil {
 			return row, err
@@ -277,7 +276,7 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "en16b-tree":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
+		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: cfg.Seed})
 		if err != nil {
 			return row, err

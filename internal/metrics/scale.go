@@ -16,6 +16,7 @@ import (
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
 	"lowmemroute/internal/obs"
+	"lowmemroute/internal/trace"
 )
 
 // ScaleRow is one (n, k) cell of the scale sweep (experiment E12): the
@@ -55,7 +56,8 @@ type ScaleConfig struct {
 	// 0 keeps the simulator default. Every observable row field is
 	// byte-identical at any shard count.
 	Shards int
-	// Metrics, when non-nil, receives build phase/progress (see core.Options).
+	// Metrics, when non-nil, receives the engine counters and the build's
+	// phase progress (trace.RegistrySink).
 	Metrics *obs.Registry
 }
 
@@ -75,10 +77,10 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	row.M = csr.M()
 	row.GraphBytes = csr.MemoryBytes()
 
-	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
+	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)),
 		congest.WithWorkers(cfg.Shards))
 	t1 := time.Now()
-	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Metrics: cfg.Metrics})
+	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("metrics: scale build n=%d k=%d: %w", cfg.N, cfg.K, err)
 	}

@@ -4,12 +4,13 @@
 // disabled registry costs one nil check per call site.
 //
 // Where internal/trace answers "what did this run cost?" after the fact,
-// obs answers "what is it doing right now?": the CONGEST engine exports
-// rounds/messages/words throughput counters and queue-depth gauges, the
-// routing layer records per-lookup wall latency, and the construction
-// phases publish their progress — all scrapable while the run is in
-// flight, as Prometheus text format via trace.ServePprof's /metrics
-// endpoint, or printed periodically by the CLI progress reporter.
+// obs answers "what is it doing right now?": trace.RegistrySink folds the
+// engine's instrumentation stream into rounds/messages/words throughput
+// counters, an active-vertex gauge and the construction's phase progress,
+// and the routing layer records per-lookup wall latency — all scrapable
+// while the run is in flight, as Prometheus text format via
+// trace.ServePprof's /metrics endpoint, or printed periodically by the CLI
+// progress reporter.
 //
 // Like the tracer, the registry is strictly observational: instrumented
 // code must behave identically with and without one installed. Every
@@ -38,9 +39,6 @@ func (c *Counter) Add(d int64) {
 	c.v.Add(d)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current total (0 on a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -49,9 +47,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous level: it can move both ways. The zero value
-// is ready to use; all methods are safe on a nil receiver and for
-// concurrent use.
+// Gauge is an instantaneous level. The zero value is ready to use; all
+// methods are safe on a nil receiver and for concurrent use.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -64,27 +61,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the level by d (either sign).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// SetMax raises the level to v if v is higher (a high-water mark).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current level (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -94,8 +70,9 @@ func (g *Gauge) Value() int64 {
 }
 
 // Phase describes where a multi-phase computation currently is: Done phases
-// finished out of Total, now running Name. Published by the construction
-// layer, read by the progress reporter and the /metrics endpoint.
+// finished out of Total, now running Name. Published by trace.RegistrySink
+// from the construction's phase spans, read by the progress reporter and
+// the /metrics endpoint.
 type Phase struct {
 	Name  string
 	Done  int

@@ -9,7 +9,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Add(3)
-	c.Inc()
+	c.Add(1)
 	c.Add(-5) // ignored: counters are monotone
 	if got := c.Value(); got != 4 {
 		t.Fatalf("counter=%d want 4", got)
@@ -19,17 +19,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g")
 	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge=%d want 7", got)
-	}
-	g.SetMax(5)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("SetMax lowered the gauge to %d", got)
-	}
-	g.SetMax(11)
-	if got := g.Value(); got != 11 {
-		t.Fatalf("SetMax(11)=%d", got)
 	}
 }
 
@@ -39,10 +31,7 @@ func TestNilSafety(t *testing.T) {
 	g := r.Gauge("x")
 	h := r.Histogram("x", 1)
 	c.Add(1)
-	c.Inc()
 	g.Set(1)
-	g.Add(1)
-	g.SetMax(1)
 	h.Record(1)
 	r.SetHelp("x", "y")
 	r.SetPhase(Phase{Name: "p", Total: 1})
@@ -71,7 +60,7 @@ func TestRecordAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.Add(7) }); n != 0 {
 		t.Errorf("Counter.Add allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(42); g.SetMax(99); g.Add(-1) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { g.Set(42) }); n != 0 {
 		t.Errorf("Gauge record path allocates %v/op", n)
 	}
 	v := int64(1)
@@ -102,7 +91,7 @@ func TestConcurrentWriters(t *testing.T) {
 			h := r.Histogram("shared_hist", 1)
 			for j := 0; j < perG; j++ {
 				c.Add(1)
-				g.SetMax(int64(id*perG + j))
+				g.Set(int64(id*perG + j))
 				h.Record(int64(j))
 				if j%100 == 0 {
 					_ = h.Snapshot()
@@ -115,8 +104,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Counter("shared_counter").Value(); got != goroutines*perG {
 		t.Errorf("counter=%d want %d", got, goroutines*perG)
 	}
-	if got := r.Gauge("shared_gauge").Value(); got != goroutines*perG-1 {
-		t.Errorf("gauge high-water=%d want %d", got, goroutines*perG-1)
+	if got := r.Gauge("shared_gauge").Value(); got%perG != perG-1 {
+		t.Errorf("gauge=%d, want some writer's last level", got)
 	}
 	if got := r.Histogram("shared_hist", 1).Count(); got != goroutines*perG {
 		t.Errorf("histogram count=%d want %d", got, goroutines*perG)

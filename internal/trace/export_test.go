@@ -5,9 +5,15 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// idleExport is the trace of a small traced scheme build, lowmemroute.Build
+// on Generate(Grid, 9, 1) with K=2 and Seed=1: a real v5 export whose
+// fast-forwarded stretches appear as idle samples.
+const idleExport = "testdata/build-grid9-idle.json"
 
 // TestReadJSONFutureSchema: exports from a newer writer get a "newer
 // version" error telling the user to upgrade, distinct from the
@@ -17,7 +23,7 @@ func TestReadJSONFutureSchema(t *testing.T) {
 		schema string
 		want   string
 	}{
-		{"lowmemroute.trace/v5", "newer version"},
+		{"lowmemroute.trace/v6", "newer version"},
 		{"lowmemroute.trace/v99", "newer version"},
 		{"lowmemroute.trace/v0", "unsupported schema"},
 		{"lowmemlint/v9", "unsupported schema"}, // wrong family: not "future"
@@ -35,8 +41,9 @@ func TestReadJSONFutureSchema(t *testing.T) {
 
 // seedExports returns one recording exported under every accepted schema
 // version, each carrying only the fields its version defines: v1 has no
-// fault counters or MemStats deltas, v2 adds the fault counters, v3 the
-// deltas, and v4 keeps the v3 layout.
+// fault counters or allocation deltas, v2 adds the fault counters, v3 the
+// deltas, and v4 and v5 keep the v3 layout. The current version also gets
+// the committed idle-sample export.
 func seedExports(tb testing.TB) map[string][]byte {
 	src := &fakeSource{}
 	r := NewRecorder()
@@ -62,7 +69,7 @@ func seedExports(tb testing.TB) map[string][]byte {
 		}
 	}
 	out := make(map[string][]byte)
-	for _, schema := range []string{SchemaVersion, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1} {
+	for _, schema := range []string{SchemaVersion, SchemaVersionV4, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1} {
 		e := r.Export()
 		e.Schema = schema
 		if schema == SchemaVersionV2 || schema == SchemaVersionV1 {
@@ -83,6 +90,26 @@ func seedExports(tb testing.TB) map[string][]byte {
 		}
 		out[schema] = b.Bytes()
 	}
+
+	idle, err := os.ReadFile(idleExport)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex, err := ReadJSON(bytes.NewReader(idle))
+	if err != nil || ex.Schema != SchemaVersion {
+		tb.Fatalf("%s does not read back as %s: %v", idleExport, SchemaVersion, err)
+	}
+	var idleRounds, sum int64
+	for _, s := range ex.Samples {
+		sum += s.Rounds
+		if s.Kind == KindIdle {
+			idleRounds += s.Rounds
+		}
+	}
+	if idleRounds == 0 || sum != ex.Counters.Rounds {
+		tb.Fatalf("%s: idle samples cover %d rounds, samples %d of %d rounds", idleExport, idleRounds, sum, ex.Counters.Rounds)
+	}
+	out[idleExport] = idle
 	return out
 }
 

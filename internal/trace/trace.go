@@ -11,11 +11,19 @@
 //   - Round samples: a per-round time series emitted by the CONGEST engine
 //     (active vertices, delivered messages and words, edge-queue backlog,
 //     max/mean memory-meter level), including one aggregate sample per
-//     analytically-charged primitive (broadcast, convergecast).
+//     analytically-charged primitive (broadcast, convergecast) and one per
+//     fast-forwarded stretch of idle rounds.
+//
+// Both travel on one stream, the Sink: the engine pushes round samples into
+// it and the builders push span boundaries (Begin). A Recorder keeps the
+// stream for export; RegistrySink folds it into a live metrics registry
+// (obs.Registry) for Prometheus and the CLI progress line; Tee feeds one
+// stream to both.
 //
 // Everything is nil-safe: methods on a nil *Recorder and a nil *Span are
-// no-ops that allocate nothing, so instrumented code calls them
-// unconditionally and a disabled tracer costs one nil check per call site.
+// no-ops that allocate nothing, and Begin on a nil Sink returns a no-op
+// span, so instrumented code calls them unconditionally and a disabled
+// tracer costs one nil check per call site.
 // Exporters (export.go) render a recording as schema-versioned JSON, as
 // Chrome trace_event JSON loadable in chrome://tracing or Perfetto (the
 // simulated round is the clock: 1 round = 1 microsecond), or - via
@@ -23,7 +31,7 @@
 package trace
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -53,7 +61,7 @@ type RoundSample struct {
 	// Rounds is the number of rounds the sample covers: 1 for a simulated
 	// round, M+2D for a broadcast, etc.
 	Rounds int64 `json:"rounds"`
-	// Kind is one of KindRound, KindBroadcast, KindConvergecast,
+	// Kind is one of KindRound, KindIdle, KindBroadcast, KindConvergecast,
 	// KindAnalytic.
 	Kind string `json:"kind"`
 	// Active is the number of vertices that executed this round; vertices
@@ -81,24 +89,22 @@ type RoundSample struct {
 	Discarded  int64 `json:"discarded,omitempty"`
 }
 
-// RoundSample kinds.
+// RoundSample kinds. An idle sample (schema v5) stands for a stretch of
+// Rounds consecutive rounds that the engine fast-forwarded: no vertex
+// stepped and nothing was delivered, so it carries no traffic and Active 0.
 const (
 	KindRound        = "round"
+	KindIdle         = "idle"
 	KindBroadcast    = "broadcast"
 	KindConvergecast = "convergecast"
 	KindAnalytic     = "analytic"
 )
 
-// Sink receives per-round samples from the simulator. A nil Sink disables
-// sampling; the engine's hot path pays exactly one nil check per round.
-type Sink interface {
-	RoundSample(s RoundSample)
-}
-
-// memCounters is the slice of runtime.MemStats snapshotted at span
-// boundaries: host-side allocation cost of a phase, the live counterpart
-// of the simulator's own memory meters. Like wall time it is
-// nondeterministic and stripped by Export.StripWall.
+// memCounters is the host allocation state snapshotted at span boundaries
+// (read from runtime/metrics, which does not stop the world): host-side
+// allocation cost of a phase, the live counterpart of the simulator's own
+// memory meters. Like wall time it is nondeterministic and stripped by
+// Export.StripWall.
 type memCounters struct {
 	heapAlloc  int64
 	totalAlloc int64
@@ -107,7 +113,8 @@ type memCounters struct {
 
 // Span is one named interval of a recording. Spans nest: a span begun while
 // another is open becomes its child. The zero of cost is the counter
-// snapshot at Begin; End snapshots again and the deltas are the span's cost.
+// snapshot at Begin; End snapshots again and the deltas are the span's cost,
+// read through Recorder.Export.
 type Span struct {
 	rec       *Recorder
 	name      string
@@ -181,9 +188,8 @@ func (r *Recorder) Begin(name string) *Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The clock starts before the memory probe (runtime.ReadMemStats stops
-	// the world), so the span's wall time covers its own opening probe, as
-	// End's closing probe is covered too.
+	// The clock starts before the memory probe, so the span's wall time
+	// covers its own opening probe, as End's closing probe is covered too.
 	wallStart := time.Now()
 	sp := &Span{
 		rec:       r,
@@ -211,6 +217,12 @@ func (sp *Span) End() {
 	r := sp.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.endLocked(sp)
+}
+
+// endLocked closes sp and any still-open descendants; a no-op if sp is
+// already closed.
+func (r *Recorder) endLocked(sp *Span) {
 	if sp.done {
 		return
 	}
@@ -233,83 +245,45 @@ func (sp *Span) End() {
 	}
 }
 
+// Span is the Recorder's side of the Sink stream: a begin event opens a
+// span nested under the innermost open one, an end event closes the
+// innermost open span (and nothing if none is open).
+func (r *Recorder) Span(ev SpanEvent) {
+	if r == nil {
+		return
+	}
+	if !ev.End {
+		r.Begin(ev.Name)
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.stack) > 0 {
+		r.endLocked(r.stack[len(r.stack)-1])
+	}
+}
+
+// The runtime/metrics names behind memCounters: bytes allocated so far,
+// bytes in live (and not yet swept) heap objects, completed GC cycles.
+var memMetricNames = [3]string{
+	"/gc/heap/allocs:bytes",
+	"/memory/classes/heap/objects:bytes",
+	"/gc/cycles/total:gc-cycles",
+}
+
 // readMemCounters snapshots the runtime allocation counters carried at
-// span boundaries. One ReadMemStats per Begin/End — spans are per
-// construction phase, so this stop-the-world probe is off the per-round
-// hot path.
+// span boundaries, once per Begin/End.
 func readMemCounters() memCounters {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	var s [len(memMetricNames)]metrics.Sample
+	for i, name := range memMetricNames {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
 	return memCounters{
-		heapAlloc:  int64(ms.HeapAlloc),
-		totalAlloc: int64(ms.TotalAlloc),
-		numGC:      int64(ms.NumGC),
+		totalAlloc: int64(s[0].Value.Uint64()),
+		heapAlloc:  int64(s[1].Value.Uint64()),
+		numGC:      int64(s[2].Value.Uint64()),
 	}
-}
-
-// Name returns the span's name.
-func (sp *Span) Name() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.name
-}
-
-// StartRound returns the simulator round at which the span began.
-func (sp *Span) StartRound() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.start.Rounds
-}
-
-// Rounds returns the simulation rounds consumed within the span.
-func (sp *Span) Rounds() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.end.Rounds - sp.start.Rounds
-}
-
-// Messages returns the messages delivered within the span.
-func (sp *Span) Messages() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.end.Messages - sp.start.Messages
-}
-
-// Words returns the words delivered within the span.
-func (sp *Span) Words() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.end.Words - sp.start.Words
-}
-
-// PeakMemoryDelta returns the growth of the global peak-memory high-water
-// mark within the span (0 if the span did not move the peak).
-func (sp *Span) PeakMemoryDelta() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.end.PeakMemory - sp.start.PeakMemory
-}
-
-// Wall returns the wall-clock duration of the span.
-func (sp *Span) Wall() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return sp.wallDur
-}
-
-// Children returns the span's direct children in begin order.
-func (sp *Span) Children() []*Span {
-	if sp == nil {
-		return nil
-	}
-	return sp.children
 }
 
 // RoundSample appends one sample to the time series; Recorder implements
@@ -321,24 +295,4 @@ func (r *Recorder) RoundSample(s RoundSample) {
 	r.mu.Lock()
 	r.samples = append(r.samples, s)
 	r.mu.Unlock()
-}
-
-// Roots returns the top-level spans in begin order.
-func (r *Recorder) Roots() []*Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Span(nil), r.roots...)
-}
-
-// Samples returns the recorded time series.
-func (r *Recorder) Samples() []RoundSample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]RoundSample(nil), r.samples...)
 }

@@ -24,10 +24,6 @@ type DistOptions struct {
 	// O(sqrt(s*n)*log n) default when more than one tree is built, and no
 	// offsets for a single tree.
 	MaxOffset int
-	// Trace, when non-nil, records one span per construction phase
-	// (local-roots, local-sizes, global-sizes, ...). Nil disables span
-	// recording at no cost.
-	Trace *trace.Recorder
 }
 
 // DistResult carries the schemes built by BuildDistributed plus
@@ -47,7 +43,9 @@ type DistResult struct {
 // subtree sizes, pointer-jumped global sizes (Algorithm 1), local and global
 // light edges (Algorithms 2-3), sibling prefix sums and local DFS ranges
 // (Algorithms 4-5), and global DFS shifts (Algorithm 6). Each vertex uses
-// O(log n) words per tree; tables are O(1) and labels O(log n) words.
+// O(log n) words per tree; tables are O(1) and labels O(log n) words. Each
+// phase (local-roots, local-sizes, global-sizes, ...) runs under a span on
+// the simulator's trace sink.
 func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOptions) (*DistResult, error) {
 	if len(trees) == 0 {
 		return &DistResult{}, nil
@@ -89,7 +87,6 @@ func newDistBuilder(sim *congest.Simulator, trees []*graph.Tree, opts DistOption
 		n:     n,
 		iters: pointerJumpIterations(n),
 		rng:   rand.New(rand.NewSource(opts.Seed)),
-		tr:    opts.Trace,
 	}
 	q := opts.Q
 	if q <= 0 || q > 1 {
@@ -426,7 +423,6 @@ type distBuilder struct {
 	iters int
 	cap   int
 	rng   *rand.Rand
-	tr    *trace.Recorder
 	ts    []*treeState
 
 	// Host-vertex membership CSR: membEnt[membOff[v]:membOff[v+1]] lists the
@@ -562,11 +558,11 @@ func (b *distBuilder) extBuf(i, n int) []uint64 {
 	return b.extBufs[i][:n]
 }
 
-// runPhase wraps Simulator.Run with convergence detection and a trace span,
-// then returns the first error check (nil: none) reports for a member, in
+// runPhase wraps Simulator.Run with convergence detection and a span on the
+// simulator's trace sink, then returns the first error check (nil: none) reports for a member, in
 // (tree, member) order.
 func (b *distBuilder) runPhase(name string, initial []int, step congest.StepFunc, check func(st *treeState, l int) error) error {
-	sp := b.tr.Begin(name)
+	sp := trace.Begin(b.sim.Trace(), name)
 	defer sp.End()
 	if b.sim.Run(initial, b.cap, step) >= b.cap {
 		return fmt.Errorf("treeroute: phase %q did not converge within %d rounds", name, b.cap)
@@ -584,7 +580,7 @@ func (b *distBuilder) runPhase(name string, initial []int, step congest.StepFunc
 // spanned runs a pointer-jumping stage (no convergence to detect) under a
 // trace span.
 func (b *distBuilder) spanned(name string, phase func()) {
-	sp := b.tr.Begin(name)
+	sp := trace.Begin(b.sim.Trace(), name)
 	phase()
 	sp.End()
 }

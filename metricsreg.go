@@ -10,8 +10,9 @@ import (
 
 // Metrics is a live metrics registry: attach one via Config.Metrics /
 // TreeConfig.Metrics and the simulated construction exports throughput
-// counters and level gauges while it runs; Scheme.Route and PacketNetwork
-// deliveries record per-lookup wall latency into histograms. Like the
+// counters, its active-vertex count and (Build) its construction phase
+// while it runs; Scheme.Route and PacketNetwork deliveries record
+// per-lookup wall latency into histograms. Like the
 // Tracer it is strictly observational — a build produces bit-identical
 // schemes and reports with or without one — and a nil *Metrics is valid
 // everywhere, disabling recording at no cost.

@@ -13,6 +13,7 @@ import (
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/metrics"
 	"lowmemroute/internal/obs"
+	"lowmemroute/internal/trace"
 	"lowmemroute/internal/treeroute"
 	"lowmemroute/internal/wire"
 )
@@ -100,11 +101,12 @@ type Scheme struct {
 
 // newSim boots the simulated CONGEST network for one facade build: the
 // engine runs over topo, the network frozen once for this build, with the
-// build's seed, tracer, fault plan and metrics registry (each nil-safe).
+// build's seed and fault plan. The tracer and the metrics registry (each
+// nil-safe) are teed into the engine's one instrumentation stream, which
+// the builders' phase spans ride too.
 func newSim(topo *graph.CSR, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
-	sim := congest.NewTopo(topo, congest.WithSeed(seed),
-		congest.WithTrace(tr.recorder()), congest.WithFaults(plan.internal()),
-		congest.WithMetrics(m.Registry()))
+	sim := congest.NewTopo(topo, congest.WithSeed(seed), congest.WithFaults(plan.internal()),
+		congest.WithTrace(trace.Tee(tr.recorder(), trace.RegistrySink(m.Registry()))))
 	tr.recorder().Attach(sim)
 	return sim
 }
@@ -123,13 +125,7 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 		return nil, fmt.Errorf("lowmemroute: network is not connected")
 	}
 	sim := newSim(topo, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
-	s, err := core.Build(sim, core.Options{
-		K:       cfg.K,
-		Epsilon: cfg.Epsilon,
-		Seed:    cfg.Seed,
-		Trace:   cfg.Trace.recorder(),
-		Metrics: cfg.Metrics.Registry(),
-	})
+	s, err := core.Build(sim, core.Options{K: cfg.K, Epsilon: cfg.Epsilon, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +298,7 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 		return nil, fmt.Errorf("lowmemroute: nil network or tree")
 	}
 	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
-	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t},
-		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
+	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t}, treeroute.DistOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -340,8 +335,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		inner[i] = t.t
 	}
 	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
-	res, err := treeroute.BuildDistributed(sim, inner,
-		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
+	res, err := treeroute.BuildDistributed(sim, inner, treeroute.DistOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, TreeReport{}, err
 	}

@@ -2,8 +2,10 @@
 # Metrics smoke test (make metrics-smoke): run a small routebench sweep with
 # the diagnostics server on an ephemeral port, scrape /metrics while
 # -pprof-hold keeps the process alive, and validate the exposition with
-# cmd/promcheck — the format must parse as Prometheus text v0.0.4 and the
-# engine counter and lookup-latency histogram families must be present.
+# cmd/promcheck — the format must parse as Prometheus text v0.0.4 and every
+# family the registry exports must be present: the engine counters and
+# active-vertex gauge and the build-phase gauges (all fed by the trace
+# stream's registry sink), and the lookup-latency histogram.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,6 +49,10 @@ curl -fsS "http://$addr/metrics" | "$bin/promcheck" \
     -require congest_rounds_total \
     -require congest_messages_total \
     -require congest_words_total \
+    -require congest_active_vertices \
+    -require build_phase_info \
+    -require build_phases_done \
+    -require build_phases_total \
     -require route_lookup_seconds
 
 echo "metrics-smoke: ok (scraped http://$addr/metrics)"
