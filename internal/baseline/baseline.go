@@ -21,7 +21,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"lowmemroute/internal/clusterroute"
@@ -39,33 +38,6 @@ type Options struct {
 	Seed int64
 }
 
-// sampleHierarchy draws the TZ hierarchy shared by both baselines.
-func sampleHierarchy(n, k int, rng *rand.Rand) ([][]int, []int) {
-	p := math.Pow(float64(n), -1/float64(k))
-	levels := make([][]int, k)
-	levels[0] = make([]int, n)
-	for v := 0; v < n; v++ {
-		levels[0][v] = v
-	}
-	for i := 1; i < k; i++ {
-		for _, v := range levels[i-1] {
-			if rng.Float64() < p {
-				levels[i] = append(levels[i], v)
-			}
-		}
-	}
-	if k > 1 && len(levels[k-1]) == 0 {
-		levels[k-1] = []int{levels[k-2][rng.Intn(len(levels[k-2]))]}
-	}
-	topOf := make([]int, n)
-	for i := 0; i < k; i++ {
-		for _, v := range levels[i] {
-			topOf[v] = i
-		}
-	}
-	return levels, topOf
-}
-
 // BuildLP15 constructs the LP15-style scheme on the simulator. All pivot
 // and cluster explorations run with an unbounded hop budget, so the
 // simulated round count reflects the graph's shortest-path diameter.
@@ -79,8 +51,7 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 		return clusterroute.New(k, 0), nil
 	}
 	topo := sim.Topo()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	levels, topOf := sampleHierarchy(n, k, rng)
+	levels, topOf := clusterroute.SampleHierarchy(n, k, rand.New(rand.NewSource(opts.Seed)))
 
 	// Pivot distances per level, by global set-source explorations
 	// (depth ~ S each - the LP15 signature).
@@ -124,11 +95,11 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 		if err != nil {
 			return nil, fmt.Errorf("baseline: LP15 level %d clusters: %w", i, err)
 		}
-		for _, src := range srcs {
-			tree, err := treeFromEntries(src.Root, res, bound, n)
-			if err != nil {
-				return nil, fmt.Errorf("baseline: LP15 cluster of %d: %w", src.Root, err)
-			}
+		trees, err := res.ClusterTrees(srcs, bound)
+		if err != nil {
+			return nil, fmt.Errorf("baseline: LP15 level %d clusters: %w", i, err)
+		}
+		for _, tree := range trees {
 			if h := tree.Height(); h > maxHeight {
 				maxHeight = h
 			}
@@ -143,31 +114,9 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 	// heights plus the per-vertex cluster congestion.
 	sim.AddRounds(int64(maxHeight + s.MaxClustersPerVertex() + sim.Diameter()))
 
+	s.AddLabels(pivotRoot)
 	for v := 0; v < n; v++ {
-		for j := 0; j < k; j++ {
-			root := pivotRoot[j][v]
-			if root == graph.NoVertex {
-				continue
-			}
-			s.AddLabelEntry(v, j, root)
-		}
 		sim.Mem(v).Charge(int64(s.Labels[v].Words()))
 	}
 	return s, nil
-}
-
-// treeFromEntries extracts root's cluster tree from exploration entries.
-func treeFromEntries(root int, res *hopset.ExploreResult, bound []float64, n int) (*graph.Tree, error) {
-	parent := make([]int, n)
-	for v := range parent {
-		parent[v] = graph.NoVertex
-	}
-	for v := 0; v < n; v++ {
-		e, ok := res.Get(v, root)
-		if !ok || v == root || e.Dist >= bound[v] {
-			continue
-		}
-		parent[v] = e.Parent
-	}
-	return graph.NewTree(root, parent)
 }

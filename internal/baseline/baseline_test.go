@@ -172,3 +172,23 @@ func TestLP15EmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLP15SmallGraphBuilds pins a hierarchy whose A_1 and A_2 both come out
+// empty (4-vertex path, k=3, seed 3): the top level must be reseeded from
+// A_0, where a sampler reseeding only from A_{k-2} would draw from an empty
+// level.
+func TestLP15SmallGraphBuilds(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	s, err := BuildLP15(congest.NewTopo(g), Options{K: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := dataplane.Compile(s)
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			if _, _, err := tab.Route(u, v); err != nil {
+				t.Fatalf("route %d->%d: %v", u, v, err)
+			}
+		}
+	}
+}

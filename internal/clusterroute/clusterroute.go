@@ -10,9 +10,53 @@
 package clusterroute
 
 import (
+	"math"
+	"math/rand"
+
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/treeroute"
 )
+
+// SampleHierarchy draws the Thorup-Zwick hierarchy A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}
+// over n >= 1 vertices: A_0 = V and A_i keeps each vertex of A_{i-1} with
+// probability n^{-1/k} (A_k = ∅ is implicit). The scheme needs a nonempty
+// top level, so an empty A_{k-1} is reseeded with one vertex of the deepest
+// nonempty level and any emptied level between them is refilled from above,
+// which keeps the levels nested. topOf[v] is the highest level containing v.
+func SampleHierarchy(n, k int, rng *rand.Rand) (levels [][]int, topOf []int) {
+	p := math.Pow(float64(n), -1/float64(k))
+	levels = make([][]int, k)
+	levels[0] = make([]int, n)
+	for v := 0; v < n; v++ {
+		levels[0][v] = v
+	}
+	for i := 1; i < k; i++ {
+		for _, v := range levels[i-1] {
+			if rng.Float64() < p {
+				levels[i] = append(levels[i], v)
+			}
+		}
+	}
+	if k > 1 && len(levels[k-1]) == 0 {
+		j := k - 2
+		for len(levels[j]) == 0 {
+			j--
+		}
+		levels[k-1] = []int{levels[j][rng.Intn(len(levels[j]))]}
+	}
+	for i := k - 2; i >= 1; i-- {
+		if len(levels[i]) == 0 {
+			levels[i] = append([]int(nil), levels[i+1]...)
+		}
+	}
+	topOf = make([]int, n)
+	for i, level := range levels {
+		for _, v := range level {
+			topOf[v] = i
+		}
+	}
+	return levels, topOf
+}
 
 // PivotEntry is one hierarchy level's entry in a vertex label.
 type PivotEntry struct {
@@ -140,6 +184,24 @@ func (s *Scheme) AddLabelEntry(v, level, root int) {
 		e.TreeLabel, e.InCluster = c.Scheme.Label(v)
 	}
 	s.Labels[v].Entries = append(s.Labels[v].Entries, e)
+}
+
+// AddLabels fills every label with one entry per hierarchy level, in level
+// order: pivot[j][v] is v's level-j pivot, and a level with pivot NoVertex
+// gets no entry. The tree label is attached where v lies in its pivot's
+// cluster, so call it once, after every AddTree. The entries of all labels
+// share one allocation.
+func (s *Scheme) AddLabels(pivot [][]int) {
+	k := len(pivot)
+	entries := make([]PivotEntry, len(s.Labels)*k)
+	for v := range s.Labels {
+		s.Labels[v].Entries, entries = entries[:0:k], entries[k:]
+		for j, roots := range pivot {
+			if root := roots[v]; root != graph.NoVertex {
+				s.AddLabelEntry(v, j, root)
+			}
+		}
+	}
 }
 
 // Memberships returns the number of clusters containing v.

@@ -231,3 +231,52 @@ func TestTableView(t *testing.T) {
 		t.Fatal("Cluster looks up the wrong cluster")
 	}
 }
+
+// checkHierarchy fails t unless levels is a nested k-level hierarchy over n
+// vertices with A_0 = V and a nonempty top, and topOf[v] is the highest
+// level containing v.
+func checkHierarchy(t *testing.T, n, k int, levels [][]int, topOf []int) {
+	t.Helper()
+	if len(levels) != k || len(topOf) != n {
+		t.Fatalf("n=%d k=%d: %d levels, %d topOf entries", n, k, len(levels), len(topOf))
+	}
+	if len(levels[0]) != n {
+		t.Fatalf("n=%d k=%d: |A_0| = %d", n, k, len(levels[0]))
+	}
+	if len(levels[k-1]) == 0 {
+		t.Fatalf("n=%d k=%d: empty top level", n, k)
+	}
+	top := make([]int, n)
+	for i, level := range levels {
+		for _, v := range level {
+			if i > 0 && !slices.Contains(levels[i-1], v) {
+				t.Fatalf("n=%d k=%d: A_%d vertex %d not in A_%d", n, k, i, v, i-1)
+			}
+			top[v] = i
+		}
+	}
+	if !slices.Equal(top, topOf) {
+		t.Fatalf("n=%d k=%d: topOf %v, want %v", n, k, topOf, top)
+	}
+}
+
+func TestSampleHierarchy(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 16, 200} {
+		for k := 1; k <= 5; k++ {
+			for seed := int64(0); seed < 40; seed++ {
+				levels, topOf := clusterroute.SampleHierarchy(n, k, rand.New(rand.NewSource(seed)))
+				checkHierarchy(t, n, k, levels, topOf)
+			}
+		}
+	}
+}
+
+func TestSampleHierarchyReseedsBelowEmptyLevel(t *testing.T) {
+	// At n=4, k=3, seed 3 both A_1 and A_2 sample empty: the top is
+	// reseeded from A_0 and A_1 refilled from it.
+	levels, topOf := clusterroute.SampleHierarchy(4, 3, rand.New(rand.NewSource(3)))
+	checkHierarchy(t, 4, 3, levels, topOf)
+	if len(levels[2]) != 1 || !slices.Equal(levels[1], levels[2]) {
+		t.Fatalf("levels %v: want A_1 = A_2 = one reseeded vertex", levels)
+	}
+}

@@ -24,7 +24,6 @@ func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 	sim := congest.NewTopo(g, congest.WithSeed(5), congest.WithWorkers(1))
 	o := (&Options{K: 4, Seed: 5}).withDefaults()
 	b := newBuilder(sim, o)
-	b.sampleHierarchy()
 	for _, phase := range []func() error{
 		b.exactPivots, b.lowClusters, b.buildHopset, b.approxPivots,
 	} {

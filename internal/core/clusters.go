@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
@@ -14,6 +13,7 @@ import (
 	"lowmemroute/internal/treeroute"
 )
 
+// debugClusters dumps the estimates behind a malformed approximate cluster.
 const debugClusters = false
 
 // centry is one root's record at a host vertex during the approximate
@@ -524,16 +524,13 @@ func (g *clusterGrowth) assembleTrees(roots []int) error {
 // assemble runs the low-memory tree routing on every cluster tree in
 // parallel and produces the final tables and labels.
 func (b *builder) assemble() (*Scheme, error) {
-	centers := make([]int, 0, len(b.trees))
-	for c := range b.trees {
-		centers = append(centers, c)
-	}
-	sort.Ints(centers)
-	trees := make([]*graph.Tree, 0, len(centers))
+	var trees []*graph.Tree
 	perVertex := make([]int, b.n)
 	portals := 0
-	for _, c := range centers {
-		t := b.trees[c]
+	for _, t := range b.trees {
+		if t == nil {
+			continue
+		}
 		trees = append(trees, t)
 		for i := 0; i < t.Size(); i++ {
 			perVertex[t.MemberAt(i)]++
@@ -568,22 +565,12 @@ func (b *builder) assemble() (*Scheme, error) {
 	}
 
 	scheme := &Scheme{Scheme: clusterroute.New(b.k, b.n)}
-	scheme.Clusters = make([]clusterroute.Cluster, 0, len(centers))
-	entries := make([]clusterroute.PivotEntry, b.n*b.k)
-	for v := range scheme.Labels {
-		scheme.Labels[v].Entries, entries = entries[:0:b.k], entries[b.k:]
-	}
+	scheme.Clusters = make([]clusterroute.Cluster, 0, len(trees))
 	for _, ts := range res.Schemes {
 		scheme.AddTree(ts, b.topo)
 	}
+	scheme.AddLabels(b.pivotRoot[:b.k])
 	for v := 0; v < b.n; v++ {
-		for j := 0; j < b.k; j++ {
-			root := b.pivotRoot[j][v]
-			if root == graph.NoVertex {
-				continue
-			}
-			scheme.AddLabelEntry(v, j, root)
-		}
 		b.sim.Mem(v).Charge(int64(2 * b.k)) // pivot ids in the label
 	}
 
@@ -595,7 +582,7 @@ func (b *builder) assemble() (*Scheme, error) {
 		HopsetEdges:    b.hs.Size(),
 		HopsetArbor:    b.hs.MaxOutDegree(),
 		BetaRealised:   b.maxBeta,
-		Clusters:       len(centers),
+		Clusters:       len(trees),
 		MaxTreesPerVtx: s,
 		TreePortals:    portals,
 		PhaseRounds:    b.phaseRounds,

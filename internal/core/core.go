@@ -126,7 +126,6 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 	}
 
 	b := newBuilder(sim, o)
-	b.sampleHierarchy()
 	if err := b.timed("exact-pivots", b.exactPivots); err != nil {
 		return nil, err
 	}
@@ -158,14 +157,30 @@ func (b *builder) timed(name string, phase func() error) error {
 	return err
 }
 
-// newBuilder starts a build on sim with the defaulted options o.
+// newBuilder starts a build on sim with the defaulted options o: it samples
+// the hierarchy and sets the pivots of the two trivial levels, A_0 (every
+// vertex is its own pivot at distance 0) and A_k = ∅ (infinite distance).
 func newBuilder(sim *congest.Simulator, o Options) *builder {
-	return &builder{
-		sim: sim, topo: sim.Topo(), n: sim.N(), k: o.K, o: o,
-		rng:         rand.New(rand.NewSource(o.Seed)),
+	n, k := sim.N(), o.K
+	b := &builder{
+		sim: sim, topo: sim.Topo(), n: n, k: k, o: o,
 		ex:          hopset.NewExplorer(sim),
+		kHalf:       (k + 1) / 2,
+		pivotD:      make([][]float64, k+1),
+		pivotRoot:   make([][]int, k+1),
+		trees:       make([]*graph.Tree, n),
 		phaseRounds: make(map[string]int64),
 	}
+	b.levels, b.topOf = clusterroute.SampleHierarchy(n, k, rand.New(rand.NewSource(o.Seed)))
+	d0, r0 := make([]float64, n), make([]int, n)
+	dk, rk := make([]float64, n), make([]int, n)
+	for v := 0; v < n; v++ {
+		r0[v] = v
+		dk[v], rk[v] = graph.Infinity, graph.NoVertex
+	}
+	b.pivotD[0], b.pivotRoot[0] = d0, r0
+	b.pivotD[k], b.pivotRoot[k] = dk, rk
+	return b
 }
 
 type builder struct {
@@ -174,7 +189,6 @@ type builder struct {
 	n    int
 	k    int
 	o    Options
-	rng  *rand.Rand
 
 	// ex is the build's one exploration workspace: every phase explores
 	// through it, so its per-vertex state is grown once per build. A
@@ -193,9 +207,10 @@ type builder struct {
 	vg *hopset.VirtualGraph
 	hs *hopset.Hopset
 
-	// Cluster trees per center (compact member-indexed trees; membership
-	// distances are not retained - nothing downstream reads them).
-	trees   map[int]*graph.Tree
+	// trees[c] is the cluster tree centered at c, nil for a non-center
+	// (compact member-indexed trees; membership distances are not
+	// retained - nothing downstream reads them).
+	trees   []*graph.Tree
 	maxBeta int
 
 	// cg is the reusable approximate-cluster-growth workspace (created on
@@ -217,63 +232,6 @@ func (b *builder) hopBudget(j int) int {
 		h = b.n
 	}
 	return h
-}
-
-func (b *builder) sampleHierarchy() {
-	n, k := b.n, b.k
-	b.kHalf = (k + 1) / 2
-	p := math.Pow(float64(n), -1/float64(k))
-	b.levels = make([][]int, k)
-	b.levels[0] = make([]int, n)
-	for v := 0; v < n; v++ {
-		b.levels[0][v] = v
-	}
-	for i := 1; i < k; i++ {
-		for _, v := range b.levels[i-1] {
-			if b.rng.Float64() < p {
-				b.levels[i] = append(b.levels[i], v)
-			}
-		}
-	}
-	// The scheme needs a nonempty top level; reseed it from the deepest
-	// nonempty level (A_0 is always nonempty) and restore nesting by
-	// filling any emptied intermediate levels from above.
-	if k > 1 && len(b.levels[k-1]) == 0 {
-		j := k - 2
-		for len(b.levels[j]) == 0 {
-			j--
-		}
-		b.levels[k-1] = []int{b.levels[j][b.rng.Intn(len(b.levels[j]))]}
-	}
-	for i := k - 2; i >= 1; i-- {
-		if len(b.levels[i]) == 0 {
-			b.levels[i] = append([]int(nil), b.levels[i+1]...)
-		}
-	}
-	b.topOf = make([]int, n)
-	for i := 0; i < k; i++ {
-		for _, v := range b.levels[i] {
-			b.topOf[v] = i
-		}
-	}
-	b.pivotD = make([][]float64, k+1)
-	b.pivotRoot = make([][]int, k+1)
-	// Level 0: every vertex is its own pivot at distance 0.
-	d0 := make([]float64, n)
-	r0 := make([]int, n)
-	for v := 0; v < n; v++ {
-		r0[v] = v
-	}
-	b.pivotD[0], b.pivotRoot[0] = d0, r0
-	// Level k: empty set, infinite distance.
-	dk := make([]float64, n)
-	rk := make([]int, n)
-	for v := 0; v < n; v++ {
-		dk[v] = graph.Infinity
-		rk[v] = graph.NoVertex
-	}
-	b.pivotD[k], b.pivotRoot[k] = dk, rk
-	b.trees = make(map[int]*graph.Tree)
 }
 
 // exactPivots computes d(·, A_j) for the low levels 1..⌈k/2⌉ by set-source
@@ -318,70 +276,16 @@ func (b *builder) lowClusters() error {
 		if err != nil {
 			return fmt.Errorf("core: level %d clusters: %w", i, err)
 		}
-		if err := b.treesFromEntries(srcs, res, bound); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// treesFromEntries extracts every source root's cluster tree from the
-// exploration entries in two passes over the vertices (count, then fill):
-// members are vertices whose estimate beats the bound (the root always).
-// Because vertices are scanned ascending, each root's member bucket arrives
-// strictly sorted and feeds NewTreeCompact directly - no per-root host-sized
-// parent array is ever allocated, and all buckets share two allocations.
-func (b *builder) treesFromEntries(srcs []hopset.Source, res *hopset.ExploreResult, bound []float64) error {
-	slot := make(map[int]int, len(srcs))
-	for i, s := range srcs {
-		slot[s.Root] = i
-	}
-	member := func(v int, en *hopset.RootEntry) (int, bool) {
-		if v != en.Root && en.Dist >= bound[v] {
-			return 0, false
-		}
-		i, ok := slot[en.Root]
-		return i, ok
-	}
-	size := make([]int, len(srcs))
-	total := 0
-	for v := 0; v < b.n; v++ {
-		for j := range res.At(v) {
-			if i, ok := member(v, &res.At(v)[j]); ok {
-				size[i]++
-				total++
-			}
-		}
-	}
-	vertSlab, parSlab := make([]int32, total), make([]int32, total)
-	verts := make([][]int32, len(srcs))
-	pars := make([][]int32, len(srcs))
-	for i, k := range size {
-		verts[i], vertSlab = vertSlab[:0:k], vertSlab[k:]
-		pars[i], parSlab = parSlab[:0:k], parSlab[k:]
-	}
-	for v := 0; v < b.n; v++ {
-		for j := range res.At(v) {
-			en := &res.At(v)[j]
-			i, ok := member(v, en)
-			if !ok {
-				continue
-			}
-			p := graph.NoVertex
-			if v != en.Root {
-				p = en.Parent
-			}
-			verts[i] = append(verts[i], int32(v))
-			pars[i] = append(pars[i], int32(p))
-			b.sim.Mem(v).Charge(3) // retained cluster entry
-		}
-	}
-	for i, s := range srcs {
-		tree, err := graph.NewTreeCompact(s.Root, b.n, verts[i], pars[i])
+		trees, err := res.ClusterTrees(srcs, bound)
 		if err != nil {
-			return fmt.Errorf("core: cluster of %d: %w", s.Root, err)
+			return fmt.Errorf("core: level %d clusters: %w", i, err)
 		}
-		b.trees[s.Root] = tree
+		for _, t := range trees {
+			for j := 0; j < t.Size(); j++ {
+				b.sim.Mem(t.MemberAt(j)).Charge(3) // retained cluster entry
+			}
+			b.trees[t.Root] = t
+		}
 	}
 	return nil
 }

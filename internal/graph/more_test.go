@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +138,67 @@ func TestHopsFieldCountsEdges(t *testing.T) {
 		}
 		if res.Hops[v] != len(path)-1 {
 			t.Fatalf("v=%d hops %d path len %d", v, res.Hops[v], len(path))
+		}
+	}
+}
+
+func TestPrunedDijkstraInfiniteBoundIsDijkstra(t *testing.T) {
+	g := ErdosRenyi(120, 0.06, IntegerWeights(20), rand.New(rand.NewSource(11)))
+	bound := make([]float64, g.N())
+	for v := range bound {
+		bound[v] = Infinity
+	}
+	want := Dijkstra(g, 5)
+	got := PrunedDijkstra(g, 5, bound)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("PrunedDijkstra under an all-Infinity bound differs from Dijkstra")
+	}
+}
+
+// TestPrunedDijkstraDropsAtOrAboveBound prunes at two 1-Lipschitz bounds, a
+// constant radius and the distance to a sampled set (a Thorup-Zwick
+// cluster), under which the kept vertices are exactly those whose true
+// distance is below their bound, at their true distance.
+func TestPrunedDijkstraDropsAtOrAboveBound(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	g := ErdosRenyi(150, 0.05, IntegerWeights(10), r)
+	const src = 0
+	exact := Dijkstra(g, src).Dist
+	radius := make([]float64, g.N())
+	var set []int
+	for v := range radius {
+		radius[v] = exact[g.N()/2] // integer weights: some vertices sit at it
+		if v != src && r.Float64() < 0.05 {
+			set = append(set, v)
+		}
+	}
+	toSet := BoundedBellmanFordMulti(g, set, nil, g.N()).Dist
+	for _, c := range []struct {
+		name  string
+		bound []float64
+	}{{"radius", radius}, {"set", toSet}} {
+		res := PrunedDijkstra(g, src, c.bound)
+		kept, atBound := 0, 0
+		for v := 0; v < g.N(); v++ {
+			if exact[v] >= c.bound[v] {
+				if exact[v] == c.bound[v] {
+					atBound++
+				}
+				if res.Dist[v] != Infinity || res.Parent[v] != NoVertex || res.Hops[v] != -1 {
+					t.Fatalf("%s: vertex %d at d=%v >= bound %v kept", c.name, v, exact[v], c.bound[v])
+				}
+				continue
+			}
+			kept++
+			if res.Dist[v] != exact[v] {
+				t.Fatalf("%s: vertex %d dist %v, want %v", c.name, v, res.Dist[v], exact[v])
+			}
+		}
+		if kept < 2 || kept == g.N() || atBound == 0 {
+			t.Fatalf("%s: %d of %d vertices kept, %d at the bound: the case tests nothing", c.name, kept, g.N(), atBound)
+		}
+		if _, err := NewTree(src, res.Parent); err != nil {
+			t.Fatalf("%s: pruned parents are not a tree: %v", c.name, err)
 		}
 	}
 }

@@ -13,7 +13,15 @@ type SSSPResult struct {
 }
 
 // Dijkstra computes exact single-source shortest paths from src in t.
-func Dijkstra(t Topology, src int) *SSSPResult {
+func Dijkstra(t Topology, src int) *SSSPResult { return PrunedDijkstra(t, src, nil) }
+
+// PrunedDijkstra computes shortest paths from src in t, pruned at bound: a
+// vertex v settled at distance d(src, v) >= bound[v] keeps no entry
+// (Infinity, NoVertex, -1 hops) and is not expanded. With bound the next
+// level's pivot distances this grows a Thorup-Zwick cluster, and the
+// surviving parent pointers are its cluster tree. A nil bound prunes
+// nothing.
+func PrunedDijkstra(t Topology, src int, bound []float64) *SSSPResult {
 	n := t.N()
 	res := &SSSPResult{
 		Source: src,
@@ -37,11 +45,14 @@ func Dijkstra(t Topology, src int) *SSSPResult {
 			continue
 		}
 		done[u] = true
+		if bound != nil && du >= bound[u] {
+			res.Dist[u], res.Parent[u], res.Hops[u] = Infinity, NoVertex, -1
+			continue
+		}
 		to, base := t.NeighborRange(u)
 		for i, x := range to {
 			v := int(x)
-			alt := du + t.ArcWeight(base+i)
-			if alt < res.Dist[v] {
+			if alt := du + t.ArcWeight(base+i); alt < res.Dist[v] && !done[v] {
 				res.Dist[v] = alt
 				res.Parent[v] = u
 				res.Hops[v] = res.Hops[u] + 1

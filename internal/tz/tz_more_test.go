@@ -50,34 +50,6 @@ func TestHugeAspectRatio(t *testing.T) {
 	}
 }
 
-func TestLevelsAreNested(t *testing.T) {
-	g := testGraph(t, graph.FamilyErdosRenyi, 200, 106)
-	s, err := Build(g, Options{K: 4, Seed: 107})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Levels) != 4 {
-		t.Fatalf("levels=%d", len(s.Levels))
-	}
-	if len(s.Levels[0]) != g.N() {
-		t.Fatalf("A_0 size %d", len(s.Levels[0]))
-	}
-	for i := 1; i < len(s.Levels); i++ {
-		inPrev := make(map[int]bool, len(s.Levels[i-1]))
-		for _, v := range s.Levels[i-1] {
-			inPrev[v] = true
-		}
-		for _, v := range s.Levels[i] {
-			if !inPrev[v] {
-				t.Fatalf("A_%d vertex %d not in A_%d", i, v, i-1)
-			}
-		}
-		if len(s.Levels[i]) > len(s.Levels[i-1]) {
-			t.Fatalf("level %d grew", i)
-		}
-	}
-}
-
 func TestEveryVertexHasItsOwnCluster(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 108)
 	s, err := Build(g, Options{K: 3, Seed: 109})
