@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-ab bench-smoke metrics-smoke scale-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
+.PHONY: all build test vet lint lint-graph lint-graph-update race bench bench-ab bench-smoke metrics-smoke scale-smoke fuzz-smoke table1 table2 sweeps demo fmt fmt-check
 
 all: build vet lint test race
 
@@ -10,31 +10,26 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Model-invariant static analysis (cmd/lowmemlint): CONGEST isolation, meter
-# accounting, determinism, and wire-size honesty. The baseline file must stay
-# empty unless an entry carries a written justification; stale entries fail
-# the build.
+# Model-invariant static analysis (cmd/lowmemlint): every analyzer (LM001
+# to LM008; LM004 is retired) over ./internal/... (DESIGN.md §8). A finding
+# fails the build unless it is waived in place with
+# //lint:waive <analyzer> <reason>.
 lint:
 	$(GO) vet ./cmd/lowmemlint ./internal/lint
-	$(GO) run ./cmd/lowmemlint -baseline lint.baseline.json ./internal/...
+	$(GO) run ./cmd/lowmemlint ./internal/...
 
-# Regenerate the lint baseline from current findings. Only for grandfathering
-# a finding that cannot be fixed in the same change — add a reason to every
-# entry it writes.
-lint-baseline:
-	$(GO) run ./cmd/lowmemlint -write-baseline lint.baseline.json ./internal/...
-
-# Protocol-graph golden (schema lowmemlint/protocol-v1): regenerate the
+# Protocol-graph golden (schema lowmemlint/protocol-v2): regenerate the
 # whole-repo send/receive kind graph and fail on any drift from the committed
-# protocol.json / protocol.dot. A diff here means the wire protocol changed —
-# review it, then refresh the goldens with `make lint-graph-update`.
+# protocol.json. Sites are keyed by function, transport and words expression
+# or match form, not by line, so moving code leaves the golden unchanged; a
+# diff here means a send, match, kind or words expression changed — review
+# it, then refresh the golden with `make lint-graph-update`.
 lint-graph:
-	$(GO) run ./cmd/lowmemlint -graph /tmp/lowmemlint-protocol.json -graph-dot /tmp/lowmemlint-protocol.dot ./internal/...
+	$(GO) run ./cmd/lowmemlint -graph /tmp/lowmemlint-protocol.json ./internal/...
 	diff -u protocol.json /tmp/lowmemlint-protocol.json
-	diff -u protocol.dot /tmp/lowmemlint-protocol.dot
 
 lint-graph-update:
-	$(GO) run ./cmd/lowmemlint -graph protocol.json -graph-dot protocol.dot ./internal/...
+	$(GO) run ./cmd/lowmemlint -graph protocol.json ./internal/...
 
 test:
 	$(GO) test ./...

@@ -216,7 +216,7 @@ func BenchmarkCongestFlood(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := congest.NewTopo(topo)
-		if _, err := hopset.Explore(sim, []hopset.Source{{Root: 0, At: 0, Dist: 0}},
+		if _, err := hopset.NewExplorer(sim).Explore([]hopset.Source{{Root: 0, At: 0, Dist: 0}},
 			hopset.ExploreOptions{Hops: 6}); err != nil {
 			b.Fatal(err)
 		}

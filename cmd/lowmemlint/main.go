@@ -3,37 +3,29 @@
 //
 // Usage:
 //
-//	lowmemlint [flags] [patterns]
+//	lowmemlint [-list] [-graph FILE] [patterns]
 //
 // Patterns default to ./internal/...; a pattern ending in /... walks the
-// tree.
-//
-// Exit-code contract: 0 when the run is clean (or when an artifact was
-// written via -write-baseline / -graph / -graph-dot), 1 when there are fresh
-// findings or stale baseline entries, and 2 when flags are invalid or
-// packages fail to load.
+// tree. Every run applies every analyzer; a finding is waived in place with
+// a //lint:waive <analyzer> <reason> comment (see internal/lint).
 //
 // Flags:
 //
-//	-json                  emit the lowmemlint/v2 JSON report (per-finding severity)
-//	-baseline FILE         apply a baseline file; stale entries are errors
-//	-write-baseline FILE   write current findings as a fresh baseline and exit
-//	-graph FILE            write the lowmemlint/protocol-v1 kind graph as JSON and exit
-//	-graph-dot FILE        write the kind graph as Graphviz dot and exit
-//	-enable a,b            run only the named analyzers
-//	-disable a,b           run all but the named analyzers
-//	-list                  list analyzers and exit
+//	-graph FILE  write the lowmemlint/protocol-v2 kind graph as JSON and exit
+//	-list        list analyzers and exit
 //
-// -graph and -graph-dot may be combined; both artifacts are written before
-// exiting. The graph is built from the whole-repo send/receive extraction
-// that backs LM007/LM008 and does not run the analyzers.
+// The graph is built from the whole-repo send/receive extraction that backs
+// LM007/LM008 and does not run the analyzers.
+//
+// Exit-code contract: 0 when the run is clean (or the graph was written), 1
+// when there are findings, and 2 when flags are invalid or packages fail to
+// load.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"lowmemroute/internal/lint"
 )
@@ -45,14 +37,8 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("lowmemlint", flag.ContinueOnError)
 	var (
-		jsonOut       = fs.Bool("json", false, "emit the lowmemlint/v1 JSON report")
-		baselinePath  = fs.String("baseline", "", "baseline file to apply (stale entries are errors)")
-		writeBaseline = fs.String("write-baseline", "", "write current findings to this baseline file and exit")
-		graphJSON     = fs.String("graph", "", "write the protocol kind graph as JSON to this file and exit")
-		graphDot      = fs.String("graph-dot", "", "write the protocol kind graph as Graphviz dot to this file and exit")
-		enable        = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable       = fs.String("disable", "", "comma-separated analyzers to skip")
-		list          = fs.Bool("list", false, "list analyzers and exit")
+		graphJSON = fs.String("graph", "", "write the protocol kind graph as JSON to this file and exit")
+		list      = fs.Bool("list", false, "list analyzers and exit")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -64,123 +50,56 @@ func run(argv []string) int {
 		return 0
 	}
 
-	analyzers, err := lint.Select(splitList(*enable), splitList(*disable))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./internal/..."}
 	}
 	dirs, err := lint.Expand(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-		return 2
+		return fail(err)
 	}
 	loader, err := lint.NewLoader(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-		return 2
+		return fail(err)
 	}
-	if *graphJSON != "" || *graphDot != "" {
-		return writeGraph(loader, dirs, *graphJSON, *graphDot)
+	if *graphJSON != "" {
+		return writeGraph(loader, dirs, *graphJSON)
 	}
 
-	res, err := lint.RunDirs(loader, dirs, analyzers)
+	findings, err := lint.RunDirs(loader, dirs, lint.Analyzers())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-		return 2
+		return fail(err)
 	}
-
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(res.Findings)
-		if err := lint.WriteBaseline(*writeBaseline, b); err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		fmt.Printf("lowmemlint: wrote %d baseline entr(ies) to %s\n", len(b.Entries), *writeBaseline)
-		return 0
-	}
-
-	fresh := res.Findings
-	var stale []lint.BaselineEntry
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		fresh, stale = b.Apply(res.Findings)
-		baselined = len(res.Findings) - len(fresh)
-	}
-
-	report := lint.NewReport(fresh, stale, baselined)
-	if *jsonOut {
-		if err := report.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-	} else {
-		report.WriteText(os.Stdout)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
+	lint.WriteText(os.Stdout, findings)
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// writeGraph builds the whole-repo protocol kind graph and writes the
-// requested artifacts. Returns 0 on success, 2 on any failure.
-func writeGraph(loader *lint.Loader, dirs []string, jsonPath, dotPath string) int {
+// writeGraph builds the whole-repo protocol kind graph and writes it as JSON
+// to path. Returns 0 on success, 2 on any failure.
+func writeGraph(loader *lint.Loader, dirs []string, path string) int {
 	g, err := lint.BuildProtocolGraph(loader, dirs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-		return 2
+		return fail(err)
 	}
-	write := func(path string, emit func(*os.File) error) int {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		return 0
+	f, err := os.Create(path)
+	if err != nil {
+		return fail(err)
 	}
-	if jsonPath != "" {
-		if rc := write(jsonPath, func(f *os.File) error { return g.WriteJSON(f) }); rc != 0 {
-			return rc
-		}
-		fmt.Printf("lowmemlint: wrote protocol graph (%d package(s)) to %s\n", len(g.Packages), jsonPath)
+	if err := g.WriteJSON(f); err != nil {
+		f.Close()
+		return fail(err)
 	}
-	if dotPath != "" {
-		if rc := write(dotPath, func(f *os.File) error { return g.WriteDot(f) }); rc != 0 {
-			return rc
-		}
-		fmt.Printf("lowmemlint: wrote protocol graph dot to %s\n", dotPath)
+	if err := f.Close(); err != nil {
+		return fail(err)
 	}
+	fmt.Printf("lowmemlint: wrote protocol graph (%d package(s)) to %s\n", len(g.Packages), path)
 	return 0
 }
 
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "lowmemlint:", err)
+	return 2
 }

@@ -17,7 +17,6 @@ func TestExitCodeUsageErrors(t *testing.T) {
 		argv []string
 	}{
 		{"bad flag", []string{"-no-such-flag"}},
-		{"unknown analyzer", []string{"-enable", "nosuchanalyzer", "../../internal/congest"}},
 		{"bad pattern", []string{"./no/such/dir"}},
 	}
 	for _, tc := range cases {
@@ -30,8 +29,8 @@ func TestExitCodeUsageErrors(t *testing.T) {
 }
 
 func TestExitCodeFindings(t *testing.T) {
-	// The wiresize fixture contains deliberate violations.
-	argv := []string{"-enable", "wiresize", "../../internal/lint/testdata/src/wiresize"}
+	// The determinism fixture contains deliberate violations.
+	argv := []string{"../../internal/lint/testdata/src/determinism"}
 	if got := run(argv); got != 1 {
 		t.Fatalf("run(%q) = %d, want 1", argv, got)
 	}
@@ -49,10 +48,8 @@ func TestExitCodeClean(t *testing.T) {
 }
 
 func TestGraphFlags(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "protocol.json")
-	dotPath := filepath.Join(dir, "protocol.dot")
-	argv := []string{"-graph", jsonPath, "-graph-dot", dotPath, "../../internal/..."}
+	jsonPath := filepath.Join(t.TempDir(), "protocol.json")
+	argv := []string{"-graph", jsonPath, "../../internal/..."}
 	if got := run(argv); got != 0 {
 		t.Fatalf("run(%q) = %d, want 0", argv, got)
 	}
@@ -60,14 +57,10 @@ func TestGraphFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"lowmemlint/protocol-v1"`) {
-		t.Errorf("graph JSON missing schema marker:\n%s", data)
+	if !strings.Contains(string(data), `"lowmemlint/protocol-v2"`) {
+		t.Errorf("graph JSON missing schema marker:\n%.200s", data)
 	}
-	dot, err := os.ReadFile(dotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(dot), "digraph") {
-		t.Errorf("graph dot output does not start with digraph:\n%.200s", dot)
+	if strings.Contains(string(data), `"line"`) {
+		t.Errorf("graph JSON records line numbers:\n%.200s", data)
 	}
 }

@@ -52,6 +52,7 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 	}
 	topo := sim.Topo()
 	levels, topOf := clusterroute.SampleHierarchy(n, k, rand.New(rand.NewSource(opts.Seed)))
+	ex := hopset.NewExplorer(sim) // one workspace for all 2k-1 explorations
 
 	// Pivot distances per level, by global set-source explorations
 	// (depth ~ S each - the LP15 signature).
@@ -64,7 +65,7 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 	}
 	pivotD[0], pivotRoot[0] = d0, r0
 	for j := 1; j < k; j++ {
-		dist, _, origin, err := hopset.DistToSet(sim, levels[j], n)
+		dist, _, origin, err := ex.DistToSet(levels[j], n)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: LP15 pivots level %d: %w", j, err)
 		}
@@ -91,7 +92,7 @@ func BuildLP15(sim *congest.Simulator, opts Options) (*clusterroute.Scheme, erro
 			continue
 		}
 		limit := func(v, root int, d float64) bool { return d < bound[v] }
-		res, err := hopset.Explore(sim, srcs, hopset.ExploreOptions{Hops: n, Limit: limit})
+		res, err := ex.Explore(srcs, hopset.ExploreOptions{Hops: n, Limit: limit})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: LP15 level %d clusters: %w", i, err)
 		}

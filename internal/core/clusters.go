@@ -13,9 +13,6 @@ import (
 	"lowmemroute/internal/treeroute"
 )
 
-// debugClusters dumps the estimates behind a malformed approximate cluster.
-const debugClusters = false
-
 // centry is one root's record at a host vertex during the approximate
 // cluster growth.
 type centry struct {
@@ -505,15 +502,6 @@ func (g *clusterGrowth) assembleTrees(roots []int) error {
 	for i, r := range roots {
 		tree, err := graph.NewTreeCompact(r, b.n, verts[i], pars[i])
 		if err != nil {
-			if debugClusters {
-				for v := 0; v < b.n; v++ {
-					if e := g.get(v, r); e != nil {
-						fmt.Printf("DBG root=%d v=%d dist=%v parent=%d via=%v force=%v hostCap=%v virt=%v member=%v\n",
-							r, v, e.dist, e.parent, e.via, e.force, g.hostCap(v), b.vg.IsMember(v),
-							v == r || e.force || e.dist < g.hostCap(v))
-					}
-				}
-			}
 			return fmt.Errorf("core: approximate cluster tree of %d: %w", r, err)
 		}
 		b.trees[r] = tree

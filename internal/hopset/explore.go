@@ -305,12 +305,6 @@ func (e *Explorer) adopt(v, root int, en Entry, ttl int, ctx *congest.Ctx, isSee
 	e.forward(v, cur, ctx)
 }
 
-// Explore is the one-shot convenience wrapper: a fresh workspace per call,
-// so the result stays valid indefinitely. Loops should hold an Explorer.
-func Explore(sim *congest.Simulator, sources []Source, opts ExploreOptions) (*ExploreResult, error) {
-	return NewExplorer(sim).Explore(sources, opts)
-}
-
 // DistToSet runs a single set-source exploration from all seeds (shared
 // root) on this Explorer, returning per-vertex distance, parent and nearest
 // seed. Vertices beyond the hop budget hold Infinity. The returned slices are

@@ -127,7 +127,7 @@ func TestExactDistancesAreMetricOverVirtual(t *testing.T) {
 func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 	g := testGraph(t, 80, 6)
 	sim := congest.NewTopo(g)
-	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 4})
+	res, err := NewExplorer(sim).Explore([]Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestExploreSingleSourceMatchesBoundedBF(t *testing.T) {
 func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 80, 7)
 	sim := congest.NewTopo(g)
-	res, err := Explore(sim, []Source{{Root: 5, At: 5, Dist: 0}}, ExploreOptions{Hops: g.N()})
+	res, err := NewExplorer(sim).Explore([]Source{{Root: 5, At: 5, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestExploreUnboundedMatchesDijkstra(t *testing.T) {
 func TestExploreParentChainsAreConsistent(t *testing.T) {
 	g := testGraph(t, 60, 8)
 	sim := congest.NewTopo(g)
-	res, err := Explore(sim, []Source{{Root: 3, At: 3, Dist: 0}}, ExploreOptions{Hops: g.N()})
+	res, err := NewExplorer(sim).Explore([]Source{{Root: 3, At: 3, Dist: 0}}, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestExploreMultiRootIndependence(t *testing.T) {
 		{Root: 10, At: 10, Dist: 0},
 		{Root: 20, At: 20, Dist: 0},
 	}
-	res, err := Explore(sim, srcs, ExploreOptions{Hops: g.N()})
+	res, err := NewExplorer(sim).Explore(srcs, ExploreOptions{Hops: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 	g := graph.Path(10, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sim := congest.NewTopo(g)
 	limit := func(v, root int, d float64) bool { return d < 3 }
-	res, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 100, Limit: limit})
+	res, err := NewExplorer(sim).Explore([]Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 100, Limit: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestExploreLimitStopsForwardingAndStorage(t *testing.T) {
 func TestExploreChargesEntryMemory(t *testing.T) {
 	g := graph.Path(5, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	sim := congest.NewTopo(g)
-	if _, err := Explore(sim, []Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 10}); err != nil {
+	if _, err := NewExplorer(sim).Explore([]Source{{Root: 0, At: 0, Dist: 0}}, ExploreOptions{Hops: 10}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 5; v++ {
@@ -252,10 +252,10 @@ func TestExploreChargesEntryMemory(t *testing.T) {
 func TestExploreErrors(t *testing.T) {
 	g := testGraph(t, 10, 1)
 	sim := congest.NewTopo(g)
-	if _, err := Explore(sim, nil, ExploreOptions{Hops: 0}); err == nil {
+	if _, err := NewExplorer(sim).Explore(nil, ExploreOptions{Hops: 0}); err == nil {
 		t.Fatal("hops 0 should error")
 	}
-	if _, err := Explore(sim, []Source{{Root: 0, At: 99, Dist: 0}}, ExploreOptions{Hops: 1}); err == nil {
+	if _, err := NewExplorer(sim).Explore([]Source{{Root: 0, At: 99, Dist: 0}}, ExploreOptions{Hops: 1}); err == nil {
 		t.Fatal("seed out of range should error")
 	}
 }
@@ -498,7 +498,7 @@ func TestExploreWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) []int64 {
 		sim := congest.NewTopo(g, congest.WithWorkers(workers))
-		res, err := Explore(sim, srcs, ExploreOptions{Hops: hops})
+		res, err := NewExplorer(sim).Explore(srcs, ExploreOptions{Hops: hops})
 		if err != nil {
 			t.Fatal(err)
 		}

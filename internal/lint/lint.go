@@ -1,19 +1,20 @@
 // Package lint implements lowmemlint, a stdlib-only static analyzer suite
 // that enforces the repository's model-level resource invariants at build
 // time: CONGEST vertex isolation (LM001), meter accounting of per-vertex
-// allocations (LM002), schedule determinism (LM003), honest wire-size
-// accounting of message payloads (LM004), a ban on interface-typed payloads
-// on the wire (LM005), arena Ext ownership (LM006), sender/receiver
-// PayloadKind conformance (LM007), and encode/decode codec symmetry (LM008).
+// allocations (LM002), schedule determinism (LM003), a ban on
+// interface-typed payloads on the wire (LM005), arena Ext ownership (LM006),
+// sender/receiver PayloadKind conformance (LM007), and encode/decode codec
+// symmetry (LM008). Code LM004 is retired (DESIGN.md §8).
 // The LM006–LM008 analyzers share a package-level dataflow layer (dataflow.go,
 // protocol.go): go/types-driven intra-procedural value tracking plus
 // fixed-point call summaries for cross-function flows. See DESIGN.md §8 for
-// the mapping from each analyzer to the paper invariant it guards.
+// the mapping from each analyzer to the paper invariant it guards, and for
+// the table of which checks catch a seeded violation of each rule.
 //
-// Findings can be waived in place with comment directives:
+// Every run applies every analyzer. A finding is waived in place with one
+// comment directive:
 //
-//	//lint:meterfree <reason>        waive meteraccount at this line
-//	//lint:waive <analyzer> <reason> waive any analyzer at this line
+//	//lint:waive <analyzer> <reason>
 //
 // A waiver suppresses findings on its own line and on the line directly
 // below it (so it can sit above the flagged statement). Malformed directives
@@ -25,21 +26,22 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Diagnostic is one finding. File is relative to the module root so that
-// output and baselines are stable across checkouts.
+// output is stable across checkouts.
 type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Code     string `json:"code"`
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"` // "error" or "warning"
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Code     string
+	Analyzer string
+	Severity string // "error" or "warning"
+	Message  string
 }
 
 // Diagnostic severities. Both fail the run (exit 1): a warning marks a
@@ -51,9 +53,9 @@ const (
 	SeverityWarning = "warning"
 )
 
-// Analyzer is one independently enable/disable-able check.
+// Analyzer is one check with its own diagnostic code and waiver name.
 type Analyzer struct {
-	Name string // flag-facing name, e.g. "determinism"
+	Name string // waiver-facing name, e.g. "determinism"
 	Code string // diagnostic code, e.g. "LM003"
 	Doc  string // one-line description
 	Run  func(*Pass)
@@ -65,50 +67,11 @@ func Analyzers() []*Analyzer {
 		analyzerCongestIsolation(),
 		analyzerMeterAccount(),
 		analyzerDeterminism(),
-		analyzerWireSize(),
 		analyzerAnyPayload(),
 		analyzerExtOwnership(),
 		analyzerKindConformance(),
 		analyzerCodecSymmetry(),
 	}
-}
-
-// Select resolves -enable/-disable flag values against the full suite.
-// Empty enable means "all"; disable is applied afterwards.
-func Select(enable, disable []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	chosen := all
-	if len(enable) > 0 {
-		chosen = nil
-		for _, n := range enable {
-			a, ok := byName[n]
-			if !ok {
-				return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-			}
-			chosen = append(chosen, a)
-		}
-	}
-	if len(disable) > 0 {
-		drop := make(map[string]bool, len(disable))
-		for _, n := range disable {
-			if _, ok := byName[n]; !ok {
-				return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-			}
-			drop[n] = true
-		}
-		var kept []*Analyzer
-		for _, a := range chosen {
-			if !drop[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		chosen = kept
-	}
-	return chosen, nil
 }
 
 // Pass carries one analyzer's run over one package.
@@ -117,7 +80,7 @@ type Pass struct {
 	Pkg    *Package
 
 	analyzer *Analyzer
-	waivers  []*waiver
+	waivers  []waiver
 	out      *[]Diagnostic
 }
 
@@ -138,7 +101,6 @@ func (p *Pass) ReportSeverityf(pos token.Pos, severity string, format string, ar
 	for _, w := range p.waivers {
 		if w.analyzer == p.analyzer.Name && w.file == file &&
 			(position.Line == w.line || position.Line == w.line+1) {
-			w.used = true
 			return
 		}
 	}
@@ -160,13 +122,11 @@ func relPath(root, file string) string {
 	return filepath.ToSlash(file)
 }
 
-// waiver is one parsed //lint:meterfree or //lint:waive directive.
+// waiver is one parsed //lint:waive directive.
 type waiver struct {
 	file     string
 	line     int
 	analyzer string
-	reason   string
-	used     bool
 }
 
 const (
@@ -178,8 +138,8 @@ const (
 
 // scanDirectives parses all //lint: comments of pkg, returning the valid
 // waivers and a diagnostic for every malformed directive.
-func scanDirectives(l *Loader, pkg *Package, known map[string]bool) ([]*waiver, []Diagnostic) {
-	var ws []*waiver
+func scanDirectives(l *Loader, pkg *Package, known map[string]bool) ([]waiver, []Diagnostic) {
+	var ws []waiver
 	var diags []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
 		position := l.Fset.Position(pos)
@@ -207,16 +167,9 @@ func scanDirectives(l *Loader, pkg *Package, known map[string]bool) ([]*waiver, 
 				switch verb {
 				case "simulator":
 					// Scope marker, handled by simulatorScoped.
-				case "meterfree":
-					if rest == "" {
-						report(c.Pos(), "//lint:meterfree requires a reason")
-						continue
-					}
-					ws = append(ws, &waiver{file: file, line: position.Line, analyzer: "meteraccount", reason: rest})
 				case "waive":
 					name, reason, _ := strings.Cut(rest, " ")
-					reason = strings.TrimSpace(reason)
-					if name == "" || reason == "" {
+					if name == "" || strings.TrimSpace(reason) == "" {
 						report(c.Pos(), "//lint:waive requires an analyzer name and a reason")
 						continue
 					}
@@ -224,7 +177,7 @@ func scanDirectives(l *Loader, pkg *Package, known map[string]bool) ([]*waiver, 
 						report(c.Pos(), "//lint:waive names unknown analyzer %q", name)
 						continue
 					}
-					ws = append(ws, &waiver{file: file, line: position.Line, analyzer: name, reason: reason})
+					ws = append(ws, waiver{file: file, line: position.Line, analyzer: name})
 				default:
 					report(c.Pos(), "unknown lint directive //lint:%s", verb)
 				}
@@ -235,8 +188,7 @@ func scanDirectives(l *Loader, pkg *Package, known map[string]bool) ([]*waiver, 
 }
 
 // simulatorPkgs are the packages whose code runs (or schedules) simulated
-// CONGEST processors; the isolation, determinism, and wiresize analyzers
-// apply to them.
+// CONGEST processors; the simulator-scoped analyzers apply to them.
 var simulatorPkgs = map[string]bool{
 	"congest":      true,
 	"treeroute":    true,
@@ -272,15 +224,10 @@ func pathBase(p string) string {
 	return p
 }
 
-// Result is the outcome of a run over a set of packages.
-type Result struct {
-	Findings []Diagnostic
-}
-
 // RunDirs loads every directory and runs the given analyzers over each
 // package, returning all findings sorted by position. Malformed lint
 // directives are reported as LM000 regardless of the analyzer selection.
-func RunDirs(l *Loader, dirs []string, analyzers []*Analyzer) (*Result, error) {
+func RunDirs(l *Loader, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -315,7 +262,7 @@ func RunDirs(l *Loader, dirs []string, analyzers []*Analyzer) (*Result, error) {
 		}
 		return a.Message < b.Message
 	})
-	return &Result{Findings: findings}, nil
+	return findings, nil
 }
 
 // dedupe drops exact duplicates (e.g. two uses of the same global on one
@@ -330,4 +277,21 @@ func dedupe(ds []Diagnostic) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// WriteText writes one line per finding in the canonical
+// file:line:col: CODE(analyzer): message form, then a one-line summary.
+func WriteText(w io.Writer, findings []Diagnostic) {
+	for _, d := range findings {
+		mark := ""
+		if d.Severity == SeverityWarning {
+			mark = " [warning]"
+		}
+		fmt.Fprintf(w, "%s:%d:%d: %s(%s): %s%s\n", d.File, d.Line, d.Col, d.Code, d.Analyzer, d.Message, mark)
+	}
+	if len(findings) == 0 {
+		fmt.Fprintln(w, "lowmemlint: clean")
+		return
+	}
+	fmt.Fprintf(w, "lowmemlint: %d finding(s)\n", len(findings))
 }

@@ -2,18 +2,19 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// The loader is shared across tests: type-checking the standard library from
-// source dominates the cost and is cached per Loader.
+// The loader is shared across tests: loaded packages (the module's own,
+// type-checked from source, and the standard library's export data) are
+// cached per Loader.
 var (
 	loaderOnce sync.Once
 	loader     *Loader
@@ -91,20 +92,25 @@ func posKey(file string, line int) string {
 // runFixture runs the named analyzers over one fixture package and checks the
 // findings against its // want comments: every finding must match a want on
 // its line, and every want must be hit.
-func runFixture(t *testing.T, fixture string, enable []string) {
+func runFixture(t *testing.T, fixture string, names []string) {
 	t.Helper()
 	l := sharedLoader(t)
 	dir := filepath.Join("testdata", "src", fixture)
-	analyzers, err := Select(enable, nil)
-	if err != nil {
-		t.Fatal(err)
+	var analyzers []*Analyzer
+	for _, a := range Analyzers() {
+		if slices.Contains(names, a.Name) {
+			analyzers = append(analyzers, a)
+		}
 	}
-	res, err := RunDirs(l, []string{dir}, analyzers)
+	if len(analyzers) != len(names) {
+		t.Fatalf("analyzers %v: only %d known", names, len(analyzers))
+	}
+	findings, err := RunDirs(l, []string{dir}, analyzers)
 	if err != nil {
 		t.Fatalf("RunDirs(%s): %v", fixture, err)
 	}
 	wants := collectWants(t, l, dir)
-	for _, d := range res.Findings {
+	for _, d := range findings {
 		key := posKey(d.File, d.Line)
 		matched := false
 		for _, w := range wants[key] {
@@ -145,10 +151,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determinism", []string{"determinism"})
 }
 
-func TestWireSizeFixture(t *testing.T) {
-	runFixture(t, "wiresize", []string{"wiresize"})
-}
-
 func TestAnyPayloadFixture(t *testing.T) {
 	runFixture(t, "anypayload", []string{"anypayload"})
 }
@@ -178,20 +180,20 @@ func TestCodecSymmetryFixture(t *testing.T) {
 // instead of // want comments.
 func TestDirectiveDiagnostics(t *testing.T) {
 	l := sharedLoader(t)
-	res, err := RunDirs(l, []string{filepath.Join("testdata", "src", "directives")}, nil)
+	findings, err := RunDirs(l, []string{filepath.Join("testdata", "src", "directives")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMsgs := []string{
-		"//lint:meterfree requires a reason",
+		"unknown lint directive //lint:meterfree",
 		"//lint:waive requires an analyzer name and a reason",
 		`//lint:waive names unknown analyzer "nosuch"`,
 		"unknown lint directive //lint:frobnicate",
 	}
-	if len(res.Findings) != len(wantMsgs) {
-		t.Fatalf("got %d findings, want %d: %+v", len(res.Findings), len(wantMsgs), res.Findings)
+	if len(findings) != len(wantMsgs) {
+		t.Fatalf("got %d findings, want %d: %+v", len(findings), len(wantMsgs), findings)
 	}
-	for i, d := range res.Findings {
+	for i, d := range findings {
 		if d.Code != CodeDirectives || d.Analyzer != "directives" {
 			t.Errorf("finding %d: got %s(%s), want %s(directives)", i, d.Code, d.Analyzer, CodeDirectives)
 		}
@@ -201,32 +203,6 @@ func TestDirectiveDiagnostics(t *testing.T) {
 		if !strings.HasSuffix(d.File, "testdata/src/directives/directives.go") {
 			t.Errorf("finding %d: unexpected file %q", i, d.File)
 		}
-	}
-}
-
-func TestSelect(t *testing.T) {
-	all, err := Select(nil, nil)
-	if err != nil || len(all) != 8 {
-		t.Fatalf("Select(nil, nil) = %d analyzers, err %v; want 8, nil", len(all), err)
-	}
-	only, err := Select([]string{"determinism"}, nil)
-	if err != nil || len(only) != 1 || only[0].Code != "LM003" {
-		t.Fatalf("Select(determinism) = %+v, %v", only, err)
-	}
-	rest, err := Select(nil, []string{"wiresize", "meteraccount"})
-	if err != nil || len(rest) != 6 {
-		t.Fatalf("Select(disable two) = %d analyzers, err %v", len(rest), err)
-	}
-	for _, a := range rest {
-		if a.Name == "wiresize" || a.Name == "meteraccount" {
-			t.Errorf("disabled analyzer %s still selected", a.Name)
-		}
-	}
-	if _, err := Select([]string{"nosuch"}, nil); err == nil {
-		t.Error("Select(enable nosuch) did not error")
-	}
-	if _, err := Select(nil, []string{"nosuch"}); err == nil {
-		t.Error("Select(disable nosuch) did not error")
 	}
 }
 
@@ -240,161 +216,25 @@ func TestAnalyzerCodesUnique(t *testing.T) {
 	}
 }
 
-func TestBaselineApply(t *testing.T) {
-	f1 := Diagnostic{File: "a.go", Line: 3, Col: 1, Code: "LM002", Analyzer: "meteraccount", Message: "m1"}
-	f2 := Diagnostic{File: "b.go", Line: 9, Col: 5, Code: "LM003", Analyzer: "determinism", Message: "m2"}
-
-	b := NewBaseline([]Diagnostic{f1, f2})
-	fresh, stale := b.Apply([]Diagnostic{f1, f2})
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("full match: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// The baseline is line-independent: a moved finding still matches.
-	moved := f1
-	moved.Line = 99
-	fresh, stale = NewBaseline([]Diagnostic{f1}).Apply([]Diagnostic{moved})
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("moved finding: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// A fixed finding leaves its baseline entry stale — that must surface.
-	fresh, stale = b.Apply([]Diagnostic{f1})
-	if len(fresh) != 0 {
-		t.Fatalf("unexpected fresh findings: %v", fresh)
-	}
-	if len(stale) != 1 || stale[0].File != "b.go" || stale[0].Code != "LM003" {
-		t.Fatalf("stale = %+v, want the b.go LM003 entry", stale)
-	}
-
-	// Counted entries go stale partially.
-	two := NewBaseline([]Diagnostic{f1, f1})
-	if two.Entries[0].Count != 2 {
-		t.Fatalf("count = %d, want 2", two.Entries[0].Count)
-	}
-	fresh, stale = two.Apply([]Diagnostic{f1})
-	if len(fresh) != 0 || len(stale) != 1 || stale[0].Count != 1 {
-		t.Fatalf("partial: fresh=%v stale=%+v", fresh, stale)
-	}
-
-	// A new finding is fresh even with a baseline present.
-	f3 := Diagnostic{File: "c.go", Line: 1, Code: "LM001", Analyzer: "congestisolation", Message: "m3"}
-	fresh, _ = b.Apply([]Diagnostic{f1, f2, f3})
-	if len(fresh) != 1 || fresh[0].File != "c.go" {
-		t.Fatalf("fresh = %v, want the c.go finding", fresh)
-	}
-}
-
-func TestBaselineRoundTripAndSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	b := NewBaseline([]Diagnostic{{File: "a.go", Line: 1, Code: "LM004", Analyzer: "wiresize", Message: "m"}})
-	if err := WriteBaseline(path, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != BaselineSchema || len(got.Entries) != 1 || got.Entries[0].Code != "LM004" {
-		t.Fatalf("round trip: %+v", got)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/v9","entries":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(bad); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
-		t.Fatalf("ReadBaseline(bad schema) err = %v, want unsupported-schema error", err)
-	}
-}
-
-// TestBaselineEmptyRoundTrip pins the empty-baseline serialization: a clean
-// run writes "entries": [] (not null), and readers accept both spellings.
-func TestBaselineEmptyRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.json")
-	if err := WriteBaseline(path, NewBaseline(nil)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"entries": []`) {
-		t.Errorf("empty baseline serialized without \"entries\": []:\n%s", data)
-	}
-	got, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Fatalf("entries = %+v, want none", got.Entries)
-	}
-
-	// Legacy files with "entries": null still load.
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`{"schema":"`+BaselineSchema+`","entries":null}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadBaseline(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Fatalf("legacy entries = %+v, want none", got.Entries)
-	}
-	fresh, stale := got.Apply(nil)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("Apply on legacy empty baseline: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
-func TestReportJSONSchema(t *testing.T) {
-	rep := NewReport(
-		[]Diagnostic{{File: "x.go", Line: 2, Col: 7, Code: "LM001", Analyzer: "congestisolation", Message: "m"}},
-		[]BaselineEntry{{File: "y.go", Code: "LM002", Message: "gone", Count: 1}},
-		3,
-	)
+// TestWriteText pins the text report: one file:line:col: CODE(analyzer):
+// message line per finding, warnings marked, then the summary line; a clean
+// run prints only "lowmemlint: clean".
+func TestWriteText(t *testing.T) {
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	WriteText(&buf, []Diagnostic{
+		{File: "x.go", Line: 2, Col: 7, Code: "LM001", Analyzer: "congestisolation", Severity: SeverityError, Message: "m"},
+		{File: "y.go", Line: 3, Col: 1, Code: "LM007", Analyzer: "kindconformance", Severity: SeverityWarning, Message: "w"},
+	})
+	want := "x.go:2:7: LM001(congestisolation): m\n" +
+		"y.go:3:1: LM007(kindconformance): w [warning]\n" +
+		"lowmemlint: 2 finding(s)\n"
+	if buf.String() != want {
+		t.Errorf("WriteText = %q, want %q", buf.String(), want)
 	}
-	var decoded map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if decoded["schema"] != ReportSchema {
-		t.Errorf("schema = %v, want %q", decoded["schema"], ReportSchema)
-	}
-	findings, ok := decoded["findings"].([]any)
-	if !ok || len(findings) != 1 {
-		t.Fatalf("findings = %v", decoded["findings"])
-	}
-	f := findings[0].(map[string]any)
-	for _, key := range []string{"file", "line", "col", "code", "analyzer", "severity", "message"} {
-		if _, ok := f[key]; !ok {
-			t.Errorf("finding missing %q key: %v", key, f)
-		}
-	}
-	summary, ok := decoded["summary"].(map[string]any)
-	if !ok {
-		t.Fatalf("summary = %v", decoded["summary"])
-	}
-	if summary["findings"] != float64(1) || summary["baselined"] != float64(3) || summary["stale"] != float64(1) {
-		t.Errorf("summary = %v", summary)
-	}
-	if _, ok := decoded["staleBaseline"].([]any); !ok {
-		t.Errorf("staleBaseline = %v", decoded["staleBaseline"])
-	}
-
-	// An empty report keeps findings as [] (not null) for consumers.
-	var empty bytes.Buffer
-	if err := NewReport(nil, nil, 0).WriteJSON(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(empty.String(), `"findings": []`) {
-		t.Errorf("empty report serialises findings as null:\n%s", empty.String())
+	buf.Reset()
+	WriteText(&buf, nil)
+	if buf.String() != "lowmemlint: clean\n" {
+		t.Errorf("WriteText(nil) = %q, want the clean line", buf.String())
 	}
 }
 

@@ -27,8 +27,10 @@ type Package struct {
 // Loader parses and type-checks packages of the enclosing module using only
 // the standard library: module-local import paths are resolved against the
 // module root; everything else (the standard library) is delegated to the
-// stdlib source importer. Loaded packages are cached, so a whole-tree walk
-// type-checks each package once.
+// gc importer, which reads the compiler's export data (located with
+// `go list -export`) instead of type-checking the standard library from
+// source. Loaded packages are cached, so a whole-tree walk type-checks each
+// package once.
 type Loader struct {
 	Fset   *token.FileSet
 	root   string // module root directory (the one holding go.mod)
@@ -69,16 +71,13 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:   fset,
 		root:   root,
 		module: module,
-		std:    importer.ForCompiler(fset, "source", nil),
+		std:    importer.ForCompiler(fset, "gc", nil),
 		pkgs:   make(map[string]*loadEntry),
 	}, nil
 }
 
 // Root returns the module root directory.
 func (l *Loader) Root() string { return l.root }
-
-// Module returns the module path.
-func (l *Loader) Module() string { return l.module }
 
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
@@ -95,7 +94,7 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer: module-local paths load from source under
-// the module root, all others fall through to the stdlib source importer.
+// the module root, all others fall through to the gc export-data importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
 		p, err := l.LoadDir(filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module))))

@@ -10,7 +10,8 @@ import (
 // analyzerMeterAccount builds the LM002 analyzer: allocations made by
 // per-vertex handler code (make of a map or slice, append, map/slice
 // composite literals, map inserts) must be paired with a congest.Meter
-// charge in the same function, or carry an explicit //lint:meterfree waiver.
+// charge in the same function, or carry an explicit
+// //lint:waive meteraccount <reason> waiver.
 // Unmetered allocation in a handler is exactly how the paper's per-vertex
 // memory bounds (Theorems 2 and 3) silently rot: the Go heap grows, the
 // meter doesn't.
@@ -46,7 +47,7 @@ func analyzerMeterAccount() *Analyzer {
 	return &Analyzer{
 		Name: "meteraccount",
 		Code: "LM002",
-		Doc:  "handler allocations must be charged to the vertex's Meter or waived with //lint:meterfree",
+		Doc:  "handler allocations must be charged to the vertex's Meter or waived",
 		Run:  runMeterAccount,
 	}
 }
@@ -213,7 +214,7 @@ func runMeterAccount(p *Pass) {
 			if hasCharge(enclosingFunc(h.node, n)) {
 				return
 			}
-			p.Reportf(n.Pos(), "%s in per-vertex handler code with no Meter charge in the same function; charge it via ctx.Mem() or waive with //lint:meterfree <reason>", what)
+			p.Reportf(n.Pos(), "%s in per-vertex handler code with no Meter charge in the same function; charge it via ctx.Mem() or waive with //lint:waive meteraccount <reason>", what)
 		}
 
 		ast.Inspect(h.body, func(n ast.Node) bool {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/types"
 	"io"
 	"sort"
@@ -10,11 +9,15 @@ import (
 
 // Protocol graph export: the whole-repo send/receive kind graph recovered by
 // the LM007 extraction, serialized as versioned JSON (the CI-gated golden
-// artifact) and as Graphviz dot for human inspection. All slices are sorted
-// so the output is byte-stable across runs.
+// artifact). Records carry no file or line: a kind is keyed by package, name
+// and value, and a send or match site by its enclosing function, transport
+// and words expression or match form, so an edit that only moves code does
+// not change the graph. Sites keep one record each, in source order, so a
+// function with two identical sends lists two.
 
-// ProtocolSchema identifies the JSON layout of the exported graph.
-const ProtocolSchema = "lowmemlint/protocol-v1"
+// ProtocolSchema identifies the JSON layout of the exported graph. v2 dropped
+// the file and line fields of kinds and sites.
+const ProtocolSchema = "lowmemlint/protocol-v2"
 
 // ProtocolGraph is the exported form of the kind graph.
 type ProtocolGraph struct {
@@ -32,16 +35,12 @@ type ProtocolPackage struct {
 type ProtocolKind struct {
 	Name    string         `json:"name"`
 	Value   uint64         `json:"value"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
 	Sends   []ProtocolSite `json:"sends"`
 	Matches []ProtocolSite `json:"matches"`
 }
 
-// ProtocolSite is one send or match location.
+// ProtocolSite is one send or match site.
 type ProtocolSite struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
 	Func      string `json:"func"`
 	Transport string `json:"transport"`
 	Relay     bool   `json:"relay,omitempty"`
@@ -62,68 +61,39 @@ func BuildProtocolGraph(l *Loader, dirs []string) (*ProtocolGraph, error) {
 		if len(pp.kinds) == 0 {
 			continue
 		}
-		g.Packages = append(g.Packages, buildPackageGraph(l, pp))
+		g.Packages = append(g.Packages, buildPackageGraph(pp))
 	}
 	sort.Slice(g.Packages, func(i, j int) bool { return g.Packages[i].Package < g.Packages[j].Package })
 	return g, nil
 }
 
-func buildPackageGraph(l *Loader, pp *pkgProtocol) ProtocolPackage {
+// buildPackageGraph lists each kind's send and match sites in source order:
+// positions grow with file name (a package's files are parsed in sorted
+// order) and then with offset.
+func buildPackageGraph(pp *pkgProtocol) ProtocolPackage {
+	sort.SliceStable(pp.sends, func(i, j int) bool { return pp.sends[i].pos < pp.sends[j].pos })
+	sort.SliceStable(pp.matches, func(i, j int) bool { return pp.matches[i].pos < pp.matches[j].pos })
 	out := ProtocolPackage{Package: pp.pkg.Path}
 	for _, kc := range pp.kinds {
-		p := l.Fset.Position(kc.pos)
-		pk := ProtocolKind{
-			Name:    kc.name,
-			Value:   kc.val,
-			File:    relPath(l.root, p.Filename),
-			Line:    p.Line,
-			Sends:   []ProtocolSite{},
-			Matches: []ProtocolSite{},
-		}
+		pk := ProtocolKind{Name: kc.name, Value: kc.val, Sends: []ProtocolSite{}, Matches: []ProtocolSite{}}
 		for _, s := range pp.sends {
 			if s.kind != kc {
 				continue
 			}
-			sp := l.Fset.Position(s.pos)
-			ps := ProtocolSite{
-				File:      relPath(l.root, sp.Filename),
-				Line:      sp.Line,
-				Func:      s.enclosing,
-				Transport: s.transport,
-				Relay:     s.relay,
-			}
+			ps := ProtocolSite{Func: s.enclosing, Transport: s.transport, Relay: s.relay}
 			if s.wordsExpr != nil {
 				ps.Words = types.ExprString(s.wordsExpr)
 			}
 			pk.Sends = append(pk.Sends, ps)
 		}
 		for _, m := range pp.matches {
-			if m.kind != kc {
-				continue
+			if m.kind == kc {
+				pk.Matches = append(pk.Matches, ProtocolSite{Func: m.enclosing, Transport: m.transport, Form: m.form})
 			}
-			mp := l.Fset.Position(m.pos)
-			pk.Matches = append(pk.Matches, ProtocolSite{
-				File:      relPath(l.root, mp.Filename),
-				Line:      mp.Line,
-				Func:      m.enclosing,
-				Transport: m.transport,
-				Form:      m.form,
-			})
 		}
-		sortSites(pk.Sends)
-		sortSites(pk.Matches)
 		out.Kinds = append(out.Kinds, pk)
 	}
 	return out
-}
-
-func sortSites(sites []ProtocolSite) {
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].File != sites[j].File {
-			return sites[i].File < sites[j].File
-		}
-		return sites[i].Line < sites[j].Line
-	})
 }
 
 // WriteJSON writes the graph as indented JSON with a trailing newline.
@@ -131,79 +101,4 @@ func (g *ProtocolGraph) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(g)
-}
-
-// WriteDot writes the graph as a Graphviz digraph: one cluster per package,
-// sender functions -> kind boxes -> receiver functions. Duplicate edges
-// (several sites of the same function/kind pair) collapse to one.
-func (g *ProtocolGraph) WriteDot(w io.Writer) error {
-	var err error
-	p := func(format string, args ...interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("digraph protocol {\n")
-	p("  rankdir=LR;\n")
-	p("  node [fontname=\"monospace\", fontsize=10];\n")
-	for pi, pkg := range g.Packages {
-		base := pathBase(pkg.Package)
-		p("  subgraph \"cluster_%s\" {\n", base)
-		p("    label=%q;\n", pkg.Package)
-		// Kind nodes first, then function nodes, then edges — each block in
-		// sorted order so the file is deterministic.
-		for _, k := range pkg.Kinds {
-			p("    %q [shape=box, label=\"%s (%d)\"];\n", base+"."+k.Name, k.Name, k.Value)
-		}
-		funcs := map[string]bool{}
-		type edge struct{ from, to, label string }
-		var edges []edge
-		seen := map[edge]bool{}
-		addEdge := func(e edge) {
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-		}
-		for _, k := range pkg.Kinds {
-			for _, s := range k.Sends {
-				funcs[s.Func] = true
-				label := s.Transport
-				if s.Relay {
-					label += " (relay)"
-				}
-				addEdge(edge{base + "." + s.Func, base + "." + k.Name, label})
-			}
-			for _, m := range k.Matches {
-				funcs[m.Func] = true
-				addEdge(edge{base + "." + k.Name, base + "." + m.Func, m.Form})
-			}
-		}
-		names := make([]string, 0, len(funcs))
-		for f := range funcs {
-			names = append(names, f)
-		}
-		sort.Strings(names)
-		for _, f := range names {
-			p("    %q [shape=ellipse];\n", base+"."+f)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].from != edges[j].from {
-				return edges[i].from < edges[j].from
-			}
-			if edges[i].to != edges[j].to {
-				return edges[i].to < edges[j].to
-			}
-			return edges[i].label < edges[j].label
-		})
-		for _, e := range edges {
-			p("    %q -> %q [label=%q];\n", e.from, e.to, e.label)
-		}
-		p("  }\n")
-		if pi < len(g.Packages)-1 {
-			p("\n")
-		}
-	}
-	p("}\n")
-	return err
 }

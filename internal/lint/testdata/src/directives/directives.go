@@ -6,7 +6,7 @@ package directives
 // for a // want comment next to it.
 
 //lint:meterfree
-func missingReason() {}
+func removedVerb() {}
 
 //lint:waive determinism
 func missingWaiveReason() {}
@@ -17,5 +17,5 @@ func unknownAnalyzer() {}
 //lint:frobnicate
 func unknownVerb() {}
 
-//lint:waive wiresize count proven by the payload type
+//lint:waive determinism peers is a singleton here
 func valid() {}

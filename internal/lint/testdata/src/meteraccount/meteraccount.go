@@ -22,7 +22,7 @@ func bad(v int, ctx *congest.Ctx, s *st) {
 }
 
 func waived(v int, ctx *congest.Ctx, s *st) {
-	//lint:meterfree scratch cleared every round, charged at commit
+	//lint:waive meteraccount scratch cleared every round, charged at commit
 	s.buf = append(s.buf, v)
 }
 
