@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
 )
 
@@ -48,6 +49,19 @@ func floodWorkload(side, rounds int, opts ...Option) (*Simulator, func()) {
 		}
 	}
 	return s, func() { s.Run(all, rounds, step) }
+}
+
+// floodFaultPlan turns on every fault class for the 32×32 flood: drops
+// (retransmitted once, then lost), delays, duplicates, a crash window that holds the
+// traffic into one vertex (it opens in round 2 of the first Run and spans
+// every later one) and a partition, from round 1 on, whose cut edges are
+// discarded.
+func floodFaultPlan() *faults.Plan {
+	return &faults.Plan{
+		Seed: 7, Drop: 0.1, Delay: 1, Duplicate: 0.05, RetryBudget: 1,
+		Crashes:    []faults.Crash{{Vertex: 33, From: 2, Until: 1 << 40}},
+		Partitions: []faults.Partition{{Members: []int{0, 1, 32}, From: 1, Until: faults.Forever}},
+	}
 }
 
 // sparseWorkload is the few-active load: a single token walks 64 hops of a
@@ -114,6 +128,14 @@ func BenchmarkRunFlood(b *testing.B) {
 	reportPeakHeap(b)
 }
 
+// BenchmarkRunFloodFaults is the flood under floodFaultPlan: the fault
+// hooks' cost on top of BenchmarkRunFlood.
+func BenchmarkRunFloodFaults(b *testing.B) {
+	s, run := floodWorkload(32, 8, WithFaults(floodFaultPlan()))
+	benchRun(b, s, run)
+	reportPeakHeap(b)
+}
+
 func BenchmarkRunSparse(b *testing.B) {
 	s, run := sparseWorkload()
 	benchRun(b, s, run)
@@ -125,26 +147,33 @@ func BenchmarkDelivery(b *testing.B) {
 	benchRun(b, s, run)
 }
 
-// TestBenchWorkloads pins the simulated rounds and delivered messages of
-// each benchmark workload's Run exactly, and that a warm sparse or delivery
-// Run allocates nothing. The flood's allocations depend on the worker count;
-// TestForkedRunAllocsIndependentOfRounds covers them.
+// TestBenchWorkloads pins the simulated rounds, delivered messages and
+// fault counters of each benchmark workload's Run exactly, and that a warm
+// sparse or delivery Run allocates nothing. The flood's allocations depend
+// on the worker count; TestForkedRunAllocsIndependentOfRounds covers them.
 func TestBenchWorkloads(t *testing.T) {
 	for _, w := range []struct {
 		name             string
 		workload         func() (*Simulator, func())
 		rounds, messages int64
+		faults           faults.Counters
 		allocFree        bool
 	}{
-		{"flood", func() (*Simulator, func()) { return floodWorkload(32, 8) }, 8, 28672, false},
-		{"sparse", sparseWorkload, 65, 64, true},
-		{"delivery", deliveryWorkload, 21, 120, true},
+		{"flood", func() (*Simulator, func()) { return floodWorkload(32, 8) }, 8, 28672, faults.Counters{}, false},
+		{"flood-faults", func() (*Simulator, func()) { return floodWorkload(32, 8, WithFaults(floodFaultPlan())) },
+			8, 32297, faults.Counters{Dropped: 3065, Retried: 2804, Lost: 261, Duplicated: 1439,
+				DelayRounds: 14165, Discarded: 90, RetryWords: 3065}, false},
+		{"sparse", sparseWorkload, 65, 64, faults.Counters{}, true},
+		{"delivery", deliveryWorkload, 21, 120, faults.Counters{}, true},
 	} {
 		s, run := w.workload()
 		run()
 		if s.Rounds() != w.rounds || s.Messages() != w.messages {
 			t.Errorf("%s: Run took %d rounds and delivered %d messages, want %d and %d",
 				w.name, s.Rounds(), s.Messages(), w.rounds, w.messages)
+		}
+		if got := s.FaultCounters(); got != w.faults {
+			t.Errorf("%s: fault counters %+v, want %+v", w.name, got, w.faults)
 		}
 		if !w.allocFree {
 			continue

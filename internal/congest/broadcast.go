@@ -68,116 +68,40 @@ func (d *Delivery) At(j int) *BroadcastMsg {
 // handler, each vertex's meter is spiked by the largest message, the
 // pipelined stream's in-flight load; anything a handler keeps it charges
 // itself.
+//
+// Under a fault plan every (vertex, message) delivery is rolled by
+// analyticFaults.deliver on the stream keyed by (v, message index). A lost
+// message is withheld from that vertex's Delivery, and a vertex that
+// received nothing is skipped. A retransmission re-buffers the message at
+// the receiving tree hop, so it spikes the meter like the delivery itself.
 func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, d *Delivery)) {
 	if len(msgs) == 0 {
 		return
 	}
-	if f := s.ensureFaults(); f != nil {
-		s.broadcastFaulty(f, msgs, handle)
-		return
-	}
 	n := s.N()
-	s.rounds += int64(len(msgs)) + 2*int64(s.d)
+	a := analyticFaults{f: s.ensureFaults(), clock: s.rounds}
 	var totalWords, maxWords int64
 	for j := range msgs {
 		w := msgs[j].wireWords()
 		totalWords += w
 		maxWords = max(maxWords, w)
 	}
-	s.messages += int64(len(msgs)) * int64(n-1)
-	s.words += totalWords * int64(n-1)
-	if handle != nil {
-		d := &s.delivery
-		*d = Delivery{msgs: msgs}
-		for v := 0; v < n; v++ {
-			d.meter = &s.meters[v]
-			d.meter.Spike(maxWords)
-			handle(v, d)
-		}
-		*d = Delivery{}
-	}
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindBroadcast,
-			int64(len(msgs))+2*int64(s.d), n,
-			int64(len(msgs))*int64(n-1), totalWords*int64(n-1), faults.Counters{})
-	}
-}
-
-// broadcastFaulty is Broadcast under a fault plan: every (vertex, message)
-// delivery rolls drops on the stream keyed by (v, msg index), retransmitting
-// up to the plan's budget before the message is counted Lost and withheld
-// from that vertex's Delivery. The pipelined tree absorbs retransmissions in
-// parallel, so the round cost grows by the worst per-delivery attempt count,
-// while every failed transmission is charged wire cost individually (the
-// paper's bounds are measured under faults, not just in the clean run).
-// Crashed vertices receive nothing (their handler does not run), crashed
-// origins reach no one, and partitions sever origin→vertex pairs; the clock
-// is the current global round, so windows opened by earlier Run phases
-// apply here too. A retransmission re-buffers the message at the receiving
-// tree hop, so it spikes the meter like the delivery itself.
-func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, handle func(v int, d *Delivery)) {
-	n := s.N()
-	clock := s.rounds
-	var ctr faults.Counters
-	var totalWords, extraMsgs, extraWords int64
-	maxExtra := 0
-	for j := range msgs {
-		totalWords += msgs[j].wireWords()
-	}
-	if cap(s.bcastLost) < len(msgs) {
-		s.bcastLost = make([]bool, len(msgs))
-	}
-	lost := s.bcastLost[:len(msgs)]
 	d := &s.delivery
-	*d = Delivery{msgs: msgs, lost: lost}
+	*d = Delivery{msgs: msgs}
+	if a.f != nil {
+		if cap(s.bcastLost) < len(msgs) {
+			s.bcastLost = make([]bool, len(msgs))
+		}
+		d.lost = s.bcastLost[:len(msgs)]
+	}
 	for v := 0; v < n; v++ {
-		vDown, _ := f.Crashed(v, clock)
 		var load int64 // largest message buffered at v
-		got := false
-		for j := range msgs {
-			m := &msgs[j]
-			w := m.wireWords()
-			lost[j] = true
-			if vDown {
-				ctr.Discarded++
-				continue
-			}
-			if down, _ := f.Crashed(m.Origin, clock); down {
-				ctr.Discarded++
-				continue
-			}
-			if v != m.Origin {
-				if cut, _ := f.CutPair(m.Origin, v, clock); cut {
-					ctr.Discarded++
-					continue
-				}
-				attempt, gaveUp := 0, false
-				for f.BroadcastDrop(v, j, attempt) {
-					ctr.Dropped++
-					ctr.RetryWords += w
-					extraMsgs++
-					extraWords += w
-					if attempt >= f.Budget() {
-						gaveUp = true
-						break
-					}
-					attempt++
-				}
-				if gaveUp {
-					ctr.Lost++
-					continue
-				}
-				ctr.Retried += int64(attempt)
-				maxExtra = max(maxExtra, attempt)
-				if attempt > 0 {
-					load = max(load, w)
-				}
-			}
-			lost[j] = false
-			got = true
-			if handle != nil {
-				load = max(load, w)
-			}
+		if handle != nil {
+			load = maxWords
+		}
+		got := true
+		if a.f != nil {
+			load, got = a.reach(v, msgs, d.lost, handle != nil)
 		}
 		s.meters[v].Spike(load)
 		if handle != nil && got {
@@ -186,102 +110,34 @@ func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, han
 		}
 	}
 	*d = Delivery{}
-	rounds := int64(len(msgs)) + 2*int64(s.d) + int64(maxExtra)
-	s.rounds += rounds
-	s.messages += int64(len(msgs))*int64(n-1) + extraMsgs
-	s.words += totalWords*int64(n-1) + extraWords
-	s.faultCtr.Add(ctr)
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindBroadcast, rounds, n,
-			int64(len(msgs))*int64(n-1)+extraMsgs,
-			totalWords*int64(n-1)+extraWords, ctr)
-	}
+	s.chargeAnalytic(trace.KindBroadcast, len(msgs), n,
+		int64(len(msgs))*int64(n-1), totalWords*int64(n-1), &a)
 }
 
 // Convergecast aggregates M messages (one per origin) up the BFS tree to a
 // sink that then learns all of them; it has the same O(M + D) pipelined cost
 // as Broadcast. handle is invoked at the sink for every message, in origin
-// order; it must treat the message as read-only.
+// order; it must treat the message as read-only. Under a fault plan each
+// origin's delivery to the sink is rolled like a Broadcast delivery, keyed on
+// (sink, origin-order index); a crashed sink learns nothing.
 func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *BroadcastMsg)) {
 	if len(msgs) == 0 {
 		return
 	}
 	sorted := append([]BroadcastMsg(nil), msgs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Origin < sorted[j].Origin })
-	if f := s.ensureFaults(); f != nil {
-		s.convergecastFaulty(f, sink, sorted, handle)
-		return
-	}
-	s.rounds += int64(len(sorted)) + 2*int64(s.d)
+	a := analyticFaults{f: s.ensureFaults(), clock: s.rounds}
 	var totalWords int64
-	for j := range sorted {
-		totalWords += sorted[j].wireWords()
-	}
-	// Each message travels at most D hops to the sink.
-	s.messages += int64(len(sorted)) * int64(s.d)
-	s.words += totalWords * int64(s.d)
-	if handle != nil {
-		for j := range sorted {
-			m := &sorted[j]
-			s.meters[sink].Spike(m.wireWords())
-			handle(m)
-		}
-	}
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindConvergecast,
-			int64(len(sorted))+2*int64(s.d), len(sorted),
-			int64(len(sorted))*int64(s.d), totalWords*int64(s.d), faults.Counters{})
-	}
-}
-
-// convergecastFaulty mirrors broadcastFaulty for the aggregation direction:
-// per-message drop rolls keyed on (sink, origin-order index), bounded
-// retransmission, crash and partition checks between each origin and the
-// sink. A crashed sink learns nothing (every message is Discarded).
-func (s *Simulator) convergecastFaulty(f *faults.Compiled, sink int, sorted []BroadcastMsg, handle func(m *BroadcastMsg)) {
-	clock := s.rounds
-	var ctr faults.Counters
-	var totalWords, extraMsgs, extraWords int64
-	maxExtra := 0
-	for j := range sorted {
-		totalWords += sorted[j].wireWords()
-	}
-	sinkDown, _ := f.Crashed(sink, clock)
 	for j := range sorted {
 		m := &sorted[j]
 		w := m.wireWords()
-		if sinkDown {
-			ctr.Discarded++
-			continue
-		}
-		if down, _ := f.Crashed(m.Origin, clock); down {
-			ctr.Discarded++
-			continue
-		}
-		if m.Origin != sink {
-			if cut, _ := f.CutPair(m.Origin, sink, clock); cut {
-				ctr.Discarded++
+		totalWords += w
+		if a.f != nil {
+			ok, retries := a.deliver(sink, m.Origin, j, w)
+			if !ok {
 				continue
 			}
-			attempt, lost := 0, false
-			for f.BroadcastDrop(sink, j, attempt) {
-				ctr.Dropped++
-				ctr.RetryWords += w
-				extraMsgs++
-				extraWords += w
-				if attempt >= f.Budget() {
-					lost = true
-					break
-				}
-				attempt++
-			}
-			if lost {
-				ctr.Lost++
-				continue
-			}
-			ctr.Retried += int64(attempt)
-			maxExtra = max(maxExtra, attempt)
-			for a := 0; a < attempt; a++ {
+			if retries > 0 {
 				s.meters[sink].Spike(w)
 			}
 		}
@@ -290,14 +146,94 @@ func (s *Simulator) convergecastFaulty(f *faults.Compiled, sink int, sorted []Br
 			handle(m)
 		}
 	}
-	rounds := int64(len(sorted)) + 2*int64(s.d) + int64(maxExtra)
+	// Each message travels at most D hops to the sink.
+	s.chargeAnalytic(trace.KindConvergecast, len(sorted), len(sorted),
+		int64(len(sorted))*int64(s.d), totalWords*int64(s.d), &a)
+}
+
+// chargeAnalytic charges one analytic primitive of count pipelined
+// messages: count + 2D rounds and the clean wire cost (msgs messages of
+// words words in all), plus under a fault plan the worst delivery's
+// retransmission rounds (the pipeline absorbs the others in parallel) and
+// every failed transmission's wire cost. It then emits the primitive's
+// trace sample.
+func (s *Simulator) chargeAnalytic(kind string, count, active int, msgs, words int64, a *analyticFaults) {
+	rounds := int64(count) + 2*int64(s.d) + int64(a.maxRetries)
+	msgs += a.ctr.Dropped
+	words += a.ctr.RetryWords
 	s.rounds += rounds
-	s.messages += int64(len(sorted))*int64(s.d) + extraMsgs
-	s.words += totalWords*int64(s.d) + extraWords
-	s.faultCtr.Add(ctr)
+	s.messages += msgs
+	s.words += words
+	s.faultCtr.Add(a.ctr)
 	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindConvergecast, rounds, len(sorted),
-			int64(len(sorted))*int64(s.d)+extraMsgs,
-			totalWords*int64(s.d)+extraWords, ctr)
+		s.emitSample(s.rounds, kind, rounds, active, msgs, words, a.ctr)
 	}
+}
+
+// analyticFaults rolls the deliveries of one analytic primitive under the
+// simulator's fault plan (f is nil without one, and then nothing is rolled)
+// and tallies them: the fault counters, whose Dropped and RetryWords are the
+// failed transmissions' wire cost, and the most retransmissions any one
+// delivery needed. The clock is the global round the primitive starts in,
+// so windows opened by earlier Run phases apply here too.
+type analyticFaults struct {
+	f          *faults.Compiled
+	clock      int64
+	ctr        faults.Counters
+	maxRetries int
+}
+
+// deliver rolls the delivery of message j, w words from origin, to dst. It
+// is discarded if either end is down or a partition cuts the pair; otherwise
+// each transmission rolls its drop, retransmitting until one survives or the
+// plan's retry budget is spent, when the message is lost. It reports whether
+// the message arrived and after how many retransmissions.
+func (a *analyticFaults) deliver(dst, origin, j int, w int64) (ok bool, retries int) {
+	f := a.f
+	if down, _ := f.Crashed(dst, a.clock); down {
+		a.ctr.Discarded++
+		return false, 0
+	}
+	if down, _ := f.Crashed(origin, a.clock); down {
+		a.ctr.Discarded++
+		return false, 0
+	}
+	if dst == origin {
+		return true, 0
+	}
+	if cut, _ := f.CutPair(origin, dst, a.clock); cut {
+		a.ctr.Discarded++
+		return false, 0
+	}
+	for f.BroadcastDrop(dst, j, retries) {
+		a.ctr.Dropped++
+		a.ctr.RetryWords += w
+		if retries >= f.Budget() {
+			a.ctr.Lost++
+			return false, retries
+		}
+		retries++
+	}
+	a.ctr.Retried += int64(retries)
+	a.maxRetries = max(a.maxRetries, retries)
+	return true, retries
+}
+
+// reach rolls the delivery of every message to v, marking the lost ones,
+// and returns the largest message buffered at v (a retransmitted one, or
+// any delivered one when read is set) and whether any message arrived. A
+// message lost after retries buffers nothing.
+func (a *analyticFaults) reach(v int, msgs []BroadcastMsg, lost []bool, read bool) (load int64, got bool) {
+	for j := range msgs {
+		w := msgs[j].wireWords()
+		ok, retries := a.deliver(v, msgs[j].Origin, j, w)
+		lost[j] = !ok
+		if ok {
+			got = true
+			if retries > 0 || read {
+				load = max(load, w)
+			}
+		}
+	}
+	return load, got
 }

@@ -180,9 +180,9 @@ type Simulator struct {
 	spinTimers bool
 
 	// Fault injection (WithFaults). faults stays nil for an empty plan, so
-	// the clean hot path pays one nil check per round; when set, delivery
-	// runs through drainDstFaulty. Fault decisions inside the sharded
-	// delivery phase accumulate into per-shard counters and spike lists
+	// no fault hook of drainDst, Broadcast or Convergecast runs; when set,
+	// they consult it. Fault decisions inside the sharded delivery phase
+	// accumulate into per-shard counters and spike lists
 	// (shardFault/shardSpike) and are merged serially after the barrier.
 	// faultClock is the absolute round of the deliveries in flight; see
 	// DESIGN.md §11 for the clock and determinism contract.
@@ -262,8 +262,8 @@ func WithEdgeCapacity(c int) Option {
 // WithFaults installs a deterministic fault plan (see internal/faults): the
 // engine consults it at delivery time to drop, delay, duplicate, or sever
 // messages and to keep crashed vertices from executing. A nil or empty plan
-// leaves the simulator on its zero-overhead clean path, byte-identical to a
-// simulator constructed without this option. Equal plans (including seeds)
+// installs nothing: no fault hook runs, and the simulator is byte-identical
+// to one constructed without this option. Equal plans (including seeds)
 // reproduce the exact same fault pattern regardless of worker count.
 func WithFaults(p *faults.Plan) Option {
 	return func(s *Simulator) {
@@ -385,7 +385,7 @@ func (s *Simulator) FaultsEnabled() bool { return s.faultPlan != nil }
 func (s *Simulator) FaultCounters() faults.Counters { return s.faultCtr }
 
 // ensureFaults lazily compiles the installed fault plan against the vertex
-// count; returns nil (and stays on the clean path) without a plan.
+// count; returns nil without a plan, and then no fault hook runs.
 func (s *Simulator) ensureFaults() *faults.Compiled {
 	if s.faultPlan == nil {
 		return nil

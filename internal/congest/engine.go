@@ -145,6 +145,14 @@ type edgeFaultState struct {
 	rolled  bool
 }
 
+// restart clears the fault state of a queue whose head left it, skip
+// messages later in the queue's lifetime sequence: the next head starts
+// with no failed transmission and an undrawn delay.
+func (fq *edgeFaultState) restart(skip uint64) {
+	fq.seq += skip
+	fq.attempt, fq.hold, fq.rolled = 0, 0, false
+}
+
 func (q *edgeQueue) empty() bool { return q.n == 0 }
 
 // front is the oldest live message; the queue must not be empty.
@@ -244,23 +252,6 @@ func (s *Simulator) resetQueue(e int32, a *wordArena) {
 // inboxMin is the capacity an inbox starts at (a grid vertex's in-degree),
 // so most inboxes reach their size in one allocation instead of three.
 const inboxMin = 4
-
-// appendMessage appends the inbox form of entry en sent by from, owning
-// tail ext, writing its fields in place rather than copying a built Message.
-func appendMessage(inb []Message, from int32, en *qEntry, ext []uint64) []Message {
-	if len(inb) == cap(inb) {
-		inb = slices.Grow(inb, max(1, inboxMin-len(inb)))
-	}
-	inb = inb[:len(inb)+1]
-	m := &inb[len(inb)-1]
-	m.From = int(from)
-	m.Words = int(en.words)
-	p := &m.Payload
-	p.Kind = en.kind
-	p.W0, p.W1, p.W2, p.W3 = en.w[0], en.w[1], en.w[2], en.w[3]
-	p.Ext = ext
-	return inb
-}
 
 // ensureTopology compiles the CSR edge index and sizes every recycled
 // buffer. It runs once, on the first Run; the topology is frozen, so later
@@ -634,7 +625,7 @@ func (s *Simulator) stepVertex(i, round int, step StepFunc, ar *wordArena) {
 	// Crash-stop: a down vertex executes nothing and sends nothing. The
 	// context fields above are still initialised because the serial enqueue
 	// walk reads wakeAt/outEdge for every active slot. Delivery to a down
-	// vertex is held upstream (drainDstFaulty), so its inbox is empty
+	// vertex is held upstream (drainDst's gate), so its inbox is empty
 	// except in the round its crash window opens — those messages are
 	// wiped with the crash.
 	if s.faults != nil && s.faults.HasCrashes() {
@@ -662,12 +653,7 @@ func (s *Simulator) deliverShard(sh int) {
 	nxt := s.shardNxt[sh][:0]
 	for _, v32 := range s.shardCur[sh] {
 		v := int(v32)
-		var dm, dw int64
-		if s.faults != nil {
-			dm, dw = s.drainDstFaulty(v, sh)
-		} else {
-			dm, dw = s.drainDst(v)
-		}
+		dm, dw := s.drainDst(v, sh)
 		msgs += dm
 		words += dw
 		if dm > 0 && s.nextStamp[v] != s.epoch {
@@ -685,25 +671,42 @@ func (s *Simulator) deliverShard(sh int) {
 }
 
 // drainDst delivers into destination v from each of its backlogged incoming
-// edges, in ascending-sender order, within each edge's bandwidth. Surviving
-// backlog is compacted to the front of v's dirty region. Returns delivered
-// message and word counts.
-func (s *Simulator) drainDst(v int) (int64, int64) {
+// edges, in ascending-sender order, within each edge's bandwidth, on
+// delivery shard sh. Surviving backlog is compacted to the front of v's dirty
+// region. Returns delivered message and word counts.
+//
+// A fault plan hooks in at two levels. Per destination, gate holds or
+// discards whole edges (a crashed v, partition cuts). Per message, the loop
+// rolls the head's injected delay before pacing, its drop once it would
+// complete, and its duplication once delivered (delayed, dropped,
+// delivered). Without a plan no hook runs.
+func (s *Simulator) drainDst(v, sh int) (int64, int64) {
 	var msgs, words int64
-	region := s.dirtyIn[s.outStart[v] : int(s.outStart[v])+int(s.dirtyCnt[v])]
+	base := int(s.outStart[v])
+	region := s.dirtyIn[base : base+int(s.dirtyCnt[v])]
+	faulty := s.faults != nil
+	held := 0
+	if faulty {
+		var kept int
+		held, kept = s.gate(v, sh, region)
+		region = region[:kept]
+	}
 	// Carried entries (compacted last round) and this round's arrivals are
 	// each already ascending, so this is a near-linear merge for pdqsort.
-	slices.Sort(region)
+	slices.Sort(region[held:])
 	unlimited := s.capacity <= 0
-	live := 0
+	live := held
 	inb := s.inbox[v]
 	inbMax := int64(s.inboxMax[v])
-	for _, p := range region {
+	for _, p := range region[held:] {
 		e := s.inEdges[p]
 		q := &s.queues[e]
 		budget := s.capacity
 		for !q.empty() {
 			m := q.front()
+			if faulty && s.delayed(e, sh) {
+				break
+			}
 			if !unlimited {
 				if budget <= 0 {
 					break
@@ -716,10 +719,35 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 					budget -= remaining
 				}
 			}
+			if faulty {
+				if drop, lost := s.dropped(e, p, sh); lost {
+					continue
+				} else if drop {
+					break
+				}
+			}
 			w := int64(m.words)
+			// Append the message's inbox form, written in place and not by a
+			// helper, which would not inline: the clean loop makes no call.
 			// The inbox owns the arena chunk now; popTail drops the ring's
 			// reference.
-			inb = appendMessage(inb, s.outTo[p], m, s.popTail(e))
+			if len(inb) == cap(inb) {
+				inb = slices.Grow(inb, max(1, inboxMin-len(inb)))
+			}
+			inb = inb[:len(inb)+1]
+			im := &inb[len(inb)-1]
+			im.From, im.Words = int(s.outTo[p]), int(m.words)
+			ip := &im.Payload
+			ip.Kind = m.kind
+			ip.W0, ip.W1, ip.W2, ip.W3 = m.w[0], m.w[1], m.w[2], m.w[3]
+			ip.Ext = s.popTail(e)
+			if faulty {
+				var dup bool
+				if inb, dup = s.delivered(e, sh, inb); dup {
+					msgs++
+					words += w
+				}
+			}
 			q.pop()
 			if w > inbMax {
 				inbMax = w
@@ -738,132 +766,113 @@ func (s *Simulator) drainDst(v int) (int64, int64) {
 	return msgs, words
 }
 
-// drainDstFaulty is drainDst with the fault plan consulted per delivery. It
-// preserves the clean path's structure exactly — same ascending-sender edge
-// order, same bandwidth pacing, same inbox/dirty bookkeeping — and adds, in
-// order: crash holds/discards for the destination, partition cuts per edge,
-// a per-message delay draw, a per-transmission drop roll with a bounded
-// retransmission budget, and a per-delivery duplication roll. All decisions
-// are stateless hashes keyed on the edge id and the queue's lifetime
-// sequence number, so they are identical at every worker count. Tallies and
-// sender-meter spikes accumulate into this shard's slots and are merged
-// serially after the delivery barrier.
-func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
-	f := s.faults
-	clock := s.faultClock
-	ctr := &s.shardFault[sh]
-	ar := &s.shardArena[sh]
-	base := int(s.outStart[v])
-	region := s.dirtyIn[base : base+int(s.dirtyCnt[v])]
-	slices.Sort(region)
+// The fault hooks of drainDst, called only under a plan. Every decision is a
+// stateless hash keyed on the edge id and the queue's lifetime sequence
+// number (edgeFaultState.seq), so it is the same at every worker count.
+// Tallies and sender-meter spikes go to shard sh's slots, merged serially
+// after the delivery barrier.
+
+// gate applies the plan's whole-edge decisions to destination v's dirty
+// region before any message moves: while v is down every edge is held (its
+// backlog carries until v recovers) or, if v never recovers, discarded; an
+// edge a partition cuts is held for the round or, if the cut never heals,
+// discarded. Held edges move to the front of the region and discarded ones
+// leave it; gate returns how many are held and how many are kept, held
+// included. drainDst re-sorts the region on every call, so the order gate
+// leaves is unobservable.
+func (s *Simulator) gate(v, sh int, region []int32) (held, kept int) {
+	f, clock, ctr := s.faults, s.faultClock, &s.shardFault[sh]
 	if down, forever := f.Crashed(v, clock); down {
 		if !forever {
-			return 0, 0 // held: the backlog carries until v recovers
+			return len(region), len(region)
 		}
 		for _, p := range region {
 			ctr.Discarded += s.discardQueue(s.inEdges[p])
 		}
-		s.dirtyCnt[v] = 0
 		return 0, 0
 	}
-	var msgs, words int64
-	unlimited := s.capacity <= 0
-	live := 0
-	inb := s.inbox[v]
-	inbMax := int64(s.inboxMax[v])
 	for _, p := range region {
-		e := s.inEdges[p]
-		q := &s.queues[e]
-		fq := &s.faultQ[e]
-		if cut, forever := f.CutPair(int(s.outTo[p]), v, clock); cut {
-			if forever {
-				ctr.Discarded += s.discardQueue(e)
-				continue
-			}
-			region[live] = p
-			live++
-			continue
-		}
-		budget := s.capacity
-		for !q.empty() {
-			m := q.front()
-			if !fq.rolled {
-				fq.rolled = true
-				d := f.DelayRoll(e, fq.seq)
-				fq.hold = int32(d)
-				ctr.DelayRounds += int64(d)
-			}
-			if fq.hold > 0 {
-				fq.hold-- // head-of-line blocked: one delay round elapses
-				break
-			}
-			if !unlimited {
-				if budget <= 0 {
-					break
-				}
-				if remaining := int(m.words - q.sent); remaining > budget {
-					q.sent += int32(budget)
-					budget = 0
-					break
-				} else {
-					budget -= remaining
-				}
-			}
-			// The message would complete this round: roll its drop.
-			if f.DropRoll(e, fq.seq, int(fq.attempt)) {
-				ctr.Dropped++
-				ctr.RetryWords += int64(m.words)
-				q.sent = 0
-				if int(fq.attempt) >= f.Budget() {
-					ctr.Lost++
-					if ext := s.popTail(e); ext != nil {
-						ar.put(ext)
-					}
-					q.pop()
-					fq.attempt, fq.hold, fq.rolled = 0, 0, false
-					fq.seq++
-					continue
-				}
-				// The sender regenerates and re-queues the message: spike
-				// its meter (deferred — the sender belongs to another
-				// shard) and let the retransmission occupy the following
-				// rounds.
-				ctr.Retried++
-				s.shardSpike[sh] = append(s.shardSpike[sh],
-					faults.Spike{V: s.outTo[p], Words: m.words})
-				fq.attempt++
-				break
-			}
-			w := int64(m.words)
-			inb = appendMessage(inb, s.outTo[p], m, s.popTail(e))
-			if f.DupRoll(e, fq.seq) {
-				// Deliver a second copy. Its Ext must be a fresh arena
-				// chunk: inbox recycling frees each Ext exactly once.
-				dup := inb[len(inb)-1]
-				dup.Payload.Ext = ar.clone(dup.Payload.Ext)
-				inb = append(inb, dup)
-				ctr.Duplicated++
-				msgs++
-				words += w
-			}
-			q.pop()
-			fq.attempt, fq.hold, fq.rolled = 0, 0, false
-			fq.seq++
-			if w > inbMax {
-				inbMax = w
-			}
-			msgs++
-			words += w
-		}
-		if !q.empty() {
-			region[live] = p
-			live++
+		switch cut, forever := f.CutPair(int(s.outTo[p]), v, clock); {
+		case !cut:
+			region[kept] = p
+			kept++
+		case forever:
+			ctr.Discarded += s.discardQueue(s.inEdges[p])
+		default:
+			region[kept] = region[held]
+			region[held] = p
+			held++
+			kept++
 		}
 	}
-	s.inbox[v] = inb
-	s.inboxMax[v] = int32(inbMax)
-	s.dirtyCnt[v] = int32(live)
-	return msgs, words
+	return held, kept
+}
+
+// delayed draws the injected delay of edge e's head message the first time
+// the message reaches the front, and reports whether the edge is still
+// head-of-line blocked, spending one of the delay rounds if so.
+func (s *Simulator) delayed(e int32, sh int) bool {
+	fq := &s.faultQ[e]
+	if !fq.rolled {
+		fq.rolled = true
+		d := s.faults.DelayRoll(e, fq.seq)
+		fq.hold = int32(d)
+		s.shardFault[sh].DelayRounds += int64(d)
+	}
+	if fq.hold > 0 {
+		fq.hold-- // one delay round elapses
+		return true
+	}
+	return false
+}
+
+// dropped rolls the drop of edge e's head message, which would complete
+// this round (p is the edge's slot in the receiver's range). A dropped
+// message whose retransmission budget is spent is lost: it leaves the queue
+// and the edge's remaining budget moves on to the next one. Otherwise the
+// sender regenerates and re-queues it: its meter is spiked (deferred, as the
+// sender belongs to another shard) and the retransmission occupies the
+// following rounds.
+func (s *Simulator) dropped(e, p int32, sh int) (drop, lost bool) {
+	f, fq := s.faults, &s.faultQ[e]
+	if !f.DropRoll(e, fq.seq, int(fq.attempt)) {
+		return false, false
+	}
+	q := &s.queues[e]
+	ctr := &s.shardFault[sh]
+	ctr.Dropped++
+	ctr.RetryWords += int64(q.front().words)
+	if int(fq.attempt) >= f.Budget() {
+		ctr.Lost++
+		if ext := s.popTail(e); ext != nil {
+			s.shardArena[sh].put(ext)
+		}
+		q.pop()
+		fq.restart(1)
+		return true, true
+	}
+	ctr.Retried++
+	s.shardSpike[sh] = append(s.shardSpike[sh], faults.Spike{V: s.outTo[p], Words: q.front().words})
+	q.sent = 0
+	fq.attempt++
+	return true, false
+}
+
+// delivered rolls the duplication of edge e's head message, just appended
+// to inb, appending a second copy if it fires, and retires the message's
+// fault state. It reports whether it duplicated. The copy's Ext is a fresh
+// arena chunk: inbox recycling frees each Ext exactly once.
+func (s *Simulator) delivered(e int32, sh int, inb []Message) ([]Message, bool) {
+	fq := &s.faultQ[e]
+	dup := s.faults.DupRoll(e, fq.seq)
+	if dup {
+		m := inb[len(inb)-1]
+		m.Payload.Ext = s.shardArena[sh].clone(m.Payload.Ext)
+		inb = append(inb, m)
+		s.shardFault[sh].Duplicated++
+	}
+	fq.restart(1)
+	return inb, dup
 }
 
 // discardQueue drops every undelivered message of edge e's queue
@@ -871,12 +880,9 @@ func (s *Simulator) drainDstFaulty(v, sh int) (int64, int64) {
 // Arena chunks are reclaimed; the put side of the arena is mutex-guarded, so
 // this is safe from inside a delivery shard.
 func (s *Simulator) discardQueue(e int32) int64 {
-	q := &s.queues[e]
-	fq := &s.faultQ[e]
-	dropped := int64(q.n)
+	dropped := int64(s.queues[e].n)
 	s.resetQueue(e, &s.arena)
-	fq.seq += uint64(dropped)
-	fq.attempt, fq.hold, fq.rolled = 0, 0, false
+	s.faultQ[e].restart(uint64(dropped))
 	return dropped
 }
 
@@ -900,8 +906,7 @@ func (s *Simulator) drainAll() {
 	s.eachDirty(func(e int32, q *edgeQueue) {
 		s.resetQueue(e, &s.arena)
 		if s.faultQ != nil {
-			fq := &s.faultQ[e]
-			fq.attempt, fq.hold, fq.rolled = 0, 0, false
+			s.faultQ[e].restart(0)
 		}
 	})
 	for sh := range s.shardCur {

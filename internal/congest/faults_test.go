@@ -75,9 +75,23 @@ func runFloodRuns(workers, floodRounds, runs int, opts ...Option) (floodResult, 
 	return res, s
 }
 
+// dormantPlan is a non-empty plan none of whose faults fire: its crash and
+// partition windows open at round 2^40, and it draws no link fault. The
+// simulator runs every fault hook under it.
+func dormantPlan() *faults.Plan {
+	const never = 1 << 40
+	return &faults.Plan{
+		Seed:       9,
+		Crashes:    []faults.Crash{{Vertex: 5, From: never, Until: faults.Forever}},
+		Partitions: []faults.Partition{{Members: []int{0, 1, floodSide}, From: never, Until: faults.Forever}},
+	}
+}
+
 // TestWithFaultsNilIsIdentical is the no-plan A/B guarantee: constructing
 // with WithFaults(nil) — or with an empty plan — leaves every observable
-// output equal to a simulator built without the option.
+// output equal to a simulator built without the option. So does a plan
+// whose hooks all run but never fire, for the flood and for the analytic
+// Broadcast and Convergecast.
 func TestWithFaultsNilIsIdentical(t *testing.T) {
 	base := runFlood(4, 5)
 	for _, tc := range []struct {
@@ -87,6 +101,7 @@ func TestWithFaultsNilIsIdentical(t *testing.T) {
 		{"nil-plan", WithFaults(nil)},
 		{"empty-plan", WithFaults(&faults.Plan{})},
 		{"seed-only-plan", WithFaults(&faults.Plan{Seed: 9, RetryBudget: 3})},
+		{"dormant-plan", WithFaults(dormantPlan())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runFlood(4, 5, tc.opt)
@@ -95,6 +110,30 @@ func TestWithFaultsNilIsIdentical(t *testing.T) {
 			}
 		})
 	}
+	t.Run("dormant-plan-analytic", func(t *testing.T) {
+		g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+		run := func(opts ...Option) bcastRun {
+			s := NewTopo(g, opts...)
+			var log [][2]int
+			for _, batch := range [][]BroadcastMsg{bcastMsgs(), bcastMsgs()[:4]} {
+				s.Broadcast(batch, func(v int, d *Delivery) {
+					for j := 0; j < d.Len(); j++ {
+						if m := d.At(j); m != nil {
+							log = append(log, [2]int{v, WordInt(m.Payload.W0)})
+							s.Mem(v).Charge(charge(v, j))
+						}
+					}
+				})
+				s.Convergecast(3, batch, func(m *BroadcastMsg) {
+					log = append(log, [2]int{3, WordInt(m.Payload.W0)})
+				})
+			}
+			return observe(s, log)
+		}
+		if got, want := run(WithFaults(dormantPlan())), run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dormant plan changed Broadcast/Convergecast:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 // TestFaultWorkerCountInvariance runs a plan with every fault class enabled

@@ -126,20 +126,6 @@ func (a *wordArena) put(chunk []uint64) {
 	a.mu.Unlock()
 }
 
-// stats reports the arena's parked inventory: free chunks across all size
-// classes and the capacity words they hold. Walks the lists under the
-// mutex, so it is kept off the per-round path (the metrics hooks read it
-// once per Run).
-func (a *wordArena) stats() (chunks, words int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for cls, list := range a.free {
-		chunks += int64(len(list))
-		words += int64(len(list)) << uint(cls)
-	}
-	return chunks, words
-}
-
 // recycleInbox empties v's inbox on a serial path, first harvesting its
 // messages' arena chunks and nil-ing each Ext so a chunk can never be
 // double-freed. Ext is the only pointer in a Message, so the truncated

@@ -225,9 +225,8 @@ func arenas(s *Simulator) []*wordArena {
 func parkedChunks(s *Simulator) (total int64, seen map[*uint64]int) {
 	seen = make(map[*uint64]int)
 	for _, a := range arenas(s) {
-		chunks, _ := a.stats()
-		total += chunks
 		for _, list := range a.free {
+			total += int64(len(list))
 			for _, c := range list {
 				seen[&c[:1][0]]++
 			}

@@ -9,7 +9,6 @@ import (
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
-	"lowmemroute/internal/trace"
 	"lowmemroute/internal/treeroute"
 )
 
@@ -535,16 +534,15 @@ func (b *builder) assemble() (*Scheme, error) {
 		q = 1 / math.Sqrt(float64(s)*float64(b.n))
 	}
 	maxOffset := int(math.Sqrt(float64(s)*float64(b.n))*math.Log2(float64(b.n)+1)) + 1
-	sp := trace.BeginPhase(b.sim.Trace(), "tree-routing", b.phasesDone, numBuildPhases)
-	before := b.sim.Rounds()
-	res, err := treeroute.BuildDistributed(b.sim, trees, treeroute.DistOptions{
-		Q:         q,
-		Seed:      b.o.Seed + 2,
-		MaxOffset: maxOffset,
+	var res *treeroute.DistResult
+	err := b.timed("tree-routing", func() (err error) {
+		res, err = treeroute.BuildDistributed(b.sim, trees, treeroute.DistOptions{
+			Q:         q,
+			Seed:      b.o.Seed + 2,
+			MaxOffset: maxOffset,
+		})
+		return err
 	})
-	b.phaseRounds["tree-routing"] += b.sim.Rounds() - before
-	sp.End()
-	b.phasesDone++
 	if err != nil {
 		return nil, fmt.Errorf("core: tree routing: %w", err)
 	}

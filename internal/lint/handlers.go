@@ -9,9 +9,12 @@ import (
 // simulated CONGEST processor. Two shapes qualify:
 //
 //   - any function (declaration or literal) with a *congest.Ctx parameter —
-//     step functions and their helpers;
+//     step functions and their helpers — or a *congest.Delivery parameter —
+//     Broadcast handlers and their helpers, however they reach Broadcast
+//     (a literal, a named function, a method value stored in a field);
 //   - function literals (or locally declared functions) passed as the
-//     handler argument of Simulator.Broadcast / Simulator.Convergecast.
+//     handler argument of Simulator.Convergecast, whose *BroadcastMsg
+//     parameter does not mark a handler by itself.
 //
 // vertexParam is the parameter holding the executing vertex's id (the first
 // int parameter), nil when the signature has none (Convergecast handlers).
@@ -90,12 +93,15 @@ func firstIntParam(info *types.Info, n ast.Node, sig *types.Signature) types.Obj
 	return nil
 }
 
-func hasCtxParam(sig *types.Signature) bool {
+// hasHandlerParam reports whether sig takes a *congest.Ctx or a
+// *congest.Delivery: the parameters only per-vertex code receives.
+func hasHandlerParam(sig *types.Signature) bool {
 	if sig == nil {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isCongestNamed(sig.Params().At(i).Type(), "Ctx") {
+		t := sig.Params().At(i).Type()
+		if isCongestNamed(t, "Ctx") || isCongestNamed(t, "Delivery") {
 			return true
 		}
 	}
@@ -157,24 +163,16 @@ func vertexHandlers(pkg *Package) []handler {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if hasCtxParam(funcSig(info, n)) {
+				if hasHandlerParam(funcSig(info, n)) {
 					add(n)
 				}
 			case *ast.FuncLit:
-				if hasCtxParam(funcSig(info, n)) {
+				if hasHandlerParam(funcSig(info, n)) {
 					add(n)
 				}
 			case *ast.CallExpr:
-				var argIdx int
-				switch simulatorMethodCall(info, n) {
-				case "Broadcast":
-					argIdx = 1
-				case "Convergecast":
-					argIdx = 2
-				default:
-					return true
-				}
-				if argIdx >= len(n.Args) {
+				const argIdx = 2 // Convergecast(sink, msgs, handle)
+				if simulatorMethodCall(info, n) != "Convergecast" || argIdx >= len(n.Args) {
 					return true
 				}
 				switch arg := n.Args[argIdx].(type) {

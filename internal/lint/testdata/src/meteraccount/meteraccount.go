@@ -77,3 +77,23 @@ func obsCalls(v int, ctx *congest.Ctx, g *obs.Gauge, reg *obs.Registry, s *st) {
 	spill := []int{v} // want `composite literal allocates`
 	_ = spill
 }
+
+type growth struct {
+	log     []int
+	handler func(v int, d *congest.Delivery)
+}
+
+func newGrowth() *growth {
+	g := &growth{}
+	g.handler = g.onMsg
+	return g
+}
+
+func (g *growth) broadcast(sim *congest.Simulator) { sim.Broadcast(nil, g.handler) }
+
+// A Broadcast handler bound as a method value and stored in a struct field
+// reaches Broadcast through no literal or named argument: its
+// *congest.Delivery parameter alone makes it a handler.
+func (g *growth) onMsg(v int, d *congest.Delivery) {
+	g.log = append(g.log, v) // want `append allocates`
+}
