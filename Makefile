@@ -11,7 +11,7 @@ vet:
 	$(GO) vet ./...
 
 # Model-invariant static analysis (cmd/lowmemlint): every analyzer (LM001
-# to LM008; LM004 is retired) over ./internal/... (DESIGN.md §8). A finding
+# to LM008; LM004 and LM006 are retired) over ./internal/... (DESIGN.md §8). A finding
 # fails the build unless it is waived in place with
 # //lint:waive <analyzer> <reason>.
 lint:
@@ -35,7 +35,9 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent engine and the per-round goroutine
-# pools (the packages where a data race could actually hide), plus the
+# pools (the packages where a data race could actually hide; the engine's
+# bodied-message golden, TestBodiedMessageGolden, forks its two-shard runs
+# here, so message bodies cross shards under the detector), plus the
 # lock-free metrics registry whose histograms take concurrent writers, the
 # COW data plane (readers hammering LookupBatch across table swaps, and
 # crash-detour walks reading a down mask that flips under them), the facade

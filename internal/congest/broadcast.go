@@ -8,14 +8,32 @@ import (
 )
 
 // BroadcastMsg is a message disseminated to every vertex via the BFS tree of
-// the communication graph (Lemma 1 in the paper). Unlike point-to-point
-// messages, a broadcast payload's Ext tail stays caller-owned: the analytic
-// primitives deliver the caller's values directly and never touch the
-// payload arena, so the slice must stay valid for the duration of the call.
+// the communication graph (Lemma 1 in the paper). Unlike a point-to-point
+// message's, its body is the caller's: the analytic primitives hand the
+// caller's messages to the handlers directly, so Body must stay valid for
+// the duration of the call, and handlers read it in place.
 type BroadcastMsg struct {
 	Origin  int
 	Payload Payload
 	Words   int
+	Body    []uint64
+}
+
+// BodyBufs keeps one reusable body buffer per broadcast message index, so a
+// builder that broadcasts every iteration encodes its bodies without
+// allocating once the buffers are warm.
+type BodyBufs [][]uint64
+
+// Get returns the body buffer of message index i, resized to n words. It
+// stays valid, and the caller's, until the next Get of the same index.
+func (b *BodyBufs) Get(i, n int) []uint64 {
+	for len(*b) <= i {
+		*b = append(*b, nil)
+	}
+	if cap((*b)[i]) < n {
+		(*b)[i] = make([]uint64, n)
+	}
+	return (*b)[i][:n]
 }
 
 // wireWords is the message's charged size: zero-word messages count as one.

@@ -20,6 +20,12 @@
 // memory is charged for state an algorithm retains across rounds, which the
 // algorithm does explicitly through its Meter.
 //
+// A message is a typed Payload (a kind tag and four inline words) plus, for
+// the few messages longer than that, a body of further words. Bodies are
+// copied into the edge's queue on Send and copied out by the receiving
+// handler with Ctx.Body, so no slice the engine owns ever reaches a handler
+// (payload.go).
+//
 // The package also provides the Lemma 1 broadcast primitive (pipelined
 // BFS-tree broadcast of M messages in O(M + D) rounds), whose cost is
 // charged analytically - simulating each broadcast hop explicitly would
@@ -29,7 +35,6 @@ package congest
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
@@ -42,13 +47,17 @@ import (
 // weights and identities" regime of the model.
 const DefaultEdgeCapacity = 4
 
-// Message is a point-to-point message delivered along a graph edge. The
-// payload is a typed word record (see Payload in payload.go); its Ext tail,
-// if any, is engine-owned and valid only for the round it is delivered in.
+// Message is a point-to-point message delivered along a graph edge: its
+// sender, its typed inline words (see Payload in payload.go) and its charged
+// size. A message with a body locates it in its delivery shard's body
+// buffer, valid for the round it is delivered in and read with Ctx.Body.
+// Message holds no pointer.
 type Message struct {
 	From    int
 	Payload Payload
 	Words   int
+
+	bodyAt, bodyLen int32
 }
 
 // StepFunc is one vertex's program for one round. It may read the inbox via
@@ -82,16 +91,6 @@ type Simulator struct {
 	// stepVertex's transient-memory spike needs no O(inbox) rescan. int32:
 	// a single message never carries 2^31 words.
 	inboxMax []int32
-
-	// arena recycles the Ext chunks of variable-length payloads; see the
-	// ownership protocol in payload.go. It serves the serial paths; each
-	// execution shard additionally owns a shardArena slot so the parallel
-	// step and delivery phases never contend on one free-list mutex. Chunks
-	// migrate freely between arenas (every arena is internally locked and
-	// chunk contents are copied on clone), so which arena served a clone is
-	// unobservable.
-	arena      wordArena
-	shardArena []wordArena
 
 	// ffOff disables the idle-round fast-forward (see Run); the default is
 	// on, and WithIdleFastForward(false) restores literal round-by-round
@@ -139,23 +138,23 @@ type Simulator struct {
 	dirtyIn  []int32
 	dirtyCnt []int32
 
-	// tails[e] is edge e's Ext tail ring, slot-parallel to queues[e].buf
-	// once queues[e].tails is set (see edgeQueue). The slice is allocated
-	// on the first tail any edge carries (tailsOnce), so a simulator whose
-	// messages never carry one pays nothing for it.
-	tails     [][][]uint64
-	tailsOnce sync.Once
-
 	// Sharded delivery worklists: shard sh owns the contiguous destination
 	// range [sh*shardBlock, (sh+1)*shardBlock). Cur is this round's dirty
 	// destinations, Nxt collects carried backlog for the next round, Recv
 	// the destinations that received; Msgs/Words are per-shard counters.
+	// Body is the shard's body buffer: the bodies of the messages it
+	// delivered this round (Ctx.Body). Every inbox is consumed in the round
+	// after its delivery, so the buffer restarts at each delivery phase.
+	// Slabs are the shards' ring slabs (ringSlab): step shard w carves the
+	// rings of its senders' edges from slabs[w].
 	shardBlock int
 	shardCur   [][]int32
 	shardNxt   [][]int32
 	shardRecv  [][]int32
 	shardMsgs  []int64
 	shardWords []int64
+	shardBody  [][]uint64
+	slabs      []ringSlab
 
 	// Epoch-stamped scratch recycled across rounds: nextStamp[v] == epoch
 	// marks v as already collected into the next active list. ctxs,
@@ -208,7 +207,7 @@ type Option func(*Simulator)
 // WithWorkers sets the number of parallel execution shards, which is also
 // the width of the goroutine pool executing each round. A shard owns a
 // contiguous vertex range — those vertices' handler steps, inboxes, dirty
-// worklists and payload arena — and cross-shard traffic merges at the
+// worklists, body buffer and ring slab — and cross-shard traffic merges at the
 // per-round barrier in canonical (destination, sender, edge-sequence) order,
 // so every observable quantity is byte-identical at any shard count (pinned
 // by TestRunWorkerCountInvariance and the core trace test).
@@ -477,12 +476,11 @@ type Ctx struct {
 	round   int
 	in      []Message
 	outEdge []int32 // out-edges this step transitioned from empty to backed
-	extBuf  []uint64
+	scratch []uint64
 	wakeAt  int // earliest round requested by WakeAt this step; 0 = none
-	// arena is the payload arena of the shard executing this step — the
-	// serial arena on the serial path, the owning worker's shardArena slot
-	// on the parallel path — so Ext clones in Send never contend.
-	arena *wordArena
+	// slab is the ring slab of the shard executing this step, so the rings
+	// Send carves never contend.
+	slab *ringSlab
 }
 
 // Round returns the index of the current round within the active Run.

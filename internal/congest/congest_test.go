@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -521,5 +522,41 @@ func TestAvgPeakMemory(t *testing.T) {
 	}
 	if got := s.PeakMemory(); got != 8 {
 		t.Fatalf("PeakMemory=%v want 8", got)
+	}
+}
+
+// TestSendBodyBound: Send rejects a body of 2^16 words or more, whose
+// length would not fit its head slot, and a body of exactly MaxUint16 words
+// arrives intact.
+func TestSendBodyBound(t *testing.T) {
+	func() {
+		s := NewTopo(pathGraph(2))
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic on a 65536-word body")
+			}
+		}()
+		s.Run([]int{0}, 1, func(v int, ctx *Ctx) { ctx.Send(1, Payload{}, 1, make([]uint64, math.MaxUint16+1)...) })
+	}()
+	body := make([]uint64, math.MaxUint16)
+	for i := range body {
+		body[i] = uint64(i)
+	}
+	s := NewTopo(pathGraph(2))
+	var got []uint64
+	s.Run([]int{0}, 4, func(v int, ctx *Ctx) {
+		if v == 0 && ctx.Round() == 0 {
+			ctx.Send(1, Payload{}, 1, body...)
+		}
+		in := ctx.In()
+		for i := range in {
+			got = ctx.Body(&in[i], nil)
+		}
+	})
+	if !reflect.DeepEqual(got, body) {
+		t.Fatalf("a %d-word body arrived as %d words", len(body), len(got))
+	}
+	if s.Words() != 1 || s.Rounds() != 2 {
+		t.Fatalf("a 1-word message with a body counted %d words over %d rounds, want 1 word over 2 rounds", s.Words(), s.Rounds())
 	}
 }

@@ -59,38 +59,40 @@ const parallelMin = 1024
 //
 // The FIFO is a power-of-two ring of pointer-free qEntry slots, nil until
 // the edge first carries traffic, carved from the sending shard's ring slab
-// (ringSlab) and doubled only when a Send finds it full. Ext tails ride in
-// the edge's tail ring (Simulator.tails), slot-parallel to buf, which exists
-// only once the edge has carried a tail and grows in lockstep with buf. Both
-// rings have one writer, the sender's step, and one reader, the
-// destination's delivery, which never run at the same time. Popped slots
-// hold no Ext chunk. The queue array is the engine's largest O(m) structure,
+// (ringSlab) and doubled only when a Send finds it short. A message takes
+// one head slot plus, when it has a body, ceil(len/4) continuation slots
+// right after it, four body words each. The ring has one writer, the
+// sender's step, and one reader, the destination's delivery, which never run
+// at the same time. The queue array is the engine's largest O(m) structure,
 // so a queue is 40 bytes: cursors are int32 (an edge never queues 2^31
-// messages) and the tail ring is kept outside it.
+// slots).
 type edgeQueue struct {
 	buf  []qEntry
-	head int32 // ring index of the front (oldest live) message
-	n    int32 // live messages
+	head int32 // ring index of the front (oldest live) message's head slot
+	n    int32 // live slots, continuation slots included
 	// sent is the number of words of the front message already transmitted
 	// in previous rounds (large messages take several rounds to cross).
 	sent int32
-	// tails is set once the edge has carried an Ext tail: from then on
-	// Simulator.tails holds its tail ring. Only the edge's own Send sets it,
-	// so reading it never races. A Send on another edge may be allocating
-	// the tails slice, so every read of that slice checks this flag first
-	// (setTail passes tailsOnce instead).
-	tails bool
 }
 
-// qEntry is one queued message in 40 bytes with no pointer, so the GC never
-// scans a ring: the inline payload words, the word count and the kind. The
-// sender is implied by the edge, the tail lives in the edge's tail ring, and
-// Ctx.Send bounds words to an int32.
+// qEntry is one ring slot in 40 bytes with no pointer, so the GC never scans
+// a ring. A head slot holds a message's inline payload words, its word count,
+// its kind and its body length; the sender is implied by the edge, and
+// Ctx.Send bounds words to an int32 and the body to a uint16, which fits the
+// slot's padding. A continuation slot holds four body words in w and nothing
+// else.
 type qEntry struct {
 	w     [4]uint64
 	words int32
 	kind  PayloadKind
+	body  uint16
 }
+
+// slots is the number of ring slots the message headed by e takes.
+func (e *qEntry) slots() int { return 1 + bodySlots(int(e.body)) }
+
+// bodySlots is the number of continuation slots a body of n words takes.
+func bodySlots(n int) int { return (n + 3) / 4 }
 
 // Ring sizes: a ring starts at one slot, so the rings of edges that never
 // back up sit densely in their chunk, and its first growth jumps to ringMin
@@ -106,28 +108,27 @@ const (
 	ringChunk   = 4096
 )
 
-// ringSlab hands out entry and tail rings from large chunks, so an edge's
-// rings cost no allocation of their own. A ring outgrown by its edge stays in
-// its chunk, which is freed with the last ring carved from it; doubling
-// bounds that waste by the edge's live ring. A slab belongs to one execution
-// shard (see wordArena), so it is never shared between goroutines.
+// ringSlab hands out rings from large chunks, so an edge's ring costs no
+// allocation of its own. A ring outgrown by its edge stays in its chunk,
+// which is freed with the last ring carved from it; doubling bounds that
+// waste by the edge's live ring. A slab belongs to one execution shard
+// (Simulator.slabs), so it is never shared between goroutines.
 type ringSlab struct {
-	entries []qEntry
-	tails   [][]uint64
-	chunk   int // slots in a new chunk (see ringChunk)
+	free  []qEntry
+	chunk int // slots in a new chunk (see ringChunk)
 }
 
-// carve cuts an n-slot ring from the chunk *free, starting a new chunk of
+// carve cuts an n-slot ring from the current chunk, starting a new chunk of
 // chunk slots (n if larger) when it runs short.
-func carve[T any](free *[]T, n, chunk int) []T {
+func (sl *ringSlab) carve(n int) []qEntry {
 	if n > ringSlabMax {
-		return make([]T, n)
+		return make([]qEntry, n)
 	}
-	if len(*free) < n {
-		*free = make([]T, max(chunk, n))
+	if len(sl.free) < n {
+		sl.free = make([]qEntry, max(sl.chunk, n))
 	}
-	b := (*free)[:n:n]
-	*free = (*free)[n:]
+	b := sl.free[:n:n]
+	sl.free = sl.free[n:]
 	return b
 }
 
@@ -135,9 +136,10 @@ func carve[T any](free *[]T, n, chunk int) []T {
 // edgeQueue and allocated as a parallel slice only when a fault plan is
 // installed, so the clean simulator's topology footprint is untouched. seq
 // is the lifetime delivery sequence number of the head message — the
-// deterministic coordinate of its fault rolls. attempt counts this
-// message's failed transmissions, hold its remaining injected delay rounds,
-// and rolled whether the delay has been drawn yet.
+// deterministic coordinate of its fault rolls; it counts messages, not
+// slots. attempt counts this message's failed transmissions, hold its
+// remaining injected delay rounds, and rolled whether the delay has been
+// drawn yet.
 type edgeFaultState struct {
 	seq     uint64
 	attempt int32
@@ -155,99 +157,57 @@ func (fq *edgeFaultState) restart(skip uint64) {
 
 func (q *edgeQueue) empty() bool { return q.n == 0 }
 
-// front is the oldest live message; the queue must not be empty.
+// front is the oldest live message's head slot; the queue must not be
+// empty.
 func (q *edgeQueue) front() *qEntry { return &q.buf[q.head] }
 
-// slot is the ring index of the i-th live message, 0 being the front.
+// slot is the ring index of the i-th live slot, 0 being the front.
 func (q *edgeQueue) slot(i int) int { return (int(q.head) + i) & (len(q.buf) - 1) }
 
-// at is the i-th live message, 0 being the front.
+// at is the i-th live slot, 0 being the front.
 func (q *edgeQueue) at(i int) *qEntry { return &q.buf[q.slot(i)] }
 
-// tailRing is edge e's tail ring, or nil while the edge has carried no
-// tail.
-func (s *Simulator) tailRing(e int32) *[][]uint64 {
-	if !s.queues[e].tails {
-		return nil
-	}
-	return &s.tails[e]
-}
-
-// setTail stores the arena-owned tail of the message in slot i of edge e's
-// queue, creating the tail ring on the edge's first tail (and the tails
-// slice on the simulator's first).
-func (s *Simulator) setTail(e int32, i int, ext []uint64, slab *ringSlab) {
-	q := &s.queues[e]
-	if !q.tails {
-		s.tailsOnce.Do(func() { s.tails = make([][][]uint64, len(s.queues)) })
-		s.tails[e] = carve(&slab.tails, len(q.buf), slab.chunk)
-		q.tails = true
-	}
-	s.tails[e][i] = ext
-}
-
-// grow replaces a full ring by a larger one (see ringMin), unwrapping it,
-// and its tail ring when tails is not nil, to the new ring's start.
-func (q *edgeQueue) grow(slab *ringSlab, tails *[][]uint64) {
+// grow replaces a ring too short for need live slots by a larger one (see
+// ringMin), unwrapping it to the new ring's start.
+func (q *edgeQueue) grow(slab *ringSlab, need int) {
 	n := 1
 	if len(q.buf) > 0 {
 		n = max(ringMin, 2*len(q.buf))
 	}
-	buf := carve(&slab.entries, n, slab.chunk)
+	for n < need {
+		n *= 2
+	}
+	buf := slab.carve(n)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
-	if tails != nil {
-		old := *tails
-		t := carve(&slab.tails, n, slab.chunk)
-		k := copy(t, old[q.head:])
-		copy(t[k:], old[:q.head])
-		clear(old) // the outgrown ring keeps no reference to a live tail
-		*tails = t
-	}
 	q.buf, q.head = buf, 0
 }
 
-// popTail detaches the tail of edge e's front message (nil when it has
-// none), handing its arena chunk to the caller.
-func (s *Simulator) popTail(e int32) []uint64 {
-	tails := s.tailRing(e)
-	if tails == nil {
-		return nil
-	}
-	t := &(*tails)[s.queues[e].head]
-	ext := *t
-	*t = nil
-	return ext
-}
-
-// pop retires the front message, whose tail the caller has taken with
-// popTail, and restarts the transmission count. A queue that empties starts
-// over at slot 0, so an edge that never backs up keeps reusing one slot
-// (one cache line) instead of cycling through its whole ring.
+// pop retires the front message, its continuation slots included, and
+// restarts the transmission count. A queue that empties starts over at slot
+// 0, so an edge that never backs up keeps reusing one slot (one cache line)
+// instead of cycling through its whole ring.
 func (q *edgeQueue) pop() {
-	q.head = (q.head + 1) & int32(len(q.buf)-1)
-	q.n--
+	k := int32(q.front().slots())
+	q.head = (q.head + k) & int32(len(q.buf)-1)
+	q.n -= k
 	q.sent = 0
 	if q.n == 0 {
 		q.head = 0
 	}
 }
 
-// resetQueue empties edge e's queue and keeps its rings, returning the live
-// messages' tails to a: popped slots hold none, so these are exactly the
-// live ones.
-func (s *Simulator) resetQueue(e int32, a *wordArena) {
-	if tails := s.tailRing(e); tails != nil {
-		for i, t := range *tails {
-			if t != nil {
-				a.put(t)
-				(*tails)[i] = nil
-			}
-		}
+// messages counts the queue's live messages by walking their head slots.
+func (q *edgeQueue) messages() int64 {
+	var k int64
+	for i := 0; i < int(q.n); i += q.at(i).slots() {
+		k++
 	}
-	q := &s.queues[e]
-	q.head, q.n, q.sent = 0, 0, 0
+	return k
 }
+
+// reset empties the queue and keeps its ring.
+func (q *edgeQueue) reset() { q.head, q.n, q.sent = 0, 0, 0 }
 
 // inboxMin is the capacity an inbox starts at (a grid vertex's in-degree),
 // so most inboxes reach their size in one allocation instead of three.
@@ -324,11 +284,11 @@ func (s *Simulator) ensureTopology() {
 	s.shardRecv = make([][]int32, shards)
 	s.shardMsgs = make([]int64, shards)
 	s.shardWords = make([]int64, shards)
-	s.shardArena = make([]wordArena, shards)
+	s.shardBody = make([][]uint64, shards)
+	s.slabs = make([]ringSlab, shards)
 	chunk := min(ringChunk, ringMin*max(ne, 1)) // see ringChunk
-	s.arena.rings.chunk = chunk
-	for i := range s.shardArena {
-		s.shardArena[i].rings.chunk = chunk
+	for i := range s.slabs {
+		s.slabs[i].chunk = chunk
 	}
 }
 
@@ -425,11 +385,10 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		s.runRound(round, step)
 		executed++
 
-		// Ran vertices have consumed their inboxes; harvest the arena
-		// chunks and recycle the buffers - no delivered payload outlives
-		// the round.
+		// Ran vertices have consumed their inboxes; recycle the buffers -
+		// no delivered message outlives the round.
 		for _, v := range s.actList {
-			s.recycleInbox(v)
+			s.inbox[v] = s.inbox[v][:0]
 		}
 
 		// Register this round's sends (messages are already on their edge
@@ -525,7 +484,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 	// Drop undelivered state and pending timers if we hit maxRounds.
 	s.timers = s.timers[:0]
 	for _, v := range s.actList {
-		s.recycleInbox(v)
+		s.inbox[v] = s.inbox[v][:0]
 		s.inboxMax[v] = 0
 	}
 	if pending > 0 {
@@ -543,7 +502,7 @@ func (s *Simulator) runRound(round int, step StepFunc) {
 	}
 	if s.workers <= 1 || len(act) < parallelMin {
 		for i := range act {
-			s.stepVertex(i, round, step, &s.arena)
+			s.stepVertex(i, round, step, &s.slabs[0])
 		}
 		return
 	}
@@ -555,13 +514,12 @@ func (s *Simulator) runRound(round int, step StepFunc) {
 }
 
 // stepShard steps the w-th chunk of the active list (runRound's fork task,
-// empty past the list's end) on execution shard w's arena.
+// empty past the list's end) on execution shard w's ring slab.
 func (s *Simulator) stepShard(w int) {
 	lo := w * s.stepChunk
 	hi := min(lo+s.stepChunk, len(s.actList))
-	ar := &s.shardArena[w]
 	for i := lo; i < hi; i++ {
-		s.stepVertex(i, s.stepRound, s.stepFn, ar)
+		s.stepVertex(i, s.stepRound, s.stepFn, &s.slabs[w])
 	}
 }
 
@@ -613,12 +571,12 @@ func (s *Simulator) stopPool() {
 }
 
 // stepVertex runs one vertex's program for one round in its recycled
-// context slot. ar is the executing shard's payload arena.
-func (s *Simulator) stepVertex(i, round int, step StepFunc, ar *wordArena) {
+// context slot. slab is the executing shard's ring slab.
+func (s *Simulator) stepVertex(i, round int, step StepFunc, slab *ringSlab) {
 	v := int(s.actList[i])
 	c := &s.ctxs[i]
 	c.sim, c.v, c.round = s, v, round
-	c.arena = ar
+	c.slab = slab
 	c.in = s.inbox[v]
 	c.outEdge = c.outEdge[:0]
 	c.wakeAt = 0
@@ -649,6 +607,7 @@ func (s *Simulator) stepVertex(i, round int, step StepFunc, ar *wordArena) {
 // destination range, so shards never contend.
 func (s *Simulator) deliverShard(sh int) {
 	var msgs, words int64
+	s.shardBody[sh] = s.shardBody[sh][:0]
 	recv := s.shardRecv[sh][:0]
 	nxt := s.shardNxt[sh][:0]
 	for _, v32 := range s.shardCur[sh] {
@@ -728,9 +687,8 @@ func (s *Simulator) drainDst(v, sh int) (int64, int64) {
 			}
 			w := int64(m.words)
 			// Append the message's inbox form, written in place and not by a
-			// helper, which would not inline: the clean loop makes no call.
-			// The inbox owns the arena chunk now; popTail drops the ring's
-			// reference.
+			// helper, which would not inline: a clean message without a body
+			// makes no call.
 			if len(inb) == cap(inb) {
 				inb = slices.Grow(inb, max(1, inboxMin-len(inb)))
 			}
@@ -740,7 +698,10 @@ func (s *Simulator) drainDst(v, sh int) (int64, int64) {
 			ip := &im.Payload
 			ip.Kind = m.kind
 			ip.W0, ip.W1, ip.W2, ip.W3 = m.w[0], m.w[1], m.w[2], m.w[3]
-			ip.Ext = s.popTail(e)
+			im.bodyAt, im.bodyLen = 0, 0
+			if m.body > 0 {
+				im.bodyAt, im.bodyLen = s.keepBody(q, sh), int32(m.body)
+			}
 			if faulty {
 				var dup bool
 				if inb, dup = s.delivered(e, sh, inb); dup {
@@ -844,9 +805,6 @@ func (s *Simulator) dropped(e, p int32, sh int) (drop, lost bool) {
 	ctr.RetryWords += int64(q.front().words)
 	if int(fq.attempt) >= f.Budget() {
 		ctr.Lost++
-		if ext := s.popTail(e); ext != nil {
-			s.shardArena[sh].put(ext)
-		}
 		q.pop()
 		fq.restart(1)
 		return true, true
@@ -860,15 +818,13 @@ func (s *Simulator) dropped(e, p int32, sh int) (drop, lost bool) {
 
 // delivered rolls the duplication of edge e's head message, just appended
 // to inb, appending a second copy if it fires, and retires the message's
-// fault state. It reports whether it duplicated. The copy's Ext is a fresh
-// arena chunk: inbox recycling frees each Ext exactly once.
+// fault state. It reports whether it duplicated. The copy shares its
+// original's body: both read the same words of the body buffer.
 func (s *Simulator) delivered(e int32, sh int, inb []Message) ([]Message, bool) {
 	fq := &s.faultQ[e]
 	dup := s.faults.DupRoll(e, fq.seq)
 	if dup {
-		m := inb[len(inb)-1]
-		m.Payload.Ext = s.shardArena[sh].clone(m.Payload.Ext)
-		inb = append(inb, m)
+		inb = append(inb, inb[len(inb)-1])
 		s.shardFault[sh].Duplicated++
 	}
 	fq.restart(1)
@@ -877,11 +833,10 @@ func (s *Simulator) delivered(e int32, sh int, inb []Message) ([]Message, bool) 
 
 // discardQueue drops every undelivered message of edge e's queue
 // (crashed-forever destination or permanent partition), returning the count.
-// Arena chunks are reclaimed; the put side of the arena is mutex-guarded, so
-// this is safe from inside a delivery shard.
 func (s *Simulator) discardQueue(e int32) int64 {
-	dropped := int64(s.queues[e].n)
-	s.resetQueue(e, &s.arena)
+	q := &s.queues[e]
+	dropped := q.messages()
+	q.reset()
 	s.faultQ[e].restart(uint64(dropped))
 	return dropped
 }
@@ -904,7 +859,7 @@ func (s *Simulator) eachDirty(fn func(e int32, q *edgeQueue)) {
 // "drop undelivered state" path when maxRounds cut the simulation short.
 func (s *Simulator) drainAll() {
 	s.eachDirty(func(e int32, q *edgeQueue) {
-		s.resetQueue(e, &s.arena)
+		q.reset()
 		if s.faultQ != nil {
 			s.faultQ[e].restart(0)
 		}
@@ -921,21 +876,23 @@ func (s *Simulator) drainAll() {
 func (s *Simulator) queueBacklog() (backlog int64) {
 	s.eachDirty(func(_ int32, q *edgeQueue) {
 		backlog -= int64(q.sent)
-		for j := 0; j < int(q.n); j++ {
-			backlog += int64(q.at(j).words)
+		for i := 0; i < int(q.n); i += q.at(i).slots() {
+			backlog += int64(q.at(i).words)
 		}
 	})
 	return backlog
 }
 
-// Send queues a message of the given word count to neighbor `to`. Delivery
-// happens when the edge's bandwidth allows; a backlogged edge delays later
-// messages but charges no memory (see edgeQueue). The payload's Ext slice is
-// borrowed: Send copies it into an arena chunk, so the caller's buffer (and a
-// received payload being relayed) may be reused immediately. Sending to a
-// non-neighbor, or a message of 2^31 words or more, panics: either is a
-// programming error that would break the model.
-func (c *Ctx) Send(to int, p Payload, words int) {
+// Send queues a message of the given word count to neighbor `to`, with an
+// optional body of further words. Delivery happens when the edge's bandwidth
+// allows; a backlogged edge delays later messages but charges no memory (see
+// edgeQueue). Words alone is the message's charged size: the body rides in
+// the ring after the message's head slot and is paced, rolled and counted
+// with it. Send copies the body, so the caller's buffer (and a body copied
+// out of a received message to relay it) may be reused at once. Sending to a
+// non-neighbor, a message of 2^31 words or more, or a body of 2^16 words or
+// more panics: each is a programming error that would break the model.
+func (c *Ctx) Send(to int, p Payload, words int, body ...uint64) {
 	e := c.sim.edgeID(c.v, to)
 	if e < 0 {
 		panic(fmt.Sprintf("congest: vertex %d sent to non-neighbor %d", c.v, to))
@@ -945,9 +902,8 @@ func (c *Ctx) Send(to int, p Payload, words int) {
 	} else if words > math.MaxInt32 {
 		panic(fmt.Sprintf("congest: vertex %d sent a %d-word message to %d", c.v, words, to))
 	}
-	ar := c.arena
-	if ar == nil {
-		ar = &c.sim.arena
+	if len(body) > math.MaxUint16 {
+		panic(fmt.Sprintf("congest: vertex %d sent a %d-word body to %d", c.v, len(body), to))
 	}
 	// Enqueue straight onto the edge queue: the sender is this queue's only
 	// writer and delivery only runs between rounds, so the append is safe
@@ -959,17 +915,31 @@ func (c *Ctx) Send(to int, p Payload, words int) {
 	if q.empty() {
 		c.outEdge = append(c.outEdge, e)
 	}
-	if int(q.n) == len(q.buf) {
-		q.grow(&ar.rings, c.sim.tailRing(e))
+	need := int(q.n) + 1 + bodySlots(len(body))
+	if need > len(q.buf) {
+		q.grow(c.slab, need)
 	}
-	i := q.slot(int(q.n))
-	q.n++
-	en := &q.buf[i]
+	en := &q.buf[q.slot(int(q.n))]
 	en.w[0], en.w[1], en.w[2], en.w[3] = p.W0, p.W1, p.W2, p.W3
-	en.words, en.kind = int32(words), p.Kind
-	if len(p.Ext) > 0 {
-		c.sim.setTail(e, i, ar.clone(p.Ext), &ar.rings)
+	en.words, en.kind, en.body = int32(words), p.Kind, uint16(len(body))
+	for j := 0; j < len(body); j += 4 {
+		copy(q.at(int(q.n) + 1 + j/4).w[:], body[j:])
 	}
+	q.n = int32(need)
+}
+
+// keepBody copies the body of edge queue q's front message from its
+// continuation slots into delivery shard sh's body buffer and returns its
+// offset there.
+func (s *Simulator) keepBody(q *edgeQueue, sh int) int32 {
+	buf := s.shardBody[sh]
+	at := len(buf)
+	n := int(q.front().body)
+	for j := 0; j < n; j += 4 {
+		buf = append(buf, q.at(1 + j/4).w[:min(4, n-j)]...)
+	}
+	s.shardBody[sh] = buf
+	return int32(at)
 }
 
 // bitmapSortMin is the length from which sortActive sorts through the

@@ -28,8 +28,8 @@ type rcvd struct {
 // worker-pool widths and requires identical counters, identical per-vertex
 // meter peaks, and — the strong condition — identical per-vertex delivery
 // logs: every vertex sees the same messages in the same order in the same
-// rounds regardless of how delivery was sharded. Some messages carry Ext
-// tails from round 0 on, so many edges carry their first tail in the same
+// rounds regardless of how delivery was sharded. Some messages carry
+// bodies from round 0 on, so many edges take continuation slots in the same
 // forked step phase.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	const (
@@ -40,6 +40,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		rounds, messages, words int64
 		peaks                   []int64
 		logs                    [][]rcvd
+		bodies                  [][]uint64
 		sim                     *Simulator
 	}
 	runOnce := func(workers int) result {
@@ -50,12 +51,15 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 			all[v] = v
 		}
 		logs := make([][]rcvd, g.N())
+		bodies := make([][]uint64, g.N())
 		s.Run(all, floodRounds+1, func(v int, ctx *Ctx) {
-			// Each vertex owns logs[v]; step parallelism never races here.
-			for _, m := range ctx.In() {
-				r := rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload}
-				r.Payload.Ext = append([]uint64(nil), m.Payload.Ext...)
-				logs[v] = append(logs[v], r)
+			// Each vertex owns logs[v] and bodies[v]; step parallelism never
+			// races here.
+			in := ctx.In()
+			for i := range in {
+				m := &in[i]
+				logs[v] = append(logs[v], rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
+				bodies[v] = append(ctx.Body(m, append(bodies[v], uint64(len(logs[v])))), ^uint64(0))
 			}
 			if ctx.Round() < floodRounds {
 				for _, nb := range neighbors(s.Topo(), v) {
@@ -63,18 +67,19 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 					// capacity pacer splits some messages across rounds.
 					k := v + int(nb) + ctx.Round()
 					p := Payload{W0: IntWord(v*1000 + ctx.Round())}
+					var body []uint64
 					if k%5 == 0 {
-						p.Ext = ctx.Ext(1 + k%3)
-						for i := range p.Ext {
-							p.Ext[i] = uint64(k + i)
+						body = ctx.Scratch(1 + k%6)
+						for i := range body {
+							body[i] = uint64(k + i)
 						}
 					}
-					ctx.Send(int(nb), p, 1+k%7)
+					ctx.Send(int(nb), p, 1+k%7, body...)
 				}
 				ctx.Wake()
 			}
 		})
-		res := result{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs, sim: s}
+		res := result{rounds: s.Rounds(), messages: s.Messages(), words: s.Words(), logs: logs, bodies: bodies, sim: s}
 		res.peaks = make([]int64, g.N())
 		for v := 0; v < g.N(); v++ {
 			res.peaks[v] = s.Mem(v).Peak()
@@ -97,6 +102,9 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.peaks, base.peaks) {
 				t.Fatalf("per-vertex meter peaks differ from workers=1")
+			}
+			if !reflect.DeepEqual(got.bodies, base.bodies) {
+				t.Fatalf("delivered bodies differ from workers=1")
 			}
 			for v := range got.logs {
 				if !reflect.DeepEqual(got.logs[v], base.logs[v]) {

@@ -349,29 +349,28 @@ func TestFaultDuplicate(t *testing.T) {
 	}
 }
 
-// TestFaultDuplicateExt: duplicated Ext payloads must ride distinct arena
-// chunks (each is recycled exactly once) and carry equal contents.
+// TestFaultDuplicateExt: a duplicated message's copy shares its original's
+// body, and both read back equal contents.
 func TestFaultDuplicateExt(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	s := NewTopo(g, WithFaults(&faults.Plan{Duplicate: 1}), WithEdgeCapacity(0))
 	var got [][]uint64
 	s.Run([]int{0}, 100, func(v int, ctx *Ctx) {
 		if v == 0 && ctx.Round() == 0 {
-			ext := ctx.Ext(3)
-			ext[0], ext[1], ext[2] = 7, 8, 9
-			ctx.Send(1, Payload{Kind: 1, Ext: ext}, 4)
+			ctx.Send(1, Payload{Kind: 1}, 4, 7, 8, 9)
 		}
-		for _, m := range ctx.In() {
-			got = append(got, append([]uint64(nil), m.Payload.Ext...))
+		in := ctx.In()
+		for i := range in {
+			got = append(got, ctx.Body(&in[i], nil))
 		}
 	})
 	if len(got) != 2 {
 		t.Fatalf("delivered %d copies, want 2", len(got))
 	}
 	want := []uint64{7, 8, 9}
-	for i, ext := range got {
-		if !reflect.DeepEqual(ext, want) {
-			t.Fatalf("copy %d Ext = %v, want %v", i, ext, want)
+	for i, body := range got {
+		if !reflect.DeepEqual(body, want) {
+			t.Fatalf("copy %d body = %v, want %v", i, body, want)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package congest
 
 // Edge-queue ring tests: wraparound and growth while wrapped under capacity
-// pacing (against a plain-slice FIFO reference), the Ext side ring growing in
-// lockstep, every fault path on a wrapped ring (against the same run on a
-// ring that never wraps), arena chunks coming back exactly once from every
-// fault path, the capacity bound the ring exists for (an edge's ring is the
-// next power of two of its peak backlog), the layout (a 40-byte entry
-// with no pointers, a 40-byte queue), and ring chunks sized to the graph.
+// pacing (against a plain-slice FIFO reference), bodies riding continuation
+// slots that wrap and grow with the ring, every fault path on a wrapped ring
+// (against the same run on a ring that never wraps), every fault path
+// retiring a message's continuation slots with its head and counting
+// messages, not slots, the capacity bound the ring exists for (an edge's ring
+// is the next power of two of its peak backlog), the layout (a 40-byte entry
+// with no pointers, a 40-byte queue, pointer-free messages), and ring chunks
+// sized to the graph.
 
 import (
 	"fmt"
@@ -57,16 +59,17 @@ func refPacing(sends [][]int, capacity int) []int {
 }
 
 // ringRun is everything observable about one run of the ring workload, plus
-// what the sender saw of its rings (not part of the equality).
+// what the sender saw of its ring (not part of the equality).
 type ringRun struct {
 	executed                int
 	rounds, messages, words int64
 	ctr                     faults.Counters
 	log                     []rcvd
+	bodies                  [][]uint64
 	wrapped, grewWrapped    bool
-	// extGrewWrapped: the Ext side ring grew while wrapped; extSkew: after
-	// some send the side ring's length differed from the entry ring's.
-	extGrewWrapped, extSkew bool
+	// bodyGrewWrapped: a send with a body grew the ring while wrapped;
+	// bodySplit: a message's continuation slots straddled the ring's end.
+	bodyGrewWrapped, bodySplit bool
 }
 
 // ringLayout presets edge 0->1's ring before the run: nil keeps the default
@@ -74,16 +77,16 @@ type ringRun struct {
 // starts at head.
 type ringLayout struct{ len, head int }
 
-// runRing runs the ring workload on the path 0-1 with Ext-carrying payloads
-// (so lost and discarded messages recycle arena chunks) for maxRounds
-// rounds.
+// runRing runs the ring workload on the path 0-1 with a one-word body on
+// every message (so lost and discarded messages retire continuation slots)
+// for maxRounds rounds.
 func runRing(t testing.TB, layout *ringLayout, maxRounds int, opts ...Option) ringRun {
-	return runRingTails(t, layout, nil, maxRounds, opts...)
+	return runRingBodies(t, layout, func(int) int { return 1 }, maxRounds, opts...)
 }
 
-// runRingTails is runRing where message seq carries a one-word Ext tail only
-// when tail(seq) holds (every message when tail is nil).
-func runRingTails(t testing.TB, layout *ringLayout, tail func(seq int) bool, maxRounds int, opts ...Option) ringRun {
+// runRingBodies is runRing where message seq carries a body of body(seq)
+// words, word j being seq<<8 | j.
+func runRingBodies(t testing.TB, layout *ringLayout, body func(seq int) int, maxRounds int, opts ...Option) ringRun {
 	t.Helper()
 	g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	s := NewTopo(g, opts...)
@@ -96,10 +99,11 @@ func runRingTails(t testing.TB, layout *ringLayout, tail func(seq int) bool, max
 	var res ringRun
 	res.executed = s.Run([]int{0}, maxRounds, func(v int, ctx *Ctx) {
 		if v == 1 {
-			for _, m := range ctx.In() {
-				r := rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload}
-				r.Payload.Ext = append([]uint64(nil), m.Payload.Ext...)
-				res.log = append(res.log, r)
+			in := ctx.In()
+			for i := range in {
+				m := &in[i]
+				res.log = append(res.log, rcvd{Round: ctx.Round(), From: m.From, Words: m.Words, Payload: m.Payload})
+				res.bodies = append(res.bodies, ctx.Body(m, nil))
 			}
 			return
 		}
@@ -108,33 +112,31 @@ func runRingTails(t testing.TB, layout *ringLayout, tail func(seq int) bool, max
 			return
 		}
 		head, size := q.head, len(q.buf)
-		extSize := 0
-		if tails := s.tailRing(e); tails != nil {
-			extSize = len(*tails)
-		}
 		seq := 0
 		for _, b := range backlogSends[:r] {
 			seq += len(b)
 		}
+		bodied := false
 		for i, w := range backlogSends[r] {
-			p := Payload{Kind: 1, W0: uint64(seq + i)}
-			if tail == nil || tail(seq+i) {
-				p.Ext = ctx.Ext(1)
-				p.Ext[0] = uint64(seq + i)
+			buf := ctx.Scratch(body(seq + i))
+			for j := range buf {
+				buf[j] = uint64((seq+i)<<8 | j)
 			}
-			ctx.Send(1, p, w)
+			at := q.slot(int(q.n))
+			ctx.Send(1, Payload{Kind: 1, W0: uint64(seq + i)}, w, buf...)
+			if len(buf) > 0 {
+				bodied = true
+				if at+1+bodySlots(len(buf)) > len(q.buf) {
+					res.bodySplit = true
+				}
+			}
 		}
 		if int(q.head)+int(q.n) > len(q.buf) {
 			res.wrapped = true
 		}
 		if len(q.buf) > size && head != 0 {
 			res.grewWrapped = true
-			if extSize > 0 {
-				res.extGrewWrapped = true
-			}
-		}
-		if tails := s.tailRing(e); tails != nil && len(*tails) != len(q.buf) {
-			res.extSkew = true
+			res.bodyGrewWrapped = res.bodyGrewWrapped || bodied
 		}
 		ctx.Wake()
 	})
@@ -154,6 +156,9 @@ func requireRingRunsEqual(t *testing.T, got, want ringRun) {
 	}
 	if !reflect.DeepEqual(got.log, want.log) {
 		t.Fatalf("delivery logs differ:\ngot:  %v\nwant: %v", got.log, want.log)
+	}
+	if !reflect.DeepEqual(got.bodies, want.bodies) {
+		t.Fatalf("delivered bodies differ:\ngot:  %v\nwant: %v", got.bodies, want.bodies)
 	}
 }
 
@@ -181,21 +186,42 @@ func TestRingWrapUnderPacing(t *testing.T) {
 	}
 }
 
-// TestRingExtTailsGrowInLockstep: messages carry tails only now and then,
-// so the Ext side ring appears once the entry ring has already wrapped and
-// then grows while wrapped. It stays slot-parallel to the entry ring, and
-// every message arrives with exactly its own tail, in the reference's round.
+// requireOwnBodies fails unless every delivered message carries exactly the
+// body runRingBodies gave it.
+func requireOwnBodies(t *testing.T, got ringRun, body func(seq int) int) {
+	t.Helper()
+	for i, m := range got.log {
+		seq := int(m.Payload.W0)
+		b := got.bodies[i]
+		if len(b) != body(seq) {
+			t.Fatalf("message %d arrived with a %d-word body, want %d", seq, len(b), body(seq))
+		}
+		for j, w := range b {
+			if w != uint64(seq<<8|j) {
+				t.Fatalf("message %d arrived with body %v", seq, b)
+			}
+		}
+	}
+}
+
+// TestRingExtTailsGrowInLockstep: messages carry bodies of 0 to 9 words, and
+// only from message 5 on, so continuation slots first appear once the ring
+// has wrapped, straddle its end and grow with it while wrapped. Every message
+// arrives with exactly its own body, in the reference's round: the body
+// rides with its head and costs no pacing of its own.
 func TestRingExtTailsGrowInLockstep(t *testing.T) {
 	want := refPacing(backlogSends, DefaultEdgeCapacity)
-	tail := func(seq int) bool { return seq >= 5 && seq%3 == 2 }
-	for _, layout := range []*ringLayout{nil, wrappingLayout} {
-		got := runRingTails(t, layout, tail, 1000)
-		if !got.wrapped || !got.extGrewWrapped {
-			t.Fatalf("layout %+v: ring wrapped=%v, side ring grew while wrapped=%v: the workload no longer exercises the side ring",
-				layout, got.wrapped, got.extGrewWrapped)
+	body := func(seq int) int {
+		if seq < 5 {
+			return 0
 		}
-		if got.extSkew {
-			t.Fatalf("layout %+v: the Ext side ring left lockstep with the entry ring", layout)
+		return seq % 10
+	}
+	for _, layout := range []*ringLayout{nil, wrappingLayout} {
+		got := runRingBodies(t, layout, body, 1000)
+		if !got.wrapped || !got.bodyGrewWrapped || !got.bodySplit {
+			t.Fatalf("layout %+v: ring wrapped=%v, grew while wrapped with bodies=%v, body straddled the end=%v: the workload no longer exercises continuation slots",
+				layout, got.wrapped, got.bodyGrewWrapped, got.bodySplit)
 		}
 		if len(got.log) != len(want) {
 			t.Fatalf("layout %+v: delivered %d messages, want %d", layout, len(got.log), len(want))
@@ -204,43 +230,19 @@ func TestRingExtTailsGrowInLockstep(t *testing.T) {
 			if m.Payload.W0 != uint64(i) || m.Round != want[i] {
 				t.Fatalf("delivery %d: message %d in round %d, want message %d in round %d", i, m.Payload.W0, m.Round, i, want[i])
 			}
-			if wantExt := tail(i); (len(m.Payload.Ext) == 1) != wantExt || wantExt && m.Payload.Ext[0] != uint64(i) {
-				t.Fatalf("message %d arrived with tail %v (tail expected: %v)", i, m.Payload.Ext, wantExt)
-			}
 		}
+		requireOwnBodies(t, got, body)
 	}
-}
-
-// arenas lists the simulator's serial arena and its shard arenas.
-func arenas(s *Simulator) []*wordArena {
-	out := []*wordArena{&s.arena}
-	for i := range s.shardArena {
-		out = append(out, &s.shardArena[i])
-	}
-	return out
-}
-
-// parkedChunks counts the Ext chunks parked in the simulator's arenas and
-// how many times each backing array is parked.
-func parkedChunks(s *Simulator) (total int64, seen map[*uint64]int) {
-	seen = make(map[*uint64]int)
-	for _, a := range arenas(s) {
-		for _, list := range a.free {
-			total += int64(len(list))
-			for _, c := range list {
-				seen[&c[:1][0]]++
-			}
-		}
-	}
-	return total, seen
 }
 
 // TestRingFaultPathsReturnChunksOnce: on the discard, duplicate and lost
-// paths every Ext chunk comes back to an arena exactly once. Every arena is
-// stocked with more chunks of each size class than the run can hold live,
-// so no clone allocates: afterwards the parked inventory must be exactly the
-// stock (a chunk returned twice would grow it, one never returned would
-// shrink it), with every stocked chunk parked once.
+// paths a message leaves the ring with all its continuation slots, exactly
+// once, and fault counters count messages, not slots. Every message carries
+// a body of 1 to 9 words, so a path that retired only the head slot would
+// misread the body slots after it as messages. Afterwards the queue is
+// empty, every delivered message carries its own body, and the sent
+// messages are exactly the distinct delivered ones plus the lost and the
+// discarded ones.
 func TestRingFaultPathsReturnChunksOnce(t *testing.T) {
 	plans := []struct {
 		name string
@@ -254,53 +256,41 @@ func TestRingFaultPathsReturnChunksOnce(t *testing.T) {
 		{"dup", &faults.Plan{Seed: 4, Duplicate: 0.3}, func(c faults.Counters) bool { return c.Duplicated > 0 }},
 		{"lost", &faults.Plan{Seed: 3, Drop: 0.5, RetryBudget: 1}, func(c faults.Counters) bool { return c.Lost > 0 }},
 	}
+	body := func(seq int) int { return 1 + seq%9 }
+	sent := 0
+	for _, b := range backlogSends {
+		sent += len(b)
+	}
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
-			g := graph.Path(2, graph.UnitWeights, rand.New(rand.NewSource(1)))
-			s := NewTopo(g, WithFaults(tc.plan))
-			s.ensureTopology()
-			for _, a := range arenas(s) {
-				for cls := 0; cls <= 2; cls++ {
-					for i := 0; i < 100; i++ {
-						a.put(make([]uint64, 1<<cls))
-					}
-				}
+			got := runRingBodies(t, nil, body, 1000, WithFaults(tc.plan))
+			if !tc.want(got.ctr) {
+				t.Fatalf("plan injected %+v: the fault path under test did not fire", got.ctr)
 			}
-			stock, stocked := parkedChunks(s)
-			s.Run([]int{0}, 1000, func(v int, ctx *Ctx) {
-				if v != 0 || ctx.Round() >= len(backlogSends) {
-					return
-				}
-				for i, w := range backlogSends[ctx.Round()] {
-					ext := ctx.Ext(1 + i%3)
-					ext[0] = uint64(i)
-					ctx.Send(1, Payload{Kind: 1, Ext: ext}, w)
-				}
-				ctx.Wake()
-			})
-			if !tc.want(s.FaultCounters()) {
-				t.Fatalf("plan injected %+v: the fault path under test did not fire", s.FaultCounters())
+			requireOwnBodies(t, got, body)
+			distinct := make(map[uint64]bool)
+			for _, m := range got.log {
+				distinct[m.Payload.W0] = true
 			}
-			total, seen := parkedChunks(s)
-			if total != stock || len(seen) != int(stock) {
-				t.Fatalf("%d chunks parked (%d distinct) after the run, %d stocked", total, len(seen), stock)
+			if n := int64(len(distinct)) + got.ctr.Lost + got.ctr.Discarded; n != int64(sent) {
+				t.Fatalf("%d distinct delivered + %d lost + %d discarded = %d messages, %d sent",
+					len(distinct), got.ctr.Lost, got.ctr.Discarded, n, sent)
 			}
-			for c := range seen {
-				if stocked[c] == 0 {
-					t.Fatal("a clone allocated: the stock no longer covers the workload")
-				}
+			if int64(len(got.log)) != int64(len(distinct))+got.ctr.Duplicated {
+				t.Fatalf("%d deliveries of %d distinct messages with %d duplicated", len(got.log), len(distinct), got.ctr.Duplicated)
 			}
 		})
 	}
 }
 
-// TestQueueEntryLayout: a queued entry is at most 40 bytes and holds no
-// pointer, so rings stay small and the collector never scans them; a queue
-// is at most 40 bytes, since the queue array is the engine's largest O(m)
-// structure.
+// TestQueueEntryLayout: a queued entry is 40 bytes, its body length in the
+// slot's padding, and holds no pointer, so rings stay small and the
+// collector never scans them; a queue is at most 40 bytes, since the queue
+// array is the engine's largest O(m) structure; and a Message and its
+// Payload hold no pointer either, so inboxes are never scanned.
 func TestQueueEntryLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(qEntry{}); sz > 40 {
-		t.Fatalf("qEntry is %d bytes, want <= 40", sz)
+	if sz := unsafe.Sizeof(qEntry{}); sz != 40 {
+		t.Fatalf("qEntry is %d bytes, want 40", sz)
 	}
 	if sz := unsafe.Sizeof(edgeQueue{}); sz > 40 {
 		t.Fatalf("edgeQueue is %d bytes, want <= 40", sz)
@@ -310,7 +300,7 @@ func TestQueueEntryLayout(t *testing.T) {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
 			reflect.Interface, reflect.String, reflect.UnsafePointer:
-			t.Fatalf("qEntry%s is a %s: entries must hold no pointer", path, typ.Kind())
+			t.Fatalf("%s is a %s: it must hold no pointer", path, typ.Kind())
 		case reflect.Array:
 			walk(typ.Elem(), path+"[i]")
 		case reflect.Struct:
@@ -319,7 +309,10 @@ func TestQueueEntryLayout(t *testing.T) {
 			}
 		}
 	}
-	walk(reflect.TypeOf(qEntry{}), "")
+	for _, v := range []any{qEntry{}, Message{}, Payload{}} {
+		typ := reflect.TypeOf(v)
+		walk(typ, typ.Name())
+	}
 }
 
 // TestRingFaultPathsWrapped runs every fault class on the ring workload

@@ -125,10 +125,9 @@ func BenchmarkGrid400Build(b *testing.B) {
 }
 
 // grid400K3AllocBudget is what one grid400 k=3 Build may allocate: the
-// 5.80 MB measured when this pin was set (the same at GOMAXPROCS 1 to 4;
-// 6.10 MB under -race) plus 10%. A change that needs more must say why and
-// move the pin.
-const grid400K3AllocBudget = 6_380_000
+// 5.42 MB measured when this pin was set (the same at GOMAXPROCS 1 and 2)
+// plus 10%. A change that needs more must say why and move the pin.
+const grid400K3AllocBudget = 5_970_000
 
 // TestBuildAllocBudget pins the build's allocation diet: one Build of the
 // grid400 k=3 instance, on a fresh simulator, allocates at most

@@ -51,7 +51,7 @@ func lowerCRoot(es []rootCEntry, root int) int {
 
 // Wire format of the H-step broadcast of the approximate cluster growth: a
 // virtual vertex's limited estimates plus its hopset out-edges. Inline words
-// carry the sender and the estimate count; the tail is (root, dist) pairs
+// carry the sender and the estimate count; the body is (root, dist) pairs
 // followed by (To, Weight, Level) edge triples.
 const kindHMsg congest.PayloadKind = 3
 
@@ -59,7 +59,7 @@ const kindHMsg congest.PayloadKind = 3
 type vr struct{ v, r int }
 
 // clusterGrowth is the reusable workspace of growApproxClusters: estimates,
-// the dirty worklist, seed/message/tail buffers and the bound step/handler
+// the dirty worklist, seed/message/body buffers and the bound step/handler
 // functions all persist across levels, so steady-state growth iterations
 // allocate nothing.
 type clusterGrowth struct {
@@ -69,7 +69,7 @@ type clusterGrowth struct {
 	dirtyList []vr
 	srcs      []hopset.Source
 	msgs      []congest.BroadcastMsg
-	extBufs   [][]uint64
+	bodies    congest.BodyBufs
 	rev       []int
 
 	ex        *hopset.Explorer
@@ -139,18 +139,6 @@ func (g *clusterGrowth) markDirty(v, r int, ent *rootCEntry) {
 	}
 }
 
-// extBuf returns the reusable tail buffer for broadcast message index i
-// (broadcast payload tails stay caller-owned, so per-index pooling is safe).
-func (g *clusterGrowth) extBuf(i, n int) []uint64 {
-	for len(g.extBufs) <= i {
-		g.extBufs = append(g.extBufs, nil)
-	}
-	if cap(g.extBufs[i]) < n {
-		g.extBufs[i] = make([]uint64, n)
-	}
-	return g.extBufs[i][:n]
-}
-
 // relaxEsts relaxes every shipped (root, dist) pair across one hopset edge
 // of weight w incident to vertex w (from sender u).
 func (g *clusterGrowth) relaxEsts(w, u int, ests []uint64, weight float64) {
@@ -192,8 +180,8 @@ func (g *clusterGrowth) onHMsg(w int, d *congest.Delivery) {
 			continue
 		}
 		ne := congest.WordInt(p.W1)
-		ests := p.Ext[:2*ne]
-		edges := p.Ext[2*ne:]
+		ests := m.Body[:2*ne]
+		edges := m.Body[2*ne:]
 		// Forward direction: an out-edge (u -> w) relaxes w.
 		for j := 0; j+2 < len(edges); j += 3 {
 			if congest.WordInt(edges[j]) == w {
@@ -261,10 +249,7 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 		g.markDirty(r, r, ent)
 	}
 
-	maxIter := b.o.Beta
-	if maxIter <= 0 {
-		maxIter = 4 * (b.vg.M() + 1)
-	}
+	maxIter := 4 * (b.vg.M() + 1)
 	iters := 0
 	for iter := 0; iter < maxIter && len(g.dirtyList) > 0; iter++ {
 		iters = iter + 1
@@ -326,7 +311,7 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 		for _, u := range b.vg.Members() {
 			es := g.est[u]
 			out := b.hs.Out(u)
-			buf := g.extBuf(len(g.msgs), 2*len(es)+3*len(out))
+			buf := g.bodies.Get(len(g.msgs), 2*len(es)+3*len(out))
 			ne := 0
 			for idx := range es {
 				if e := &es[idx]; e.dist < g.virtCap(u) || u == e.root {
@@ -351,9 +336,9 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 					Kind: kindHMsg,
 					W0:   congest.IntWord(u),
 					W1:   congest.IntWord(ne),
-					Ext:  buf[:pos],
 				},
 				Words: 1 + 2*ne + 3*len(out),
+				Body:  buf[:pos],
 			})
 		}
 		b.sim.Broadcast(g.msgs, g.handler)
@@ -529,10 +514,7 @@ func (b *builder) assemble() (*Scheme, error) {
 			s = c
 		}
 	}
-	q := b.o.TreeQ
-	if q <= 0 {
-		q = 1 / math.Sqrt(float64(s)*float64(b.n))
-	}
+	q := 1 / math.Sqrt(float64(s)*float64(b.n))
 	maxOffset := int(math.Sqrt(float64(s)*float64(b.n))*math.Log2(float64(b.n)+1)) + 1
 	var res *treeroute.DistResult
 	err := b.timed("tree-routing", func() (err error) {

@@ -52,19 +52,16 @@ type Options struct {
 	Epsilon float64
 	// Seed drives all sampling.
 	Seed int64
-	// BScale scales every hop budget: level-j explorations use
-	// min(n, ⌈BScale·n^{j/k}·ln n⌉) hops and B uses j = ⌈k/2⌉. The paper's
-	// constant is 4; the default 1.5 keeps laptop-scale runs faithful
-	// without the galactic slack.
-	BScale float64
-	// Beta caps Bellman-Ford iterations over G' ∪ H (0 = run to
-	// convergence and report the realised β).
-	Beta int
-	// HopsetKappa is the hopset hierarchy depth (default 3).
-	HopsetKappa int
-	// TreeQ overrides the tree-routing portal probability (0 = auto).
-	TreeQ float64
 }
+
+// hopScale scales every hop budget: level-j explorations use
+// min(n, ⌈hopScale·n^{j/k}·ln n⌉) hops and B uses j = ⌈k/2⌉. The paper's
+// constant is 4; 1.5 keeps laptop-scale runs faithful without the galactic
+// slack.
+const hopScale = 1.5
+
+// hopsetKappa is the hopset hierarchy depth.
+const hopsetKappa = 3
 
 // numBuildPhases is the phase count the phase spans carry: the five timed
 // phases of Build plus the tree-routing phase run during assemble. Build
@@ -77,12 +74,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Epsilon <= 0 {
 		out.Epsilon = 0.05
-	}
-	if out.BScale <= 0 {
-		out.BScale = 1.5
-	}
-	if out.HopsetKappa < 2 {
-		out.HopsetKappa = 3
 	}
 	return out
 }
@@ -222,9 +213,9 @@ type builder struct {
 }
 
 // hopBudget returns the level-j exploration hop budget
-// min(n, ⌈BScale·n^{j/k}·ln n⌉).
+// min(n, ⌈hopScale·n^{j/k}·ln n⌉).
 func (b *builder) hopBudget(j int) int {
-	h := int(math.Ceil(b.o.BScale * math.Pow(float64(b.n), float64(j)/float64(b.k)) * math.Log(float64(b.n)+1)))
+	h := int(math.Ceil(hopScale * math.Pow(float64(b.n), float64(j)/float64(b.k)) * math.Log(float64(b.n)+1)))
 	if h < 2 {
 		h = 2
 	}
@@ -301,7 +292,7 @@ func (b *builder) buildHopset() error {
 	}
 	b.vg = vg
 	hs, err := hopset.Build(b.ex, vg, hopset.Options{
-		Kappa: b.o.HopsetKappa,
+		Kappa: hopsetKappa,
 		Seed:  b.o.Seed + 1,
 	})
 	if err != nil {
@@ -321,7 +312,6 @@ func (b *builder) approxPivots() error {
 			seeds = append(seeds, hopset.Source{Root: -1, At: v, Dist: 0})
 		}
 		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, hopset.BFOptions{
-			Beta:    b.o.Beta,
 			Scratch: hopset.NewBFScratch(b.ex),
 		})
 		if err != nil {

@@ -63,56 +63,6 @@ func TestRouteFailsOnCorruptedTable(t *testing.T) {
 	}
 }
 
-func TestBetaCapStillRoutes(t *testing.T) {
-	// Even with the Bellman-Ford iteration budget capped hard at 2, the
-	// scheme must keep routing (top-level clusters have no distance limit,
-	// so coverage survives; only approximation quality degrades).
-	g := testGraph(t, graph.FamilyErdosRenyi, 100, 205)
-	sim := congest.NewTopo(g, congest.WithSeed(206))
-	s, err := Build(sim, Options{K: 2, Seed: 206, Beta: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := dataplane.Compile(s.Scheme)
-	r := rand.New(rand.NewSource(207))
-	for trial := 0; trial < 60; trial++ {
-		u, v := r.Intn(g.N()), r.Intn(g.N())
-		if _, _, err := tab.Route(u, v); err != nil {
-			t.Fatalf("route %d->%d with capped beta: %v", u, v, err)
-		}
-	}
-	if s.Stats.BetaRealised > 2 {
-		t.Fatalf("beta cap ignored: %d", s.Stats.BetaRealised)
-	}
-}
-
-func TestBScaleControlsHopBudget(t *testing.T) {
-	// BScale scales the realised B (capped at n); explorations quiesce on
-	// their own, so rounds need not change, but coverage must survive even
-	// at a small scale on a well-connected graph.
-	g := testGraph(t, graph.FamilyErdosRenyi, 150, 208)
-	bs := make(map[float64]int)
-	for _, scale := range []float64{0.5, 2.0} {
-		sim := congest.NewTopo(g, congest.WithSeed(209))
-		s, err := Build(sim, Options{K: 2, Seed: 209, BScale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab := dataplane.Compile(s.Scheme)
-		bs[scale] = s.Stats.B
-		r := rand.New(rand.NewSource(210))
-		for trial := 0; trial < 40; trial++ {
-			u, v := r.Intn(g.N()), r.Intn(g.N())
-			if _, _, err := tab.Route(u, v); err != nil {
-				t.Fatalf("scale=%v route %d->%d: %v", scale, u, v, err)
-			}
-		}
-	}
-	if bs[2.0] <= bs[0.5] {
-		t.Fatalf("B should grow with BScale: %v", bs)
-	}
-}
-
 func TestUnitWeightGraph(t *testing.T) {
 	// Hypercube with unit-ish weights: aspect ratio near 1.
 	g := testGraph(t, graph.FamilyHypercube, 128, 210)
@@ -181,22 +131,5 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 		if _, _, err := tab.Route(u, v); err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
-	}
-}
-
-func TestTreeQOverride(t *testing.T) {
-	g := testGraph(t, graph.FamilyErdosRenyi, 80, 218)
-	sim := congest.NewTopo(g, congest.WithSeed(219))
-	s, err := Build(sim, Options{K: 2, Seed: 219, TreeQ: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats.TreePortals == 0 {
-		t.Fatal("no portals sampled")
-	}
-	// A high portal rate on many trees should sample a lot of portals.
-	if s.Stats.TreePortals < s.Stats.Clusters {
-		t.Fatalf("portals %d below cluster count %d at q=0.4",
-			s.Stats.TreePortals, s.Stats.Clusters)
 	}
 }

@@ -34,7 +34,7 @@ type BFResult struct {
 
 // Wire format of the H-step broadcast: a virtual vertex's estimate inline
 // (u, d) plus its stored hopset out-edges as (To, Weight, Level) triples in
-// the variable-length tail.
+// the body.
 const (
 	kindBEst congest.PayloadKind = 2
 
@@ -44,14 +44,14 @@ const (
 )
 
 // BFScratch is a reusable BellmanFord workspace. A steady-state call on a
-// warm scratch allocates nothing: seed lists, broadcast messages, payload
-// tails, the epoch-stamped relaxation table, and the result arrays are all
+// warm scratch allocates nothing: seed lists, broadcast messages, message
+// bodies, the epoch-stamped relaxation table, and the result arrays are all
 // recycled. Not safe for concurrent use.
 type BFScratch struct {
 	ex      *Explorer
 	srcs    []Source
 	msgs    []congest.BroadcastMsg
-	extBufs [][]uint64
+	bodies  congest.BodyBufs
 	handler func(v int, d *congest.Delivery)
 
 	// Pending hopset relaxations, held from the broadcast handler to the
@@ -98,19 +98,6 @@ func (sc *BFScratch) ensure(sim *congest.Simulator) {
 	}
 }
 
-// extBuf returns the reusable tail buffer for broadcast message index i.
-// Broadcast payload tails stay caller-owned (the analytic primitives never
-// touch the arena), so pooling per message index is safe.
-func (sc *BFScratch) extBuf(i, n int) []uint64 {
-	for len(sc.extBufs) <= i {
-		sc.extBufs = append(sc.extBufs, nil)
-	}
-	if cap(sc.extBufs[i]) < n {
-		sc.extBufs[i] = make([]uint64, n)
-	}
-	return sc.extBufs[i][:n]
-}
-
 // onBEst handles the H-step broadcast at virtual vertex v. Relaxations
 // charge v's meter, so the messages are read in order through At.
 func (sc *BFScratch) onBEst(v int, dl *congest.Delivery) {
@@ -132,10 +119,10 @@ func (sc *BFScratch) onBEst(v int, dl *congest.Delivery) {
 		}
 		u := congest.WordInt(p.W0)
 		// Forward direction: an out-edge (u -> w) relaxes w = v.
-		ext := p.Ext
-		for j := 0; j+edgeWords <= len(ext); j += edgeWords {
-			if congest.WordInt(ext[j]) == v {
-				sc.relax(v, d+congest.WordFloat(ext[j+1]), u)
+		body := m.Body
+		for j := 0; j+edgeWords <= len(body); j += edgeWords {
+			if congest.WordInt(body[j]) == v {
+				sc.relax(v, d+congest.WordFloat(body[j+1]), u)
 			}
 		}
 		// Reverse direction: v's own out-edge (v -> u) relaxes v.
@@ -252,11 +239,11 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 			if res.Dist[u] == graph.Infinity && len(out) == 0 {
 				continue
 			}
-			ext := sc.extBuf(len(sc.msgs), edgeWords*len(out))
+			body := sc.bodies.Get(len(sc.msgs), edgeWords*len(out))
 			for j, e := range out {
-				ext[edgeWords*j] = congest.IntWord(e.To)
-				ext[edgeWords*j+1] = congest.FloatWord(e.Weight)
-				ext[edgeWords*j+2] = congest.IntWord(e.Level)
+				body[edgeWords*j] = congest.IntWord(e.To)
+				body[edgeWords*j+1] = congest.FloatWord(e.Weight)
+				body[edgeWords*j+2] = congest.IntWord(e.Level)
 			}
 			sc.msgs = append(sc.msgs, congest.BroadcastMsg{
 				Origin: u,
@@ -264,9 +251,9 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 					Kind: kindBEst,
 					W0:   congest.IntWord(u),
 					W1:   congest.FloatWord(res.Dist[u]),
-					Ext:  ext,
 				},
 				Words: bEstHeadWords + edgeWords*len(out),
+				Body:  body,
 			})
 		}
 		sc.relaxEpoch++

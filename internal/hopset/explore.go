@@ -113,8 +113,8 @@ func lowerRoot(es []RootEntry, root int) int {
 }
 
 // Wire format of an exploration step: 5 words (tag, root, origin, dist,
-// ttl), all inline - the hottest message of the whole construction never
-// touches the payload arena.
+// ttl), all inline - the hottest message of the whole construction carries
+// no body.
 const (
 	kindExplore congest.PayloadKind = 1
 

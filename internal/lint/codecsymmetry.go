@@ -153,11 +153,11 @@ func runCodecSymmetry(pass *Pass) {
 			}
 		}
 
-		// Declared word counts: a constant, Ext-free literal site must
+		// Declared word counts: a constant, body-free literal site must
 		// declare exactly its inline footprint (1+max set index), or one
 		// more when the kind tag is accounted as its own word.
 		for _, s := range pp.sends {
-			if s.kind != kc || s.lit == nil || s.hasExt || s.wordsExpr == nil {
+			if s.kind != kc || s.lit == nil || s.hasBody || s.wordsExpr == nil {
 				continue
 			}
 			words, ok := constWordCount(info, s.wordsExpr)

@@ -1,6 +1,11 @@
 package lint
 
-import "strings"
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+)
 
 // LM007 kindconformance: every PayloadKind placed on the wire must be
 // recognized on the receive side, and vice versa. The analyzer runs the
@@ -22,6 +27,13 @@ import "strings"
 // Transports must agree: a kind sent point-to-point is matched by handlers
 // reading ctx.In(); a broadcast kind by *congest.BroadcastMsg handlers.
 // Helpers taking a bare *congest.Payload match either transport.
+//
+// A point-to-point message is received by the step function of the Run
+// that sent it, so its kind must be matched by code that step function
+// reaches, not merely somewhere in the package: a phase that sends another
+// phase's kind is an error too. The step functions are the handlers that no
+// other handler calls (stepGraph); a step reaches the functions it calls and
+// the function literals it contains, transitively.
 func analyzerKindConformance() *Analyzer {
 	return &Analyzer{
 		Name: "kindconformance",
@@ -62,6 +74,15 @@ func runKindConformance(pass *Pass) {
 		}
 		return false
 	}
+	g := newStepGraph(pass.Pkg)
+	matchedFrom := func(kc *kindConst, step ast.Node) bool {
+		for _, m := range pp.matches {
+			if m.kind == kc && transportsCompatible(transportSend, m.transport) && g.reaches(step, g.funcAt(m.pos)) {
+				return true
+			}
+		}
+		return false
+	}
 	sentOver := make(map[*kindConst]map[string]bool)
 	for _, s := range pp.sends {
 		if s.kind == nil {
@@ -73,6 +94,16 @@ func runKindConformance(pass *Pass) {
 		sentOver[s.kind][s.transport] = true
 		if !matched(s.kind, s.transport) {
 			pass.Reportf(s.pos, "kind %s is sent here (%s) but no handler matches it on that transport", s.kind.name, s.transport)
+			continue
+		}
+		if s.transport != transportSend {
+			continue
+		}
+		for _, step := range g.stepsReaching(g.funcAt(s.pos)) {
+			if !matchedFrom(s.kind, step) {
+				pass.Reportf(s.pos, "kind %s is sent here (send) but no handler reachable from its step function matches it", s.kind.name)
+				break
+			}
 		}
 	}
 
@@ -138,6 +169,118 @@ func dedupeStrings(in []string) []string {
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// stepGraph is the package's call graph over its function declarations and
+// literals, with its step functions: the handlers (hasHandlerParam) that no
+// other handler calls. A broadcast handler counts as one too, but it sends
+// nothing point-to-point, so it never reaches a send site. An edge runs from a function
+// to each package function it calls (by name, as a method, or through a
+// local variable holding a literal) and to each literal it contains.
+type stepGraph struct {
+	funcs []ast.Node // every FuncDecl with a body and every FuncLit
+	edges map[ast.Node][]ast.Node
+	steps []ast.Node
+	reach map[ast.Node]map[ast.Node]bool // per step: the functions it reaches
+}
+
+func newStepGraph(pkg *Package) *stepGraph {
+	info := pkg.Info
+	g := &stepGraph{edges: make(map[ast.Node][]ast.Node), reach: make(map[ast.Node]map[ast.Node]bool)}
+	byObj := make(map[types.Object]ast.Node) // funcs and literal-holding vars
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					g.funcs = append(g.funcs, n)
+					if obj := info.Defs[n.Name]; obj != nil {
+						byObj[obj] = n
+					}
+				}
+			case *ast.FuncLit:
+				g.funcs = append(g.funcs, n)
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok && len(n.Lhs) == len(n.Rhs) {
+						if id, ok := n.Lhs[i].(*ast.Ident); ok {
+							if obj := info.ObjectOf(id); obj != nil {
+								byObj[obj] = lit
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	called := make(map[ast.Node]bool) // called by a handler
+	for _, fn := range g.funcs {
+		caller := hasHandlerParam(funcSig(info, fn))
+		ast.Inspect(funcBody(fn), func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				g.edges[fn] = append(g.edges[fn], n)
+				return false // its own calls are its own edges
+			case *ast.CallExpr:
+				var obj types.Object
+				switch fun := ast.Unparen(n.Fun).(type) {
+				case *ast.Ident:
+					obj = info.Uses[fun]
+				case *ast.SelectorExpr:
+					obj = info.Uses[fun.Sel]
+				}
+				if callee := byObj[obj]; callee != nil {
+					g.edges[fn] = append(g.edges[fn], callee)
+					called[callee] = called[callee] || caller
+				}
+			}
+			return true
+		})
+	}
+	for _, fn := range g.funcs {
+		if hasHandlerParam(funcSig(info, fn)) && !called[fn] {
+			g.steps = append(g.steps, fn)
+			seen := map[ast.Node]bool{fn: true}
+			for work := []ast.Node{fn}; len(work) > 0; {
+				cur := work[len(work)-1]
+				work = work[:len(work)-1]
+				for _, next := range g.edges[cur] {
+					if !seen[next] {
+						seen[next] = true
+						work = append(work, next)
+					}
+				}
+			}
+			g.reach[fn] = seen
+		}
+	}
+	return g
+}
+
+// funcAt is the innermost function containing pos.
+func (g *stepGraph) funcAt(pos token.Pos) ast.Node {
+	var best ast.Node
+	for _, fn := range g.funcs {
+		if fn.Pos() <= pos && pos < fn.End() && (best == nil || best.Pos() <= fn.Pos() && fn.End() <= best.End()) {
+			best = fn
+		}
+	}
+	return best
+}
+
+// reaches reports whether step reaches fn.
+func (g *stepGraph) reaches(step, fn ast.Node) bool { return g.reach[step][fn] }
+
+// stepsReaching lists the step functions that reach fn.
+func (g *stepGraph) stepsReaching(fn ast.Node) []ast.Node {
+	var out []ast.Node
+	for _, step := range g.steps {
+		if g.reaches(step, fn) {
+			out = append(out, step)
 		}
 	}
 	return out

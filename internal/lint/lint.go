@@ -2,14 +2,14 @@
 // that enforces the repository's model-level resource invariants at build
 // time: CONGEST vertex isolation (LM001), meter accounting of per-vertex
 // allocations (LM002), schedule determinism (LM003), a ban on
-// interface-typed payloads on the wire (LM005), arena Ext ownership (LM006),
-// sender/receiver PayloadKind conformance (LM007), and encode/decode codec
-// symmetry (LM008). Code LM004 is retired (DESIGN.md §8).
-// The LM006–LM008 analyzers share a package-level dataflow layer (dataflow.go,
-// protocol.go): go/types-driven intra-procedural value tracking plus
-// fixed-point call summaries for cross-function flows. See DESIGN.md §8 for
-// the mapping from each analyzer to the paper invariant it guards, and for
-// the table of which checks catch a seeded violation of each rule.
+// interface-typed payloads on the wire (LM005), sender/receiver PayloadKind
+// conformance (LM007), and encode/decode codec symmetry (LM008). Codes LM004
+// and LM006 are retired (DESIGN.md §8).
+// LM007 and LM008 share the protocol extraction of protocol.go: go/types-driven
+// intra-procedural tracking of inbox- and broadcast-derived payloads. See
+// DESIGN.md §8 for the mapping from each analyzer to the paper invariant it
+// guards, and for the table of which checks catch a seeded violation of each
+// rule.
 //
 // Every run applies every analyzer. A finding is waived in place with one
 // comment directive:
@@ -68,7 +68,6 @@ func Analyzers() []*Analyzer {
 		analyzerMeterAccount(),
 		analyzerDeterminism(),
 		analyzerAnyPayload(),
-		analyzerExtOwnership(),
 		analyzerKindConformance(),
 		analyzerCodecSymmetry(),
 	}

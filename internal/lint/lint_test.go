@@ -155,16 +155,12 @@ func TestAnyPayloadFixture(t *testing.T) {
 	runFixture(t, "anypayload", []string{"anypayload"})
 }
 
-func TestExtOwnershipFixture(t *testing.T) {
-	runFixture(t, "extownership", []string{"extownership"})
-}
-
 // TestCSRTopoFixture covers the compact-topology accessor surface
 // (graph.Topology / graph.CSR): reads of the shared CSR arrays are free for
-// LM002, copies into retained vertex state are not, and LM006's arena
-// ownership rules survive NeighborRange fan-out loops unchanged.
+// LM002, copies into retained vertex state are not, and a body relayed
+// through a NeighborRange fan-out loop is copied out once, into scratch.
 func TestCSRTopoFixture(t *testing.T) {
-	runFixture(t, "csrtopo", []string{"meteraccount", "extownership"})
+	runFixture(t, "csrtopo", []string{"meteraccount"})
 }
 
 func TestKindConformanceFixture(t *testing.T) {

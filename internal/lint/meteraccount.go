@@ -14,12 +14,14 @@ import (
 // //lint:waive meteraccount <reason> waiver.
 // Unmetered allocation in a handler is exactly how the paper's per-vertex
 // memory bounds (Theorems 2 and 3) silently rot: the Go heap grows, the
-// meter doesn't.
+// meter doesn't. Ctx.Body appends a received message's body to its second
+// argument, so it is checked as an append.
 //
-// One carve-out: appends whose destination derives from Ctx.Ext are exempt.
-// Ctx.Ext hands out the engine-owned payload-tail scratch buffer — Send
-// copies out of it into the simulator's arena, which is accounted as message
-// words, not vertex memory, so charging a meter for it would double-count.
+// One carve-out: appends (and Ctx.Body calls) whose destination derives
+// from Ctx.Scratch are exempt. Ctx.Scratch is the step's reusable buffer for
+// a body being encoded or read: Send copies it into the edge's ring, which
+// is accounted as message words, not vertex memory, so charging a meter for
+// it would double-count.
 //
 // A second carve-out: buffers whose identifier ends in "Seen" are the fault
 // layer's duplicate-suppression state (see treeroute's sizeSeen/lightSeen).
@@ -62,35 +64,31 @@ func runMeterAccount(p *Pass) {
 	}
 	info := p.Pkg.Info
 
-	// isExtCall reports whether e is (or unwraps to) a Ctx.Ext call.
-	isExtCall := func(e ast.Expr) bool {
+	// isScratchCall reports whether e is (or contains) a Ctx.Scratch call.
+	isScratchCall := func(e ast.Expr) bool {
 		found := false
 		ast.Inspect(e, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || found {
 				return !found
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal &&
-					isCongestNamed(s.Recv(), "Ctx") && sel.Sel.Name == "Ext" {
-					found = true
-				}
-			}
+			found = ctxMethodCall(info, call) == "Scratch"
 			return !found
 		})
 		return found
 	}
 
 	for _, h := range vertexHandlers(p.Pkg) {
-		// extBufs holds locals whose value derives from Ctx.Ext (directly or
-		// via re-slicing/appending); appends into them are arena-accounted.
-		extBufs := make(map[types.Object]bool)
+		// scratch holds locals whose value derives from Ctx.Scratch
+		// (directly or via re-slicing/appending); appends into them are
+		// accounted as message words.
+		scratch := make(map[types.Object]bool)
 		markLHS := func(lhs ast.Expr) {
 			if id, ok := lhs.(*ast.Ident); ok {
 				if obj := info.Defs[id]; obj != nil {
-					extBufs[obj] = true
+					scratch[obj] = true
 				} else if obj := info.Uses[id]; obj != nil {
-					extBufs[obj] = true
+					scratch[obj] = true
 				}
 			}
 		}
@@ -101,18 +99,18 @@ func runMeterAccount(p *Pass) {
 			}
 			if len(as.Lhs) == len(as.Rhs) {
 				for i, rhs := range as.Rhs {
-					if isExtCall(rhs) {
+					if isScratchCall(rhs) {
 						markLHS(as.Lhs[i])
 					}
 				}
-			} else if len(as.Rhs) == 1 && isExtCall(as.Rhs[0]) {
+			} else if len(as.Rhs) == 1 && isScratchCall(as.Rhs[0]) {
 				for _, lhs := range as.Lhs {
 					markLHS(lhs)
 				}
 			}
 			return true
 		})
-		isExtDerived := func(e ast.Expr) bool {
+		isScratch := func(e ast.Expr) bool {
 			for {
 				switch x := e.(type) {
 				case *ast.ParenExpr:
@@ -120,12 +118,12 @@ func runMeterAccount(p *Pass) {
 				case *ast.SliceExpr:
 					e = x.X
 				case *ast.Ident:
-					if obj := info.Uses[x]; obj != nil && extBufs[obj] {
+					if obj := info.Uses[x]; obj != nil && scratch[obj] {
 						return true
 					}
 					return false
 				default:
-					return isExtCall(e)
+					return isScratchCall(e)
 				}
 			}
 		}
@@ -228,12 +226,15 @@ func runMeterAccount(p *Pass) {
 								report(n, "make allocates")
 							}
 						case "append":
-							if len(n.Args) > 0 && (isExtDerived(n.Args[0]) || isSeenBuffer(n.Args[0])) {
-								break // Ctx.Ext scratch or fault-layer dedup buffer
+							if len(n.Args) > 0 && (isScratch(n.Args[0]) || isSeenBuffer(n.Args[0])) {
+								break // Ctx.Scratch or fault-layer dedup buffer
 							}
 							report(n, "append allocates")
 						}
 					}
+				}
+				if ctxMethodCall(info, n) == "Body" && len(n.Args) == 2 && !isScratch(n.Args[1]) && !isSeenBuffer(n.Args[1]) {
+					report(n, "Ctx.Body appends")
 				}
 			case *ast.CompositeLit:
 				if tv, ok := info.Types[n]; ok && isMapOrSlice(tv.Type) {

@@ -33,7 +33,7 @@ type sendSite struct {
 	relay     bool              // forwards a received payload value verbatim
 	lit       *ast.CompositeLit // the congest.Payload literal; nil for relays
 	fields    map[int]ast.Expr  // Wi index -> value expression (lit only)
-	hasExt    bool              // lit sets the Ext field
+	hasBody   bool              // carries a body (Send's body argument, BroadcastMsg.Body)
 	wordsExpr ast.Expr          // words argument / Words field value
 	enclosing string            // enclosing top-level function, for the graph
 }
@@ -152,7 +152,6 @@ type payloadOrigins struct {
 	inSlices   map[types.Object]bool // ctx.In() results
 	inMsgs     map[types.Object]bool // in[i] / &in[i] message values
 	inPayloads map[types.Object]bool // m.Payload / &m.Payload
-	inExts     map[types.Object]bool // p.Ext and reslices thereof
 	bMsgs      map[types.Object]bool // *BroadcastMsg params, call results, aliases
 	bPayloads  map[types.Object]bool
 }
@@ -162,7 +161,6 @@ func newOrigins() *payloadOrigins {
 		inSlices:   make(map[types.Object]bool),
 		inMsgs:     make(map[types.Object]bool),
 		inPayloads: make(map[types.Object]bool),
-		inExts:     make(map[types.Object]bool),
 		bMsgs:      make(map[types.Object]bool),
 		bPayloads:  make(map[types.Object]bool),
 	}
@@ -249,27 +247,6 @@ func computeOrigins(info *types.Info, fn ast.Node) *payloadOrigins {
 					if o.bMsgs[base] {
 						mark(o.bPayloads, obj)
 					}
-				case "Ext":
-					if o.inPayloads[base] {
-						mark(o.inExts, obj)
-					}
-					// m.Payload.Ext: base resolves through the inner
-					// selector, handled by the payload-expression helpers.
-					if inner, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && inner.Sel.Name == "Payload" {
-						if ib := rootIdentObj(info, inner.X); o.inMsgs[ib] {
-							mark(o.inExts, obj)
-						}
-					}
-				}
-			case *ast.SliceExpr:
-				if root := rootIdentObj(info, x.X); root != nil && o.inExts[root] {
-					mark(o.inExts, obj)
-				}
-				// p.Ext[:2*k] in one step.
-				if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Ext" {
-					if b := rootIdentObj(info, sel.X); o.inPayloads[b] {
-						mark(o.inExts, obj)
-					}
 				}
 			case *ast.StarExpr:
 				if root := rootIdentObj(info, x.X); root != nil {
@@ -287,9 +264,6 @@ func computeOrigins(info *types.Info, fn ast.Node) *payloadOrigins {
 					}
 					if o.bPayloads[root] {
 						mark(o.bPayloads, obj)
-					}
-					if o.inExts[root] {
-						mark(o.inExts, obj)
 					}
 					if o.inMsgs[root] {
 						mark(o.inMsgs, obj)
@@ -321,6 +295,29 @@ func computeOrigins(info *types.Info, fn ast.Node) *payloadOrigins {
 		})
 	}
 	return o
+}
+
+// rootIdentObj unwraps parens, slicing, and indexing down to the base
+// identifier's object: `buf[2:k]` and `buf[i]` both root at buf. Returns nil
+// for anything not rooted at a plain identifier.
+func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil {
+				return obj
+			}
+			return info.Defs[x]
+		default:
+			return nil
+		}
+	}
 }
 
 // isBcastMsgPtr reports whether t is *congest.BroadcastMsg.
@@ -754,10 +751,10 @@ func kindComparison(be *ast.BinaryExpr) (*ast.SelectorExpr, ast.Expr) {
 
 // extractSend records a Ctx.Send call as a send site.
 func (pp *pkgProtocol) extractSend(call *ast.CallExpr, o *payloadOrigins, name string, kindAt func(types.Object, token.Pos) *kindConst) {
-	if ctxMethodCall(pp.pkg.Info, call) != "Send" || len(call.Args) != 3 {
+	if ctxMethodCall(pp.pkg.Info, call) != "Send" || len(call.Args) < 3 {
 		return
 	}
-	s := &sendSite{pos: call.Pos(), transport: transportSend, wordsExpr: call.Args[2], enclosing: name}
+	s := &sendSite{pos: call.Pos(), transport: transportSend, wordsExpr: call.Args[2], hasBody: len(call.Args) > 3, enclosing: name}
 	pp.resolvePayloadExpr(s, call.Args[1], o, kindAt)
 	pp.addSend(s)
 }
@@ -785,6 +782,8 @@ func (pp *pkgProtocol) extractBroadcastLit(lit *ast.CompositeLit, name string) {
 			payloadExpr = kv.Value
 		case "Words":
 			s.wordsExpr = kv.Value
+		case "Body":
+			s.hasBody = true
 		}
 	}
 	if payloadExpr == nil {
@@ -821,8 +820,6 @@ func (pp *pkgProtocol) resolvePayloadExpr(s *sendSite, e ast.Expr, o *payloadOri
 				switch {
 				case key == "Kind":
 					kindExpr = kv.Value
-				case key == "Ext":
-					s.hasExt = true
 				default:
 					if wi, isWord := wordFieldIndex[key]; isWord {
 						s.fields[wi] = kv.Value

@@ -6,10 +6,9 @@ package csrtopo
 // Graph.Neighbors. Two contracts are pinned here. For LM002, reading the
 // shared CSR arrays is free (they are host-side graph storage, not vertex
 // state), but copying adjacency into retained per-vertex state is an
-// allocation like any other and must be charged. For LM006, an engine-owned
-// payload Ext slice stays tracked through a NeighborRange loop — forwarding
-// logic that fans a received payload out to CSR neighbors must still
-// copy-before-retain.
+// allocation like any other and must be charged. A received body relayed
+// to every CSR neighbor is copied out once, into Ctx.Scratch, which LM002
+// leaves alone; keeping it in vertex state is charged like any copy.
 
 import (
 	"lowmemroute/internal/congest"
@@ -52,22 +51,18 @@ func retainUnmetered(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
 	_ = deg
 }
 
-// fanOut relays a received payload to every CSR neighbor. The Ext slice is
-// engine-owned: storing it across the loop is an escape, writing through it
-// corrupts the arena, but re-sending it and copy-before-retain are fine —
-// exactly the Graph-path rules, unchanged by the accessor surface.
+// fanOut relays a received message, body included, to every CSR neighbor:
+// the body is copied out into scratch once and Send copies it per neighbor.
+// Keeping a copy is vertex memory, charged here.
 func fanOut(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
 	in := ctx.In()
 	to, _ := topo.NeighborRange(v)
-	ctx.Mem().Charge(1) // the copy-before-retain below is vertex memory
+	ctx.Mem().Charge(1) // the kept copy below is vertex memory
 	for i := range in {
-		p := &in[i].Payload
-		ext := p.Ext
+		body := ctx.Body(&in[i], ctx.Scratch(0))
 		for _, u := range to {
-			s.saved = ext // want `escapes the handler \(stored into a struct field\)`
-			ext[0] = 1    // want `is written through`
-			ctx.Send(int(u), *p, 1+len(ext))
+			ctx.Send(int(u), in[i].Payload, 1+len(body), body...)
 		}
-		s.saved = append(s.saved[:0], ext...)
+		s.saved = append(s.saved[:0], body...)
 	}
 }

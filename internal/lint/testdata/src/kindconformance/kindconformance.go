@@ -84,3 +84,70 @@ func sendOpaque(ctx *congest.Ctx, v int, p congest.Payload) {
 	//lint:waive kindconformance caller-constructed payload, kind checked upstream
 	ctx.Send(v, p, 2)
 }
+
+// Phases of one builder: each Run's step function receives only the
+// messages its own Run sent, so a kind must be matched by code its step
+// function reaches. kindRoot and kindSize are both matched somewhere, which
+// is not enough.
+const (
+	kindRoot congest.PayloadKind = iota + 16 // local-roots flood
+	kindSize                                 // sizes-down report
+	kindDist                                 // explorer: sent by forward, matched by step
+)
+
+type builder struct{}
+
+func (b *builder) runPhase(step congest.StepFunc) { _ = step }
+
+func (b *builder) phaseLocalRoots() {
+	b.runPhase(func(v int, ctx *congest.Ctx) {
+		ctx.Send(v+1, congest.Payload{Kind: kindRoot, W0: congest.IntWord(v)}, 2)
+		in := ctx.In()
+		for i := range in {
+			p := &in[i].Payload
+			if p.Kind != kindRoot {
+				continue
+			}
+			use(congest.WordInt(p.W0))
+		}
+	})
+}
+
+// phaseSizesDown sends the local-roots kind: only phaseLocalRoots' step
+// matches it, and this phase's step never reaches that code.
+func (b *builder) phaseSizesDown() {
+	report := func(v int, ctx *congest.Ctx) {
+		ctx.Send(v+1, congest.Payload{Kind: kindSize, W0: congest.IntWord(v)}, 2)
+	}
+	b.runPhase(func(v int, ctx *congest.Ctx) {
+		ctx.Send(v+1, congest.Payload{Kind: kindRoot, W0: congest.IntWord(v)}, 2) // want `kind kindRoot is sent here \(send\) but no handler reachable from its step function matches it`
+		report(v, ctx)
+		in := ctx.In()
+		for i := range in {
+			p := &in[i].Payload
+			if p.Kind != kindSize {
+				continue
+			}
+			use(congest.WordInt(p.W0))
+		}
+	})
+}
+
+// explorer splits its step the way hopset's does: step matches, forward
+// (which step calls) sends. forward is no step function of its own.
+type explorer struct{}
+
+func (e *explorer) step(v int, ctx *congest.Ctx) {
+	in := ctx.In()
+	for i := range in {
+		p := &in[i].Payload
+		if p.Kind != kindDist {
+			continue
+		}
+		e.forward(congest.WordInt(p.W0), ctx)
+	}
+}
+
+func (e *explorer) forward(v int, ctx *congest.Ctx) {
+	ctx.Send(v+1, congest.Payload{Kind: kindDist, W0: congest.IntWord(v)}, 2)
+}

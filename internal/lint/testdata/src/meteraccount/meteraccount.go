@@ -35,14 +35,32 @@ func maker(v int, ctx *congest.Ctx) map[int]int {
 
 const extWords = 2
 
-// Appends into Ctx.Ext scratch are arena-accounted by Send, not vertex
-// memory: exempt from LM002, including through re-slicing.
+// Appends into Ctx.Scratch are message words once Send copies them, not
+// vertex memory: exempt from LM002, including through re-slicing.
 func extScratch(v int, ctx *congest.Ctx, s *st) {
-	ext := ctx.Ext(extWords)
-	ext = append(ext[:0], congest.IntWord(v))
-	ext = append(ext, congest.IntWord(v+1))
-	ctx.Send(v, congest.Payload{Kind: 1, Ext: ext}, 1+len(ext))
+	body := ctx.Scratch(extWords)
+	body = append(body[:0], congest.IntWord(v))
+	body = append(body, congest.IntWord(v+1))
+	ctx.Send(v, congest.Payload{Kind: 1}, 1+len(body), body...)
 	s.buf = append(s.buf, v) // want `append allocates`
+}
+
+type bodySt struct {
+	kept []uint64
+}
+
+// Ctx.Body appends a received body to its second argument: into
+// Ctx.Scratch it is exempt like any scratch append, into retained state it
+// is an allocation that must be charged.
+func bodies(v int, ctx *congest.Ctx, s *bodySt) {
+	in := ctx.In()
+	for i := range in {
+		body := ctx.Body(&in[i], ctx.Scratch(0))
+		ctx.Send(v, in[i].Payload, 1+len(body), body...)
+		s.kept = ctx.Body(&in[i], s.kept) // want `Ctx.Body appends`
+		fresh := ctx.Body(&in[i], nil)    // want `Ctx.Body appends`
+		_ = fresh
+	}
 }
 
 type faultSt struct {

@@ -429,7 +429,7 @@ type distBuilder struct {
 	// (tree, local index) pairs of the trees containing v, in ascending tree
 	// order. Step functions and receive paths iterate or search this segment
 	// instead of scanning every treeState and binary-searching its member
-	// list per message — builder-side bookkeeping, like msgs/extBufs, not
+	// list per message — builder-side bookkeeping, like msgs/bodies, not
 	// vertex memory.
 	membOff []int32
 	membEnt []membEntry
@@ -443,14 +443,13 @@ type distBuilder struct {
 	initial  []int
 
 	// Reusable broadcast buffers for the pointer-jumping stages: the
-	// message slice and the per-message-index payload tails (broadcast
-	// tails stay caller-owned, so per-index pooling is safe).
-	msgs    []congest.BroadcastMsg
-	extBufs [][]uint64
+	// message slice and the per-message-index bodies.
+	msgs   []congest.BroadcastMsg
+	bodies congest.BodyBufs
 
 	// Pointer-jumping scratch, by message slot (treeState.pbase). jumpA,
 	// jumpS, jumpQ, jumpW and jumpGot are the portals' commit targets, so
-	// broadcast handling stays synchronous; jumpW aliases a received tail
+	// broadcast handling stays synchronous; jumpW aliases a received body
 	// (caller-owned words, valid until the next iteration's encode), which
 	// the commit loop decodes. jumpHead[j] heads the Algorithm 1 list of
 	// messages whose a_i(w) is slot j's portal, chained through jumpNext, -1
@@ -545,17 +544,6 @@ func (b *distBuilder) portalMsg(d *congest.Delivery, st *treeState, x int) *cong
 // index (portalMsg, jumpHead) just spares it reading the others.
 func isFrom(p *congest.Payload, st *treeState, x int) bool {
 	return congest.WordInt(p.W0) == st.idx && congest.WordInt(p.W1) == x
-}
-
-// extBuf returns the reusable tail buffer for broadcast message index i.
-func (b *distBuilder) extBuf(i, n int) []uint64 {
-	for len(b.extBufs) <= i {
-		b.extBufs = append(b.extBufs, nil)
-	}
-	if cap(b.extBufs[i]) < n {
-		b.extBufs[i] = make([]uint64, n)
-	}
-	return b.extBufs[i][:n]
 }
 
 // runPhase wraps Simulator.Run with convergence detection and a span on the

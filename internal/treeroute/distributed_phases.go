@@ -10,20 +10,20 @@ import (
 
 // Message kinds. Every payload carries its tree index t in W0; word counts
 // include it (a tree id is an identity, one word in the CONGEST RAM model).
-// Light-edge lists travel in the variable-length tail as (Parent, Child)
-// word pairs, preceded by an inline length word.
+// Light-edge lists travel in the message body as (Parent, Child) word
+// pairs, preceded by an inline length word.
 const (
 	kindRoot   congest.PayloadKind = iota + 1 // phase A: local-tree flood (W1=root)
 	kindSize                                  // phases B and D: convergecasts (W1=size)
-	kindLight                                 // phase E: local light lists (W1=light, W2=len, Ext=pairs)
-	kindGLight                                // phase G: global light flood (W1=len, Ext=pairs)
+	kindLight                                 // phase E: local light lists (W1=light, W2=len, body=pairs)
+	kindGLight                                // phase G: global light flood (W1=len, body=pairs)
 	kindIdx                                   // phase H: sibling index (W1=idx)
 	kindAdd                                   // phase H: prefix add, child->parent (W1=idx, W2=val)
 	kindFwd                                   // phase H: prefix add, parent->targets (W1=iter, W2=val)
 	kindRange                                 // phase H: parent's DFS range start (W1=a)
 	kindShift                                 // phase J: final shift flood (W1=shift)
 	kindBSize                                 // Algorithm 1 broadcast (W1=x, W2=a, W3=s)
-	kindBLight                                // Algorithm 3 broadcast (W1=x, W2=len, Ext=pairs)
+	kindBLight                                // Algorithm 3 broadcast (W1=x, W2=len, Body=pairs)
 	kindBShift                                // Algorithm 6 broadcast (W1=x, W2=q)
 )
 
@@ -335,17 +335,16 @@ func (b *distBuilder) phaseSizesDown() error {
 // tree; portal children keep the received list as L_0 for Algorithm 3.
 func (b *distBuilder) phaseLocalLight() error {
 	forward := func(st *treeState, l int, list []LightEdge, ctx *congest.Ctx) {
-		// One encode serves every child: Send clones the tail per message.
-		ext := ctx.Ext(lightWords(list))
-		encodeLight(ext, list)
+		// One encode serves every child: Send copies the body per message.
+		body := ctx.Scratch(lightWords(list))
+		encodeLight(body, list)
 		for _, c := range st.tree.ChildrenAt(l) {
 			ctx.Send(c, congest.Payload{
 				Kind: kindLight,
 				W0:   congest.IntWord(st.idx),
 				W1:   congest.BoolWord(c != int(st.m[l].heavy)),
 				W2:   congest.IntWord(len(list)),
-				Ext:  ext,
-			}, 3+lightWords(list))
+			}, 3+lightWords(list), body...)
 		}
 	}
 	b.resetLightSeen()
@@ -372,14 +371,14 @@ func (b *distBuilder) phaseLocalLight() error {
 			}
 			light := congest.WordBool(p.W1)
 			k := congest.WordInt(p.W2)
-			// The received tail is engine-owned; decode into a fresh list
-			// (empty non-light lists stay nil, matching the centralized
-			// reference's representation).
+			// Decode the body into a fresh list (empty non-light lists stay
+			// nil, matching the centralized reference's representation).
 			var list []LightEdge
 			if k > 0 || light {
+				body := ctx.Body(m, ctx.Scratch(0))
 				list = make([]LightEdge, 0, k+1)
 				for j := 0; j < 2*k; j += 2 {
-					list = append(list, LightEdge{Parent: congest.WordInt(p.Ext[j]), Child: congest.WordInt(p.Ext[j+1])})
+					list = append(list, LightEdge{Parent: congest.WordInt(body[j]), Child: congest.WordInt(body[j+1])})
 				}
 				if light {
 					list = append(list, LightEdge{Parent: m.From, Child: v})
@@ -409,8 +408,8 @@ func (b *distBuilder) phaseGlobalLight() {
 				b.jumpW[j] = nil
 				b.jumpGot[j] = false
 				list := st.lightGlobal[px]
-				ext := b.extBuf(j, lightWords(list))
-				encodeLight(ext, list)
+				body := b.bodies.Get(j, lightWords(list))
+				encodeLight(body, list)
 				b.msgs = append(b.msgs, congest.BroadcastMsg{
 					Origin: v,
 					Payload: congest.Payload{
@@ -418,13 +417,13 @@ func (b *distBuilder) phaseGlobalLight() {
 						W0:   congest.IntWord(st.idx),
 						W1:   congest.IntWord(v),
 						W2:   congest.IntWord(len(list)),
-						Ext:  ext,
 					},
 					Words: 3 + lightWords(list),
+					Body:  body,
 				})
 			}
 		}
-		// The handler only records the received tail (caller-owned, valid
+		// The handler only records the received body (caller-owned, valid
 		// until the next iteration's encode); the merge (which allocates and
 		// changes the vertex's stored state) happens in the commit loop
 		// below, where the growth is charged to the meter.
@@ -447,7 +446,7 @@ func (b *distBuilder) phaseGlobalLight() {
 					continue
 				}
 				k := congest.WordInt(p.W2)
-				b.jumpW[st.pbase+int(px)] = p.Ext[:2*k] // L_i(a_i(v)), 2*k == len(p.Ext)
+				b.jumpW[st.pbase+int(px)] = m.Body[:2*k] // L_i(a_i(v)), 2*k == len(m.Body)
 				b.jumpGot[st.pbase+int(px)] = true
 			}
 		})
@@ -481,15 +480,14 @@ func (b *distBuilder) phaseLightDown() error {
 			st, l := b.ts[e.tree], int(e.local)
 			list := st.lightGlobal[st.m[l].portal]
 			st.fullLight[l] = list
-			ext := ctx.Ext(lightWords(list))
-			encodeLight(ext, list)
+			body := ctx.Scratch(lightWords(list))
+			encodeLight(body, list)
 			for _, c := range st.tree.ChildrenAt(l) {
 				ctx.Send(c, congest.Payload{
 					Kind: kindGLight,
 					W0:   congest.IntWord(st.idx),
 					W1:   congest.IntWord(len(list)),
-					Ext:  ext,
-				}, 2+lightWords(list))
+				}, 2+lightWords(list), body...)
 			}
 		}
 		in := ctx.In()
@@ -505,15 +503,16 @@ func (b *distBuilder) phaseLightDown() error {
 				continue
 			}
 			k := congest.WordInt(p.W1)
+			body := ctx.Body(m, ctx.Scratch(0))
 			full := make([]LightEdge, 0, k+len(st.lightLocal[l]))
 			for j := 0; j < 2*k; j += 2 {
-				full = append(full, LightEdge{Parent: congest.WordInt(p.Ext[j]), Child: congest.WordInt(p.Ext[j+1])})
+				full = append(full, LightEdge{Parent: congest.WordInt(body[j]), Child: congest.WordInt(body[j+1])})
 			}
 			full = append(full, st.lightLocal[l]...)
 			st.fullLight[l] = full
 			ctx.Mem().Charge(int64(2 * k))
 			for _, c := range st.tree.ChildrenAt(l) {
-				ctx.Send(c, *p, 2+2*k)
+				ctx.Send(c, *p, 2+2*k, body...)
 			}
 		}
 	}, nil)
