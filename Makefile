@@ -23,10 +23,13 @@ lint:
 # protocol.json. Sites are keyed by function, transport and words expression
 # or match form, not by line, so moving code leaves the golden unchanged; a
 # diff here means a send, match, kind or words expression changed — review
-# it, then refresh the golden with `make lint-graph-update`.
+# it, then refresh the golden with `make lint-graph-update`. The fresh graph
+# goes to a per-run temporary directory, so concurrent runs from two
+# checkouts cannot read each other's file.
 lint-graph:
-	$(GO) run ./cmd/lowmemlint -graph /tmp/lowmemlint-protocol.json ./internal/...
-	diff -u protocol.json /tmp/lowmemlint-protocol.json
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/lowmemlint -graph "$$dir/protocol.json" ./internal/... && \
+	diff -u protocol.json "$$dir/protocol.json"
 
 lint-graph-update:
 	$(GO) run ./cmd/lowmemlint -graph protocol.json ./internal/...
@@ -89,18 +92,20 @@ metrics-smoke:
 # where a full Õ(√n)-round build would not fit a CI budget. Each run has a
 # hard timeout so a scaling regression fails the job instead of hanging it.
 # The stdout rows are deterministic for the seed; wall times and heap
-# figures go to stderr.
-SCALE_SMOKE := /tmp/lowmemroute-scale-smoke
+# figures go to stderr. The rows are compared in a per-run temporary
+# directory, so concurrent runs from two checkouts cannot mix their files.
 scale-smoke:
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 1 > $(SCALE_SMOKE)-1.txt
-	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 4 > $(SCALE_SMOKE)-4.txt
-	cat $(SCALE_SMOKE)-1.txt
-	cmp $(SCALE_SMOKE)-1.txt $(SCALE_SMOKE)-4.txt
-	@echo "scale-smoke: stdout byte-identical at 1 and 4 shards"
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -e; \
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 1 > "$$dir/1.txt"; \
+	timeout 300 $(GO) run ./cmd/routebench -scale -scale-n 1024 -k 3 -family grid -seed 1 -shards 4 > "$$dir/4.txt"; \
+	cat "$$dir/1.txt"; \
+	cmp "$$dir/1.txt" "$$dir/4.txt"; \
+	echo "scale-smoke: stdout byte-identical at 1 and 4 shards"; \
 	timeout 300 $(GO) run ./cmd/routebench -scale-probe 32768 -family grid -seed 1
 
-# Fuzz smoke: ten seconds of FuzzReadJSON (internal/trace), seeded with a
-# real trace export of every accepted schema version: ReadJSON must never
+# Fuzz smoke: ten seconds of FuzzReadJSON (internal/trace), seeded with real
+# v5 trace exports (the one accepted schema) and the same recording stamped
+# with each legacy v1-v4 schema (inputs it must reject): ReadJSON must never
 # panic, and an accepted export must re-encode and re-read equal. Then ten
 # seconds of FuzzParsePrometheus (internal/obs), seeded with a real registry
 # exposition: the parser must never panic, and it rejects an input exactly

@@ -242,7 +242,7 @@ func BenchmarkTreeRouteDistributed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := congest.NewTopo(topo, congest.WithSeed(int64(i)))
+		sim := congest.NewTopo(topo)
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr},
 			treeroute.DistOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
@@ -254,7 +254,7 @@ func BenchmarkCoreBuild(b *testing.B) {
 	topo := benchGraph(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := congest.NewTopo(topo, congest.WithSeed(12))
+		sim := congest.NewTopo(topo)
 		if _, err := core.Build(sim, core.Options{K: 3, Seed: 12}); err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkCoreBuild(b *testing.B) {
 
 func BenchmarkRoutePhase(b *testing.B) {
 	g := benchGraph(b, 512)
-	sim := congest.NewTopo(g, congest.WithSeed(13))
+	sim := congest.NewTopo(g)
 	s, err := core.Build(sim, core.Options{K: 3, Seed: 13})
 	if err != nil {
 		b.Fatal(err)

@@ -285,8 +285,7 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 				fatalf("generate: %v", err)
 			}
 			sink := trace.Tee(rec, trace.RegistrySink(reg))
-			sim := congest.NewTopo(topo, congest.WithSeed(seed),
-				congest.WithTrace(sink), congest.WithFaults(plan))
+			sim := congest.NewTopo(topo, congest.WithTrace(sink), congest.WithFaults(plan))
 			rec.Attach(sim)
 			sp := trace.Begin(sink, fmt.Sprintf("paper[n=%d,k=%d]", n, k))
 			s, err := core.Build(sim, core.Options{K: k, Seed: seed})

@@ -53,6 +53,8 @@
 // and choose different-but-valid routes, but it still covers every
 // reachable pair. The report's Faults field aggregates what the plan did;
 // see ExampleBuild_faults and DESIGN.md section 11 for the full model.
+// FaultPlan, CrashWindow, PartitionWindow and FaultReport are aliases of
+// the engine's own fault types, so a fault field is declared once.
 //
 // After construction, PacketNetwork simulates the forwarding plane and
 // exposes runtime failures directly: each Send is a walk over the compiled

@@ -83,7 +83,7 @@ func TestEncodedStateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := baseline.BuildLP15(newSim(topo, 1, nil, nil, nil), baseline.Options{K: c.k, Seed: 1})
+		lp, err := baseline.BuildLP15(newSim(topo, nil, nil, nil), baseline.Options{K: c.k, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,7 +199,7 @@ func TestParseFaultSpecRoundTrip(t *testing.T) {
 	if p.Drop != 0.05 || p.Delay != 2 || p.Duplicate != 0.01 || p.Seed != 7 {
 		t.Fatalf("parsed %+v", p)
 	}
-	if len(p.Crashes) != 2 || p.Crashes[0].Node != 3 || p.Crashes[1].Node != 17 {
+	if len(p.Crashes) != 2 || p.Crashes[0].Vertex != 3 || p.Crashes[1].Vertex != 17 {
 		t.Fatalf("crashes %+v", p.Crashes)
 	}
 	if len(p.Partitions) != 1 || len(p.Partitions[0].Members) != 2 {

@@ -123,7 +123,7 @@ func TestEN16bMemoryExceedsPaper(t *testing.T) {
 	if _, err := BuildEN16b(simB, Options{K: k, Seed: 12}); err != nil {
 		t.Fatal(err)
 	}
-	simP := congest.NewTopo(g, congest.WithSeed(12))
+	simP := congest.NewTopo(g)
 	if _, err := core.Build(simP, core.Options{K: k, Seed: 12}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEN16bLabelsCarryExtraLogFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simP := congest.NewTopo(g, congest.WithSeed(22))
+	simP := congest.NewTopo(g)
 	p, err := core.Build(simP, core.Options{K: k, Seed: 22})
 	if err != nil {
 		t.Fatal(err)

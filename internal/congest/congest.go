@@ -33,7 +33,6 @@
 package congest
 
 import (
-	"math/rand"
 	"runtime"
 
 	"lowmemroute/internal/faults"
@@ -98,7 +97,6 @@ type Simulator struct {
 	ffOff bool
 
 	workers int
-	rng     *rand.Rand
 
 	// parSteps and parDeliveries count the rounds whose step and delivery
 	// phases ran on the worker pool (ParallelRounds).
@@ -219,9 +217,12 @@ func WithWorkers(w int) Option {
 	}
 }
 
-// WithSeed sets the seed of the simulator's deterministic RNG.
+// WithSeed does nothing: the simulator draws no random numbers, and every
+// builder seeds its own generator.
+//
+// Deprecated: drop the option; it changes no run.
 func WithSeed(seed int64) Option {
-	return func(s *Simulator) { s.rng = rand.New(rand.NewSource(seed)) }
+	return func(*Simulator) {}
 }
 
 // WithDiameter overrides the hop-diameter bound used when charging
@@ -295,7 +296,6 @@ func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 		inbox:    make([][]Message, t.N()),
 		meters:   make([]Meter, t.N()),
 		workers:  runtime.GOMAXPROCS(0),
-		rng:      rand.New(rand.NewSource(1)),
 	}
 	if t.N() > 0 {
 		if ub, err := graph.HopRadiusUpperBound(t); err == nil {
@@ -405,16 +405,6 @@ func (s *Simulator) ensureFaults() *faults.Compiled {
 		s.faultQ = make([]edgeFaultState, len(s.queues))
 	}
 	return s.faults
-}
-
-// Rand returns the simulator's deterministic RNG. Single-threaded phases
-// only; per-vertex code should use DeriveRand.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// DeriveRand returns a fresh RNG for vertex v, seeded deterministically and
-// independently of the simulator RNG stream position.
-func (s *Simulator) DeriveRand(v int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(v)*0x9E3779B9 + 0x1234567))
 }
 
 // AddRounds charges extra rounds for phases accounted analytically.

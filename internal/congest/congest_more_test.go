@@ -114,7 +114,7 @@ func TestConvergecastMemorySpikesAtSink(t *testing.T) {
 
 func TestSimulatorAccessors(t *testing.T) {
 	g := pathGraph(3)
-	s := NewTopo(g, WithSeed(5))
+	s := NewTopo(g)
 	if s.N() != 3 {
 		t.Fatalf("N=%d", s.N())
 	}
@@ -123,9 +123,6 @@ func TestSimulatorAccessors(t *testing.T) {
 	}
 	if s.Diameter() < 2 {
 		t.Fatalf("D=%d", s.Diameter())
-	}
-	if s.Rand() == nil {
-		t.Fatal("nil rng")
 	}
 }
 

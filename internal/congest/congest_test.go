@@ -491,19 +491,6 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 	}
 }
 
-func TestDeriveRandDeterministic(t *testing.T) {
-	s := NewTopo(pathGraph(3))
-	a := s.DeriveRand(1).Int63()
-	b := s.DeriveRand(1).Int63()
-	c := s.DeriveRand(2).Int63()
-	if a != b {
-		t.Fatal("DeriveRand not deterministic")
-	}
-	if a == c {
-		t.Fatal("DeriveRand should differ across vertices")
-	}
-}
-
 func TestAddRounds(t *testing.T) {
 	s := NewTopo(pathGraph(2))
 	s.AddRounds(5)

@@ -166,11 +166,11 @@ func TestTracingIsObservational(t *testing.T) {
 		})
 		return s, nil
 	}
-	plain, err := run(WithSeed(3))
+	plain, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := run(WithSeed(3), WithTrace(&collectingSink{}))
+	traced, err := run(WithTrace(&collectingSink{}))
 	if err != nil {
 		t.Fatal(err)
 	}

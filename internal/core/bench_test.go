@@ -21,7 +21,7 @@ func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(5), congest.WithWorkers(1))
+	sim := congest.NewTopo(g, congest.WithWorkers(1))
 	o := (&Options{K: 4, Seed: 5}).withDefaults()
 	b := newBuilder(sim, o)
 	for _, phase := range []func() error{
@@ -113,7 +113,7 @@ func BenchmarkGrid400Build(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sim := congest.NewTopo(topo, congest.WithSeed(seed))
+		sim := congest.NewTopo(topo)
 		b.StartTimer()
 		if _, err := Build(sim, Options{K: 3, Seed: seed}); err != nil {
 			b.Fatal(err)
@@ -136,7 +136,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	topo, seed := grid400K3(t)
 	var ms runtime.MemStats
 	measure := func() uint64 {
-		sim := congest.NewTopo(topo, congest.WithSeed(seed))
+		sim := congest.NewTopo(topo)
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
@@ -305,23 +306,24 @@ func (b *builder) buildHopset() error {
 // approxPivots computes d̂(·, A_j) for the high levels by
 // hopset-accelerated Bellman-Ford (eq. (5): each iteration's B-bounded
 // exploration delivers estimates to every host vertex).
+// The levels share one Bellman–Ford workspace, so each level keeps copies
+// of the result's arrays.
 func (b *builder) approxPivots() error {
+	bf := hopset.NewBFScratch(b.ex)
 	for j := b.kHalf + 1; j < b.k; j++ {
 		var seeds []hopset.Source
 		for _, v := range b.levels[j] {
 			seeds = append(seeds, hopset.Source{Root: -1, At: v, Dist: 0})
 		}
-		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, hopset.BFOptions{
-			Scratch: hopset.NewBFScratch(b.ex),
-		})
+		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, bf)
 		if err != nil {
 			return fmt.Errorf("core: approximate pivots for level %d: %w", j, err)
 		}
 		if res.Iterations > b.maxBeta {
 			b.maxBeta = res.Iterations
 		}
-		b.pivotD[j] = res.Dist
-		b.pivotRoot[j] = res.Origin
+		b.pivotD[j] = slices.Clone(res.Dist)
+		b.pivotRoot[j] = slices.Clone(res.Origin)
 		for v := range res.Dist {
 			if res.Dist[v] != graph.Infinity {
 				b.sim.Mem(v).Charge(2) // retained approximate pivot

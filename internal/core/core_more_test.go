@@ -12,7 +12,7 @@ import (
 
 func TestPhaseRoundsSumToTotal(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 100, 201)
-	sim := congest.NewTopo(g, congest.WithSeed(202))
+	sim := congest.NewTopo(g)
 	s, err := Build(sim, Options{K: 2, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestQuantizedGraphStillRoutes(t *testing.T) {
 	g := graph.ErdosRenyi(100, 0.08, graph.UniformWeights(1, 1e5), r)
 	eps := 0.1
 	q := g.Quantize(eps)
-	sim := congest.NewTopo(q, congest.WithSeed(214))
+	sim := congest.NewTopo(q)
 	s, err := Build(sim, Options{K: 2, Seed: 214})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestLargeKCollapsesToTopLevel(t *testing.T) {
 	// k far above log n: most levels are empty; the scheme must still
 	// build and route.
 	g := testGraph(t, graph.FamilyErdosRenyi, 60, 215)
-	sim := congest.NewTopo(g, congest.WithSeed(216))
+	sim := congest.NewTopo(g)
 	s, err := Build(sim, Options{K: 8, Seed: 216})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func testGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.CSR {
 
 func buildScheme(t *testing.T, g *graph.CSR, k int, seed int64) (*Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(g, congest.WithSeed(seed))
+	sim := congest.NewTopo(g)
 	s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 	if err != nil {
 		t.Fatalf("Build k=%d: %v", k, err)
@@ -249,7 +249,7 @@ func TestMemoryIsSublinear(t *testing.T) {
 func TestDeterministicBuild(t *testing.T) {
 	g := testGraph(t, graph.FamilyErdosRenyi, 90, 71)
 	run := func() (int64, int64, int) {
-		sim := congest.NewTopo(g, congest.WithSeed(5))
+		sim := congest.NewTopo(g)
 		s, err := Build(sim, Options{K: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)

@@ -45,7 +45,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := trace.NewRecorder()
-		opts := []congest.Option{congest.WithSeed(seed), congest.WithTrace(rec),
+		opts := []congest.Option{congest.WithTrace(rec),
 			congest.WithWorkers(workers)}
 		if faultOpt != nil {
 			opts = append(opts, faultOpt)

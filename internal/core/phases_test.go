@@ -50,7 +50,7 @@ func TestBuildCheckpointResumeEveryCut(t *testing.T) {
 	}
 	build := func(workers int) cutBuild {
 		rec := trace.NewRecorder()
-		sim := congest.NewTopo(g, congest.WithSeed(seed), congest.WithWorkers(workers), congest.WithTrace(rec))
+		sim := congest.NewTopo(g, congest.WithWorkers(workers), congest.WithTrace(rec))
 		rec.Attach(sim)
 		s, err := Build(sim, Options{K: k, Seed: seed, Epsilon: 0.01})
 		if err != nil {
@@ -155,7 +155,7 @@ func TestBuildUnitMarksAreQuiescent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder()
-	sim := congest.NewTopo(g, congest.WithSeed(1), congest.WithTrace(rec))
+	sim := congest.NewTopo(g, congest.WithTrace(rec))
 	rec.Attach(sim)
 	if _, err := Build(sim, Options{K: 2, Seed: 1}); err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func TestTopoBuildWorkerInvariant(t *testing.T) {
 	runAt := func(workers int) buildResult {
 		rec := trace.NewRecorder()
 		sim := congest.NewTopo(g,
-			congest.WithSeed(seed), congest.WithTrace(rec), congest.WithWorkers(workers))
+			congest.WithTrace(rec), congest.WithWorkers(workers))
 		res := runBuildOn(t, sim, rec, g.N(), k, seed)
 		if steps, deliveries := sim.ParallelRounds(); workers > 1 && (steps == 0 || deliveries == 0) {
 			t.Fatalf("workers=%d: %d parallel step rounds, %d parallel delivery rounds; the build never forked",

@@ -259,18 +259,9 @@ func (t *Table) LookupBatch(src int, dst []Label, out []NextHop) int {
 	return n
 }
 
-// EntryRange returns the compiled label-entry index range of dst's label:
-// entries [lo, hi) in hierarchy-level order. For tree re-selection after a
-// crash: iterate the range, skip abandoned roots, and Step each candidate.
-func (t *Table) EntryRange(dst Label) (lo, hi int32) {
-	return t.labStart[dst], t.labStart[dst+1]
-}
-
-// EntryRoot returns the cluster center of compiled label entry e.
-func (t *Table) EntryRoot(e int32) int32 { return t.labRoot[e] }
-
 // Step makes the forwarding decision at vertex v for a packet traveling
-// toward label entry e (chosen earlier by Lookup or EntryRange). ok is
+// toward label entry e: an earlier Lookup's NextHop.Entry, or another entry
+// of the destination's label when RouteAround re-selects a tree. ok is
 // false when v holds no table for e's tree — the packet left its cluster,
 // which a correct walk never does.
 func (t *Table) Step(v int, e int32) (next int32, arrived, ok bool) {

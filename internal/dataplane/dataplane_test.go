@@ -28,13 +28,13 @@ func buildSchemes(t *testing.T, g *graph.CSR, k int, seed int64) map[string]*clu
 	}
 	out["tz"] = s.Scheme
 
-	lp, err := baseline.BuildLP15(congest.NewTopo(g, congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
+	lp, err := baseline.BuildLP15(congest.NewTopo(g), baseline.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("lp15: %v", err)
 	}
 	out["lp15"] = lp
 
-	p, err := core.Build(congest.NewTopo(g, congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
+	p, err := core.Build(congest.NewTopo(g), core.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatalf("paper: %v", err)
 	}

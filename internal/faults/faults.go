@@ -130,10 +130,7 @@ func (c Counters) Delta(o Counters) Counters {
 }
 
 // Any reports whether any fault fired.
-func (c Counters) Any() bool {
-	return c.Dropped != 0 || c.Retried != 0 || c.Lost != 0 ||
-		c.Duplicated != 0 || c.DelayRounds != 0 || c.Discarded != 0
-}
+func (c Counters) Any() bool { return c != Counters{} }
 
 // Spike is a deferred meter charge: retransmissions are decided inside the
 // sharded delivery phase, where only the destination's meter may be touched;
@@ -164,11 +161,10 @@ type Compiled struct {
 	duplicate float64
 	budget    int
 
-	crashW  [][]window // per vertex; nil for most
-	parts   []Partition
-	partIn  [][]bool // parts[i] membership bitmap
-	partW   []window
-	hasLink bool
+	crashW [][]window // per vertex; nil for most
+	parts  []Partition
+	partIn [][]bool // parts[i] membership bitmap
+	partW  []window
 }
 
 // Compile freezes plan for an n-vertex simulator. A nil or empty plan
@@ -183,7 +179,6 @@ func Compile(plan *Plan, n int) *Compiled {
 		delay:     plan.Delay,
 		duplicate: plan.Duplicate,
 		budget:    plan.RetryBudget,
-		hasLink:   plan.Drop > 0 || plan.Delay > 0 || plan.Duplicate > 0,
 	}
 	if c.budget == 0 {
 		c.budget = DefaultRetryBudget
@@ -232,10 +227,6 @@ func Compile(plan *Plan, n int) *Compiled {
 // Budget returns the per-message retransmission budget.
 func (c *Compiled) Budget() int { return c.budget }
 
-// HasLinkFaults reports whether any probabilistic link fault (drop, delay,
-// duplicate) is configured.
-func (c *Compiled) HasLinkFaults() bool { return c.hasLink }
-
 // Crashed reports whether v is down at round, and whether that outage never
 // clears (so queued traffic to v can be discarded rather than held).
 func (c *Compiled) Crashed(v int, round int64) (down, forever bool) {
@@ -263,9 +254,6 @@ func (c *Compiled) CutPair(u, v int, round int64) (cut, forever bool) {
 	}
 	return false, false
 }
-
-// HasPartitions reports whether any partition window is configured.
-func (c *Compiled) HasPartitions() bool { return len(c.partW) > 0 }
 
 // Decision streams keep the drop, delay, duplicate, and broadcast hash
 // families statistically independent for one seed.

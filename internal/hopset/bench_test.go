@@ -31,7 +31,7 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(31), congest.WithWorkers(1))
+	sim := congest.NewTopo(g, congest.WithWorkers(1))
 	hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 3, Seed: 33})
 	if err != nil {
 		tb.Fatal(err)
@@ -46,13 +46,13 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 func BenchmarkBellmanFordSteady(b *testing.B) {
 	sim, vg, hs, seeds := buildBFBench(b)
 	sc := NewBFScratch(nil)
-	if _, err := BellmanFord(sim, vg, hs, seeds, BFOptions{Scratch: sc}); err != nil {
+	if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BellmanFord(sim, vg, hs, seeds, BFOptions{Scratch: sc}); err != nil {
+		if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestBellmanFordSteadyStateAllocFree(t *testing.T) {
 	sim, vg, hs, seeds := buildBFBench(t)
 	sc := NewBFScratch(nil)
 	run := func() {
-		if _, err := BellmanFord(sim, vg, hs, seeds, BFOptions{Scratch: sc}); err != nil {
+		if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
 			t.Fatal(err)
 		}
 	}

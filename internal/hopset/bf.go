@@ -8,20 +8,6 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-// BFOptions configures the hopset-accelerated Bellman-Ford of Lemma 2.
-type BFOptions struct {
-	// Beta caps the number of iterations. Zero runs to convergence (and
-	// reports the realised iteration count, the empirical β).
-	Beta int
-	// Limit restricts the host-graph part of each iteration (used by the
-	// approximate-cluster machinery; may be nil).
-	Limit LimitFunc
-	// Scratch, when non-nil, supplies a reusable workspace: the returned
-	// BFResult then aliases the scratch and is valid until its next use.
-	// Nil allocates a private workspace, so the result is caller-owned.
-	Scratch *BFScratch
-}
-
 // BFResult is the outcome of BellmanFord: per-host-vertex distance
 // estimates, parents (host neighbors) realising them, the seed each estimate
 // descends from, and the number of iterations executed.
@@ -157,16 +143,20 @@ func (sc *BFScratch) relax(v int, alt float64, viaU int) {
 // broadcast pass over the hopset edges (each virtual vertex announces its
 // estimate and its stored out-edges; α = MaxOutDegree bounds the per-vertex
 // work and memory). Estimates never drop below true host distances; with a
-// valid (β,ε)-hopset they reach (1+ε)-accuracy within β iterations.
-func BellmanFord(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source, opts BFOptions) (*BFResult, error) {
-	sc := opts.Scratch
+// valid (β,ε)-hopset they reach (1+ε)-accuracy within β iterations. It runs
+// to convergence and reports the realised iteration count, the empirical β.
+//
+// sc is the workspace: the returned BFResult aliases it and is valid until
+// its next use. A nil sc allocates a private workspace, so the result is
+// caller-owned.
+func BellmanFord(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source, sc *BFScratch) (*BFResult, error) {
 	if sc == nil {
 		sc = NewBFScratch(nil)
 	}
-	return sc.run(sim, vg, hs, seeds, opts)
+	return sc.run(sim, vg, hs, seeds)
 }
 
-func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source, opts BFOptions) (*BFResult, error) {
+func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source) (*BFResult, error) {
 	n := sim.N()
 	sc.ensure(sim)
 	sc.sim, sc.vg, sc.hs = sim, vg, hs
@@ -190,10 +180,7 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 	if len(seeds) == 0 {
 		return res, nil
 	}
-	maxIter := opts.Beta
-	if maxIter <= 0 {
-		maxIter = 4 * (vg.M() + 1)
-	}
+	maxIter := 4 * (vg.M() + 1)
 
 	// Estimates per virtual vertex are charged once (1 word); host entries
 	// are charged inside Explore.
@@ -214,7 +201,7 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 				sc.srcs = append(sc.srcs, Source{Root: bfRoot, At: v, Dist: res.Dist[v]})
 			}
 		}
-		ex, err := sc.ex.Explore(sc.srcs, ExploreOptions{Hops: vg.B(), Limit: opts.Limit})
+		ex, err := sc.ex.Explore(sc.srcs, ExploreOptions{Hops: vg.B()})
 		if err != nil {
 			return nil, fmt.Errorf("hopset: BF iteration %d: %w", iter, err)
 		}

@@ -37,9 +37,6 @@ type ExploreOptions struct {
 	Hops int
 	// Limit is the forwarding predicate (may be nil).
 	Limit LimitFunc
-	// MaxRounds caps the simulation; 0 selects a generous default. Hitting
-	// the cap returns an error: it indicates a bug, not load.
-	MaxRounds int
 }
 
 // RootEntry is one exploration's record at a host vertex, tagged with the
@@ -162,10 +159,8 @@ func (e *Explorer) Explore(sources []Source, opts ExploreOptions) (*ExploreResul
 	if opts.Hops < 1 {
 		return nil, fmt.Errorf("hopset: explore hop budget %d < 1", opts.Hops)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10*opts.Hops + 4*n + 4096
-	}
+	// A generous cap: hitting it indicates a bug, not load.
+	maxRounds := 10*opts.Hops + 4*n + 4096
 
 	// Reset the previous call's state (its result is hereby invalidated).
 	for v := range e.state {

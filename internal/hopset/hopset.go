@@ -19,10 +19,11 @@ type Options struct {
 	Kappa int
 	// Seed drives the level sampling.
 	Seed int64
-	// HopGrowth multiplies the exploration hop budget at each level
-	// (cluster radii grow with level). Defaults to 3.
-	HopGrowth int
 }
+
+// hopGrowth multiplies the exploration hop budget at each level: cluster
+// radii grow with level.
+const hopGrowth = 3
 
 // Edge is one hopset edge, oriented from the vertex that stores it toward
 // the cluster/pivot center it connects to.
@@ -58,10 +59,6 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 	kappa := opts.Kappa
 	if kappa < 2 {
 		kappa = 3
-	}
-	growth := opts.HopGrowth
-	if growth < 1 {
-		growth = 3
 	}
 	m := vg.M()
 	hs := &Hopset{
@@ -147,7 +144,7 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 		}
 
 		level = next
-		hops *= growth
+		hops *= hopGrowth
 		if hops > maxHops {
 			hops = maxHops
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -312,7 +313,7 @@ func buildTestHopset(t *testing.T, n int, b int, seed int64) (*graph.CSR, *Virtu
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(seed))
+	sim := congest.NewTopo(g)
 	hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +362,7 @@ func TestHopsetAcceleratesBF(t *testing.T) {
 	// estimates sandwiched between d_G and d_{G'}.
 	g, vg, hs, sim := buildTestHopset(t, 120, 3, 15)
 	seeds := []Source{{Root: -1, At: vg.Members()[0], Dist: 0}}
-	res, err := BellmanFord(sim, vg, hs, seeds, BFOptions{})
+	res, err := BellmanFord(sim, vg, hs, seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,9 +388,45 @@ func TestHopsetAcceleratesBF(t *testing.T) {
 	}
 }
 
+// TestBellmanFordWarmScratchMatchesFresh: a workspace already used for one
+// seed set returns, for a second seed set, exactly what a fresh workspace
+// returns, at the same round, message and word cost. Core shares one
+// workspace across its approximate-pivot levels.
+func TestBellmanFordWarmScratchMatchesFresh(t *testing.T) {
+	_, vg, hs, sim := buildTestHopset(t, 120, 3, 17)
+	m := vg.Members()
+	first := []Source{{Root: -1, At: m[0], Dist: 0}}
+	second := []Source{{Root: -1, At: m[len(m)/2], Dist: 0}, {Root: -1, At: m[len(m)-1], Dist: 0}}
+	type run struct {
+		res                     BFResult
+		rounds, messages, words int64
+	}
+	bf := func(seeds []Source, sc *BFScratch) run {
+		r0, m0, w0 := sim.Rounds(), sim.Messages(), sim.Words()
+		res, err := BellmanFord(sim, vg, hs, seeds, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := run{res: *res, rounds: sim.Rounds() - r0, messages: sim.Messages() - m0, words: sim.Words() - w0}
+		out.res.Dist = slices.Clone(res.Dist)
+		out.res.Parent = slices.Clone(res.Parent)
+		out.res.Origin = slices.Clone(res.Origin)
+		return out
+	}
+	fresh := bf(second, nil)
+	warm := NewBFScratch(NewExplorer(sim))
+	bf(first, warm)
+	got := bf(second, warm)
+	if !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("warm workspace: %d iterations, %d rounds, %d messages, %d words; fresh: %d, %d, %d, %d (or the arrays differ)",
+			got.res.Iterations, got.rounds, got.messages, got.words,
+			fresh.res.Iterations, fresh.rounds, fresh.messages, fresh.words)
+	}
+}
+
 func TestHopsetBFEmptySeeds(t *testing.T) {
 	_, vg, hs, sim := buildTestHopset(t, 50, 3, 16)
-	res, err := BellmanFord(sim, vg, hs, nil, BFOptions{})
+	res, err := BellmanFord(sim, vg, hs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,13 +492,13 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sim := congest.NewTopo(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(g)
 		hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 2, Seed: seed})
 		if err != nil {
 			return false
 		}
 		src := members[0]
-		res, err := BellmanFord(sim, vg, hs, []Source{{Root: -1, At: src, Dist: 0}}, BFOptions{})
+		res, err := BellmanFord(sim, vg, hs, []Source{{Root: -1, At: src, Dist: 0}}, nil)
 		if err != nil {
 			return false
 		}

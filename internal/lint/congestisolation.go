@@ -22,12 +22,11 @@ func analyzerCongestIsolation() *Analyzer {
 }
 
 // engineMethods are Simulator methods a vertex handler must not call: they
-// either drive the whole simulation or expose shared state.
+// drive the whole simulation.
 var engineMethods = map[string]bool{
 	"Run":          true,
 	"Broadcast":    true,
 	"Convergecast": true,
-	"Rand":         true,
 	"AddRounds":    true,
 }
 
@@ -62,7 +61,7 @@ func runCongestIsolation(p *Pass) {
 					}
 					p.Reportf(n.Pos(), "vertex handler accesses another vertex's meter via Simulator.Mem; use ctx.Mem() or the handler's own vertex id")
 				case engineMethods[name]:
-					p.Reportf(n.Pos(), "vertex handler calls Simulator.%s; handlers may not drive the engine or use its shared RNG", name)
+					p.Reportf(n.Pos(), "vertex handler calls Simulator.%s; handlers may not drive the engine", name)
 				}
 			}
 			return true

@@ -16,7 +16,6 @@ func drive(sim *congest.Simulator) {
 		sim.Mem(v).Charge(1)
 		sim.Mem(v + 1).Charge(1) // want `another vertex's meter`
 		sim.AddRounds(1)         // want `Simulator.AddRounds`
-		_ = sim.Rand()           // want `Simulator.Rand`
 	})
 	sim.Convergecast(0, nil, collector)
 }

@@ -120,9 +120,9 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		}
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretch(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
 	case "lp15":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
+		sim := congest.NewTopo(topo, congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
@@ -130,9 +130,9 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s).RouteAppend, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretch(topo, dataplane.Compile(s).RouteAppend, cfg.Pairs, r, lat)
 	case "en16b":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
+		sim := congest.NewTopo(topo, congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
 		if err != nil {
 			return row, err
@@ -140,10 +140,10 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, s.RouteAppend, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretch(topo, s.RouteAppend, cfg.Pairs, r, lat)
 	case "paper":
 		sink := trace.Tee(cfg.Trace, trace.RegistrySink(cfg.Metrics))
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithWorkers(cfg.Shards),
+		sim := congest.NewTopo(topo, congest.WithWorkers(cfg.Shards),
 			congest.WithTrace(sink), congest.WithFaults(cfg.Faults))
 		cfg.Trace.Attach(sim)
 		sp := trace.Begin(sink, fmt.Sprintf("paper[n=%d,k=%d]", topo.N(), cfg.K))
@@ -156,7 +156,7 @@ func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error
 		row.Faults = sim.FaultCounters()
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretch(topo, dataplane.Compile(s.Scheme).RouteAppend, cfg.Pairs, r, lat)
 	default:
 		return row, fmt.Errorf("unknown scheme %q", name)
 	}
@@ -257,7 +257,7 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "paper-tree":
 		sink := trace.Tee(cfg.Trace, trace.RegistrySink(cfg.Metrics))
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(sink))
+		sim := congest.NewTopo(topo, congest.WithTrace(sink))
 		cfg.Trace.Attach(sim)
 		sp := trace.Begin(sink, fmt.Sprintf("paper-tree[n=%d]", topo.N()))
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree},
@@ -276,7 +276,7 @@ func runTreeScheme(name string, topo *graph.CSR, tree *graph.Tree, cfg Table2Con
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(compiledTreeRoute(s, topo), tree, pairs) == nil
 	case "en16b-tree":
-		sim := congest.NewTopo(topo, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
+		sim := congest.NewTopo(topo, congest.WithTrace(trace.RegistrySink(cfg.Metrics)))
 		s, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: cfg.Seed})
 		if err != nil {
 			return row, err

@@ -26,18 +26,11 @@ type StretchStats struct {
 // distances in t computed by Dijkstra on demand. route has the RouteAppend
 // shape (dataplane.Table.RouteAppend for every cluster-forest scheme): it
 // appends the walked path to the buffer it is handed and returns it with
-// the walk's weighted length.
-func MeasureStretch(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs int, r *rand.Rand) StretchStats {
-	return MeasureStretchObserved(t, route, pairs, r, nil)
-}
-
-// MeasureStretchObserved is MeasureStretch with per-lookup latency
-// recording: the wall time of each route call lands in lat
+// the walk's weighted length. The wall time of each route call lands in lat
 // (recorded in nanoseconds; register the histogram with scale 1e-9 to
 // expose it as route_lookup_seconds). A nil histogram skips the clock
-// reads entirely, so the unobserved path measures nothing it didn't
-// before.
-func MeasureStretchObserved(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
+// reads entirely.
+func MeasureStretch(t graph.Topology, route func(src, dst int, path []int) ([]int, float64, error), pairs int, r *rand.Rand, lat *obs.Histogram) StretchStats {
 	var st StretchStats
 	n := t.N()
 	if n < 2 {

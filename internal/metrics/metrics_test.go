@@ -67,7 +67,7 @@ func TestMeasureStretch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := MeasureStretch(g, dataplane.Compile(s.Scheme).RouteAppend, 100, rand.New(rand.NewSource(3)))
+	st := MeasureStretch(g, dataplane.Compile(s.Scheme).RouteAppend, 100, rand.New(rand.NewSource(3)), nil)
 	if st.Pairs == 0 {
 		t.Fatal("no pairs measured")
 	}

@@ -77,7 +77,7 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	row.M = csr.M()
 	row.GraphBytes = csr.MemoryBytes()
 
-	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithTrace(trace.RegistrySink(cfg.Metrics)),
+	sim := congest.NewTopo(csr, congest.WithTrace(trace.RegistrySink(cfg.Metrics)),
 		congest.WithWorkers(cfg.Shards))
 	t1 := time.Now()
 	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed})
@@ -191,7 +191,7 @@ func RunSubstrateProbe(cfg ProbeConfig) (*ProbeRow, error) {
 	row.M = csr.M()
 	row.GraphBytes = csr.MemoryBytes()
 
-	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithWorkers(cfg.Shards))
+	sim := congest.NewTopo(csr, congest.WithWorkers(cfg.Shards))
 	t1 := time.Now()
 	dist, _, _, err := hopset.NewExplorer(sim).DistToSet([]int{0}, hops)
 	if err != nil {

@@ -34,12 +34,12 @@ func SweepMemoryVsK(family graph.Family, n int, ks []int, seed int64) ([]MemoryP
 	}
 	var out []MemoryPoint
 	for _, k := range ks {
-		simP := congest.NewTopo(topo, congest.WithSeed(seed))
+		simP := congest.NewTopo(topo)
 		s, err := core.Build(simP, core.Options{K: k, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("metrics: memory sweep k=%d: %w", k, err)
 		}
-		simB := congest.NewTopo(topo, congest.WithSeed(seed))
+		simB := congest.NewTopo(topo)
 		if _, err := baseline.BuildEN16b(simB, baseline.Options{K: k, Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: memory sweep baseline k=%d: %w", k, err)
 		}
@@ -81,7 +81,7 @@ func SweepTreeRoundsVsN(family graph.Family, ns []int, seed int64) ([]RoundsPoin
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.NewTopo(topo, congest.WithSeed(seed))
+		sim := congest.NewTopo(topo)
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree}, treeroute.DistOptions{Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: rounds sweep n=%d: %w", n, err)
 		}
@@ -126,14 +126,14 @@ func RunMultiTree(family graph.Family, n int, trees []int, seed int64) ([]MultiT
 			ts = append(ts, tree)
 		}
 		// Parallel: one simulator, all trees at once.
-		simPar := congest.NewTopo(topo, congest.WithSeed(seed))
+		simPar := congest.NewTopo(topo)
 		if _, err := treeroute.BuildDistributed(simPar, ts, treeroute.DistOptions{Seed: seed}); err != nil {
 			return nil, fmt.Errorf("metrics: multi-tree parallel s=%d: %w", s, err)
 		}
 		// Sequential: one build per tree, rounds summed.
 		var seq int64
 		for _, tree := range ts {
-			sim := congest.NewTopo(topo, congest.WithSeed(seed))
+			sim := congest.NewTopo(topo)
 			if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree}, treeroute.DistOptions{Seed: seed}); err != nil {
 				return nil, fmt.Errorf("metrics: multi-tree sequential: %w", err)
 			}
@@ -192,13 +192,13 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.NewTopo(topo, congest.WithSeed(seed))
+		sim := congest.NewTopo(topo)
 		hs, err := hopset.Build(hopset.NewExplorer(sim), vg, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
 		seeds := []hopset.Source{{Root: -1, At: members[0], Dist: 0}}
-		with, err := hopset.BellmanFord(sim, vg, hs, seeds, hopset.BFOptions{})
+		with, err := hopset.BellmanFord(sim, vg, hs, seeds, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -211,8 +211,8 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		simNo := congest.NewTopo(topo, congest.WithSeed(seed))
-		without, err := hopset.BellmanFord(simNo, vg, empty, seeds, hopset.BFOptions{})
+		simNo := congest.NewTopo(topo)
+		without, err := hopset.BellmanFord(simNo, vg, empty, seeds, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -10,35 +10,13 @@ import (
 
 // SchemaVersion identifies the JSON export layout. Consumers (CI bench
 // tracking) must reject files whose schema field is unknown; the version
-// bumps on any incompatible change. Documented in DESIGN.md §7. Version 2
-// added the per-sample fault counters (dropped/retried/lost/duplicated/
-// discarded, omitted when zero); version 3 added per-span runtime.MemStats
-// deltas (heapAllocDelta/totalAllocDelta/numGCDelta, omitted when zero).
-// Version 4 keeps the v3 layout but narrows the meaning of a round sample's
-// active field: it counts the vertices that stepped that round, and no
-// longer vertices sleeping on a WakeAt timer. Version 5 keeps the layout
-// and adds the idle sample kind: a traced run fast-forwards idle rounds like
-// an untraced one, and one idle sample covers each skipped stretch, so round
-// samples are emitted only for rounds the engine stepped. Every earlier file
-// decodes unchanged, so v1-v4 remain readable — see ReadJSON.
+// bumps on any incompatible change. Documented in DESIGN.md §7. Version 5
+// is the one layout this package writes and the only one ReadJSON
+// accepts: a traced run fast-forwards idle rounds like an untraced one,
+// one idle sample covers each skipped stretch, and round samples are
+// emitted only for rounds the engine stepped, counting as active only the
+// vertices that stepped.
 const SchemaVersion = "lowmemroute.trace/v5"
-
-// SchemaVersionV4 is the layout before idle samples, still accepted by
-// ReadJSON: its round samples cover every round of a traced Run, empty
-// ones included.
-const SchemaVersionV4 = "lowmemroute.trace/v4"
-
-// SchemaVersionV3 is the layout before WakeAt timers, still accepted by
-// ReadJSON: its active counts include vertices that spun through a wait.
-const SchemaVersionV3 = "lowmemroute.trace/v3"
-
-// SchemaVersionV2 is the pre-MemStats export layout, still accepted by
-// ReadJSON: every v2 field decodes identically under v3.
-const SchemaVersionV2 = "lowmemroute.trace/v2"
-
-// SchemaVersionV1 is the pre-fault-counter export layout, still accepted by
-// ReadJSON: every v1 field decodes identically under v2 and v3.
-const SchemaVersionV1 = "lowmemroute.trace/v1"
 
 // traceSchemaFamily and traceSchemaMax let ReadJSON tell a future export
 // (same family, higher version) from an unknown schema.
@@ -82,7 +60,7 @@ type SpanExport struct {
 	PeakMemBefore int64  `json:"peakMemBefore"`
 	PeakMemAfter  int64  `json:"peakMemAfter"`
 	WallNanos     int64  `json:"wallNanos"`
-	// Host-side allocation deltas over the span (schema v3): bytes in live
+	// Host-side allocation deltas over the span: bytes in live
 	// heap objects, bytes allocated, GC cycles, read from runtime/metrics.
 	// HeapAllocDelta can be negative (a GC shrank the live heap inside the
 	// span); TotalAllocDelta and NumGCDelta are monotone. Like WallNanos
@@ -140,7 +118,7 @@ func (r *Recorder) Export() Export {
 }
 
 // StripWall zeroes every span's host-measured fields — WallNanos and the
-// schema-v3 allocation deltas — recursively. Those are the nondeterministic
+// allocation deltas — recursively. Those are the nondeterministic
 // fields of an export (they measure the host process, not the seeded
 // simulation): with them removed, two runs of the same simulation must
 // serialise to byte-identical JSON (the determinism contract enforced by
@@ -172,29 +150,25 @@ func WriteExportJSON(w io.Writer, e Export) error {
 	return enc.Encode(e)
 }
 
-// ReadJSON parses a JSON export, rejecting unknown schema versions. The
-// current schema, v4, v3, v2, and v1 (each bump only added omitempty fields,
-// a sample kind, or narrowed a count) are all accepted. A file from a
-// *future* schema version (a v6 export landing on a v5 reader) gets its own
-// explicit error: schema bumps mark incompatible changes, so decoding such a
-// file as v5 could silently misparse it, and "unsupported schema" alone
-// would hide that the fix is to upgrade the reader, not the file.
+// ReadJSON parses a JSON export, rejecting every schema but SchemaVersion.
+// A file from a *future* schema version (a v6 export landing on a v5
+// reader) gets its own explicit error: schema bumps mark incompatible
+// changes, so decoding such a file as v5 could silently misparse it, and
+// "unsupported schema" alone would hide that the fix is to upgrade the
+// reader, not the file.
 func ReadJSON(r io.Reader) (Export, error) {
 	var out Export
 	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return Export{}, fmt.Errorf("trace: decode export: %w", err)
 	}
-	switch out.Schema {
-	case SchemaVersion, SchemaVersionV4, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1:
-	default:
-		if n, ok := schemaNumber(out.Schema, traceSchemaFamily); ok && n > traceSchemaMax {
-			return Export{}, fmt.Errorf("trace: export schema %q was written by a newer version (this reader understands up to v%d); upgrade the reader",
-				out.Schema, traceSchemaMax)
-		}
-		return Export{}, fmt.Errorf("trace: unsupported schema %q (want %q, %q, %q, %q, or %q)",
-			out.Schema, SchemaVersion, SchemaVersionV4, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1)
+	if out.Schema == SchemaVersion {
+		return out, nil
 	}
-	return out, nil
+	if n, ok := schemaNumber(out.Schema, traceSchemaFamily); ok && n > traceSchemaMax {
+		return Export{}, fmt.Errorf("trace: export schema %q was written by a newer version (this reader understands up to v%d); upgrade the reader",
+			out.Schema, traceSchemaMax)
+	}
+	return Export{}, fmt.Errorf("trace: unsupported schema %q (want %q)", out.Schema, SchemaVersion)
 }
 
 // chromeEvent is one entry of the Chrome trace_event format

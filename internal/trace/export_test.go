@@ -1,7 +1,7 @@
 package trace
 
-// Export reader tests: the future-version gate, and FuzzReadJSON over real
-// exports of every accepted schema version.
+// Export reader tests: the future-version gate, the legacy-schema
+// rejection, and FuzzReadJSON over real exports.
 
 import (
 	"bytes"
@@ -39,11 +39,29 @@ func TestReadJSONFutureSchema(t *testing.T) {
 	}
 }
 
-// seedExports returns one recording exported under every accepted schema
-// version, each carrying only the fields its version defines: v1 has no
-// fault counters or allocation deltas, v2 adds the fault counters, v3 the
-// deltas, and v4 and v5 keep the v3 layout. The current version also gets
-// the committed idle-sample export.
+// legacySchemas are the layouts before v5. Nothing writes them any more,
+// and ReadJSON rejects them like any other unknown schema.
+var legacySchemas = []string{
+	"lowmemroute.trace/v1",
+	"lowmemroute.trace/v2",
+	"lowmemroute.trace/v3",
+	"lowmemroute.trace/v4",
+}
+
+// TestReadJSONRejectsLegacySchemas: a v1-v4 export is an unsupported
+// schema, not an older file to read.
+func TestReadJSONRejectsLegacySchemas(t *testing.T) {
+	for _, schema := range legacySchemas {
+		_, err := ReadJSON(strings.NewReader(`{"schema":"` + schema + `","spans":[],"samples":[{"round":1,"rounds":1,"kind":"round","active":3}]}`))
+		if err == nil || !strings.Contains(err.Error(), "unsupported schema") {
+			t.Fatalf("schema %q: err=%v, want an unsupported-schema error", schema, err)
+		}
+	}
+}
+
+// seedExports returns one recording exported under the current schema and
+// under each legacy schema string (inputs ReadJSON must reject), plus the
+// committed idle-sample export.
 func seedExports(tb testing.TB) map[string][]byte {
 	src := &fakeSource{}
 	r := NewRecorder()
@@ -61,31 +79,20 @@ func seedExports(tb testing.TB) map[string][]byte {
 	src.c.Rounds = 25
 	build.End()
 
-	var stripDeltas func(spans []SpanExport)
-	stripDeltas = func(spans []SpanExport) {
-		for i := range spans {
-			spans[i].HeapAllocDelta, spans[i].TotalAllocDelta, spans[i].NumGCDelta = 0, 0, 0
-			stripDeltas(spans[i].Children)
-		}
-	}
 	out := make(map[string][]byte)
-	for _, schema := range []string{SchemaVersion, SchemaVersionV4, SchemaVersionV3, SchemaVersionV2, SchemaVersionV1} {
+	for _, schema := range append([]string{SchemaVersion}, legacySchemas...) {
 		e := r.Export()
 		e.Schema = schema
-		if schema == SchemaVersionV2 || schema == SchemaVersionV1 {
-			stripDeltas(e.Spans)
-		}
-		if schema == SchemaVersionV1 {
-			for i := range e.Samples {
-				s := &e.Samples[i]
-				s.Dropped, s.Retried, s.Lost, s.Duplicated, s.Discarded = 0, 0, 0, 0, 0
-			}
-		}
 		var b bytes.Buffer
 		if err := WriteExportJSON(&b, e); err != nil {
 			tb.Fatal(err)
 		}
-		if got, err := ReadJSON(bytes.NewReader(b.Bytes())); err != nil || len(got.Spans) != 1 || len(got.Samples) != 2 {
+		got, err := ReadJSON(bytes.NewReader(b.Bytes()))
+		if schema != SchemaVersion {
+			if err == nil {
+				tb.Fatalf("%s seed was accepted", schema)
+			}
+		} else if err != nil || len(got.Spans) != 1 || len(got.Samples) != 2 {
 			tb.Fatalf("%s seed does not read back: %+v, %v", schema, got, err)
 		}
 		out[schema] = b.Bytes()

@@ -65,7 +65,7 @@ type RoundSample struct {
 	// KindAnalytic.
 	Kind string `json:"kind"`
 	// Active is the number of vertices that executed this round; vertices
-	// sleeping on a WakeAt timer are not counted (schema v4; for
+	// sleeping on a WakeAt timer are not counted (for
 	// broadcast/convergecast: the number of participating vertices).
 	Active int `json:"active"`
 	// Messages and Words are the traffic delivered during the interval.
@@ -80,7 +80,7 @@ type RoundSample struct {
 	// mean persistent level across all vertices.
 	MemMax  int64   `json:"memMax"`
 	MemMean float64 `json:"memMean"`
-	// Fault-injection deltas for the sampled interval (schema v2; all zero —
+	// Fault-injection deltas for the sampled interval (all zero —
 	// and absent from the JSON — when no fault plan is installed).
 	Dropped    int64 `json:"dropped,omitempty"`
 	Retried    int64 `json:"retried,omitempty"`
@@ -89,7 +89,7 @@ type RoundSample struct {
 	Discarded  int64 `json:"discarded,omitempty"`
 }
 
-// RoundSample kinds. An idle sample (schema v5) stands for a stretch of
+// RoundSample kinds. An idle sample stands for a stretch of
 // Rounds consecutive rounds that the engine fast-forwarded: no vertex
 // stepped and nothing was delivered, so it carries no traffic and Active 0.
 const (

@@ -26,7 +26,7 @@ func benchWorkload(tb testing.TB) (*congest.Simulator, []*graph.Tree) {
 		}
 		trees = append(trees, tr)
 	}
-	return congest.NewTopo(g, congest.WithSeed(7), congest.WithWorkers(1)), trees
+	return congest.NewTopo(g, congest.WithWorkers(1)), trees
 }
 
 // BenchmarkLightPipeline measures the full Section 3 construction pipeline

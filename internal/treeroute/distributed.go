@@ -33,9 +33,6 @@ type DistResult struct {
 	// Portals[j] is |U(T_j)|, the number of sampled portal vertices of
 	// tree j (including its root).
 	Portals []int
-	// Iterations is the number of pointer-jumping iterations executed per
-	// pointer-jumping stage.
-	Iterations int
 }
 
 // BuildDistributed runs the paper's Section 3 + Appendix A construction on
@@ -70,7 +67,7 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 		}
 	}
 
-	res := &DistResult{Iterations: b.iters}
+	res := &DistResult{}
 	for _, st := range b.ts {
 		res.Schemes = append(res.Schemes, st.finish())
 		res.Portals = append(res.Portals, st.portals())

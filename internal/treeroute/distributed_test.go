@@ -16,7 +16,7 @@ import (
 // the same tree.
 func buildBoth(t *testing.T, g graph.Topology, tr *graph.Tree, opts treeroute.DistOptions) (*treeroute.Scheme, *treeroute.Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(g, congest.WithSeed(opts.Seed))
+	sim := congest.NewTopo(g)
 	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed: %v", err)
@@ -158,7 +158,7 @@ func TestDistributedMatchesCentralizedProperty(t *testing.T) {
 			return false
 		}
 		q := 0.02 + 0.96*float64(qRaw)/65535
-		sim := congest.NewTopo(g, congest.WithSeed(seed))
+		sim := congest.NewTopo(g)
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Q: q, Seed: seed})
 		if err != nil {
 			return false
@@ -192,7 +192,7 @@ func TestDistributedMemoryIsLogarithmic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(g, congest.WithSeed(1))
+		sim := congest.NewTopo(g)
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestDistributedRoundsScaleSublinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := congest.NewTopo(g, congest.WithSeed(2))
+		sim := congest.NewTopo(g)
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestDistributedMultiTree(t *testing.T) {
 		}
 		trees = append(trees, tr)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(5))
+	sim := congest.NewTopo(g)
 	res, err := treeroute.BuildDistributed(sim, trees, treeroute.DistOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestDistributedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() (int64, int64) {
-		sim := congest.NewTopo(g, congest.WithSeed(9))
+		sim := congest.NewTopo(g)
 		if _, err := treeroute.BuildDistributed(sim, []*graph.Tree{tr}, treeroute.DistOptions{Seed: 9}); err != nil {
 			t.Fatal(err)
 		}

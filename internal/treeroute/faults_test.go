@@ -14,7 +14,7 @@ import (
 // centralized reference on the same tree.
 func buildFaulty(t *testing.T, g *graph.CSR, tr *graph.Tree, opts DistOptions, plan *faults.Plan) (*Scheme, *Scheme, *congest.Simulator) {
 	t.Helper()
-	sim := congest.NewTopo(g, congest.WithSeed(opts.Seed), congest.WithFaults(plan))
+	sim := congest.NewTopo(g, congest.WithFaults(plan))
 	res, err := BuildDistributed(sim, []*graph.Tree{tr}, opts)
 	if err != nil {
 		t.Fatalf("BuildDistributed under faults: %v", err)
@@ -89,12 +89,11 @@ func TestDistributedFaultCostAboveClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := congest.NewTopo(g, congest.WithSeed(1))
+	clean := congest.NewTopo(g)
 	if _, err := BuildDistributed(clean, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	faulty := congest.NewTopo(g, congest.WithSeed(1),
-		congest.WithFaults(&faults.Plan{Seed: 6, Drop: 0.2, Duplicate: 0.1}))
+	faulty := congest.NewTopo(g, congest.WithFaults(&faults.Plan{Seed: 6, Drop: 0.2, Duplicate: 0.1}))
 	if _, err := BuildDistributed(faulty, []*graph.Tree{tr}, DistOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,7 @@ func TestDistributedMultiTreeUnderFaults(t *testing.T) {
 		}
 		trees = append(trees, tr)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(2),
-		congest.WithFaults(&faults.Plan{Seed: 3, Drop: 0.1, Duplicate: 0.1}))
+	sim := congest.NewTopo(g, congest.WithFaults(&faults.Plan{Seed: 3, Drop: 0.1, Duplicate: 0.1}))
 	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +158,7 @@ func TestDistributedLossyBudgetErrors(t *testing.T) {
 	} {
 		t.Run(tc.want, func(t *testing.T) {
 			plan := &faults.Plan{Seed: tc.seed, Drop: 0.05, RetryBudget: -1}
-			sim := congest.NewTopo(g, congest.WithSeed(2), congest.WithFaults(plan))
+			sim := congest.NewTopo(g, congest.WithFaults(plan))
 			_, err := BuildDistributed(sim, trees, DistOptions{Seed: 2})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("lossy build: err=%v, want one mentioning %q", err, tc.want)

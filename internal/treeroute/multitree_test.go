@@ -35,7 +35,7 @@ func TestMultiTreeDuplicateTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := congest.NewTopo(g, congest.WithSeed(2))
+	sim := congest.NewTopo(g)
 	res, err := BuildDistributed(sim, []*graph.Tree{tr, tr}, DistOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestMultiTreeOffsetsAreBounded(t *testing.T) {
 
 	rounds := make(map[int]int64)
 	for _, off := range []int{1, 200} {
-		sim := congest.NewTopo(g, congest.WithSeed(5))
+		sim := congest.NewTopo(g)
 		res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5, MaxOffset: off})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestMultiTreeMemoryScalesWithS(t *testing.T) {
 			roots[i] = i * 11
 		}
 		trees := makeTrees(t, g, roots, "sssp", 9)
-		sim := congest.NewTopo(g, congest.WithSeed(10))
+		sim := congest.NewTopo(g)
 		if _, err := BuildDistributed(sim, trees, DistOptions{Seed: 10}); err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestDistributedWorkerCountInvariance(t *testing.T) {
 	trees := makeTrees(t, g, []int{0, 544, 1088}, "bfs", 3)
 	var rounds []int64
 	for _, workers := range []int{1, 4} {
-		sim := congest.NewTopo(g, congest.WithSeed(12), congest.WithWorkers(workers))
+		sim := congest.NewTopo(g, congest.WithWorkers(workers))
 		res, err := BuildDistributed(sim, trees, DistOptions{Seed: 12})
 		if err != nil {
 			t.Fatal(err)

@@ -51,7 +51,7 @@ func TestBuildDistributedResumeEveryCut(t *testing.T) {
 	plan := &faults.Plan{Seed: 9, Drop: 0.1, Delay: 1, Duplicate: 0.1}
 	opts := DistOptions{Seed: 12}
 	newBuilder := func(workers int) *distBuilder {
-		sim := congest.NewTopo(g, congest.WithSeed(12), congest.WithWorkers(workers), congest.WithFaults(plan))
+		sim := congest.NewTopo(g, congest.WithWorkers(workers), congest.WithFaults(plan))
 		return newDistBuilder(sim, trees, opts)
 	}
 	ref, wide := newBuilder(1), newBuilder(4)

@@ -101,11 +101,11 @@ type Scheme struct {
 
 // newSim boots the simulated CONGEST network for one facade build: the
 // engine runs over topo, the network frozen once for this build, with the
-// build's seed and fault plan. The tracer and the metrics registry (each
+// build's fault plan. The tracer and the metrics registry (each
 // nil-safe) are teed into the engine's one instrumentation stream, which
 // the builders' phase spans ride too.
-func newSim(topo *graph.CSR, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
-	sim := congest.NewTopo(topo, congest.WithSeed(seed), congest.WithFaults(plan.internal()),
+func newSim(topo *graph.CSR, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
+	sim := congest.NewTopo(topo, congest.WithFaults(plan),
 		congest.WithTrace(trace.Tee(tr.recorder(), trace.RegistrySink(m.Registry()))))
 	tr.recorder().Attach(sim)
 	return sim
@@ -124,7 +124,7 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	if !graph.Connected(topo) {
 		return nil, fmt.Errorf("lowmemroute: network is not connected")
 	}
-	sim := newSim(topo, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(topo, cfg.Trace, cfg.Faults, cfg.Metrics)
 	s, err := core.Build(sim, core.Options{K: cfg.K, Epsilon: cfg.Epsilon, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 			HopsetArboricity:   s.Stats.HopsetArbor,
 			BetaRealised:       s.Stats.BetaRealised,
 			PhaseRounds:        s.Stats.PhaseRounds,
-			Faults:             publicFaultReport(sim.FaultCounters()),
+			Faults:             sim.FaultCounters(),
 		},
 	}
 	return sch, nil
@@ -297,7 +297,7 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 	if net == nil || tree == nil {
 		return nil, fmt.Errorf("lowmemroute: nil network or tree")
 	}
-	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(net.freeze(), cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t}, treeroute.DistOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -310,7 +310,7 @@ func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
 		Portals:       res.Portals[0],
 		MaxTableWords: res.Schemes[0].MaxTableWords(),
 		MaxLabelWords: res.Schemes[0].MaxLabelWords(),
-		Faults:        publicFaultReport(sim.FaultCounters()),
+		Faults:        sim.FaultCounters(),
 	}), nil
 }
 
@@ -334,7 +334,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		}
 		inner[i] = t.t
 	}
-	sim := newSim(net.freeze(), cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
+	sim := newSim(net.freeze(), cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, inner, treeroute.DistOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, TreeReport{}, err
@@ -344,7 +344,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		Messages:   sim.Messages(),
 		PeakMemory: sim.PeakMemory(),
 		AvgMemory:  sim.AvgPeakMemory(),
-		Faults:     publicFaultReport(sim.FaultCounters()),
+		Faults:     sim.FaultCounters(),
 	}
 	out := make([]*TreeScheme, len(trees))
 	for i := range trees {
