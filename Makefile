@@ -7,8 +7,10 @@ all: build vet lint test race
 build:
 	$(GO) build ./...
 
+# The bench module has its own go.mod, so the root ./... never reaches it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Model-invariant static analysis (cmd/lowmemlint): every analyzer (LM001
 # to LM008; LM004 and LM006 are retired) over ./internal/... (DESIGN.md §8). A finding

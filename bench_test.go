@@ -58,7 +58,7 @@ func BenchmarkTable1(b *testing.B) {
 				b.ReportMetric(float64(last.PeakMem), "mem-words")
 				// Lookup latency percentiles over every Route call of the run;
 				// the "-ns" suffix marks them host-measured.
-				if s := reg.Histogram(metrics.LookupHistogram, 1e-9).Snapshot(); s.Count > 0 {
+				if s := metrics.LookupHist(reg).Snapshot(); s.Count > 0 {
 					b.ReportMetric(float64(s.Quantile(0.5)), "p50-ns")
 					b.ReportMetric(float64(s.Quantile(0.99)), "p99-ns")
 					b.ReportMetric(float64(s.Quantile(0.999)), "p999-ns")

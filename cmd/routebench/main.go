@@ -185,7 +185,7 @@ func main() {
 // Latencies are host wall times, so the summary goes to stderr with the
 // other host-side diagnostics — stdout stays bit-identical across runs.
 func printLookupLatency(reg *obs.Registry) {
-	s := reg.Histogram(metrics.LookupHistogram, 1e-9).Snapshot()
+	s := metrics.LookupHist(reg).Snapshot()
 	if s.Count == 0 {
 		return
 	}

@@ -52,7 +52,7 @@ func lowerCRoot(es []rootCEntry, root int) int {
 // Wire format of the H-step broadcast of the approximate cluster growth: a
 // virtual vertex's limited estimates plus its hopset out-edges. Inline words
 // carry the sender and the estimate count; the body is (root, dist) pairs
-// followed by (To, Weight, Level) edge triples.
+// followed by the sender's hopset edges (hopset.Hopset.AppendOut).
 const kindHMsg congest.PayloadKind = 3
 
 // vr addresses one (vertex, root) estimate on the dirty worklist.
@@ -70,12 +70,14 @@ type clusterGrowth struct {
 	srcs      []hopset.Source
 	msgs      []congest.BroadcastMsg
 	bodies    congest.BodyBufs
-	rev       []int
+	joins     []float64
+	walk      []int
 
 	ex        *hopset.Explorer
 	handler   func(w int, d *congest.Delivery)
 	forwardFn hopset.LimitFunc
 	hostFn    hopset.LimitFunc
+	memberFn  func(v int, e *rootCEntry) (root, parent int, ok bool)
 
 	// Per-call parameters of the limit rules.
 	bound []float64
@@ -92,6 +94,7 @@ func newClusterGrowth(b *builder) *clusterGrowth {
 	g.handler = g.onHMsg
 	g.forwardFn = g.forwardLimit
 	g.hostFn = g.hostLimit
+	g.memberFn = g.member
 	return g
 }
 
@@ -181,18 +184,9 @@ func (g *clusterGrowth) onHMsg(w int, d *congest.Delivery) {
 		}
 		ne := congest.WordInt(p.W1)
 		ests := m.Body[:2*ne]
-		edges := m.Body[2*ne:]
-		// Forward direction: an out-edge (u -> w) relaxes w.
-		for j := 0; j+2 < len(edges); j += 3 {
-			if congest.WordInt(edges[j]) == w {
-				g.relaxEsts(w, u, ests, congest.WordFloat(edges[j+1]))
-			}
-		}
-		// Reverse direction: w's own out-edge (w -> u) relaxes w.
-		for _, e := range g.b.hs.Out(w) {
-			if e.To == u {
-				g.relaxEsts(w, u, ests, e.Weight)
-			}
+		g.joins = g.b.hs.AppendJoins(g.joins[:0], w, u, m.Body[2*ne:])
+		for _, weight := range g.joins {
+			g.relaxEsts(w, u, ests, weight)
 		}
 	}
 }
@@ -229,11 +223,18 @@ func (b *builder) growApproxClusters(level int, roots []int) error {
 	if err := b.cg.grow(level, roots); err != nil {
 		return err
 	}
-	return b.cg.assembleTrees(roots)
+	trees, err := hopset.ClusterTrees(roots, b.cg.est, b.cg.memberFn)
+	if err != nil {
+		return err
+	}
+	for i, t := range trees {
+		b.trees[roots[i]] = t
+	}
+	return nil
 }
 
 // grow runs the growth iterations, path recovery, and the final limited
-// exploration; the results stay in the workspace for assembleTrees. The
+// exploration; the results stay in the workspace for the tree extractor. The
 // meter charges of adopted estimates (3 words each in newEntry) model the
 // retained cluster knowledge and are intentionally not released.
 func (g *clusterGrowth) grow(level int, roots []int) error {
@@ -311,7 +312,7 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 		for _, u := range b.vg.Members() {
 			es := g.est[u]
 			out := b.hs.Out(u)
-			buf := g.bodies.Get(len(g.msgs), 2*len(es)+3*len(out))
+			buf := g.bodies.Get(len(g.msgs), 2*len(es)+hopset.EdgeWords*len(out))
 			ne := 0
 			for idx := range es {
 				if e := &es[idx]; e.dist < g.virtCap(u) || u == e.root {
@@ -323,13 +324,6 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 			if ne == 0 {
 				continue
 			}
-			pos := 2 * ne
-			for _, ed := range out {
-				buf[pos] = congest.IntWord(ed.To)
-				buf[pos+1] = congest.FloatWord(ed.Weight)
-				buf[pos+2] = congest.IntWord(ed.Level)
-				pos += 3
-			}
 			g.msgs = append(g.msgs, congest.BroadcastMsg{
 				Origin: u,
 				Payload: congest.Payload{
@@ -337,8 +331,8 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 					W0:   congest.IntWord(u),
 					W1:   congest.IntWord(ne),
 				},
-				Words: 1 + 2*ne + 3*len(out),
-				Body:  buf[:pos],
+				Words: 1 + 2*ne + hopset.EdgeWords*len(out),
+				Body:  b.hs.AppendOut(buf[:2*ne], u),
 			})
 		}
 		b.sim.Broadcast(g.msgs, g.handler)
@@ -357,20 +351,8 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 			if x == graph.NoVertex {
 				continue
 			}
-			path, ok := b.hs.Path(x, w)
-			if !ok {
-				if path, ok = b.hs.Path(w, x); ok {
-					// Reverse so the walk goes x -> w.
-					if cap(g.rev) < len(path) {
-						g.rev = make([]int, len(path))
-					}
-					rev := g.rev[:len(path)]
-					for i, p := range path {
-						rev[len(path)-1-i] = p
-					}
-					path = rev
-				}
-			}
+			path, ok := b.hs.Walk(g.walk[:0], x, w)
+			g.walk = path
 			if !ok || len(path) < 2 {
 				return fmt.Errorf("core: missing recovery path for hopset edge (%d,%d)", x, w)
 			}
@@ -452,45 +434,11 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 	return nil
 }
 
-// assembleTrees builds one tree per root from the workspace estimates in a
-// single pass over the vertices: members are the root, forced joiners, and
-// vertices whose estimate beats the (1+ε)-relaxed bound. Scanning vertices
-// ascending makes each root's member bucket sorted, so the buckets feed
-// NewTreeCompact directly and no host-sized per-root array is allocated.
-func (g *clusterGrowth) assembleTrees(roots []int) error {
-	b := g.b
-	slot := make(map[int]int, len(roots))
-	for i, r := range roots {
-		slot[r] = i
-	}
-	verts := make([][]int32, len(roots))
-	pars := make([][]int32, len(roots))
-	for v := 0; v < b.n; v++ {
-		for idx := range g.est[v] {
-			e := &g.est[v][idx]
-			i, ok := slot[e.root]
-			if !ok {
-				continue
-			}
-			if v != e.root && !e.force && e.dist >= g.hostCap(v) {
-				continue
-			}
-			p := graph.NoVertex
-			if v != e.root {
-				p = e.parent
-			}
-			verts[i] = append(verts[i], int32(v))
-			pars[i] = append(pars[i], int32(p))
-		}
-	}
-	for i, r := range roots {
-		tree, err := graph.NewTreeCompact(r, b.n, verts[i], pars[i])
-		if err != nil {
-			return fmt.Errorf("core: approximate cluster tree of %d: %w", r, err)
-		}
-		b.trees[r] = tree
-	}
-	return nil
+// member is the approximate clusters' membership rule for the tree
+// extractor: the root, forced joiners, and vertices whose estimate beats the
+// (1+ε)-relaxed bound.
+func (g *clusterGrowth) member(v int, e *rootCEntry) (root, parent int, ok bool) {
+	return e.root, e.parent, v == e.root || e.force || e.dist < g.hostCap(v)
 }
 
 // assemble runs the low-memory tree routing on every cluster tree in

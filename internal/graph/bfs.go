@@ -107,85 +107,3 @@ func HopRadiusUpperBound(t Topology) (int, error) {
 	}
 	return 2 * int(ecc), nil
 }
-
-// ShortestPathDiameter computes S, the maximum over all pairs (u,v) of the
-// minimum hop count among shortest (by weight) u-v paths. This is the
-// quantity the running time of [LP15]'s scheme depends on. Quadratic work;
-// intended for evaluation.
-func ShortestPathDiameter(t Topology) (int, error) {
-	n := t.N()
-	s := 0
-	for src := 0; src < n; src++ {
-		hops := minHopShortestPaths(t, src)
-		for v, h := range hops {
-			if h == -1 {
-				if v != src {
-					return 0, ErrDisconnected
-				}
-				continue
-			}
-			if h > s {
-				s = h
-			}
-		}
-	}
-	return s, nil
-}
-
-// minHopShortestPaths returns, for each v, the minimum number of hops over
-// all minimum-weight src-v paths (lexicographic Dijkstra on (dist, hops)).
-func minHopShortestPaths(t Topology, src int) []int {
-	n := t.N()
-	dist := make([]float64, n)
-	hops := make([]int, n)
-	for i := range dist {
-		dist[i] = Infinity
-		hops[i] = -1
-	}
-	dist[src] = 0
-	hops[src] = 0
-	// Priority = dist + tiny·hops would be fragile; run Dijkstra on dist and
-	// settle hop ties by explicit comparison during relaxation.
-	h := newVertexHeap(n)
-	h.Push(src, 0)
-	done := make([]bool, n)
-	for h.Len() > 0 {
-		u, _ := h.Pop()
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		to, base := t.NeighborRange(u)
-		for i, x := range to {
-			v := int(x)
-			alt := dist[u] + t.ArcWeight(base+i)
-			altHops := hops[u] + 1
-			if alt < dist[v] || (alt == dist[v] && altHops < hops[v]) {
-				if alt < dist[v] {
-					h.PushOrDecrease(v, alt)
-				}
-				dist[v] = alt
-				hops[v] = altHops
-			}
-		}
-	}
-	// One more relaxation sweep pass to settle equal-distance hop
-	// improvements missed by settled order (weights are positive so a few
-	// Bellman-Ford style sweeps converge; hop counts only decrease).
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < n; u++ {
-			if dist[u] == Infinity {
-				continue
-			}
-			to, base := t.NeighborRange(u)
-			for i, x := range to {
-				if v := int(x); dist[u]+t.ArcWeight(base+i) == dist[v] && hops[u]+1 < hops[v] {
-					hops[v] = hops[u] + 1
-					changed = true
-				}
-			}
-		}
-	}
-	return hops
-}

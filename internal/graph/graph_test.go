@@ -265,39 +265,6 @@ func TestHopDiameterDisconnected(t *testing.T) {
 	}
 }
 
-func TestShortestPathDiameter(t *testing.T) {
-	// A 5-cycle with one heavy edge: shortest paths avoid the heavy edge,
-	// so S = 4 even though hop diameter is 2.
-	g := fromEdges(t, 5, edge{0, 1, 1}, edge{1, 2, 1}, edge{2, 3, 1}, edge{3, 4, 1}, edge{4, 0, 100})
-	s, err := ShortestPathDiameter(g)
-	if err != nil {
-		t.Fatalf("ShortestPathDiameter: %v", err)
-	}
-	if s != 4 {
-		t.Fatalf("S=%d want 4", s)
-	}
-	d, _ := HopDiameter(g)
-	if d != 2 {
-		t.Fatalf("D=%d want 2", d)
-	}
-}
-
-func TestShortestPathDiameterAtLeastHopDiameter(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	g := ErdosRenyi(60, 0.1, IntegerWeights(50), r)
-	s, err := ShortestPathDiameter(g)
-	if err != nil {
-		t.Fatalf("S: %v", err)
-	}
-	d, err := HopDiameter(g)
-	if err != nil {
-		t.Fatalf("D: %v", err)
-	}
-	if s < d {
-		t.Fatalf("S=%d < D=%d", s, d)
-	}
-}
-
 func TestAllPairsSymmetric(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := ErdosRenyi(40, 0.15, IntegerWeights(9), r)

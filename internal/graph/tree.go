@@ -178,17 +178,6 @@ func (t *Tree) slot(v int) int {
 	return -1
 }
 
-// TreeFromSSSP converts a shortest-path tree into a Tree spanning all
-// reachable vertices.
-func TreeFromSSSP(r *SSSPResult) (*Tree, error) {
-	return NewTree(r.Source, r.Parent)
-}
-
-// TreeFromBFS converts a BFS tree into a Tree.
-func TreeFromBFS(r *BFSResult) (*Tree, error) {
-	return NewTree(r.Source, r.Parent)
-}
-
 // HostSize returns the number of vertices in the host graph's id space.
 func (t *Tree) HostSize() int { return t.hostN }
 
@@ -350,16 +339,6 @@ func (t *Tree) PreOrder() []int {
 	return out
 }
 
-// PostOrder returns members in depth-first postorder.
-func (t *Tree) PostOrder() []int {
-	slots := t.postOrderSlots()
-	out := make([]int, len(slots))
-	for i, s := range slots {
-		out[i] = int(t.verts[s])
-	}
-	return out
-}
-
 // SubtreeSizes returns |subtree| for every member, indexed by member slot
 // (see MemberIndex): nothing proportional to the host size.
 func (t *Tree) SubtreeSizes() []int {
@@ -446,9 +425,9 @@ func SpanningTree(t Topology, root int, kind string, r *rand.Rand) (*Tree, error
 	}
 	switch kind {
 	case "bfs":
-		return TreeFromBFS(BFS(t, root))
+		return NewTree(root, BFS(t, root).Parent)
 	case "sssp":
-		return TreeFromSSSP(Dijkstra(t, root))
+		return NewTree(root, Dijkstra(t, root).Parent)
 	case "dfs":
 		parent := make([]int, n)
 		for i := range parent {

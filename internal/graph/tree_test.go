@@ -115,12 +115,15 @@ func TestPreAndPostOrder(t *testing.T) {
 			t.Fatalf("preorder: parent %d after child %d", p, v)
 		}
 	}
-	post := tr.PostOrder()
+	// SubtreeSizes folds children before parents along postOrderSlots.
 	seenAt = make(map[int]int)
-	for i, v := range post {
-		seenAt[v] = i
+	for i, s := range tr.postOrderSlots() {
+		seenAt[tr.MemberAt(int(s))] = i
 	}
-	for _, v := range post {
+	if len(seenAt) != 7 {
+		t.Fatalf("postOrderSlots covers %d members, want 7", len(seenAt))
+	}
+	for _, v := range pre {
 		if p := tr.Parent(v); p != NoVertex && seenAt[p] < seenAt[v] {
 			t.Fatalf("postorder: parent %d before child %d", p, v)
 		}

@@ -19,13 +19,11 @@ type BFResult struct {
 }
 
 // Wire format of the H-step broadcast: a virtual vertex's estimate inline
-// (u, d) plus its stored hopset out-edges as (To, Weight, Level) triples in
-// the body.
+// (u, d) plus its stored hopset out-edges in the body (Hopset.AppendOut).
 const (
 	kindBEst congest.PayloadKind = 2
 
 	bEstHeadWords = 2 // u and d
-	edgeWords     = 3 // Edge: To, Weight, Level
 	hopRelaxWords = 3
 )
 
@@ -47,6 +45,8 @@ type BFScratch struct {
 	relaxD     []float64
 	relaxU     []int
 	relaxed    []int
+	joins      []float64
+	walk       []int
 
 	dist   []float64
 	parent []int
@@ -104,18 +104,9 @@ func (sc *BFScratch) onBEst(v int, dl *congest.Delivery) {
 			continue
 		}
 		u := congest.WordInt(p.W0)
-		// Forward direction: an out-edge (u -> w) relaxes w = v.
-		body := m.Body
-		for j := 0; j+edgeWords <= len(body); j += edgeWords {
-			if congest.WordInt(body[j]) == v {
-				sc.relax(v, d+congest.WordFloat(body[j+1]), u)
-			}
-		}
-		// Reverse direction: v's own out-edge (v -> u) relaxes v.
-		for _, e := range sc.hs.Out(v) {
-			if e.To == u {
-				sc.relax(v, d+e.Weight, u)
-			}
+		sc.joins = sc.hs.AppendJoins(sc.joins[:0], v, u, m.Body)
+		for _, w := range sc.joins {
+			sc.relax(v, d+w, u)
 		}
 	}
 }
@@ -226,12 +217,7 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 			if res.Dist[u] == graph.Infinity && len(out) == 0 {
 				continue
 			}
-			body := sc.bodies.Get(len(sc.msgs), edgeWords*len(out))
-			for j, e := range out {
-				body[edgeWords*j] = congest.IntWord(e.To)
-				body[edgeWords*j+1] = congest.FloatWord(e.Weight)
-				body[edgeWords*j+2] = congest.IntWord(e.Level)
-			}
+			body := hs.AppendOut(sc.bodies.Get(len(sc.msgs), EdgeWords*len(out))[:0], u)
 			sc.msgs = append(sc.msgs, congest.BroadcastMsg{
 				Origin: u,
 				Payload: congest.Payload{
@@ -239,7 +225,7 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 					W0:   congest.IntWord(u),
 					W1:   congest.FloatWord(res.Dist[u]),
 				},
-				Words: bEstHeadWords + edgeWords*len(out),
+				Words: bEstHeadWords + EdgeWords*len(out),
 				Body:  body,
 			})
 		}
@@ -257,12 +243,10 @@ func (sc *BFScratch) run(sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, s
 				res.Dist[v] = sc.relaxD[v]
 				res.Origin[v] = res.Origin[viaU]
 				// The realising walk enters v over a hopset edge; the host
-				// parent is v's neighbor on that edge's recovery path. Look
-				// it up from whichever orientation stores the edge.
-				if path, ok := hs.Path(v, viaU); ok && len(path) > 1 {
-					res.Parent[v] = path[1]
-				} else if path, ok := hs.Path(viaU, v); ok && len(path) > 1 {
-					res.Parent[v] = path[len(path)-2]
+				// parent is v's neighbor on that edge's recovery path.
+				var ok bool
+				if sc.walk, ok = hs.Walk(sc.walk[:0], v, viaU); ok && len(sc.walk) > 1 {
+					res.Parent[v] = sc.walk[1]
 				}
 				changed = true
 			}

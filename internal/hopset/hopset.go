@@ -31,18 +31,20 @@ type Edge struct {
 	To     int
 	Weight float64
 	Level  int
+	// path is the host path from the storing vertex to To that realises
+	// Weight (path recovery); read it through Hopset.Walk.
+	path []int
 }
 
 // Hopset is a (β,ε)-hopset for a virtual graph, with out-degree-bounded
 // orientation (the arboricity witness) and path recovery.
 type Hopset struct {
-	vg  *VirtualGraph
-	out map[int][]Edge
-	// paths holds, for each oriented edge (from, to), the host-graph path
-	// realising its weight (path recovery). The distributed knowledge
-	// backing it - per-vertex parent pointers - is charged to the meters
-	// during construction; this map is simulation bookkeeping.
-	paths map[[2]int][]int
+	vg *VirtualGraph
+	// out[v] holds the edges stored at (oriented out of) host vertex v, in
+	// insertion order, at most α of them. The distributed knowledge backing
+	// their paths - per-vertex parent pointers - is charged to the meters
+	// during construction; the paths are simulation bookkeeping.
+	out [][]Edge
 }
 
 // Build constructs a hopset for vg on the simulator, charging its
@@ -61,11 +63,7 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 		kappa = 3
 	}
 	m := vg.M()
-	hs := &Hopset{
-		vg:    vg,
-		out:   make(map[int][]Edge),
-		paths: make(map[[2]int][]int),
-	}
+	hs := &Hopset{vg: vg, out: make([][]Edge, sim.N())}
 	if m == 0 {
 		return hs, nil
 	}
@@ -104,10 +102,8 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 		// Cluster explorations from every center of this level, limited by
 		// the pivot distance (the Thorup-Zwick condition).
 		srcs := make([]Source, 0, len(level))
-		inLevel := make(map[int]bool, len(level))
 		for _, w := range level {
 			srcs = append(srcs, Source{Root: w, At: w, Dist: 0})
-			inLevel[w] = true
 		}
 		limit := func(v, root int, d float64) bool { return d < pivotDist[v] }
 		clusterSpan := trace.Begin(sim.Trace(), "clusters")
@@ -124,12 +120,13 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 		}
 
 		// Bunch edges: u -> w for every center w whose cluster reached u.
-		// At(u) is root-ascending, so hs.out slices (and therefore the BF
-		// broadcast payloads built from them) have a canonical order.
+		// Every root in res is a center of this level. At(u) is
+		// root-ascending, so hs.out slices (and therefore the BF broadcast
+		// payloads built from them) have a canonical order.
 		for _, u := range vg.Members() {
 			for _, re := range res.At(u) {
 				w := re.Root
-				if w == u || !inLevel[w] {
+				if w == u {
 					continue
 				}
 				if re.Dist >= pivotDist[u] {
@@ -166,16 +163,26 @@ func chaseParents(u int, parent []int) []int {
 }
 
 func (h *Hopset) addEdge(sim *congest.Simulator, from, to int, w float64, level int, path []int) {
-	key := [2]int{from, to}
-	if _, ok := h.paths[key]; ok {
+	if h.find(from, to) != nil {
 		return
 	}
-	h.out[from] = append(h.out[from], Edge{To: to, Weight: w, Level: level})
-	h.paths[key] = path
-	sim.Mem(from).Charge(3)
+	h.out[from] = append(h.out[from], Edge{To: to, Weight: w, Level: level, path: path})
+	sim.Mem(from).Charge(EdgeWords)
 }
 
-// Out returns the hopset edges stored at (oriented out of) virtual vertex v.
+// find returns the edge (from -> to) stored at from, or nil.
+func (h *Hopset) find(from, to int) *Edge {
+	es := h.Out(from)
+	for i := range es {
+		if es[i].To == to {
+			return &es[i]
+		}
+	}
+	return nil
+}
+
+// Out returns the hopset edges stored at (oriented out of) virtual vertex v,
+// in insertion order.
 func (h *Hopset) Out(v int) []Edge { return h.out[v] }
 
 // Size returns the number of oriented hopset edges.
@@ -194,18 +201,57 @@ func (h *Hopset) Size() int {
 func (h *Hopset) MaxOutDegree() int {
 	mx := 0
 	for _, es := range h.out {
-		if len(es) > mx {
-			mx = len(es)
-		}
+		mx = max(mx, len(es))
 	}
 	return mx
 }
 
-// Path returns the host path realising the oriented edge (from, to), and
-// whether the edge exists.
-func (h *Hopset) Path(from, to int) ([]int, bool) {
-	p, ok := h.paths[[2]int{from, to}]
-	return p, ok
+// Walk appends to dst the host walk that realises the hopset edge joining x
+// and w, from x to w, and reports whether such an edge exists. x's own edge
+// (x -> w) is preferred; otherwise w's edge (w -> x) is walked backwards.
+func (h *Hopset) Walk(dst []int, x, w int) ([]int, bool) {
+	if e := h.find(x, w); e != nil {
+		return append(dst, e.path...), true
+	}
+	e := h.find(w, x)
+	if e == nil {
+		return dst, false
+	}
+	for i := len(e.path) - 1; i >= 0; i-- {
+		dst = append(dst, e.path[i])
+	}
+	return dst, true
+}
+
+// EdgeWords is the wire size of one hopset edge in an H-step broadcast
+// body: To, Weight and Level.
+const EdgeWords = 3
+
+// AppendOut appends v's stored out-edges, in storage order, to dst as
+// (To, Weight, Level) words: the body of v's H-step broadcasts.
+func (h *Hopset) AppendOut(dst []uint64, v int) []uint64 {
+	for _, e := range h.Out(v) {
+		dst = append(dst, congest.IntWord(e.To), congest.FloatWord(e.Weight), congest.IntWord(e.Level))
+	}
+	return dst
+}
+
+// AppendJoins appends to dst the weights of the hopset edges that join the
+// receiver v of an H-step broadcast to its sender u, whose out-edges arrived
+// as edges (written by AppendOut): first u's edges to v, in body order, then
+// v's own edges to u. Each weight relaxes v once, in this order.
+func (h *Hopset) AppendJoins(dst []float64, v, u int, edges []uint64) []float64 {
+	for j := 0; j+EdgeWords <= len(edges); j += EdgeWords {
+		if congest.WordInt(edges[j]) == v {
+			dst = append(dst, congest.WordFloat(edges[j+1]))
+		}
+	}
+	for _, e := range h.Out(v) {
+		if e.To == u {
+			dst = append(dst, e.Weight)
+		}
+	}
+	return dst
 }
 
 // Edges returns all oriented hopset edges sorted by (From, To).
@@ -218,18 +264,15 @@ func (h *Hopset) Edges() []struct {
 		Edge
 	}
 	for from, es := range h.out {
+		start := len(out)
 		for _, e := range es {
 			out = append(out, struct {
 				From int
 				Edge
 			}{From: from, Edge: e})
 		}
+		seg := out[start:]
+		sort.Slice(seg, func(i, j int) bool { return seg[i].To < seg[j].To })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -331,27 +332,82 @@ func TestHopsetEdgesAreValidDistances(t *testing.T) {
 	}
 }
 
+// TestHopsetPathRecovery checks the recovery walk of every edge (x, w)
+// from both ends: each walk is a host path whose weights sum to the edge's
+// weight, and when only x stores the edge, the walk from w is the reverse of
+// the walk from x.
 func TestHopsetPathRecovery(t *testing.T) {
 	g, _, hs, _ := buildTestHopset(t, 100, 4, 14)
-	for _, e := range hs.Edges() {
-		path, ok := hs.Path(e.From, e.To)
+	walk := func(x, w int) ([]int, float64) {
+		path, ok := hs.Walk(nil, x, w)
 		if !ok || len(path) < 2 {
-			t.Fatalf("edge (%d,%d) missing recovery path", e.From, e.To)
+			t.Fatalf("edge (%d,%d) missing recovery path", x, w)
 		}
-		if path[0] != e.From || path[len(path)-1] != e.To {
-			t.Fatalf("edge (%d,%d) path endpoints %v", e.From, e.To, path)
+		if path[0] != x || path[len(path)-1] != w {
+			t.Fatalf("edge (%d,%d) path endpoints %v", x, w, path)
 		}
-		var w float64
+		var sum float64
 		for i := 1; i < len(path); i++ {
 			ew, ok := graph.TopoEdgeWeight(g, path[i-1], path[i])
 			if !ok {
-				t.Fatalf("edge (%d,%d): recovery hop {%d,%d} not a graph edge",
-					e.From, e.To, path[i-1], path[i])
+				t.Fatalf("edge (%d,%d): recovery hop {%d,%d} not a graph edge", x, w, path[i-1], path[i])
 			}
-			w += ew
+			sum += ew
 		}
-		if w != e.Weight {
-			t.Fatalf("edge (%d,%d): path weight %v != edge weight %v", e.From, e.To, w, e.Weight)
+		return path, sum
+	}
+	weight := make(map[[2]int]float64)
+	for _, e := range hs.Edges() {
+		weight[[2]int{e.From, e.To}] = e.Weight
+	}
+	reversed := 0
+	for _, e := range hs.Edges() {
+		x, w := e.From, e.To
+		fwd, sum := walk(x, w)
+		if sum != e.Weight {
+			t.Fatalf("edge (%d,%d): path weight %v != edge weight %v", x, w, sum, e.Weight)
+		}
+		back, sum := walk(w, x)
+		if own, ok := weight[[2]int{w, x}]; ok {
+			// w stores its own edge to x, and the walk from w is that edge's.
+			if sum != own {
+				t.Fatalf("edge (%d,%d): path weight %v != edge weight %v", w, x, sum, own)
+			}
+			continue
+		}
+		slices.Reverse(fwd)
+		if !slices.Equal(back, fwd) {
+			t.Fatalf("edge (%d,%d): walk back %v is not the reverse walk %v", x, w, back, fwd)
+		}
+		if math.Abs(sum-e.Weight) > 1e-9*math.Max(1, e.Weight) {
+			t.Fatalf("edge (%d,%d): reversed walk weight %v, edge weight %v", x, w, sum, e.Weight)
+		}
+		reversed++
+	}
+	if reversed == 0 {
+		t.Fatal("no edge was walked from its head")
+	}
+	if path, ok := hs.Walk([]int{7}, 0, 0); ok || !slices.Equal(path, []int{7}) {
+		t.Fatalf("Walk of a missing edge = %v, %v; want the buffer unchanged and false", path, ok)
+	}
+}
+
+// TestClusterTreesRejectsUnsortedRoots pins the extractor's contract: roots
+// are found by binary search, so a list that is not strictly ascending is an
+// error rather than a silently skipped record.
+func TestClusterTreesRejectsUnsortedRoots(t *testing.T) {
+	recs := [][]RootEntry{
+		{{Root: 0, Entry: Entry{Parent: graph.NoVertex}}},
+		{{Root: 0, Entry: Entry{Dist: 1, Parent: 0}}, {Root: 1, Entry: Entry{Parent: graph.NoVertex}}},
+	}
+	member := func(v int, en *RootEntry) (int, int, bool) { return en.Root, en.Parent, true }
+	trees, err := ClusterTrees([]int{0, 1}, recs, member)
+	if err != nil || len(trees) != 2 || trees[0].Size() != 2 || trees[1].Size() != 1 {
+		t.Fatalf("ascending roots: trees %v, err %v", trees, err)
+	}
+	for _, roots := range [][]int{{1, 0}, {0, 0}} {
+		if _, err := ClusterTrees(roots, recs, member); err == nil || !strings.Contains(err.Error(), "ascending") {
+			t.Fatalf("roots %v: err %v, want the ascending-roots error", roots, err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestMeasureHopboundBeatsPlainBF(t *testing.T) {
 		t.Skip("no usable pairs")
 	}
 	// β without any hopset = measured on the bare virtual graph.
-	bare := &Hopset{vg: vg, out: map[int][]Edge{}, paths: map[[2]int][]int{}}
+	bare := &Hopset{vg: vg}
 	betaWithout, _, err := MeasureHopbound(vg, bare, 0.0, 40, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestVerifyHopsetDetectsTooSmallBeta(t *testing.T) {
 	// With β=1 and ε=0 on a sparse virtual graph, some pair must violate
 	// the upper bound (unless the hopset happens to shortcut everything).
 	vg, _ := buildSparseHopset(t, graph.FamilyGrid, 196, 3, 2, 6)
-	bare := &Hopset{vg: vg, out: map[int][]Edge{}, paths: map[[2]int][]int{}}
+	bare := &Hopset{vg: vg}
 	u, _, err := VerifyHopset(vg, bare, 0.0, 1, 80, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)

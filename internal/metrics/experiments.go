@@ -17,19 +17,17 @@ import (
 	"lowmemroute/internal/tz"
 )
 
-// LookupHistogram names the per-lookup wall-latency histogram recorded by
-// the experiment drivers (and the facade): nanoseconds in, exposed in
-// seconds.
-const LookupHistogram = "route_lookup_seconds"
-
-// lookupHist fetches (or lazily creates) the lookup-latency histogram of
-// reg; nil registry, nil histogram — the stretch loops then skip timing.
-func lookupHist(reg *obs.Registry) *obs.Histogram {
+// LookupHist fetches (or lazily creates) reg's per-lookup wall-latency
+// histogram, route_lookup_seconds, recorded by the experiment drivers and
+// the facade: nanoseconds in, exposed in seconds. A nil registry gives a nil
+// histogram, and the stretch loops then skip timing.
+func LookupHist(reg *obs.Registry) *obs.Histogram {
 	if reg == nil {
 		return nil
 	}
-	reg.SetHelp(LookupHistogram, "Wall-clock latency of one Route lookup, in seconds.")
-	return reg.Histogram(LookupHistogram, 1e-9)
+	const name = "route_lookup_seconds"
+	reg.SetHelp(name, "Wall-clock latency of one Route lookup, in seconds.")
+	return reg.Histogram(name, 1e-9)
 }
 
 // SchemeRow is one measured row of the paper's Table 1: a general-graph
@@ -71,7 +69,7 @@ type Table1Config struct {
 	Faults *faults.Plan
 	// Metrics, when non-nil, receives live engine counters from the
 	// simulated constructions, build-phase progress from the paper scheme,
-	// and the per-lookup latency histogram (LookupHistogram) from every
+	// and the per-lookup latency histogram (LookupHist) from every
 	// scheme's stretch measurement.
 	Metrics *obs.Registry
 	// Shards sets the paper scheme's parallel execution shard count
@@ -111,7 +109,7 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 func runScheme(name string, topo *graph.CSR, cfg Table1Config) (SchemeRow, error) {
 	row := SchemeRow{Scheme: name, Family: cfg.Family, N: topo.N(), K: cfg.K}
 	r := rand.New(rand.NewSource(cfg.Seed + 7))
-	lat := lookupHist(cfg.Metrics)
+	lat := LookupHist(cfg.Metrics)
 	switch name {
 	case "tz":
 		s, err := tz.Build(topo, tz.Options{K: cfg.K, Seed: cfg.Seed})

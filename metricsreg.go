@@ -56,7 +56,7 @@ func (m *Metrics) LookupLatency() LatencySummary {
 	if m == nil {
 		return LatencySummary{}
 	}
-	s := m.reg.Histogram(metrics.LookupHistogram, 1e-9).Snapshot()
+	s := metrics.LookupHist(m.reg).Snapshot()
 	return LatencySummary{
 		Count: s.Count,
 		P50:   time.Duration(s.Quantile(0.5)),

@@ -129,15 +129,10 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lookups *obs.Histogram
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		reg.SetHelp(metrics.LookupHistogram, "Wall-clock latency of one Route lookup, in seconds.")
-		lookups = reg.Histogram(metrics.LookupHistogram, 1e-9)
-	}
 	sch := &Scheme{
 		inner:   s,
 		tab:     dataplane.Compile(s.Scheme),
-		lookups: lookups,
+		lookups: metrics.LookupHist(cfg.Metrics.Registry()),
 		report: Report{
 			Rounds:             sim.Rounds(),
 			Messages:           sim.Messages(),
