@@ -70,11 +70,12 @@ PAIRS ?= 10
 bench-ab:
 	bash scripts/bench-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
-# One iteration of every micro-benchmark in the engine, handler and data-plane
-# packages: catches benchmarks that no longer compile or that panic, without
-# trusting noisy timings. Their exact outputs are pinned by tier-1 tests.
+# One iteration of every micro-benchmark in the graph generator, engine,
+# handler and data-plane packages: catches benchmarks that no longer compile
+# or that panic, without trusting noisy timings. Their exact outputs are
+# pinned by tier-1 tests.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/congest ./internal/hopset ./internal/core ./internal/treeroute ./internal/dataplane/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/congest ./internal/hopset ./internal/core ./internal/treeroute ./internal/dataplane/...
 
 # End-to-end check of the live metrics pipeline: run a small routebench
 # sweep with -pprof on an ephemeral port, scrape /metrics during

@@ -97,7 +97,7 @@ type weightClasser struct {
 	slots []classSlot
 	shift uint // 64 - log2(len(slots)): a key's home slot is its hash >> shift
 	n     int  // distinct weights added
-	over  bool // a weight past maxWeightClasses was added; slots is abandoned
+	over  bool // a weight past maxWeightClasses was added; slots stops growing
 }
 
 // classSlot is one weight of the classer's table.
@@ -124,7 +124,8 @@ func (wc *weightClasser) slot(k uint64) int {
 
 // add records w and returns its insertion id, the number of distinct
 // weights added before it. Once more than maxWeightClasses distinct weights
-// were seen, it marks the classer over and returns 0.
+// were seen, it marks the classer over and returns 0; the table keeps the
+// weights added before, so byID still reads back every id add returned.
 func (wc *weightClasser) add(w float64) uint16 {
 	if wc.over {
 		return 0
@@ -135,7 +136,7 @@ func (wc *weightClasser) add(w float64) uint16 {
 		return wc.slots[i].id
 	}
 	if wc.n == maxWeightClasses {
-		wc.over, wc.slots = true, nil
+		wc.over = true
 		return 0
 	}
 	id := uint16(wc.n)
@@ -157,6 +158,17 @@ func (wc *weightClasser) resize(size int) {
 			wc.slots[wc.slot(s.key)] = s
 		}
 	}
+}
+
+// byID returns the distinct weights indexed by insertion id.
+func (wc *weightClasser) byID() []float64 {
+	w := make([]float64, wc.n)
+	for _, s := range wc.slots {
+		if s.key != 0 {
+			w[s.id] = math.Float64frombits(s.key)
+		}
+	}
+	return w
 }
 
 // rank sorts the distinct weights into the class table it returns, along

@@ -173,7 +173,8 @@ func FuzzFreezeWeights(f *testing.F) {
 // TestStreamConstructorsPresize pins the builder presizing: a family whose
 // edge count GenerateCSR reserves up front allocates the same number of
 // times at every size, where appending into an unsized builder regrows its
-// three edge arrays about log2(m) times each.
+// three edge arrays about log2(m) times each. The grid and the torus, laid
+// out in place at their exact size, are held to the same count.
 func TestStreamConstructorsPresize(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, f := range []Family{FamilyGrid, FamilyTorus, FamilyHypercube, FamilyPowerLaw} {

@@ -43,20 +43,17 @@ func RandomGeometric(n int, radius float64, r *rand.Rand) *CSR {
 	return b.Build()
 }
 
-// Grid generates a rows×cols grid with the given weights. Hop diameter is
-// rows+cols-2, which makes it a good "large D" stress case.
+// Grid generates a rows×cols grid with the given weights, laid out in
+// place (see lattice). Hop diameter is rows+cols-2, which makes it a good
+// "large D" stress case.
 func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(rows * cols)
-	streamGrid(rows, cols, w, r, b.add)
-	return b.Build()
+	return lattice(rows, cols, false, w, r)
 }
 
-// Torus is Grid with wraparound edges, halving the diameter. The wrap edges
-// are generated in the same edge stream as the grid edges (streamTorus).
+// Torus is Grid with wraparound edges, halving the diameter. Its weights
+// are the grid's draws, then one per row wrap and one per column wrap.
 func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	b := NewCSRBuilder(rows * cols)
-	streamTorus(rows, cols, w, r, b.add)
-	return b.Build()
+	return lattice(rows, cols, true, w, r)
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: each new vertex

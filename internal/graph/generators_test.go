@@ -164,6 +164,16 @@ func TestGenerateFamilies(t *testing.T) {
 	}
 }
 
+// TestGenerateCSRNegativeN pins that every family rejects a negative
+// vertex count with an error, neither panicking nor returning a graph.
+func TestGenerateCSRNegativeN(t *testing.T) {
+	for _, f := range goldenFamilies {
+		if c, err := GenerateCSR(f, -1, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("%s: n=-1 gave %d vertices, want an error", f, c.N())
+		}
+	}
+}
+
 func TestHypercubeStructure(t *testing.T) {
 	c, err := GenerateCSR(FamilyHypercube, 16, rand.New(rand.NewSource(1)))
 	if err != nil {

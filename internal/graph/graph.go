@@ -1,11 +1,12 @@
 // Package graph provides the weighted undirected graph substrate used by the
-// routing schemes. A graph has one in-memory form, the immutable CSR; the
-// CSRBuilder is the only way to make one, from an edge stream that the
-// generators, the facade's link-by-link edits and the materialised virtual
-// graphs all feed. On top of it sit the algorithms that read a Topology
-// (Dijkstra, bounded-hop Bellman-Ford, BFS, diameter measures, spanning
-// trees), the Section 2 weight quantization, and rooted-tree utilities
-// (heavy-child decomposition, DFS intervals).
+// routing schemes. A graph has one in-memory form, the immutable CSR. The
+// grid and the torus are laid out in place, since their adjacency has a
+// closed form; every other graph is frozen by a CSRBuilder from an edge
+// stream that the other generators, the facade's link-by-link edits and
+// the materialised virtual graphs feed. On top of it sit the algorithms
+// that read a Topology (Dijkstra, bounded-hop Bellman-Ford, BFS, diameter
+// measures, spanning trees), the Section 2 weight quantization, and
+// rooted-tree utilities (heavy-child decomposition, DFS intervals).
 //
 // All algorithms are deterministic given the caller-supplied *rand.Rand.
 package graph

@@ -7,14 +7,15 @@ import (
 	"sort"
 )
 
-// This file holds the generator cores of GenerateCSR's families: each
-// topology family has exactly one, which emits its edges in a fixed,
-// documented order through an emit callback. GenerateCSR and the
-// constructors of generators.go stream a core straight into a CSRBuilder,
-// so the edge order, the weights and the RNG consumption are the core's.
-// No adjacency lists or other per-vertex slice state are materialised:
-// transient memory is the builder's flat edge arrays plus O(n) generator
-// scratch.
+// This file holds the generator cores of GenerateCSR's streamed families:
+// Erdős–Rényi, geometric, power-law and the hypercube each have exactly
+// one, which emits its edges in a fixed, documented order through an emit
+// callback. GenerateCSR and the constructors of generators.go stream a core
+// straight into a CSRBuilder, so the edge order, the weights and the RNG
+// consumption are the core's. No adjacency lists or other per-vertex slice
+// state are materialised: transient memory is the builder's flat edge
+// arrays plus O(n) generator scratch. The grid and the torus have no
+// stream: lattice lays them out in place.
 
 // streamErdosRenyi emits G(n, p) plus a connecting backbone: first the
 // Hamiltonian path over r.Perm(n), one weight per backbone edge, then one
@@ -41,42 +42,6 @@ func streamErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand, emit func(u,
 			if r.Float64() < p && v != pu && v != nu {
 				emit(u, v, w(r))
 			}
-		}
-	}
-}
-
-// streamGrid emits the rows×cols grid row-major: for each cell, the right
-// edge then the down edge. Matches the historical Grid order exactly.
-func streamGrid(rows, cols int, w WeightFunc, r *rand.Rand, emit func(u, v int, wt float64)) {
-	id := func(i, j int) int { return i*cols + j }
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if j+1 < cols {
-				emit(id(i, j), id(i, j+1), w(r))
-			}
-			if i+1 < rows {
-				emit(id(i, j), id(i+1, j), w(r))
-			}
-		}
-	}
-}
-
-// streamTorus emits the grid edges and then the wraparound edges in one
-// stream — the wrap edges are generated in-line rather than retrofitted
-// onto a built Grid, so the CSR path needs no post-hoc edge insertion. The
-// order (grid pass, then row wraps, then column wraps) and the RNG draw
-// sequence match the historical Grid-then-retrofit Torus exactly.
-func streamTorus(rows, cols int, w WeightFunc, r *rand.Rand, emit func(u, v int, wt float64)) {
-	streamGrid(rows, cols, w, r, emit)
-	id := func(i, j int) int { return i*cols + j }
-	if cols > 2 {
-		for i := 0; i < rows; i++ {
-			emit(id(i, 0), id(i, cols-1), w(r))
-		}
-	}
-	if rows > 2 {
-		for j := 0; j < cols; j++ {
-			emit(id(0, j), id(rows-1, j), w(r))
 		}
 	}
 }
@@ -264,22 +229,19 @@ func streamGeometric(n int, radius float64, r *rand.Rand, emit func(u, v int, wt
 	}
 }
 
-// gridEdges is the edge count of the rows×cols grid streamGrid emits.
-func gridEdges(rows, cols int) int {
-	if rows <= 0 || cols <= 0 {
-		return 0
-	}
-	return rows*(cols-1) + (rows-1)*cols
-}
-
 // GenerateCSR builds an n-vertex connected instance of the named family
 // with its density defaults, streaming the family's core straight into a
-// CSR: no adjacency lists, and generator scratch of O(n), or O(n + m) for
-// the flat edge arrays. Every family but Erdős–Rényi also runs in O(n + m)
-// time; Erdős–Rényi flips one coin per vertex pair, so it takes O(n²) time
-// and does not suit million-vertex runs. Grid and torus round n to
-// rows×cols and the hypercube to a power of two, so read N() back.
+// CSR, or for the grid and the torus laying it out in place: no adjacency
+// lists, and generator scratch of O(n), or O(n + m) for the flat edge
+// arrays. Every family but Erdős–Rényi also runs in O(n + m) time;
+// Erdős–Rényi flips one coin per vertex pair, so it takes O(n²) time and
+// does not suit million-vertex runs. Grid and torus round n to rows×cols
+// and the hypercube to a power of two, so read N() back. A negative n is
+// an error.
 func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: %s with %d vertices", f, n)
+	}
 	var b *CSRBuilder
 	switch f {
 	case FamilyErdosRenyi:
@@ -293,23 +255,9 @@ func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 	case FamilyGeometric:
 		b = NewCSRBuilder(n)
 		streamGeometric(n, geometricDefaultRadius(n), r, b.add)
-	case FamilyGrid:
+	case FamilyGrid, FamilyTorus:
 		rows, cols := gridDefaultDims(n)
-		b = NewCSRBuilder(rows * cols)
-		b.reserve(gridEdges(rows, cols))
-		streamGrid(rows, cols, IntegerWeights(10), r, b.add)
-	case FamilyTorus:
-		rows, cols := gridDefaultDims(n)
-		b = NewCSRBuilder(rows * cols)
-		m := gridEdges(rows, cols)
-		if cols > 2 {
-			m += rows
-		}
-		if rows > 2 {
-			m += cols
-		}
-		b.reserve(m)
-		streamTorus(rows, cols, IntegerWeights(10), r, b.add)
+		return lattice(rows, cols, f == FamilyTorus, IntegerWeights(10), r), nil
 	case FamilyPowerLaw:
 		// streamBarabasiAlbert's edge count: a path over the first
 		// m+1 vertices, then m edges for each later vertex.

@@ -132,10 +132,12 @@ func Build(ex *Explorer, vg *VirtualGraph, opts Options) (*Hopset, error) {
 				if re.Dist >= pivotDist[u] {
 					continue // not strictly inside the bunch
 				}
-				hs.addEdge(sim, u, w, re.Dist, i, res.PathToSeed(u, w))
+				if hs.find(u, w) == nil {
+					hs.addEdge(sim, u, w, re.Dist, i, res.PathToSeed(u, w))
+				}
 			}
 			// Pivot edge: u -> nearest next-level center.
-			if z := pivotOrigin[u]; z != graph.NoVertex && z != u {
+			if z := pivotOrigin[u]; z != graph.NoVertex && z != u && hs.find(u, z) == nil {
 				hs.addEdge(sim, u, z, pivotDist[u], i, chaseParents(u, pivotParent))
 			}
 		}
@@ -162,10 +164,10 @@ func chaseParents(u int, parent []int) []int {
 	return path
 }
 
+// addEdge stores the edge from -> to with its recovery path. The first
+// edge between a pair wins: callers check find first, so a duplicate's
+// path is never built.
 func (h *Hopset) addEdge(sim *congest.Simulator, from, to int, w float64, level int, path []int) {
-	if h.find(from, to) != nil {
-		return
-	}
 	h.out[from] = append(h.out[from], Edge{To: to, Weight: w, Level: level, path: path})
 	sim.Mem(from).Charge(EdgeWords)
 }

@@ -211,3 +211,13 @@ func TestGenerateFamilies(t *testing.T) {
 		t.Fatal("unknown family should error")
 	}
 }
+
+// TestGenerateNegativeN pins that Generate rejects a negative node count
+// with an error for every family.
+func TestGenerateNegativeN(t *testing.T) {
+	for _, f := range []Family{ErdosRenyi, Geometric, Grid, Torus, PowerLaw, Hypercube} {
+		if net, err := Generate(f, -1, 1); err == nil {
+			t.Errorf("%s: n=-1 gave %d nodes, want an error", f, net.Nodes())
+		}
+	}
+}
