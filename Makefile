@@ -48,9 +48,9 @@ test:
 # crash-detour walks reading a down mask that flips under them), the facade
 # Network's lazily frozen topology under concurrent read-only queries, and
 # the facade PacketNetwork's concurrent Sends while a node crashes and
-# recovers.
+# recovers, and the lattice layout's helper goroutine (internal/graph).
 race:
-	$(GO) test -race ./internal/congest/... ./internal/treeroute/... ./internal/hopset/... ./internal/core/... ./internal/obs/... ./internal/dataplane/...
+	$(GO) test -race ./internal/congest/... ./internal/treeroute/... ./internal/hopset/... ./internal/core/... ./internal/obs/... ./internal/dataplane/... ./internal/graph/...
 	$(GO) test -race -run '^(TestNetworkConcurrentReads|TestConcurrentSends)$$' .
 
 # Full test run with the output captured (the repository's test record).

@@ -342,7 +342,7 @@ func runTraffic(family graph.Family, ns, ks []int, seed int64, workers []int, sk
 			for _, w := range workers {
 				for _, sk := range skews {
 					lat := obs.NewRegistry().Histogram("traffic_lookup_seconds", 1e-9)
-					rep := traffic.Run(eng, traffic.Config{
+					rep, err := traffic.Run(eng, traffic.Config{
 						Workers:  w,
 						Batch:    batch,
 						Skew:     sk,
@@ -351,6 +351,9 @@ func runTraffic(family graph.Family, ns, ks []int, seed int64, workers []int, sk
 						Duration: duration,
 						Rate:     rate,
 					}, lat)
+					if err != nil {
+						fatalf("traffic n=%d k=%d: %v", n, k, err)
+					}
 					rows = append(rows, []string{
 						strconv.Itoa(n), strconv.Itoa(k),
 						strconv.Itoa(rep.Workers), fmt.Sprintf("%.2f", sk), strconv.Itoa(rep.Batch),

@@ -33,13 +33,15 @@ func BenchmarkTraffic(b *testing.B) {
 	lat := obs.NewRegistry().Histogram("traffic_lookup_seconds", 1e-9)
 	b.ReportAllocs()
 	b.ResetTimer()
-	Run(eng, Config{
+	if _, err := Run(eng, Config{
 		Workers: runtime.GOMAXPROCS(0),
 		Batch:   256,
 		Skew:    1.0,
 		Seed:    17,
 		Lookups: int64(b.N),
-	}, lat)
+	}, lat); err != nil {
+		b.Fatal(err)
+	}
 	b.StopTimer()
 	s := lat.Snapshot()
 	b.ReportMetric(float64(s.Quantile(0.5)), "p50-ns")

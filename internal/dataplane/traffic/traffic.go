@@ -14,6 +14,8 @@
 package traffic
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -56,12 +58,12 @@ type Zipf struct {
 }
 
 // NewZipf builds the cumulative table for n ranks at skew s. Panics if
-// n <= 0 or s < 0.
+// n <= 0 or s is negative or NaN; Run checks both and returns an error.
 func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("traffic: Zipf needs n > 0")
 	}
-	if s < 0 {
+	if !(s >= 0) {
 		panic("traffic: Zipf needs skew >= 0")
 	}
 	cum := make([]float64, n)
@@ -143,8 +145,16 @@ func (r Report) Rate() float64 {
 // budget or duration runs out, recording per-lookup latency (batch time
 // divided by batch size) into lat (nil is fine — recording is skipped).
 // Each worker pins the engine's current table once per batch, so Run is
-// safe to race with Engine.Swap.
-func Run(eng *dataplane.Engine, cfg Config, lat *obs.Histogram) Report {
+// safe to race with Engine.Swap. It returns an error, and runs nothing, for
+// a table with no vertices or a negative or NaN Skew.
+func Run(eng *dataplane.Engine, cfg Config, lat *obs.Histogram) (Report, error) {
+	n := eng.Table().N()
+	if n <= 0 {
+		return Report{}, errors.New("traffic: the table has no vertices")
+	}
+	if !(cfg.Skew >= 0) {
+		return Report{}, fmt.Errorf("traffic: skew %v, want a number >= 0", cfg.Skew)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -153,7 +163,6 @@ func Run(eng *dataplane.Engine, cfg Config, lat *obs.Histogram) Report {
 	if batch <= 0 {
 		batch = 256
 	}
-	n := eng.Table().N()
 	zipf := NewZipf(n, cfg.Skew)
 
 	// Split the lookup budget across workers up front (not a shared atomic
@@ -237,5 +246,5 @@ func Run(eng *dataplane.Engine, cfg Config, lat *obs.Histogram) Report {
 		Elapsed: time.Since(start),
 		Workers: workers,
 		Batch:   batch,
-	}
+	}, nil
 }

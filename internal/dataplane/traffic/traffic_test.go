@@ -25,6 +25,16 @@ func testEngine(t *testing.T, n int) *dataplane.Engine {
 	return dataplane.NewEngine(dataplane.Compile(s.Scheme))
 }
 
+// mustRun is Run for a config the test knows is valid.
+func mustRun(t *testing.T, eng *dataplane.Engine, cfg Config, lat *obs.Histogram) Report {
+	t.Helper()
+	rep, err := Run(eng, cfg, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestStreamDeterminism pins the splitmix64 stream: same (seed, worker) =>
 // same sequence; different workers => different sequences.
 func TestStreamDeterminism(t *testing.T) {
@@ -86,8 +96,8 @@ func TestZipfDistribution(t *testing.T) {
 func TestRunDeterministicWorkload(t *testing.T) {
 	eng := testEngine(t, 96)
 	cfg := Config{Workers: 3, Batch: 64, Skew: 0.9, Seed: 5, Lookups: 50000}
-	a := Run(eng, cfg, nil)
-	b := Run(eng, cfg, nil)
+	a := mustRun(t, eng, cfg, nil)
+	b := mustRun(t, eng, cfg, nil)
 	if a.Lookups != cfg.Lookups || b.Lookups != cfg.Lookups {
 		t.Fatalf("budget not honored: %d / %d, want %d", a.Lookups, b.Lookups, cfg.Lookups)
 	}
@@ -104,7 +114,7 @@ func TestRunDeterministicWorkload(t *testing.T) {
 func TestRunRecordsLatency(t *testing.T) {
 	eng := testEngine(t, 64)
 	lat := obs.NewRegistry().Histogram("traffic_lookup_seconds", 1e-9)
-	rep := Run(eng, Config{Workers: 2, Batch: 100, Seed: 3, Lookups: 10000}, lat)
+	rep := mustRun(t, eng, Config{Workers: 2, Batch: 100, Seed: 3, Lookups: 10000}, lat)
 	snap := lat.Snapshot()
 	if snap.Count != rep.Lookups {
 		t.Fatalf("histogram count %d, lookups %d", snap.Count, rep.Lookups)
@@ -118,7 +128,7 @@ func TestRunRecordsLatency(t *testing.T) {
 // bounds — the test must not flake on a loaded host).
 func TestRunRateThrottle(t *testing.T) {
 	eng := testEngine(t, 64)
-	rep := Run(eng, Config{Workers: 1, Batch: 50, Seed: 3, Lookups: 2000, Rate: 20000}, nil)
+	rep := mustRun(t, eng, Config{Workers: 1, Batch: 50, Seed: 3, Lookups: 2000, Rate: 20000}, nil)
 	if got := rep.Rate(); got > 40000 {
 		t.Fatalf("throttle to 20k lookups/s ran at %.0f", got)
 	}
@@ -128,7 +138,7 @@ func TestRunRateThrottle(t *testing.T) {
 // (workers*batch) is consumed exactly.
 func TestRunPartialFinalBatch(t *testing.T) {
 	eng := testEngine(t, 64)
-	rep := Run(eng, Config{Workers: 3, Batch: 64, Seed: 1, Lookups: 1001}, nil)
+	rep := mustRun(t, eng, Config{Workers: 3, Batch: 64, Seed: 1, Lookups: 1001}, nil)
 	if rep.Lookups != 1001 {
 		t.Fatalf("lookups %d, want 1001", rep.Lookups)
 	}
@@ -149,7 +159,7 @@ func TestRunBatchAllocFree(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
-			Run(eng, cfg, lat)
+			mustRun(t, eng, cfg, lat)
 			runtime.ReadMemStats(&ms)
 			fewest = min(fewest, ms.Mallocs-before)
 		}
@@ -157,5 +167,36 @@ func TestRunBatchAllocFree(t *testing.T) {
 	}
 	if one, many := allocs(1), allocs(64); one != many {
 		t.Fatalf("a 1-batch Run allocates %d times, a 64-batch Run %d times", one, many)
+	}
+}
+
+// TestRunRejectsBadSkew checks Run returns an error, instead of NewZipf's
+// panic or a NaN table that sends every lookup to vertex 0, for a negative
+// or NaN skew, and that NewZipf itself still panics on NaN.
+func TestRunRejectsBadSkew(t *testing.T) {
+	eng := testEngine(t, 32)
+	for _, s := range []float64{-1, math.NaN()} {
+		if _, err := Run(eng, Config{Workers: 1, Skew: s, Seed: 1, Lookups: 100}, nil); err == nil {
+			t.Errorf("skew %v: Run returned no error", s)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewZipf(8, NaN) did not panic")
+		}
+	}()
+	NewZipf(8, math.NaN())
+}
+
+// TestRunRejectsEmptyTable checks Run returns an error for a table with no
+// vertices, where NewZipf would panic.
+func TestRunRejectsEmptyTable(t *testing.T) {
+	s, err := tz.Build(graph.NewCSRBuilder(0).Build(), tz.Options{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dataplane.NewEngine(dataplane.Compile(s.Scheme))
+	if _, err := Run(eng, Config{Workers: 1, Seed: 1, Lookups: 100}, nil); err == nil {
+		t.Fatal("Run on an empty table returned no error")
 	}
 }
