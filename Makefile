@@ -62,8 +62,9 @@ bench:
 
 # A/B the repository benchmark (scripts/bench-ab.sh): WORKLOAD at git
 # revision REV against the working tree, in PAIRS alternating pairs; prints
-# every pair's setup_s and the geometric-mean change/base ratio. REV is
-# checked out in a git worktree under .bench_build/, removed afterwards.
+# every pair's setup_s, each side's median and quartiles, and the
+# geometric-mean change/base ratio. REV is checked out in a git worktree
+# under .bench_build/, removed afterwards.
 REV ?= HEAD
 WORKLOAD ?= serve-grid400-k3
 PAIRS ?= 10

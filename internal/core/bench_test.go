@@ -7,13 +7,15 @@ import (
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/hopset"
 )
 
 // buildGrowthFixture replicates Build up to (but not including) the
-// approximate-cluster phase and returns a warm clusterGrowth workspace plus
-// one high level with live roots. This isolates the grow() handler regime -
-// the densest multi-root Bellman-Ford traffic of the construction - from
-// the allocating tree-assembly output stage. Workers are pinned to 1 so the
+// approximate-cluster phase and returns the builder, whose limited
+// Bellman-Ford kernel the approximate pivots have warmed, plus one high
+// level with live roots. This isolates the kernel's handler regime - the
+// densest multi-root Bellman-Ford traffic of the construction - from the
+// allocating tree-assembly output stage. Workers are pinned to 1 so the
 // alloc figures measure the handler layer, not goroutine spawns.
 func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 	tb.Helper()
@@ -39,7 +41,6 @@ func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 			}
 		}
 		if len(roots) > 0 {
-			b.cg = newClusterGrowth(b)
 			return b, i, roots
 		}
 	}
@@ -48,17 +49,17 @@ func buildGrowthFixture(tb testing.TB) (*builder, int, []int) {
 }
 
 // BenchmarkClusterGrowth measures one warm multi-root approximate-cluster
-// growth: growth iterations, hopset broadcast passes, path-recovery joins,
-// and the final limited exploration, all on the recycled workspace.
+// growth: the kernel's iterations and hopset broadcast passes, path-recovery
+// joins, and the final limited exploration, all on recycled workspaces.
 func BenchmarkClusterGrowth(b *testing.B) {
 	bb, level, roots := buildGrowthFixture(b)
-	if err := bb.cg.grow(level, roots); err != nil {
+	if err := bb.growClusters(level, roots); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bb.cg.grow(level, roots); err != nil {
+		if err := bb.growClusters(level, roots); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,13 +72,23 @@ func BenchmarkClusterGrowth(b *testing.B) {
 }
 
 // TestClusterGrowthSteadyStateAllocFree pins that a warm cluster growth
-// allocates nothing: estimates truncate in place, the dirty list and
-// reverse index recycle, and all wire traffic rides typed payloads through
-// the simulator arena.
+// allocates nothing, and that the approximate pivots' run of the same
+// limited Bellman-Ford kernel, which precedes it in Build, does not either:
+// an unlimited run from the pivots' shared-root seeds, then the growth's
+// kernel run under per-vertex limits, its path-recovery joins and the final
+// limited exploration. Estimates truncate in place, the worklist recycles,
+// and all wire traffic rides typed payloads.
 func TestClusterGrowthSteadyStateAllocFree(t *testing.T) {
 	bb, level, roots := buildGrowthFixture(t)
+	var seeds []hopset.Source
+	for _, v := range bb.levels[bb.k-1] {
+		seeds = append(seeds, hopset.Source{Root: pivotSet, At: v})
+	}
 	run := func() {
-		if err := bb.cg.grow(level, roots); err != nil {
+		if _, err := bb.bf.Run(seeds, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := bb.growClusters(level, roots); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +96,7 @@ func TestClusterGrowthSteadyStateAllocFree(t *testing.T) {
 		run()
 	}
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("steady-state cluster growth allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state pivots and cluster growth allocate %v/op, want 0", allocs)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
@@ -205,9 +204,17 @@ type builder struct {
 	trees   []*graph.Tree
 	maxBeta int
 
-	// cg is the reusable approximate-cluster-growth workspace (created on
-	// first use, recycled across levels).
-	cg *clusterGrowth
+	// bf is the build's one limited Bellman-Ford in G' ∪ H, created with
+	// the hopset: the approximate pivots and the approximate clusters of
+	// every level run through it. srcs and walk are the cluster growth's
+	// seed and recovery-path buffers; hostFn, inClusterFn and memberFn its
+	// limit and membership rules, bound once.
+	bf          *hopset.LimitedBF
+	srcs        []hopset.Source
+	walk        []int
+	hostFn      hopset.LimitFunc
+	inClusterFn func(v int, e *hopset.Estimate) bool
+	memberFn    func(v int, e *hopset.Estimate) (root, parent int, ok bool)
 
 	phaseRounds map[string]int64
 	phasesDone  int
@@ -300,35 +307,41 @@ func (b *builder) buildHopset() error {
 		return fmt.Errorf("core: hopset: %w", err)
 	}
 	b.hs = hs
+	b.bf = hopset.NewLimitedBF(b.ex, vg, hs)
+	b.hostFn = b.bf.HostLimit
+	b.inClusterFn = b.inCluster
+	b.memberFn = b.member
 	return nil
 }
 
+// pivotSet is the one root the approximate pivots' seeds share: each
+// vertex holds one estimate, whose origin is its pivot.
+const pivotSet = -1
+
 // approxPivots computes d̂(·, A_j) for the high levels by
 // hopset-accelerated Bellman-Ford (eq. (5): each iteration's B-bounded
-// exploration delivers estimates to every host vertex).
-// The levels share one Bellman–Ford workspace, so each level keeps copies
-// of the result's arrays.
+// exploration delivers estimates to every host vertex), with no limit. The
+// kernel's estimate charge (distance, parent, id) covers the retained pivot
+// distance and id.
 func (b *builder) approxPivots() error {
-	bf := hopset.NewBFScratch(b.ex)
 	for j := b.kHalf + 1; j < b.k; j++ {
 		var seeds []hopset.Source
 		for _, v := range b.levels[j] {
-			seeds = append(seeds, hopset.Source{Root: -1, At: v, Dist: 0})
+			seeds = append(seeds, hopset.Source{Root: pivotSet, At: v})
 		}
-		res, err := hopset.BellmanFord(b.sim, b.vg, b.hs, seeds, bf)
+		iters, err := b.bf.Run(seeds, nil, 0)
 		if err != nil {
 			return fmt.Errorf("core: approximate pivots for level %d: %w", j, err)
 		}
-		if res.Iterations > b.maxBeta {
-			b.maxBeta = res.Iterations
-		}
-		b.pivotD[j] = slices.Clone(res.Dist)
-		b.pivotRoot[j] = slices.Clone(res.Origin)
-		for v := range res.Dist {
-			if res.Dist[v] != graph.Infinity {
-				b.sim.Mem(v).Charge(2) // retained approximate pivot
+		b.maxBeta = max(b.maxBeta, iters)
+		dist, root := make([]float64, b.n), make([]int, b.n)
+		for v := range dist {
+			dist[v], root[v] = graph.Infinity, graph.NoVertex
+			if e := b.bf.Get(v, pivotSet); e != nil {
+				dist[v], root[v] = e.Dist, e.Origin
 			}
 		}
+		b.pivotD[j], b.pivotRoot[j] = dist, root
 	}
 	return nil
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // buildBFBench constructs a fixed hopset instance for the steady-state
-// Bellman-Ford regime - the hottest handler loop of the high-level phases
-// (one B-bounded exploration plus one hopset broadcast per iteration).
-// Workers are pinned to 1 so the alloc figures are the handler layer's, not
-// goroutine-spawn noise.
+// limited Bellman-Ford regime - the hottest handler loop of the high-level
+// phases (one B-bounded exploration plus one hopset broadcast per
+// iteration). Workers are pinned to 1 so the alloc figures are the handler
+// layer's, not goroutine-spawn noise.
 func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []Source) {
 	tb.Helper()
 	gen, err := graph.GenerateCSR(graph.FamilyErdosRenyi, 200, rand.New(rand.NewSource(31)))
@@ -40,39 +40,41 @@ func buildBFBench(tb testing.TB) (*congest.Simulator, *VirtualGraph, *Hopset, []
 	return sim, vg, hs, seeds
 }
 
-// BenchmarkBellmanFordSteady measures one full hopset-accelerated
-// Bellman-Ford on a warm BFScratch: explorations, broadcasts, and relax
-// commits, with the workspace recycled across calls.
-func BenchmarkBellmanFordSteady(b *testing.B) {
+// BenchmarkLimitedBF measures one full unlimited run of the limited
+// Bellman-Ford kernel on a warm workspace: explorations, broadcasts and
+// relaxations, with the workspace recycled across calls.
+func BenchmarkLimitedBF(b *testing.B) {
 	sim, vg, hs, seeds := buildBFBench(b)
-	sc := NewBFScratch(nil)
-	if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
-		b.Fatal(err)
-	}
+	bf := NewLimitedBF(NewExplorer(sim), vg, hs)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
+		if _, err := bf.Run(seeds, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestBellmanFordSteadyStateAllocFree pins the zero-allocation contract of
-// the typed-payload handler layer: once the scratch, explorer state, and
-// arena size classes are warm, a full Bellman-Ford run allocates nothing.
+// the limited Bellman-Ford kernel on its own: once its workspace, the
+// explorer state and the arena size classes are warm, a full unlimited run
+// allocates nothing - from one seed, and from several seeds sharing one
+// root, as the approximate pivots run it.
 func TestBellmanFordSteadyStateAllocFree(t *testing.T) {
 	sim, vg, hs, seeds := buildBFBench(t)
-	sc := NewBFScratch(nil)
+	m := vg.Members()
+	shared := []Source{{Root: -1, At: m[0]}, {Root: -1, At: m[len(m)/2]}, {Root: -1, At: m[len(m)-1]}}
+	bf := NewLimitedBF(NewExplorer(sim), vg, hs)
 	run := func() {
-		if _, err := BellmanFord(sim, vg, hs, seeds, sc); err != nil {
-			t.Fatal(err)
+		for _, s := range [][]Source{seeds, shared} {
+			if _, err := bf.Run(s, nil, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for i := 0; i < 3; i++ {
 		run()
 	}
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("steady-state BellmanFord allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state limited Bellman-Ford allocates %v/op, want 0", allocs)
 	}
 }

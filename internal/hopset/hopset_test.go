@@ -412,16 +412,33 @@ func TestClusterTreesRejectsUnsortedRoots(t *testing.T) {
 	}
 }
 
+// runBF runs one unlimited kernel from seeds on a fresh Explorer over sim
+// and returns each vertex's estimate of its distance to them (Infinity
+// where it has none) and the iterations run.
+func runBF(t *testing.T, sim *congest.Simulator, vg *VirtualGraph, hs *Hopset, seeds []Source) ([]float64, int) {
+	t.Helper()
+	bf := NewLimitedBF(NewExplorer(sim), vg, hs)
+	iters, err := bf.Run(seeds, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := make([]float64, sim.N())
+	for v := range dist {
+		dist[v] = graph.Infinity
+		if e := bf.Get(v, -1); e != nil {
+			dist[v] = e.Dist
+		}
+	}
+	return dist, iters
+}
+
 func TestHopsetAcceleratesBF(t *testing.T) {
 	// With the hopset, set-source BF over G'∪H must converge in far fewer
 	// iterations than the virtual graph's unweighted diameter, and to
 	// estimates sandwiched between d_G and d_{G'}.
 	g, vg, hs, sim := buildTestHopset(t, 120, 3, 15)
 	seeds := []Source{{Root: -1, At: vg.Members()[0], Dist: 0}}
-	res, err := BellmanFord(sim, vg, hs, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist, iters := runBF(t, sim, vg, hs, seeds)
 	exact, err := vg.ExactDistances([]int{vg.Members()[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -429,67 +446,119 @@ func TestHopsetAcceleratesBF(t *testing.T) {
 	exactVirt := exact[vg.Members()[0]]
 	exactHost := graph.Dijkstra(g, vg.Members()[0])
 	for _, w := range vg.Members() {
-		if res.Dist[w] == graph.Infinity {
+		if dist[w] == graph.Infinity {
 			t.Fatalf("virtual vertex %d unreached", w)
 		}
-		if res.Dist[w] < exactHost.Dist[w] {
-			t.Fatalf("w=%d: estimate %v below host distance %v", w, res.Dist[w], exactHost.Dist[w])
+		if dist[w] < exactHost.Dist[w] {
+			t.Fatalf("w=%d: estimate %v below host distance %v", w, dist[w], exactHost.Dist[w])
 		}
-		if res.Dist[w] > exactVirt[w] {
-			t.Fatalf("w=%d: estimate %v above virtual distance %v", w, res.Dist[w], exactVirt[w])
+		if dist[w] > exactVirt[w] {
+			t.Fatalf("w=%d: estimate %v above virtual distance %v", w, dist[w], exactVirt[w])
 		}
 	}
-	if res.Iterations > vg.M() {
-		t.Fatalf("BF took %d iterations on %d virtual vertices", res.Iterations, vg.M())
+	if iters > vg.M() {
+		t.Fatalf("BF took %d iterations on %d virtual vertices", iters, vg.M())
 	}
 }
 
-// TestBellmanFordWarmScratchMatchesFresh: a workspace already used for one
-// seed set returns, for a second seed set, exactly what a fresh workspace
-// returns, at the same round, message and word cost. Core shares one
-// workspace across its approximate-pivot levels.
+// TestBellmanFordWarmScratchMatchesFresh: a kernel already run from one
+// seed set returns, for a second seed set, exactly what a fresh kernel
+// returns, at the same round, message and word cost. Core runs one kernel
+// for every approximate-pivot and approximate-cluster level.
 func TestBellmanFordWarmScratchMatchesFresh(t *testing.T) {
 	_, vg, hs, sim := buildTestHopset(t, 120, 3, 17)
 	m := vg.Members()
 	first := []Source{{Root: -1, At: m[0], Dist: 0}}
 	second := []Source{{Root: -1, At: m[len(m)/2], Dist: 0}, {Root: -1, At: m[len(m)-1], Dist: 0}}
 	type run struct {
-		res                     BFResult
+		est                     [][]Estimate
+		iters                   int
 		rounds, messages, words int64
 	}
-	bf := func(seeds []Source, sc *BFScratch) run {
+	bf := func(seeds []Source, l *LimitedBF) run {
 		r0, m0, w0 := sim.Rounds(), sim.Messages(), sim.Words()
-		res, err := BellmanFord(sim, vg, hs, seeds, sc)
+		iters, err := l.Run(seeds, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := run{res: *res, rounds: sim.Rounds() - r0, messages: sim.Messages() - m0, words: sim.Words() - w0}
-		out.res.Dist = slices.Clone(res.Dist)
-		out.res.Parent = slices.Clone(res.Parent)
-		out.res.Origin = slices.Clone(res.Origin)
+		out := run{iters: iters, rounds: sim.Rounds() - r0, messages: sim.Messages() - m0, words: sim.Words() - w0}
+		for _, es := range l.Estimates() {
+			out.est = append(out.est, slices.Clone(es))
+		}
 		return out
 	}
-	fresh := bf(second, nil)
-	warm := NewBFScratch(NewExplorer(sim))
+	fresh := bf(second, NewLimitedBF(NewExplorer(sim), vg, hs))
+	warm := NewLimitedBF(NewExplorer(sim), vg, hs)
 	bf(first, warm)
 	got := bf(second, warm)
 	if !reflect.DeepEqual(got, fresh) {
-		t.Fatalf("warm workspace: %d iterations, %d rounds, %d messages, %d words; fresh: %d, %d, %d, %d (or the arrays differ)",
-			got.res.Iterations, got.rounds, got.messages, got.words,
-			fresh.res.Iterations, fresh.rounds, fresh.messages, fresh.words)
+		t.Fatalf("warm kernel: %d iterations, %d rounds, %d messages, %d words; fresh: %d, %d, %d, %d (or the estimates differ)",
+			got.iters, got.rounds, got.messages, got.words,
+			fresh.iters, fresh.rounds, fresh.messages, fresh.words)
+	}
+}
+
+// TestLimitedBFOriginsAreSeeds: with several seeds sharing one root (the
+// approximate pivots' use), every estimate's origin is one of the seeds,
+// and the estimate is never below the host distance from that origin. The
+// instance is a grid with B = 3, so the hopset's H steps relax estimates,
+// and origins resolve through their hopset edges' tails.
+func TestLimitedBFOriginsAreSeeds(t *testing.T) {
+	g, err := graph.GenerateCSR(graph.FamilyGrid, 256, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vg, err := NewVirtualGraph(g, sampleMembers(g, 0.25, rand.New(rand.NewSource(2))), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := congest.NewTopo(g)
+	hs, err := Build(NewExplorer(sim), vg, Options{Kappa: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vg.Members()
+	var seeds []Source
+	isSeed := map[int]bool{}
+	for _, v := range []int{m[0], m[len(m)/2], m[len(m)-1]} {
+		seeds = append(seeds, Source{Root: -1, At: v})
+		isSeed[v] = true
+	}
+	bf := NewLimitedBF(NewExplorer(sim), vg, hs)
+	if _, err := bf.Run(seeds, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	viaHopset := 0
+	for v := 0; v < g.N(); v++ {
+		e := bf.Get(v, -1)
+		if e == nil {
+			continue
+		}
+		if !isSeed[e.Origin] {
+			t.Fatalf("v=%d: origin %d is not a seed", v, e.Origin)
+		}
+		if d := graph.Dijkstra(g, e.Origin).Dist[v]; e.Dist < d {
+			t.Fatalf("v=%d: estimate %v below the host distance %v from its origin %d", v, e.Dist, d, e.Origin)
+		}
+		if e.Via != graph.NoVertex {
+			viaHopset++
+		}
+	}
+	if viaHopset == 0 {
+		t.Fatal("no estimate came over a hopset edge; the instance does not exercise H steps")
 	}
 }
 
 func TestHopsetBFEmptySeeds(t *testing.T) {
 	_, vg, hs, sim := buildTestHopset(t, 50, 3, 16)
-	res, err := BellmanFord(sim, vg, hs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range res.Dist {
+	dist, iters := runBF(t, sim, vg, hs, nil)
+	for _, d := range dist {
 		if d != graph.Infinity {
 			t.Fatal("no seeds should mean no estimates")
 		}
+	}
+	if iters != 0 {
+		t.Fatalf("no seeds ran %d iterations", iters)
 	}
 }
 
@@ -554,10 +623,7 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 			return false
 		}
 		src := members[0]
-		res, err := BellmanFord(sim, vg, hs, []Source{{Root: -1, At: src, Dist: 0}}, nil)
-		if err != nil {
-			return false
-		}
+		dist, _ := runBF(t, sim, vg, hs, []Source{{Root: -1, At: src, Dist: 0}})
 		exact, err := vg.ExactDistances([]int{src})
 		if err != nil {
 			return false
@@ -565,7 +631,7 @@ func TestHopsetBFSandwichProperty(t *testing.T) {
 		exactVirt := exact[src]
 		exactHost := graph.Dijkstra(g, src)
 		for _, w := range members {
-			if res.Dist[w] < exactHost.Dist[w] || res.Dist[w] > exactVirt[w] {
+			if dist[w] < exactHost.Dist[w] || dist[w] > exactVirt[w] {
 				return false
 			}
 		}

@@ -2,8 +2,9 @@
 // Elkin-Neiman (PODC 2018): virtual graphs whose edges are B-bounded
 // distances in the host graph and are explored on the fly (never
 // materialised), (β,ε)-hopsets for such virtual graphs with bounded
-// arboricity and a path-recovery mechanism, and hopset-accelerated
-// Bellman-Ford with low per-vertex memory.
+// arboricity and a path-recovery mechanism, and the limited
+// hopset-accelerated Bellman-Ford in G' ∪ H (LimitedBF) with low
+// per-vertex memory.
 //
 // The hopset construction itself substitutes the companion-paper [EN17a/b]
 // construction with a Thorup-Zwick-style sampling hierarchy (pivots and

@@ -192,13 +192,13 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		sim := congest.NewTopo(topo)
-		hs, err := hopset.Build(hopset.NewExplorer(sim), vg, hopset.Options{Kappa: kappa, Seed: seed})
+		ex := hopset.NewExplorer(congest.NewTopo(topo))
+		hs, err := hopset.Build(ex, vg, hopset.Options{Kappa: kappa, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
 		seeds := []hopset.Source{{Root: -1, At: members[0], Dist: 0}}
-		with, err := hopset.BellmanFord(sim, vg, hs, seeds, nil)
+		with, err := hopset.NewLimitedBF(ex, vg, hs).Run(seeds, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -211,8 +211,7 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 		if err != nil {
 			return nil, err
 		}
-		simNo := congest.NewTopo(topo)
-		without, err := hopset.BellmanFord(simNo, vg, empty, seeds, nil)
+		without, err := hopset.NewLimitedBF(hopset.NewExplorer(congest.NewTopo(topo)), vg, empty).Run(seeds, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -224,8 +223,8 @@ func RunHopsetAblation(family graph.Family, n int, frac float64, kappas []int, s
 			Kappa:        kappa,
 			Edges:        hs.Size(),
 			Arboricity:   hs.MaxOutDegree(),
-			IterWith:     with.Iterations,
-			IterWithout:  without.Iterations,
+			IterWith:     with,
+			IterWithout:  without,
 			MeasuredBeta: beta,
 		})
 	}

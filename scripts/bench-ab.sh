@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Benchmark A/B (make bench-ab): run one workload of the repository
 # benchmark at git revision REV ("base") and at the working tree ("change")
-# in alternating pairs, print every pair's setup_s, and summarise the
-# change/base ratios by their geometric mean and median.
+# in alternating pairs, print every pair's setup_s, summarise each side's
+# setup_s by its median and quartiles, and the change/base ratios by their
+# geometric mean and median.
 #
 #   bash scripts/bench-ab.sh REV WORKLOAD [PAIRS]
 #   make bench-ab REV=HEAD~1 WORKLOAD=serve-grid400-k3 PAIRS=10
@@ -46,7 +47,7 @@ setup() {
 }
 
 echo "bench-ab: $workload, base $(git -C "$root" rev-parse --short "$rev") vs the working tree, $pairs pairs"
-ratios=()
+ratios=() bases=() changes=()
 for i in $(seq 1 "$pairs"); do
     if ((i % 2)); then
         a=$(setup "$base" "$i")
@@ -56,9 +57,21 @@ for i in $(seq 1 "$pairs"); do
         a=$(setup "$base" "$i")
     fi
     r=$(awk -v a="$a" -v b="$b" 'BEGIN { printf "%.4f", b / a }')
-    ratios+=("$r")
+    ratios+=("$r") bases+=("$a") changes+=("$b")
     printf 'pair %2d  seed %2d  base %.6f s  change %.6f s  ratio %s\n' "$i" "$i" "$a" "$b" "$r"
 done
+# quartiles NAME VALUES...: the median and the quartiles of VALUES, each
+# interpolated linearly between the two nearest ranks.
+quartiles() {
+    local name=$1
+    shift
+    printf '%s\n' "$@" | sort -g | awk -v name="$name" '
+        function q(p,   h, i) { h = (NR - 1) * p + 1; i = int(h); return i >= NR ? v[NR] : v[i] + (h - i) * (v[i + 1] - v[i]) }
+        { v[NR] = $1 }
+        END { printf "%-6s setup_s median %.6f s  quartiles %.6f .. %.6f s\n", name, q(0.5), q(0.25), q(0.75) }'
+}
+quartiles base "${bases[@]}"
+quartiles change "${changes[@]}"
 printf '%s\n' "${ratios[@]}" | sort -g | awk '
     { r[NR] = $1; s += log($1); if ($1 < 1) better++ }
     END {
