@@ -49,7 +49,9 @@ var goldenFamilies = []Family{
 
 // TestGenerateCSRGolden pins every family's generated topology bit for bit:
 // all six families at n ∈ {0, 1, 2, 3, 17, 192, 256, 400, 4096} (Erdős–Rényi
-// up to n = 1000, since it flips a coin per vertex pair) and seeds 1–3.
+// up to n = 1000, since it flips a coin per vertex pair) and seeds 1–3, and
+// the grid and the torus at n = 65536 too: past latticeParallelMin, where
+// the layout runs on two goroutines when GOMAXPROCS allows.
 // The digests were recorded from the generators before Erdős–Rényi was
 // streamed, so any change to an edge order, a weight or the RNG draw
 // sequence of any family fails here.
@@ -72,8 +74,8 @@ func TestGenerateCSRGolden(t *testing.T) {
 	}
 	cases := 0
 	for _, fam := range goldenFamilies {
-		for _, n := range []int{0, 1, 2, 3, 17, 192, 256, 400, 4096} {
-			if fam == FamilyErdosRenyi && n > 1000 {
+		for _, n := range []int{0, 1, 2, 3, 17, 192, 256, 400, 4096, 1 << 16} {
+			if fam == FamilyErdosRenyi && n > 1000 || n > 4096 && fam != FamilyGrid && fam != FamilyTorus {
 				continue
 			}
 			cases += 3
