@@ -63,8 +63,11 @@ bench:
 # A/B the repository benchmark (scripts/bench-ab.sh): WORKLOAD at git
 # revision REV against the working tree, in PAIRS alternating pairs; prints
 # every pair's setup_s, each side's median and quartiles, and the
-# geometric-mean change/base ratio. REV is checked out in a git worktree
-# under .bench_build/, removed afterwards.
+# geometric-mean change/base ratio. Every run lasts BENCHMARK.json's
+# run_seconds (20), as the benchmark's own runs do: 10 pairs take about
+# 1.5 min for build-grid400-k3, 2 min for build-er192-k2, 4 min for
+# explore-grid64k and 7.5 min for serve-grid400-k3 on a 2-CPU host. REV is
+# checked out in a git worktree under .bench_build/, removed afterwards.
 REV ?= HEAD
 WORKLOAD ?= serve-grid400-k3
 PAIRS ?= 10

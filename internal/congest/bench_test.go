@@ -34,7 +34,7 @@ func reportPeakHeap(b *testing.B) {
 // cluster growth and the hopset searches (many active vertices, every edge
 // busy).
 func floodWorkload(side, rounds int, opts ...Option) (*Simulator, func()) {
-	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(1)))
+	g := graph.Torus(side, side, 1, rand.New(rand.NewSource(1)))
 	s := NewTopo(g, opts...)
 	all := make([]int, g.N())
 	for v := range all {

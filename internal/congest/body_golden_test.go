@@ -26,7 +26,7 @@ import (
 // everything delivered and of the final engine counters, and the simulator.
 func bodiedFlood(workers int, opts ...Option) (string, *Simulator) {
 	const floodRounds = 5
-	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(5)))
+	g := graph.Torus(floodSide, floodSide, 1, rand.New(rand.NewSource(5)))
 	s := NewTopo(g, append([]Option{WithWorkers(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {

@@ -123,7 +123,7 @@ func charge(v, j int) int64 {
 }
 
 func TestBroadcastMatchesPerPairDelivery(t *testing.T) {
-	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+	g := graph.Torus(4, 4, 1, rand.New(rand.NewSource(2)))
 	plans := map[string]*faults.Plan{
 		"clean":     nil,
 		"drop":      {Seed: 8, Drop: 0.3},
@@ -223,7 +223,7 @@ type bcastCounter struct{ reads int }
 func (c *bcastCounter) handle(v int, d *Delivery) { c.reads += delivered(d) }
 
 func TestBroadcastAllocFree(t *testing.T) {
-	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+	g := graph.Torus(4, 4, 1, rand.New(rand.NewSource(2)))
 	for name, plan := range map[string]*faults.Plan{"clean": nil, "drop": {Seed: 8, Drop: 0.3}} {
 		s := NewTopo(g, WithFaults(plan), WithWorkers(1))
 		c := &bcastCounter{}

@@ -44,7 +44,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		sim                     *Simulator
 	}
 	runOnce := func(workers int) result {
-		g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(3)))
+		g := graph.Torus(side, side, 1, rand.New(rand.NewSource(3)))
 		s := NewTopo(g, WithWorkers(workers))
 		all := make([]int, g.N())
 		for v := range all {

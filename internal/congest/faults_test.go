@@ -46,7 +46,7 @@ func runFloodSim(workers, floodRounds int, opts ...Option) (floodResult, *Simula
 // state with the last Run's delivery logs. Per-edge fault cursors carry
 // from one Run to the next, as they do between build phases.
 func runFloodRuns(workers, floodRounds, runs int, opts ...Option) (floodResult, *Simulator) {
-	g := graph.Torus(floodSide, floodSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	g := graph.Torus(floodSide, floodSide, 1, rand.New(rand.NewSource(3)))
 	s := NewTopo(g, append([]Option{WithWorkers(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {
@@ -111,7 +111,7 @@ func TestWithFaultsNilIsIdentical(t *testing.T) {
 		})
 	}
 	t.Run("dormant-plan-analytic", func(t *testing.T) {
-		g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+		g := graph.Torus(4, 4, 1, rand.New(rand.NewSource(2)))
 		run := func(opts ...Option) bcastRun {
 			s := NewTopo(g, opts...)
 			var log [][2]int
@@ -481,7 +481,7 @@ func TestFaultPartitionHeals(t *testing.T) {
 // message still reaches every vertex, extra rounds and wire charged); with
 // certain drop and a tiny budget, deliveries are Lost and withheld.
 func TestBroadcastFaultRetry(t *testing.T) {
-	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+	g := graph.Torus(4, 4, 1, rand.New(rand.NewSource(2)))
 
 	clean := NewTopo(g)
 	var cleanCalls int
@@ -530,7 +530,7 @@ func delivered(d *Delivery) int {
 
 // TestConvergecastFaultRetry mirrors the broadcast test for the sink side.
 func TestConvergecastFaultRetry(t *testing.T) {
-	g := graph.Torus(4, 4, graph.UnitWeights, rand.New(rand.NewSource(2)))
+	g := graph.Torus(4, 4, 1, rand.New(rand.NewSource(2)))
 	msgs := make([]BroadcastMsg, g.N())
 	for v := range msgs {
 		msgs[v] = BroadcastMsg{Origin: v, Words: 1}

@@ -14,7 +14,7 @@ import (
 func floodOnce(t *testing.T, opts ...Option) *Simulator {
 	t.Helper()
 	const side, floodRounds = 6, 4
-	g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(7)))
+	g := graph.Torus(side, side, 1, rand.New(rand.NewSource(7)))
 	s := NewTopo(g, opts...)
 	all := make([]int, g.N())
 	for v := range all {

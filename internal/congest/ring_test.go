@@ -374,7 +374,7 @@ var wrappingLayout = &ringLayout{len: 4, head: 3}
 // slots once it has grown at all. The sender's step is the only place an
 // edge's count grows, so the peak is read there.
 func TestRingCapacityBound(t *testing.T) {
-	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	g := graph.Torus(8, 8, 1, rand.New(rand.NewSource(3)))
 	s := NewTopo(g, WithWorkers(1))
 	s.ensureTopology()
 	peak := make([]int32, len(s.queues))

@@ -86,7 +86,7 @@ const timerSide = 72
 // implementation of the wait: Wake every round instead of WakeAt.
 func timerWorkload(t *testing.T, spin bool, workers, maxRounds int, opts ...Option) timerRun {
 	t.Helper()
-	g := graph.Torus(timerSide, timerSide, graph.UnitWeights, rand.New(rand.NewSource(3)))
+	g := graph.Torus(timerSide, timerSide, 1, rand.New(rand.NewSource(3)))
 	return timerWorkloadOn(t, NewTopo(g, append([]Option{WithWorkers(workers)}, opts...)...), spin, maxRounds)
 }
 
@@ -324,7 +324,7 @@ func (p *timerProbe) Span(trace.SpanEvent)          {}
 // on one simulator: the second Run must not inherit the first one's armed
 // rounds.
 func TestWakeAtRearmKeepsOneTimer(t *testing.T) {
-	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(4)))
+	g := graph.Torus(8, 8, 1, rand.New(rand.NewSource(4)))
 	n := g.N()
 	chatty := func(v int) bool { return v%4 == 0 }
 	target := func(v int) int { return 40 + 9*(v%5) }

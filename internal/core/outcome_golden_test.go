@@ -66,3 +66,59 @@ func TestHighKOutcomeGolden(t *testing.T) {
 		}
 	}
 }
+
+// longPathGolden is the TestHighKOutcomeGolden hash of a k=4 Build at
+// seed 1 on graph.Path(512, IntegerWeights(10)) drawn from seed 1.
+const longPathGolden = "b4b51cc28ed12b2ae6a6345e6660bf3202918fc0946f4470503a191cd795fa11"
+
+// TestLongPathOutcomeGolden reaches the approximate pivots' H step, which
+// TestHighKOutcomeGolden's builds never do. On a 512-vertex path at k=4,
+// B = ⌈1.5·√512·ln 513⌉ = 212 hops, below the hop diameter of 511. Seed 1
+// samples A_3 = {106, 144, 215}, so the far end of the path lies 296 hops
+// from its nearest pivot. The kernel then runs more than one iteration, and
+// some final pivot estimates arrive over hopset edges. (On a 128-vertex
+// path, B = 83 < 127 too, but at seeds 1–12 every final pivot estimate
+// there arrives over G.) The test pins the build's tables and labels as
+// TestHighKOutcomeGolden does.
+func TestLongPathOutcomeGolden(t *testing.T) {
+	const n, k, seed = 512, 4, 1
+	topo := graph.Path(n, graph.IntegerWeights(10), rand.New(rand.NewSource(seed)))
+	opts := Options{K: k, Seed: seed}
+
+	// The build's phases up to the approximate pivots, to read the
+	// kernel's run for level k-1, the one approximate level.
+	b := newBuilder(congest.NewTopo(topo), opts.withDefaults())
+	for _, phase := range []func() error{b.exactPivots, b.lowClusters, b.buildHopset, b.approxPivots} {
+		if err := phase(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.maxBeta < 2 {
+		t.Fatalf("the approximate pivots ran %d limited Bellman–Ford iterations, want more than one", b.maxBeta)
+	}
+	hStep := 0
+	for v := range n {
+		if e := b.bf.Get(v, pivotSet); e != nil && e.Via != graph.NoVertex {
+			hStep++
+		}
+	}
+	if hStep == 0 {
+		t.Fatal("no final pivot estimate arrived over a hopset edge")
+	}
+
+	s, err := Build(congest.NewTopo(topo), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.B >= n-1 {
+		t.Fatalf("B = %d hops, not below the path's hop diameter %d", s.Stats.B, n-1)
+	}
+	h := sha256.New()
+	for v := 0; v < n; v++ {
+		h.Write(wire.EncodeTable(s.Table(v)))
+		h.Write(wire.EncodeLabel(s.Labels[v]))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != longPathGolden {
+		t.Errorf("tables and labels hash %s, golden %s", got, longPathGolden)
+	}
+}

@@ -124,8 +124,7 @@ func (wc *weightClasser) slot(k uint64) int {
 
 // add records w and returns its insertion id, the number of distinct
 // weights added before it. Once more than maxWeightClasses distinct weights
-// were seen, it marks the classer over and returns 0; the table keeps the
-// weights added before, so byID still reads back every id add returned.
+// were seen, it marks the classer over and returns 0.
 func (wc *weightClasser) add(w float64) uint16 {
 	if wc.over {
 		return 0
@@ -158,17 +157,6 @@ func (wc *weightClasser) resize(size int) {
 			wc.slots[wc.slot(s.key)] = s
 		}
 	}
-}
-
-// byID returns the distinct weights indexed by insertion id.
-func (wc *weightClasser) byID() []float64 {
-	w := make([]float64, wc.n)
-	for _, s := range wc.slots {
-		if s.key != 0 {
-			w[s.id] = math.Float64frombits(s.key)
-		}
-	}
-	return w
 }
 
 // rank sorts the distinct weights into the class table it returns, along

@@ -30,7 +30,7 @@ func csrEqual(t *testing.T, a, b *CSR) {
 }
 
 func TestCSRWeightClassTable(t *testing.T) {
-	c := Grid(8, 8, IntegerWeights(10), rand.New(rand.NewSource(3)))
+	c := Grid(8, 8, 10, rand.New(rand.NewSource(3)))
 	if c.WeightClasses() == 0 || c.WeightClasses() > 10 {
 		t.Fatalf("expected ≤10 weight classes, got %d", c.WeightClasses())
 	}

@@ -43,17 +43,19 @@ func RandomGeometric(n int, radius float64, r *rand.Rand) *CSR {
 	return b.Build()
 }
 
-// Grid generates a rows×cols grid with the given weights, laid out in
-// place (see lattice). Hop diameter is rows+cols-2, which makes it a good
+// Grid generates a rows×cols grid with integer weights drawn uniformly from
+// {1, ..., wmax}, as IntegerWeights(wmax) draws them (all 1 when wmax is 1,
+// drawing nothing; wmax is clamped to [1, 65536]), laid out in place (see
+// lattice). Hop diameter is rows+cols-2, which makes it a good
 // "large D" stress case.
-func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	return lattice(rows, cols, false, w, r)
+func Grid(rows, cols, wmax int, r *rand.Rand) *CSR {
+	return lattice(rows, cols, false, wmax, r)
 }
 
 // Torus is Grid with wraparound edges, halving the diameter. Its weights
 // are the grid's draws, then one per row wrap and one per column wrap.
-func Torus(rows, cols int, w WeightFunc, r *rand.Rand) *CSR {
-	return lattice(rows, cols, true, w, r)
+func Torus(rows, cols, wmax int, r *rand.Rand) *CSR {
+	return lattice(rows, cols, true, wmax, r)
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: each new vertex

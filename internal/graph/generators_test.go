@@ -57,8 +57,8 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 	}{
 		{"erdos-renyi", ErdosRenyi(100, 0.05, IntegerWeights(10), r), 100},
 		{"geometric", RandomGeometric(100, 0.2, r), 100},
-		{"grid", Grid(8, 9, UnitWeights, r), 72},
-		{"torus", Torus(6, 6, UnitWeights, r), 36},
+		{"grid", Grid(8, 9, 1, r), 72},
+		{"torus", Torus(6, 6, 1, r), 36},
 		{"barabasi-albert", BarabasiAlbert(100, 3, UnitWeights, r), 100},
 		{"path", Path(50, UnitWeights, r), 50},
 		{"cycle", Cycle(50, UnitWeights, r), 50},

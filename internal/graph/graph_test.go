@@ -238,7 +238,7 @@ func TestBoundedBellmanFordMulti(t *testing.T) {
 
 func TestBFSAndHopDiameter(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	g := Grid(4, 5, UnitWeights, r)
+	g := Grid(4, 5, 1, r)
 	d, err := HopDiameter(g)
 	if err != nil {
 		t.Fatalf("HopDiameter: %v", err)

@@ -22,28 +22,29 @@ const latticeBlock = 8
 // lattice's adjacency has a closed form, so it needs no edge stream, no
 // degree count and no scatter. Vertex (i, j) is i·cols + j.
 //
-// The weights are w's draws in the lattice's stream order: row-major cells,
-// each cell's right edge then its down edge; then, for the torus, the row
-// wraps {(i,0),(i,cols-1)} by i and the column wraps {(0,j),(rows-1,j)} by
-// j. A wrap exists only along a dimension longer than 2, where it is not a
-// grid edge already. Each vertex's arcs come in the order a CSRBuilder fed
-// that stream gives them (up, left, right, down, row wrap, column wrap), so
-// the CSR equals the builder's bit for bit.
+// The weights are integers drawn uniformly from {1, ..., wmax} in the
+// lattice's stream order: row-major cells, each cell's right edge then its
+// down edge; then, for the torus, the row wraps {(i,0),(i,cols-1)} by i and
+// the column wraps {(0,j),(rows-1,j)} by j. A wrap exists only along a
+// dimension longer than 2, where it is not a grid edge already. Each
+// vertex's arcs come in the order a CSRBuilder fed that stream gives them
+// (up, left, right, down, row wrap, column wrap), so the CSR equals the
+// builder's bit for bit: with wmax 1 a builder fed UnitWeights, else one
+// fed IntegerWeights(wmax). A wmax below 1 is taken as 1 and one above
+// maxWeightClasses as maxWeightClasses, so every weight has a uint16 class.
 //
-// Transient memory is one uint16 weight id per edge. Past maxWeightClasses
-// distinct weights the ids drawn so far are converted to one float64 per
-// edge, and the CSR keeps the float64 fallback.
+// Transient memory is one uint16 weight class per edge.
 //
-// From latticeParallelMin edges on, with GOMAXPROCS > 1, the work that
-// does not depend on the weights runs on a helper goroutine while the
-// calling goroutine draws them, which must happen in order on w's one
-// rand.Rand: the helper allocates off, to and wcls, touches each page of
-// wcls once and writes the topology. Once the weights are drawn, the
-// caller and a second goroutine write them, and the caller then helps
-// with whatever topology is left. Each takes blocks of latticeBlock rows
-// in turn, so a goroutine that starts late or runs slow takes fewer. Every
-// goroutine is joined before lattice returns.
-func lattice(rows, cols int, wrap bool, w WeightFunc, r *rand.Rand) *CSR {
+// From latticeParallelMin edges on, with GOMAXPROCS > 1, the topology
+// is laid out on a helper goroutine while the calling goroutine draws the
+// weights, which must happen in order on the one rand.Rand: the helper
+// allocates off and to and writes them, the caller allocates wcls and
+// draws. Once the weights are drawn, the caller and a second goroutine
+// write them, and the caller then helps with whatever topology is left.
+// Each takes blocks of latticeBlock rows in turn, so a goroutine that
+// starts late or runs slow takes fewer. Every goroutine is joined before
+// lattice returns.
+func lattice(rows, cols int, wrap bool, wmax int, r *rand.Rand) *CSR {
 	if rows <= 0 || cols <= 0 { // no edges, and max(rows·cols, 0) vertices
 		return &CSR{off: make([]int32, max(rows*cols, 0)+1)}
 	}
@@ -57,60 +58,32 @@ func lattice(rows, cols int, wrap bool, w WeightFunc, r *rand.Rand) *CSR {
 	}
 	c := &CSR{m: m}
 	if m < latticeParallelMin || runtime.GOMAXPROCS(0) == 1 {
-		wc := newWeightClasser()
-		ids, ws := drawLattice(m, w, r, wc)
-		c.off, c.to = make([]int32, rows*cols+1), make([]int32, 2*m)
-		class := c.allocWeights(wc)
-		if ws != nil {
-			layArcs(l, c.off, c.to, 0, rows, ws, c.w64)
-			return c
-		}
-		for e, id := range ids {
-			ids[e] = class[id]
-		}
-		layArcs(l, c.off, c.to, 0, rows, ids, c.wcls)
+		cls := c.drawClasses(m, wmax, r)
+		c.off, c.to, c.wcls = make([]int32, rows*cols+1), make([]int32, 2*m), make([]uint16, 2*m)
+		layArcs(l, c.off, c.to, 0, rows, cls, c.wcls)
 		return c
 	}
 
-	var off, to []int32
-	var wcls []uint16
 	var topoNext, weighNext atomic.Int64 // each pass's first unclaimed row
-	layTopo := func(r0, r1 int) { layArcs[uint16](l, off, to, r0, r1, nil, nil) }
+	layTopo := func(r0, r1 int) { layArcs(l, c.off, c.to, r0, r1, nil, nil) }
 	var laid, done sync.WaitGroup
 	laid.Add(1)
 	done.Add(2)
 	go func() {
 		defer done.Done()
-		off, to, wcls = make([]int32, rows*cols+1), make([]int32, 2*m), make([]uint16, 2*m)
-		for a := 0; a < len(wcls); a += 2048 { // one store per 4 KiB page
-			wcls[a] = 0
-		}
+		c.off, c.to = make([]int32, rows*cols+1), make([]int32, 2*m)
 		laid.Done()
 		claimRows(&topoNext, rows, layTopo)
 	}()
-	wc := newWeightClasser()
-	ids, ws := drawLattice(m, w, r, wc)
-	if ws == nil {
-		var class []uint16
-		c.classes, class = wc.rank()
-		for e, id := range ids {
-			ids[e] = class[id]
-		}
-	}
-	laid.Wait()
-	c.off, c.to = off, to
-	weigh := func(r0, r1 int) { layArcs(l, nil, nil, r0, r1, ids, wcls) }
-	if ws != nil {
-		c.w64 = make([]float64, 2*m)
-		weigh = func(r0, r1 int) { layArcs(l, nil, nil, r0, r1, ws, c.w64) }
-	} else {
-		c.wcls = wcls
-	}
+	c.wcls = make([]uint16, 2*m)
+	cls := c.drawClasses(m, wmax, r)
+	weigh := func(r0, r1 int) { layArcs(l, nil, nil, r0, r1, cls, c.wcls) }
 	go func() {
 		defer done.Done()
 		claimRows(&weighNext, rows, weigh)
 	}()
 	claimRows(&weighNext, rows, weigh)
+	laid.Wait()
 	claimRows(&topoNext, rows, layTopo)
 	done.Wait()
 	return c
@@ -129,27 +102,45 @@ func claimRows(next *atomic.Int64, rows int, f func(r0, r1 int)) {
 	}
 }
 
-// drawLattice draws the lattice's m edge weights in stream order and
-// classes each through wc: it returns each edge's insertion id, or, once wc
-// is over, every edge's float64 weight, the ids drawn before the switch
-// converted through wc's table.
-func drawLattice(m int, w WeightFunc, r *rand.Rand, wc *weightClasser) (ids []uint16, ws []float64) {
-	ids = make([]uint16, m)
-	for e := range m {
-		x := w(r)
-		if ws == nil {
-			if ids[e] = wc.add(x); !wc.over {
-				continue
+// drawClasses draws the lattice's m weights in stream order, sets
+// c.classes, and returns each edge's class. A draw is what IntegerWeights'
+// r.Intn(wmax) draws, math/rand's Int31n inlined: one Int63, drawn again
+// while its top 31 bits fall in the last, partial run of wmax values, and
+// those bits mod wmax are the weight less 1. The classes are the values
+// that came up, in ascending order, so the values need renumbering only
+// when some value in [0, wmax) did not. With wmax 1 nothing is drawn.
+func (c *CSR) drawClasses(m, wmax int, r *rand.Rand) []uint16 {
+	wmax = min(max(wmax, 1), maxWeightClasses)
+	cls := make([]uint16, m)
+	seen := make([]bool, wmax)
+	if wmax == 1 {
+		seen[0] = m > 0
+	} else {
+		n := int32(wmax)
+		top := int32(1<<31 - 1 - (1<<31)%uint32(n))
+		for e := range cls {
+			v := int32(r.Int63() >> 32)
+			for v > top {
+				v = int32(r.Int63() >> 32)
 			}
-			ws = make([]float64, m)
-			byID := wc.byID()
-			for k, id := range ids[:e] {
-				ws[k] = byID[id]
-			}
+			cls[e] = uint16(v % n)
+			seen[cls[e]] = true
 		}
-		ws[e] = x
 	}
-	return ids, ws
+	rank := make([]uint16, wmax)
+	c.classes = make([]float64, 0, wmax)
+	for v, ok := range seen {
+		if ok {
+			rank[v] = uint16(len(c.classes))
+			c.classes = append(c.classes, float64(v+1))
+		}
+	}
+	if len(c.classes) < wmax {
+		for e, v := range cls {
+			cls[e] = rank[v]
+		}
+	}
+	return cls
 }
 
 // latticeShape is a lattice's dimensions and the edge index of its first
@@ -184,7 +175,7 @@ func (l latticeShape) rowStart(i int) int {
 // of edge e. Row i's grid edges start at edge s: before the last row a
 // cell's right edge is s+2j and its down edge s+2j+1, but the last column
 // has only its down edge, s+2j; the last row has only right edges, s+j.
-func layArcs[W uint16 | float64](l latticeShape, off, to []int32, r0, r1 int, wt, out []W) {
+func layArcs(l latticeShape, off, to []int32, r0, r1 int, wt, out []uint16) {
 	rows, cols := l.rows, l.cols
 	rowEdges := 2*cols - 1 // grid edges a row emits, but the last row's
 	a := l.rowStart(r0)

@@ -257,7 +257,7 @@ func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 		streamGeometric(n, geometricDefaultRadius(n), r, b.add)
 	case FamilyGrid, FamilyTorus:
 		rows, cols := gridDefaultDims(n)
-		return lattice(rows, cols, f == FamilyTorus, IntegerWeights(10), r), nil
+		return lattice(rows, cols, f == FamilyTorus, 10, r), nil
 	case FamilyPowerLaw:
 		// streamBarabasiAlbert's edge count: a path over the first
 		// m+1 vertices, then m edges for each later vertex.

@@ -8,6 +8,8 @@
 #   bash scripts/bench-ab.sh REV WORKLOAD [PAIRS]
 #   make bench-ab REV=HEAD~1 WORKLOAD=serve-grid400-k3 PAIRS=10
 #
+# Every run lasts the benchmark's own run_seconds from BENCHMARK.json, so
+# each run's setup_s is a median over as many instances as the benchmark's.
 # REV is checked out as a detached git worktree under .bench_build/ and
 # removed again on exit. Both sides build and run through their own
 # bench/run.sh, whose build output stays in the checkout's .bench_build/, so
@@ -21,6 +23,11 @@ workload=${2:?usage: bench-ab.sh REV WORKLOAD [PAIRS]}
 pairs=${3:-10}
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")
+if [[ -z $seconds ]]; then
+    echo "bench-ab: no run_seconds in $root/BENCHMARK.json" >&2
+    exit 1
+fi
 base="$root/.bench_build/ab-base"
 
 cleanup() {
@@ -35,7 +42,7 @@ git -C "$root" worktree add --detach "$base" "$rev" >/dev/null 2>&1
 # not correct or reports failed operations aborts the comparison.
 setup() {
     local json
-    json=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$2" --seconds 2 | grep '^{' | tail -1)
+    json=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$2" --seconds "$seconds" | grep '^{' | tail -1)
     case $json in
     *'"correct":true'*'"failed":0,'*) ;;
     *)
@@ -46,7 +53,7 @@ setup() {
     sed -n 's/.*"setup_s":{"value":\([^,}]*\).*/\1/p' <<<"$json"
 }
 
-echo "bench-ab: $workload, base $(git -C "$root" rev-parse --short "$rev") vs the working tree, $pairs pairs"
+echo "bench-ab: $workload, base $(git -C "$root" rev-parse --short "$rev") vs the working tree, $pairs pairs of $seconds s runs"
 ratios=() bases=() changes=()
 for i in $(seq 1 "$pairs"); do
     if ((i % 2)); then
